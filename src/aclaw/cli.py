@@ -4,7 +4,9 @@ Subcommands map one-to-one onto the library's verification operations; all
 outputs are written atomically (temp file + rename) and floats are emitted
 with 17 significant digits, so a rerun with the same seed is byte-identical.
 Exit codes: 0 success, 1 verification failure (some non-vacuous check has
-holds = false), 2 usage error.
+holds = false), 2 usage error or typed precondition refusal (an AclawError
+such as rho >= 1 or a degenerate cubic root), reported as one stderr line
+with no traceback.
 
 Set ACLAW_THREADS to pin the BLAS thread count (effective when the CLI is
 the entry point, before numpy is loaded).
@@ -15,6 +17,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+from .errors import AclawError
 
 __all__ = ["main", "build_parser"]
 
@@ -370,14 +374,18 @@ def _cmd_semicircle(args) -> int:
 
 
 def _cmd_deloc(args) -> int:
+    from .linearize import AnticommutatorSpectrum
     from .locallaw import delocalization_check, empirical_k
     from .wigner import EnsembleSpec, sample_pair
 
     pair = sample_pair(EnsembleSpec(n=args.n, ensemble=args.ensemble,
                                     seed=args.seed))
+    # one eigendecomposition of {UV} serves both the law constant and the check
+    spectrum = AnticommutatorSpectrum.from_pair(pair)
     k_stat = args.k_stat if args.k_stat is not None else empirical_k(
-        pair, c_config=args.c_config)
-    rep = delocalization_check(pair, k_stat=k_stat, c_config=args.c_config)
+        pair, c_config=args.c_config, spectrum=spectrum)
+    rep = delocalization_check(pair, k_stat=k_stat, c_config=args.c_config,
+                               spectrum=spectrum)
     out = {
         "config": _base_config(args, ["n", "ensemble", "seed", "c_config"]),
         "k_stat": rep.k_stat, "rho": rep.rho,
@@ -471,6 +479,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except AclawError as exc:
+        print(f"aclaw {args.command}: {exc}", file=sys.stderr)
+        return _USAGE_ERROR
     except (ValueError, KeyError) as exc:
         print(f"aclaw {args.command}: {exc}", file=sys.stderr)
         subparser = _SUBPARSERS.get(args.command)

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import AclawError
+
 __all__ = [
     "DegenerateRootError",
     "LadderConvergenceError",
@@ -45,11 +47,11 @@ MIN_IM_Z = 1e-8
 ROOT_IM_TOL = 1e-14
 
 
-class DegenerateRootError(RuntimeError):
+class DegenerateRootError(AclawError):
     """The cubic did not have exactly one clear upper-half-plane root."""
 
 
-class LadderConvergenceError(RuntimeError):
+class LadderConvergenceError(AclawError):
     """Density values along the regularization ladder did not stabilize."""
 
 

@@ -23,10 +23,11 @@ against each other in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import AclawError
 from .sdcore import phi_ac
 from .wigner import WignerPair, spectral_norm
 
@@ -53,7 +54,7 @@ COND_LIMIT = 1e14
 MINOR_ROUTE_MAX_N = 256
 
 
-class IllConditionedError(RuntimeError):
+class IllConditionedError(AclawError):
     """A resolvent solve exceeded the condition ceiling."""
 
 
@@ -321,10 +322,16 @@ def fluctuation_sup(lin: Linearization, rect: tuple[float, float, float, float],
 
 @dataclass
 class AnticommutatorSpectrum:
-    """Eigendecomposition of {UV}, for cheap resolvent diagonals on grids."""
+    """Eigendecomposition {UV} = Q diag(evals) Q* of one pair, with the
+    weights |Q|^2 computed once, for cheap resolvent diagonals on grids.
+    Build it once per pair and share it between the consumers of that pair."""
 
     evals: np.ndarray
     evecs: np.ndarray
+    weights: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.weights = np.abs(self.evecs) ** 2
 
     @classmethod
     def from_pair(cls, pair: WignerPair) -> "AnticommutatorSpectrum":
@@ -334,7 +341,7 @@ class AnticommutatorSpectrum:
 
     def resolvent_diag(self, z: complex) -> np.ndarray:
         """Diagonal of ({UV} - z)^-1."""
-        return (np.abs(self.evecs) ** 2) @ (1.0 / (self.evals - z))
+        return self.weights @ (1.0 / (self.evals - z))
 
 
 def resolvent_row_sum_check(h: np.ndarray, z: complex) -> float:

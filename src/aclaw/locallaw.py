@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import AclawError
 from .freelaw import edge_distance, m_ac
 from .grids import rect_grid, uniform_net
 from .linearize import AnticommutatorSpectrum, build_linearization, fluctuation_sup
@@ -59,11 +60,11 @@ __all__ = [
 ]
 
 
-class NormHypothesisError(RuntimeError):
+class NormHypothesisError(AclawError):
     """The pair violates max(|U|, |V|) <= 4, required by the theorems."""
 
 
-class RhoPreconditionError(RuntimeError):
+class RhoPreconditionError(AclawError):
     """rho = 4 c^2 K^2 / N is not below 1 (delocalization assumption)."""
 
 
@@ -205,7 +206,8 @@ def construct_k(pair: WignerPair, tau: float = 8.0, theta: float = 1.0,
 
 def empirical_k(pair: WignerPair, tau: float = 8.0, theta: float = 1.0,
                 c_config: float = 1.0, n_re: int = 17, n_im: int = 12,
-                floor: float | None = None) -> float:
+                floor: float | None = None,
+                spectrum: AnticommutatorSpectrum | None = None) -> float:
     """Smallest K (>= 2 theta) satisfying the main-law property on a net:
     max_i |({UV} - z)^-1 (i,i) - m| <= K / sqrt(N h Im z) at every net point
     with 4 c^2 K^2 / N <= h^2 Im z.
@@ -214,10 +216,12 @@ def empirical_k(pair: WignerPair, tau: float = 8.0, theta: float = 1.0,
     netted fluctuation supremum times 2 theta dominates it but is typically
     far too large for the delocalization corollary's rho < 1 assumption at
     moderate N.  The acceptance condition is monotone in K, so the minimum
-    is found by scanning the candidate values.
+    is found by scanning the candidate values.  ``spectrum`` is the pair's
+    eigendecomposition when the caller already holds it.
     """
     n = pair.n
-    spectrum = AnticommutatorSpectrum.from_pair(pair)
+    if spectrum is None:
+        spectrum = AnticommutatorSpectrum.from_pair(pair)
     grid = rect_grid(-8.0, 8.0, n_re, 1.0 / n, tau, n_im)
     scaled = np.empty(len(grid))
     gate = np.empty(len(grid))
@@ -319,13 +323,16 @@ class DelocalizationReport:
 
 
 def delocalization_check(pair: WignerPair, k_stat: float,
-                         c_config: float = 1.0) -> DelocalizationReport:
+                         c_config: float = 1.0,
+                         spectrum: AnticommutatorSpectrum | None = None
+                         ) -> DelocalizationReport:
     """Check max_i |v(i)| <= sqrt(2 sigma) for every unit eigenvector of
     {UV} with |eigenvalue| <= 8, where sigma solves h^2 sigma = rho at
     z = lambda + i sigma and rho = 4 c^2 K^2 / N.
 
     Refuses when max(|U|, |V|) > 4 or rho >= 1 (the simplifying assumption
-    of the underlying bound).
+    of the underlying bound).  ``spectrum`` is the pair's eigendecomposition
+    when the caller already holds it.
     """
     from .wigner import spectral_norm
 
@@ -335,7 +342,8 @@ def delocalization_check(pair: WignerPair, k_stat: float,
     rho = 4.0 * c_config**2 * k_stat**2 / n
     if rho >= 1.0:
         raise RhoPreconditionError(f"rho = {rho:.4f} >= 1; K too large at this N")
-    spectrum = AnticommutatorSpectrum.from_pair(pair)
+    if spectrum is None:
+        spectrum = AnticommutatorSpectrum.from_pair(pair)
     rows = []
     for lam, vec in zip(spectrum.evals, spectrum.evecs.T):
         if abs(lam) > 8.0:

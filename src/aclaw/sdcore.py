@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import AclawError
 from .freelaw import edge_distance, law_constants, m_ac
 
 __all__ = [
@@ -64,23 +65,23 @@ COND_LIMIT = 1e12
 POLE_RADIUS = 1e-8
 
 
-class SingularMapError(RuntimeError):
+class SingularMapError(AclawError):
     """The 9x9 matrix of the linear map is too ill-conditioned to invert."""
 
 
-class PoleProximityError(RuntimeError):
+class PoleProximityError(AclawError):
     """m is too close to a pole of the explicit block formulas."""
 
 
-class DeformationPreconditionError(RuntimeError):
+class DeformationPreconditionError(AclawError):
     """The requested perturbation exceeds the contraction precondition."""
 
 
-class DeformationConvergenceError(RuntimeError):
+class DeformationConvergenceError(AclawError):
     """The fixed-point iteration did not converge."""
 
 
-class SingularStatisticsError(RuntimeError):
+class SingularStatisticsError(AclawError):
     """A statistics matrix G_i is numerically singular."""
 
 

@@ -159,6 +159,48 @@ def test_deloc_determinism(tmp_path):
     assert read(a) == read(b)
 
 
+def test_deloc_eigendecomposes_once(tmp_path, monkeypatch):
+    from aclaw.linearize import AnticommutatorSpectrum
+
+    original = AnticommutatorSpectrum.from_pair.__func__
+    calls = []
+
+    def counting(cls, pair):
+        calls.append(pair.n)
+        return original(cls, pair)
+
+    monkeypatch.setattr(AnticommutatorSpectrum, "from_pair",
+                        classmethod(counting))
+    out = tmp_path / "deloc.json"
+    code = run_cli(["deloc", "--N", "128", "--seed", "0", "--out", str(out)])
+    assert code == 0
+    assert calls == [128]
+
+
+@pytest.mark.parametrize("args", [
+    ["deloc", "--N", "16", "--seed", "1"],  # RhoPreconditionError
+    ["law", "--im-min", "1e-12"],           # DegenerateRootError
+])
+def test_typed_refusal_exits_two(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    code = run_cli(args + ["--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"aclaw {args[0]}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_typed_refusals_share_one_base():
+    from aclaw.errors import AclawError
+    from aclaw.freelaw import DegenerateRootError
+    from aclaw.locallaw import NormHypothesisError, RhoPreconditionError
+
+    for exc in (DegenerateRootError, NormHypothesisError, RhoPreconditionError):
+        assert issubclass(exc, AclawError)
+        assert issubclass(exc, RuntimeError)
+
+
 def test_tails_cli(tmp_path):
     out = tmp_path / "tails.json"
     csv = tmp_path / "tail.csv"

@@ -262,6 +262,14 @@ def test_spectrum_diag_matches_inverse():
     np.testing.assert_allclose(sp.resolvent_diag(z), direct, atol=1e-12)
 
 
+def test_spectrum_cached_weights_match_definition():
+    pair = random_pair(24, 5)
+    sp = AnticommutatorSpectrum.from_pair(pair)
+    for z in (0.4 + 0.9j, -3.1 + 0.05j, 7.9 + 8.0j, 0.0 + 1e-3j):
+        expected = (np.abs(sp.evecs) ** 2) @ (1.0 / (sp.evals - z))
+        assert np.array_equal(sp.resolvent_diag(z), expected)
+
+
 def test_fluctuation_sup_monotone_in_refinement():
     lin = build_linearization(random_pair(32, 5))
     rect = (-2.0, 2.0, 1.0 / 32, 2.0)

@@ -167,6 +167,19 @@ def test_delocalization_small_run():
         assert row.bound == pytest.approx(math.sqrt(2 * row.sigma))
 
 
+def test_shared_spectrum_changes_nothing():
+    from aclaw.linearize import AnticommutatorSpectrum
+    pair = sample_pair(EnsembleSpec(n=64, ensemble="complex-gaussian", seed=7))
+    spectrum = AnticommutatorSpectrum.from_pair(pair)
+    k_own = empirical_k(pair)
+    k_shared = empirical_k(pair, spectrum=spectrum)
+    assert k_shared == k_own
+    own = delocalization_check(pair, k_stat=k_own, c_config=0.5)
+    shared = delocalization_check(pair, k_stat=k_shared, c_config=0.5,
+                                  spectrum=spectrum)
+    assert shared == own
+
+
 def test_delocalization_rho_refusal():
     pair = sample_pair(EnsembleSpec(n=16, ensemble="complex-gaussian", seed=7))
     with pytest.raises(RhoPreconditionError):
