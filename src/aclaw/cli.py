@@ -8,8 +8,10 @@ holds = false), 2 usage error or typed precondition refusal (an AclawError
 such as rho >= 1 or a degenerate cubic root), reported as one stderr line
 with no traceback.
 
-Set ACLAW_THREADS to pin the BLAS thread count (effective when the CLI is
-the entry point, before numpy is loaded).
+Set ACLAW_THREADS to pin the BLAS thread count: ``main`` copies it into
+OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS (those already set
+are kept) before any command imports numpy.  It cannot act when the calling
+process loaded numpy before ``main`` ran.
 """
 
 from __future__ import annotations

@@ -25,12 +25,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AclawError
-from .freelaw import edge_distance, m_ac
+from .freelaw import edge_distance, law_constants, m_ac
 from .grids import rect_grid, uniform_net
 from .linearize import AnticommutatorSpectrum, build_linearization, fluctuation_sup
 from .sdcore import sd_semicircle, sd_solution_ac
 from .tails import fit_log_survival_slope, survival_points
-from .wigner import EnsembleSpec, WignerPair, sample_pair
+from .wigner import EnsembleSpec, WignerPair, norm_at_most, sample_pair
 
 __all__ = [
     "NormHypothesisError",
@@ -204,6 +204,17 @@ def construct_k(pair: WignerPair, tau: float = 8.0, theta: float = 1.0,
     return theta * net.k2
 
 
+def _scaled_deviations(spectrum: AnticommutatorSpectrum, zs: np.ndarray,
+                       n: int) -> tuple[np.ndarray, np.ndarray]:
+    """At every z of ``zs``: the scaled deviation
+    max_i |({UV} - z)^-1 (i,i) - m(z)| sqrt(N h Im z) and the gate h^2 Im z."""
+    law = [m_ac(complex(z)) for z in zs]
+    m = np.array([pt.m for pt in law], dtype=complex)
+    h = np.array([pt.h for pt in law], dtype=float)
+    lhs = np.abs(spectrum.resolvent_diags(zs) - m).max(axis=0)
+    return lhs * np.sqrt(n * h * zs.imag), h * h * zs.imag
+
+
 def empirical_k(pair: WignerPair, tau: float = 8.0, theta: float = 1.0,
                 c_config: float = 1.0, n_re: int = 17, n_im: int = 12,
                 floor: float | None = None,
@@ -222,16 +233,8 @@ def empirical_k(pair: WignerPair, tau: float = 8.0, theta: float = 1.0,
     n = pair.n
     if spectrum is None:
         spectrum = AnticommutatorSpectrum.from_pair(pair)
-    grid = rect_grid(-8.0, 8.0, n_re, 1.0 / n, tau, n_im)
-    scaled = np.empty(len(grid))
-    gate = np.empty(len(grid))
-    for j, z in enumerate(grid):
-        z = complex(z)
-        m = m_ac(z).m
-        lhs = float(np.abs(spectrum.resolvent_diag(z) - m).max())
-        h = edge_distance(z)
-        scaled[j] = lhs * math.sqrt(n * h * z.imag)
-        gate[j] = h * h * z.imag
+    scaled, gate = _scaled_deviations(
+        spectrum, rect_grid(-8.0, 8.0, n_re, 1.0 / n, tau, n_im), n)
     if floor is None:
         floor = 2.0 * theta
 
@@ -281,23 +284,32 @@ def k_tail_estimate(spec: EnsembleSpec, tau: float = 8.0, spacing: float = 2.0,
                        slope_stderr=stderr)
 
 
-def sigma_solve(lam: float, rho: float, iters: int = 100) -> float:
+def sigma_solve(lam, rho: float, iters: int = 100):
     """The unique sigma in (0, 1] with h(lam + i sigma)^2 sigma = rho, by
-    bisection on [1e-12, 1] (the map is strictly increasing in sigma)."""
+    bisection on [1e-12, 1] (the map is strictly increasing in sigma).
+
+    ``lam`` may be an array: all its entries are bisected at once and an
+    array of sigmas is returned, each equal to the scalar call's."""
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
-
-    def f(sig: float) -> float:
-        return edge_distance(complex(lam, sig)) ** 2 * sig - rho
-
-    lo, hi = 1e-12, 1.0
+    lam = np.asarray(lam, dtype=float)
+    zeta = law_constants().zeta
+    lo = np.full(lam.shape, 1e-12)
+    hi = np.ones(lam.shape)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if f(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        # edge_distance(lam + i mid), elementwise
+        h = np.minimum(np.minimum(np.hypot(lam - zeta, mid),
+                                  np.hypot(lam + zeta, mid)), 1.0)
+        # squared by libm pow, as the float h ** 2 of a scalar evaluation;
+        # numpy's h * h differs from it in the last bit on about one input
+        # in a thousand, which can move the bisection's final digits
+        h2 = np.array([d ** 2 for d in h.ravel().tolist()]).reshape(h.shape)
+        below = h2 * mid - rho <= 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    sigma = 0.5 * (lo + hi)
+    return float(sigma) if sigma.ndim == 0 else sigma
 
 
 @dataclass
@@ -334,9 +346,7 @@ def delocalization_check(pair: WignerPair, k_stat: float,
     of the underlying bound).  ``spectrum`` is the pair's eigendecomposition
     when the caller already holds it.
     """
-    from .wigner import spectral_norm
-
-    if max(spectral_norm(pair.u), spectral_norm(pair.v)) > 4.0:
+    if not (norm_at_most(pair.u, 4.0) and norm_at_most(pair.v, 4.0)):
         raise NormHypothesisError("pair violates max(|U|, |V|) <= 4")
     n = pair.n
     rho = 4.0 * c_config**2 * k_stat**2 / n
@@ -344,16 +354,15 @@ def delocalization_check(pair: WignerPair, k_stat: float,
         raise RhoPreconditionError(f"rho = {rho:.4f} >= 1; K too large at this N")
     if spectrum is None:
         spectrum = AnticommutatorSpectrum.from_pair(pair)
+    keep = np.abs(spectrum.evals) <= 8.0
+    lams = spectrum.evals[keep]
+    sigmas = sigma_solve(lams, rho)
+    maxima = np.abs(spectrum.evecs).max(axis=0)[keep]
     rows = []
-    for lam, vec in zip(spectrum.evals, spectrum.evecs.T):
-        if abs(lam) > 8.0:
-            continue
-        sigma = sigma_solve(float(lam), rho)
-        mx = float(np.abs(vec).max())
+    for lam, sigma, mx in zip(lams.tolist(), sigmas.tolist(), maxima.tolist()):
         bound = math.sqrt(2.0 * sigma)
-        rows.append(DelocalizationRow(lam=float(lam), sigma=sigma,
-                                      max_component=mx, bound=bound,
-                                      holds=mx <= bound))
+        rows.append(DelocalizationRow(lam=lam, sigma=sigma, max_component=mx,
+                                      bound=bound, holds=mx <= bound))
     return DelocalizationReport(n=n, k_stat=k_stat, c_config=c_config, rho=rho,
                                 rows=rows)
 
@@ -366,11 +375,10 @@ def figure1_data(rho_list, lam_min: float = -8.0, lam_max: float = 8.0,
     for rho in rho_list:
         if not 0.0 < rho < 1.0:
             raise ValueError("each rho must lie in (0, 1)")
-        lam = lam_min
         count = int(round((lam_max - lam_min) / lam_step)) + 1
-        for j in range(count):
-            lam = lam_min + j * lam_step
-            rows.append((float(rho), float(lam), sigma_solve(lam, rho)))
+        lams = lam_min + np.arange(count) * lam_step
+        rows += [(float(rho), lam, sigma) for lam, sigma
+                 in zip(lams.tolist(), sigma_solve(lams, rho).tolist())]
     return rows
 
 
@@ -654,21 +662,12 @@ def scaling_law_study(n_list=(64, 128, 256), seeds=range(10),
             spectrum = AnticommutatorSpectrum.from_pair(pair)
             k_stat = construct_k(pair, tau=tau, theta=theta, spacing=k_spacing)
             grid = rect_grid(-6.0, 6.0, n_re, 1.0 / n, tau / 2.0, n_im)
-            scaled = []
-            star = 0.0
-            for z in grid:
-                z = complex(z)
-                h = edge_distance(z)
-                if h * h * z.imag < 4.0 / n:
-                    continue
-                m = m_ac(z).m
-                lhs = float(np.abs(spectrum.resolvent_diag(z) - m).max())
-                val = lhs * math.sqrt(n * h * z.imag)
-                scaled.append(val)
-                star = max(star, val / k_stat)
+            h = np.array([edge_distance(complex(z)) for z in grid])
+            scaled, _ = _scaled_deviations(
+                spectrum, grid[h * h * grid.imag >= 4.0 / n], n)
             medians[n].append(float(np.median(scaled)))
             k_by_run[(n, seed)] = k_stat
-            theta_star_by_run[(n, seed)] = star
+            theta_star_by_run[(n, seed)] = float((scaled / k_stat).max(initial=0.0))
     median_means = {n: float(np.mean(v)) for n, v in medians.items()}
     xs = np.log(np.array(sorted(median_means)))
     ys = np.log(np.array([median_means[n] for n in sorted(median_means)]))

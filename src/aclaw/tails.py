@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "theta_fn",
@@ -40,6 +39,8 @@ _DISTS = ("rademacher", "gaussian", "uniform")
 
 def theta_fn(s: float) -> float:
     """Theta(s) = 2^(s/2) Gamma((s+1)/2) / sqrt(pi)."""
+    from scipy.special import gammaln
+
     if s < 0:
         raise ValueError("s must be nonnegative")
     return math.exp(0.5 * s * math.log(2.0) + gammaln((s + 1.0) / 2.0)
@@ -48,6 +49,8 @@ def theta_fn(s: float) -> float:
 
 def theta_root(s: float) -> float:
     """Theta(s)^(1/s), the gaussian p-norm; at most sqrt(s) for s >= 2."""
+    from scipy.special import gammaln
+
     if s <= 0:
         raise ValueError("s must be positive")
     return math.exp((0.5 * s * math.log(2.0) + gammaln((s + 1.0) / 2.0)

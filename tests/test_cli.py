@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import aclaw
 from aclaw.cli import atomic_write, dump_json, main
 
 
@@ -238,3 +241,58 @@ def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as exc:
         run_cli(["frobnicate"])
     assert exc.value.code == 2
+
+
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_fresh_python(code, **env_extra):
+    """Run ``code`` in a fresh interpreter that imports this aclaw, with no
+    BLAS thread variable set; returns its standard output."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(aclaw.__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if k not in BLAS_VARS and k != "ACLAW_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    env.update(env_extra)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_import_loads_no_numpy():
+    out = run_fresh_python(
+        "import sys, aclaw.cli; aclaw.cli.build_parser(); "
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+    assert out.strip() == "[]"
+
+
+def test_aclaw_threads_set_before_numpy_loads(tmp_path):
+    out = run_fresh_python(f"""
+import json, os, sys
+
+seen = []
+
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append({{v: os.environ.get(v) for v in {BLAS_VARS!r}}})
+        return None
+
+sys.meta_path.insert(0, Probe())
+from aclaw.cli import main
+code = main(["law", "--n-re", "2", "--n-im", "2",
+             "--out", {str(tmp_path / "law.csv")!r}])
+print(json.dumps([code, seen]))
+""", ACLAW_THREADS="1")
+    code, seen = json.loads(out)
+    assert code == 0
+    assert seen == [{v: "1" for v in BLAS_VARS}]
+
+
+def test_package_attributes_load_lazily():
+    out = run_fresh_python(
+        "import sys, aclaw; before = 'aclaw.freelaw' in sys.modules; "
+        "f = aclaw.freelaw; print(before, f.__name__, 'freelaw' in dir(aclaw))")
+    assert out.split() == ["False", "aclaw.freelaw", "True"]

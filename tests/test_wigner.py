@@ -13,6 +13,7 @@ from aclaw.wigner import (
     entry_p_norm,
     entry_samples,
     load_pair,
+    norm_at_most,
     norm_event_rate,
     sample_pair,
     save_pair,
@@ -168,3 +169,72 @@ def test_spec_validation():
 def test_entry_p_norm_helper():
     xs = np.array([1.0, -1.0, 1.0, -1.0])
     assert entry_p_norm(xs, 4) == pytest.approx(1.0)
+
+
+def scaled_to_norm(h, target):
+    return h * (target / spectral_norm(h))
+
+
+def count_fallbacks(monkeypatch):
+    import aclaw.wigner as wigner
+
+    calls = []
+
+    def counting(h):
+        calls.append(h.shape[0])
+        return spectral_norm(h)
+
+    monkeypatch.setattr(wigner, "spectral_norm", counting)
+    return calls
+
+
+@pytest.mark.parametrize("ensemble", ["complex-gaussian", "real-gaussian"])
+def test_norm_at_most_just_inside_and_just_outside(monkeypatch, ensemble):
+    fallbacks = count_fallbacks(monkeypatch)
+    u = sample_pair(EnsembleSpec(n=64, ensemble=ensemble, seed=3)).u
+    # a relative distance of 1e-6 lies outside the certificate's 1e-10 margin:
+    # inside is certified by the two Cholesky factorizations alone
+    assert norm_at_most(scaled_to_norm(u, 4.0 * (1 - 1e-6)), 4.0) is True
+    assert fallbacks == []
+    # outside, a factorization fails and the eigenvalues decide
+    assert norm_at_most(scaled_to_norm(u, 4.0 * (1 + 1e-6)), 4.0) is False
+    assert fallbacks == [64]
+
+
+@pytest.mark.parametrize("top", [4.0, -4.0])
+def test_norm_at_most_norm_exactly_at_bound(monkeypatch, top):
+    fallbacks = count_fallbacks(monkeypatch)
+    h = np.diag([top, 1.5, -0.5, 0.0]).astype(complex)
+    assert spectral_norm(h) == 4.0
+    assert norm_at_most(h, 4.0) is True
+    assert fallbacks == [4]
+    assert norm_at_most(h, math.nextafter(4.0, 0.0)) is False
+
+
+def test_norm_at_most_zero_matrix_and_rademacher(monkeypatch):
+    fallbacks = count_fallbacks(monkeypatch)
+    assert norm_at_most(np.zeros((5, 5), dtype=complex), 4.0) is True
+    assert norm_at_most(np.zeros((5, 5)), 0.0) is True
+    x = sample_pair(EnsembleSpec(n=48, ensemble="rademacher", seed=1)).u
+    for bound in (0.5, 4.0):
+        assert norm_at_most(x, bound) == (spectral_norm(x) <= bound)
+    assert norm_at_most(x, 4.0)
+    assert fallbacks == [5, 48]  # the zero bound and the 0.5 bound
+
+
+def test_norm_at_most_leaves_its_input_alone():
+    u = sample_pair(EnsembleSpec(n=16, seed=2)).u
+    before = u.copy()
+    norm_at_most(u, 4.0)
+    norm_at_most(u, 0.1)
+    assert np.array_equal(u, before)
+
+
+@pytest.mark.parametrize("ensemble", sorted(ENSEMBLES))
+def test_norm_at_most_agrees_with_spectral_norm(ensemble):
+    for n in (2, 3, 8, 32):
+        for seed in range(4):
+            pair = sample_pair(EnsembleSpec(n=n, ensemble=ensemble, seed=seed))
+            for h in (pair.u, pair.v, 1.9 * pair.u):
+                for bound in (4.0, 2.0, spectral_norm(h)):
+                    assert norm_at_most(h, bound) == (spectral_norm(h) <= bound)
