@@ -291,7 +291,7 @@ def _cmd_linearize_check(args) -> int:
     lin = build_linearization(pair)
     n, z = args.n, complex(args.z)
     full = lin.x - lambda_kron(z, n)
-    fact = lin.w.conj().T @ full @ lin.w
+    fact = lin.w_h @ full @ lin.w
     target = np.zeros_like(fact)
     target[:n, :n] = lin.anticommutator - z * np.eye(n)
     target[n:2 * n, n:2 * n] = np.eye(n)
@@ -302,8 +302,7 @@ def _cmd_linearize_check(args) -> int:
     lam0 = np.zeros_like(r)
     lam0[n:2 * n, n:2 * n] = -np.eye(n)
     lam0[2 * n:, 2 * n:] = np.eye(n)
-    w = lin.w
-    rid = np.linalg.norm(r + lam0 - w @ small @ w.conj().T) / np.linalg.norm(r)
+    rid = np.linalg.norm(r + lam0 - lin.w @ small @ lin.w_h) / np.linalg.norm(r)
     stats = resolvent_stats(lin, z, route="minor")
     rng = np.random.Generator(np.random.Philox(key=[args.seed, 13]))
     mat = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)) + 6 * np.eye(8)

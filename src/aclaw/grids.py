@@ -17,6 +17,10 @@ def rect_grid(re_min: float, re_max: float, n_re: int,
     """
     if im_min <= 0:
         raise ValueError("im_min must be positive")
+    if not np.all(np.isfinite([re_min, re_max, im_min, im_max])):
+        raise ValueError("grid bounds must be finite")
+    if n_re < 1 or n_im < 1:
+        raise ValueError(f"grid needs n_re >= 1 and n_im >= 1, got {n_re}, {n_im}")
     re = np.linspace(re_min, re_max, n_re)
     if im_scale == "log":
         im = np.geomspace(im_min, im_max, n_im)
@@ -33,8 +37,10 @@ def uniform_net(re_min: float, re_max: float,
     """Uniform net with the given spacing, always including the rectangle's
     corners (endpoints are kept even when the side is not a multiple of the
     spacing)."""
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
+    if not np.isfinite(spacing) or spacing <= 0:
+        raise ValueError("spacing must be positive and finite")
+    if not np.all(np.isfinite([re_min, re_max, im_min, im_max])):
+        raise ValueError("net bounds must be finite")
 
     def axis(lo, hi):
         n = max(int(np.floor((hi - lo) / spacing + 1e-12)) + 1, 2)

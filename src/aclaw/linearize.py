@@ -42,6 +42,7 @@ __all__ = [
     "lambda_kron",
     "generalized_resolvent",
     "bordered_resolvent",
+    "corner_blocks",
     "resolvent_stats",
     "fluctuation_sup",
     "resolvent_row_sum_check",
@@ -85,6 +86,11 @@ class Linearization:
         a, b = _ab(self.pair)
         zero = np.zeros((self.n, self.n), dtype=complex)
         return np.block([[zero, a, b], [a, zero, zero], [b, zero, zero]])
+
+    @functools.cached_property
+    def w_h(self) -> np.ndarray:
+        """W*, conjugated once per pair and shared by every resolvent."""
+        return self.w.conj().T
 
 
 def _ab(pair: WignerPair) -> tuple[np.ndarray, np.ndarray]:
@@ -146,7 +152,7 @@ def generalized_resolvent(lin: Linearization, z: complex,
     mid[:n, :n] = g
     mid[n:2 * n, n:2 * n] = np.eye(n)
     mid[2 * n:, 2 * n:] = -np.eye(n)
-    r = lin.w @ mid @ lin.w.conj().T
+    r = lin.w @ mid @ lin.w_h
     if n <= cross_check_max_n:
         direct = np.linalg.inv(lin.x - lambda_kron(z, n))
         rel = np.linalg.norm(r - direct) / np.linalg.norm(direct)
@@ -169,6 +175,14 @@ def bordered_resolvent(lin: Linearization, z: complex) -> np.ndarray:
 
 def _triple(i: int, n: int) -> list[int]:
     return [i, n + i, 2 * n + i]
+
+
+def corner_blocks(r: np.ndarray) -> np.ndarray:
+    """The 3x3 corner blocks G_i = r[(i, N+i, 2N+i), (i, N+i, 2N+i)] of a
+    3N x 3N matrix, as an (N, 3, 3) stack."""
+    n = r.shape[0] // 3
+    idx = np.arange(n)
+    return r.reshape(3, n, 3, n)[:, idx, :, idx]
 
 
 @dataclass
@@ -211,7 +225,7 @@ def _stats_minor(lin: Linearization, z: complex) -> ResolventStats:
     full = lin.x - lambda_kron(z, n)
     r = generalized_resolvent(lin, z)
     lam3 = np.diag([z, -1.0 + 0j, 1.0 + 0j])
-    g_i = np.empty((n, 3, 3), dtype=complex)
+    g_i = corner_blocks(r)
     ghat_i = np.empty((n, 3, 3), dtype=complex)
     q_i = np.empty((n, 3, 3), dtype=complex)
     r_frob = np.empty(n)
@@ -223,11 +237,8 @@ def _stats_minor(lin: Linearization, z: complex) -> ResolventStats:
         r_minor = np.linalg.inv(full[np.ix_(keep, keep)])
         if n <= 64 and np.linalg.cond(r_minor) > COND_LIMIT:
             raise IllConditionedError(f"minor resolvent ill-conditioned at i={i}")
-        g_i[i] = r[np.ix_(rows, rows)]
         # Ghat_i: average of the 3x3 corner blocks of the padded minor
-        blocks = r_minor.reshape(3, n - 1, 3, n - 1)
-        jdx = np.arange(n - 1)
-        ghat_i[i] = blocks[:, jdx, :, jdx].sum(axis=0) / n
+        ghat_i[i] = corner_blocks(r_minor).sum(axis=0) / n
         y = full[np.ix_(rows, keep)] + 0.0
         # X and X - Lambda kron I agree off the removed triple's diagonal
         q_i[i] = (y @ r_minor @ y.conj().T
@@ -249,24 +260,22 @@ def _stats_schur(lin: Linearization, z: complex) -> ResolventStats:
     n = lin.n
     r = generalized_resolvent(lin, z)
     lam3 = np.diag([z, -1.0 + 0j, 1.0 + 0j])
-    idx = np.arange(n)
     r4 = r.reshape(3, n, 3, n)
-    g_i = r4[:, idx, :, idx]                       # (N, 3, 3)
+    g_i = corner_blocks(r)                         # (N, 3, 3)
     g_inv = np.linalg.inv(g_i)
     g_avg = g_i.mean(axis=0)
     # Schur identity: the padded minor is R - (R e_i*) G_i^-1 (e_i R), so the
     # corner-block average and |R_i|_2 follow from R alone.
     corr = np.einsum("ajbi,ibc,cidj->iad", r4, g_inv, r4, optimize=True)
     ghat_i = g_avg[None, :, :] - corr / n
-    q_i = -(g_inv + lam3[None, :, :] + np.stack([phi_ac(gh) for gh in ghat_i]))
-    f = r.conj().T @ r
-    rf = r @ f
-    f4 = f.reshape(3, n, 3, n)
-    rf4 = rf.reshape(3, n, 3, n)
-    uu = f4[:, idx, :, idx]                        # F[cols_i, cols_i]
-    h3 = rf4[:, idx, :, idx]                       # (R F)[rows_i, cols_i]
+    q_i = -(g_inv + lam3[None, :, :] + phi_ac(ghat_i))
+    r_conj = r.conj()
+    f = r_conj.T @ r
     r3 = r.reshape(3, n, 3 * n)
-    vv = np.einsum("aik,bik->iab", r3, r3.conj(), optimize=True)
+    vv = np.einsum("aik,bik->iab", r3, r_conj.reshape(3, n, 3 * n), optimize=True)
+    del r_conj  # freed before R F: one 3N x 3N array less at the peak
+    uu = corner_blocks(f)                          # F[cols_i, cols_i]
+    h3 = corner_blocks(r @ f)                      # (R F)[rows_i, cols_i]
     norm_r2 = np.vdot(r, r).real
     t1 = np.einsum("iab,iba->i", h3, g_inv)
     t2 = np.einsum("iba,ibc,icd,ida->i", g_inv.conj(), uu, g_inv, vv, optimize=True)

@@ -27,7 +27,8 @@ import numpy as np
 from .errors import AclawError
 from .freelaw import edge_distance, law_constants, m_ac
 from .grids import rect_grid, uniform_net
-from .linearize import AnticommutatorSpectrum, build_linearization, fluctuation_sup
+from .linearize import (AnticommutatorSpectrum, build_linearization,
+                        corner_blocks, fluctuation_sup, generalized_resolvent)
 from .sdcore import sd_semicircle, sd_solution_ac
 from .tails import fit_log_survival_slope, survival_points
 from .wigner import EnsembleSpec, WignerPair, norm_at_most, sample_pair
@@ -115,6 +116,12 @@ class LocalLawReport:
         return all(r.holds for r in self.admissible_rows)
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _in_rectangle(z: complex, n: int, tau: float, re_max: float = 8.0) -> bool:
     return (abs(z.real) <= re_max + 1e-12
             and 1.0 / n - 1e-12 <= z.imag <= tau + 1e-12)
@@ -148,8 +155,23 @@ def verify_local_law(pair: WignerPair, z_grid=None, tau: float = 8.0,
     theta K / sqrt(N h Im z) at every grid point, flagging admissible-set
     membership, and reports the empirical star constant.
 
-    Refuses pairs with max(|U|, |V|) > 4 (the theorem hypothesis).
+    Only the net computes the fluctuation statistic (``resolvent_stats`` on
+    ``route``).  A grid row needs only G_i, which it slices from the
+    generalized resolvent with ``corner_blocks``, exactly as both routes
+    slice their ``g_i``; the resolvent's conditioning refusal and its
+    N <= 64 direct-inversion cross-check still run at every grid point.
+    One spectral resolvent engine per pair, shared by net and grid, waits
+    for the fix of the ``theta_star_self`` rounding defect: until then any
+    last-digit change to K or to a row's lhs can move ``theta_star_self``
+    past the reference tolerance.  (``semicircle_locallaw`` deliberately
+    keeps the full ``semicircle_stats`` at its grid rows: their row-sum and
+    identity residuals go into the reported ``max_row_sum_residual``.)
+
+    Refuses pairs with max(|U|, |V|) > 4 (the theorem hypothesis) and
+    non-finite tau, theta or c_config (a NaN constant would admit no row and
+    pass vacuously).
     """
+    _require_finite(tau=tau, theta=theta, c_config=c_config)
     if tau < 8.0:
         raise ValueError("tau must be >= 8")
     if theta < 1.0:
@@ -166,12 +188,11 @@ def verify_local_law(pair: WignerPair, z_grid=None, tau: float = 8.0,
     k_stat = net.k2
     rho = 4.0 * c_config**2 * theta**2 * k_stat**2 / n
     rows = []
-    from .linearize import resolvent_stats
     for z in z_grid:
         z = complex(z)
-        stats = resolvent_stats(lin, z, route=route)
+        g_i = corner_blocks(generalized_resolvent(lin, z))
         m_mat = sd_solution_ac(z).m_mat
-        lhs = float(np.linalg.norm(stats.g_i - m_mat[None, :, :], 2,
+        lhs = float(np.linalg.norm(g_i - m_mat[None, :, :], 2,
                                    axis=(1, 2)).max())
         h = edge_distance(z)
         rhs = theta * k_stat / math.sqrt(n * h * z.imag)
@@ -371,6 +392,8 @@ def figure1_data(rho_list, lam_min: float = -8.0, lam_max: float = 8.0,
                  lam_step: float = 1e-2):
     """Closest-approach curves sigma(lambda) for each rho: rows
     (rho, lambda, sigma) with sigma solving h^2 sigma = rho."""
+    if not (math.isfinite(lam_step) and lam_step > 0):
+        raise ValueError(f"lam_step must be positive and finite, got {lam_step}")
     rows = []
     for rho in rho_list:
         if not 0.0 < rho < 1.0:
@@ -565,6 +588,7 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
     The inversion-identity residual is always measured definitionally (minor
     route) at ``identity_spot_checks`` grid points, whatever the main route.
     """
+    _require_finite(tau=tau, theta_user=theta_user)
     x = np.asarray(x, dtype=complex)
     n = x.shape[0]
     theta_literal = 2.0**100

@@ -91,9 +91,6 @@ class SingularStatisticsError(AclawError):
 _BASIS = ((0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1))
 _BLOCK_COORDS = ((0, 1, 2), (3, 4), (5, 6), (7, 8))
 
-_P12 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
-_P13 = np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=complex)
-
 
 def vec3(a: np.ndarray) -> np.ndarray:
     """Coordinates of a 3x3 matrix in the block-diagonalizing basis order."""
@@ -141,9 +138,20 @@ class LinMap3:
 
 
 def phi_ac(a: np.ndarray) -> np.ndarray:
-    """Sandwich map (e12+e21) A (e12+e21) + (e13+e31) A (e13+e31)."""
+    """Sandwich map (e12+e21) A (e12+e21) + (e13+e31) A (e13+e31), applied
+    to one 3x3 matrix or to each matrix of a (..., 3, 3) stack.
+
+    The two permutation sandwiches only move entries, so the map is written
+    as indexing; its one sum, a11 + a22 in the (0, 0) entry, is the same
+    floating-point addition the matrix products perform."""
     a = np.asarray(a, dtype=complex)
-    return _P12 @ a @ _P12 + _P13 @ a @ _P13
+    out = np.zeros_like(a)
+    out[..., 0, 0] = a[..., 1, 1] + a[..., 2, 2]
+    out[..., 0, 1:] = a[..., 1:, 0]
+    out[..., 1:, 0] = a[..., 0, 1:]
+    out[..., 1, 1] = a[..., 0, 0]
+    out[..., 2, 2] = a[..., 0, 0]
+    return out
 
 
 _PHI = LinMap3.from_action(phi_ac)

@@ -180,6 +180,34 @@ def test_deloc_eigendecomposes_once(tmp_path, monkeypatch):
     assert calls == [128]
 
 
+def test_verify_grid_skips_fluctuation_statistics(tmp_path, monkeypatch):
+    # the net needs the fluctuation statistic at every point; the grid rows
+    # read G_i from the generalized resolvent alone
+    from aclaw import linearize, locallaw
+    from aclaw.grids import uniform_net
+
+    calls = {"resolvent_stats": 0, "generalized_resolvent": 0}
+    for name in calls:
+        original = getattr(linearize, name)
+
+        def counting(*a, _name=name, _original=original, **kw):
+            calls[_name] += 1
+            return _original(*a, **kw)
+
+        monkeypatch.setattr(linearize, name, counting)
+        if hasattr(locallaw, name):
+            monkeypatch.setattr(locallaw, name, counting)
+    n, tau, spacing, n_re, n_im = 16, 8.0, 4.0, 5, 4
+    out = tmp_path / "verify.json"
+    code = run_cli(["verify", "--N", str(n), "--seed", "2", "--tau", str(tau),
+                    "--spacing", str(spacing), "--n-re", str(n_re),
+                    "--n-im", str(n_im), "--out", str(out)])
+    assert code == 0
+    net = uniform_net(-8.0, 8.0, 1.0 / n, tau, spacing)
+    assert calls == {"resolvent_stats": len(net),
+                     "generalized_resolvent": len(net) + n_re * n_im}
+
+
 @pytest.mark.parametrize("args", [
     ["deloc", "--N", "16", "--seed", "1"],  # RhoPreconditionError
     ["law", "--im-min", "1e-12"],           # DegenerateRootError
@@ -230,10 +258,27 @@ def test_law_density_csv(tmp_path):
     assert vals[0][1] == 0.0 and vals[-1][1] == 0.0  # outside the support
 
 
-def test_usage_error_exit_code(tmp_path):
-    out = tmp_path / "x.csv"
-    code = run_cli(["figure1", "--rho", "2.5", "--out", str(out)])
+@pytest.mark.parametrize("args", [
+    pytest.param(["figure1", "--rho", "2.5"], id="figure1-rho"),
+    # a NaN constant admits no row, so the run would pass vacuously
+    pytest.param(["verify", "--N", "8", "--theta", "nan"], id="verify-theta-nan"),
+    pytest.param(["verify", "--N", "8", "--c-config", "nan"], id="verify-c-nan"),
+    pytest.param(["semicircle", "--N", "8", "--theta-user", "nan"],
+                 id="semicircle-theta-nan"),
+    pytest.param(["verify", "--N", "8", "--n-re", "0"], id="verify-empty-grid"),
+    # these used to escape as tracebacks with exit 1
+    pytest.param(["verify", "--N", "8", "--tau", "inf"], id="verify-tau-inf"),
+    pytest.param(["semicircle", "--N", "8", "--tau", "inf"], id="semicircle-tau-inf"),
+    pytest.param(["figure1", "--lam-step", "0"], id="figure1-lam-step-0"),
+    pytest.param(["verify", "--N", "8", "--spacing", "inf"], id="verify-spacing-inf"),
+])
+def test_usage_error_exit_code(tmp_path, capsys, args):
+    out = tmp_path / "x.out"
+    code = run_cli(args + ["--out", str(out)])
     assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"aclaw {args[0]}: ")
+    assert "Traceback" not in err and "Warning" not in err
     assert not out.exists()  # no partial output
 
 

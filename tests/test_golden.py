@@ -1,0 +1,110 @@
+"""Golden-output regression test for the CLI reports.
+
+``tests/golden/`` holds the gzipped exit code and JSON report of a few small
+CLI runs.  Each test reruns one of them and compares it with the recording:
+floats agree when |out - ref| <= 1e-10 + 1e-8 |ref|; booleans, integers,
+strings, nulls, key order and the exit code must match exactly; the package
+version in ``config.version`` is not compared.  That makes "same behaviour"
+checkable when the engine underneath a command is replaced.
+
+The recordings keep the reports' known ``theta_star_self`` rounding defect
+(see ``test_locallaw.test_theta_star_self_takes_smallest_valid_candidate``);
+the change that fixes it re-records these files with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import gzip
+import json
+import math
+import os
+import sys
+
+import pytest
+
+from aclaw.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+CASES = {
+    "verify-n16-seed0": ["verify", "--N", "16", "--seed", "0"],
+    "verify-n16-seed1": ["verify", "--N", "16", "--seed", "1"],
+    "semicircle-n32-seed0": ["semicircle", "--N", "32", "--seed", "0"],
+}
+FLOAT_RTOL = 1e-8
+FLOAT_ATOL = 1e-10
+IGNORED = frozenset({"$.config.version"})
+
+
+def golden_path(name):
+    return os.path.join(GOLDEN, f"{name}.json.gz")
+
+
+def run_case(name, out_dir):
+    """Exit code and parsed report of one CLI run."""
+    path = os.path.join(out_dir, f"{name}.json")
+    code = main(CASES[name] + ["--out", path])
+    with open(path, encoding="ascii") as f:
+        return code, json.load(f)
+
+
+def compare(ref, out, path="$"):
+    """Paths at which ``out`` disagrees with ``ref`` under the rule above."""
+    if path in IGNORED:
+        return []
+    if isinstance(ref, bool) or isinstance(out, bool):
+        return [] if ref is out else [path]
+    if isinstance(ref, float) or isinstance(out, float):
+        if not (isinstance(ref, (int, float)) and isinstance(out, (int, float))):
+            return [path]
+        if math.isfinite(ref) and math.isfinite(out):
+            ok = abs(out - ref) <= FLOAT_ATOL + FLOAT_RTOL * abs(ref)
+        else:
+            ok = ref == out
+        return [] if ok else [path]
+    if isinstance(ref, dict) and isinstance(out, dict):
+        if list(ref) != list(out):
+            return [path]
+        return [p for k in ref for p in compare(ref[k], out[k], f"{path}.{k}")]
+    if isinstance(ref, list) and isinstance(out, list):
+        if len(ref) != len(out):
+            return [path]
+        return [p for i, (r, o) in enumerate(zip(ref, out))
+                for p in compare(r, o, f"{path}[{i}]")]
+    return [] if type(ref) is type(out) and ref == out else [path]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, tmp_path):
+    with open(golden_path(name), "rb") as f:
+        ref = json.loads(gzip.decompress(f.read()))
+    code, report = run_case(name, str(tmp_path))
+    assert code == ref["exit_code"]
+    bad = compare(ref["report"], report)
+    assert not bad, f"{len(bad)} values differ, first at {bad[0]}"
+
+
+def test_compare_rule():
+    assert compare({"a": 1.0, "b": [True, "x"]}, {"a": 1.0 + 1e-9, "b": [True, "x"]}) == []
+    assert compare({"a": 1.0}, {"a": 1.0 + 1e-7}) == ["$.a"]
+    assert compare({"a": 1, "b": 2}, {"b": 2, "a": 1}) == ["$"]
+    assert compare({"a": True}, {"a": 1}) == ["$.a"]
+    assert compare({"a": None}, {"a": 0.0}) == ["$.a"]
+    assert compare({"config": {"version": "0"}}, {"config": {"version": "1"}}) == []
+
+
+def record():
+    """Rewrite every golden file from the current sources."""
+    import tempfile
+
+    os.makedirs(GOLDEN, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(CASES):
+            code, report = run_case(name, tmp)
+            body = json.dumps({"exit_code": code, "report": report}, indent=1) + "\n"
+            with open(golden_path(name), "wb") as f:
+                f.write(gzip.compress(body.encode("ascii"), mtime=0))
+            print(f"{name}: exit {code}")
+
+
+if __name__ == "__main__":
+    sys.exit(record())

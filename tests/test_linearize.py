@@ -12,6 +12,7 @@ from aclaw.linearize import (
     AnticommutatorSpectrum,
     block_inversion_check,
     build_linearization,
+    corner_blocks,
     fluctuation_sup,
     generalized_resolvent,
     bordered_resolvent,
@@ -203,6 +204,18 @@ def test_minor_and_schur_routes_agree():
         assert np.abs(a.q_i - b.q_i).max() <= 1e-8
         np.testing.assert_allclose(a.r_i_frob, b.r_i_frob, rtol=1e-8)
         np.testing.assert_allclose(a.fluct_i, b.fluct_i, rtol=1e-7)
+
+
+@pytest.mark.parametrize("n", [16, 80])
+def test_grid_blocks_bit_identical_to_stats(n):
+    # verify_local_law's grid rows read G_i with corner_blocks; the report
+    # stays byte-identical only if that is exactly each route's g_i
+    lin = build_linearization(random_pair(n, 5))
+    for z in (0.3 + 1.0 / n * 1j, -2.5 + 0.7j):
+        g_i = corner_blocks(generalized_resolvent(lin, z))
+        assert g_i.shape == (n, 3, 3)
+        for route in ("schur", "minor"):
+            assert np.array_equal(g_i, resolvent_stats(lin, z, route=route).g_i)
 
 
 def test_key_identity_residual_small():

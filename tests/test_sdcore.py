@@ -63,6 +63,28 @@ def test_phi_matches_permutation_form():
         np.testing.assert_array_equal(phi_ac(a), phi_permutation_form(a))
 
 
+_P12 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
+_P13 = np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=complex)
+
+
+def phi_matmul_form(a):
+    """The sandwich map's definition as two permutation matrix products."""
+    return _P12 @ a @ _P12 + _P13 @ a @ _P13
+
+
+@pytest.mark.parametrize("n", [16, 80])
+def test_phi_stack_bit_identical_to_matmul_form(n):
+    # entries over many magnitudes, so the (0, 0) sum rounds
+    scale = 10.0 ** RNG.uniform(-8, 8, size=(n, 3, 3))
+    stack = scale * (RNG.standard_normal((n, 3, 3))
+                     + 1j * RNG.standard_normal((n, 3, 3)))
+    out = phi_ac(stack)
+    assert out.shape == (n, 3, 3)
+    assert np.array_equal(out, np.stack([phi_matmul_form(a) for a in stack]))
+    for a in stack[:4]:
+        assert np.array_equal(phi_ac(a), phi_matmul_form(a))
+
+
 def test_vec_unvec_roundtrip():
     a = rand3()
     np.testing.assert_array_equal(unvec3(vec3(a)), a)
