@@ -155,15 +155,18 @@ def verify_local_law(pair: WignerPair, z_grid=None, tau: float = 8.0,
     theta K / sqrt(N h Im z) at every grid point, flagging admissible-set
     membership, and reports the empirical star constant.
 
-    Only the net computes the fluctuation statistic (``resolvent_stats`` on
-    ``route``).  A grid row needs only G_i, which it slices from the
-    generalized resolvent with ``corner_blocks``, exactly as both routes
-    slice their ``g_i``; the resolvent's conditioning refusal and its
-    N <= 64 direct-inversion cross-check still run at every grid point.
-    One spectral resolvent engine per pair, shared by net and grid, waits
-    for the fix of the ``theta_star_self`` rounding defect: until then any
-    last-digit change to K or to a row's lhs can move ``theta_star_self``
-    past the reference tolerance.  (``semicircle_locallaw`` deliberately
+    Only the net computes the fluctuation statistic.  ``fluctuation_sup``
+    screens every net point with the blockwise resolvent and runs
+    ``resolvent_stats`` on ``route`` only near the screened maximum (one
+    point per pair in practice), so K keeps the route's digits.  A grid row
+    needs only G_i, which it slices from the generalized resolvent with
+    ``corner_blocks``, exactly as both routes slice their ``g_i``.  The
+    resolvent's conditioning refusal and its N <= 64 direct-inversion
+    cross-check run at every net and grid point.  One spectral resolvent
+    engine per pair, giving K and the grid rows directly, waits for the fix
+    of the ``theta_star_self`` rounding defect: until then any last-digit
+    change to K or to a row's lhs can move ``theta_star_self`` past the
+    reference tolerance.  (``semicircle_locallaw`` deliberately
     keeps the full ``semicircle_stats`` at its grid rows: their row-sum and
     identity residuals go into the reported ``max_row_sum_residual``.)
 

@@ -134,6 +134,8 @@ def whittle_check(dist: str, n: int, p: float, trials: int = 20000,
     """
     if not 2 <= p <= 16:
         raise ValueError("p must lie in [2, 16]")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=[seed, 1]))
     ynorm = _exact_p_norm(dist, p)
     if mode == "linear":

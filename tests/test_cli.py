@@ -181,12 +181,14 @@ def test_deloc_eigendecomposes_once(tmp_path, monkeypatch):
 
 
 def test_verify_grid_skips_fluctuation_statistics(tmp_path, monkeypatch):
-    # the net needs the fluctuation statistic at every point; the grid rows
-    # read G_i from the generalized resolvent alone
+    # the net screens every point on the blockwise resolvent and runs the
+    # route only near the screened maximum (one point on this input); the
+    # grid rows read G_i from the generalized resolvent alone
     from aclaw import linearize, locallaw
     from aclaw.grids import uniform_net
 
-    calls = {"resolvent_stats": 0, "generalized_resolvent": 0}
+    calls = {"resolvent_stats": 0, "generalized_resolvent": 0,
+             "blockwise_resolvent": 0}
     for name in calls:
         original = getattr(linearize, name)
 
@@ -204,8 +206,9 @@ def test_verify_grid_skips_fluctuation_statistics(tmp_path, monkeypatch):
                     "--n-im", str(n_im), "--out", str(out)])
     assert code == 0
     net = uniform_net(-8.0, 8.0, 1.0 / n, tau, spacing)
-    assert calls == {"resolvent_stats": len(net),
-                     "generalized_resolvent": len(net) + n_re * n_im}
+    assert calls == {"resolvent_stats": 1,
+                     "generalized_resolvent": 1 + n_re * n_im,
+                     "blockwise_resolvent": len(net)}
 
 
 @pytest.mark.parametrize("args", [
@@ -271,6 +274,8 @@ def test_law_density_csv(tmp_path):
     pytest.param(["semicircle", "--N", "8", "--tau", "inf"], id="semicircle-tau-inf"),
     pytest.param(["figure1", "--lam-step", "0"], id="figure1-lam-step-0"),
     pytest.param(["verify", "--N", "8", "--spacing", "inf"], id="verify-spacing-inf"),
+    # used to warn "Mean of empty slice", write a report and exit 1
+    pytest.param(["tails", "--trials", "0"], id="tails-trials-0"),
 ])
 def test_usage_error_exit_code(tmp_path, capsys, args):
     out = tmp_path / "x.out"

@@ -1,19 +1,22 @@
 """Golden-output regression test for the CLI reports.
 
-``tests/golden/`` holds the gzipped exit code and JSON report of a few small
-CLI runs.  Each test reruns one of them and compares it with the recording:
-floats agree when |out - ref| <= 1e-10 + 1e-8 |ref|; booleans, integers,
-strings, nulls, key order and the exit code must match exactly; the package
-version in ``config.version`` is not compared.  That makes "same behaviour"
+``tests/golden/`` holds the gzipped exit code and report of a few small CLI
+runs: the JSON report, or for ``law`` the CSV table as a list of rows whose
+numeric cells are read as floats.  Each test reruns one of them and compares
+it with the recording: floats agree when |out - ref| <= 1e-10 + 1e-8 |ref|;
+booleans, integers, strings, nulls, key order and the exit code must match
+exactly; the package version in ``config.version`` is not compared.  That makes "same behaviour"
 checkable when the engine underneath a command is replaced.
 
 The recordings keep the reports' known ``theta_star_self`` rounding defect
 (see ``test_locallaw.test_theta_star_self_takes_smallest_valid_candidate``);
-the change that fixes it re-records these files with
+the change that fixes it re-records these files (all of them, or the named
+ones) with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
 """
 
+import csv
 import gzip
 import json
 import math
@@ -29,7 +32,15 @@ CASES = {
     "verify-n16-seed0": ["verify", "--N", "16", "--seed", "0"],
     "verify-n16-seed1": ["verify", "--N", "16", "--seed", "1"],
     "semicircle-n32-seed0": ["semicircle", "--N", "32", "--seed", "0"],
+    # N = 64 is the largest size at which every resolvent is cross-checked
+    # against direct inversion
+    "verify-n64-seed0": ["verify", "--N", "64", "--seed", "0"],
+    "sd-3x3-seed0": ["sd", "--n-re", "3", "--n-im", "3", "--seed", "0"],
+    "deloc-n64-seed0": ["deloc", "--N", "64", "--seed", "0"],
+    "law-3x3": ["law", "--n-re", "3", "--n-im", "3"],
 }
+#: commands whose ``--out`` is a CSV table, not a JSON report
+CSV_COMMANDS = frozenset({"law"})
 FLOAT_RTOL = 1e-8
 FLOAT_ATOL = 1e-10
 IGNORED = frozenset({"$.config.version"})
@@ -39,11 +50,20 @@ def golden_path(name):
     return os.path.join(GOLDEN, f"{name}.json.gz")
 
 
+def _cell(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def run_case(name, out_dir):
     """Exit code and parsed report of one CLI run."""
-    path = os.path.join(out_dir, f"{name}.json")
+    path = os.path.join(out_dir, f"{name}.out")
     code = main(CASES[name] + ["--out", path])
-    with open(path, encoding="ascii") as f:
+    with open(path, encoding="ascii", newline="") as f:
+        if CASES[name][0] in CSV_COMMANDS:
+            return code, [[_cell(c) for c in row] for row in csv.reader(f)]
         return code, json.load(f)
 
 
@@ -92,13 +112,14 @@ def test_compare_rule():
     assert compare({"config": {"version": "0"}}, {"config": {"version": "1"}}) == []
 
 
-def record():
-    """Rewrite every golden file from the current sources."""
+def record(names=None):
+    """Rewrite the named golden files (all of them by default) from the
+    current sources."""
     import tempfile
 
     os.makedirs(GOLDEN, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(CASES):
+        for name in sorted(names or CASES):
             code, report = run_case(name, tmp)
             body = json.dumps({"exit_code": code, "report": report}, indent=1) + "\n"
             with open(golden_path(name), "wb") as f:
@@ -107,4 +128,4 @@ def record():
 
 
 if __name__ == "__main__":
-    sys.exit(record())
+    sys.exit(record(sys.argv[1:]))

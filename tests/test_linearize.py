@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aclaw import linearize
 from aclaw.freelaw import m_ac
 from aclaw.linearize import (
     AnticommutatorSpectrum,
+    IllConditionedError,
     block_inversion_check,
+    blockwise_resolvent,
     build_linearization,
     corner_blocks,
     fluctuation_sup,
@@ -21,7 +24,7 @@ from aclaw.linearize import (
     resolvent_stats,
 )
 from aclaw.sdcore import sd_solution_ac
-from aclaw.wigner import EnsembleSpec, WignerPair, sample_pair
+from aclaw.wigner import ENSEMBLES, EnsembleSpec, WignerPair, sample_pair
 
 RNG = np.random.Generator(np.random.Philox(key=424242))
 
@@ -356,6 +359,105 @@ def test_fluctuation_lipschitz_budget():
             if 0 < gap <= 0.5 + 1e-12:
                 worst = max(worst, abs(vals[a] - vals[b]) / gap)
     assert worst <= 16**3.5  # quotient vs the per-unit-length budget
+
+
+@pytest.mark.parametrize("n", [16, 80])
+def test_blockwise_resolvent_matches_factorized(n):
+    lin = build_linearization(random_pair(n, 3))
+    for z in (0.3 + 1.0 / n * 1j, -2.5 + 0.7j, 6.0 + 8.0j):
+        r = generalized_resolvent(lin, z)
+        assert np.abs(blockwise_resolvent(lin, z) - r).max() <= 1e-13 * np.abs(r).max()
+    with pytest.raises(ValueError):
+        blockwise_resolvent(lin, 0.5 - 0.1j)
+
+
+def net_case(pair, route):
+    """The screened net of the full rectangle, the route's value and the
+    screen's value at every net point."""
+    lin = build_linearization(pair)
+    fs = fluctuation_sup(lin, (-8.0, 8.0, 1.0 / pair.n, 8.0), spacing=4.0,
+                         route=route)
+    vals = np.array([resolvent_stats(lin, z, route=route).fluct for z in fs.net])
+    screen = np.array([linearize._screen_fluct(lin, z) for z in fs.net])
+    return fs, vals, screen
+
+
+SCREEN_CASES = (
+    [pytest.param(ens, n, "schur", id=f"{ens}-{n}-schur")
+     for ens in ENSEMBLES for n in (2, 8, 32, 64, 128)]
+    + [pytest.param(ens, n, "minor", id=f"{ens}-{n}-minor")
+       for ens in ENSEMBLES for n in (2, 8, 16)])
+
+
+@pytest.mark.parametrize("ensemble,n,route", SCREEN_CASES)
+def test_screened_net_gives_route_maximum(ensemble, n, route):
+    pair = sample_pair(EnsembleSpec(n=n, ensemble=ensemble, seed=1))
+    fs, vals, screen = net_case(pair, route)
+    assert fs.k2 == 2.0 * vals.max()
+    np.testing.assert_allclose(screen, vals, rtol=1e-12, atol=0.0)
+    ran = fs.per_point == vals
+    assert ran.any() and np.array_equal(fs.per_point[~ran], screen[~ran])
+
+
+@pytest.mark.parametrize("route", ["schur", "minor"])
+def test_screened_net_zero_pair(route):
+    fs, vals, screen = net_case(zero_pair(8), route)
+    assert fs.k2 == 2.0 * vals.max()
+    assert np.array_equal(screen, vals)
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls of ``linearize.<name>``, recording their z."""
+    seen = []
+    original = getattr(linearize, name)
+
+    def counting(lin, z, *args, **kwargs):
+        seen.append(complex(z))
+        return original(lin, z, *args, **kwargs)
+
+    monkeypatch.setattr(linearize, name, counting)
+    return seen
+
+
+def test_screen_error_at_maximum_falls_back_to_route(monkeypatch):
+    lin = build_linearization(random_pair(32, 3))
+    rect = (-8.0, 8.0, 1.0 / 32, 8.0)
+    exact = fluctuation_sup(lin, rect, spacing=2.0)
+    top = exact.net[np.argmax(exact.per_point)]
+    screen = linearize._screen_fluct
+    monkeypatch.setattr(linearize, "_screen_fluct", lambda lin_, z: (
+        screen(lin_, z) * (1.0 + 1e-3 * (z == top))))
+    stats = count_calls(monkeypatch, "resolvent_stats")
+    fs = fluctuation_sup(lin, rect, spacing=2.0)
+    # one evaluation at the (inflated) screened maximum, then the whole net
+    assert len(stats) == 1 + len(fs.net)
+    vals = [resolvent_stats(lin, z, route="schur").fluct for z in fs.net]
+    assert fs.k2 == exact.k2 == 2.0 * max(vals)
+    assert np.array_equal(fs.per_point, vals)
+
+
+@pytest.mark.parametrize("n", [16, 64, 80])
+def test_screen_cross_checks_every_net_point(monkeypatch, n):
+    # the direct-inversion cross-check runs at every net point for N <= 64,
+    # and at none beyond
+    lin = build_linearization(random_pair(n, 2))
+    checked = count_calls(monkeypatch, "_cross_check")
+    stats = count_calls(monkeypatch, "resolvent_stats")
+    fs = fluctuation_sup(lin, (-8.0, 8.0, 1.0 / n, 8.0), spacing=4.0)
+    if n <= 64:
+        assert len(checked) == len(fs.net) + len(stats)
+        assert set(checked) == {complex(z) for z in fs.net}
+    else:
+        assert checked == []
+
+
+def test_screen_keeps_conditioning_refusal(monkeypatch):
+    lin = build_linearization(random_pair(16, 1))
+    monkeypatch.setattr(linearize, "COND_LIMIT", 1.0)
+    stats = count_calls(monkeypatch, "resolvent_stats")
+    with pytest.raises(IllConditionedError):
+        fluctuation_sup(lin, (-8.0, 8.0, 1.0 / 16, 8.0), spacing=4.0)
+    assert stats == []  # refused by the screen, before any route ran
 
 
 def test_fluctuation_sup_rect_validation():
