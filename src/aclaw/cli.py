@@ -202,6 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pair(args):
+    from .wigner import EnsembleSpec, sample_pair
+
+    return sample_pair(EnsembleSpec(n=args.n, ensemble=args.ensemble,
+                                    seed=args.seed))
+
+
 def _cmd_law(args) -> int:
     import numpy as np
 
@@ -284,10 +291,8 @@ def _cmd_linearize_check(args) -> int:
                             build_linearization, generalized_resolvent,
                             lambda_kron, resolvent_row_sum_check,
                             resolvent_stats)
-    from .wigner import EnsembleSpec, sample_pair
 
-    pair = sample_pair(EnsembleSpec(n=args.n, ensemble=args.ensemble,
-                                    seed=args.seed))
+    pair = _pair(args)
     lin = build_linearization(pair)
     n, z = args.n, complex(args.z)
     full = lin.x - lambda_kron(z, n)
@@ -331,12 +336,9 @@ def _locallaw_rows(rows):
 
 def _cmd_verify(args) -> int:
     from .locallaw import default_grid, verify_local_law
-    from .wigner import EnsembleSpec, sample_pair
 
-    pair = sample_pair(EnsembleSpec(n=args.n, ensemble=args.ensemble,
-                                    seed=args.seed))
     grid = default_grid(args.n, args.tau, n_re=args.n_re, n_im=args.n_im)
-    rep = verify_local_law(pair, z_grid=grid, tau=args.tau, theta=args.theta,
+    rep = verify_local_law(_pair(args), z_grid=grid, tau=args.tau, theta=args.theta,
                            c_config=args.c_config, spacing=args.spacing)
     out = {
         "config": _base_config(args, ["n", "ensemble", "seed", "tau", "theta",
@@ -353,11 +355,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_semicircle(args) -> int:
     from .locallaw import semicircle_locallaw
-    from .wigner import EnsembleSpec, sample_pair
 
-    x = sample_pair(EnsembleSpec(n=args.n, ensemble=args.ensemble,
-                                 seed=args.seed)).u
-    rep = semicircle_locallaw(x, tau=args.tau, theta_user=args.theta_user,
+    rep = semicircle_locallaw(_pair(args).u, tau=args.tau, theta_user=args.theta_user,
                               spacing=args.spacing)
     out = {
         "config": _base_config(args, ["n", "ensemble", "seed", "tau",
@@ -377,10 +376,8 @@ def _cmd_semicircle(args) -> int:
 def _cmd_deloc(args) -> int:
     from .linearize import AnticommutatorSpectrum
     from .locallaw import delocalization_check, empirical_k
-    from .wigner import EnsembleSpec, sample_pair
 
-    pair = sample_pair(EnsembleSpec(n=args.n, ensemble=args.ensemble,
-                                    seed=args.seed))
+    pair = _pair(args)
     # one eigendecomposition of {UV} serves both the law constant and the check
     spectrum = AnticommutatorSpectrum.from_pair(pair)
     k_stat = args.k_stat if args.k_stat is not None else empirical_k(
@@ -448,11 +445,9 @@ def _cmd_tails(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    from .wigner import EnsembleSpec, sample_pair, save_pair
+    from .wigner import save_pair
 
-    pair = sample_pair(EnsembleSpec(n=args.n, ensemble=args.ensemble,
-                                    seed=args.seed))
-    save_pair(pair, args.out)
+    save_pair(_pair(args), args.out)
     return 0
 
 

@@ -16,11 +16,11 @@ verification.
 Two computation routes are provided for the per-index statistics: the
 definitional one, inverting the 3(N-1) minor for every index (quartic cost,
 fine at small N), and a Schur-identity route that derives everything from the
-full resolvent in roughly matrix-multiplication time.  They are cross-checked
-against each other in the test suite.  ``fluctuation_sup`` screens its net
-with a cheaper form of the Schur route (the resolvent assembled block by block
-from ({UV} - z)^-1, a and b) and runs the chosen route only near the screened
-maximum.
+full resolvent in roughly matrix-multiplication time.  The harnesses run the
+Schur route; the minor route is its test oracle.  ``fluctuation_sup`` screens
+its net with a cheaper form of the Schur route (the resolvent assembled block
+by block from ({UV} - z)^-1, a and b) and runs the route only near the
+screened maximum.
 """
 
 from __future__ import annotations
@@ -168,12 +168,11 @@ def _cross_check(lin: Linearization, z: complex, r: np.ndarray) -> None:
             f"factorized and direct resolvents disagree ({rel:.3e}) at z={z}")
 
 
-def generalized_resolvent(lin: Linearization, z: complex,
-                          cross_check_max_n: int = CROSS_CHECK_MAX_N) -> np.ndarray:
+def generalized_resolvent(lin: Linearization, z: complex) -> np.ndarray:
     """R = (X - Lambda kron I)^-1 via the factorized route
     W blockdiag(({UV} - z)^-1, I, -I) W*.
 
-    For N up to ``cross_check_max_n`` the result is verified against direct
+    For N up to ``CROSS_CHECK_MAX_N`` the result is verified against direct
     inversion of X - Lambda kron I within 1e-8 relative.
     """
     z = complex(z)
@@ -185,7 +184,7 @@ def generalized_resolvent(lin: Linearization, z: complex,
     mid[n:2 * n, n:2 * n] = np.eye(n)
     mid[2 * n:, 2 * n:] = -np.eye(n)
     r = lin.w @ mid @ lin.w_h
-    if n <= cross_check_max_n:
+    if n <= CROSS_CHECK_MAX_N:
         _cross_check(lin, z, r)
     return r
 
@@ -439,10 +438,10 @@ def resolvent_stats(lin: Linearization, z: complex, route: str = "minor") -> Res
 class FluctuationNet:
     """Supremum of the fluctuation statistic over a net: ``k2`` is twice the
     observed maximum (the safety factor for net approximation), and
-    ``lipschitz_budget`` = c * N^(7/2) * spacing records how much the
-    statistic could move between net points.  ``per_point`` holds the
-    route's value at the points where it ran and the screened value
-    elsewhere (see ``fluctuation_sup``)."""
+    ``lipschitz_budget`` = N^(7/2) * spacing records how much the statistic
+    could move between net points.  ``per_point`` holds the Schur route's
+    value at the points where it ran and the screened value elsewhere (see
+    ``fluctuation_sup``)."""
 
     k2: float
     max_fluct: float
@@ -453,22 +452,21 @@ class FluctuationNet:
 
 
 def fluctuation_sup(lin: Linearization, rect: tuple[float, float, float, float],
-                    spacing: float, route: str = "schur",
-                    tau: float = 8.0, lipschitz_c: float = 1.0) -> FluctuationNet:
+                    spacing: float, tau: float = 8.0) -> FluctuationNet:
     """Evaluate the fluctuation statistic on a uniform net of the rectangle
     (re_min, re_max, im_min, im_max) and return twice the maximum.
 
     Every net point is screened with ``_screen_fluct``, which makes the
     resolvent's conditioning refusal and, for N <= 64, its direct-inversion
-    cross-check.  ``route`` then runs only at the points whose screened value
-    lies within ``SCREEN_MARGIN`` (relative) of the screened maximum, and the
-    maximum is taken over its values there, so it is the route's maximum
-    over the whole net, digit for digit, as long as the screen is accurate
-    to well within that margin.  ``per_point`` holds the route's value at
-    those points and the screened value elsewhere.  If a route value differs
-    from its screen by more than ``SCREEN_AGREEMENT`` (relative), the screen
-    is not trusted: the route runs at every point and ``per_point`` holds
-    its values throughout.
+    cross-check.  The Schur route then runs only at the points whose screened
+    value lies within ``SCREEN_MARGIN`` (relative) of the screened maximum,
+    and the maximum is taken over its values there, so it is the route's
+    maximum over the whole net, digit for digit, as long as the screen is
+    accurate to well within that margin.  ``per_point`` holds the route's
+    value at those points and the screened value elsewhere.  If a route
+    value differs from its screen by more than ``SCREEN_AGREEMENT``
+    (relative), the screen is not trusted: the route runs at every point and
+    ``per_point`` holds its values throughout.
 
     The rectangle must lie within |Re z| <= 8, 1/N <= Im z <= tau.
     """
@@ -484,15 +482,15 @@ def fluctuation_sup(lin: Linearization, rect: tuple[float, float, float, float],
     screen = np.array([_screen_fluct(lin, z) for z in net])
     top = np.flatnonzero(screen >= screen.max() * (1.0 - SCREEN_MARGIN))
     vals = screen.copy()
-    vals[top] = [resolvent_stats(lin, net[j], route=route).fluct for j in top]
+    vals[top] = [resolvent_stats(lin, net[j], route="schur").fluct for j in top]
     if (not len(top) or np.any(np.abs(vals[top] - screen[top])
                                > SCREEN_AGREEMENT * np.abs(vals[top]))):
-        vals = np.array([resolvent_stats(lin, z, route=route).fluct for z in net])
+        vals = np.array([resolvent_stats(lin, z, route="schur").fluct for z in net])
     # points off ``top`` screen below the route's values on it
     mx = float(vals.max())
     return FluctuationNet(k2=2.0 * mx, max_fluct=mx, net=net, per_point=vals,
                           spacing=spacing,
-                          lipschitz_budget=lipschitz_c * n**3.5 * spacing)
+                          lipschitz_budget=n**3.5 * spacing)
 
 
 @dataclass

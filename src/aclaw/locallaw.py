@@ -27,8 +27,9 @@ import numpy as np
 from .errors import AclawError
 from .freelaw import edge_distance, law_constants, m_ac
 from .grids import rect_grid, uniform_net
-from .linearize import (AnticommutatorSpectrum, build_linearization,
-                        corner_blocks, fluctuation_sup, generalized_resolvent)
+from .linearize import (AnticommutatorSpectrum, _check_upper_half_plane,
+                        _fluct_from, build_linearization, corner_blocks,
+                        fluctuation_sup, generalized_resolvent)
 from .sdcore import sd_semicircle, sd_solution_ac
 from .tails import fit_log_survival_slope, survival_points
 from .wigner import EnsembleSpec, WignerPair, norm_at_most, sample_pair
@@ -69,10 +70,10 @@ class RhoPreconditionError(AclawError):
     """rho = 4 c^2 K^2 / N is not below 1 (delocalization assumption)."""
 
 
-def default_grid(n: int, tau: float = 8.0, n_re: int = 13, n_im: int = 10,
-                 re_max: float = 8.0) -> np.ndarray:
+def default_grid(n: int, tau: float = 8.0, n_re: int = 13,
+                 n_im: int = 10) -> np.ndarray:
     """Verification grid: linear in Re z, logarithmic in Im z from 1/N."""
-    return rect_grid(-re_max, re_max, n_re, 1.0 / n, tau, n_im)
+    return rect_grid(-8.0, 8.0, n_re, 1.0 / n, tau, n_im)
 
 
 @dataclass
@@ -111,10 +112,6 @@ class LocalLawReport:
     def admissible_rows(self) -> list:
         return [r for r in self.rows if r.admissible]
 
-    @property
-    def all_admissible_hold(self) -> bool:
-        return all(r.holds for r in self.admissible_rows)
-
 
 def _require_finite(**values: float) -> None:
     for name, value in values.items():
@@ -122,7 +119,7 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _in_rectangle(z: complex, n: int, tau: float, re_max: float = 8.0) -> bool:
+def _in_rectangle(z: complex, n: int, tau: float, re_max: float) -> bool:
     return (abs(z.real) <= re_max + 1e-12
             and 1.0 / n - 1e-12 <= z.imag <= tau + 1e-12)
 
@@ -145,9 +142,26 @@ def self_consistent_theta_star(rows, k_stat: float, n: int, factor: float) -> fl
     return float(scaled.max() / k_stat) if len(scaled) else math.nan
 
 
+def _grid_rows(points, n: int, tau: float, re_max: float, theta: float,
+               k_stat: float, rho: float, factor: float):
+    """(rows, theta_star, theta_star_self) of the bound theta K /
+    sqrt(N h Im z) at each (z, h, lhs) of ``points``; a row is admissible in
+    |Re z| <= re_max, 1/N <= Im z <= tau when rho <= h^2 Im z."""
+    rows = []
+    for z, h, lhs in points:
+        rhs = theta * k_stat / math.sqrt(n * h * z.imag)
+        admissible = _in_rectangle(z, n, tau, re_max) and rho <= h * h * z.imag
+        rows.append(GridRow(z=z, h=h, lhs=lhs, rhs=rhs, admissible=admissible,
+                            holds=lhs <= rhs))
+    adm = [r for r in rows if r.admissible]
+    theta_star = (max(r.lhs * math.sqrt(n * r.h * r.z.imag) / k_stat for r in adm)
+                  if adm else math.nan)
+    return rows, theta_star, self_consistent_theta_star(rows, k_stat, n, factor)
+
+
 def verify_local_law(pair: WignerPair, z_grid=None, tau: float = 8.0,
                      theta: float = 1.0, c_config: float = 1.0,
-                     spacing: float = 1.0, route: str = "schur") -> LocalLawReport:
+                     spacing: float = 1.0) -> LocalLawReport:
     """Verify the deterministic local-law implication on a grid.
 
     Computes K = twice the netted supremum of the fluctuation statistic over
@@ -156,10 +170,10 @@ def verify_local_law(pair: WignerPair, z_grid=None, tau: float = 8.0,
     membership, and reports the empirical star constant.
 
     Only the net computes the fluctuation statistic.  ``fluctuation_sup``
-    screens every net point with the blockwise resolvent and runs
-    ``resolvent_stats`` on ``route`` only near the screened maximum (one
-    point per pair in practice), so K keeps the route's digits.  A grid row
-    needs only G_i, which it slices from the generalized resolvent with
+    screens every net point with the blockwise resolvent and runs the Schur
+    route of ``resolvent_stats`` only near the screened maximum (one point
+    per pair in practice), so K keeps the route's digits.  A grid row needs
+    only G_i, which it slices from the generalized resolvent with
     ``corner_blocks``, exactly as both routes slice their ``g_i``.  The
     resolvent's conditioning refusal and its N <= 64 direct-inversion
     cross-check run at every net and grid point.  One spectral resolvent
@@ -186,45 +200,34 @@ def verify_local_law(pair: WignerPair, z_grid=None, tau: float = 8.0,
     n = pair.n
     if z_grid is None:
         z_grid = default_grid(n, tau)
-    net = fluctuation_sup(lin, (-8.0, 8.0, 1.0 / n, tau), spacing, route=route,
-                          tau=tau)
+    net = fluctuation_sup(lin, (-8.0, 8.0, 1.0 / n, tau), spacing, tau=tau)
     k_stat = net.k2
     rho = 4.0 * c_config**2 * theta**2 * k_stat**2 / n
-    rows = []
+    points = []
     for z in z_grid:
         z = complex(z)
         g_i = corner_blocks(generalized_resolvent(lin, z))
         m_mat = sd_solution_ac(z).m_mat
         lhs = float(np.linalg.norm(g_i - m_mat[None, :, :], 2,
                                    axis=(1, 2)).max())
-        h = edge_distance(z)
-        rhs = theta * k_stat / math.sqrt(n * h * z.imag)
-        admissible = _in_rectangle(z, n, tau) and rho <= h * h * z.imag
-        rows.append(GridRow(z=z, h=h, lhs=lhs, rhs=rhs, admissible=admissible,
-                            holds=lhs <= rhs))
-    adm = [r for r in rows if r.admissible]
-    theta_star = (max(r.lhs * math.sqrt(n * r.h * r.z.imag) / k_stat for r in adm)
-                  if adm else math.nan)
+        points.append((z, edge_distance(z), lhs))
+    rows, theta_star, theta_star_self = _grid_rows(
+        points, n, tau, 8.0, theta, k_stat, rho, 4.0 * c_config**2)
     return LocalLawReport(
         n=n, ensemble=pair.spec.ensemble, seed=pair.spec.seed, tau=tau,
         theta=theta, c_config=c_config, spacing=spacing, k_stat=k_stat,
         rho=rho, x_set_empty=rho > tau, rows=rows, theta_star=theta_star,
-        theta_star_self=self_consistent_theta_star(rows, k_stat, n,
-                                                   4.0 * c_config**2),
+        theta_star_self=theta_star_self,
         degenerate=max(lin.norm_u, lin.norm_v) == 0.0)
 
 
 def construct_k(pair: WignerPair, tau: float = 8.0, theta: float = 1.0,
-                spacing: float = 1.0, route: str = "schur",
-                rect=None) -> float:
+                spacing: float = 1.0) -> float:
     """The netted random constant: theta times twice the maximum of the
     fluctuation statistic over a uniform net of the rectangle.  Always at
     least 2 theta."""
     lin = build_linearization(pair)
-    n = pair.n
-    if rect is None:
-        rect = (-8.0, 8.0, 1.0 / n, tau)
-    net = fluctuation_sup(lin, rect, spacing, route=route, tau=tau)
+    net = fluctuation_sup(lin, (-8.0, 8.0, 1.0 / pair.n, tau), spacing, tau=tau)
     return theta * net.k2
 
 
@@ -241,7 +244,6 @@ def _scaled_deviations(spectrum: AnticommutatorSpectrum, zs: np.ndarray,
 
 def empirical_k(pair: WignerPair, tau: float = 8.0, theta: float = 1.0,
                 c_config: float = 1.0, n_re: int = 17, n_im: int = 12,
-                floor: float | None = None,
                 spectrum: AnticommutatorSpectrum | None = None) -> float:
     """Smallest K (>= 2 theta) satisfying the main-law property on a net:
     max_i |({UV} - z)^-1 (i,i) - m| <= K / sqrt(N h Im z) at every net point
@@ -259,8 +261,7 @@ def empirical_k(pair: WignerPair, tau: float = 8.0, theta: float = 1.0,
         spectrum = AnticommutatorSpectrum.from_pair(pair)
     scaled, gate = _scaled_deviations(
         spectrum, rect_grid(-8.0, 8.0, n_re, 1.0 / n, tau, n_im), n)
-    if floor is None:
-        floor = 2.0 * theta
+    floor = 2.0 * theta
 
     def valid(k: float) -> bool:
         thresh = 4.0 * c_config**2 * k**2 / n
@@ -289,7 +290,7 @@ class KTailReport:
 
 
 def k_tail_estimate(spec: EnsembleSpec, tau: float = 8.0, spacing: float = 2.0,
-                    samples: int = 60, route: str = "schur") -> KTailReport:
+                    samples: int = 60) -> KTailReport:
     """Sample the netted constant over fresh pairs and fit the survival
     decay.  Only the qualitative log-linear domination (negative slope) is
     asserted; the rate constants are existential."""
@@ -298,8 +299,7 @@ def k_tail_estimate(spec: EnsembleSpec, tau: float = 8.0, spacing: float = 2.0,
     ks = []
     for t in range(samples):
         pair = sample_pair(replace(spec, seed=spec.seed * 1000003 + t))
-        ks.append(construct_k(pair, tau=tau, theta=1.0, spacing=spacing,
-                              route=route))
+        ks.append(construct_k(pair, tau=tau, theta=1.0, spacing=spacing))
     ks = np.array(ks)
     ts, surv = survival_points(ks ** (1.0 / (2.0 * spec.alpha0 + 1.0)),
                                quantiles=np.linspace(0.3, 0.98, 12))
@@ -366,10 +366,13 @@ def delocalization_check(pair: WignerPair, k_stat: float,
     {UV} with |eigenvalue| <= 8, where sigma solves h^2 sigma = rho at
     z = lambda + i sigma and rho = 4 c^2 K^2 / N.
 
-    Refuses when max(|U|, |V|) > 4 or rho >= 1 (the simplifying assumption
+    Refuses a non-finite or non-positive k_stat (K enters only as K^2), and
+    refuses when max(|U|, |V|) > 4 or rho >= 1 (the simplifying assumption
     of the underlying bound).  ``spectrum`` is the pair's eigendecomposition
     when the caller already holds it.
     """
+    if not (math.isfinite(k_stat) and k_stat > 0):
+        raise ValueError(f"k_stat must be positive and finite, got {k_stat}")
     if not (norm_at_most(pair.u, 4.0) and norm_at_most(pair.v, 4.0)):
         raise NormHypothesisError("pair violates max(|U|, |V|) <= 4")
     n = pair.n
@@ -501,8 +504,7 @@ def semicircle_stats(x: np.ndarray, z: complex, route: str = "schur") -> Semicir
     the full resolvent by the rank-one correction R - R[:,i] R[i,:] / R_ii.
     """
     z = complex(z)
-    if z.imag <= 0:
-        raise ValueError("z must lie in the upper half-plane")
+    _check_upper_half_plane(z)
     x = np.asarray(x, dtype=complex)
     n = x.shape[0]
     r = np.linalg.inv(x - z * np.eye(n))
@@ -542,8 +544,7 @@ def semicircle_stats(x: np.ndarray, z: complex, route: str = "schur") -> Semicir
     # independently of one another
     row_sum_res = float(np.max(np.abs(r_frob**2 / n - ghat_i.imag / z.imag)
                                / np.maximum(np.abs(ghat_i.imag / z.imag), 1e-300)))
-    denom = (1.0 / math.sqrt(n)) * np.maximum(1.0, r_frob / math.sqrt(n))
-    fluct_i = np.maximum(1.0, np.abs(q_i) / denom)
+    fluct_i = _fluct_from(np.abs(q_i), r_frob, n)
     return SemicircleStats(z=z, g_i=g_i, ghat_i=ghat_i, q_i=q_i, r_i_frob=r_frob,
                            fluct_i=fluct_i, fluct=float(fluct_i.max()),
                            route=route, identity_residual=identity_residual,
@@ -582,64 +583,58 @@ class SemicircleReport:
 
 
 def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.0,
-                        z_grid=None, spacing: float = 2.0, route: str = "schur",
-                        identity_spot_checks: int = 3) -> SemicircleReport:
+                        z_grid=None, spacing: float = 2.0) -> SemicircleReport:
     """Scalar local-law verification for a Hermitian matrix against the
     semicircle Stieltjes transform, reporting both the literal theorem-scale
     constants (theta = 2^100, admissible set expected empty) and a user theta.
 
-    The inversion-identity residual is always measured definitionally (minor
-    route) at ``identity_spot_checks`` grid points, whatever the main route.
+    The statistics run the Schur route of ``semicircle_stats``; the
+    inversion-identity residual comes from the minor route at 3 net points.
+    Refuses non-finite tau or theta_user, tau < 1/N (an empty rectangle) and
+    theta_user <= 0; theta_user in (0, 1) is allowed, since at desk scale it
+    is what makes grid rows admissible.
     """
     _require_finite(tau=tau, theta_user=theta_user)
     x = np.asarray(x, dtype=complex)
     n = x.shape[0]
+    if tau < 1.0 / n:
+        raise ValueError(f"tau = {tau} < 1/N leaves the rectangle empty")
+    if theta_user <= 0:
+        raise ValueError(f"theta_user must be positive, got {theta_user}")
     theta_literal = 2.0**100
     net = uniform_net(-4.0, 4.0, 1.0 / n, tau, spacing)
-    max_ident = 0.0
     max_row_sum = 0.0
     fluct_max = 0.0
     for z in net:
-        st = semicircle_stats(x, complex(z), route=route)
+        st = semicircle_stats(x, complex(z))
         fluct_max = max(fluct_max, st.fluct)
         max_row_sum = max(max_row_sum, st.row_sum_residual)
-        if st.identity_residual is not None:
-            max_ident = max(max_ident, st.identity_residual)
-    if identity_spot_checks > 0:
-        picks = np.linspace(0, len(net) - 1, min(identity_spot_checks, len(net)))
-        for j in picks.astype(int):
-            st = semicircle_stats(x, complex(net[j]), route="minor")
-            max_ident = max(max_ident, st.identity_residual)
-            max_row_sum = max(max_row_sum, st.row_sum_residual)
+    max_ident = 0.0
+    picks = np.linspace(0, len(net) - 1, min(3, len(net)))
+    for j in picks.astype(int):
+        st = semicircle_stats(x, complex(net[j]), route="minor")
+        max_ident = max(max_ident, st.identity_residual)
+        max_row_sum = max(max_row_sum, st.row_sum_residual)
     k_stat = 2.0 * fluct_max
     rho_literal = 2.0**8 * theta_literal**2 * k_stat**2 / n
     rho_user = 2.0**8 * theta_user**2 * k_stat**2 / n
     if z_grid is None:
         z_grid = rect_grid(-4.0, 4.0, 9, 1.0 / n, tau, 8)
-    rows = []
+    points = []
     for z in z_grid:
         z = complex(z)
-        st = semicircle_stats(x, z, route=route)
+        st = semicircle_stats(x, z)
         max_row_sum = max(max_row_sum, st.row_sum_residual)
-        if st.identity_residual is not None:
-            max_ident = max(max_ident, st.identity_residual)
         m = sd_semicircle(z).m
         lhs = float(np.abs(st.g_i - m).max())
-        h = sc_edge_distance(z)
-        rhs = theta_user * k_stat / math.sqrt(n * h * z.imag)
-        admissible = (abs(z.real) <= 4.0 + 1e-12
-                      and 1.0 / n - 1e-12 <= z.imag <= tau + 1e-12
-                      and rho_user <= h * h * z.imag)
-        rows.append(GridRow(z=z, h=h, lhs=lhs, rhs=rhs, admissible=admissible,
-                            holds=lhs <= rhs))
-    adm = [r for r in rows if r.admissible]
-    theta_star = (max(r.lhs * math.sqrt(n * r.h * r.z.imag) / k_stat for r in adm)
-                  if adm else math.nan)
+        points.append((z, sc_edge_distance(z), lhs))
+    rows, theta_star, theta_star_self = _grid_rows(
+        points, n, tau, 4.0, theta_user, k_stat, rho_user, 2.0**8)
     return SemicircleReport(
         n=n, tau=tau, theta_literal=theta_literal, theta_user=theta_user,
         k_stat=k_stat, rho_literal=rho_literal, x_empty_literal=rho_literal > tau,
         rho_user=rho_user, rows=rows, theta_star=theta_star,
-        theta_star_self=self_consistent_theta_star(rows, k_stat, n, 2.0**8),
+        theta_star_self=theta_star_self,
         max_identity_residual=max_ident, max_row_sum_residual=max_row_sum)
 
 
@@ -671,8 +666,7 @@ class ScalingReport:
 
 def scaling_law_study(n_list=(64, 128, 256), seeds=range(10),
                       ensemble: str = "complex-gaussian", tau: float = 8.0,
-                      theta: float = 1.0, c_config: float = 1.0,
-                      k_spacing: float = 4.0, n_re: int = 13,
+                      theta: float = 1.0, k_spacing: float = 4.0, n_re: int = 13,
                       n_im: int = 10) -> ScalingReport:
     """For each (N, seed): sample a pair, compute the scaled deviation on a
     grid (linear Re, log Im from 1/N), take the median over the admissible

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .wigner import _draw_offdiag
+
 __all__ = [
     "theta_fn",
     "theta_root",
@@ -35,26 +37,29 @@ __all__ = [
 ]
 
 _DISTS = ("rademacher", "gaussian", "uniform")
+#: each test distribution is the entry law of a Wigner ensemble at N = 1
+_ENSEMBLE_OF = dict(zip(_DISTS, ("rademacher", "real-gaussian", "uniform-bounded")))
+
+
+def _log_theta(s: float) -> float:
+    from scipy.special import gammaln
+
+    return (0.5 * s * math.log(2.0) + gammaln((s + 1.0) / 2.0)
+            - 0.5 * math.log(math.pi))
 
 
 def theta_fn(s: float) -> float:
     """Theta(s) = 2^(s/2) Gamma((s+1)/2) / sqrt(pi)."""
-    from scipy.special import gammaln
-
     if s < 0:
         raise ValueError("s must be nonnegative")
-    return math.exp(0.5 * s * math.log(2.0) + gammaln((s + 1.0) / 2.0)
-                    - 0.5 * math.log(math.pi))
+    return math.exp(_log_theta(s))
 
 
 def theta_root(s: float) -> float:
     """Theta(s)^(1/s), the gaussian p-norm; at most sqrt(s) for s >= 2."""
-    from scipy.special import gammaln
-
     if s <= 0:
         raise ValueError("s must be positive")
-    return math.exp((0.5 * s * math.log(2.0) + gammaln((s + 1.0) / 2.0)
-                     - 0.5 * math.log(math.pi)) / s)
+    return math.exp(_log_theta(s) / s)
 
 
 def moment_to_tail(alpha: float, t: float) -> float:
@@ -75,13 +80,9 @@ def tail_to_moment(alpha: float, c: float, p: float) -> float:
 
 def _draw(dist: str, rng, size) -> np.ndarray:
     """Real mean-zero unit-variance samples."""
-    if dist == "rademacher":
-        return rng.choice([-1.0, 1.0], size=size)
-    if dist == "gaussian":
-        return rng.standard_normal(size)
-    if dist == "uniform":
-        return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=size)
-    raise ValueError(f"unknown distribution {dist!r}; pick from {_DISTS}")
+    if dist not in _ENSEMBLE_OF:
+        raise ValueError(f"unknown distribution {dist!r}; pick from {_DISTS}")
+    return _draw_offdiag(rng, _ENSEMBLE_OF[dist], size, 1)
 
 
 def _exact_p_norm(dist: str, p: float) -> float:

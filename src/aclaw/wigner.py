@@ -107,17 +107,6 @@ def _draw_offdiag(rng, ensemble, size, n):
     raise ValueError(ensemble)
 
 
-def _draw_diag(rng, ensemble, n):
-    # diagonal entries are real (hermiticity); variance 1/N, same family
-    if ensemble in ("complex-gaussian", "real-gaussian"):
-        return rng.standard_normal(n) / math.sqrt(n)
-    if ensemble == "rademacher":
-        return rng.choice([-1.0, 1.0], size=n) / math.sqrt(n)
-    if ensemble == "uniform-bounded":
-        return rng.uniform(-math.sqrt(3.0 / n), math.sqrt(3.0 / n), size=n)
-    raise ValueError(ensemble)
-
-
 def _sample_hermitian(spec: EnsembleSpec, stream: int) -> np.ndarray:
     rng = _rng(spec.seed, stream)
     n = spec.n
@@ -125,7 +114,9 @@ def _sample_hermitian(spec: EnsembleSpec, stream: int) -> np.ndarray:
     h = np.zeros((n, n), dtype=complex)
     h[iu] = _draw_offdiag(rng, spec.ensemble, len(iu[0]), n)
     h = h + h.conj().T
-    h[np.diag_indices(n)] = _draw_diag(rng, spec.ensemble, n)
+    # diagonal entries are real (hermiticity); variance 1/N, same family
+    diag_law = "real-gaussian" if spec.ensemble == "complex-gaussian" else spec.ensemble
+    h[np.diag_indices(n)] = _draw_offdiag(rng, diag_law, n, n)
     return h
 
 

@@ -276,6 +276,14 @@ def test_law_density_csv(tmp_path):
     pytest.param(["verify", "--N", "8", "--spacing", "inf"], id="verify-spacing-inf"),
     # used to warn "Mean of empty slice", write a report and exit 1
     pytest.param(["tails", "--trials", "0"], id="tails-trials-0"),
+    # used to exit 0 having checked nothing: tau < 1/N empties the rectangle,
+    # and a negative theta makes every bound negative
+    pytest.param(["semicircle", "--N", "16", "--tau", "0.01"],
+                 id="semicircle-empty-rectangle"),
+    pytest.param(["semicircle", "--N", "16", "--theta-user", "-1"],
+                 id="semicircle-theta-negative"),
+    # K enters only as K^2; a negative K used to fail verification (exit 1)
+    pytest.param(["deloc", "--N", "16", "--k-stat", "-0.5"], id="deloc-k-negative"),
 ])
 def test_usage_error_exit_code(tmp_path, capsys, args):
     out = tmp_path / "x.out"

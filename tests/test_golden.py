@@ -38,9 +38,19 @@ CASES = {
     "sd-3x3-seed0": ["sd", "--n-re", "3", "--n-im", "3", "--seed", "0"],
     "deloc-n64-seed0": ["deloc", "--N", "64", "--seed", "0"],
     "law-3x3": ["law", "--n-re", "3", "--n-im", "3"],
+    # theta_user < 1 admits 36 of 72 rows at desk scale, so the k = 1 mode's
+    # admissible and failing rows are pinned (exit 1)
+    "semicircle-n32-seed0-theta005": ["semicircle", "--N", "32", "--seed", "0",
+                                      "--theta-user", "0.05"],
+    "tails-500-seed0": ["tails", "--trials", "500", "--seed", "0"],
+    # the other goldens are complex-gaussian; these pin the remaining diagonal
+    # and off-diagonal entry laws
+    **{f"sample-n6-{e}": ["sample", "--N", "6", "--ensemble", e, "--seed", "0"]
+       for e in ("real-gaussian", "rademacher", "uniform-bounded")},
 }
-#: commands whose ``--out`` is a CSV table, not a JSON report
-CSV_COMMANDS = frozenset({"law"})
+#: commands whose ``--out`` is a CSV table (or ``sample``'s pair dump, read
+#: the same way), not a JSON report
+CSV_COMMANDS = frozenset({"law", "sample"})
 FLOAT_RTOL = 1e-8
 FLOAT_ATOL = 1e-10
 IGNORED = frozenset({"$.config.version"})

@@ -372,14 +372,17 @@ def test_blockwise_resolvent_matches_factorized(n):
 
 
 def net_case(pair, route):
-    """The screened net of the full rectangle, the route's value and the
-    screen's value at every net point."""
+    """The screened net of the full rectangle, the Schur route's value, the
+    screen's value and ``route``'s value (the oracle) at every net point."""
     lin = build_linearization(pair)
-    fs = fluctuation_sup(lin, (-8.0, 8.0, 1.0 / pair.n, 8.0), spacing=4.0,
-                         route=route)
-    vals = np.array([resolvent_stats(lin, z, route=route).fluct for z in fs.net])
+    fs = fluctuation_sup(lin, (-8.0, 8.0, 1.0 / pair.n, 8.0), spacing=4.0)
+
+    def values(name):
+        return np.array([resolvent_stats(lin, z, route=name).fluct for z in fs.net])
+
+    schur = values("schur")
     screen = np.array([linearize._screen_fluct(lin, z) for z in fs.net])
-    return fs, vals, screen
+    return fs, schur, screen, schur if route == "schur" else values(route)
 
 
 SCREEN_CASES = (
@@ -391,19 +394,20 @@ SCREEN_CASES = (
 
 @pytest.mark.parametrize("ensemble,n,route", SCREEN_CASES)
 def test_screened_net_gives_route_maximum(ensemble, n, route):
+    # K is the Schur route's maximum; the screen matches both routes
     pair = sample_pair(EnsembleSpec(n=n, ensemble=ensemble, seed=1))
-    fs, vals, screen = net_case(pair, route)
-    assert fs.k2 == 2.0 * vals.max()
-    np.testing.assert_allclose(screen, vals, rtol=1e-12, atol=0.0)
-    ran = fs.per_point == vals
+    fs, schur, screen, oracle = net_case(pair, route)
+    assert fs.k2 == 2.0 * schur.max()
+    np.testing.assert_allclose(screen, oracle, rtol=1e-12, atol=0.0)
+    ran = fs.per_point == schur
     assert ran.any() and np.array_equal(fs.per_point[~ran], screen[~ran])
 
 
 @pytest.mark.parametrize("route", ["schur", "minor"])
 def test_screened_net_zero_pair(route):
-    fs, vals, screen = net_case(zero_pair(8), route)
-    assert fs.k2 == 2.0 * vals.max()
-    assert np.array_equal(screen, vals)
+    fs, schur, screen, oracle = net_case(zero_pair(8), route)
+    assert fs.k2 == 2.0 * schur.max()
+    assert np.array_equal(screen, oracle)
 
 
 def count_calls(monkeypatch, name):
