@@ -18,9 +18,11 @@ definitional one, inverting the 3(N-1) minor for every index (quartic cost,
 fine at small N), and a Schur-identity route that derives everything from the
 full resolvent in roughly matrix-multiplication time.  The harnesses run the
 Schur route; the minor route is its test oracle.  ``fluctuation_sup`` screens
-its net with a cheaper form of the Schur route (the resolvent assembled block
-by block from ({UV} - z)^-1, a and b) and runs the route only near the
-screened maximum.
+its whole net with the Schur route's formulas written in the eigenbasis of
+{UV}, where R = P diag(1/(lam - z)) P* + D is affine in the anticommutator
+resolvent: one ``eigh`` per pair, kernels built once per Im level of the net
+and O(N^2) work per net point.  It runs the route only near the screened
+maximum.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ __all__ = [
     "build_linearization",
     "lambda_kron",
     "generalized_resolvent",
-    "blockwise_resolvent",
     "bordered_resolvent",
     "corner_blocks",
     "resolvent_stats",
@@ -105,11 +106,6 @@ class Linearization:
         return np.block([[zero, a, b], [a, zero, zero], [b, zero, zero]])
 
     @functools.cached_property
-    def gram(self) -> np.ndarray:
-        """C*C = I + a^2 + b^2 for C = [I; -a; b], the block column of W."""
-        return np.eye(self.n) + self.a @ self.a + self.b @ self.b
-
-    @functools.cached_property
     def w_h(self) -> np.ndarray:
         """W*, conjugated once per pair and shared by every resolvent."""
         return self.w.conj().T
@@ -143,13 +139,18 @@ def lambda_kron(z: complex, n: int) -> np.ndarray:
     return out
 
 
-def _ac_inverse(lin: Linearization, z: complex) -> np.ndarray:
-    """({UV} - z)^-1, refused beyond the condition ceiling."""
+def _check_conditioning(lin: Linearization, z: complex) -> None:
+    """Refuse z when ({UV} - z)^-1 would exceed the condition ceiling."""
     # {UV} is Hermitian, so the solve's condition is (|{UV}| + |z|)/Im z
     bound = (2.0 * lin.norm_u * lin.norm_v + abs(z)) / z.imag
     if bound > COND_LIMIT:
         raise IllConditionedError(
             f"anticommutator resolvent condition bound {bound:.3e} at z={z}")
+
+
+def _ac_inverse(lin: Linearization, z: complex) -> np.ndarray:
+    """({UV} - z)^-1, refused beyond the condition ceiling."""
+    _check_conditioning(lin, z)
     return np.linalg.inv(lin.anticommutator - z * np.eye(lin.n))
 
 
@@ -189,41 +190,28 @@ def generalized_resolvent(lin: Linearization, z: complex) -> np.ndarray:
     return r
 
 
-def blockwise_resolvent(lin: Linearization, z: complex) -> np.ndarray:
-    """R = (X - Lambda kron I)^-1 assembled block by block from
-    g = ({UV} - z)^-1 and the pair's a, b:
+def _eigenbasis(lin: Linearization) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, P): {UV} = Q diag(lam) Q* and P = [Q, -aQ, bQ], so that
+    R = P diag(1/(lam - z)) P* + diag(0, I, -I).  numpy's ``heevd`` keeps Q
+    orthogonal to about 5e-15 (MRRR, as in ``AnticommutatorSpectrum``: 1e-12).
+    Not cached on the pair: held through the route, P would raise the peak."""
+    lam, q = np.linalg.eigh(lin.anticommutator)
+    return lam, np.stack([q, -(lin.a @ q), lin.b @ q])
 
-        R = [[ g,   -g a,       g b     ],
-             [-a g,  a g a + I, -a g b  ],
-             [ b g, -b g a,      b g b - I]],
 
-    eight N x N products instead of the two 3N x 3N ones of W mid W*.  It
-    agrees with ``generalized_resolvent`` to rounding, not bit for bit, and
-    makes the same refusals, the N <= ``CROSS_CHECK_MAX_N`` direct-inversion
-    cross-check included.
-    """
+def _spectral_resolvent(basis, z: complex) -> np.ndarray:
+    """R = P diag(1/(lam - z)) P* + D from ``basis`` = (lam, P) of
+    ``_eigenbasis``; it agrees with ``generalized_resolvent`` to rounding.
+    The net screen cross-checks it against direct inversion."""
     z = complex(z)
     _check_upper_half_plane(z)
-    n = lin.n
-    g = _ac_inverse(lin, z)
-    a, b = lin.a, lin.b
-    ga, gb = g @ a, g @ b
-    r = np.empty((3 * n, 3 * n), dtype=complex)
-    r4 = r.reshape(3, n, 3, n)
-    r4[0, :, 0] = g
-    np.negative(ga, out=r4[0, :, 1])
-    r4[0, :, 2] = gb
-    np.negative(a @ g, out=r4[1, :, 0])
-    r4[1, :, 1] = a @ ga
-    np.negative(a @ gb, out=r4[1, :, 2])
-    r4[2, :, 0] = b @ g
-    np.negative(b @ ga, out=r4[2, :, 1])
-    r4[2, :, 2] = b @ gb
+    lam, p = basis
+    n = lam.size
+    pf = p.reshape(3 * n, n)
+    r = (pf / (lam - z)) @ pf.conj().T
     idx = np.arange(n)
     r[n + idx, n + idx] += 1.0
     r[2 * n + idx, 2 * n + idx] -= 1.0
-    if n <= CROSS_CHECK_MAX_N:
-        _cross_check(lin, z, r)
     return r
 
 
@@ -320,12 +308,10 @@ def _stats_minor(lin: Linearization, z: complex) -> ResolventStats:
                           route="minor", key_identity_residual=float(key_res))
 
 
-def _schur_statistics(r: np.ndarray, z: complex, h3: np.ndarray | None = None):
+def _schur_statistics(r: np.ndarray, z: complex):
     """(g_i, g_avg, ghat_i, q_i, r_frob, fluct_i) of the resolvent r at z
-    by the Schur identities.  Unless the corner blocks ``h3`` of R (R*R) are
-    given, F = R*R and R F are formed by 3N x 3N products and sliced, as the
-    'schur' route does; with ``h3`` given, F's corner blocks are contracted
-    directly, which rounds differently."""
+    by the Schur identities, with F = R*R and R F formed by 3N x 3N
+    products and sliced."""
     n = r.shape[0] // 3
     lam3 = np.diag([z, -1.0 + 0j, 1.0 + 0j])
     r4 = r.reshape(3, n, 3, n)
@@ -340,14 +326,10 @@ def _schur_statistics(r: np.ndarray, z: complex, h3: np.ndarray | None = None):
     r_conj = r.conj()
     r3 = r.reshape(3, n, 3 * n)
     vv = np.einsum("aik,bik->iab", r3, r_conj.reshape(3, n, 3 * n), optimize=True)
-    if h3 is None:
-        f = r_conj.T @ r
-        del r_conj  # freed before R F: one 3N x 3N array less at the peak
-        uu = corner_blocks(f)                      # F[cols_i, cols_i]
-        h3 = corner_blocks(r @ f)                  # (R F)[rows_i, cols_i]
-    else:                                          # column triple i of R
-        uu = np.einsum("kai,kbi->iab", r_conj.reshape(3 * n, 3, n),
-                       r.reshape(3 * n, 3, n))
+    f = r_conj.T @ r
+    del r_conj  # freed before R F: one 3N x 3N array less at the peak
+    uu = corner_blocks(f)                          # F[cols_i, cols_i]
+    h3 = corner_blocks(r @ f)                      # (R F)[rows_i, cols_i]
     norm_r2 = np.vdot(r, r).real
     t1 = np.einsum("iab,iba->i", h3, g_inv)
     t2 = np.einsum("iba,ibc,icd,ida->i", g_inv.conj(), uu, g_inv, vv, optimize=True)
@@ -366,56 +348,154 @@ def _stats_schur(lin: Linearization, z: complex) -> ResolventStats:
                           key_identity_residual=None)
 
 
-def _rf_corner_blocks(lin: Linearization, z: complex, g: np.ndarray) -> np.ndarray:
-    """The corner blocks (R R*R)[rows_i, cols_i], as an (N, 3, 3) stack, from
-    g = ({UV} - z)^-1 in ten N x N products instead of two 3N x 3N ones.
+#: the signs s_a of D = diag(0, I, -I), block by block
+_SIGNS = np.array([0.0, 1.0, -1.0])
 
-    R = C g C* + D with C = [I; -a; b] and D = diag(0, I, -I).  Expanding
-    R R*R with S = C*C (``Linearization.gram``) and a^2 - b^2 = -{UV}, so
-    that g (a^2 - b^2) g = -(g + z g^2), gives
+#: the entries (a, e) of ghat that ``phi_ac`` reads, one of each transposed
+#: pair: it never reads ghat[1, 2] or ghat[2, 1]
+_PHI_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2))
 
-        R R*R = C Y1 C* + C Y2 T* + C g Z* + T Y4 C* + T g* T* + Z g C* + D,
-
-    T = [0; -a; -b], Z = [0; -a; b], Y1 = g S g* S g - g - z g^2,
-    Y2 = g S g*, Y4 = g* S g.  Block (p, q) of a term X Y W* has the diagonal
-    diag(X_p Y W_q) (W_q is Hermitian), and the terms sharing W_q are summed
-    before the product with X_p.
-    """
-    a, b = lin.a, lin.b
-    g_h = g.conj().T
-    gs = g @ lin.gram
-    y4 = g_h @ (lin.gram @ g)
-    y2 = gs @ g_h
-    y1 = gs @ y4 - g - z * (g @ g)
-    g2 = 2.0 * g
-
-    def diag(x, y):                                # diag(x y) in O(N^2)
-        return np.einsum("ik,ki->i", x, y)
-
-    plus, minus = y1 + y2, y1 - y2
-    h3 = np.empty((lin.n, 3, 3), dtype=complex)
-    h3[:, 0, 0] = np.diagonal(y1)
-    h3[:, 1, 0] = -diag(a, y1 + y4 + g)
-    h3[:, 2, 0] = diag(b, y1 - y4 + g)
-    h3[:, 0, 1] = -diag(plus + g, a)
-    h3[:, 1, 1] = diag(a @ (plus + y4 + g_h + g2), a) + 1.0
-    h3[:, 2, 1] = -diag(b @ (plus - y4 - g_h + g2), a)
-    h3[:, 0, 2] = diag(minus + g, b)
-    h3[:, 1, 2] = -diag(a @ (minus + y4 - g_h + g2), b)
-    h3[:, 2, 2] = diag(b @ (minus - y4 + g_h + g2), b) - 1.0
-    return h3
+#: eigenvalue pairs of {UV} closer than this are multiplied directly in the
+#: net screen rather than through a divided difference
+_NEAR_GAP = 1e-3
 
 
-def _screen_fluct(lin: Linearization, z: complex) -> float:
-    """The fluctuation statistic at z by the 'schur' route's formulas on the
-    blockwise resolvent, with R (R*R)'s corner blocks from
-    ``_rf_corner_blocks`` and F's by contraction: no 3N x 3N product, about
-    a third of the cost of a route evaluation at N = 256, and within about
-    1e-14 relative of both routes.  The resolvent's refusals apply."""
-    z = complex(z)
-    r = blockwise_resolvent(lin, z)
-    h3 = _rf_corner_blocks(lin, z, r[:lin.n, :lin.n])
-    return float(_schur_statistics(r, z, h3)[-1].max())
+def _pair_diagonals(left, right, f, out):
+    """Add diag(L_a diag(f[:, z]) R_b*) to out[z, :, a, b] for every column
+    z of f and every block pair (a, b) of the (3, N, N) stacks L and R: one
+    (N, N) x (N, Z) product per pair, O(N^2) per column."""
+    for b in range(3):
+        right_b = right[b].conj()
+        for a in range(3):
+            out[:, :, a, b] += ((left[a] * right_b) @ f).T
+    return out
+
+
+def _net_corr(p, e0, near, d, g_inv):
+    """ghat's Schur correction corr[z, i, x, w] = sum_bc G_i^-1[b, c]
+    (R_cw R_xb)[i, i] at the points d = 1/(lam - z) (columns), for the
+    entries ``phi_ac`` reads.  As G_i^-1 G_i = I, the terms with a D block
+    sum to s_x (2 delta_xw - s_w G_i^-1[x, w]).  The rest, sum_kl P_c[i, k]
+    M[k, l] P_b[i, l]^* d_k d_l with M = P_w* P_x, is split by the divided
+    difference d_k d_l = (d_l - d_k) e0[k, l] into products of d with the
+    z-free kernels P (M o e0), except at the near pairs (e0 = 0), which are
+    multiplied directly."""
+    kk, ll = near
+    dd = d[kk] * d[ll]
+    corr = np.zeros_like(g_inv)
+    for a, e in _PHI_PAIRS:
+        m = p[e].conj().T @ p[a]
+        y_ea = p @ (m * e0)
+        y_ae = y_ea if a == e else p @ -(m * e0).conj().T
+        entries = {(e, a): (y_ae, y_ea, m[ll, kk].conj()),
+                   (a, e): (y_ea, y_ae, m[kk, ll])}
+        del m, y_ea, y_ae
+        for (x, w), (y_wx, y_xw, m_near) in entries.items():
+            acc = corr[:, :, x, w]
+            for b in range(3):
+                p_b, y_b, near_b = p[b].conj(), y_xw[b].conj(), p[b][:, ll].conj()
+                for c in range(3):
+                    f = (y_wx[c] * p_b + p[c] * y_b) @ d
+                    f += (p[c][:, kk] * m_near * near_b) @ dd
+                    acc += g_inv[:, :, b, c] * f.T
+            acc += _SIGNS[x] * (2.0 * (x == w) - _SIGNS[w] * g_inv[:, :, x, w])
+        del entries, y_wx, y_xw  # before the next pair's kernels are built
+    return corr
+
+
+def _level_r_frob(lam, p, s1, gap, e0, near, d, g_inv, eta):
+    """The minor norms ``r_frob``, |R|_F^2 - 2 Re t1 + Re t2 as on the Schur
+    route, at the points d = 1/(lam - z) (columns) of one Im level eta.  The
+    corner blocks vv of R R*, uu of R*R and h3 of R R*R hold products
+    d_k conj(d_l) (with S' = P*P between them), which the partial fractions
+    d_k conj(d_l) = (conj(d_l) - d_k) e[k, l], e = 1/(lam_k - lam_l - 2i eta),
+    turn into products with d and conj d through kernels built once per
+    level; no denominator is below 2 eta.  R D R = -P diag(lam d^2) P*, as
+    a^2 - b^2 = -{UV}, and h3's one same-z product is split as in
+    ``_net_corr``."""
+    kk, ll = near
+    dc = d.conj()
+    gt = _pair_diagonals(p, p, d, np.zeros_like(g_inv))     # G_i - D
+    wc = _pair_diagonals(p, p, dc, np.zeros_like(g_inv))
+    h3 = _pair_diagonals(p, p, -lam[:, None] * d * d, np.zeros_like(g_inv))
+    e = 1.0 / (gap - 2j * eta)
+    k = s1 * e
+    t = k @ s1
+    tn = -t[kk, ll]
+    t *= e0
+    _pair_diagonals(p @ -t, p, d, _pair_diagonals(p, p @ t.conj().T, d, h3))
+    del t
+    _pair_diagonals(p[:, :, kk] * tn, p[:, :, ll], d[kk] * d[ll], h3)
+    y = p @ k
+    vv = _pair_diagonals(p, y, d, _pair_diagonals(y, p, dc, np.zeros_like(g_inv)))
+    k = s1 * e.conj()
+    del e
+    _pair_diagonals(y @ k, p, d, h3)
+    yp = p @ k
+    del k
+    uu = _pair_diagonals(yp, p, d, _pair_diagonals(p, yp, dc, np.zeros_like(g_inv)))
+    _pair_diagonals(y, yp, dc, h3)
+    del y, yp
+    s_a, s_b = _SIGNS[:, None], _SIGNS[None, :]
+    vv += s_a * wc + s_b * gt + np.diag(_SIGNS**2)
+    uu += s_a * gt + s_b * wc + np.diag(_SIGNS**2)
+    h3 += s_b * vv + s_a * uu - s_a * s_b * wc - np.diag(_SIGNS)
+    norm_r2 = np.einsum("ziaa->z", vv).real
+    t1 = np.einsum("ziab,ziba->zi", h3, g_inv)
+    t2 = np.einsum("ziba,zibc,zicd,zida->zi", g_inv.conj(), uu, g_inv, vv,
+                   optimize=True)
+    return np.sqrt(np.maximum(norm_r2[:, None] - 2.0 * t1.real + t2.real, 0.0))
+
+
+def _screen_net(lin: Linearization, net: np.ndarray) -> np.ndarray:
+    """The fluctuation statistic at every point of ``net`` by the Schur
+    route's formulas in the eigenbasis of {UV}, R = P diag(d) P* + D with
+    d = 1/(lam - z): kernels built once per chunk of Im levels (at most about
+    N/2 points, which keeps the peak allocation below one route evaluation's)
+    or once per level, then O(N^2) per point.  Every point gets the
+    conditioning refusal and, for N <= ``CROSS_CHECK_MAX_N``, the direct
+    cross-check of the assembled R.  Eigenvalue pairs closer than
+    ``_NEAR_GAP`` are multiplied directly, so ties stay exact; more than 8N
+    such pairs screen as NaN, which leaves every point to the route."""
+    n = lin.n
+    zs = np.asarray(net, dtype=complex)
+    for z in zs.tolist():
+        _check_upper_half_plane(z)
+        _check_conditioning(lin, z)
+    lam, p = basis = _eigenbasis(lin)
+    if n <= CROSS_CHECK_MAX_N:
+        for z in zs.tolist():
+            _cross_check(lin, z, _spectral_resolvent(basis, z))
+    gap = lam[:, None] - lam[None, :]
+    is_near = np.abs(gap) < _NEAR_GAP
+    near = np.nonzero(is_near)
+    if near[0].size > 8 * n:
+        return np.full(zs.size, np.nan)
+    e0 = np.divide(1.0, gap, out=np.zeros_like(gap), where=~is_near)
+    s1 = sum(pb.conj().T @ pb for pb in p)
+    levels, level_of = np.unique(zs.imag, return_inverse=True)
+    step = max(1, n // 2 // np.bincount(level_of).max())
+    out = np.empty(zs.size)
+    for lo in range(0, levels.size, step):
+        idx = np.flatnonzero((level_of >= lo) & (level_of < lo + step))
+        zc = zs[idx]
+        d = 1.0 / (lam[:, None] - zc)
+        g = np.zeros((zc.size, n, 3, 3), dtype=complex) + np.diag(_SIGNS)
+        _pair_diagonals(p, p, d, g)
+        g_inv, g_avg = np.linalg.inv(g), g.mean(axis=1)
+        del g
+        ghat = g_avg[:, None] - _net_corr(p, e0, near, d, g_inv) / n
+        lam3 = np.zeros((zc.size, 1, 3, 3), dtype=complex) - np.diag(_SIGNS)
+        lam3[:, 0, 0, 0] = zc
+        qnorm = _spectral_norms(-(g_inv + lam3 + phi_ac(ghat)))
+        del ghat
+        r_frob = np.empty((zc.size, n))
+        for lev in range(lo, min(lo + step, levels.size)):
+            sel = np.flatnonzero(level_of[idx] == lev)
+            r_frob[sel] = _level_r_frob(lam, p, s1, gap, e0, near, d[:, sel],
+                                        g_inv[sel], levels[lev])
+        out[idx] = _fluct_from(qnorm, r_frob, n).max(axis=1)
+    return out
 
 
 def resolvent_stats(lin: Linearization, z: complex, route: str = "minor") -> ResolventStats:
@@ -440,8 +520,8 @@ class FluctuationNet:
     observed maximum (the safety factor for net approximation), and
     ``lipschitz_budget`` = N^(7/2) * spacing records how much the statistic
     could move between net points.  ``per_point`` holds the Schur route's
-    value at the points where it ran and the screened value elsewhere (see
-    ``fluctuation_sup``)."""
+    value at the points where it ran and the eigenbasis screen's value
+    (``_screen_net``) elsewhere (see ``fluctuation_sup``)."""
 
     k2: float
     max_fluct: float
@@ -456,17 +536,17 @@ def fluctuation_sup(lin: Linearization, rect: tuple[float, float, float, float],
     """Evaluate the fluctuation statistic on a uniform net of the rectangle
     (re_min, re_max, im_min, im_max) and return twice the maximum.
 
-    Every net point is screened with ``_screen_fluct``, which makes the
+    The whole net is screened at once by ``_screen_net``, which makes the
     resolvent's conditioning refusal and, for N <= 64, its direct-inversion
-    cross-check.  The Schur route then runs only at the points whose screened
-    value lies within ``SCREEN_MARGIN`` (relative) of the screened maximum,
-    and the maximum is taken over its values there, so it is the route's
-    maximum over the whole net, digit for digit, as long as the screen is
-    accurate to well within that margin.  ``per_point`` holds the route's
-    value at those points and the screened value elsewhere.  If a route
-    value differs from its screen by more than ``SCREEN_AGREEMENT``
-    (relative), the screen is not trusted: the route runs at every point and
-    ``per_point`` holds its values throughout.
+    cross-check at every point.  The Schur route then runs only at the points
+    whose screened value lies within ``SCREEN_MARGIN`` (relative) of the
+    screened maximum, and the maximum is taken over its values there, so it
+    is the route's maximum over the whole net, digit for digit, as long as
+    the screen is accurate to well within that margin.  ``per_point`` holds the route's
+    value at those points and the screened value elsewhere.  If the screen
+    is NaN or a route value differs from its screen by more than
+    ``SCREEN_AGREEMENT`` (relative), the screen is not trusted: the route
+    runs at every point and ``per_point`` holds its values throughout.
 
     The rectangle must lie within |Re z| <= 8, 1/N <= Im z <= tau.
     """
@@ -479,7 +559,7 @@ def fluctuation_sup(lin: Linearization, rect: tuple[float, float, float, float],
     if im_min < 1.0 / n - 1e-12 or im_max > tau + 1e-12:
         raise ValueError(f"rectangle must satisfy 1/N <= Im z <= tau={tau}")
     net = uniform_net(re_min, re_max, im_min, im_max, spacing)
-    screen = np.array([_screen_fluct(lin, z) for z in net])
+    screen = _screen_net(lin, net)
     top = np.flatnonzero(screen >= screen.max() * (1.0 - SCREEN_MARGIN))
     vals = screen.copy()
     vals[top] = [resolvent_stats(lin, net[j], route="schur").fluct for j in top]

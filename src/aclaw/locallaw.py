@@ -119,6 +119,13 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _require_c_config(c_config: float) -> None:
+    # c enters only as c^2: a negative c would run as |c|, and c = 0 would
+    # admit every point
+    if not (math.isfinite(c_config) and c_config > 0):
+        raise ValueError(f"c_config must be positive and finite, got {c_config}")
+
+
 def _in_rectangle(z: complex, n: int, tau: float, re_max: float) -> bool:
     return (abs(z.real) <= re_max + 1e-12
             and 1.0 / n - 1e-12 <= z.imag <= tau + 1e-12)
@@ -170,25 +177,26 @@ def verify_local_law(pair: WignerPair, z_grid=None, tau: float = 8.0,
     membership, and reports the empirical star constant.
 
     Only the net computes the fluctuation statistic.  ``fluctuation_sup``
-    screens every net point with the blockwise resolvent and runs the Schur
+    screens the whole net in the eigenbasis of {UV} and runs the Schur
     route of ``resolvent_stats`` only near the screened maximum (one point
     per pair in practice), so K keeps the route's digits.  A grid row needs
     only G_i, which it slices from the generalized resolvent with
     ``corner_blocks``, exactly as both routes slice their ``g_i``.  The
     resolvent's conditioning refusal and its N <= 64 direct-inversion
-    cross-check run at every net and grid point.  One spectral resolvent
-    engine per pair, giving K and the grid rows directly, waits for the fix
-    of the ``theta_star_self`` rounding defect: until then any last-digit
-    change to K or to a row's lhs can move ``theta_star_self`` past the
-    reference tolerance.  (``semicircle_locallaw`` deliberately
+    cross-check run at every net and grid point.  Reading the grid rows
+    from the net's eigenbasis too waits for the fix of the
+    ``theta_star_self`` rounding defect: until then any last-digit change
+    to a row's lhs can move ``theta_star_self`` past the reference
+    tolerance.  (``semicircle_locallaw`` deliberately
     keeps the full ``semicircle_stats`` at its grid rows: their row-sum and
     identity residuals go into the reported ``max_row_sum_residual``.)
 
-    Refuses pairs with max(|U|, |V|) > 4 (the theorem hypothesis) and
-    non-finite tau, theta or c_config (a NaN constant would admit no row and
-    pass vacuously).
+    Refuses pairs with max(|U|, |V|) > 4 (the theorem hypothesis),
+    non-finite tau or theta (a NaN constant would admit no row and pass
+    vacuously) and a non-finite or non-positive c_config.
     """
-    _require_finite(tau=tau, theta=theta, c_config=c_config)
+    _require_finite(tau=tau, theta=theta)
+    _require_c_config(c_config)
     if tau < 8.0:
         raise ValueError("tau must be >= 8")
     if theta < 1.0:
@@ -254,8 +262,10 @@ def empirical_k(pair: WignerPair, tau: float = 8.0, theta: float = 1.0,
     far too large for the delocalization corollary's rho < 1 assumption at
     moderate N.  The acceptance condition is monotone in K, so the minimum
     is found by scanning the candidate values.  ``spectrum`` is the pair's
-    eigendecomposition when the caller already holds it.
+    eigendecomposition when the caller already holds it.  Refuses a
+    non-finite or non-positive c_config.
     """
+    _require_c_config(c_config)
     n = pair.n
     if spectrum is None:
         spectrum = AnticommutatorSpectrum.from_pair(pair)
@@ -366,13 +376,14 @@ def delocalization_check(pair: WignerPair, k_stat: float,
     {UV} with |eigenvalue| <= 8, where sigma solves h^2 sigma = rho at
     z = lambda + i sigma and rho = 4 c^2 K^2 / N.
 
-    Refuses a non-finite or non-positive k_stat (K enters only as K^2), and
-    refuses when max(|U|, |V|) > 4 or rho >= 1 (the simplifying assumption
+    Refuses a non-finite or non-positive k_stat or c_config (each enters
+    only squared), and refuses when max(|U|, |V|) > 4 or rho >= 1 (the simplifying assumption
     of the underlying bound).  ``spectrum`` is the pair's eigendecomposition
     when the caller already holds it.
     """
     if not (math.isfinite(k_stat) and k_stat > 0):
         raise ValueError(f"k_stat must be positive and finite, got {k_stat}")
+    _require_c_config(c_config)
     if not (norm_at_most(pair.u, 4.0) and norm_at_most(pair.v, 4.0)):
         raise NormHypothesisError("pair violates max(|U|, |V|) <= 4")
     n = pair.n

@@ -181,14 +181,13 @@ def test_deloc_eigendecomposes_once(tmp_path, monkeypatch):
 
 
 def test_verify_grid_skips_fluctuation_statistics(tmp_path, monkeypatch):
-    # the net screens every point on the blockwise resolvent and runs the
-    # route only near the screened maximum (one point on this input); the
-    # grid rows read G_i from the generalized resolvent alone
+    # the net is screened in one call and the route runs only near the
+    # screened maximum (one point on this input); the grid rows read G_i
+    # from the generalized resolvent alone
     from aclaw import linearize, locallaw
-    from aclaw.grids import uniform_net
 
     calls = {"resolvent_stats": 0, "generalized_resolvent": 0,
-             "blockwise_resolvent": 0}
+             "_screen_net": 0}
     for name in calls:
         original = getattr(linearize, name)
 
@@ -205,10 +204,9 @@ def test_verify_grid_skips_fluctuation_statistics(tmp_path, monkeypatch):
                     "--spacing", str(spacing), "--n-re", str(n_re),
                     "--n-im", str(n_im), "--out", str(out)])
     assert code == 0
-    net = uniform_net(-8.0, 8.0, 1.0 / n, tau, spacing)
     assert calls == {"resolvent_stats": 1,
                      "generalized_resolvent": 1 + n_re * n_im,
-                     "blockwise_resolvent": len(net)}
+                     "_screen_net": 1}
 
 
 @pytest.mark.parametrize("args", [
@@ -284,6 +282,12 @@ def test_law_density_csv(tmp_path):
                  id="semicircle-theta-negative"),
     # K enters only as K^2; a negative K used to fail verification (exit 1)
     pytest.param(["deloc", "--N", "16", "--k-stat", "-0.5"], id="deloc-k-negative"),
+    # c enters only as c^2: c = -1 used to pass as +1 (exit 0), c = 0 to
+    # admit every row and fail verification (exit 1)
+    pytest.param(["verify", "--N", "8", "--c-config", "-1"],
+                 id="verify-c-config-negative"),
+    pytest.param(["verify", "--N", "8", "--c-config", "0"], id="verify-c-config-zero"),
+    pytest.param(["deloc", "--N", "16", "--c-config", "0"], id="deloc-c-config-zero"),
 ])
 def test_usage_error_exit_code(tmp_path, capsys, args):
     out = tmp_path / "x.out"

@@ -1,6 +1,7 @@
 """Tests for the self-adjoint linearization and resolvent statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ from hypothesis import strategies as st
 
 from aclaw import linearize
 from aclaw.freelaw import m_ac
+from aclaw.grids import uniform_net
 from aclaw.linearize import (
     AnticommutatorSpectrum,
     IllConditionedError,
     block_inversion_check,
-    blockwise_resolvent,
     build_linearization,
     corner_blocks,
     fluctuation_sup,
@@ -362,13 +363,16 @@ def test_fluctuation_lipschitz_budget():
 
 
 @pytest.mark.parametrize("n", [16, 80])
-def test_blockwise_resolvent_matches_factorized(n):
+def test_spectral_resolvent_matches_factorized(n):
+    # P diag(1/(lam - z)) P* + D, the screen's assembly of R
     lin = build_linearization(random_pair(n, 3))
+    basis = linearize._eigenbasis(lin)
     for z in (0.3 + 1.0 / n * 1j, -2.5 + 0.7j, 6.0 + 8.0j):
         r = generalized_resolvent(lin, z)
-        assert np.abs(blockwise_resolvent(lin, z) - r).max() <= 1e-13 * np.abs(r).max()
+        spectral = linearize._spectral_resolvent(basis, z)
+        assert np.abs(spectral - r).max() <= 1e-13 * np.abs(r).max()
     with pytest.raises(ValueError):
-        blockwise_resolvent(lin, 0.5 - 0.1j)
+        linearize._spectral_resolvent(basis, 0.5 - 0.1j)
 
 
 def net_case(pair, route):
@@ -381,7 +385,7 @@ def net_case(pair, route):
         return np.array([resolvent_stats(lin, z, route=name).fluct for z in fs.net])
 
     schur = values("schur")
-    screen = np.array([linearize._screen_fluct(lin, z) for z in fs.net])
+    screen = linearize._screen_net(lin, fs.net)
     return fs, schur, screen, schur if route == "schur" else values(route)
 
 
@@ -410,6 +414,90 @@ def test_screened_net_zero_pair(route):
     assert np.array_equal(screen, oracle)
 
 
+def assert_screen_matches_route(pair):
+    fs, schur, screen, _ = net_case(pair, "schur")
+    assert fs.k2 == 2.0 * schur.max()
+    np.testing.assert_allclose(screen, schur, rtol=1e-12, atol=0.0)
+
+
+def doubled_pair(n, eps):
+    """(U, U + eps W) with U = Q diag(mu, -mu) Q*: at eps = 0, {UV} = 2 U^2
+    has exact double eigenvalues 2 mu^2, and W = I + a small Hermitian part
+    splits each by about 4 eps mu (mu >= 0.1)."""
+    rng = np.random.Generator(np.random.Philox(key=7))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    mu = np.linspace(0.1, 1.1, n // 2)
+    u = (q * np.concatenate([mu, -mu])) @ q.conj().T
+    u = (u + u.conj().T) / 2.0
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    w = np.eye(n) + (h + h.conj().T) / (10.0 * math.sqrt(n))
+    return WignerPair(u=u, v=u + eps * w, spec=EnsembleSpec(n=n, seed=0))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-9, 1e-6, 2e-3, 5e-3])
+def test_screen_on_degenerate_spectra(eps):
+    # the screen's divided differences multiply eigenvalue pairs closer than
+    # _NEAR_GAP directly: the smallest gap lies below it at eps = 2e-3 and
+    # above it at eps = 5e-3
+    pair = doubled_pair(16, eps)
+    gap = np.diff(np.linalg.eigvalsh(build_linearization(pair).anticommutator)).min()
+    if eps == 2e-3:
+        assert gap < linearize._NEAR_GAP
+    if eps == 5e-3:
+        assert gap > linearize._NEAR_GAP
+    assert_screen_matches_route(pair)
+
+
+def test_screen_on_rademacher_tie():
+    pair = sample_pair(EnsembleSpec(n=2, ensemble="rademacher", seed=2))
+    lam = np.linalg.eigvalsh(build_linearization(pair).anticommutator)
+    assert lam[0] == lam[1]
+    assert_screen_matches_route(pair)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=2, max_value=12), st.sampled_from(sorted(ENSEMBLES)),
+       st.integers(min_value=0, max_value=1000), st.sampled_from([1.0, 2.0, 4.0]))
+def test_screen_matches_route_property(n, ensemble, seed, spacing):
+    lin = build_linearization(sample_pair(EnsembleSpec(n=n, ensemble=ensemble, seed=seed)))
+    net = uniform_net(-8.0, 8.0, 1.0 / n, 8.0, spacing)
+    route = [resolvent_stats(lin, z, route="schur").fluct for z in net]
+    np.testing.assert_allclose(linearize._screen_net(lin, net), route,
+                               rtol=1e-12, atol=0.0)
+
+
+def test_screen_leaves_clustered_spectrum_to_route():
+    # more than 8N near eigenvalue pairs (all 16^2 of the zero pair) screen
+    # as NaN, and fluctuation_sup then runs the route at every net point
+    fs, schur, screen, _ = net_case(zero_pair(16), "schur")
+    assert np.isnan(screen).all()
+    assert fs.k2 == 2.0 * schur.max()
+    assert np.array_equal(fs.per_point, schur)
+
+
+def test_screen_allocates_less_than_one_route_evaluation():
+    # the process's peak memory is set inside fluctuation_sup, which runs
+    # the route after the screen: screening the whole spacing-1 net must not
+    # allocate more at its peak than one route evaluation does
+    n = 128
+    pair = random_pair(n, 0)
+    net = uniform_net(-8.0, 8.0, 1.0 / n, 8.0, 1.0)
+    assert len(net) == 153
+
+    def peak(run):
+        lin = build_linearization(pair)
+        tracemalloc.start()
+        try:
+            run(lin)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    screen = peak(lambda lin: linearize._screen_net(lin, net))
+    route = peak(lambda lin: resolvent_stats(lin, net[0], route="schur"))
+    assert screen <= route
+
+
 def count_calls(monkeypatch, name):
     """Count the calls of ``linearize.<name>``, recording their z."""
     seen = []
@@ -428,9 +516,9 @@ def test_screen_error_at_maximum_falls_back_to_route(monkeypatch):
     rect = (-8.0, 8.0, 1.0 / 32, 8.0)
     exact = fluctuation_sup(lin, rect, spacing=2.0)
     top = exact.net[np.argmax(exact.per_point)]
-    screen = linearize._screen_fluct
-    monkeypatch.setattr(linearize, "_screen_fluct", lambda lin_, z: (
-        screen(lin_, z) * (1.0 + 1e-3 * (z == top))))
+    screen = linearize._screen_net
+    monkeypatch.setattr(linearize, "_screen_net", lambda lin_, net: (
+        screen(lin_, net) * (1.0 + 1e-3 * (net == top))))
     stats = count_calls(monkeypatch, "resolvent_stats")
     fs = fluctuation_sup(lin, rect, spacing=2.0)
     # one evaluation at the (inflated) screened maximum, then the whole net
