@@ -101,30 +101,25 @@ def _base_config(args, keys):
     return cfg
 
 
-_SUBPARSERS: dict[str, argparse.ArgumentParser] = {}
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The ``aclaw`` parser.  Each subcommand's namespace carries its
+    ``handler`` and its parser's ``format_usage``."""
     parser = argparse.ArgumentParser(
         prog="aclaw",
         description="Verify the local spectral law of Wigner anticommutators")
     actions = parser.add_subparsers(dest="command", required=True)
-    _SUBPARSERS.clear()
 
-    class _Registry:
-        def add_parser(self, name, **kw):
-            p = actions.add_parser(name, **kw)
-            _SUBPARSERS[name] = p
-            return p
+    def add_command(name, handler, **kw):
+        p = actions.add_parser(name, **kw)
+        p.set_defaults(handler=handler, format_usage=p.format_usage)
+        return p
 
-    sub = _Registry()
-
-    def add_grid(p, re_max=8.0, n_re=50, im_min=1e-2, im_max=8.0, n_im=50):
-        p.add_argument("--re-min", type=float, default=-re_max)
-        p.add_argument("--re-max", type=float, default=re_max)
+    def add_grid(p, n_re=50, n_im=50):
+        p.add_argument("--re-min", type=float, default=-8.0)
+        p.add_argument("--re-max", type=float, default=8.0)
         p.add_argument("--n-re", type=int, default=n_re)
-        p.add_argument("--im-min", type=float, default=im_min)
-        p.add_argument("--im-max", type=float, default=im_max)
+        p.add_argument("--im-min", type=float, default=1e-2)
+        p.add_argument("--im-max", type=float, default=8.0)
         p.add_argument("--n-im", type=int, default=n_im)
 
     def add_pair(p, n_default=64):
@@ -132,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ensemble", default="complex-gaussian")
         p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("law", help="limiting Stieltjes transform on a grid")
+    p = add_command("law", _cmd_law, help="limiting Stieltjes transform on a grid")
     p.add_argument("--z-grid", choices=["default"], default="default")
     add_grid(p)
     p.add_argument("--density-out", default=None,
@@ -140,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density-points", type=int, default=401)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("figure2", help="quadrant table of the inverse map")
+    p = add_command("figure2", _cmd_figure2, help="quadrant table of the inverse map")
     p.add_argument("--m-max", type=float, default=2.2)
     p.add_argument("--resolution", type=int, default=221)
     p.add_argument("--exclusion-radius", type=float, default=1e-3)
@@ -148,19 +143,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the boundary curves to this CSV")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("sd", help="Schwinger-Dyson residuals and stability")
+    p = add_command("sd", _cmd_sd, help="Schwinger-Dyson residuals and stability")
     add_grid(p, n_re=15, n_im=15)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta-frac", type=float, default=0.5,
                    help="perturbation size as a fraction of the radius")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("linearize-check", help="linearization identity residuals")
+    p = add_command("linearize-check", _cmd_linearize_check,
+                    help="linearization identity residuals")
     add_pair(p, n_default=16)
     p.add_argument("--z", type=complex, default=0.5 + 0.5j)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("verify", help="local-law verification report")
+    p = add_command("verify", _cmd_verify, help="local-law verification report")
     add_pair(p, n_default=64)
     p.add_argument("--tau", type=float, default=8.0)
     p.add_argument("--theta", type=float, default=1.0)
@@ -170,33 +166,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-im", type=int, default=10)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("semicircle", help="scalar local law for one matrix")
+    p = add_command("semicircle", _cmd_semicircle, help="scalar local law for one matrix")
     add_pair(p, n_default=128)
     p.add_argument("--tau", type=float, default=20.0)
     p.add_argument("--theta-user", type=float, default=1.0)
     p.add_argument("--spacing", type=float, default=2.0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("deloc", help="eigenvector delocalization report")
+    p = add_command("deloc", _cmd_deloc, help="eigenvector delocalization report")
     add_pair(p, n_default=128)
     p.add_argument("--c-config", type=float, default=1.0)
     p.add_argument("--k-stat", type=float, default=None,
                    help="override the empirical law constant")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("figure1", help="closest-approach curves sigma(lambda)")
+    p = add_command("figure1", _cmd_figure1, help="closest-approach curves sigma(lambda)")
     p.add_argument("--rho", default="0.2,0.02,0.002,0.0002")
     p.add_argument("--lam-step", type=float, default=1e-2)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("tails", help="moment/tail toolbox verification")
+    p = add_command("tails", _cmd_tails, help="moment/tail toolbox verification")
     p.add_argument("--trials", type=int, default=20000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tail-csv", default=None,
                    help="also write (t, survival, fitted bound) to this CSV")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("sample", help="draw and dump a Wigner pair")
+    p = add_command("sample", _cmd_sample, help="draw and dump a Wigner pair")
     add_pair(p)
     p.add_argument("--out", required=True)
     return parser
@@ -215,6 +211,8 @@ def _cmd_law(args) -> int:
     from .freelaw import density_ac, law_constants, law_csv_rows
     from .grids import rect_grid
 
+    if args.density_out and args.density_points < 1:
+        raise ValueError(f"density_points must be >= 1, got {args.density_points}")
     grid = rect_grid(args.re_min, args.re_max, args.n_re,
                      args.im_min, args.im_max, args.n_im)
     header, rows = law_csv_rows(grid)
@@ -297,16 +295,13 @@ def _cmd_linearize_check(args) -> int:
     n, z = args.n, complex(args.z)
     full = lin.x - lambda_kron(z, n)
     fact = lin.w_h @ full @ lin.w
-    target = np.zeros_like(fact)
-    target[:n, :n] = lin.anticommutator - z * np.eye(n)
-    target[n:2 * n, n:2 * n] = np.eye(n)
-    target[2 * n:, 2 * n:] = -np.eye(n)
+    # blockdiag({UV} - z, I, -I)
+    target = -lambda_kron(z, n)
+    target[:n, :n] += lin.anticommutator
     scale = max(np.linalg.norm(lin.x), 1.0)
     r = generalized_resolvent(lin, z)
     small = bordered_resolvent(lin, z)
-    lam0 = np.zeros_like(r)
-    lam0[n:2 * n, n:2 * n] = -np.eye(n)
-    lam0[2 * n:, 2 * n:] = np.eye(n)
+    lam0 = lambda_kron(0.0, n)
     rid = np.linalg.norm(r + lam0 - lin.w @ small @ lin.w_h) / np.linalg.norm(r)
     stats = resolvent_stats(lin, z, route="minor")
     rng = np.random.Generator(np.random.Philox(key=[args.seed, 13]))
@@ -451,38 +446,21 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "law": _cmd_law,
-    "figure2": _cmd_figure2,
-    "sd": _cmd_sd,
-    "linearize-check": _cmd_linearize_check,
-    "verify": _cmd_verify,
-    "semicircle": _cmd_semicircle,
-    "deloc": _cmd_deloc,
-    "figure1": _cmd_figure1,
-    "tails": _cmd_tails,
-    "sample": _cmd_sample,
-}
-
-
 def main(argv=None) -> int:
     threads = os.environ.get("ACLAW_THREADS")
     if threads:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS"):
             os.environ.setdefault(var, threads)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except AclawError as exc:
         print(f"aclaw {args.command}: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except (ValueError, KeyError) as exc:
         print(f"aclaw {args.command}: {exc}", file=sys.stderr)
-        subparser = _SUBPARSERS.get(args.command)
-        if subparser is not None:
-            print(subparser.format_usage(), end="", file=sys.stderr)
+        print(args.format_usage(), end="", file=sys.stderr)
         return _USAGE_ERROR
 
 

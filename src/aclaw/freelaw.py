@@ -145,12 +145,12 @@ def m_ac(z: complex) -> LawPoint:
     return LawPoint(z=z, m=m, h=edge_distance(z))
 
 
-def density_ac(t: float, eps_ladder=(1e-3, 1e-4, 1e-5), tol: float = 1e-3) -> float:
+def density_ac(t: float, eps_ladder=(1e-3, 1e-4, 1e-5)) -> float:
     """Density of the limiting law at a real point.
 
     Evaluates Im m(t + i*eps)/pi down a strictly decreasing ladder of
     regularizations and returns the value at the smallest eps, requiring the
-    last two ladder values to agree within ``tol`` (the z -> t limit exists
+    last two ladder values to agree within 1e-3 (the z -> t limit exists
     since the law has a bounded density).  Returns 0 outside [-zeta, zeta].
     """
     eps_ladder = tuple(float(e) for e in eps_ladder)
@@ -161,7 +161,7 @@ def density_ac(t: float, eps_ladder=(1e-3, 1e-4, 1e-5), tol: float = 1e-3) -> fl
     if abs(t) > _CONST.zeta:
         return 0.0
     vals = [m_ac(t + 1j * e).m.imag / math.pi for e in eps_ladder]
-    if len(vals) > 1 and abs(vals[-1] - vals[-2]) > tol:
+    if len(vals) > 1 and abs(vals[-1] - vals[-2]) > 1e-3:
         raise LadderConvergenceError(
             f"density ladder at t={t} moved by {abs(vals[-1] - vals[-2]):.3e}")
     return max(vals[-1], 0.0)
@@ -196,14 +196,16 @@ def _inverse_map(m: complex) -> complex:
 
 def quadrant_map(re_range=(-2.2, 2.2), im_range=(-2.2, 2.2),
                  n_re: int = 221, n_im: int = 221,
-                 exclusion_radius: float = 1e-3,
-                 axis_tol: float = 1e-12):
+                 exclusion_radius: float = 1e-3):
     """Quadrant table of w = (m^2+1)/(m^3-m) over a grid in the m-plane.
 
     Returns a list of (m, code) with code 1..4 the quadrant of w, 0 when w
-    lies on a coordinate axis within ``axis_tol``, and -1 for grid points
-    within ``exclusion_radius`` of a pole of the map ({-1, 0, 1}).
+    lies on a coordinate axis within 1e-12, and -1 for grid points
+    within ``exclusion_radius`` of a pole of the map ({-1, 0, 1}).  Refuses
+    an empty grid.
     """
+    if n_re < 1 or n_im < 1:
+        raise ValueError(f"grid needs n_re >= 1 and n_im >= 1, got {n_re}, {n_im}")
     rows = []
     for v in np.linspace(im_range[0], im_range[1], n_im):
         for u in np.linspace(re_range[0], re_range[1], n_re):
@@ -212,7 +214,7 @@ def quadrant_map(re_range=(-2.2, 2.2), im_range=(-2.2, 2.2),
                 rows.append((m, -1))
                 continue
             w = _inverse_map(m)
-            if abs(w.real) <= axis_tol or abs(w.imag) <= axis_tol:
+            if abs(w.real) <= 1e-12 or abs(w.imag) <= 1e-12:
                 rows.append((m, 0))
             elif w.real > 0:
                 rows.append((m, 1 if w.imag > 0 else 4))
@@ -238,7 +240,7 @@ def boundary_curve_im(t: float) -> complex:
     return complex(t, math.sqrt(max(math.sqrt(1.0 - 4.0 * t * t) - t * t, 0.0)))
 
 
-def algebraic_identities(t_grid=None, z_samples=None) -> dict[str, float]:
+def algebraic_identities() -> dict[str, float]:
     """Residuals of the polynomial identities tying omega, zeta and rho_aux.
 
     All residuals are relative and should sit at rounding level.  The checked
@@ -247,15 +249,11 @@ def algebraic_identities(t_grid=None, z_samples=None) -> dict[str, float]:
     * zeta = (3a^3 + 13a)/2 and zeta * (a^3 + a)/2 = 1;
     * t^4 - 11t^2 - 1 vanishes at t = (3a^3 + 13a)/2;
     * (t^3 - t) +/- ((a^3+a)/2)(t^2+1) = (t +/- (a^3+5a)/2)(t -/+ a)^2
-      for all t (checked on a grid);
+      for all t (checked at 29 points of [-3, 3]);
     * 1/|m^2 - a^2| = |m^2 - rho^2|^(1/2)/|m^2 - 1| * 1/|m| *
-      zeta/|z^2 - zeta^2|^(1/2) at (z, m(z)) samples.
+      zeta/|z^2 - zeta^2|^(1/2) at (z, m(z)) for five sample z.
     """
     w, zt, rho = _CONST.omega, _CONST.zeta, _CONST.rho_aux
-    if t_grid is None:
-        t_grid = np.linspace(-3.0, 3.0, 29)
-    if z_samples is None:
-        z_samples = [1.0 + 1.0j, -2.0 + 0.5j, 0.3 + 2.0j, 3.0 + 0.05j, 0.5j]
     out: dict[str, float] = {}
     out["zeta_from_omega"] = abs(zt - (3 * w**3 + 13 * w) / 2) / zt
     out["zeta_reciprocal"] = abs(zt * (w**3 + w) / 2 - 1.0)
@@ -263,14 +261,14 @@ def algebraic_identities(t_grid=None, z_samples=None) -> dict[str, float]:
     out["quartic_at_image"] = abs(tt**4 - 11 * tt**2 - 1.0) / tt**4
     res3 = 0.0
     half = (w**3 + w) / 2
-    for t in np.asarray(t_grid, dtype=float):
+    for t in np.linspace(-3.0, 3.0, 29):
         for s in (+1.0, -1.0):
             lhs = (t**3 - t) + s * half * (t * t + 1.0)
             rhs = (t + s * rho) * (t - s * w) ** 2
             res3 = max(res3, abs(lhs - rhs) / max(1.0, abs(rhs)))
     out["square_factorization"] = res3
     res5 = 0.0
-    for z in z_samples:
+    for z in (1.0 + 1.0j, -2.0 + 0.5j, 0.3 + 2.0j, 3.0 + 0.05j, 0.5j):
         m = m_ac(z).m
         lhs = 1.0 / abs(m * m - w * w)
         rhs = (math.sqrt(abs(m * m - rho * rho)) / abs(m * m - 1.0)

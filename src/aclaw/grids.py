@@ -6,14 +6,12 @@ import numpy as np
 
 
 def rect_grid(re_min: float, re_max: float, n_re: int,
-              im_min: float, im_max: float, n_im: int,
-              im_scale: str = "log") -> np.ndarray:
+              im_min: float, im_max: float, n_im: int) -> np.ndarray:
     """Flattened grid of complex z over a rectangle in the upper half-plane.
 
-    Real parts are linearly spaced; imaginary parts are log-spaced by default
-    (to resolve 1/sqrt(Im z) scalings) or linearly with ``im_scale='linear'``.
-    Points are ordered row-major (Re fast), which downstream report writers
-    rely on for byte-stable output.
+    Real parts are linearly spaced; imaginary parts are log-spaced (to
+    resolve 1/sqrt(Im z) scalings).  Points are ordered row-major (Re fast),
+    which downstream report writers rely on for byte-stable output.
     """
     if im_min <= 0:
         raise ValueError("im_min must be positive")
@@ -22,12 +20,7 @@ def rect_grid(re_min: float, re_max: float, n_re: int,
     if n_re < 1 or n_im < 1:
         raise ValueError(f"grid needs n_re >= 1 and n_im >= 1, got {n_re}, {n_im}")
     re = np.linspace(re_min, re_max, n_re)
-    if im_scale == "log":
-        im = np.geomspace(im_min, im_max, n_im)
-    elif im_scale == "linear":
-        im = np.linspace(im_min, im_max, n_im)
-    else:
-        raise ValueError(f"unknown im_scale {im_scale!r}")
+    im = np.geomspace(im_min, im_max, n_im)
     zz = re[None, :] + 1j * im[:, None]
     return zz.ravel()
 

@@ -532,7 +532,7 @@ class FluctuationNet:
 
 
 def fluctuation_sup(lin: Linearization, rect: tuple[float, float, float, float],
-                    spacing: float, tau: float = 8.0) -> FluctuationNet:
+                    spacing: float) -> FluctuationNet:
     """Evaluate the fluctuation statistic on a uniform net of the rectangle
     (re_min, re_max, im_min, im_max) and return twice the maximum.
 
@@ -548,7 +548,7 @@ def fluctuation_sup(lin: Linearization, rect: tuple[float, float, float, float],
     ``SCREEN_AGREEMENT`` (relative), the screen is not trusted: the route
     runs at every point and ``per_point`` holds its values throughout.
 
-    The rectangle must lie within |Re z| <= 8, 1/N <= Im z <= tau.
+    The rectangle must lie within |Re z| <= 8, Im z >= 1/N.
     """
     from .grids import uniform_net
 
@@ -556,8 +556,8 @@ def fluctuation_sup(lin: Linearization, rect: tuple[float, float, float, float],
     n = lin.n
     if not (-8.0 <= re_min <= re_max <= 8.0):
         raise ValueError("rectangle must satisfy |Re z| <= 8")
-    if im_min < 1.0 / n - 1e-12 or im_max > tau + 1e-12:
-        raise ValueError(f"rectangle must satisfy 1/N <= Im z <= tau={tau}")
+    if im_min < 1.0 / n - 1e-12:
+        raise ValueError("rectangle must satisfy Im z >= 1/N")
     net = uniform_net(re_min, re_max, im_min, im_max, spacing)
     screen = _screen_net(lin, net)
     top = np.flatnonzero(screen >= screen.max() * (1.0 - SCREEN_MARGIN))

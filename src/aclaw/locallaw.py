@@ -208,7 +208,7 @@ def verify_local_law(pair: WignerPair, z_grid=None, tau: float = 8.0,
     n = pair.n
     if z_grid is None:
         z_grid = default_grid(n, tau)
-    net = fluctuation_sup(lin, (-8.0, 8.0, 1.0 / n, tau), spacing, tau=tau)
+    net = fluctuation_sup(lin, (-8.0, 8.0, 1.0 / n, tau), spacing)
     k_stat = net.k2
     rho = 4.0 * c_config**2 * theta**2 * k_stat**2 / n
     points = []
@@ -229,13 +229,12 @@ def verify_local_law(pair: WignerPair, z_grid=None, tau: float = 8.0,
         degenerate=max(lin.norm_u, lin.norm_v) == 0.0)
 
 
-def construct_k(pair: WignerPair, tau: float = 8.0, theta: float = 1.0,
-                spacing: float = 1.0) -> float:
+def construct_k(pair: WignerPair, theta: float = 1.0, spacing: float = 1.0) -> float:
     """The netted random constant: theta times twice the maximum of the
-    fluctuation statistic over a uniform net of the rectangle.  Always at
-    least 2 theta."""
+    fluctuation statistic over a uniform net of the rectangle |Re z| <= 8,
+    1/N <= Im z <= 8.  Always at least 2 theta."""
     lin = build_linearization(pair)
-    net = fluctuation_sup(lin, (-8.0, 8.0, 1.0 / pair.n, tau), spacing, tau=tau)
+    net = fluctuation_sup(lin, (-8.0, 8.0, 1.0 / pair.n, 8.0), spacing)
     return theta * net.k2
 
 
@@ -250,12 +249,12 @@ def _scaled_deviations(spectrum: AnticommutatorSpectrum, zs: np.ndarray,
     return lhs * np.sqrt(n * h * zs.imag), h * h * zs.imag
 
 
-def empirical_k(pair: WignerPair, tau: float = 8.0, theta: float = 1.0,
-                c_config: float = 1.0, n_re: int = 17, n_im: int = 12,
+def empirical_k(pair: WignerPair, theta: float = 1.0, c_config: float = 1.0,
                 spectrum: AnticommutatorSpectrum | None = None) -> float:
     """Smallest K (>= 2 theta) satisfying the main-law property on a net:
     max_i |({UV} - z)^-1 (i,i) - m| <= K / sqrt(N h Im z) at every net point
-    with 4 c^2 K^2 / N <= h^2 Im z.
+    with 4 c^2 K^2 / N <= h^2 Im z.  The net is the 17 x 12 grid of
+    |Re z| <= 8, 1/N <= Im z <= 8.
 
     This is the desk-scale surrogate for the theorem's random constant: the
     netted fluctuation supremum times 2 theta dominates it but is typically
@@ -270,7 +269,7 @@ def empirical_k(pair: WignerPair, tau: float = 8.0, theta: float = 1.0,
     if spectrum is None:
         spectrum = AnticommutatorSpectrum.from_pair(pair)
     scaled, gate = _scaled_deviations(
-        spectrum, rect_grid(-8.0, 8.0, n_re, 1.0 / n, tau, n_im), n)
+        spectrum, rect_grid(-8.0, 8.0, 17, 1.0 / n, 8.0, 12), n)
     floor = 2.0 * theta
 
     def valid(k: float) -> bool:
@@ -299,7 +298,7 @@ class KTailReport:
         return self.slope + 2.0 * self.slope_stderr < 0.0
 
 
-def k_tail_estimate(spec: EnsembleSpec, tau: float = 8.0, spacing: float = 2.0,
+def k_tail_estimate(spec: EnsembleSpec, spacing: float = 2.0,
                     samples: int = 60) -> KTailReport:
     """Sample the netted constant over fresh pairs and fit the survival
     decay.  Only the qualitative log-linear domination (negative slope) is
@@ -309,7 +308,7 @@ def k_tail_estimate(spec: EnsembleSpec, tau: float = 8.0, spacing: float = 2.0,
     ks = []
     for t in range(samples):
         pair = sample_pair(replace(spec, seed=spec.seed * 1000003 + t))
-        ks.append(construct_k(pair, tau=tau, theta=1.0, spacing=spacing))
+        ks.append(construct_k(pair, theta=1.0, spacing=spacing))
     ks = np.array(ks)
     ts, surv = survival_points(ks ** (1.0 / (2.0 * spec.alpha0 + 1.0)),
                                quantiles=np.linspace(0.3, 0.98, 12))
@@ -318,9 +317,10 @@ def k_tail_estimate(spec: EnsembleSpec, tau: float = 8.0, spacing: float = 2.0,
                        slope_stderr=stderr)
 
 
-def sigma_solve(lam, rho: float, iters: int = 100):
+def sigma_solve(lam, rho: float):
     """The unique sigma in (0, 1] with h(lam + i sigma)^2 sigma = rho, by
-    bisection on [1e-12, 1] (the map is strictly increasing in sigma).
+    100 bisection steps on [1e-12, 1] (the map is strictly increasing in
+    sigma).
 
     ``lam`` may be an array: all its entries are bisected at once and an
     array of sigmas is returned, each equal to the scalar call's."""
@@ -330,7 +330,7 @@ def sigma_solve(lam, rho: float, iters: int = 100):
     zeta = law_constants().zeta
     lo = np.full(lam.shape, 1e-12)
     hi = np.ones(lam.shape)
-    for _ in range(iters):
+    for _ in range(100):
         mid = 0.5 * (lo + hi)
         # edge_distance(lam + i mid), elementwise
         h = np.minimum(np.minimum(np.hypot(lam - zeta, mid),
@@ -408,7 +408,10 @@ def delocalization_check(pair: WignerPair, k_stat: float,
 def figure1_data(rho_list, lam_min: float = -8.0, lam_max: float = 8.0,
                  lam_step: float = 1e-2):
     """Closest-approach curves sigma(lambda) for each rho: rows
-    (rho, lambda, sigma) with sigma solving h^2 sigma = rho."""
+    (rho, lambda, sigma) with sigma solving h^2 sigma = rho.  Refuses an
+    empty ``rho_list``."""
+    if len(rho_list) == 0:
+        raise ValueError("rho_list must hold at least one rho")
     if not (math.isfinite(lam_step) and lam_step > 0):
         raise ValueError(f"lam_step must be positive and finite, got {lam_step}")
     rows = []
@@ -594,10 +597,11 @@ class SemicircleReport:
 
 
 def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.0,
-                        z_grid=None, spacing: float = 2.0) -> SemicircleReport:
+                        spacing: float = 2.0) -> SemicircleReport:
     """Scalar local-law verification for a Hermitian matrix against the
     semicircle Stieltjes transform, reporting both the literal theorem-scale
     constants (theta = 2^100, admissible set expected empty) and a user theta.
+    The grid is 9 x 8 points of |Re z| <= 4, 1/N <= Im z <= tau.
 
     The statistics run the Schur route of ``semicircle_stats``; the
     inversion-identity residual comes from the minor route at 3 net points.
@@ -629,10 +633,8 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
     k_stat = 2.0 * fluct_max
     rho_literal = 2.0**8 * theta_literal**2 * k_stat**2 / n
     rho_user = 2.0**8 * theta_user**2 * k_stat**2 / n
-    if z_grid is None:
-        z_grid = rect_grid(-4.0, 4.0, 9, 1.0 / n, tau, 8)
     points = []
-    for z in z_grid:
+    for z in rect_grid(-4.0, 4.0, 9, 1.0 / n, tau, 8):
         z = complex(z)
         st = semicircle_stats(x, z)
         max_row_sum = max(max_row_sum, st.row_sum_residual)
@@ -676,13 +678,13 @@ class ScalingReport:
 
 
 def scaling_law_study(n_list=(64, 128, 256), seeds=range(10),
-                      ensemble: str = "complex-gaussian", tau: float = 8.0,
-                      theta: float = 1.0, k_spacing: float = 4.0, n_re: int = 13,
-                      n_im: int = 10) -> ScalingReport:
+                      ensemble: str = "complex-gaussian", k_spacing: float = 4.0,
+                      n_re: int = 13, n_im: int = 10) -> ScalingReport:
     """For each (N, seed): sample a pair, compute the scaled deviation on a
-    grid (linear Re, log Im from 1/N), take the median over the admissible
-    points, and record the netted K and the scalar star constant.  The
-    log-log slope of the mean median against N is the headline number."""
+    grid (|Re z| <= 6 linear, 1/N <= Im z <= 4 log), take the median over the
+    admissible points, and record the netted K (theta = 1) and the scalar star
+    constant.  The log-log slope of the mean median against N is the headline
+    number."""
     seeds = list(seeds)
     medians = {int(n): [] for n in n_list}
     k_by_run = {}
@@ -692,8 +694,8 @@ def scaling_law_study(n_list=(64, 128, 256), seeds=range(10),
         for seed in seeds:
             pair = sample_pair(EnsembleSpec(n=n, ensemble=ensemble, seed=seed))
             spectrum = AnticommutatorSpectrum.from_pair(pair)
-            k_stat = construct_k(pair, tau=tau, theta=theta, spacing=k_spacing)
-            grid = rect_grid(-6.0, 6.0, n_re, 1.0 / n, tau / 2.0, n_im)
+            k_stat = construct_k(pair, spacing=k_spacing)
+            grid = rect_grid(-6.0, 6.0, n_re, 1.0 / n, 4.0, n_im)
             h = np.array([edge_distance(complex(z)) for z in grid])
             scaled, _ = _scaled_deviations(
                 spectrum, grid[h * h * grid.imag >= 4.0 / n], n)

@@ -64,6 +64,11 @@ COND_LIMIT = 1e12
 #: guarded distance to the poles of the explicit kappa blocks
 POLE_RADIUS = 1e-8
 
+#: the deformation iteration stops at a step this small, or fails after
+#: this many iterations
+DEFORMATION_TOL = 1e-12
+DEFORMATION_MAX_ITER = 200
+
 
 class SingularMapError(AclawError):
     """The 9x9 matrix of the linear map is too ill-conditioned to invert."""
@@ -130,10 +135,11 @@ class LinMap3:
     def __call__(self, a: np.ndarray) -> np.ndarray:
         return unvec3(self.mat @ vec3(a))
 
-    def inverse(self, cond_limit: float = COND_LIMIT) -> "LinMap3":
+    def inverse(self) -> "LinMap3":
         cond = np.linalg.cond(self.mat)
-        if not np.isfinite(cond) or cond > cond_limit:
-            raise SingularMapError(f"9x9 map condition {cond:.3e} exceeds {cond_limit:.0e}")
+        if not np.isfinite(cond) or cond > COND_LIMIT:
+            raise SingularMapError(
+                f"9x9 map condition {cond:.3e} exceeds {COND_LIMIT:.0e}")
         return LinMap3(np.linalg.inv(self.mat))
 
 
@@ -352,11 +358,11 @@ class DeformationSolution:
     residual: float
 
 
-def deformation_solve(base: SDQuadruple, lambda_new: np.ndarray,
-                      max_iter: int = 200, tol: float = 1e-12) -> DeformationSolution:
+def deformation_solve(base: SDQuadruple, lambda_new: np.ndarray) -> DeformationSolution:
     """Solve the Schwinger-Dyson equation at a nearby Lambda by iterating
     the quadratic map x -> kappa(Theta M0 + Theta x + Phi(x) x) from zero,
-    where Theta = lambda_new - Lambda0.
+    where Theta = lambda_new - Lambda0, until a step is at most
+    ``DEFORMATION_TOL`` (within ``DEFORMATION_MAX_ITER`` iterations).
 
     The certified preconditions eps <= 1/(4 k* p*) and |Theta| <= eps/(4 k* m*)
     (k*, p* the kappa/Phi upper bounds, m* = max(1, |M0|)) guarantee the map
@@ -377,7 +383,7 @@ def deformation_solve(base: SDQuadruple, lambda_new: np.ndarray,
     x = np.zeros((3, 3), dtype=complex)
     prev_step = None
     max_ratio = 0.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, DEFORMATION_MAX_ITER + 1):
         x_next = base.kappa(theta @ base.m_mat + theta @ x + phi_ac(x) @ x)
         step = float(np.linalg.norm(x_next - x, 2))
         if prev_step is not None and prev_step > 0.0:
@@ -387,11 +393,12 @@ def deformation_solve(base: SDQuadruple, lambda_new: np.ndarray,
                 raise DeformationConvergenceError(
                     f"contraction ratio {ratio:.4f} above 3/4 at iteration {it}")
         x = x_next
-        if step <= tol:
+        if step <= DEFORMATION_TOL:
             break
         prev_step = step
     else:
-        raise DeformationConvergenceError(f"no convergence in {max_iter} iterations")
+        raise DeformationConvergenceError(
+            f"no convergence in {DEFORMATION_MAX_ITER} iterations")
     m_new = base.m_mat + x
     resid = np.eye(3) + (lambda_new + phi_ac(m_new)) @ m_new
     resid_norm = float(np.linalg.norm(resid, 2))

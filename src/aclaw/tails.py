@@ -97,13 +97,13 @@ def _exact_p_norm(dist: str, p: float) -> float:
     raise ValueError(dist)
 
 
-def _bootstrap_ucb(samples_p: np.ndarray, p: float, boots: int, rng,
-                   level: float = 0.99) -> float:
-    """Upper confidence bound for (E|S|^p)^(1/p) by resampling trials."""
+def _bootstrap_ucb(samples_p: np.ndarray, p: float, rng) -> float:
+    """Upper 99% confidence bound for (E|S|^p)^(1/p) from 200 resamplings
+    of the trials."""
     n = len(samples_p)
-    idx = rng.integers(0, n, size=(boots, n))
+    idx = rng.integers(0, n, size=(200, n))
     means = samples_p[idx].mean(axis=1)
-    return float(np.quantile(means, level) ** (1.0 / p))
+    return float(np.quantile(means, 0.99) ** (1.0 / p))
 
 
 @dataclass
@@ -124,8 +124,7 @@ class WhittleReport:
 
 
 def whittle_check(dist: str, n: int, p: float, trials: int = 20000,
-                  mode: str = "linear", seed: int = 0,
-                  boots: int = 200) -> WhittleReport:
+                  mode: str = "linear", seed: int = 0) -> WhittleReport:
     """Monte Carlo check of the p-norm bound for a random coefficient vector
     (linear mode) or zero-diagonal coefficient matrix (quadratic mode).
 
@@ -157,7 +156,7 @@ def whittle_check(dist: str, n: int, p: float, trials: int = 20000,
         raise ValueError(f"unknown mode {mode!r}")
     abs_p = np.abs(s) ** p
     lhs = float(abs_p.mean() ** (1.0 / p))
-    ucb = _bootstrap_ucb(abs_p, p, boots, rng)
+    ucb = _bootstrap_ucb(abs_p, p, rng)
     return WhittleReport(mode=mode, dist=dist, n=n, p=p, lhs_estimate=lhs,
                          lhs_ucb99=ucb, rhs_bound=rhs)
 
@@ -243,12 +242,11 @@ class QuadTailReport:
 
 
 def quad_tail_check(k: int, n: int, gamma0: float, gamma1: float,
-                    b_matrix: np.ndarray, trials: int = 1000,
-                    dist: str = "gaussian", seed: int = 0,
+                    b_matrix: np.ndarray, trials: int = 1000, seed: int = 0,
                     coupled: bool = True, include_y0: bool = True) -> QuadTailReport:
     """Monte Carlo tail study of |Y B Yhat* - Y0 - E(Y B Yhat*)| normalized
     by (gamma1/sqrt(N)) max(1, |B|_2/sqrt(N)), for k x k blocks Y_i with
-    sub-gaussian-type entries of scale sqrt(gamma1/N)/k.
+    real gaussian entries of scale sqrt(gamma1/N)/k.
 
     With ``coupled`` the second family equals the first (Yhat_i = Y_i), which
     makes the centering term nonzero; the expectation is computed in closed
@@ -273,10 +271,10 @@ def quad_tail_check(k: int, n: int, gamma0: float, gamma1: float,
     vals = np.empty(trials)
     means = np.zeros((k, k))
     for t in range(trials):
-        y = _draw(dist, rng, (k, k * n)) * entry_sd
-        yhat = y if coupled else _draw(dist, rng, (k, k * n)) * entry_sd
+        y = _draw("gaussian", rng, (k, k * n)) * entry_sd
+        yhat = y if coupled else _draw("gaussian", rng, (k, k * n)) * entry_sd
         if include_y0:
-            y0 = _draw(dist, rng, (k, k)) * math.sqrt(gamma1 / n) / k
+            y0 = _draw("gaussian", rng, (k, k)) * math.sqrt(gamma1 / n) / k
         else:
             y0 = np.zeros((k, k))
         stat = y @ b_matrix @ yhat.T - y0 - expect

@@ -127,9 +127,10 @@ def sample_pair(spec: EnsembleSpec) -> WignerPair:
                       spec=spec)
 
 
-def entry_samples(spec: EnsembleSpec, count: int, stream: int = 100) -> np.ndarray:
-    """iid copies of a single off-diagonal entry (for moment studies)."""
-    rng = _rng(spec.seed, stream)
+def entry_samples(spec: EnsembleSpec, count: int) -> np.ndarray:
+    """iid copies of a single off-diagonal entry (for moment studies), drawn
+    from stream 100 of the spec's seed, apart from the pair's streams 0, 1."""
+    rng = _rng(spec.seed, 100)
     return _draw_offdiag(rng, spec.ensemble, count, spec.n)
 
 

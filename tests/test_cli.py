@@ -288,15 +288,29 @@ def test_law_density_csv(tmp_path):
                  id="verify-c-config-negative"),
     pytest.param(["verify", "--N", "8", "--c-config", "0"], id="verify-c-config-zero"),
     pytest.param(["deloc", "--N", "16", "--c-config", "0"], id="deloc-c-config-zero"),
+    # each used to write a header-only table and exit 0
+    pytest.param(["figure2", "--resolution", "0"], id="figure2-resolution-0"),
+    pytest.param(["figure1", "--rho", ","], id="figure1-rho-empty"),
+    pytest.param(["law", "--n-re", "2", "--n-im", "2", "--density-out", "d.csv",
+                  "--density-points", "0"], id="law-density-points-0"),
 ])
-def test_usage_error_exit_code(tmp_path, capsys, args):
+def test_usage_error_exit_code(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)  # relative side outputs land here too
     out = tmp_path / "x.out"
     code = run_cli(args + ["--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"aclaw {args[0]}: ")
     assert "Traceback" not in err and "Warning" not in err
-    assert not out.exists()  # no partial output
+    assert list(tmp_path.iterdir()) == []  # no partial output
+
+
+def test_value_error_prints_the_subcommand_usage(tmp_path, capsys):
+    code = run_cli(["figure1", "--rho", "2.5", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "aclaw figure1: each rho must lie in (0, 1)"
+    assert lines[1].startswith("usage: aclaw figure1 ")
 
 
 def test_unknown_command_exits_two():

@@ -47,10 +47,13 @@ CASES = {
     # and off-diagonal entry laws
     **{f"sample-n6-{e}": ["sample", "--N", "6", "--ensemble", e, "--seed", "0"]
        for e in ("real-gaussian", "rademacher", "uniform-bounded")},
+    "figure1-two-rho": ["figure1", "--rho", "0.2,0.002", "--lam-step", "0.5"],
+    "figure2-res21": ["figure2", "--resolution", "21"],
+    "linearize-check-n8-seed1": ["linearize-check", "--N", "8", "--seed", "1"],
 }
 #: commands whose ``--out`` is a CSV table (or ``sample``'s pair dump, read
 #: the same way), not a JSON report
-CSV_COMMANDS = frozenset({"law", "sample"})
+CSV_COMMANDS = frozenset({"law", "sample", "figure1", "figure2"})
 FLOAT_RTOL = 1e-8
 FLOAT_ATOL = 1e-10
 IGNORED = frozenset({"$.config.version"})
