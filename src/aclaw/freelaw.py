@@ -202,10 +202,15 @@ def quadrant_map(re_range=(-2.2, 2.2), im_range=(-2.2, 2.2),
     Returns a list of (m, code) with code 1..4 the quadrant of w, 0 when w
     lies on a coordinate axis within 1e-12, and -1 for grid points
     within ``exclusion_radius`` of a pole of the map ({-1, 0, 1}).  Refuses
-    an empty grid.
+    an empty grid, non-finite ranges and a non-finite or negative radius,
+    which would let a pole through to the division.
     """
     if n_re < 1 or n_im < 1:
         raise ValueError(f"grid needs n_re >= 1 and n_im >= 1, got {n_re}, {n_im}")
+    if not np.all(np.isfinite([*re_range, *im_range])):
+        raise ValueError("grid ranges must be finite")
+    if not (math.isfinite(exclusion_radius) and exclusion_radius >= 0):
+        raise ValueError("exclusion radius must be finite and non-negative")
     rows = []
     for v in np.linspace(im_range[0], im_range[1], n_im):
         for u in np.linspace(re_range[0], re_range[1], n_re):

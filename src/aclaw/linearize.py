@@ -22,7 +22,12 @@ its whole net with the Schur route's formulas written in the eigenbasis of
 {UV}, where R = P diag(1/(lam - z)) P* + D is affine in the anticommutator
 resolvent: one ``eigh`` per pair, kernels built once per Im level of the net
 and O(N^2) work per net point.  It runs the route only near the screened
-maximum.
+maximum.  With {UV} = Q diag(lam) Q* and P = [Q, -aQ, bQ] the screen uses
+three exact identities of the linearization: Q*Q = I; every Gram block
+P_e* P_a that ghat's correction reads is Hermitian; and P_2* P_2 - P_1* P_1 =
+Q* (b^2 - a^2) Q = diag(lam), since a^2 - b^2 = -{UV}.  Equal eigenvalues
+(k = l) enter as weights on d_k^2, so only genuine ties are multiplied
+directly.
 """
 
 from __future__ import annotations
@@ -371,35 +376,57 @@ def _pair_diagonals(left, right, f, out):
     return out
 
 
-def _net_corr(p, e0, near, d, g_inv):
+def _net_corr(p, lam, e0, near, d, g_inv):
     """ghat's Schur correction corr[z, i, x, w] = sum_bc G_i^-1[b, c]
     (R_cw R_xb)[i, i] at the points d = 1/(lam - z) (columns), for the
     entries ``phi_ac`` reads.  As G_i^-1 G_i = I, the terms with a D block
     sum to s_x (2 delta_xw - s_w G_i^-1[x, w]).  The rest, sum_kl P_c[i, k]
     M[k, l] P_b[i, l]^* d_k d_l with M = P_w* P_x, is split by the divided
     difference d_k d_l = (d_l - d_k) e0[k, l] into products of d with the
-    z-free kernels P (M o e0), except at the near pairs (e0 = 0), which are
-    multiplied directly."""
+    z-free kernels P (M o e0), except at the near pairs (e0 = 0): the k = l
+    pairs enter as the weights M_kk on d^2, and the off-diagonal ties are
+    multiplied directly.
+
+    Three identities of the linearization leave three kernels of 3 N x N
+    products each: every Gram block read here is Hermitian (Q* a Q, Q* b Q,
+    Q* a^2 Q), and e0 is antisymmetric, so the transposed entries (x, w) and
+    (w, x) share one kernel and one sum; M = Q*Q = I for (0, 0), which has
+    no kernel; and P_2* P_2 - P_1* P_1 = Q* (b^2 - a^2) Q = diag(lam), as
+    a^2 - b^2 = -{UV}, so (2, 2) is the (1, 1) sum plus the weights lam."""
     kk, ll = near
     dd = d[kk] * d[ll]
     corr = np.zeros_like(g_inv)
-    for a, e in _PHI_PAIRS:
+    # M_kk of each entry's Gram block; (2, 2) holds only its excess over (1, 1)
+    weights = {(0, 0): np.ones_like(lam), (2, 2): lam}
+    for a, e in ((1, 1), (0, 1), (0, 2)):
         m = p[e].conj().T @ p[a]
-        y_ea = p @ (m * e0)
-        y_ae = y_ea if a == e else p @ -(m * e0).conj().T
-        entries = {(e, a): (y_ae, y_ea, m[ll, kk].conj()),
-                   (a, e): (y_ea, y_ae, m[kk, ll])}
-        del m, y_ea, y_ae
-        for (x, w), (y_wx, y_xw, m_near) in entries.items():
-            acc = corr[:, :, x, w]
-            for b in range(3):
-                p_b, y_b, near_b = p[b].conj(), y_xw[b].conj(), p[b][:, ll].conj()
-                for c in range(3):
-                    f = (y_wx[c] * p_b + p[c] * y_b) @ d
-                    f += (p[c][:, kk] * m_near * near_b) @ dd
-                    acc += g_inv[:, :, b, c] * f.T
-            acc += _SIGNS[x] * (2.0 * (x == w) - _SIGNS[w] * g_inv[:, :, x, w])
-        del entries, y_wx, y_xw  # before the next pair's kernels are built
+        weights[a, e] = m.diagonal().copy()
+        y = p @ (m * e0)
+        m_near = m[kk, ll]
+        del m
+        acc = corr[:, :, a, e]
+        for b in range(3):
+            p_b, y_b = p[b].conj(), y[b].conj()
+            near_b = p_b[:, ll]
+            for c in range(3):
+                f = (y[c] * p_b + p[c] * y_b) @ d
+                f += (p[c][:, kk] * m_near * near_b) @ dd
+                acc += g_inv[:, :, b, c] * f.T
+        del y  # before the next pair's kernel is built
+    # the diagonal weights of every entry, as one product per (b, c)
+    n, nz = d.shape
+    wd2 = np.array(list(weights.values())).T[:, :, None] * (d * d)[:, None, :]
+    wd2 = wd2.reshape(n, -1)  # wd2[k, (j, z)] = weight j at k times d_k(z)^2
+    for b in range(3):
+        p_b = p[b].conj()
+        for c in range(3):
+            f = ((p[c] * p_b) @ wd2).reshape(n, len(weights), nz)
+            for j, (x, w) in enumerate(weights):
+                corr[:, :, x, w] += g_inv[:, :, b, c] * f[:, j].T
+    corr[:, :, 2, 2] += corr[:, :, 1, 1]
+    corr[:, :, 1, 0], corr[:, :, 2, 0] = corr[:, :, 0, 1], corr[:, :, 0, 2]
+    for x, w in _PHI_PAIRS + ((1, 0), (2, 0)):
+        corr[:, :, x, w] += _SIGNS[x] * (2.0 * (x == w) - _SIGNS[w] * g_inv[:, :, x, w])
     return corr
 
 
@@ -411,30 +438,35 @@ def _level_r_frob(lam, p, s1, gap, e0, near, d, g_inv, eta):
     d_k conj(d_l) = (conj(d_l) - d_k) e[k, l], e = 1/(lam_k - lam_l - 2i eta),
     turn into products with d and conj d through kernels built once per
     level; no denominator is below 2 eta.  R D R = -P diag(lam d^2) P*, as
-    a^2 - b^2 = -{UV}, and h3's one same-z product is split as in
-    ``_net_corr``."""
+    a^2 - b^2 = -{UV}, and h3's one same-z product with T = (S' o e) S' is
+    split as in ``_net_corr``: the k = l pairs join lam as the weights
+    -T_kk on d^2, and only the off-diagonal ties are multiplied directly.
+    Each of vv and uu is a Hermitian sum F + F* of one block stack, and the
+    blocks of P diag(conj d) P* are the conjugate transposes of gt's."""
     kk, ll = near
-    dc = d.conj()
     gt = _pair_diagonals(p, p, d, np.zeros_like(g_inv))     # G_i - D
-    wc = _pair_diagonals(p, p, dc, np.zeros_like(g_inv))
-    h3 = _pair_diagonals(p, p, -lam[:, None] * d * d, np.zeros_like(g_inv))
+    wc = gt.conj().swapaxes(2, 3)                            # the same at conj d
     e = 1.0 / (gap - 2j * eta)
     k = s1 * e
     t = k @ s1
+    h3 = _pair_diagonals(p, p, -(lam + t.diagonal())[:, None] * d * d,
+                         np.zeros_like(g_inv))
     tn = -t[kk, ll]
     t *= e0
     _pair_diagonals(p @ -t, p, d, _pair_diagonals(p, p @ t.conj().T, d, h3))
     del t
     _pair_diagonals(p[:, :, kk] * tn, p[:, :, ll], d[kk] * d[ll], h3)
     y = p @ k
-    vv = _pair_diagonals(p, y, d, _pair_diagonals(y, p, dc, np.zeros_like(g_inv)))
+    vv = _pair_diagonals(p, y, d, np.zeros_like(g_inv))
+    vv += vv.conj().swapaxes(2, 3)
     k = s1 * e.conj()
     del e
     _pair_diagonals(y @ k, p, d, h3)
     yp = p @ k
     del k
-    uu = _pair_diagonals(yp, p, d, _pair_diagonals(p, yp, dc, np.zeros_like(g_inv)))
-    _pair_diagonals(y, yp, dc, h3)
+    uu = _pair_diagonals(yp, p, d, np.zeros_like(g_inv))
+    uu += uu.conj().swapaxes(2, 3)
+    _pair_diagonals(y, yp, d.conj(), h3)
     del y, yp
     s_a, s_b = _SIGNS[:, None], _SIGNS[None, :]
     vv += s_a * wc + s_b * gt + np.diag(_SIGNS**2)
@@ -468,10 +500,11 @@ def _screen_net(lin: Linearization, net: np.ndarray) -> np.ndarray:
             _cross_check(lin, z, _spectral_resolvent(basis, z))
     gap = lam[:, None] - lam[None, :]
     is_near = np.abs(gap) < _NEAR_GAP
-    near = np.nonzero(is_near)
-    if near[0].size > 8 * n:
+    if np.count_nonzero(is_near) > 8 * n:
         return np.full(zs.size, np.nan)
     e0 = np.divide(1.0, gap, out=np.zeros_like(gap), where=~is_near)
+    np.fill_diagonal(is_near, False)
+    near = np.nonzero(is_near)  # the off-diagonal ties
     s1 = sum(pb.conj().T @ pb for pb in p)
     levels, level_of = np.unique(zs.imag, return_inverse=True)
     step = max(1, n // 2 // np.bincount(level_of).max())
@@ -484,7 +517,7 @@ def _screen_net(lin: Linearization, net: np.ndarray) -> np.ndarray:
         _pair_diagonals(p, p, d, g)
         g_inv, g_avg = np.linalg.inv(g), g.mean(axis=1)
         del g
-        ghat = g_avg[:, None] - _net_corr(p, e0, near, d, g_inv) / n
+        ghat = g_avg[:, None] - _net_corr(p, lam, e0, near, d, g_inv) / n
         lam3 = np.zeros((zc.size, 1, 3, 3), dtype=complex) - np.diag(_SIGNS)
         lam3[:, 0, 0, 0] = zc
         qnorm = _spectral_norms(-(g_inv + lam3 + phi_ac(ghat)))

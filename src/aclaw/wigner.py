@@ -110,10 +110,11 @@ def _draw_offdiag(rng, ensemble, size, n):
 def _sample_hermitian(spec: EnsembleSpec, stream: int) -> np.ndarray:
     rng = _rng(spec.seed, stream)
     n = spec.n
-    iu = np.triu_indices(n, k=1)
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     h = np.zeros((n, n), dtype=complex)
-    h[iu] = _draw_offdiag(rng, spec.ensemble, len(iu[0]), n)
-    h = h + h.conj().T
+    vals = _draw_offdiag(rng, spec.ensemble, n * (n - 1) // 2, n)
+    h[upper] = vals
+    h.T[upper] = vals.conj()
     # diagonal entries are real (hermiticity); variance 1/N, same family
     diag_law = "real-gaussian" if spec.ensemble == "complex-gaussian" else spec.ensemble
     h[np.diag_indices(n)] = _draw_offdiag(rng, diag_law, n, n)

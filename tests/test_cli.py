@@ -290,6 +290,16 @@ def test_law_density_csv(tmp_path):
     pytest.param(["deloc", "--N", "16", "--c-config", "0"], id="deloc-c-config-zero"),
     # each used to write a header-only table and exit 0
     pytest.param(["figure2", "--resolution", "0"], id="figure2-resolution-0"),
+    # a NaN or negative radius let the pole at m = 0 through to a
+    # ZeroDivisionError (exit 1); a NaN or inf range wrote rows of nan (exit 0)
+    pytest.param(["figure2", "--exclusion-radius", "nan", "--resolution", "3"],
+                 id="figure2-exclusion-radius-nan"),
+    pytest.param(["figure2", "--exclusion-radius", "-1", "--resolution", "3"],
+                 id="figure2-exclusion-radius-negative"),
+    pytest.param(["figure2", "--m-max", "nan", "--resolution", "3"],
+                 id="figure2-m-max-nan"),
+    pytest.param(["figure2", "--m-max", "inf", "--resolution", "3"],
+                 id="figure2-m-max-inf"),
     pytest.param(["figure1", "--rho", ","], id="figure1-rho-empty"),
     pytest.param(["law", "--n-re", "2", "--n-im", "2", "--density-out", "d.csv",
                   "--density-points", "0"], id="law-density-points-0"),

@@ -375,6 +375,27 @@ def test_spectral_resolvent_matches_factorized(n):
         linearize._spectral_resolvent(basis, 0.5 - 0.1j)
 
 
+@pytest.mark.parametrize("n", [8, 64])
+@pytest.mark.parametrize("ensemble", [*sorted(ENSEMBLES), "zero"])
+def test_eigenbasis_gram_identities(ensemble, n):
+    # the identities the net screen builds its kernels on: Q*Q = I, Hermitian
+    # Gram blocks P_e* P_a, and P_2* P_2 - P_1* P_1 = Q* {UV} Q = diag(lam)
+    pair = (zero_pair(n) if ensemble == "zero"
+            else sample_pair(EnsembleSpec(n=n, ensemble=ensemble, seed=4)))
+    lin = build_linearization(pair)
+    lam, p = linearize._eigenbasis(lin)
+
+    def norm(x):
+        return np.linalg.norm(x, 2)
+
+    assert norm(p[0].conj().T @ p[0] - np.eye(n)) <= 1e-13
+    for a, e in linearize._PHI_PAIRS:
+        m = p[e].conj().T @ p[a]
+        assert norm(m - m.conj().T) <= 1e-13 * norm(m)
+    diff = p[2].conj().T @ p[2] - p[1].conj().T @ p[1] - np.diag(lam)
+    assert norm(diff) <= 1e-12 * max(1.0, norm(lin.anticommutator))
+
+
 def net_case(pair, route):
     """The screened net of the full rectangle, the Schur route's value, the
     screen's value and ``route``'s value (the oracle) at every net point."""
@@ -466,6 +487,17 @@ def test_screen_matches_route_property(n, ensemble, seed, spacing):
                                rtol=1e-12, atol=0.0)
 
 
+def test_screen_matches_route_at_scaling_size():
+    # the scaling study screens N = 256; spacing 8 keeps the route to 6 points
+    lin = build_linearization(random_pair(256, 1))
+    fs = fluctuation_sup(lin, (-8.0, 8.0, 1.0 / 256, 8.0), spacing=8.0)
+    assert len(fs.net) == 6
+    route = np.array([resolvent_stats(lin, z, route="schur").fluct for z in fs.net])
+    assert fs.k2 == 2.0 * route.max()
+    np.testing.assert_allclose(linearize._screen_net(lin, fs.net), route,
+                               rtol=1e-12, atol=0.0)
+
+
 def test_screen_leaves_clustered_spectrum_to_route():
     # more than 8N near eigenvalue pairs (all 16^2 of the zero pair) screen
     # as NaN, and fluctuation_sup then runs the route at every net point
@@ -475,14 +507,12 @@ def test_screen_leaves_clustered_spectrum_to_route():
     assert np.array_equal(fs.per_point, schur)
 
 
-def test_screen_allocates_less_than_one_route_evaluation():
-    # the process's peak memory is set inside fluctuation_sup, which runs
-    # the route after the screen: screening the whole spacing-1 net must not
-    # allocate more at its peak than one route evaluation does
-    n = 128
+def screen_and_route_peaks(n, spacing, points):
+    """tracemalloc peaks of screening the full rectangle's net and of one
+    route evaluation, on the same pair."""
     pair = random_pair(n, 0)
-    net = uniform_net(-8.0, 8.0, 1.0 / n, 8.0, 1.0)
-    assert len(net) == 153
+    net = uniform_net(-8.0, 8.0, 1.0 / n, 8.0, spacing)
+    assert len(net) == points
 
     def peak(run):
         lin = build_linearization(pair)
@@ -493,8 +523,21 @@ def test_screen_allocates_less_than_one_route_evaluation():
         finally:
             tracemalloc.stop()
 
-    screen = peak(lambda lin: linearize._screen_net(lin, net))
-    route = peak(lambda lin: resolvent_stats(lin, net[0], route="schur"))
+    return (peak(lambda lin: linearize._screen_net(lin, net)),
+            peak(lambda lin: resolvent_stats(lin, net[0], route="schur")))
+
+
+def test_screen_allocates_less_than_one_route_evaluation():
+    # the process's peak memory is set inside fluctuation_sup, which runs
+    # the route after the screen: screening the whole spacing-1 net must not
+    # allocate more at its peak than one route evaluation does
+    screen, route = screen_and_route_peaks(128, 1.0, 153)
+    assert screen <= route
+
+
+def test_scaling_screen_allocates_less_than_one_route_evaluation():
+    # the same bound on the net the scaling study screens at N = 256
+    screen, route = screen_and_route_peaks(256, 4.0, 15)
     assert screen <= route
 
 

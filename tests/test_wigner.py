@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from aclaw import wigner
 from aclaw.wigner import (
     ENSEMBLES,
     EnsembleSpec,
@@ -32,6 +33,31 @@ def test_hermitian_and_deterministic(ensemble):
     np.testing.assert_array_equal(p1.v, p2.v)
     np.testing.assert_array_equal(p1.u, p1.u.conj().T)
     np.testing.assert_array_equal(p1.v, p1.v.conj().T)
+
+
+def triu_indices_sample(spec, stream):
+    """The sampler written with index arrays and a conjugate sum: the strict
+    upper triangle in row-major order, then the real diagonal."""
+    rng = wigner._rng(spec.seed, stream)
+    n = spec.n
+    iu = np.triu_indices(n, k=1)
+    h = np.zeros((n, n), dtype=complex)
+    h[iu] = wigner._draw_offdiag(rng, spec.ensemble, len(iu[0]), n)
+    h = h + h.conj().T
+    law = "real-gaussian" if spec.ensemble == "complex-gaussian" else spec.ensemble
+    h[np.diag_indices(n)] = wigner._draw_offdiag(rng, law, n, n)
+    return h
+
+
+@pytest.mark.parametrize("ensemble", sorted(ENSEMBLES))
+@pytest.mark.parametrize("n", [2, 3, 64, 129])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sampler_matches_index_construction(ensemble, n, seed):
+    # same draw order and every bit, signed zeros included
+    spec = EnsembleSpec(n=n, ensemble=ensemble, seed=seed)
+    for stream in (0, 1):
+        got = wigner._sample_hermitian(spec, stream)
+        assert got.tobytes() == triu_indices_sample(spec, stream).tobytes()
 
 
 def test_rademacher_small_determinism():
