@@ -253,6 +253,10 @@ def _cmd_figure2(args) -> int:
 
 
 def _cmd_sd(args) -> int:
+    # from 1 up (1 itself by rounding) G0 leaves the stability radius and no
+    # implication is checked; 0 does not perturb M0 at all
+    if not 0.0 < args.delta_frac < 1.0:
+        raise ValueError(f"delta_frac must lie in (0, 1), got {args.delta_frac}")
     import numpy as np
 
     from .grids import rect_grid
@@ -287,8 +291,7 @@ def _cmd_linearize_check(args) -> int:
 
     from .linearize import (block_inversion_check, bordered_resolvent,
                             build_linearization, generalized_resolvent,
-                            lambda_kron, resolvent_row_sum_check,
-                            resolvent_stats)
+                            lambda_kron, minor_stats, resolvent_row_sum_check)
 
     pair = _pair(args)
     lin = build_linearization(pair)
@@ -303,7 +306,7 @@ def _cmd_linearize_check(args) -> int:
     small = bordered_resolvent(lin, z)
     lam0 = lambda_kron(0.0, n)
     rid = np.linalg.norm(r + lam0 - lin.w @ small @ lin.w_h) / np.linalg.norm(r)
-    stats = resolvent_stats(lin, z, route="minor")
+    stats = minor_stats(lin, z)
     rng = np.random.Generator(np.random.Philox(key=[args.seed, 13]))
     mat = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)) + 6 * np.eye(8)
     checks = {

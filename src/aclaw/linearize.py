@@ -13,12 +13,11 @@ and per-index statistics of R (3x3 corner blocks G_i, minor averages Ghat_i,
 fluctuation blocks Q_i and their normalized sizes) drive the local-law
 verification.
 
-Two computation routes are provided for the per-index statistics: the
-definitional one, inverting the 3(N-1) minor for every index (quartic cost,
-fine at small N), and a Schur-identity route that derives everything from the
-full resolvent in roughly matrix-multiplication time.  The harnesses run the
-Schur route; the minor route is its test oracle.  ``fluctuation_sup`` screens
-its whole net with the Schur route's formulas written in the eigenbasis of
+``resolvent_stats`` derives the per-index statistics from the full resolvent
+by the Schur identities, in roughly matrix-multiplication time; its test
+oracle ``minor_stats`` inverts every minor (``_minor_statistics``, quartic,
+shared with the scalar semicircle mode as block size 1).  ``fluctuation_sup``
+screens its whole net with the Schur route's formulas in the eigenbasis of
 {UV}, where R = P diag(1/(lam - z)) P* + D is affine in the anticommutator
 resolvent: one ``eigh`` per pair, kernels built once per Im level of the net
 and O(N^2) work per net point.  It runs the route only near the screened
@@ -54,6 +53,7 @@ __all__ = [
     "bordered_resolvent",
     "corner_blocks",
     "resolvent_stats",
+    "minor_stats",
     "fluctuation_sup",
     "resolvent_row_sum_check",
     "block_inversion_check",
@@ -86,7 +86,7 @@ class Linearization:
     """The 3N x 3N matrices X (Hermitian) and W (unit block lower triangular)
     of a pair, its blocks a and b, the pair's spectral norms and the
     norm-hypothesis flag max(|U|, |V|) <= 4.  X is built on first use: only
-    the direct-inversion cross-check (N <= 64) and the minor route read it."""
+    the direct-inversion cross-check (N <= 64) and ``minor_stats`` read it."""
 
     pair: WignerPair
     w: np.ndarray
@@ -230,16 +230,12 @@ def bordered_resolvent(lin: Linearization, z: complex) -> np.ndarray:
     return out
 
 
-def _triple(i: int, n: int) -> list[int]:
-    return [i, n + i, 2 * n + i]
-
-
-def corner_blocks(r: np.ndarray) -> np.ndarray:
-    """The 3x3 corner blocks G_i = r[(i, N+i, 2N+i), (i, N+i, 2N+i)] of a
-    3N x 3N matrix, as an (N, 3, 3) stack."""
-    n = r.shape[0] // 3
+def corner_blocks(r: np.ndarray, k: int) -> np.ndarray:
+    """The k x k corner blocks G_i = r[i + N arange(k), i + N arange(k)] of a
+    kN x kN matrix, as an (N, k, k) stack."""
+    n = r.shape[0] // k
     idx = np.arange(n)
-    return r.reshape(3, n, 3, n)[:, idx, :, idx]
+    return r.reshape(k, n, k, n)[:, idx, :, idx]
 
 
 @dataclass
@@ -250,8 +246,8 @@ class ResolventStats:
     max(1, |Q_i| / (N^-1/2 max(1, |R_i|_2 / sqrt(N)))), and ``fluct`` its max
     over i.  ``key_identity_residual`` is the relative residual of
     -Q_i = G_i^-1 + Lambda + Phi(Ghat_i) when Q_i was computed from its
-    definition (minor route); on the Schur route Q_i is obtained from that
-    identity and the field is None.
+    definition (``minor_stats``); ``resolvent_stats`` obtains Q_i from that
+    identity and leaves the field None.
     """
 
     z: complex
@@ -262,7 +258,6 @@ class ResolventStats:
     r_i_frob: np.ndarray
     fluct_i: np.ndarray
     fluct: float
-    route: str
     key_identity_residual: float | None
 
 
@@ -275,42 +270,37 @@ def _fluct_from(qnorm: np.ndarray, r_frob: np.ndarray, n: int) -> np.ndarray:
     return np.maximum(1.0, qnorm / denom)
 
 
-def _stats_minor(lin: Linearization, z: complex) -> ResolventStats:
-    n = lin.n
-    if n > MINOR_ROUTE_MAX_N:
-        raise ValueError(f"minor route limited to N <= {MINOR_ROUTE_MAX_N}")
-    full = lin.x - lambda_kron(z, n)
-    r = generalized_resolvent(lin, z)
-    lam3 = np.diag([z, -1.0 + 0j, 1.0 + 0j])
-    g_i = corner_blocks(r)
-    ghat_i = np.empty((n, 3, 3), dtype=complex)
-    q_i = np.empty((n, 3, 3), dtype=complex)
+def _minor_statistics(full: np.ndarray, x_blocks: np.ndarray, g_i: np.ndarray,
+                      lam: np.ndarray, phi):
+    """(ghat_i, q_i, r_frob, identity residual) by definition, with k the
+    size of ``lam``: for each i, invert ``full`` = X - Lambda kron I without
+    rows and columns i + N arange(k), average the minor's corner blocks, form
+    Q_i from the removed row block, and take the largest relative residual
+    of -Q_i = G_i^-1 + Lambda + Phi(Ghat_i).  ``x_blocks`` are X's corner blocks."""
+    k = lam.shape[0]
+    n = full.shape[0] // k
+    ghat_i = np.empty((n, k, k), dtype=complex)
+    q_i = np.empty((n, k, k), dtype=complex)
     r_frob = np.empty(n)
     key_res = 0.0
-    all_idx = np.arange(3 * n)
+    all_idx = np.arange(k * n)
     for i in range(n):
-        rows = _triple(i, n)
+        rows = i + n * np.arange(k)
         keep = np.delete(all_idx, rows)
         r_minor = np.linalg.inv(full[np.ix_(keep, keep)])
         if n <= 64 and np.linalg.cond(r_minor) > COND_LIMIT:
             raise IllConditionedError(f"minor resolvent ill-conditioned at i={i}")
-        # Ghat_i: average of the 3x3 corner blocks of the padded minor
-        ghat_i[i] = corner_blocks(r_minor).sum(axis=0) / n
+        # Ghat_i: average of the k x k corner blocks of the padded minor
+        ghat_i[i] = corner_blocks(r_minor, k).sum(axis=0) / n
         y = full[np.ix_(rows, keep)] + 0.0
-        # X and X - Lambda kron I agree off the removed triple's diagonal
-        q_i[i] = (y @ r_minor @ y.conj().T
-                  - lin.x[np.ix_(rows, rows)] - phi_ac(ghat_i[i]))
+        # X and X - Lambda kron I agree off the removed block's diagonal
+        q_i[i] = y @ r_minor @ y.conj().T - x_blocks[i] - phi(ghat_i[i])
         r_frob[i] = np.linalg.norm(r_minor)
         lhs = -q_i[i]
-        rhs = np.linalg.inv(g_i[i]) + lam3 + phi_ac(ghat_i[i])
+        rhs = np.linalg.inv(g_i[i]) + lam + phi(ghat_i[i])
         key_res = max(key_res, np.linalg.norm(lhs - rhs)
                       / max(np.linalg.norm(rhs), 1e-300))
-    qnorm = _spectral_norms(q_i)
-    fluct_i = _fluct_from(qnorm, r_frob, n)
-    return ResolventStats(z=complex(z), g_i=g_i, g_avg=g_i.mean(axis=0),
-                          ghat_i=ghat_i, q_i=q_i, r_i_frob=r_frob,
-                          fluct_i=fluct_i, fluct=float(fluct_i.max()),
-                          route="minor", key_identity_residual=float(key_res))
+    return ghat_i, q_i, r_frob, float(key_res)
 
 
 def _schur_statistics(r: np.ndarray, z: complex):
@@ -320,7 +310,7 @@ def _schur_statistics(r: np.ndarray, z: complex):
     n = r.shape[0] // 3
     lam3 = np.diag([z, -1.0 + 0j, 1.0 + 0j])
     r4 = r.reshape(3, n, 3, n)
-    g_i = corner_blocks(r)                         # (N, 3, 3)
+    g_i = corner_blocks(r, 3)                      # (N, 3, 3)
     g_inv = np.linalg.inv(g_i)
     g_avg = g_i.mean(axis=0)
     # Schur identity: the padded minor is R - (R e_i*) G_i^-1 (e_i R), so the
@@ -333,8 +323,8 @@ def _schur_statistics(r: np.ndarray, z: complex):
     vv = np.einsum("aik,bik->iab", r3, r_conj.reshape(3, n, 3 * n), optimize=True)
     f = r_conj.T @ r
     del r_conj  # freed before R F: one 3N x 3N array less at the peak
-    uu = corner_blocks(f)                          # F[cols_i, cols_i]
-    h3 = corner_blocks(r @ f)                      # (R F)[rows_i, cols_i]
+    uu = corner_blocks(f, 3)                       # F[cols_i, cols_i]
+    h3 = corner_blocks(r @ f, 3)                   # (R F)[rows_i, cols_i]
     norm_r2 = np.vdot(r, r).real
     t1 = np.einsum("iab,iba->i", h3, g_inv)
     t2 = np.einsum("iba,ibc,icd,ida->i", g_inv.conj(), uu, g_inv, vv, optimize=True)
@@ -342,15 +332,6 @@ def _schur_statistics(r: np.ndarray, z: complex):
     r_frob = np.sqrt(np.maximum(r_frob2, 0.0))
     qnorm = _spectral_norms(q_i)
     return g_i, g_avg, ghat_i, q_i, r_frob, _fluct_from(qnorm, r_frob, n)
-
-
-def _stats_schur(lin: Linearization, z: complex) -> ResolventStats:
-    r = generalized_resolvent(lin, z)
-    g_i, g_avg, ghat_i, q_i, r_frob, fluct_i = _schur_statistics(r, z)
-    return ResolventStats(z=complex(z), g_i=g_i, g_avg=g_avg, ghat_i=ghat_i,
-                          q_i=q_i, r_i_frob=r_frob, fluct_i=fluct_i,
-                          fluct=float(fluct_i.max()), route="schur",
-                          key_identity_residual=None)
 
 
 #: the signs s_a of D = diag(0, I, -I), block by block
@@ -531,20 +512,33 @@ def _screen_net(lin: Linearization, net: np.ndarray) -> np.ndarray:
     return out
 
 
-def resolvent_stats(lin: Linearization, z: complex, route: str = "minor") -> ResolventStats:
-    """Per-index resolvent statistics at z.
-
-    route='minor' inverts every 3(N-1) minor (definitional; N <= 256).
-    route='schur' derives the same quantities from the full resolvent via the
-    Schur identity at matrix-multiplication cost.
-    """
+def resolvent_stats(lin: Linearization, z: complex) -> ResolventStats:
+    """Per-index resolvent statistics at z by the Schur identities, from the
+    full resolvent at matrix-multiplication cost (``_schur_statistics``)."""
     z = complex(z)
-    _check_upper_half_plane(z)
-    if route == "minor":
-        return _stats_minor(lin, z)
-    if route == "schur":
-        return _stats_schur(lin, z)
-    raise ValueError(f"unknown route {route!r}")
+    r = generalized_resolvent(lin, z)
+    g_i, g_avg, ghat_i, q_i, r_frob, fluct_i = _schur_statistics(r, z)
+    return ResolventStats(z=z, g_i=g_i, g_avg=g_avg, ghat_i=ghat_i, q_i=q_i,
+                          r_i_frob=r_frob, fluct_i=fluct_i,
+                          fluct=float(fluct_i.max()), key_identity_residual=None)
+
+
+def minor_stats(lin: Linearization, z: complex) -> ResolventStats:
+    """The test oracle of ``resolvent_stats``: the same statistics by
+    definition (Lambda = diag(z, -1, 1), Phi = ``phi_ac``; N <= 256), with
+    the key identity's residual."""
+    z = complex(z)
+    n = lin.n
+    if n > MINOR_ROUTE_MAX_N:
+        raise ValueError(f"minor route limited to N <= {MINOR_ROUTE_MAX_N}")
+    g_i = corner_blocks(generalized_resolvent(lin, z), 3)
+    ghat_i, q_i, r_frob, key_res = _minor_statistics(
+        lin.x - lambda_kron(z, n), corner_blocks(lin.x, 3), g_i,
+        np.diag([z, -1.0 + 0j, 1.0 + 0j]), phi_ac)
+    fluct_i = _fluct_from(_spectral_norms(q_i), r_frob, n)
+    return ResolventStats(z=z, g_i=g_i, g_avg=g_i.mean(axis=0), ghat_i=ghat_i,
+                          q_i=q_i, r_i_frob=r_frob, fluct_i=fluct_i,
+                          fluct=float(fluct_i.max()), key_identity_residual=key_res)
 
 
 @dataclass
@@ -595,10 +589,10 @@ def fluctuation_sup(lin: Linearization, rect: tuple[float, float, float, float],
     screen = _screen_net(lin, net)
     top = np.flatnonzero(screen >= screen.max() * (1.0 - SCREEN_MARGIN))
     vals = screen.copy()
-    vals[top] = [resolvent_stats(lin, net[j], route="schur").fluct for j in top]
+    vals[top] = [resolvent_stats(lin, net[j]).fluct for j in top]
     if (not len(top) or np.any(np.abs(vals[top] - screen[top])
                                > SCREEN_AGREEMENT * np.abs(vals[top]))):
-        vals = np.array([resolvent_stats(lin, z, route="schur").fluct for z in net])
+        vals = np.array([resolvent_stats(lin, z).fluct for z in net])
     # points off ``top`` screen below the route's values on it
     mx = float(vals.max())
     return FluctuationNet(k2=2.0 * mx, max_fluct=mx, net=net, per_point=vals,
@@ -664,8 +658,7 @@ def resolvent_row_sum_check(h: np.ndarray, z: complex) -> float:
 
     for a Hermitian h."""
     z = complex(z)
-    if z.imag <= 0:
-        raise ValueError("z must lie in the upper half-plane")
+    _check_upper_half_plane(z)
     h = np.asarray(h, dtype=complex)
     r = np.linalg.inv(h - z * np.eye(h.shape[0]))
     lhs = np.diag(r).imag / z.imag

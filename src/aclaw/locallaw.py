@@ -28,8 +28,8 @@ from .errors import AclawError
 from .freelaw import edge_distance, law_constants, m_ac
 from .grids import rect_grid, uniform_net
 from .linearize import (AnticommutatorSpectrum, _check_upper_half_plane,
-                        _fluct_from, build_linearization, corner_blocks,
-                        fluctuation_sup, generalized_resolvent)
+                        _fluct_from, _minor_statistics, build_linearization,
+                        corner_blocks, fluctuation_sup, generalized_resolvent)
 from .sdcore import sd_semicircle, sd_solution_ac
 from .tails import fit_log_survival_slope, survival_points
 from .wigner import EnsembleSpec, WignerPair, norm_at_most, sample_pair
@@ -57,6 +57,7 @@ __all__ = [
     "check_bootstrap_implication",
     "sc_edge_distance",
     "semicircle_stats",
+    "semicircle_minor_stats",
     "semicircle_locallaw",
     "scaling_law_study",
 ]
@@ -131,22 +132,25 @@ def _in_rectangle(z: complex, n: int, tau: float, re_max: float) -> bool:
             and 1.0 / n - 1e-12 <= z.imag <= tau + 1e-12)
 
 
+def _smallest_valid(scaled: np.ndarray, gate: np.ndarray, factor: float, n: int,
+                    unit: float, floor: float) -> float:
+    """Smallest c among ``floor`` and the larger scaled / unit such that every
+    ``scaled`` value with ``gate`` >= factor c^2 unit^2 / n is <= c unit
+    (validity is monotone in c); max(floor, max scaled / unit) if none is."""
+    cands = scaled / unit
+    for c in sorted({floor, *cands[cands > floor]}):
+        thresh = factor * c**2 * unit**2 / n
+        if np.all(scaled[gate >= thresh] <= c * unit):
+            return float(c)
+    return float(max(floor, scaled.max() / unit))
+
+
 def self_consistent_theta_star(rows, k_stat: float, n: int, factor: float) -> float:
-    """Smallest theta whose bound holds on its own admissible set: theta
-    enters the set through the gate factor * theta^2 * K^2 / N <= h^2 Im z,
-    so validity is monotone in theta and the minimum is attained at one of
-    the scaled deviations divided by K."""
+    """Smallest theta whose bound holds on its own admissible set, the gate
+    factor * theta^2 * K^2 / N <= h^2 Im z (NaN for no rows)."""
     scaled = np.array([r.lhs * math.sqrt(n * r.h * r.z.imag) for r in rows])
     gate = np.array([r.h**2 * r.z.imag for r in rows])
-
-    def valid(theta: float) -> bool:
-        thresh = factor * theta**2 * k_stat**2 / n
-        return bool(np.all(scaled[gate >= thresh] <= theta * k_stat))
-
-    for cand in sorted(scaled / k_stat):
-        if cand > 0 and valid(cand):
-            return float(cand)
-    return float(scaled.max() / k_stat) if len(scaled) else math.nan
+    return _smallest_valid(scaled, gate, factor, n, k_stat, 0.0) if rows else math.nan
 
 
 def _grid_rows(points, n: int, tau: float, re_max: float, theta: float,
@@ -178,10 +182,10 @@ def verify_local_law(pair: WignerPair, z_grid=None, tau: float = 8.0,
 
     Only the net computes the fluctuation statistic.  ``fluctuation_sup``
     screens the whole net in the eigenbasis of {UV} and runs the Schur
-    route of ``resolvent_stats`` only near the screened maximum (one point
+    route ``resolvent_stats`` only near the screened maximum (one point
     per pair in practice), so K keeps the route's digits.  A grid row needs
     only G_i, which it slices from the generalized resolvent with
-    ``corner_blocks``, exactly as both routes slice their ``g_i``.  The
+    ``corner_blocks``, exactly as ``resolvent_stats`` slices its ``g_i``.  The
     resolvent's conditioning refusal and its N <= 64 direct-inversion
     cross-check run at every net and grid point.  Reading the grid rows
     from the net's eigenbasis too waits for the fix of the
@@ -214,7 +218,7 @@ def verify_local_law(pair: WignerPair, z_grid=None, tau: float = 8.0,
     points = []
     for z in z_grid:
         z = complex(z)
-        g_i = corner_blocks(generalized_resolvent(lin, z))
+        g_i = corner_blocks(generalized_resolvent(lin, z), 3)
         m_mat = sd_solution_ac(z).m_mat
         lhs = float(np.linalg.norm(g_i - m_mat[None, :, :], 2,
                                    axis=(1, 2)).max())
@@ -249,15 +253,15 @@ def _scaled_deviations(spectrum: AnticommutatorSpectrum, zs: np.ndarray,
     return lhs * np.sqrt(n * h * zs.imag), h * h * zs.imag
 
 
-def empirical_k(pair: WignerPair, theta: float = 1.0, c_config: float = 1.0,
+def empirical_k(pair: WignerPair, c_config: float = 1.0,
                 spectrum: AnticommutatorSpectrum | None = None) -> float:
-    """Smallest K (>= 2 theta) satisfying the main-law property on a net:
+    """Smallest K (>= 2) satisfying the main-law property on a net:
     max_i |({UV} - z)^-1 (i,i) - m| <= K / sqrt(N h Im z) at every net point
     with 4 c^2 K^2 / N <= h^2 Im z.  The net is the 17 x 12 grid of
     |Re z| <= 8, 1/N <= Im z <= 8.
 
     This is the desk-scale surrogate for the theorem's random constant: the
-    netted fluctuation supremum times 2 theta dominates it but is typically
+    netted fluctuation supremum times 2 dominates it but is typically
     far too large for the delocalization corollary's rho < 1 assumption at
     moderate N.  The acceptance condition is monotone in K, so the minimum
     is found by scanning the candidate values.  ``spectrum`` is the pair's
@@ -270,16 +274,7 @@ def empirical_k(pair: WignerPair, theta: float = 1.0, c_config: float = 1.0,
         spectrum = AnticommutatorSpectrum.from_pair(pair)
     scaled, gate = _scaled_deviations(
         spectrum, rect_grid(-8.0, 8.0, 17, 1.0 / n, 8.0, 12), n)
-    floor = 2.0 * theta
-
-    def valid(k: float) -> bool:
-        thresh = 4.0 * c_config**2 * k**2 / n
-        return bool(np.all(scaled[gate >= thresh] <= k))
-
-    for cand in sorted({floor, *scaled[scaled > floor]}):
-        if valid(cand):
-            return float(cand)
-    return float(max(floor, scaled.max()))
+    return _smallest_valid(scaled, gate, 4.0 * c_config**2, n, 1.0, 2.0)
 
 
 @dataclass
@@ -298,17 +293,16 @@ class KTailReport:
         return self.slope + 2.0 * self.slope_stderr < 0.0
 
 
-def k_tail_estimate(spec: EnsembleSpec, spacing: float = 2.0,
-                    samples: int = 60) -> KTailReport:
-    """Sample the netted constant over fresh pairs and fit the survival
-    decay.  Only the qualitative log-linear domination (negative slope) is
-    asserted; the rate constants are existential."""
+def k_tail_estimate(spec: EnsembleSpec, samples: int = 60) -> KTailReport:
+    """Sample the netted constant (net spacing 2) over fresh pairs and fit
+    the survival decay.  Only the qualitative log-linear domination
+    (negative slope) is asserted; the rate constants are existential."""
     if samples < 50:
         raise ValueError("need at least 50 samples")
     ks = []
     for t in range(samples):
         pair = sample_pair(replace(spec, seed=spec.seed * 1000003 + t))
-        ks.append(construct_k(pair, theta=1.0, spacing=spacing))
+        ks.append(construct_k(pair, theta=1.0, spacing=2.0))
     ks = np.array(ks)
     ts, surv = survival_points(ks ** (1.0 / (2.0 * spec.alpha0 + 1.0)),
                                quantiles=np.linspace(0.3, 0.98, 12))
@@ -495,8 +489,8 @@ def sc_edge_distance(z: complex) -> float:
 @dataclass
 class SemicircleStats:
     """Scalar per-index statistics of (X - z)^-1 at one z, with the residuals
-    of the inversion identity -Q_i = G_i^-1 + z + Ghat_i and of the
-    row-sum identity |R_i|_2^2 / N = Im Ghat_i / Im z."""
+    of the inversion identity -Q_i = G_i^-1 + z + Ghat_i (oracle only) and of
+    the row-sum identity |R_i|_2^2 / N = Im Ghat_i / Im z."""
 
     z: complex
     g_i: np.ndarray
@@ -505,55 +499,12 @@ class SemicircleStats:
     r_i_frob: np.ndarray
     fluct_i: np.ndarray
     fluct: float
-    route: str
     identity_residual: float | None
     row_sum_residual: float
 
 
-def semicircle_stats(x: np.ndarray, z: complex, route: str = "schur") -> SemicircleStats:
-    """Scalar statistics: G_i = R(i,i), Ghat_i = tr(R_i)/N, the fluctuation
-    scalars Q_i, and |R_i|_2, with R_i the resolvent of X minus row/column i.
-
-    route='minor' inverts each minor; route='schur' removes each index from
-    the full resolvent by the rank-one correction R - R[:,i] R[i,:] / R_ii.
-    """
-    z = complex(z)
-    _check_upper_half_plane(z)
-    x = np.asarray(x, dtype=complex)
-    n = x.shape[0]
-    r = np.linalg.inv(x - z * np.eye(n))
-    g_i = np.diag(r).copy()
-    if route == "minor":
-        ghat_i = np.empty(n, dtype=complex)
-        q_i = np.empty(n, dtype=complex)
-        r_frob = np.empty(n)
-        ident = 0.0
-        for i in range(n):
-            keep = np.delete(np.arange(n), i)
-            r_minor = np.linalg.inv(x[np.ix_(keep, keep)] - z * np.eye(n - 1))
-            ghat_i[i] = np.trace(r_minor) / n
-            row = x[i, keep]
-            q_i[i] = row @ r_minor @ row.conj() - x[i, i] - ghat_i[i]
-            r_frob[i] = np.linalg.norm(r_minor)
-            rel = abs(-q_i[i] - (1.0 / g_i[i] + z + ghat_i[i])) / max(abs(q_i[i]), 1e-300)
-            ident = max(ident, rel)
-        identity_residual = float(ident)
-    elif route == "schur":
-        f = r.conj().T @ r
-        norm_r2 = np.vdot(r, r).real
-        rf_diag = np.einsum("ik,ki->i", r, f)
-        col_norm2 = (np.abs(r) ** 2).sum(axis=0)
-        row_norm2 = (np.abs(r) ** 2).sum(axis=1)
-        corr = rf_diag / g_i
-        r_frob2 = norm_r2 - 2.0 * corr.real + col_norm2 * row_norm2 / np.abs(g_i) ** 2
-        r_frob = np.sqrt(np.maximum(r_frob2, 0.0))
-        # trace of the padded minor: tr R - sum_j R_ji R_ij / R_ii
-        quad = np.einsum("ji,ij->i", r, r)
-        ghat_i = (np.trace(r) - quad / g_i) / n
-        q_i = -(1.0 / g_i + z + ghat_i)
-        identity_residual = None
-    else:
-        raise ValueError(f"unknown route {route!r}")
+def _semicircle_result(z, g_i, ghat_i, q_i, r_frob, identity_residual):
+    n = g_i.size
     # row-sum identity |R_i|_2^2 / N = Im Ghat_i / Im z, both sides computed
     # independently of one another
     row_sum_res = float(np.max(np.abs(r_frob**2 / n - ghat_i.imag / z.imag)
@@ -561,8 +512,48 @@ def semicircle_stats(x: np.ndarray, z: complex, route: str = "schur") -> Semicir
     fluct_i = _fluct_from(np.abs(q_i), r_frob, n)
     return SemicircleStats(z=z, g_i=g_i, ghat_i=ghat_i, q_i=q_i, r_i_frob=r_frob,
                            fluct_i=fluct_i, fluct=float(fluct_i.max()),
-                           route=route, identity_residual=identity_residual,
+                           identity_residual=identity_residual,
                            row_sum_residual=row_sum_res)
+
+
+def semicircle_stats(x: np.ndarray, z: complex) -> SemicircleStats:
+    """Scalar statistics: G_i = R(i,i), Ghat_i = tr(R_i)/N, the fluctuation
+    scalars Q_i, and |R_i|_2, with R_i the resolvent of X minus row/column i,
+    each index removed from the full resolvent R by the rank-one correction
+    R - R[:,i] R[i,:] / R_ii."""
+    z = complex(z)
+    _check_upper_half_plane(z)
+    x = np.asarray(x, dtype=complex)
+    n = x.shape[0]
+    r = np.linalg.inv(x - z * np.eye(n))
+    g_i = np.diag(r).copy()
+    f = r.conj().T @ r
+    norm_r2 = np.vdot(r, r).real
+    rf_diag = np.einsum("ik,ki->i", r, f)
+    col_norm2 = (np.abs(r) ** 2).sum(axis=0)
+    row_norm2 = (np.abs(r) ** 2).sum(axis=1)
+    corr = rf_diag / g_i
+    r_frob2 = norm_r2 - 2.0 * corr.real + col_norm2 * row_norm2 / np.abs(g_i) ** 2
+    r_frob = np.sqrt(np.maximum(r_frob2, 0.0))
+    # trace of the padded minor: tr R - sum_j R_ji R_ij / R_ii
+    quad = np.einsum("ji,ij->i", r, r)
+    ghat_i = (np.trace(r) - quad / g_i) / n
+    q_i = -(1.0 / g_i + z + ghat_i)
+    return _semicircle_result(z, g_i, ghat_i, q_i, r_frob, None)
+
+
+def semicircle_minor_stats(x: np.ndarray, z: complex) -> SemicircleStats:
+    """The oracle of ``semicircle_stats``: the minor route at block size 1,
+    with Lambda = z and Phi the identity, and the identity residual."""
+    z = complex(z)
+    _check_upper_half_plane(z)
+    x = np.asarray(x, dtype=complex)
+    full = x - z * np.eye(x.shape[0])
+    g_i = np.diag(np.linalg.inv(full)).copy()
+    ghat_i, q_i, r_frob, ident = _minor_statistics(
+        full, corner_blocks(x, 1), g_i[:, None, None], np.array([[z]]),
+        lambda m: m)
+    return _semicircle_result(z, g_i, ghat_i.ravel(), q_i.ravel(), r_frob, ident)
 
 
 @dataclass
@@ -603,8 +594,8 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
     constants (theta = 2^100, admissible set expected empty) and a user theta.
     The grid is 9 x 8 points of |Re z| <= 4, 1/N <= Im z <= tau.
 
-    The statistics run the Schur route of ``semicircle_stats``; the
-    inversion-identity residual comes from the minor route at 3 net points.
+    The statistics run ``semicircle_stats``; the inversion-identity residual
+    comes from its oracle ``semicircle_minor_stats`` at 3 net points.
     Refuses non-finite tau or theta_user, tau < 1/N (an empty rectangle) and
     theta_user <= 0; theta_user in (0, 1) is allowed, since at desk scale it
     is what makes grid rows admissible.
@@ -627,7 +618,7 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
     max_ident = 0.0
     picks = np.linspace(0, len(net) - 1, min(3, len(net)))
     for j in picks.astype(int):
-        st = semicircle_stats(x, complex(net[j]), route="minor")
+        st = semicircle_minor_stats(x, complex(net[j]))
         max_ident = max(max_ident, st.identity_residual)
         max_row_sum = max(max_row_sum, st.row_sum_residual)
     k_stat = 2.0 * fluct_max
@@ -678,13 +669,13 @@ class ScalingReport:
 
 
 def scaling_law_study(n_list=(64, 128, 256), seeds=range(10),
-                      ensemble: str = "complex-gaussian", k_spacing: float = 4.0,
-                      n_re: int = 13, n_im: int = 10) -> ScalingReport:
-    """For each (N, seed): sample a pair, compute the scaled deviation on a
-    grid (|Re z| <= 6 linear, 1/N <= Im z <= 4 log), take the median over the
-    admissible points, and record the netted K (theta = 1) and the scalar star
-    constant.  The log-log slope of the mean median against N is the headline
-    number."""
+                      k_spacing: float = 4.0, n_re: int = 13,
+                      n_im: int = 10) -> ScalingReport:
+    """For each (N, seed): sample a complex-gaussian pair, compute the scaled
+    deviation on a grid (|Re z| <= 6 linear, 1/N <= Im z <= 4 log), take the
+    median over the admissible points, and record the netted K (theta = 1)
+    and the scalar star constant.  The log-log slope of the mean median
+    against N is the headline number."""
     seeds = list(seeds)
     medians = {int(n): [] for n in n_list}
     k_by_run = {}
@@ -692,7 +683,8 @@ def scaling_law_study(n_list=(64, 128, 256), seeds=range(10),
     for n in n_list:
         n = int(n)
         for seed in seeds:
-            pair = sample_pair(EnsembleSpec(n=n, ensemble=ensemble, seed=seed))
+            pair = sample_pair(EnsembleSpec(n=n, ensemble="complex-gaussian",
+                                            seed=seed))
             spectrum = AnticommutatorSpectrum.from_pair(pair)
             k_stat = construct_k(pair, spacing=k_spacing)
             grid = rect_grid(-6.0, 6.0, n_re, 1.0 / n, 4.0, n_im)

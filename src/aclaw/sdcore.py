@@ -19,6 +19,7 @@ estimator is provided for diagnostics only.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,6 +187,12 @@ def certified_norm_upper(t: LinMap3) -> float:
     return min(op_norm_upper(t), op_norm_upper_spectral(t))
 
 
+@functools.cache
+def _phi_norm_upper() -> float:
+    # on first use: an SVD at import would make every command page it in
+    return certified_norm_upper(_PHI)
+
+
 def op_norm_estimate(t: LinMap3, samples: int = 2000, seed: int = 0) -> float:
     """Monte Carlo lower estimate of the induced operator norm.
 
@@ -256,6 +263,12 @@ def sd_residual(quad: SDQuadruple) -> float:
     return float(np.linalg.norm(r, 2))
 
 
+def _bound_factors(base: SDQuadruple) -> tuple[float, float, float]:
+    """The implication bounds' k* = max(1, |kappa|*), p* = max(1, |Phi|*), |M0|."""
+    return (max(1.0, base.op_norm_kappa_upper), max(1.0, base.op_norm_phi_upper),
+            float(np.linalg.norm(base.m_mat, 2)))
+
+
 def sd_solution_ac(z: complex) -> SDQuadruple:
     """The anticommutator solution at z: Lambda = diag(z, -1, 1) and
     M = diag(m, -1/(m-1), -1/(m+1)) with m the upper-half-plane root of the
@@ -272,7 +285,7 @@ def sd_solution_ac(z: complex) -> SDQuadruple:
     kinv = LinMap3.from_action(lambda x: m_inv @ x - phi_ac(x) @ m_mat)
     kappa = kinv.inverse()
     k_up = certified_norm_upper(kappa)
-    p_up = certified_norm_upper(_PHI)
+    p_up = _phi_norm_upper()
     quad = SDQuadruple(
         z=complex(z), m=m, lambda_mat=lam, m_mat=m_mat, phi=_PHI, kappa=kappa,
         op_norm_kappa_upper=k_up, op_norm_phi_upper=p_up,
@@ -371,11 +384,9 @@ def deformation_solve(base: SDQuadruple, lambda_new: np.ndarray) -> DeformationS
     """
     lambda_new = np.asarray(lambda_new, dtype=complex)
     theta = lambda_new - base.lambda_mat
-    k_up = max(1.0, base.op_norm_kappa_upper)
-    p_up = max(1.0, base.op_norm_phi_upper)
-    m_up = max(1.0, float(np.linalg.norm(base.m_mat, 2)))
+    k_up, p_up, m_norm = _bound_factors(base)
     eps = 1.0 / (4.0 * k_up * p_up)
-    delta = eps / (4.0 * k_up * m_up)
+    delta = eps / (4.0 * k_up * max(1.0, m_norm))
     t_norm = float(np.linalg.norm(theta, 2))
     if t_norm > delta:
         raise DeformationPreconditionError(
@@ -431,10 +442,8 @@ def stability_check(base: SDQuadruple, g0: np.ndarray) -> ImplicationVerdict:
     g0 = np.asarray(g0, dtype=complex)
     e0 = np.eye(3) + (base.lambda_mat + phi_ac(g0)) @ g0
     lhs = float(np.linalg.norm(g0 - base.m_mat, 2))
-    k_up = max(1.0, base.op_norm_kappa_upper)
-    p_up = max(1.0, base.op_norm_phi_upper)
-    m_up = max(1.0, float(np.linalg.norm(base.m_mat, 2)))
-    rhs = 20.0 * k_up * p_up * m_up**2 * float(np.linalg.norm(e0, 2))
+    k_up, p_up, m_norm = _bound_factors(base)
+    rhs = 20.0 * k_up * p_up * max(1.0, m_norm)**2 * float(np.linalg.norm(e0, 2))
     hyp = lhs <= base.stability_radius
     return ImplicationVerdict(z=base.z, lhs=lhs, rhs=rhs, hypothesis_met=hyp,
                               holds=(not hyp) or lhs <= rhs)
@@ -483,10 +492,8 @@ def gauge_implication_check(g_list, ghat_list, base: SDQuadruple) -> Implication
     rep = error_gauge(g_list, ghat_list, base)
     g = np.asarray(g_list, dtype=complex)
     lhs = float(max(np.linalg.norm(gi - base.m_mat, 2) for gi in g))
-    k_up = max(1.0, base.op_norm_kappa_upper)
-    p_up = max(1.0, base.op_norm_phi_upper)
+    k_up, p_up, m_norm = _bound_factors(base)
     l_up = max(1.0, float(np.linalg.norm(base.lambda_mat, 2)))
-    m_norm = float(np.linalg.norm(base.m_mat, 2))
     rhs = 2.0**14 * (1.0 + m_norm) ** 7 * max(p_up, l_up) ** 4 * k_up * rep.value
     hyp = lhs <= base.stability_radius
     return ImplicationVerdict(z=base.z, lhs=lhs, rhs=rhs, hypothesis_met=hyp,

@@ -161,11 +161,11 @@ def whittle_check(dist: str, n: int, p: float, trials: int = 20000,
                          lhs_ucb99=ucb, rhs_bound=rhs)
 
 
-def splitting_average(n: int, trials: int = 4000, seed: int = 0):
-    """Empirical and exact coefficient q of the random index-splitting
-    average: for a uniformly random subset I of size floor(N/2), the matrix
-    B restricted to I x I^c averages to q B off the diagonal, with
-    q = |I|(N - |I|)/(N(N-1)) >= 1/4 for N >= 2.
+def splitting_average(n: int, seed: int = 0):
+    """Empirical (4000 draws) and exact coefficient q of the random
+    index-splitting average: for a uniformly random subset I of size
+    floor(N/2), the matrix B restricted to I x I^c averages to q B off the
+    diagonal, with q = |I|(N - |I|)/(N(N-1)) >= 1/4 for N >= 2.
 
     Returns (q_empirical_offdiag_mean, q_exact).  This is the secondary
     oracle behind the quadratic tail bound's splitting step.
@@ -173,6 +173,7 @@ def splitting_average(n: int, trials: int = 4000, seed: int = 0):
     if n < 2:
         raise ValueError("n must be >= 2")
     rng = np.random.Generator(np.random.Philox(key=[seed, 5]))
+    trials = 4000
     half = n // 2
     freq = np.zeros((n, n))
     for _ in range(trials):

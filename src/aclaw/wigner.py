@@ -218,15 +218,16 @@ def _block(u, v, i, j):
     return out
 
 
-def check_X_structure(spec: EnsembleSpec, samples: int = 4000,
+def check_X_structure(spec: EnsembleSpec,
                       a_matrix: np.ndarray | None = None) -> XStructureReport:
-    """Verify, over fresh pairs, that the linearization blocks average to the
-    sandwich map: E[X_ij A X_ji] = Phi(A)/N for block rows i != j, that
+    """Verify, over 4000 fresh pairs, that the linearization blocks average
+    to the sandwich map: E[X_ij A X_ji] = Phi(A)/N for block rows i != j, that
     E[X_ij A X_ki] = 0 for j != k, that the scaled entries
     sqrt(N)(U-V)(i,j)/sqrt(2) and sqrt(N)(-U-V)(i,j)/sqrt(2) form an
     orthonormal system in second moments, and that E X = 0 within CLT bars."""
     from .sdcore import phi_ac
 
+    samples = 4000
     n = max(spec.n, 4)
     spec4 = replace(spec, n=n)
     if a_matrix is None:

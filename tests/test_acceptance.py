@@ -22,7 +22,7 @@ from aclaw.linearize import (
     bordered_resolvent,
     generalized_resolvent,
     lambda_kron,
-    resolvent_stats,
+    minor_stats,
 )
 from aclaw.locallaw import (
     delocalization_check,
@@ -175,7 +175,7 @@ def test_criterion_06_linearization_identities():
             rr = w @ (small @ small.conj().T) @ w.conj().T
             worst["imxw"] = max(worst["imxw"],
                                 np.linalg.norm(imr - rr) / np.linalg.norm(rr))
-            stats = resolvent_stats(lin, z, route="minor")
+            stats = minor_stats(lin, z)
             worst["key"] = max(worst["key"], stats.key_identity_residual)
             for i in (0, n // 2):
                 rows = [i, n + i, 2 * n + i]
@@ -208,8 +208,7 @@ def test_criterion_07_spectral_support():
 
 
 def test_criterion_08_local_law_scaling():
-    rep = scaling_law_study(n_list=(64, 128, 256), seeds=range(10),
-                            ensemble="complex-gaussian", k_spacing=4.0)
+    rep = scaling_law_study(n_list=(64, 128, 256), seeds=range(10), k_spacing=4.0)
     stars = list(rep.theta_star_by_run.values())
     ok = (abs(rep.slope) <= 0.15
           and all(math.isfinite(s) for s in stars))
@@ -225,7 +224,7 @@ def test_criterion_09_delocalization():
     for seed in range(10):
         pair = sample_pair(EnsembleSpec(n=128, ensemble="complex-gaussian",
                                         seed=9000 + seed))
-        k_emp = empirical_k(pair, theta=1.0, c_config=1.0)
+        k_emp = empirical_k(pair, c_config=1.0)
         rep = delocalization_check(pair, k_stat=k_emp, c_config=1.0)
         ok &= rep.rho < 1
         for row in rep.rows:

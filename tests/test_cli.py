@@ -303,6 +303,11 @@ def test_law_density_csv(tmp_path):
     pytest.param(["figure1", "--rho", ","], id="figure1-rho-empty"),
     pytest.param(["law", "--n-re", "2", "--n-im", "2", "--density-out", "d.csv",
                   "--density-points", "0"], id="law-density-points-0"),
+    # delta_frac 5 used to meet none of the stability hypotheses and 1 only
+    # some (exit 0 either way); nan and inf failed inside the SVD
+    *[pytest.param(["sd", "--n-re", "3", "--n-im", "3", "--delta-frac", frac],
+                   id=f"sd-delta-frac-{frac}")
+      for frac in ("nan", "inf", "0", "1", "5")],
 ])
 def test_usage_error_exit_code(tmp_path, capsys, monkeypatch, args):
     monkeypatch.chdir(tmp_path)  # relative side outputs land here too

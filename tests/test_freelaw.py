@@ -24,6 +24,7 @@ from aclaw.freelaw import (
     quadrant_map,
 )
 from aclaw.grids import rect_grid
+from aclaw.sdcore import sd_residual, sd_solution_ac
 
 C = law_constants()
 
@@ -99,7 +100,10 @@ def test_refuses_near_real_axis_and_lower_half_plane():
     st.floats(min_value=1e-2, max_value=8.0),
 )
 def test_law_point_invariants(re, im):
-    z = complex(re, im)
+    assert_law_point_invariants(complex(re, im))
+
+
+def assert_law_point_invariants(z):
     p = m_ac(z)
     assert p.m.imag > 0
     assert abs(p.m) <= min(1.0, 4.0 / z.imag) + 1e-12
@@ -107,8 +111,23 @@ def test_law_point_invariants(re, im):
     assert 0 < p.h <= 1
     assert abs(p.h - min(abs(z - C.zeta), abs(z + C.zeta), 1.0)) == 0
     # half-plane reflection symmetry
-    q = m_ac(complex(-re, im))
+    q = m_ac(complex(-z.real, z.imag))
     assert abs(q.m - (-p.m.conjugate())) <= 1e-10
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([C.zeta, -C.zeta, 1j / C.zeta]),
+       st.floats(min_value=-1e-2, max_value=1e-2),
+       st.floats(min_value=1e-8, max_value=1e-2),
+       st.booleans())
+def test_law_point_invariants_at_branch_points(point, dre, dim, below):
+    # within 1e-2 of the branch points +-zeta (at 1e-8 <= Im z <= 1e-2) and
+    # i/zeta (on either side) of the cubic
+    if below and point.imag > 0:
+        dim = -dim
+    z = point + complex(dre, dim)
+    assert_law_point_invariants(z)
+    assert sd_residual(sd_solution_ac(z)) <= 1e-10
 
 
 def test_density_outside_support_is_zero():

@@ -21,6 +21,7 @@ from aclaw.linearize import (
     generalized_resolvent,
     bordered_resolvent,
     lambda_kron,
+    minor_stats,
     resolvent_row_sum_check,
     resolvent_stats,
 )
@@ -171,7 +172,7 @@ def test_stats_zero_pair_decoupled():
     n = 4
     lin = build_linearization(zero_pair(n))
     z = 0.5 + 0.5j
-    st_ = resolvent_stats(lin, z, route="minor")
+    st_ = minor_stats(lin, z)
     expect = np.diag([-1.0 / z, 1.0, -1.0])
     for i in range(n):
         np.testing.assert_allclose(st_.g_i[i], expect, atol=1e-13)
@@ -201,8 +202,8 @@ def test_minor_and_schur_routes_agree():
     n = 16
     lin = build_linearization(random_pair(n, 2))
     for z in (1j, 0.5 + 0.2j, -2.0 + 1.0j):
-        a = resolvent_stats(lin, z, route="minor")
-        b = resolvent_stats(lin, z, route="schur")
+        a = minor_stats(lin, z)
+        b = resolvent_stats(lin, z)
         assert np.abs(a.g_i - b.g_i).max() <= 1e-9
         assert np.abs(a.ghat_i - b.ghat_i).max() <= 1e-9
         assert np.abs(a.q_i - b.q_i).max() <= 1e-8
@@ -213,18 +214,19 @@ def test_minor_and_schur_routes_agree():
 @pytest.mark.parametrize("n", [16, 80])
 def test_grid_blocks_bit_identical_to_stats(n):
     # verify_local_law's grid rows read G_i with corner_blocks; the report
-    # stays byte-identical only if that is exactly each route's g_i
+    # stays byte-identical only if that is exactly the route's and the
+    # oracle's g_i
     lin = build_linearization(random_pair(n, 5))
     for z in (0.3 + 1.0 / n * 1j, -2.5 + 0.7j):
-        g_i = corner_blocks(generalized_resolvent(lin, z))
+        g_i = corner_blocks(generalized_resolvent(lin, z), 3)
         assert g_i.shape == (n, 3, 3)
-        for route in ("schur", "minor"):
-            assert np.array_equal(g_i, resolvent_stats(lin, z, route=route).g_i)
+        for stats in (resolvent_stats, minor_stats):
+            assert np.array_equal(g_i, stats(lin, z).g_i)
 
 
 def test_key_identity_residual_small():
     lin = build_linearization(random_pair(12, 8))
-    st_ = resolvent_stats(lin, 0.4 + 0.7j, route="minor")
+    st_ = minor_stats(lin, 0.4 + 0.7j)
     assert st_.key_identity_residual <= 1e-8
 
 
@@ -233,7 +235,7 @@ def test_average_consistency_bound():
     n = 16
     lin = build_linearization(random_pair(n, 4))
     z = 0.3 + 0.5j
-    st_ = resolvent_stats(lin, z, route="minor")
+    st_ = minor_stats(lin, z)
     r = generalized_resolvent(lin, z)
     for i in (0, 3, 11):
         rows = [i, n + i, 2 * n + i]
@@ -249,7 +251,7 @@ def test_apriori_deviation_bound():
     n = 24
     lin = build_linearization(random_pair(n, 6))
     for z in (0.1j, 1.0 + 0.5j, -3.0 + 2.0j):
-        st_ = resolvent_stats(lin, z, route="schur")
+        st_ = resolvent_stats(lin, z)
         m_mat = sd_solution_ac(z).m_mat
         dev = max(np.linalg.norm(st_.g_i[i] - m_mat, 2) for i in range(n))
         cap = 2**7 * max(lin.norm_u, lin.norm_v, 1.0) ** 2 / z.imag
@@ -261,7 +263,7 @@ def test_diag_extraction_dominated_by_block_deviation():
     pair = random_pair(n, 12)
     lin = build_linearization(pair)
     z = 0.8 + 0.3j
-    st_ = resolvent_stats(lin, z, route="schur")
+    st_ = resolvent_stats(lin, z)
     m = m_ac(z).m
     m_mat = sd_solution_ac(z).m_mat
     diag = AnticommutatorSpectrum.from_pair(pair).resolvent_diag(z)
@@ -403,7 +405,8 @@ def net_case(pair, route):
     fs = fluctuation_sup(lin, (-8.0, 8.0, 1.0 / pair.n, 8.0), spacing=4.0)
 
     def values(name):
-        return np.array([resolvent_stats(lin, z, route=name).fluct for z in fs.net])
+        stats = {"schur": resolvent_stats, "minor": minor_stats}[name]
+        return np.array([stats(lin, z).fluct for z in fs.net])
 
     schur = values("schur")
     screen = linearize._screen_net(lin, fs.net)
@@ -482,7 +485,7 @@ def test_screen_on_rademacher_tie():
 def test_screen_matches_route_property(n, ensemble, seed, spacing):
     lin = build_linearization(sample_pair(EnsembleSpec(n=n, ensemble=ensemble, seed=seed)))
     net = uniform_net(-8.0, 8.0, 1.0 / n, 8.0, spacing)
-    route = [resolvent_stats(lin, z, route="schur").fluct for z in net]
+    route = [resolvent_stats(lin, z).fluct for z in net]
     np.testing.assert_allclose(linearize._screen_net(lin, net), route,
                                rtol=1e-12, atol=0.0)
 
@@ -492,7 +495,7 @@ def test_screen_matches_route_at_scaling_size():
     lin = build_linearization(random_pair(256, 1))
     fs = fluctuation_sup(lin, (-8.0, 8.0, 1.0 / 256, 8.0), spacing=8.0)
     assert len(fs.net) == 6
-    route = np.array([resolvent_stats(lin, z, route="schur").fluct for z in fs.net])
+    route = np.array([resolvent_stats(lin, z).fluct for z in fs.net])
     assert fs.k2 == 2.0 * route.max()
     np.testing.assert_allclose(linearize._screen_net(lin, fs.net), route,
                                rtol=1e-12, atol=0.0)
@@ -524,7 +527,7 @@ def screen_and_route_peaks(n, spacing, points):
             tracemalloc.stop()
 
     return (peak(lambda lin: linearize._screen_net(lin, net)),
-            peak(lambda lin: resolvent_stats(lin, net[0], route="schur")))
+            peak(lambda lin: resolvent_stats(lin, net[0])))
 
 
 def test_screen_allocates_less_than_one_route_evaluation():
@@ -566,7 +569,7 @@ def test_screen_error_at_maximum_falls_back_to_route(monkeypatch):
     fs = fluctuation_sup(lin, rect, spacing=2.0)
     # one evaluation at the (inflated) screened maximum, then the whole net
     assert len(stats) == 1 + len(fs.net)
-    vals = [resolvent_stats(lin, z, route="schur").fluct for z in fs.net]
+    vals = [resolvent_stats(lin, z).fluct for z in fs.net]
     assert fs.k2 == exact.k2 == 2.0 * max(vals)
     assert np.array_equal(fs.per_point, vals)
 
@@ -667,7 +670,7 @@ def test_gauge_bound_from_statistics():
     n = 64
     lin = build_linearization(random_pair(n, 11))
     z = 1j
-    st_ = resolvent_stats(lin, z, route="schur")
+    st_ = resolvent_stats(lin, z)
     base = sd_solution_ac(z)
     rep = error_gauge(st_.g_i, st_.ghat_i, base)
     w_norm = np.linalg.norm(lin.w, 2)
@@ -680,6 +683,6 @@ def test_gauge_implication_from_statistics():
     n = 64
     lin = build_linearization(random_pair(n, 13))
     z = 1j
-    st_ = resolvent_stats(lin, z, route="schur")
+    st_ = resolvent_stats(lin, z)
     v = gauge_implication_check(st_.g_i, st_.ghat_i, sd_solution_ac(z))
     assert v.holds

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aclaw import locallaw
 from aclaw.freelaw import edge_distance, law_constants
 from aclaw.locallaw import (
     GridRow,
@@ -23,6 +24,7 @@ from aclaw.locallaw import (
     scaling_law_study,
     self_consistent_theta_star,
     semicircle_locallaw,
+    semicircle_minor_stats,
     semicircle_stats,
     sigma_solve,
     verify_local_law,
@@ -98,7 +100,7 @@ def test_construct_k_properties():
 
 def test_empirical_k_self_consistent():
     pair = sample_pair(EnsembleSpec(n=64, ensemble="complex-gaussian", seed=2))
-    k = empirical_k(pair, theta=1.0, c_config=1.0)
+    k = empirical_k(pair, c_config=1.0)
     assert k >= 2.0
     # re-verify the defining property on the same net
     from aclaw.freelaw import m_ac
@@ -117,7 +119,7 @@ def test_empirical_k_self_consistent():
 
 def test_k_tail_estimate_smoke():
     spec = EnsembleSpec(n=16, ensemble="complex-gaussian", seed=1)
-    rep = k_tail_estimate(spec, spacing=2.0, samples=50)
+    rep = k_tail_estimate(spec, samples=50)
     assert np.all(np.diff(rep.survival) <= 1e-12)
     assert rep.slope < 0
     with pytest.raises(ValueError):
@@ -253,6 +255,94 @@ def test_theta_star_self_takes_smallest_valid_candidate():
     assert self_consistent_theta_star(rows, k, 1, 1.0) == s1 / k
 
 
+def parent_empirical_scan(scaled, gate, c_config, n, floor):
+    """``empirical_k``'s scan as it stood before ``_smallest_valid``."""
+    def valid(k):
+        thresh = 4.0 * c_config**2 * k**2 / n
+        return bool(np.all(scaled[gate >= thresh] <= k))
+
+    for cand in sorted({floor, *scaled[scaled > floor]}):
+        if valid(cand):
+            return float(cand)
+    return float(max(floor, scaled.max()))
+
+
+def parent_theta_scan(scaled, gate, k_stat, n, factor):
+    """``self_consistent_theta_star``'s scan as it stood before
+    ``_smallest_valid``."""
+    def valid(theta):
+        thresh = factor * theta**2 * k_stat**2 / n
+        return bool(np.all(scaled[gate >= thresh] <= theta * k_stat))
+
+    for cand in sorted(scaled / k_stat):
+        if cand > 0 and valid(cand):
+            return float(cand)
+    return float(scaled.max() / k_stat) if len(scaled) else math.nan
+
+
+# a small pool makes ties, zeros and values equal to the floor 2 frequent
+SCAN_VALUES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.25, 7.0]),
+                        st.floats(min_value=0.0, max_value=20.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(SCAN_VALUES, SCAN_VALUES), min_size=1, max_size=12),
+       st.integers(min_value=1, max_value=512),
+       st.sampled_from([0.25, 0.5, 1.0, 3.0]),
+       st.one_of(st.just(12.215193331172093),
+                 st.floats(min_value=0.1, max_value=50.0)),
+       st.booleans())
+def test_smallest_valid_equals_both_parent_scans(pairs, n, c_config, k_stat, zero):
+    scaled = np.array([0.0 if zero else s for s, _ in pairs])
+    gate = np.array([g for _, g in pairs])
+    factor = 4.0 * c_config**2
+    assert (locallaw._smallest_valid(scaled, gate, factor, n, 1.0, 2.0)
+            == parent_empirical_scan(scaled, gate, c_config, n, 2.0))
+    assert (locallaw._smallest_valid(scaled, gate, factor, n, k_stat, 0.0)
+            == parent_theta_scan(scaled, gate, k_stat, n, factor))
+
+
+def test_theta_star_self_of_no_rows_is_nan():
+    assert math.isnan(self_consistent_theta_star([], 3.0, 16, 4.0))
+
+
+def parent_scalar_minor_loop(x, z):
+    """(g_i, ghat_i, q_i, r_frob) by the scalar mode's own minor loop, as it
+    stood before the k-block oracle."""
+    n = x.shape[0]
+    g_i = np.diag(np.linalg.inv(x - z * np.eye(n))).copy()
+    ghat_i = np.empty(n, dtype=complex)
+    q_i = np.empty(n, dtype=complex)
+    r_frob = np.empty(n)
+    for i in range(n):
+        keep = np.delete(np.arange(n), i)
+        r_minor = np.linalg.inv(x[np.ix_(keep, keep)] - z * np.eye(n - 1))
+        ghat_i[i] = np.trace(r_minor) / n
+        row = x[i, keep]
+        q_i[i] = row @ r_minor @ row.conj() - x[i, i] - ghat_i[i]
+        r_frob[i] = np.linalg.norm(r_minor)
+    return g_i, ghat_i, q_i, r_frob
+
+
+SCALAR_ORACLE_CASES = (
+    [pytest.param(sample_pair(EnsembleSpec(n=n, ensemble=ens, seed=4)).u,
+                  id=f"{ens}-{n}")
+     for ens in ("complex-gaussian", "rademacher") for n in (2, 3, 16)]
+    + [pytest.param(np.zeros((5, 5), dtype=complex), id="zero-5")])
+
+
+@pytest.mark.parametrize("x", SCALAR_ORACLE_CASES)
+def test_scalar_minor_oracle_matches_parent_loop(x):
+    for z in (0.5 + 0.3j, 1j, -1.5 + 0.05j):
+        st_ = semicircle_minor_stats(x, z)
+        g_i, ghat_i, q_i, r_frob = parent_scalar_minor_loop(x, z)
+        assert np.array_equal(st_.g_i, g_i)
+        np.testing.assert_allclose(st_.ghat_i, ghat_i, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(st_.q_i, q_i, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(st_.r_i_frob, r_frob, rtol=1e-12, atol=0.0)
+        assert st_.identity_residual <= 1e-10
+
+
 def test_delocalization_rho_refusal():
     pair = sample_pair(EnsembleSpec(n=16, ensemble="complex-gaussian", seed=7))
     with pytest.raises(RhoPreconditionError):
@@ -310,8 +400,8 @@ def test_bootstrap_consistent_with_verify_report():
 def test_semicircle_stats_routes_agree():
     x = gue_matrix(24, 3)
     for z in (0.5 + 0.3j, 1j, -1.5 + 0.05j):
-        a = semicircle_stats(x, z, route="minor")
-        b = semicircle_stats(x, z, route="schur")
+        a = semicircle_minor_stats(x, z)
+        b = semicircle_stats(x, z)
         np.testing.assert_allclose(a.ghat_i, b.ghat_i, rtol=1e-8)
         np.testing.assert_allclose(a.q_i, b.q_i, rtol=1e-7, atol=1e-12)
         np.testing.assert_allclose(a.r_i_frob, b.r_i_frob, rtol=1e-8)

@@ -150,7 +150,7 @@ def test_quad_tail_centering_uncoupled():
 def test_splitting_average_coefficient():
     from aclaw.tails import splitting_average
     for n in (8, 9, 16):
-        emp, exact = splitting_average(n, trials=4000, seed=2)
+        emp, exact = splitting_average(n, seed=2)
         assert exact >= 0.25
         assert emp == pytest.approx(exact, abs=0.02)
 

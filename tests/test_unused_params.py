@@ -1,11 +1,14 @@
-"""Guard against options that no caller uses.
+"""Guard against options that no caller uses or varies.
 
 Every defaulted parameter of a function in ``src/aclaw`` must be passed, by
 keyword or by position, at some call site in ``src/``, ``tests/`` or
-``perfbench/``.  A value that no caller varies belongs in a constant or a
-literal, not in a signature.  Call sites are matched by the callee's name
-(``f(...)`` or ``obj.f(...)``; ``Cls(...)`` counts for ``Cls.__init__``), so a
-same-named function elsewhere can only hide a parameter, never flag one.
+``perfbench/``, and some call in ``src/`` or ``tests/`` must pass it as
+something other than its default's literal, unless ``perfbench/`` (the
+benchmark's fixed interface) passes it.  A value that no caller varies
+belongs in a constant or a literal, not in a signature.  Call sites are
+matched by the callee's name (``f(...)`` or ``obj.f(...)``; ``Cls(...)``
+counts for ``Cls.__init__``), so a same-named function elsewhere can only
+hide a parameter, never flag one.
 
     python tests/test_unused_params.py    # list the parameters it flags
 """
@@ -15,6 +18,11 @@ import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CALLER_DIRS = ("src", "tests", "perfbench")
+INTERFACE_DIR = "perfbench"
+
+#: a value the guard cannot read: a ``*``/``**`` splat that may pass the
+#: parameter, or an expression that is not a literal
+_UNKNOWN = object()
 
 
 def _parsed(top):
@@ -28,10 +36,10 @@ def _parsed(top):
 
 
 def _defaulted(tree):
-    """(callee name, line, parameter, positional index at a call or None)
-    for every defaulted parameter of every def in the module, nested ones
-    included; ``__init__`` is named after its class, and a method's index
-    skips its ``self``/``cls``."""
+    """(callee name, line, parameter, positional index at a call or None,
+    default expression) for every defaulted parameter of every def in the
+    module, nested ones included; ``__init__`` is named after its class, and
+    a method's index skips its ``self``/``cls``."""
     out = []
 
     def visit(node, cls):
@@ -49,9 +57,10 @@ def _defaulted(tree):
             args = child.args
             positional = args.posonlyargs + args.args
             first = len(positional) - len(args.defaults)
-            out.extend((name, child.lineno, a.arg, i - skip)
-                       for i, a in enumerate(positional) if i >= first)
-            out.extend((name, child.lineno, a.arg, None)
+            out.extend((name, child.lineno, a.arg, i - skip, d)
+                       for i, (a, d) in enumerate(zip(positional[first:], args.defaults),
+                                                  start=first))
+            out.extend((name, child.lineno, a.arg, None, d)
                        for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
             visit(child, None)
 
@@ -60,8 +69,7 @@ def _defaulted(tree):
 
 
 def _call_sites(trees):
-    """callee name -> [(positional count, keyword names)]; a * splat counts
-    as every position and a ** splat as every keyword (None)."""
+    """callee name -> the ``ast.Call`` nodes that call it."""
     sites = {}
     for tree in trees:
         for node in ast.walk(tree):
@@ -69,31 +77,66 @@ def _call_sites(trees):
                 continue
             func = node.func
             if isinstance(func, ast.Name):
-                name = func.id
+                sites.setdefault(func.id, []).append(node)
             elif isinstance(func, ast.Attribute):
-                name = func.attr
-            else:
-                continue
-            starred = any(isinstance(a, ast.Starred) for a in node.args)
-            keys = [k.arg for k in node.keywords]
-            sites.setdefault(name, []).append(
-                (float("inf") if starred else len(node.args),
-                 None if None in keys else set(keys)))
+                sites.setdefault(func.attr, []).append(node)
     return sites
+
+
+def _argument(call, param, index):
+    """The expression ``call`` passes for ``param`` (by keyword, or at
+    positional ``index``), ``_UNKNOWN`` when a splat may pass it, or None."""
+    for k in call.keywords:
+        if k.arg == param:
+            return k.value
+    if index is not None:
+        for i, a in enumerate(call.args):
+            if isinstance(a, ast.Starred):
+                return _UNKNOWN
+            if i == index:
+                return a
+    return _UNKNOWN if any(k.arg is None for k in call.keywords) else None
+
+
+def _literal(node):
+    """The value of a literal expression, else ``_UNKNOWN``."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return _UNKNOWN
+
+
+def _passed(sites, name, param, index):
+    """Every expression the calls of ``name`` pass for ``param``."""
+    args = (_argument(call, param, index) for call in sites.get(name, ()))
+    return [a for a in args if a is not None]
 
 
 def unused_defaulted(defining, calling):
     """``file:line name(param=)`` for each defaulted parameter defined in the
     (path, tree) pairs ``defining`` that no call in ``calling`` passes."""
     sites = _call_sites(calling)
-    unused = []
+    return [f"{rel}:{line} {name}({param}=)"
+            for rel, tree in defining
+            for name, line, param, index, _ in _defaulted(tree)
+            if not _passed(sites, name, param, index)]
+
+
+def default_only(defining, calling, interface):
+    """``file:line name(param=)`` for each defaulted parameter that some call
+    in ``calling`` passes, every one of them as its default's literal value,
+    and that no call in ``interface`` passes."""
+    sites, fixed = _call_sites(calling), _call_sites(interface)
+    flagged = []
     for rel, tree in defining:
-        for name, line, param, index in _defaulted(tree):
-            if not any(keys is None or param in keys
-                       or (index is not None and n_pos > index)
-                       for n_pos, keys in sites.get(name, ())):
-                unused.append(f"{rel}:{line} {name}({param}=)")
-    return unused
+        for name, line, param, index, default in _defaulted(tree):
+            value = _literal(default)
+            passed = _passed(sites, name, param, index)
+            if (value is not _UNKNOWN and passed
+                    and all(a is not _UNKNOWN and _literal(a) == value for a in passed)
+                    and not _passed(fixed, name, param, index)):
+                flagged.append(f"{rel}:{line} {name}({param}=)")
+    return flagged
 
 
 def package_unused():
@@ -101,9 +144,22 @@ def package_unused():
     return unused_defaulted(_parsed(os.path.join("src", "aclaw")), calling)
 
 
+def package_default_only():
+    calling = [tree for top in CALLER_DIRS if top != INTERFACE_DIR
+               for _, tree in _parsed(top)]
+    interface = [tree for _, tree in _parsed(INTERFACE_DIR)]
+    return default_only(_parsed(os.path.join("src", "aclaw")), calling, interface)
+
+
 def test_every_defaulted_parameter_is_passed_somewhere():
     unused = package_unused()
     assert not unused, "defaulted parameters that no call passes:\n" + "\n".join(unused)
+
+
+def test_every_passed_parameter_is_varied_somewhere():
+    fixed = package_default_only()
+    assert not fixed, ("defaulted parameters that every call passes as the "
+                       "default:\n" + "\n".join(fixed))
 
 
 def test_guard_matches_keyword_position_splat_and_constructor():
@@ -117,5 +173,17 @@ def test_guard_matches_keyword_position_splat_and_constructor():
         "mod.py:1 f(c=)", "mod.py:1 f(e=)", "mod.py:6 K(w=)", "mod.py:8 m(p=)"]
 
 
+def test_default_only_guard_reads_literals_splats_and_interface():
+    defs = ast.parse(
+        "def f(a, b=1, c=2.0, *, d='x', e=None, q=-1):\n    pass\n"
+        "def g(x=0, y=(1, 2)):\n    pass\n"
+        "def h(w=3):\n    pass\n")
+    calls = ast.parse("f(0, 1, c=2, d='y', q=-1)\nf(0, b=1, e=None)\n"
+                      "g(x=0, y=(1, 2))\ng(y=k)\nh(*ws)\nh(w=3)\n")
+    interface = ast.parse("g(x=0)\n")
+    assert default_only([("mod.py", defs)], [calls], [interface]) == [
+        "mod.py:1 f(b=)", "mod.py:1 f(c=)", "mod.py:1 f(e=)", "mod.py:1 f(q=)"]
+
+
 if __name__ == "__main__":
-    print("\n".join(package_unused()))
+    print("\n".join(package_unused() + package_default_only()))

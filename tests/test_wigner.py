@@ -126,7 +126,7 @@ def test_moment_condition_negative_control():
 
 def test_x_structure():
     spec = EnsembleSpec(n=4, ensemble="complex-gaussian", seed=9)
-    rep = check_X_structure(spec, samples=4000)
+    rep = check_X_structure(spec)
     assert rep.all_hold
     np.testing.assert_allclose(rep.gram_matrix, np.eye(2), atol=0.1)
 
@@ -134,7 +134,7 @@ def test_x_structure():
 def test_x_structure_identity_input():
     from aclaw.sdcore import phi_ac
     spec = EnsembleSpec(n=4, ensemble="rademacher", seed=10)
-    rep = check_X_structure(spec, samples=4000, a_matrix=np.eye(3, dtype=complex))
+    rep = check_X_structure(spec, a_matrix=np.eye(3, dtype=complex))
     assert rep.quad_form_error <= rep.quad_form_tol
     np.testing.assert_allclose(phi_ac(np.eye(3)), np.diag([2.0, 1.0, 1.0]))
 
