@@ -10,7 +10,8 @@ with zeta^4 - 11*zeta^2 - 1 = 0, and the values m(z) fill the lens-shaped
 region bounded above by v = sqrt(sqrt(1 - 4u^2) - u^2), |u| <= omega, where
 omega^4 + 4*omega^2 - 1 = 0.  This module computes m, the density, the edge
 distance h, the four branch points of the cubic, and the algebraic identities
-relating omega, zeta and the auxiliary constant (omega^3 + 5*omega)/2.
+relating omega, zeta and the auxiliary constant (omega^3 + 5*omega)/2; the
+last two are stated by acceptance criterion 01.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "boundary_curve_re",
     "boundary_curve_im",
     "algebraic_identities",
-    "edge_bound_constant",
 ]
 
 #: below this Im z the cubic root separation degrades and m_ac refuses
@@ -281,19 +281,6 @@ def algebraic_identities() -> dict[str, float]:
         res5 = max(res5, abs(lhs - rhs) / rhs)
     out["edge_identity"] = res5
     return out
-
-
-def edge_bound_constant(z_grid) -> float:
-    """Empirical estimate of the absolute constant c in the edge bound
-    1/|m^2 - omega^2| <= c/sqrt(h): the supremum of sqrt(h)/|m^2 - omega^2|
-    over the given grid.  Downstream code takes this as a config input and
-    never assumes a value."""
-    w = _CONST.omega
-    best = 0.0
-    for z in z_grid:
-        p = m_ac(z)
-        best = max(best, math.sqrt(p.h) / abs(p.m * p.m - w * w))
-    return best
 
 
 def law_csv_rows(z_grid):

@@ -544,9 +544,8 @@ def minor_stats(lin: Linearization, z: complex) -> ResolventStats:
 @dataclass
 class FluctuationNet:
     """Supremum of the fluctuation statistic over a net: ``k2`` is twice the
-    observed maximum (the safety factor for net approximation), and
-    ``lipschitz_budget`` = N^(7/2) * spacing records how much the statistic
-    could move between net points.  ``per_point`` holds the Schur route's
+    observed maximum (the safety factor for net approximation).
+    ``per_point`` holds the Schur route's
     value at the points where it ran and the eigenbasis screen's value
     (``_screen_net``) elsewhere (see ``fluctuation_sup``)."""
 
@@ -555,7 +554,6 @@ class FluctuationNet:
     net: np.ndarray
     per_point: np.ndarray
     spacing: float
-    lipschitz_budget: float
 
 
 def fluctuation_sup(lin: Linearization, rect: tuple[float, float, float, float],
@@ -596,8 +594,7 @@ def fluctuation_sup(lin: Linearization, rect: tuple[float, float, float, float],
     # points off ``top`` screen below the route's values on it
     mx = float(vals.max())
     return FluctuationNet(k2=2.0 * mx, max_fluct=mx, net=net, per_point=vals,
-                          spacing=spacing,
-                          lipschitz_budget=n**3.5 * spacing)
+                          spacing=spacing)
 
 
 @dataclass

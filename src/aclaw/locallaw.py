@@ -20,7 +20,7 @@ at z = lambda + i sigma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .linearize import (AnticommutatorSpectrum, _check_upper_half_plane,
                         _fluct_from, _minor_statistics, build_linearization,
                         corner_blocks, fluctuation_sup, generalized_resolvent)
 from .sdcore import sd_semicircle, sd_solution_ac
-from .tails import fit_log_survival_slope, survival_points
 from .wigner import EnsembleSpec, WignerPair, norm_at_most, sample_pair
 
 __all__ = [
@@ -41,8 +40,6 @@ __all__ = [
     "LocalLawReport",
     "DelocalizationRow",
     "DelocalizationReport",
-    "KTailReport",
-    "BootstrapVerdict",
     "SemicircleStats",
     "SemicircleReport",
     "ScalingReport",
@@ -50,11 +47,9 @@ __all__ = [
     "verify_local_law",
     "construct_k",
     "empirical_k",
-    "k_tail_estimate",
     "sigma_solve",
     "delocalization_check",
     "figure1_data",
-    "check_bootstrap_implication",
     "sc_edge_distance",
     "semicircle_stats",
     "semicircle_minor_stats",
@@ -277,40 +272,6 @@ def empirical_k(pair: WignerPair, c_config: float = 1.0,
     return _smallest_valid(scaled, gate, 4.0 * c_config**2, n, 1.0, 2.0)
 
 
-@dataclass
-class KTailReport:
-    """Empirical survival of K over fresh pairs, with the fitted slope of
-    log survival in t = K^(1/(2 alpha0 + 1)) coordinates (shape-only)."""
-
-    k_values: np.ndarray
-    ts: np.ndarray
-    survival: np.ndarray
-    slope: float
-    slope_stderr: float
-
-    @property
-    def decays(self) -> bool:
-        return self.slope + 2.0 * self.slope_stderr < 0.0
-
-
-def k_tail_estimate(spec: EnsembleSpec, samples: int = 60) -> KTailReport:
-    """Sample the netted constant (net spacing 2) over fresh pairs and fit
-    the survival decay.  Only the qualitative log-linear domination
-    (negative slope) is asserted; the rate constants are existential."""
-    if samples < 50:
-        raise ValueError("need at least 50 samples")
-    ks = []
-    for t in range(samples):
-        pair = sample_pair(replace(spec, seed=spec.seed * 1000003 + t))
-        ks.append(construct_k(pair, theta=1.0, spacing=2.0))
-    ks = np.array(ks)
-    ts, surv = survival_points(ks ** (1.0 / (2.0 * spec.alpha0 + 1.0)),
-                               quantiles=np.linspace(0.3, 0.98, 12))
-    slope, stderr, _ = fit_log_survival_slope(ts, surv)
-    return KTailReport(k_values=ks, ts=ts, survival=surv, slope=slope,
-                       slope_stderr=stderr)
-
-
 def sigma_solve(lam, rho: float):
     """The unique sigma in (0, 1] with h(lam + i sigma)^2 sigma = rho, by
     100 bisection steps on [1e-12, 1] (the map is strictly increasing in
@@ -417,64 +378,6 @@ def figure1_data(rho_list, lam_min: float = -8.0, lam_max: float = 8.0,
         rows += [(float(rho), lam, sigma) for lam, sigma
                  in zip(lams.tolist(), sigma_solve(lams, rho).tolist())]
     return rows
-
-
-@dataclass
-class BootstrapVerdict:
-    """Pointwise check of the continuity-bootstrap hypotheses on a sampled
-    grid: (1) f1 < f2 somewhere, (2) f1 <= f2 implies f1 <= f3 everywhere,
-    (3) f3 < f2 everywhere; under (1)-(3) on a connected domain the
-    conclusion is f1 <= f3 everywhere."""
-
-    strict_start: bool
-    implication: bool
-    separation: bool
-    conclusion: bool
-    failed_hypothesis: str | None
-    connected: bool | None
-
-
-def check_bootstrap_implication(f1, f2, f3, adjacency=None) -> BootstrapVerdict:
-    """Verify the three bootstrap hypotheses pointwise and report the
-    conclusion.  ``adjacency`` (index pairs) is used only to confirm the
-    sampled grid is connected; the continuum argument is not re-proved."""
-    f1 = np.asarray(f1, dtype=float)
-    f2 = np.asarray(f2, dtype=float)
-    f3 = np.asarray(f3, dtype=float)
-    if not (f1.shape == f2.shape == f3.shape) or f1.ndim != 1:
-        raise ValueError("f1, f2, f3 must be 1-d arrays of equal length")
-    if np.any(~np.isfinite(f1)) or np.any(~np.isfinite(f2)) or np.any(~np.isfinite(f3)):
-        raise ValueError("functions must be finite on the grid")
-    connected = None
-    if adjacency is not None:
-        n = len(f1)
-        seen = {0}
-        frontier = [0]
-        nbrs = {i: [] for i in range(n)}
-        for a, b in adjacency:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        while frontier:
-            cur = frontier.pop()
-            for nb in nbrs[cur]:
-                if nb not in seen:
-                    seen.add(nb)
-                    frontier.append(nb)
-        connected = len(seen) == n
-    strict = bool(np.any(f1 < f2))
-    implication = bool(np.all((f1 > f2) | (f1 <= f3)))
-    separation = bool(np.all(f3 < f2))
-    conclusion = bool(np.all(f1 <= f3))
-    failed = None
-    if not strict:
-        failed = "strict_start"
-    elif not implication:
-        failed = "implication"
-    elif not separation:
-        failed = "separation"
-    return BootstrapVerdict(strict_start=strict, implication=implication,
-                            separation=separation, conclusion=conclusion,
-                            failed_hypothesis=failed, connected=connected)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ semicircle solution (z, m, 1, (1/m - m)^-1).
 
 Operator norms of linear maps on Mat3 (with the spectral norm) are not
 available in closed form, so every bound that must be *valid* (radii,
-implication right-hand sides) uses certified upper bounds, and a Monte Carlo
-estimator is provided for diagnostics only.
+implication right-hand sides) uses certified upper bounds; the tests hold
+them against a Monte Carlo lower estimate (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AclawError
-from .freelaw import edge_distance, law_constants, m_ac
+from .freelaw import law_constants, m_ac
 
 __all__ = [
     "SingularMapError",
@@ -43,11 +43,9 @@ __all__ = [
     "vec3",
     "unvec3",
     "phi_ac",
-    "phi_map",
     "op_norm_upper",
     "op_norm_upper_spectral",
     "certified_norm_upper",
-    "op_norm_estimate",
     "sd_solution_ac",
     "sd_residual",
     "kappa_blocks",
@@ -56,7 +54,6 @@ __all__ = [
     "error_gauge",
     "gauge_implication_check",
     "sd_semicircle",
-    "stability_constant_estimate",
 ]
 
 #: condition-number ceiling for the 9x9 inversion defining kappa
@@ -164,11 +161,6 @@ def phi_ac(a: np.ndarray) -> np.ndarray:
 _PHI = LinMap3.from_action(phi_ac)
 
 
-def phi_map() -> LinMap3:
-    """The sandwich map as a LinMap3."""
-    return _PHI
-
-
 def op_norm_upper(t: LinMap3) -> float:
     """Certified upper bound sqrt(3) * sum of the 81 coefficient moduli for
     the operator norm induced by the spectral norm on Mat3."""
@@ -191,53 +183,6 @@ def certified_norm_upper(t: LinMap3) -> float:
 def _phi_norm_upper() -> float:
     # on first use: an SVD at import would make every command page it in
     return certified_norm_upper(_PHI)
-
-
-def op_norm_estimate(t: LinMap3, samples: int = 2000, seed: int = 0) -> float:
-    """Monte Carlo lower estimate of the induced operator norm.
-
-    Draws random unit-spectral-norm inputs, then refines the best one by
-    hill climbing.  Diagnostics only: always below the certified bounds.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-
-    def ratio(x):
-        return np.linalg.norm(t(x), 2)
-
-    # structured candidates first (identity and elementary matrices often
-    # realize the norm for maps with sparse coefficient structure)
-    candidates = [np.eye(3, dtype=complex)]
-    for i, j in _BASIS:
-        e = np.zeros((3, 3), dtype=complex)
-        e[i, j] = 1.0
-        candidates.append(e)
-    best_val, best_x = 0.0, None
-    for x in candidates:
-        v = ratio(x)
-        if v > best_val:
-            best_val, best_x = v, x
-    for _ in range(samples):
-        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        x /= np.linalg.norm(x, 2)
-        v = ratio(x)
-        if v > best_val:
-            best_val, best_x = v, x
-    step = 0.5
-    while step > 1e-7 and best_x is not None:
-        improved = False
-        for _ in range(60):
-            y = best_x + step * (rng.standard_normal((3, 3))
-                                 + 1j * rng.standard_normal((3, 3)))
-            y /= np.linalg.norm(y, 2)
-            v = ratio(y)
-            if v > best_val:
-                best_val, best_x = v, y
-                improved = True
-        if not improved:
-            step /= 4.0
-    return float(best_val)
 
 
 @dataclass
@@ -532,14 +477,3 @@ def sd_semicircle(z: complex) -> ScalarQuadruple:
         raise AssertionError("semicircle radius bound violated")
     return ScalarQuadruple(z=z, m=complex(m), phi=1.0 + 0j, kappa=complex(kappa),
                            stability_radius=float(radius))
-
-
-def stability_constant_estimate(z_grid) -> float:
-    """Empirical estimate of the absolute constant c with stability radius
-    >= sqrt(h)/c: the supremum of sqrt(h)/radius over the grid.  Exposed as
-    a helper; downstream code takes c as a config input."""
-    best = 0.0
-    for z in z_grid:
-        quad = sd_solution_ac(z)
-        best = max(best, np.sqrt(edge_distance(z)) / quad.stability_radius)
-    return float(best)

@@ -1,12 +1,11 @@
-"""Moment/tail conversions and p-norm inequalities for linear and quadratic
-forms in independent mean-zero variables.
+"""p-norm inequalities for linear and quadratic forms in independent
+mean-zero variables.
 
 The central object is Theta(s) = 2^(s/2) Gamma((s+1)/2) / sqrt(pi), the
 p-th absolute moment of a standard gaussian scaled so that
-Theta(s)^(1/s) <= sqrt(s) for s >= 2.  Moment growth of order p^alpha is
-equivalent to stretched-exponential tails, and the p-norm of sum v(i) Y_i
-(resp. of the centered quadratic form) is bounded by 2 Theta(p)^(1/p) times
-the l2 size of the coefficients (resp. with an extra 8 Theta(2p)^(1/2p)).
+Theta(s)^(1/s) <= sqrt(s) for s >= 2.  The p-norm of sum v(i) Y_i (resp. of
+the centered quadratic form) is bounded by 2 Theta(p)^(1/p) times the l2
+size of the coefficients (resp. with an extra 8 Theta(2p)^(1/2p)).
 
 Monte Carlo checks assert the bounds only up to bootstrap confidence on the
 estimated norms, and tail-decay claims are fitted-shape-only: the underlying
@@ -23,15 +22,11 @@ import numpy as np
 from .wigner import _draw_offdiag
 
 __all__ = [
-    "theta_fn",
     "theta_root",
-    "moment_to_tail",
-    "tail_to_moment",
     "WhittleReport",
     "whittle_check",
     "QuadTailReport",
     "quad_tail_check",
-    "splitting_average",
     "survival_points",
     "fit_log_survival_slope",
 ]
@@ -48,34 +43,11 @@ def _log_theta(s: float) -> float:
             - 0.5 * math.log(math.pi))
 
 
-def theta_fn(s: float) -> float:
-    """Theta(s) = 2^(s/2) Gamma((s+1)/2) / sqrt(pi)."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    return math.exp(_log_theta(s))
-
-
 def theta_root(s: float) -> float:
     """Theta(s)^(1/s), the gaussian p-norm; at most sqrt(s) for s >= 2."""
     if s <= 0:
         raise ValueError("s must be positive")
     return math.exp(_log_theta(s) / s)
-
-
-def moment_to_tail(alpha: float, t: float) -> float:
-    """Tail probability bound exp(alpha (2 - t/e)) (clamped to [0, 1]) for
-    Pr(Z > t^alpha) under the moment growth sup_p p^-alpha |Z|_p <= 1."""
-    if alpha <= 0 or t <= 0:
-        raise ValueError("alpha and t must be positive")
-    return min(1.0, math.exp(alpha * (2.0 - t / math.e)))
-
-
-def tail_to_moment(alpha: float, c: float, p: float) -> float:
-    """Moment bound |Z|_p <= p^alpha C^(1/2) (alpha + 1/2)^alpha for p >= 2
-    under the tail bound Pr(Z > t^alpha) <= C e^-t."""
-    if alpha < 0 or c < 1 or not 2 <= p < math.inf:
-        raise ValueError("need alpha >= 0, C >= 1 and finite p >= 2")
-    return p**alpha * math.sqrt(c) * (alpha + 0.5) ** alpha
 
 
 def _draw(dist: str, rng, size) -> np.ndarray:
@@ -161,38 +133,11 @@ def whittle_check(dist: str, n: int, p: float, trials: int = 20000,
                          lhs_ucb99=ucb, rhs_bound=rhs)
 
 
-def splitting_average(n: int, seed: int = 0):
-    """Empirical (4000 draws) and exact coefficient q of the random
-    index-splitting average: for a uniformly random subset I of size
-    floor(N/2), the matrix B restricted to I x I^c averages to q B off the
-    diagonal, with q = |I|(N - |I|)/(N(N-1)) >= 1/4 for N >= 2.
-
-    Returns (q_empirical_offdiag_mean, q_exact).  This is the secondary
-    oracle behind the quadratic tail bound's splitting step.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    rng = np.random.Generator(np.random.Philox(key=[seed, 5]))
-    trials = 4000
-    half = n // 2
-    freq = np.zeros((n, n))
-    for _ in range(trials):
-        perm = rng.permutation(n)
-        in_i = np.zeros(n, dtype=bool)
-        in_i[perm[:half]] = True
-        freq += np.outer(in_i, ~in_i)
-    freq /= trials
-    off = freq[~np.eye(n, dtype=bool)]
-    q_exact = half * (n - half) / (n * (n - 1))
-    return float(off.mean()), float(q_exact)
-
-
-def survival_points(values: np.ndarray, quantiles=None):
-    """(t, empirical survival) pairs at the given quantile levels."""
+def survival_points(values: np.ndarray):
+    """(t, empirical survival) pairs at the 15 quantile levels
+    0.5, 0.535, ..., 0.99."""
     values = np.sort(np.asarray(values, dtype=float))
-    if quantiles is None:
-        quantiles = np.linspace(0.5, 0.99, 15)
-    ts = np.quantile(values, quantiles)
+    ts = np.quantile(values, np.linspace(0.5, 0.99, 15))
     surv = np.array([(values > t).mean() for t in ts])
     return ts, surv
 

@@ -9,12 +9,16 @@ variance 1/N, recorded in the spec so experiments stay auditable.
 Sampling streams: matrix ``U`` of a pair uses Philox key (seed, 0) and ``V``
 uses (seed, 1), so pairs are reproducible and independent pairs are obtained
 by varying the seed (order-independent across parallel workers).
+
+The Monte Carlo checks of the ensembles' moment-growth constants, of the
+linearization blocks' second moments and of the norm event |U|, |V| > 4, and
+the reader of the pair dump, are test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,20 +26,10 @@ __all__ = [
     "ENSEMBLES",
     "EnsembleSpec",
     "WignerPair",
-    "MomentReport",
-    "XStructureReport",
     "sample_pair",
-    "entry_samples",
-    "entry_p_norm",
-    "check_moment_condition",
-    "check_X_structure",
-    "norm_event_rate",
     "norm_at_most",
     "spectral_norm",
     "save_pair",
-    "load_pair",
-    "spec_to_text",
-    "spec_from_text",
 ]
 
 #: supported entry distributions and default moment-growth parameters
@@ -128,145 +122,6 @@ def sample_pair(spec: EnsembleSpec) -> WignerPair:
                       spec=spec)
 
 
-def entry_samples(spec: EnsembleSpec, count: int) -> np.ndarray:
-    """iid copies of a single off-diagonal entry (for moment studies), drawn
-    from stream 100 of the spec's seed, apart from the pair's streams 0, 1."""
-    rng = _rng(spec.seed, 100)
-    return _draw_offdiag(rng, spec.ensemble, count, spec.n)
-
-
-def entry_p_norm(samples: np.ndarray, p: float) -> float:
-    return float(np.mean(np.abs(samples) ** p) ** (1.0 / p))
-
-
-@dataclass
-class MomentReport:
-    """Per-p verdicts for the moment-growth hypothesis
-    p^(-alpha0) |entry|_p <= sqrt(alpha1 / N)."""
-
-    p_grid: np.ndarray
-    norm_est: np.ndarray
-    norm_se: np.ndarray
-    bound: float
-    holds: np.ndarray
-
-    @property
-    def all_hold(self) -> bool:
-        return bool(self.holds.all())
-
-
-def check_moment_condition(spec: EnsembleSpec, p_grid=(2, 4, 8, 16),
-                           samples: int = 20000) -> MomentReport:
-    """Monte Carlo check of the moment-growth hypothesis on a grid of p.
-
-    The sampling error on |entry|_p is propagated from the CLT error of the
-    p-th absolute moment; the verdict allows the estimate to exceed the
-    bound by two standard errors.
-    """
-    p_grid = np.asarray(p_grid, dtype=float)
-    if p_grid.min() < 2 or p_grid.max() > 16:
-        raise ValueError("p_grid must lie in [2, 16]")
-    xs = np.abs(entry_samples(spec, samples))
-    bound = math.sqrt(spec.alpha1 / spec.n)
-    est = np.empty(len(p_grid))
-    se = np.empty(len(p_grid))
-    for k, p in enumerate(p_grid):
-        mom = xs**p
-        mean = mom.mean()
-        sd = mom.std(ddof=1) / math.sqrt(samples)
-        est[k] = mean ** (1.0 / p)
-        # delta method for the 1/p power
-        se[k] = sd / (p * mean ** (1.0 - 1.0 / p)) if mean > 0 else 0.0
-    scaled = p_grid ** (-spec.alpha0) * est
-    scaled_se = p_grid ** (-spec.alpha0) * se
-    holds = scaled <= bound + 2.0 * scaled_se
-    return MomentReport(p_grid=p_grid, norm_est=est, norm_se=se, bound=bound,
-                        holds=holds)
-
-
-@dataclass
-class XStructureReport:
-    """Monte Carlo verdicts for the second-moment structure of the
-    linearization blocks built from a pair."""
-
-    quad_form_error: float
-    quad_form_tol: float
-    offblock_error: float
-    offblock_tol: float
-    gram_matrix: np.ndarray
-    mean_abs: float
-    mean_tol: float
-
-    @property
-    def all_hold(self) -> bool:
-        return (self.quad_form_error <= self.quad_form_tol
-                and self.offblock_error <= self.offblock_tol
-                and np.abs(self.gram_matrix - np.eye(2)).max() <= self.offblock_tol
-                and self.mean_abs <= self.mean_tol)
-
-
-def _block(u, v, i, j):
-    """3x3 block of the linearization X at block position (i, j), built from
-    a = (U-V)/sqrt(2) and b = (-U-V)/sqrt(2)."""
-    a = (u[i, j] - v[i, j]) / math.sqrt(2)
-    b = (-u[i, j] - v[i, j]) / math.sqrt(2)
-    out = np.zeros((3, 3), dtype=complex)
-    out[0, 1] = a
-    out[1, 0] = a
-    out[0, 2] = b
-    out[2, 0] = b
-    return out
-
-
-def check_X_structure(spec: EnsembleSpec,
-                      a_matrix: np.ndarray | None = None) -> XStructureReport:
-    """Verify, over 4000 fresh pairs, that the linearization blocks average
-    to the sandwich map: E[X_ij A X_ji] = Phi(A)/N for block rows i != j, that
-    E[X_ij A X_ki] = 0 for j != k, that the scaled entries
-    sqrt(N)(U-V)(i,j)/sqrt(2) and sqrt(N)(-U-V)(i,j)/sqrt(2) form an
-    orthonormal system in second moments, and that E X = 0 within CLT bars."""
-    from .sdcore import phi_ac
-
-    samples = 4000
-    n = max(spec.n, 4)
-    spec4 = replace(spec, n=n)
-    if a_matrix is None:
-        rng = _rng(spec.seed, 999)
-        a_matrix = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    i, j, k = 0, 1, 2
-    acc_jj = np.zeros((3, 3), dtype=complex)
-    acc_jk = np.zeros((3, 3), dtype=complex)
-    acc_mean = np.zeros((3, 3), dtype=complex)
-    gram = np.zeros((2, 2), dtype=complex)
-    for t in range(samples):
-        pair = sample_pair(replace(spec4, seed=spec.seed * 1000003 + t))
-        xij = _block(pair.u, pair.v, i, j)
-        xji = _block(pair.u, pair.v, j, i)
-        xki = _block(pair.u, pair.v, k, i)
-        acc_jj += xij @ a_matrix @ xji
-        acc_jk += xij @ a_matrix @ xki
-        acc_mean += xij
-        a = (pair.u[i, j] - pair.v[i, j]) / math.sqrt(2)
-        b = (-pair.u[i, j] - pair.v[i, j]) / math.sqrt(2)
-        gram += np.array([[a * a.conjugate(), a * b.conjugate()],
-                          [b * a.conjugate(), b * b.conjugate()]])
-    scale = 1.0 / n  # entry second moment
-    tol = 5.0 * scale / math.sqrt(samples) * max(1.0, float(np.abs(a_matrix).max())) * 3
-    quad_err = float(np.abs(acc_jj / samples - scale * phi_ac(a_matrix)).max())
-    off_err = float(np.abs(acc_jk / samples).max())
-    gram_scaled = gram / samples * n
-    mean_abs = float(np.abs(acc_mean / samples).max())
-    return XStructureReport(
-        quad_form_error=quad_err,
-        quad_form_tol=tol,
-        offblock_error=off_err,
-        offblock_tol=tol,
-        gram_matrix=gram_scaled,
-        mean_abs=mean_abs,
-        mean_tol=5.0 / math.sqrt(samples * n),
-    )
-
-
 def spectral_norm(h: np.ndarray) -> float:
     """Largest |eigenvalue| of a Hermitian matrix."""
     return float(np.abs(np.linalg.eigvalsh(h)).max())
@@ -306,20 +161,8 @@ def norm_at_most(h: np.ndarray, bound: float) -> bool:
     return True
 
 
-def norm_event_rate(spec: EnsembleSpec, samples: int, threshold: float = 4.0) -> float:
-    """Fraction of sampled pairs with max(|U|, |V|) above the threshold."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    hits = 0
-    for t in range(samples):
-        pair = sample_pair(replace(spec, seed=spec.seed * 1000003 + t))
-        if not (norm_at_most(pair.u, threshold) and norm_at_most(pair.v, threshold)):
-            hits += 1
-    return hits / samples
-
-
-# Pair dump format: a '#' header line with N, ensemble and seed, then one
-# 're,im' line per entry, row-major, U first then V.
+# Pair dump format: a '#' header line with N, ensemble, seed, alpha0 and
+# alpha1, then one 're,im' line per entry, row-major, U first then V.
 
 def save_pair(pair: WignerPair, path) -> None:
     n = pair.n
@@ -329,34 +172,3 @@ def save_pair(pair: WignerPair, path) -> None:
         for mat in (pair.u, pair.v):
             for val in mat.ravel():
                 f.write(f"{val.real:.17g},{val.imag:.17g}\n")
-
-
-def load_pair(path) -> WignerPair:
-    with open(path, "r", encoding="ascii") as f:
-        header = f.readline()
-        if not header.startswith("#"):
-            raise ValueError("missing pair-dump header")
-        fields = dict(tok.split("=", 1) for tok in header[1:].split())
-        n = int(fields["N"])
-        spec = EnsembleSpec(n=n, ensemble=fields["ensemble"],
-                            alpha0=float(fields["alpha0"]),
-                            alpha1=float(fields["alpha1"]),
-                            seed=int(fields["seed"]))
-        vals = np.array([complex(*map(float, line.split(","))) for line in f])
-    if vals.size != 2 * n * n:
-        raise ValueError("pair dump has wrong entry count")
-    u = vals[: n * n].reshape(n, n)
-    v = vals[n * n:].reshape(n, n)
-    return WignerPair(u=u, v=v, spec=spec)
-
-
-def spec_to_text(spec: EnsembleSpec) -> str:
-    return (f"n={spec.n} ensemble={spec.ensemble} alpha0={spec.alpha0:.17g} "
-            f"alpha1={spec.alpha1:.17g} seed={spec.seed}")
-
-
-def spec_from_text(text: str) -> EnsembleSpec:
-    fields = dict(tok.split("=", 1) for tok in text.split())
-    return EnsembleSpec(n=int(fields["n"]), ensemble=fields["ensemble"],
-                        alpha0=float(fields["alpha0"]),
-                        alpha1=float(fields["alpha1"]), seed=int(fields["seed"]))

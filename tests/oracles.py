@@ -1,0 +1,232 @@
+"""Monte Carlo oracles that the unit tests hold the library against.
+
+None of these is a production path: each estimates, by sampling, a quantity
+that ``src/aclaw`` either certifies (``op_norm_estimate`` against
+``certified_norm_upper``), assumes (the ensembles' moment-growth constants,
+the linearization's entry second moments, the ``|U|, |V| <= 4`` norm event)
+or writes (``load_pair`` reads the dump ``aclaw sample`` writes).
+"""
+
+import math
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from aclaw.freelaw import edge_distance
+from aclaw.sdcore import LinMap3, phi_ac, sd_solution_ac, unvec3
+from aclaw.wigner import (EnsembleSpec, WignerPair, _draw_offdiag, _rng,
+                          norm_at_most, sample_pair)
+
+
+def op_norm_estimate(t: LinMap3, samples: int = 2000, seed: int = 0) -> float:
+    """Monte Carlo lower estimate of the operator norm of ``t`` induced by
+    the spectral norm on Mat3.
+
+    Draws random unit-spectral-norm inputs, then refines the best one by
+    hill climbing.  Always below the certified bounds.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+
+    def ratio(x):
+        return np.linalg.norm(t(x), 2)
+
+    # structured candidates first (identity and elementary matrices often
+    # realize the norm for maps with sparse coefficient structure)
+    candidates = [np.eye(3, dtype=complex)] + [unvec3(e) for e in np.eye(9)]
+    best_val, best_x = 0.0, None
+    for x in candidates:
+        v = ratio(x)
+        if v > best_val:
+            best_val, best_x = v, x
+    for _ in range(samples):
+        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        x /= np.linalg.norm(x, 2)
+        v = ratio(x)
+        if v > best_val:
+            best_val, best_x = v, x
+    step = 0.5
+    while step > 1e-7 and best_x is not None:
+        improved = False
+        for _ in range(60):
+            y = best_x + step * (rng.standard_normal((3, 3))
+                                 + 1j * rng.standard_normal((3, 3)))
+            y /= np.linalg.norm(y, 2)
+            v = ratio(y)
+            if v > best_val:
+                best_val, best_x = v, y
+                improved = True
+        if not improved:
+            step /= 4.0
+    return float(best_val)
+
+
+def stability_constant_estimate(z_grid) -> float:
+    """Empirical estimate of the absolute constant c with stability radius
+    >= sqrt(h)/c: the supremum of sqrt(h)/radius over the grid."""
+    best = 0.0
+    for z in z_grid:
+        quad = sd_solution_ac(z)
+        best = max(best, np.sqrt(edge_distance(z)) / quad.stability_radius)
+    return float(best)
+
+
+def entry_samples(spec: EnsembleSpec, count: int) -> np.ndarray:
+    """iid copies of a single off-diagonal entry, drawn from stream 100 of
+    the spec's seed, apart from the pair's streams 0, 1."""
+    return _draw_offdiag(_rng(spec.seed, 100), spec.ensemble, count, spec.n)
+
+
+@dataclass
+class MomentReport:
+    """Per-p verdicts for the moment-growth hypothesis
+    p^(-alpha0) |entry|_p <= sqrt(alpha1 / N)."""
+
+    p_grid: np.ndarray
+    norm_est: np.ndarray
+    norm_se: np.ndarray
+    bound: float
+    holds: np.ndarray
+
+    @property
+    def all_hold(self) -> bool:
+        return bool(self.holds.all())
+
+
+def check_moment_condition(spec: EnsembleSpec, p_grid=(2, 4, 8, 16),
+                           samples: int = 20000) -> MomentReport:
+    """Monte Carlo check of the moment-growth hypothesis on a grid of p.
+
+    The sampling error on |entry|_p is propagated from the CLT error of the
+    p-th absolute moment; the verdict allows the estimate to exceed the
+    bound by two standard errors.
+    """
+    p_grid = np.asarray(p_grid, dtype=float)
+    xs = np.abs(entry_samples(spec, samples))
+    bound = math.sqrt(spec.alpha1 / spec.n)
+    est = np.empty(len(p_grid))
+    se = np.empty(len(p_grid))
+    for k, p in enumerate(p_grid):
+        mom = xs**p
+        mean = mom.mean()
+        sd = mom.std(ddof=1) / math.sqrt(samples)
+        est[k] = mean ** (1.0 / p)
+        # delta method for the 1/p power
+        se[k] = sd / (p * mean ** (1.0 - 1.0 / p)) if mean > 0 else 0.0
+    scaled = p_grid ** (-spec.alpha0) * est
+    scaled_se = p_grid ** (-spec.alpha0) * se
+    holds = scaled <= bound + 2.0 * scaled_se
+    return MomentReport(p_grid=p_grid, norm_est=est, norm_se=se, bound=bound,
+                        holds=holds)
+
+
+@dataclass
+class XStructureReport:
+    """Monte Carlo verdicts for the second-moment structure of the
+    linearization blocks built from a pair."""
+
+    quad_form_error: float
+    quad_form_tol: float
+    offblock_error: float
+    offblock_tol: float
+    gram_matrix: np.ndarray
+    mean_abs: float
+    mean_tol: float
+
+    @property
+    def all_hold(self) -> bool:
+        return (self.quad_form_error <= self.quad_form_tol
+                and self.offblock_error <= self.offblock_tol
+                and np.abs(self.gram_matrix - np.eye(2)).max() <= self.offblock_tol
+                and self.mean_abs <= self.mean_tol)
+
+
+def _block(u, v, i, j):
+    """3x3 block of the linearization X at block position (i, j), built from
+    a = (U-V)/sqrt(2) and b = (-U-V)/sqrt(2)."""
+    a = (u[i, j] - v[i, j]) / math.sqrt(2)
+    b = (-u[i, j] - v[i, j]) / math.sqrt(2)
+    out = np.zeros((3, 3), dtype=complex)
+    out[0, 1] = a
+    out[1, 0] = a
+    out[0, 2] = b
+    out[2, 0] = b
+    return out
+
+
+def check_X_structure(spec: EnsembleSpec,
+                      a_matrix: np.ndarray | None = None) -> XStructureReport:
+    """Verify, over 4000 fresh pairs, that the linearization blocks average
+    to the sandwich map: E[X_ij A X_ji] = Phi(A)/N for block rows i != j, that
+    E[X_ij A X_ki] = 0 for j != k, that the scaled entries
+    sqrt(N)(U-V)(i,j)/sqrt(2) and sqrt(N)(-U-V)(i,j)/sqrt(2) form an
+    orthonormal system in second moments, and that E X = 0 within CLT bars."""
+    samples = 4000
+    n = max(spec.n, 4)
+    spec4 = replace(spec, n=n)
+    if a_matrix is None:
+        rng = _rng(spec.seed, 999)
+        a_matrix = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    i, j, k = 0, 1, 2
+    acc_jj = np.zeros((3, 3), dtype=complex)
+    acc_jk = np.zeros((3, 3), dtype=complex)
+    acc_mean = np.zeros((3, 3), dtype=complex)
+    gram = np.zeros((2, 2), dtype=complex)
+    for t in range(samples):
+        pair = sample_pair(replace(spec4, seed=spec.seed * 1000003 + t))
+        xij = _block(pair.u, pair.v, i, j)
+        xji = _block(pair.u, pair.v, j, i)
+        xki = _block(pair.u, pair.v, k, i)
+        acc_jj += xij @ a_matrix @ xji
+        acc_jk += xij @ a_matrix @ xki
+        acc_mean += xij
+        a = (pair.u[i, j] - pair.v[i, j]) / math.sqrt(2)
+        b = (-pair.u[i, j] - pair.v[i, j]) / math.sqrt(2)
+        gram += np.array([[a * a.conjugate(), a * b.conjugate()],
+                          [b * a.conjugate(), b * b.conjugate()]])
+    scale = 1.0 / n  # entry second moment
+    tol = 5.0 * scale / math.sqrt(samples) * max(1.0, float(np.abs(a_matrix).max())) * 3
+    quad_err = float(np.abs(acc_jj / samples - scale * phi_ac(a_matrix)).max())
+    off_err = float(np.abs(acc_jk / samples).max())
+    gram_scaled = gram / samples * n
+    mean_abs = float(np.abs(acc_mean / samples).max())
+    return XStructureReport(
+        quad_form_error=quad_err,
+        quad_form_tol=tol,
+        offblock_error=off_err,
+        offblock_tol=tol,
+        gram_matrix=gram_scaled,
+        mean_abs=mean_abs,
+        mean_tol=5.0 / math.sqrt(samples * n),
+    )
+
+
+def norm_event_rate(spec: EnsembleSpec, samples: int, threshold: float = 4.0) -> float:
+    """Fraction of sampled pairs with max(|U|, |V|) above the threshold."""
+    hits = 0
+    for t in range(samples):
+        pair = sample_pair(replace(spec, seed=spec.seed * 1000003 + t))
+        if not (norm_at_most(pair.u, threshold) and norm_at_most(pair.v, threshold)):
+            hits += 1
+    return hits / samples
+
+
+def load_pair(path) -> WignerPair:
+    """Read the pair dump ``wigner.save_pair`` writes: a '#' header line with
+    N, ensemble, seed, alpha0 and alpha1, then one 're,im' line per entry,
+    row-major, U first then V."""
+    with open(path, "r", encoding="ascii") as f:
+        header = f.readline()
+        if not header.startswith("#"):
+            raise ValueError("missing pair-dump header")
+        fields = dict(tok.split("=", 1) for tok in header[1:].split())
+        n = int(fields["N"])
+        spec = EnsembleSpec(n=n, ensemble=fields["ensemble"],
+                            alpha0=float(fields["alpha0"]),
+                            alpha1=float(fields["alpha1"]),
+                            seed=int(fields["seed"]))
+        vals = np.array([complex(*map(float, line.split(","))) for line in f])
+    if vals.size != 2 * n * n:
+        raise ValueError("pair dump has wrong entry count")
+    u = vals[: n * n].reshape(n, n)
+    v = vals[n * n:].reshape(n, n)
+    return WignerPair(u=u, v=v, spec=spec)

@@ -10,6 +10,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from aclaw.freelaw import (
+    algebraic_identities,
+    critical_points,
     density_ac,
     edge_distance,
     in_stieltjes_region,
@@ -51,12 +53,26 @@ def report(num, name, ok, detail=""):
 
 
 def test_criterion_01_constants():
+    # the four branch points of the cubic, where it and its m-derivative
+    # 3 z m^2 - 2 m - z vanish together; the first is the support edge -zeta
+    pts = critical_points()
+    branch = max(max(abs(z * m**3 - m**2 - z * m - 1), abs(3 * z * m**2 - 2 * m - z))
+                 for z, m in pts)
+    ids = algebraic_identities()
     ok = (abs(C.zeta - 3.330190676) <= 1e-9
           and abs(C.omega - 0.4858682712) <= 1e-9
           and abs(C.omega**4 + 4 * C.omega**2 - 1) <= 1e-10
-          and abs(C.zeta**4 - 11 * C.zeta**2 - 1) <= 1e-10)
+          and abs(C.zeta**4 - 11 * C.zeta**2 - 1) <= 1e-10
+          and len(pts) == 4 and pts[0] == (complex(-C.zeta), complex(C.omega))
+          and branch <= 1e-8
+          and ids["zeta_from_omega"] <= 1e-10
+          and ids["zeta_reciprocal"] <= 1e-12
+          and ids["quartic_at_image"] <= 1e-10
+          and ids["square_factorization"] <= 1e-10
+          and ids["edge_identity"] <= 1e-8)
     report(1, "constants", ok,
-           f"zeta={C.zeta:.12f} omega={C.omega:.12f}")
+           f"zeta={C.zeta:.12f} omega={C.omega:.12f} branch={branch:.2e} "
+           f"identities={max(ids.values()):.2e}")
 
 
 def test_criterion_02_law_grid():

@@ -92,7 +92,8 @@ def test_sample_and_reload(tmp_path):
     out = tmp_path / "pair.csv"
     code = run_cli(["sample", "--N", "6", "--seed", "3", "--out", str(out)])
     assert code == 0
-    from aclaw.wigner import EnsembleSpec, load_pair, sample_pair
+    from aclaw.wigner import EnsembleSpec, sample_pair
+    from oracles import load_pair
     pair = load_pair(out)
     direct = sample_pair(EnsembleSpec(n=6, ensemble="complex-gaussian", seed=3))
     np.testing.assert_array_equal(pair.u, direct.u)

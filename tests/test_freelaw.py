@@ -16,8 +16,6 @@ from aclaw.freelaw import (
     boundary_curve_im,
     critical_points,
     density_ac,
-    edge_bound_constant,
-    edge_distance,
     in_stieltjes_region,
     law_constants,
     m_ac,
@@ -249,23 +247,3 @@ def test_square_factorization_at_two():
         lhs = (2**3 - 2) + s * half * (2**2 + 1)
         rhs = (2 + s * rho) * (2 - s * w) ** 2
         assert abs(lhs - rhs) <= 1e-10
-
-
-def test_edge_bound_constant_properties():
-    coarse = rect_grid(-8, 8, 20, 1e-3, 8, 20)
-    v_coarse = edge_bound_constant(coarse)
-    assert math.isfinite(v_coarse)
-    # sup dominates members
-    tau = 4.0
-    p = m_ac(1j * tau)
-    member = math.sqrt(edge_distance(1j * tau)) / abs(p.m**2 - C.omega**2)
-    assert edge_bound_constant(list(coarse) + [1j * tau]) >= member
-    # bulk-only grids give a smaller sup than grids with near-edge points
-    bulk = [1j * y for y in np.linspace(1, 8, 10)]
-    near_edge = bulk + [C.zeta + 1e-3 + 1e-3j]
-    assert edge_bound_constant(near_edge) >= edge_bound_constant(bulk)
-
-
-def test_full_grid_edge_constant_finite():
-    grid = rect_grid(-8, 8, 100, 1e-3, 8, 100)
-    assert math.isfinite(edge_bound_constant(grid))

@@ -13,13 +13,11 @@ from aclaw.locallaw import (
     GridRow,
     NormHypothesisError,
     RhoPreconditionError,
-    check_bootstrap_implication,
     construct_k,
     default_grid,
     delocalization_check,
     empirical_k,
     figure1_data,
-    k_tail_estimate,
     sc_edge_distance,
     scaling_law_study,
     self_consistent_theta_star,
@@ -115,15 +113,6 @@ def test_empirical_k_self_consistent():
             continue
         lhs = np.abs(spectrum.resolvent_diag(z) - m_ac(z).m).max()
         assert lhs * math.sqrt(64 * h * z.imag) <= k + 1e-9
-
-
-def test_k_tail_estimate_smoke():
-    spec = EnsembleSpec(n=16, ensemble="complex-gaussian", seed=1)
-    rep = k_tail_estimate(spec, samples=50)
-    assert np.all(np.diff(rep.survival) <= 1e-12)
-    assert rep.slope < 0
-    with pytest.raises(ValueError):
-        k_tail_estimate(spec, samples=10)
 
 
 def test_sigma_solver_residual_and_range():
@@ -349,52 +338,11 @@ def test_delocalization_rho_refusal():
         delocalization_check(pair, k_stat=100.0)
 
 
-def test_bootstrap_implication_constants():
-    n = 5
-    f1, f2, f3 = np.zeros(n), np.ones(n), 0.5 * np.ones(n)
-    adj = [(i, i + 1) for i in range(n - 1)]
-    v = check_bootstrap_implication(f1, f2, f3, adjacency=adj)
-    assert v.strict_start and v.implication and v.separation
-    assert v.conclusion and v.failed_hypothesis is None
-    assert v.connected
-
-
-def test_bootstrap_separation_negative_control():
-    n = 4
-    f1 = np.zeros(n)
-    f2 = np.ones(n)
-    f3 = np.array([0.5, 0.5, 2.0, 0.5])  # f3 >= f2 somewhere
-    v = check_bootstrap_implication(f1, f2, f3)
-    assert v.failed_hypothesis == "separation"
-
-
-def test_bootstrap_disconnected_grid_detected():
-    f = np.zeros(4)
-    v = check_bootstrap_implication(f, f + 1, f + 0.5, adjacency=[(0, 1), (2, 3)])
-    assert v.connected is False
-
-
 def test_construct_k_concentrates_across_seeds():
     ks = [construct_k(sample_pair(EnsembleSpec(n=32, ensemble="complex-gaussian",
                                                seed=s)), spacing=4.0)
           for s in range(10)]
     assert np.std(ks) < np.mean(ks)
-
-
-def test_bootstrap_consistent_with_verify_report():
-    # feed the verification grid functions (lhs, sqrt(h)/c, rhs) through the
-    # bootstrap checker; its conclusion must match the report's verdicts
-    pair = sample_pair(EnsembleSpec(n=32, ensemble="complex-gaussian", seed=4))
-    rep = verify_local_law(pair, tau=8.0, theta=1.0, spacing=2.0)
-    rows = rep.admissible_rows
-    if not rows:
-        pytest.skip("admissible set empty at this size")
-    c_est = 1.0
-    f1 = np.array([r.lhs for r in rows])
-    f2 = np.array([math.sqrt(r.h) / c_est for r in rows])
-    f3 = np.array([r.rhs for r in rows])
-    v = check_bootstrap_implication(f1, f2, f3)
-    assert v.conclusion == all(r.holds for r in rows)
 
 
 def test_semicircle_stats_routes_agree():

@@ -15,19 +15,18 @@ from aclaw.sdcore import (
     error_gauge,
     gauge_implication_check,
     kappa_blocks,
-    op_norm_estimate,
     op_norm_upper,
     op_norm_upper_spectral,
     phi_ac,
-    phi_map,
     sd_residual,
     sd_semicircle,
     sd_solution_ac,
     stability_check,
-    stability_constant_estimate,
     unvec3,
     vec3,
 )
+
+from oracles import op_norm_estimate, stability_constant_estimate
 
 RNG = np.random.Generator(np.random.Philox(key=20260809))
 
@@ -189,7 +188,7 @@ def test_op_norm_estimate_identity_and_scalar():
 
 
 def test_phi_norm_bounds():
-    phi = phi_map()
+    phi = LinMap3.from_action(phi_ac)
     est = op_norm_estimate(phi, samples=4000, seed=3)
     up = op_norm_upper(phi)
     assert 1.0 <= est <= 8.0

@@ -8,11 +8,8 @@ from scipy.special import gamma as gamma_fn
 
 from aclaw.tails import (
     fit_log_survival_slope,
-    moment_to_tail,
     quad_tail_check,
     survival_points,
-    tail_to_moment,
-    theta_fn,
     theta_root,
     whittle_check,
 )
@@ -21,7 +18,7 @@ from aclaw.tails import (
 def test_theta_matches_gamma_expression():
     for s in (2.0, 3.5, 10.0, 40.0):
         direct = 2 ** (s / 2) / math.sqrt(math.pi) * gamma_fn((s + 1) / 2)
-        assert theta_fn(s) == pytest.approx(direct, rel=1e-12)
+        assert theta_root(s) == pytest.approx(direct ** (1 / s), rel=1e-12)
 
 
 def test_theta_root_bound_dense():
@@ -40,53 +37,6 @@ def test_theta_root_is_gaussian_p_norm():
 def test_gamma_recursion():
     for s in np.linspace(1.0, 30.0, 59):
         assert s * gamma_fn(s) == pytest.approx(gamma_fn(s + 1), rel=1e-12)
-
-
-def test_moment_to_tail_values():
-    # boundary: exponent vanishes at t = 2e and the clamp engages below
-    assert moment_to_tail(1.0, 2 * math.e) == pytest.approx(1.0)
-    assert moment_to_tail(1.0, math.e) == 1.0
-    assert moment_to_tail(1.0, 10 * math.e) == pytest.approx(math.exp(-8.0))
-    assert moment_to_tail(2.0, 4 * math.e) == pytest.approx(math.exp(-4.0))
-
-
-def test_moment_to_tail_exponential_variable():
-    # standard exponential satisfies the alpha = 1 moment growth after
-    # normalization: |Z|_p = Gamma(p+1)^(1/p) <= p, so sup_p p^-1 |Z|_p <= 1
-    for p in (2.0, 5.0, 10.0):
-        assert gamma_fn(p + 1) ** (1 / p) <= p
-    rng = np.random.Generator(np.random.Philox(key=2))
-    zs = rng.exponential(size=100000)
-    for t in (5 * math.e, 8 * math.e):
-        emp = (zs > t).mean()
-        assert emp <= moment_to_tail(1.0, t)
-
-
-def test_tail_to_moment_values():
-    # alpha -> 0 limit is C^(1/2)
-    assert tail_to_moment(0.0, 4.0, 8.0) == pytest.approx(2.0)
-    # doubling C multiplies the bound by sqrt(2)
-    b1 = tail_to_moment(1.0, 1.0, 4.0)
-    b2 = tail_to_moment(1.0, 2.0, 4.0)
-    assert b2 / b1 == pytest.approx(math.sqrt(2.0))
-
-
-def test_tail_to_moment_exponential_oracle():
-    # exponential: Pr(Z > t) = e^-t (alpha = 1, C = 1); moments are Gamma(p+1)
-    for p in (2.0, 4.0, 8.0):
-        exact = gamma_fn(p + 1) ** (1 / p)
-        assert exact <= tail_to_moment(1.0, 1.0, p)
-
-
-def test_moment_tail_roundtrip_consistency():
-    # applying tail->moment to the bound from moment->tail stays finite and
-    # self-consistent (no contradictions at any tested p, t)
-    for alpha in (0.5, 1.0, 2.0):
-        for p in (2.0, 4.0, 8.0, 16.0):
-            bound = tail_to_moment(alpha, math.exp(2 * alpha), p)
-            assert math.isfinite(bound) and bound > 0
-        for t in (3.0, 10.0, 30.0):
-            assert 0.0 <= moment_to_tail(alpha, t) <= 1.0
 
 
 def test_whittle_single_coordinate():
@@ -145,14 +95,6 @@ def test_quad_tail_centering_uncoupled():
     rep = quad_tail_check(1, 32, 0.5, 1.0, np.eye(32), trials=2000, seed=5,
                           coupled=False)
     assert rep.center_abs <= rep.center_tol
-
-
-def test_splitting_average_coefficient():
-    from aclaw.tails import splitting_average
-    for n in (8, 9, 16):
-        emp, exact = splitting_average(n, seed=2)
-        assert exact >= 0.25
-        assert emp == pytest.approx(exact, abs=0.02)
 
 
 def test_survival_and_slope_helpers():
