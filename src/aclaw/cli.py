@@ -2,7 +2,8 @@
 
 Subcommands map one-to-one onto the library's verification operations; all
 outputs are written atomically (temp file + rename) and floats are emitted
-with 17 significant digits, so a rerun with the same seed is byte-identical.
+with 17 significant digits, so a rerun with the same seed at the same BLAS
+thread count is byte-identical.
 Exit codes: 0 success, 1 verification failure (some non-vacuous check has
 holds = false), 2 usage error or typed precondition refusal (an AclawError
 such as rho >= 1 or a degenerate cubic root), reported as one stderr line

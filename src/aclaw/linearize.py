@@ -16,7 +16,7 @@ verification.
 ``resolvent_stats`` derives the per-index statistics from the full resolvent
 by the Schur identities, in roughly matrix-multiplication time; its test
 oracle ``minor_stats`` inverts every minor (``_minor_statistics``, quartic,
-shared with the scalar semicircle mode as block size 1).  ``fluctuation_sup``
+shared with the tests' scalar oracle as block size 1).  ``fluctuation_sup``
 screens its whole net with the Schur route's formulas in the eigenbasis of
 {UV}, where R = P diag(1/(lam - z)) P* + D is affine in the anticommutator
 resolvent: one ``eigh`` per pair, kernels built once per Im level of the net

@@ -27,9 +27,10 @@ import numpy as np
 from .errors import AclawError
 from .freelaw import edge_distance, law_constants, m_ac
 from .grids import rect_grid, uniform_net
-from .linearize import (AnticommutatorSpectrum, _check_upper_half_plane,
-                        _fluct_from, _minor_statistics, build_linearization,
-                        corner_blocks, fluctuation_sup, generalized_resolvent)
+from .linearize import (COND_LIMIT, AnticommutatorSpectrum, IllConditionedError,
+                        _check_upper_half_plane, _fluct_from,
+                        build_linearization, corner_blocks, fluctuation_sup,
+                        generalized_resolvent)
 from .sdcore import sd_semicircle, sd_solution_ac
 from .wigner import EnsembleSpec, WignerPair, norm_at_most, sample_pair
 
@@ -52,7 +53,6 @@ __all__ = [
     "figure1_data",
     "sc_edge_distance",
     "semicircle_stats",
-    "semicircle_minor_stats",
     "semicircle_locallaw",
     "scaling_law_study",
 ]
@@ -187,8 +187,8 @@ def verify_local_law(pair: WignerPair, z_grid=None, tau: float = 8.0,
     ``theta_star_self`` rounding defect: until then any last-digit change
     to a row's lhs can move ``theta_star_self`` past the reference
     tolerance.  (``semicircle_locallaw`` deliberately
-    keeps the full ``semicircle_stats`` at its grid rows: their row-sum and
-    identity residuals go into the reported ``max_row_sum_residual``.)
+    keeps the full ``semicircle_stats`` at its grid rows: their row-sum
+    residuals go into the reported ``max_row_sum_residual``.)
 
     Refuses pairs with max(|U|, |V|) > 4 (the theorem hypothesis),
     non-finite tau or theta (a NaN constant would admit no row and pass
@@ -391,9 +391,12 @@ def sc_edge_distance(z: complex) -> float:
 
 @dataclass
 class SemicircleStats:
-    """Scalar per-index statistics of (X - z)^-1 at one z, with the residuals
-    of the inversion identity -Q_i = G_i^-1 + z + Ghat_i (oracle only) and of
-    the row-sum identity |R_i|_2^2 / N = Im Ghat_i / Im z."""
+    """Scalar per-index statistics of (X - z)^-1 at one z, with the residual
+    of the minors' row-sum identity |R_i|_2^2 / N = Im Ghat_i / Im z.  At the
+    three spot points ``semicircle_locallaw`` checks the inversion identity
+    -Q_i = G_i^-1 + z + Ghat_i against these Q_i; the minors are solved
+    there, not inverted, so its row-sum evidence at those points is the
+    Ward identity Im z |s|^2 = Im(y_i* s) of each solved vector."""
 
     z: complex
     g_i: np.ndarray
@@ -402,11 +405,10 @@ class SemicircleStats:
     r_i_frob: np.ndarray
     fluct_i: np.ndarray
     fluct: float
-    identity_residual: float | None
     row_sum_residual: float
 
 
-def _semicircle_result(z, g_i, ghat_i, q_i, r_frob, identity_residual):
+def _semicircle_result(z, g_i, ghat_i, q_i, r_frob):
     n = g_i.size
     # row-sum identity |R_i|_2^2 / N = Im Ghat_i / Im z, both sides computed
     # independently of one another
@@ -415,7 +417,6 @@ def _semicircle_result(z, g_i, ghat_i, q_i, r_frob, identity_residual):
     fluct_i = _fluct_from(np.abs(q_i), r_frob, n)
     return SemicircleStats(z=z, g_i=g_i, ghat_i=ghat_i, q_i=q_i, r_i_frob=r_frob,
                            fluct_i=fluct_i, fluct=float(fluct_i.max()),
-                           identity_residual=identity_residual,
                            row_sum_residual=row_sum_res)
 
 
@@ -442,21 +443,39 @@ def semicircle_stats(x: np.ndarray, z: complex) -> SemicircleStats:
     quad = np.einsum("ji,ij->i", r, r)
     ghat_i = (np.trace(r) - quad / g_i) / n
     q_i = -(1.0 / g_i + z + ghat_i)
-    return _semicircle_result(z, g_i, ghat_i, q_i, r_frob, None)
+    return _semicircle_result(z, g_i, ghat_i, q_i, r_frob)
 
 
-def semicircle_minor_stats(x: np.ndarray, z: complex) -> SemicircleStats:
-    """The oracle of ``semicircle_stats``: the minor route at block size 1,
-    with Lambda = z and Phi the identity, and the identity residual."""
-    z = complex(z)
-    _check_upper_half_plane(z)
-    x = np.asarray(x, dtype=complex)
-    full = x - z * np.eye(x.shape[0])
-    g_i = np.diag(np.linalg.inv(full)).copy()
-    ghat_i, q_i, r_frob, ident = _minor_statistics(
-        full, corner_blocks(x, 1), g_i[:, None, None], np.array([[z]]),
-        lambda m: m)
-    return _semicircle_result(z, g_i, ghat_i.ravel(), q_i.ravel(), r_frob, ident)
+def _identity_spot_check(x: np.ndarray, st: SemicircleStats):
+    """(q_def, identity residual, Ward residual) of the inversion identity
+    -Q_i = G_i^-1 + z + Ghat_i at ``st.z``, by one solve per minor.
+
+    For each i, s = (X^(i) - z)^-1 y_i, with y_i column i of X without
+    entry i, and Q_i^def = y_i* s - X_ii - Ghat_i.  Ghat_i is the route's:
+    it sits on both sides of the identity and cancels, so the residual
+    max_i |Q_i^def - Q_i| / |Q_i| against the route's Q_i tests the
+    quadratic form y_i* R^(i) y_i alone and the minor's inverse is never
+    formed.  The Ward residual is the largest relative residual of
+    Im z |s|^2 = Im(y_i* s).  For N <= 64 refuses a minor X^(i) - z whose
+    2-norm condition number exceeds ``COND_LIMIT``."""
+    z = st.z
+    n = x.shape[0]
+    full = x - z * np.eye(n)
+    q_def = np.empty(n, dtype=complex)
+    ward = 0.0
+    for i in range(n):
+        keep = np.delete(np.arange(n), i)
+        minor = full[np.ix_(keep, keep)]
+        if n <= 64 and np.linalg.cond(minor) > COND_LIMIT:
+            raise IllConditionedError(f"minor resolvent ill-conditioned at i={i}")
+        y = x[keep, i]
+        s = np.linalg.solve(minor, y)
+        quad = np.vdot(y, s)
+        q_def[i] = quad - x[i, i] - st.ghat_i[i]
+        ward = max(ward, abs(z.imag * np.vdot(s, s).real - quad.imag)
+                   / max(abs(quad.imag), 1e-300))
+    ident = np.abs(q_def - st.q_i) / np.maximum(np.abs(st.q_i), 1e-300)
+    return q_def, float(ident.max()), float(ward)
 
 
 @dataclass
@@ -497,8 +516,12 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
     constants (theta = 2^100, admissible set expected empty) and a user theta.
     The grid is 9 x 8 points of |Re z| <= 4, 1/N <= Im z <= tau.
 
-    The statistics run ``semicircle_stats``; the inversion-identity residual
-    comes from its oracle ``semicircle_minor_stats`` at 3 net points.
+    The statistics run ``semicircle_stats``.  At 3 net points, spread
+    evenly over the net, ``_identity_spot_check`` holds their Q_i against
+    the inversion identity by solving each of the N minors once; its
+    identity residuals give ``max_identity_residual``, and its Ward
+    residuals join the row-sum residuals of every net and grid point in
+    ``max_row_sum_residual``.
     Refuses non-finite tau or theta_user, tau < 1/N (an empty rectangle) and
     theta_user <= 0; theta_user in (0, 1) is allowed, since at desk scale it
     is what makes grid rows admissible.
@@ -512,18 +535,18 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
         raise ValueError(f"theta_user must be positive, got {theta_user}")
     theta_literal = 2.0**100
     net = uniform_net(-4.0, 4.0, 1.0 / n, tau, spacing)
+    picks = set(np.linspace(0, len(net) - 1, min(3, len(net))).astype(int).tolist())
     max_row_sum = 0.0
+    max_ident = 0.0
     fluct_max = 0.0
-    for z in net:
+    for j, z in enumerate(net):
         st = semicircle_stats(x, complex(z))
         fluct_max = max(fluct_max, st.fluct)
         max_row_sum = max(max_row_sum, st.row_sum_residual)
-    max_ident = 0.0
-    picks = np.linspace(0, len(net) - 1, min(3, len(net)))
-    for j in picks.astype(int):
-        st = semicircle_minor_stats(x, complex(net[j]))
-        max_ident = max(max_ident, st.identity_residual)
-        max_row_sum = max(max_row_sum, st.row_sum_residual)
+        if j in picks:
+            _, ident, ward = _identity_spot_check(x, st)
+            max_ident = max(max_ident, ident)
+            max_row_sum = max(max_row_sum, ward)
     k_stat = 2.0 * fluct_max
     rho_literal = 2.0**8 * theta_literal**2 * k_stat**2 / n
     rho_user = 2.0**8 * theta_user**2 * k_stat**2 / n

@@ -1,10 +1,12 @@
-"""Monte Carlo oracles that the unit tests hold the library against.
+"""Oracles that the unit tests hold the library against.
 
-None of these is a production path: each estimates, by sampling, a quantity
+None of these is a production path.  Most estimate, by sampling, a quantity
 that ``src/aclaw`` either certifies (``op_norm_estimate`` against
 ``certified_norm_upper``), assumes (the ensembles' moment-growth constants,
 the linearization's entry second moments, the ``|U|, |V| <= 4`` norm event)
 or writes (``load_pair`` reads the dump ``aclaw sample`` writes).
+``semicircle_minor_stats`` computes the scalar mode's statistics by
+definition, inverting every minor.
 """
 
 import math
@@ -13,6 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from aclaw.freelaw import edge_distance
+from aclaw.linearize import _check_upper_half_plane, _minor_statistics, corner_blocks
+from aclaw.locallaw import SemicircleStats, _semicircle_result
 from aclaw.sdcore import LinMap3, phi_ac, sd_solution_ac, unvec3
 from aclaw.wigner import (EnsembleSpec, WignerPair, _draw_offdiag, _rng,
                           norm_at_most, sample_pair)
@@ -230,3 +234,18 @@ def load_pair(path) -> WignerPair:
     u = vals[: n * n].reshape(n, n)
     v = vals[n * n:].reshape(n, n)
     return WignerPair(u=u, v=v, spec=spec)
+
+
+def semicircle_minor_stats(x: np.ndarray, z: complex) -> tuple[SemicircleStats, float]:
+    """The oracle of ``semicircle_stats``, and its identity residual: the
+    minor route at block size 1, with Lambda = z and Phi the identity, which
+    inverts every minor for Ghat_i, |R_i|_2 and Q_i."""
+    z = complex(z)
+    _check_upper_half_plane(z)
+    x = np.asarray(x, dtype=complex)
+    full = x - z * np.eye(x.shape[0])
+    g_i = np.diag(np.linalg.inv(full)).copy()
+    ghat_i, q_i, r_frob, ident = _minor_statistics(
+        full, corner_blocks(x, 1), g_i[:, None, None], np.array([[z]]),
+        lambda m: m)
+    return _semicircle_result(z, g_i, ghat_i.ravel(), q_i.ravel(), r_frob), ident

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from aclaw import locallaw
 from aclaw.freelaw import edge_distance, law_constants
+from aclaw.grids import rect_grid, uniform_net
+from aclaw.linearize import IllConditionedError
 from aclaw.locallaw import (
     GridRow,
     NormHypothesisError,
@@ -22,12 +24,12 @@ from aclaw.locallaw import (
     scaling_law_study,
     self_consistent_theta_star,
     semicircle_locallaw,
-    semicircle_minor_stats,
     semicircle_stats,
     sigma_solve,
     verify_local_law,
 )
 from aclaw.wigner import EnsembleSpec, WignerPair, sample_pair
+from oracles import semicircle_minor_stats
 
 ZETA = law_constants().zeta
 
@@ -323,13 +325,74 @@ SCALAR_ORACLE_CASES = (
 @pytest.mark.parametrize("x", SCALAR_ORACLE_CASES)
 def test_scalar_minor_oracle_matches_parent_loop(x):
     for z in (0.5 + 0.3j, 1j, -1.5 + 0.05j):
-        st_ = semicircle_minor_stats(x, z)
+        st_, ident = semicircle_minor_stats(x, z)
         g_i, ghat_i, q_i, r_frob = parent_scalar_minor_loop(x, z)
         assert np.array_equal(st_.g_i, g_i)
         np.testing.assert_allclose(st_.ghat_i, ghat_i, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(st_.q_i, q_i, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(st_.r_i_frob, r_frob, rtol=1e-12, atol=0.0)
-        assert st_.identity_residual <= 1e-10
+        assert ident <= 1e-10
+
+
+@pytest.mark.parametrize("x", SCALAR_ORACLE_CASES)
+def test_spot_check_matches_inverting_oracle(x):
+    for z in (0.5 + 0.3j, 1j, -1.5 + 0.05j):
+        oracle, oracle_ident = semicircle_minor_stats(x, z)
+        q_def, ident, ward = locallaw._identity_spot_check(x, semicircle_stats(x, z))
+        np.testing.assert_allclose(q_def, oracle.q_i, rtol=1e-10, atol=0.0)
+        assert abs(ident - oracle_ident) <= 1e-12
+        assert ward <= 1e-10
+
+
+def gue_at_minor_eigenvalue(eta):
+    """GUE N = 16 at z = (an eigenvalue of the minor without row 0) + i eta."""
+    x = gue_matrix(16, 2)
+    return x, np.linalg.eigvalsh(x[1:, 1:])[7] + 1j * eta
+
+
+DIAG5 = np.diag(np.arange(5.0)).astype(complex)
+
+
+# (x, z, whether the inverting oracle refuses); the minors of diag(0..4)
+# that keep the zero eigenvalue have condition number about 4 / eta
+@pytest.mark.parametrize("x, z, refused", [
+    pytest.param(DIAG5, 1e-16j, True, id="diag5-eta-1e-16"),
+    pytest.param(DIAG5, 1e-3j, False, id="diag5-eta-1e-3"),
+    pytest.param(np.diag(np.arange(65.0)).astype(complex), 1e-16j, False,
+                 id="diag65-above-refusal-n"),
+    pytest.param(*gue_at_minor_eigenvalue(1e-16), True, id="gue16-eta-1e-16"),
+    pytest.param(*gue_at_minor_eigenvalue(1e-12), False, id="gue16-eta-1e-12"),
+])
+def test_spot_check_refuses_where_the_oracle_refuses(x, z, refused):
+    st_ = semicircle_stats(x, z)
+    for check in (lambda: semicircle_minor_stats(x, z),
+                  lambda: locallaw._identity_spot_check(x, st_)):
+        if refused:
+            with pytest.raises(IllConditionedError):
+                check()
+        else:
+            check()
+
+
+def test_semicircle_locallaw_inverts_no_minor(monkeypatch):
+    n, tau, spacing = 32, 20.0, 2.0
+    x = gue_matrix(n, 6)
+    calls = {"inv": 0, "solve": 0, "stats": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    monkeypatch.setattr(locallaw, "semicircle_stats",
+                        counted("stats", locallaw.semicircle_stats))
+    semicircle_locallaw(x, tau=tau, theta_user=1.0, spacing=spacing)
+    points = (len(uniform_net(-4.0, 4.0, 1.0 / n, tau, spacing))
+              + len(rect_grid(-4.0, 4.0, 9, 1.0 / n, tau, 8)))
+    assert calls == {"inv": points, "solve": 3 * n, "stats": points}
 
 
 def test_delocalization_rho_refusal():
@@ -348,12 +411,12 @@ def test_construct_k_concentrates_across_seeds():
 def test_semicircle_stats_routes_agree():
     x = gue_matrix(24, 3)
     for z in (0.5 + 0.3j, 1j, -1.5 + 0.05j):
-        a = semicircle_minor_stats(x, z)
+        a, ident = semicircle_minor_stats(x, z)
         b = semicircle_stats(x, z)
         np.testing.assert_allclose(a.ghat_i, b.ghat_i, rtol=1e-8)
         np.testing.assert_allclose(a.q_i, b.q_i, rtol=1e-7, atol=1e-12)
         np.testing.assert_allclose(a.r_i_frob, b.r_i_frob, rtol=1e-8)
-        assert a.identity_residual <= 1e-8
+        assert ident <= 1e-8
         assert a.row_sum_residual <= 1e-10
         assert b.row_sum_residual <= 1e-10
 

@@ -149,11 +149,13 @@ def test_norm_event_rate_negative_control():
     assert norm_event_rate(spec, samples=50, threshold=0.1) > 0
 
 
-def test_norm_event_rate_monotone_in_n():
+def test_norm_event_rate_zero_at_n16_and_n64():
+    # the norms concentrate near 2, so at desk scale no pair of 25 exceeds
+    # 4; a sampler whose norms grew with N would fail this
     rates = [norm_event_rate(EnsembleSpec(n=n, ensemble="complex-gaussian",
                                           seed=2), samples=25)
              for n in (16, 64)]
-    assert rates[0] >= rates[1]  # up to Monte Carlo error; both 0 at desk scale
+    assert rates == [0.0, 0.0]
 
 
 def test_spectral_radius_concentrates_near_two():
