@@ -129,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
 
     p = add_command("law", _cmd_law, help="limiting Stieltjes transform on a grid")
-    p.add_argument("--z-grid", choices=["default"], default="default")
     add_grid(p)
     p.add_argument("--density-out", default=None,
                    help="also write (t, density) pairs to this CSV")

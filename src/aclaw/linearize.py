@@ -184,11 +184,10 @@ def generalized_resolvent(lin: Linearization, z: complex) -> np.ndarray:
     z = complex(z)
     _check_upper_half_plane(z)
     n = lin.n
-    g = _ac_inverse(lin, z)
-    mid = np.zeros((3 * n, 3 * n), dtype=complex)
-    mid[:n, :n] = g
-    mid[n:2 * n, n:2 * n] = np.eye(n)
-    mid[2 * n:, 2 * n:] = -np.eye(n)
+    mid = bordered_resolvent(lin, z)
+    idx = np.arange(n)
+    mid[n + idx, n + idx] = 1.0
+    mid[2 * n + idx, 2 * n + idx] = -1.0
     r = lin.w @ mid @ lin.w_h
     if n <= CROSS_CHECK_MAX_N:
         _cross_check(lin, z, r)

@@ -11,15 +11,19 @@ Lambda = diag(z, -1, 1), M = diag(m, -1/(m-1), -1/(m+1)) and the sandwich map
 Phi(A) = (e12+e21)A(e12+e21) + (e13+e31)A(e13+e31); and the scalar
 semicircle solution (z, m, 1, (1/m - m)^-1).
 
-Operator norms of linear maps on Mat3 (with the spectral norm) are not
-available in closed form, so every bound that must be *valid* (radii,
-implication right-hand sides) uses certified upper bounds; the tests hold
-them against a Monte Carlo lower estimate (``tests/oracles.py``).
+kappa is taken from the explicit inverse of the map's block decomposition
+(``_kappa_inverse``), which ``kappa_blocks`` also exposes.  Operator norms
+of linear maps on Mat3 (with the spectral norm) are not available in closed
+form, so every bound that must be *valid* (radii, implication right-hand
+sides) uses the one certified upper bound sqrt(3) * (largest singular value
+of the 9x9 matrix); for Phi that is the constant sqrt(3) sqrt(2).  The tests
+hold kappa against the generic inversion of the map's 9x9 matrix and the
+bounds against a Monte Carlo lower estimate (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +47,7 @@ __all__ = [
     "vec3",
     "unvec3",
     "phi_ac",
-    "op_norm_upper",
     "op_norm_upper_spectral",
-    "certified_norm_upper",
     "sd_solution_ac",
     "sd_residual",
     "kappa_blocks",
@@ -56,7 +58,7 @@ __all__ = [
     "sd_semicircle",
 ]
 
-#: condition-number ceiling for the 9x9 inversion defining kappa
+#: condition-number ceiling for the statistics matrices G_i of the gauge
 COND_LIMIT = 1e12
 
 #: guarded distance to the poles of the explicit kappa blocks
@@ -69,7 +71,7 @@ DEFORMATION_MAX_ITER = 200
 
 
 class SingularMapError(AclawError):
-    """The 9x9 matrix of the linear map is too ill-conditioned to invert."""
+    """The Schwinger-Dyson residual of a constructed solution is too large."""
 
 
 class PoleProximityError(AclawError):
@@ -117,28 +119,8 @@ class LinMap3:
             raise ValueError("LinMap3 expects a 9x9 matrix")
         self.mat = mat
 
-    @classmethod
-    def from_action(cls, fn) -> "LinMap3":
-        cols = []
-        for i, j in _BASIS:
-            e = np.zeros((3, 3), dtype=complex)
-            e[i, j] = 1.0
-            cols.append(vec3(fn(e)))
-        return cls(np.array(cols).T)
-
-    @classmethod
-    def identity(cls) -> "LinMap3":
-        return cls(np.eye(9, dtype=complex))
-
     def __call__(self, a: np.ndarray) -> np.ndarray:
         return unvec3(self.mat @ vec3(a))
-
-    def inverse(self) -> "LinMap3":
-        cond = np.linalg.cond(self.mat)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise SingularMapError(
-                f"9x9 map condition {cond:.3e} exceeds {COND_LIMIT:.0e}")
-        return LinMap3(np.linalg.inv(self.mat))
 
 
 def phi_ac(a: np.ndarray) -> np.ndarray:
@@ -158,15 +140,6 @@ def phi_ac(a: np.ndarray) -> np.ndarray:
     return out
 
 
-_PHI = LinMap3.from_action(phi_ac)
-
-
-def op_norm_upper(t: LinMap3) -> float:
-    """Certified upper bound sqrt(3) * sum of the 81 coefficient moduli for
-    the operator norm induced by the spectral norm on Mat3."""
-    return float(np.sqrt(3.0) * np.abs(t.mat).sum())
-
-
 def op_norm_upper_spectral(t: LinMap3) -> float:
     """Certified upper bound sqrt(3) * (largest singular value of the 9x9
     matrix).  Valid because |T(A)| <= |T(A)|_F <= smax |A|_F <= smax
@@ -174,15 +147,10 @@ def op_norm_upper_spectral(t: LinMap3) -> float:
     return float(np.sqrt(3.0) * np.linalg.norm(t.mat, 2))
 
 
-def certified_norm_upper(t: LinMap3) -> float:
-    """The smaller of the two certified upper bounds."""
-    return min(op_norm_upper(t), op_norm_upper_spectral(t))
-
-
-@functools.cache
-def _phi_norm_upper() -> float:
-    # on first use: an SVD at import would make every command page it in
-    return certified_norm_upper(_PHI)
+#: ``op_norm_upper_spectral`` of Phi.  Its 9x9 matrix has largest singular
+#: value sqrt(2): Phi(e00) = e11 + e22 and Phi(e11) = Phi(e22) = e00 are the
+#: only coupled columns, and the six off-diagonal units are permuted.
+PHI_NORM_UPPER = math.sqrt(3.0) * math.sqrt(2.0)
 
 
 @dataclass
@@ -195,7 +163,6 @@ class SDQuadruple:
     m: complex
     lambda_mat: np.ndarray
     m_mat: np.ndarray
-    phi: LinMap3
     kappa: LinMap3
     op_norm_kappa_upper: float
     op_norm_phi_upper: float
@@ -214,35 +181,62 @@ def _bound_factors(base: SDQuadruple) -> tuple[float, float, float]:
             float(np.linalg.norm(base.m_mat, 2)))
 
 
+_W = law_constants().omega
+#: the zeros of m^2 - 1, 4 m^2 - 1 and m^4 + 4 m^2 - 1, where kappa's
+#: explicit inverse blocks have their poles
+_KAPPA_POLES = (1.0, -1.0, 0.5, -0.5, _W, -_W, 1j / _W, -1j / _W)
+
+
+def _kappa_inverse(m: complex) -> tuple[list, LinMap3]:
+    """The explicit inverses of the four blocks of x -> M^-1 x - Phi(x) M at
+    the Stieltjes value m, and kappa assembled from them.
+
+    Raises PoleProximityError within ``POLE_RADIUS`` of a pole of kappa:
+    +-1, +-1/2, +-omega or +-i/omega.
+    """
+    if min(abs(m - p) for p in _KAPPA_POLES) < POLE_RADIUS:
+        raise PoleProximityError(f"m={m} too close to a pole of kappa")
+    q = m**4 + 4.0 * m**2 - 1.0
+    inv0 = np.array([
+        [-((m**2 - 1.0) ** 2) * m, m**2 * (m**2 - 1.0) * (m + 1.0), m**2 * (m**2 - 1.0) * (m - 1.0)],
+        [-((m + 1.0) ** 2) * m, (2.0 * m + 1.0) * (m - 1.0), m**2 * (m + 1.0)],
+        [-((m - 1.0) ** 2) * m, m**2 * (m - 1.0), -(2.0 * m - 1.0) * (m + 1.0)],
+    ], dtype=complex) / q
+    inv1 = np.array([[-((m - 1.0) ** 2) * m, -m], [m**2 * (m - 1.0), m - 1.0]],
+                    dtype=complex) / (2.0 * m - 1.0)
+    inv2 = np.array([[((m + 1.0) ** 2) * m, m], [-(m**2) * (m + 1.0), -(m + 1.0)]],
+                    dtype=complex) / (2.0 * m + 1.0)
+    inv3 = np.array([[-1.0 / (m - 1.0), 0.0], [0.0, -1.0 / (m + 1.0)]], dtype=complex)
+    inverse_blocks = [inv0, inv1, inv2, inv3]
+    k9 = np.zeros((9, 9), dtype=complex)
+    for coords, inv in zip(_BLOCK_COORDS, inverse_blocks):
+        k9[np.ix_(coords, coords)] = inv
+    return inverse_blocks, LinMap3(k9)
+
+
 def sd_solution_ac(z: complex) -> SDQuadruple:
     """The anticommutator solution at z: Lambda = diag(z, -1, 1) and
     M = diag(m, -1/(m-1), -1/(m+1)) with m the upper-half-plane root of the
-    defining cubic; kappa is built by inverting the 9x9 matrix of
-    x -> M^-1 x - Phi(x) M.
+    defining cubic; kappa, the inverse of x -> M^-1 x - Phi(x) M, is
+    assembled from the explicit inverses of that map's blocks.
 
-    Raises SingularMapError when that inversion is ill-conditioned beyond
-    1e12, and propagates the root-solver errors of m_ac.
+    Raises SingularMapError when the Schwinger-Dyson residual exceeds 1e-10,
+    PoleProximityError when m comes within ``POLE_RADIUS`` of a pole of
+    kappa, and propagates the root-solver errors of m_ac.
     """
     m = m_ac(z).m
     lam = np.diag([z, -1.0 + 0j, 1.0 + 0j])
     m_mat = np.diag([m, -1.0 / (m - 1.0), -1.0 / (m + 1.0)])
-    m_inv = np.diag([1.0 / m, -(m - 1.0), -(m + 1.0)])
-    kinv = LinMap3.from_action(lambda x: m_inv @ x - phi_ac(x) @ m_mat)
-    kappa = kinv.inverse()
-    k_up = certified_norm_upper(kappa)
-    p_up = _phi_norm_upper()
+    _, kappa = _kappa_inverse(m)
+    k_up = op_norm_upper_spectral(kappa)
     quad = SDQuadruple(
-        z=complex(z), m=m, lambda_mat=lam, m_mat=m_mat, phi=_PHI, kappa=kappa,
-        op_norm_kappa_upper=k_up, op_norm_phi_upper=p_up,
-        stability_radius=1.0 / (8.0 * max(1.0, k_up) * max(1.0, p_up)),
+        z=complex(z), m=m, lambda_mat=lam, m_mat=m_mat, kappa=kappa,
+        op_norm_kappa_upper=k_up, op_norm_phi_upper=PHI_NORM_UPPER,
+        stability_radius=1.0 / (8.0 * max(1.0, k_up) * PHI_NORM_UPPER),
     )
     if sd_residual(quad) > 1e-10:
         raise SingularMapError(f"Schwinger-Dyson residual too large at z={z}")
     return quad
-
-
-_W = law_constants().omega
-_POLES = (0.0, 1.0, -1.0, 0.5, -0.5, _W, -_W, 1j / _W, -1j / _W)
 
 
 @dataclass
@@ -265,11 +259,13 @@ def kappa_blocks(m: complex) -> KappaBlocks:
     given Stieltjes value m.
 
     Raises PoleProximityError within 1e-8 of m in {0, +-1, +-1/2, +-omega,
-    +-i/omega}, where a block or its determinant degenerates.
+    +-i/omega}, where a block or its determinant degenerates; 0 is a pole of
+    M^-1 and of the blocks, not of kappa.
     """
     m = complex(m)
-    if min(abs(m - p) for p in _POLES) < POLE_RADIUS:
-        raise PoleProximityError(f"m={m} too close to a block pole")
+    if abs(m) < POLE_RADIUS:
+        raise PoleProximityError(f"m={m} too close to 0, a pole of the blocks")
+    inverse_blocks, kappa = _kappa_inverse(m)
     b0 = np.array([
         [1.0 / m, -m, -m],
         [1.0 / (m - 1.0), -(m - 1.0), 0.0],
@@ -287,22 +283,8 @@ def kappa_blocks(m: complex) -> KappaBlocks:
         -(2.0 * m + 1.0) / (m * (m + 1.0)),
         (m - 1.0) * (m + 1.0),
     ]
-    inv0 = np.array([
-        [-((m**2 - 1.0) ** 2) * m, m**2 * (m**2 - 1.0) * (m + 1.0), m**2 * (m**2 - 1.0) * (m - 1.0)],
-        [-((m + 1.0) ** 2) * m, (2.0 * m + 1.0) * (m - 1.0), m**2 * (m + 1.0)],
-        [-((m - 1.0) ** 2) * m, m**2 * (m - 1.0), -(2.0 * m - 1.0) * (m + 1.0)],
-    ], dtype=complex) / q
-    inv1 = np.array([[-((m - 1.0) ** 2) * m, -m], [m**2 * (m - 1.0), m - 1.0]],
-                    dtype=complex) / (2.0 * m - 1.0)
-    inv2 = np.array([[((m + 1.0) ** 2) * m, m], [-(m**2) * (m + 1.0), -(m + 1.0)]],
-                    dtype=complex) / (2.0 * m + 1.0)
-    inv3 = np.array([[-1.0 / (m - 1.0), 0.0], [0.0, -1.0 / (m + 1.0)]], dtype=complex)
-    inverse_blocks = [inv0, inv1, inv2, inv3]
-    k9 = np.zeros((9, 9), dtype=complex)
-    for coords, inv in zip(_BLOCK_COORDS, inverse_blocks):
-        k9[np.ix_(coords, coords)] = inv
     return KappaBlocks(m=m, blocks=blocks, dets=dets, det_formulas=det_formulas,
-                       inverse_blocks=inverse_blocks, kappa_assembled=LinMap3(k9))
+                       inverse_blocks=inverse_blocks, kappa_assembled=kappa)
 
 
 @dataclass

@@ -173,6 +173,12 @@ class QuadTailReport:
 
     @property
     def decays(self) -> bool:
+        """Whether the fitted slope is negative by two standard errors.
+        Descriptive only: a least-squares slope of a non-increasing survival
+        curve against increasing levels is <= 0 by Chebyshev's sum
+        inequality, so the flag shows how clearly the tail decays, not
+        whether it does.  ``center_abs <= center_tol`` is the check that can
+        fail."""
         return self.slope + 2.0 * self.slope_stderr < 0.0
 
     def fitted(self, t: float) -> float:
@@ -196,8 +202,10 @@ def quad_tail_check(k: int, n: int, gamma0: float, gamma1: float,
 
     With ``coupled`` the second family equals the first (Yhat_i = Y_i), which
     makes the centering term nonzero; the expectation is computed in closed
-    form from the entry variance.  Only the decay shape of the tail is
-    asserted, via the fitted slope of log survival.
+    form from the entry variance.  ``center_abs``, the largest entry of the
+    centered form's sample mean, tests that centering against
+    ``center_tol``; the fitted slope of log survival describes the decay
+    shape of the tail.
     """
     if trials < 2:
         raise ValueError("trials must be >= 2")

@@ -2,11 +2,14 @@
 
 None of these is a production path.  Most estimate, by sampling, a quantity
 that ``src/aclaw`` either certifies (``op_norm_estimate`` against
-``certified_norm_upper``), assumes (the ensembles' moment-growth constants,
+``op_norm_upper_spectral``), assumes (the ensembles' moment-growth constants,
 the linearization's entry second moments, the ``|U|, |V| <= 4`` norm event)
-or writes (``load_pair`` reads the dump ``aclaw sample`` writes).
-``semicircle_minor_stats`` computes the scalar mode's statistics by
-definition, inverting every minor.
+or writes (``load_pair`` reads the dump ``aclaw sample`` writes).  Two
+compute by definition what the library takes from a closed form:
+``kappa_by_inversion`` inverts the 9x9 matrix of x -> M^-1 x - Phi(x) M,
+built from the map's action, where ``sd_solution_ac`` assembles kappa from
+explicit block inverses; ``semicircle_minor_stats`` computes the scalar
+mode's statistics by inverting every minor.
 """
 
 import math
@@ -17,7 +20,7 @@ import numpy as np
 from aclaw.freelaw import edge_distance
 from aclaw.linearize import _check_upper_half_plane, _minor_statistics, corner_blocks
 from aclaw.locallaw import SemicircleStats, _semicircle_result
-from aclaw.sdcore import LinMap3, phi_ac, sd_solution_ac, unvec3
+from aclaw.sdcore import LinMap3, phi_ac, sd_solution_ac, unvec3, vec3
 from aclaw.wigner import (EnsembleSpec, WignerPair, _draw_offdiag, _rng,
                           norm_at_most, sample_pair)
 
@@ -62,6 +65,32 @@ def op_norm_estimate(t: LinMap3, samples: int = 2000, seed: int = 0) -> float:
         if not improved:
             step /= 4.0
     return float(best_val)
+
+
+def linmap_from_action(fn) -> LinMap3:
+    """The 9x9 matrix of the linear map ``fn`` on Mat3, column by column from
+    its action on the basis matrices."""
+    return LinMap3(np.array([vec3(fn(unvec3(e))) for e in np.eye(9)]).T)
+
+
+#: condition-number ceiling of the generic 9x9 inversion
+INVERSION_COND_LIMIT = 1e12
+
+
+def kappa_by_inversion(m: complex) -> LinMap3:
+    """kappa by definition at the Stieltjes value m: the inverse of the 9x9
+    matrix of x -> M^-1 x - Phi(x) M, M = diag(m, -1/(m-1), -1/(m+1)).
+
+    Raises LinAlgError when that matrix's condition number exceeds
+    ``INVERSION_COND_LIMIT``."""
+    m_mat = np.diag([m, -1.0 / (m - 1.0), -1.0 / (m + 1.0)])
+    m_inv = np.diag([1.0 / m, -(m - 1.0), -(m + 1.0)])
+    kinv = linmap_from_action(lambda x: m_inv @ x - phi_ac(x) @ m_mat).mat
+    cond = np.linalg.cond(kinv)
+    if not np.isfinite(cond) or cond > INVERSION_COND_LIMIT:
+        raise np.linalg.LinAlgError(
+            f"9x9 map condition {cond:.3e} exceeds {INVERSION_COND_LIMIT:.0e}")
+    return LinMap3(np.linalg.inv(kinv))
 
 
 def stability_constant_estimate(z_grid) -> float:

@@ -49,8 +49,7 @@ def test_atomic_write_no_partial(tmp_path):
 
 def test_law_csv(tmp_path):
     out = tmp_path / "law.csv"
-    code = run_cli(["law", "--z-grid", "default", "--n-re", "5", "--n-im", "4",
-                    "--out", str(out)])
+    code = run_cli(["law", "--n-re", "5", "--n-im", "4", "--out", str(out)])
     assert code == 0
     lines = read(out).strip().split("\n")
     assert lines[0] == "re_z,im_z,re_m,im_m,h"

@@ -1,17 +1,19 @@
 """Guard against library definitions that no command or criterion reaches.
 
-Every top-level ``def`` and ``class`` in ``src/aclaw`` must be reachable
-from a root: the CLI (every def in ``cli.py``), the benchmark's fixed
+Every top-level ``def`` and ``class`` in ``src/aclaw``, and every method
+defined in such a class body, must be reachable from a root: the CLI (every def in ``cli.py``), the benchmark's fixed
 interface (``perfbench/workloads.py``, ``run.py`` and ``tracer.py``), the
 acceptance criteria (``tests/test_acceptance.py``) or module-level code of
 the package other than ``__all__``.  A definition reaches the names it
 references.  Names are matched, not resolved: a ``Name``, an attribute, a
 dotted identifier string such as a tracer target, or the original name of
-an ``import ... as``, reaches every top-level definition of that name in any
-module.  So the guard can miss an unreached definition but never flag a
-reached one.  Dunder hooks (``__getattr__``, ``__dir__``) are exempt.  A
-function that only its own unit tests call is either an oracle, which
-belongs in ``tests/``, or dead code.
+an ``import ... as``, reaches every definition of that name in any module.
+So the guard can miss an unreached definition but never flag a reached one.
+A method is reached by its name alone, like a function: reaching its class
+reaches the class's bases, decorators, attributes and dunder methods, not
+its other methods.  Dunders (``__init__``, ``__getattr__``, ``__dir__``) are
+exempt.  A function or method that only its own unit tests call is either
+an oracle, which belongs in ``tests/``, or dead code.
 
     python tests/test_reachability.py    # list the definitions it flags
 """
@@ -61,19 +63,45 @@ def _is_all(stmt):
     return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _class_names(cls):
+    """The names a class references outside its non-dunder methods, and
+    those methods."""
+    own, methods = set(), []
+    for part in cls.bases + cls.keywords + cls.decorator_list:
+        own |= names_in(part)
+    for stmt in cls.body:
+        if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not _is_dunder(stmt.name)):
+            methods.append(stmt)
+        else:
+            own |= names_in(stmt)
+    return own, methods
+
+
 def unreached(modules, roots):
-    """``file:line name`` for each top-level def or class of the (path, tree)
-    pairs ``modules`` that the root trees ``roots`` do not reach.  Module-level
-    statements of ``modules`` other than defs, classes and ``__all__`` are
-    roots too."""
-    defs = {}  # name -> [(path, line, node)]
+    """``file:line name`` for each top-level def or class, or method of such
+    a class, of the (path, tree) pairs ``modules`` that the root trees
+    ``roots`` do not reach.  Module-level statements of ``modules`` other than
+    defs, classes and ``__all__`` are roots too."""
+    defs = {}  # name -> [(path, line, names the definition references)]
     frontier = set()
     for tree in roots:
         frontier |= names_in(tree)
     for rel, tree in modules:
         for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defs.setdefault(stmt.name, []).append((rel, stmt.lineno, stmt))
+            if isinstance(stmt, ast.ClassDef):
+                own, methods = _class_names(stmt)
+                defs.setdefault(stmt.name, []).append((rel, stmt.lineno, own))
+                for meth in methods:
+                    defs.setdefault(meth.name, []).append(
+                        (rel, meth.lineno, names_in(meth)))
+            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.setdefault(stmt.name, []).append(
+                    (rel, stmt.lineno, names_in(stmt)))
             elif not _is_all(stmt):
                 frontier |= names_in(stmt)
     reached = set()
@@ -82,11 +110,10 @@ def unreached(modules, roots):
         if name in reached:
             continue
         reached.add(name)
-        for _, _, node in defs.get(name, ()):
-            frontier |= names_in(node) - reached
+        for _, _, names in defs.get(name, ()):
+            frontier |= names - reached
     flagged = sorted((rel, line, name) for name, sites in defs.items()
-                     if name not in reached
-                     and not (name.startswith("__") and name.endswith("__"))
+                     if name not in reached and not _is_dunder(name)
                      for rel, line, _ in sites)
     return [f"{rel}:{line} {name}" for rel, line, name in flagged]
 
@@ -115,13 +142,23 @@ def test_guard_follows_names_strings_and_module_code():
         "def traced():\n    pass\n"
         "def renamed():\n    pass\n"
         "def dead():\n    return used()\n"
-        "def __getattr__(name):\n    pass\n")
+        "def __getattr__(name):\n    pass\n"
+        "class Box:\n"
+        "    def __init__(self):\n        self.v = _init_helper()\n"
+        "    def size(self):\n        return _size_helper()\n"
+        "    @classmethod\n"
+        "    def unused(cls):\n        return _unused_helper()\n"
+        "def _init_helper():\n    pass\n"
+        "def _size_helper():\n    pass\n"
+        "def _unused_helper():\n    pass\n")
     roots = ast.parse(
         "import mod\n"
         "from mod import renamed as alias\n"
         "mod.used()\n"
-        "TARGET = 'mod.traced'\n")
-    assert unreached([("mod.py", mod)], [roots]) == ["mod.py:15 dead"]
+        "TARGET = 'mod.traced'\n"
+        "mod.Box().size()\n")
+    assert unreached([("mod.py", mod)], [roots]) == [
+        "mod.py:15 dead", "mod.py:25 unused", "mod.py:31 _unused_helper"]
 
 
 if __name__ == "__main__":

@@ -5,17 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from aclaw.freelaw import edge_distance
+from aclaw.freelaw import edge_distance, law_constants, m_ac
 from aclaw.grids import rect_grid
 from aclaw.sdcore import (
     DeformationPreconditionError,
+    PHI_NORM_UPPER,
     LinMap3,
     PoleProximityError,
     deformation_solve,
     error_gauge,
     gauge_implication_check,
     kappa_blocks,
-    op_norm_upper,
     op_norm_upper_spectral,
     phi_ac,
     sd_residual,
@@ -26,7 +26,8 @@ from aclaw.sdcore import (
     vec3,
 )
 
-from oracles import op_norm_estimate, stability_constant_estimate
+from oracles import (kappa_by_inversion, linmap_from_action, op_norm_estimate,
+                     stability_constant_estimate)
 
 RNG = np.random.Generator(np.random.Philox(key=20260809))
 
@@ -98,7 +99,7 @@ def test_linmap_matrix_agrees_with_action():
     def action(x):
         return m_inv @ x - phi_ac(x) @ m_mat
 
-    t = LinMap3.from_action(action)
+    t = linmap_from_action(action)
     for _ in range(20):
         a = rand3()
         rel = np.linalg.norm(t(a) - action(a)) / np.linalg.norm(action(a))
@@ -156,14 +157,36 @@ def test_kappa_block_inverses_invert_blocks():
 
 def test_block_assembly_matches_generic_inverse():
     quad = sd_solution_ac(1.0 + 1.0j)
-    kb = kappa_blocks(quad.m)
-    rel = (np.linalg.norm(kb.kappa_assembled.mat - quad.kappa.mat)
-           / np.linalg.norm(quad.kappa.mat))
+    oracle = kappa_by_inversion(quad.m)
+    rel = np.linalg.norm(quad.kappa.mat - oracle.mat) / np.linalg.norm(oracle.mat)
     assert rel <= 1e-8
     for _ in range(10):
         a = rand3()
-        err = np.linalg.norm(kb.kappa_assembled(a) - quad.kappa(a))
-        assert err / np.linalg.norm(quad.kappa(a)) <= 1e-8
+        err = np.linalg.norm(quad.kappa(a) - oracle(a))
+        assert err / np.linalg.norm(oracle(a)) <= 1e-8
+    assert np.array_equal(kappa_blocks(quad.m).kappa_assembled.mat, quad.kappa.mat)
+
+
+def test_kappa_at_closest_admitted_pole_approach():
+    # the support edge -zeta maps to the kappa pole m = omega; 1e-8 above it
+    # is as close as m_ac lets m come
+    c = law_constants()
+    z = complex(-c.zeta, 1e-8)
+    m = m_ac(z).m
+    assert abs(m - c.omega) <= 1e-4
+    quad = sd_solution_ac(z)
+    oracle = kappa_by_inversion(quad.m)
+    rel = np.linalg.norm(quad.kappa.mat - oracle.mat) / np.linalg.norm(oracle.mat)
+    assert rel <= 1e-8
+
+
+def test_kappa_at_huge_z_where_the_generic_inversion_refuses():
+    # m ~ -1/z, so the 9x9 matrix's 1/m entry makes it ill-conditioned, while
+    # kappa itself tends to a map of norm bound sqrt(3)
+    quad = sd_solution_ac(1e13j)
+    assert abs(quad.op_norm_kappa_upper - math.sqrt(3)) <= 1e-12
+    with pytest.raises(np.linalg.LinAlgError):
+        kappa_by_inversion(quad.m)
 
 
 def test_kappa_blocks_pole_guard():
@@ -172,15 +195,15 @@ def test_kappa_blocks_pole_guard():
 
 
 def test_op_norm_upper_examples():
-    ident = LinMap3.identity()
-    assert abs(op_norm_upper(ident) - math.sqrt(3) * 9) <= 1e-12
+    ident = LinMap3(np.eye(9))
+    assert abs(op_norm_upper_spectral(ident) - math.sqrt(3)) <= 1e-12
     zero = LinMap3(np.zeros((9, 9)))
-    assert op_norm_upper(zero) == 0.0
+    assert op_norm_upper_spectral(zero) == 0.0
     assert op_norm_estimate(zero, samples=10) == 0.0
 
 
 def test_op_norm_estimate_identity_and_scalar():
-    ident = LinMap3.identity()
+    ident = LinMap3(np.eye(9))
     assert abs(op_norm_estimate(ident, samples=50) - 1.0) <= 1e-6
     c = -2.5
     scaled = LinMap3(c * np.eye(9))
@@ -188,12 +211,12 @@ def test_op_norm_estimate_identity_and_scalar():
 
 
 def test_phi_norm_bounds():
-    phi = LinMap3.from_action(phi_ac)
+    phi = linmap_from_action(phi_ac)
+    assert abs(PHI_NORM_UPPER - op_norm_upper_spectral(phi)) <= math.ulp(PHI_NORM_UPPER)
     est = op_norm_estimate(phi, samples=4000, seed=3)
-    up = op_norm_upper(phi)
     assert 1.0 <= est <= 8.0
-    assert est <= up + 1e-8
-    assert est <= op_norm_upper_spectral(phi) + 1e-8
+    assert est <= PHI_NORM_UPPER + 1e-8
+    assert sd_solution_ac(1j).op_norm_phi_upper == PHI_NORM_UPPER
     # Phi(I) = diag(2,1,1) shows the true norm is at least 2
     assert est >= 2.0 - 1e-6
 
