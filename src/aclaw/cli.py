@@ -28,6 +28,10 @@ __all__ = ["main", "build_parser"]
 _USAGE_ERROR = 2
 _VERIFY_FAILURE = 1
 
+#: ``linearize-check`` solves N minors of size 3N - 3, quartic in N; it
+#: refuses beyond this size
+_LINEARIZE_CHECK_MAX_N = 256
+
 
 def _fmt_float(x: float) -> str:
     if x != x:  # NaN has no JSON encoding
@@ -287,11 +291,16 @@ def _cmd_sd(args) -> int:
 
 
 def _cmd_linearize_check(args) -> int:
+    if args.n > _LINEARIZE_CHECK_MAX_N:
+        raise ValueError(f"linearize-check limited to N <= {_LINEARIZE_CHECK_MAX_N}")
+
     import numpy as np
 
     from .linearize import (block_inversion_check, bordered_resolvent,
                             build_linearization, generalized_resolvent,
-                            lambda_kron, minor_stats, resolvent_row_sum_check)
+                            identity_spot_check, lambda_kron,
+                            resolvent_row_sum_check, resolvent_stats)
+    from .sdcore import phi_ac
 
     pair = _pair(args)
     lin = build_linearization(pair)
@@ -306,13 +315,15 @@ def _cmd_linearize_check(args) -> int:
     small = bordered_resolvent(lin, z)
     lam0 = lambda_kron(0.0, n)
     rid = np.linalg.norm(r + lam0 - lin.w @ small @ lin.w_h) / np.linalg.norm(r)
-    stats = minor_stats(lin, z)
+    st = resolvent_stats(lin, z)
+    _, key_res, _ = identity_spot_check(lin.x, np.array([z, -1.0, 1.0]),
+                                        st.ghat_i, st.q_i, phi_ac)
     rng = np.random.Generator(np.random.Philox(key=[args.seed, 13]))
     mat = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)) + 6 * np.eye(8)
     checks = {
         "factorization": float(np.linalg.norm(fact - target) / scale),
         "bordered_identity": float(rid),
-        "key_identity": stats.key_identity_residual,
+        "key_identity": key_res,
         "row_sum": resolvent_row_sum_check(pair.u, z),
         **{f"block_inversion_{k}": v
            for k, v in block_inversion_check(mat, 3).items()},

@@ -14,9 +14,11 @@ fluctuation blocks Q_i and their normalized sizes) drive the local-law
 verification.
 
 ``resolvent_stats`` derives the per-index statistics from the full resolvent
-by the Schur identities, in roughly matrix-multiplication time; its test
-oracle ``minor_stats`` inverts every minor (``_minor_statistics``, quartic,
-shared with the tests' scalar oracle as block size 1).  ``fluctuation_sup``
+by the Schur identities, in roughly matrix-multiplication time (the tests
+hold it against an oracle that inverts every minor).  ``identity_spot_check``
+checks a route's Q_i against the key identity -Q_i = G_i^-1 + Lambda +
+Phi(Ghat_i) by solving each minor once, for the k = 3 linearization and
+the k = 1 semicircle mode alike.  ``fluctuation_sup``
 screens its whole net with the Schur route's formulas in the eigenbasis of
 {UV}, where R = P diag(1/(lam - z)) P* + D is affine in the anticommutator
 resolvent: one ``eigh`` per pair, kernels built once per Im level of the net
@@ -53,7 +55,7 @@ __all__ = [
     "bordered_resolvent",
     "corner_blocks",
     "resolvent_stats",
-    "minor_stats",
+    "identity_spot_check",
     "fluctuation_sup",
     "resolvent_row_sum_check",
     "block_inversion_check",
@@ -61,9 +63,6 @@ __all__ = [
 
 #: condition ceiling on resolvent solves
 COND_LIMIT = 1e14
-
-#: minor-route inversions are quartic in N; refuse beyond this
-MINOR_ROUTE_MAX_N = 256
 
 #: resolvents up to this N are cross-checked against direct inversion
 CROSS_CHECK_MAX_N = 64
@@ -86,7 +85,8 @@ class Linearization:
     """The 3N x 3N matrices X (Hermitian) and W (unit block lower triangular)
     of a pair, its blocks a and b, the pair's spectral norms and the
     norm-hypothesis flag max(|U|, |V|) <= 4.  X is built on first use: only
-    the direct-inversion cross-check (N <= 64) and ``minor_stats`` read it."""
+    the direct-inversion cross-check (N <= 64) and ``aclaw linearize-check``'s
+    key-identity spot check read it."""
 
     pair: WignerPair
     w: np.ndarray
@@ -243,10 +243,9 @@ class ResolventStats:
 
     ``fluct_i`` is the normalized size of the fluctuation block,
     max(1, |Q_i| / (N^-1/2 max(1, |R_i|_2 / sqrt(N)))), and ``fluct`` its max
-    over i.  ``key_identity_residual`` is the relative residual of
-    -Q_i = G_i^-1 + Lambda + Phi(Ghat_i) when Q_i was computed from its
-    definition (``minor_stats``); ``resolvent_stats`` obtains Q_i from that
-    identity and leaves the field None.
+    over i.  ``resolvent_stats`` obtains Q_i from the key identity
+    -Q_i = G_i^-1 + Lambda + Phi(Ghat_i); ``identity_spot_check`` holds it
+    against Q_i's definition.
     """
 
     z: complex
@@ -257,7 +256,6 @@ class ResolventStats:
     r_i_frob: np.ndarray
     fluct_i: np.ndarray
     fluct: float
-    key_identity_residual: float | None
 
 
 def _spectral_norms(stack: np.ndarray) -> np.ndarray:
@@ -267,39 +265,6 @@ def _spectral_norms(stack: np.ndarray) -> np.ndarray:
 def _fluct_from(qnorm: np.ndarray, r_frob: np.ndarray, n: int) -> np.ndarray:
     denom = (1.0 / math.sqrt(n)) * np.maximum(1.0, r_frob / math.sqrt(n))
     return np.maximum(1.0, qnorm / denom)
-
-
-def _minor_statistics(full: np.ndarray, x_blocks: np.ndarray, g_i: np.ndarray,
-                      lam: np.ndarray, phi):
-    """(ghat_i, q_i, r_frob, identity residual) by definition, with k the
-    size of ``lam``: for each i, invert ``full`` = X - Lambda kron I without
-    rows and columns i + N arange(k), average the minor's corner blocks, form
-    Q_i from the removed row block, and take the largest relative residual
-    of -Q_i = G_i^-1 + Lambda + Phi(Ghat_i).  ``x_blocks`` are X's corner blocks."""
-    k = lam.shape[0]
-    n = full.shape[0] // k
-    ghat_i = np.empty((n, k, k), dtype=complex)
-    q_i = np.empty((n, k, k), dtype=complex)
-    r_frob = np.empty(n)
-    key_res = 0.0
-    all_idx = np.arange(k * n)
-    for i in range(n):
-        rows = i + n * np.arange(k)
-        keep = np.delete(all_idx, rows)
-        r_minor = np.linalg.inv(full[np.ix_(keep, keep)])
-        if n <= 64 and np.linalg.cond(r_minor) > COND_LIMIT:
-            raise IllConditionedError(f"minor resolvent ill-conditioned at i={i}")
-        # Ghat_i: average of the k x k corner blocks of the padded minor
-        ghat_i[i] = corner_blocks(r_minor, k).sum(axis=0) / n
-        y = full[np.ix_(rows, keep)] + 0.0
-        # X and X - Lambda kron I agree off the removed block's diagonal
-        q_i[i] = y @ r_minor @ y.conj().T - x_blocks[i] - phi(ghat_i[i])
-        r_frob[i] = np.linalg.norm(r_minor)
-        lhs = -q_i[i]
-        rhs = np.linalg.inv(g_i[i]) + lam + phi(ghat_i[i])
-        key_res = max(key_res, np.linalg.norm(lhs - rhs)
-                      / max(np.linalg.norm(rhs), 1e-300))
-    return ghat_i, q_i, r_frob, float(key_res)
 
 
 def _schur_statistics(r: np.ndarray, z: complex):
@@ -519,25 +484,53 @@ def resolvent_stats(lin: Linearization, z: complex) -> ResolventStats:
     g_i, g_avg, ghat_i, q_i, r_frob, fluct_i = _schur_statistics(r, z)
     return ResolventStats(z=z, g_i=g_i, g_avg=g_avg, ghat_i=ghat_i, q_i=q_i,
                           r_i_frob=r_frob, fluct_i=fluct_i,
-                          fluct=float(fluct_i.max()), key_identity_residual=None)
+                          fluct=float(fluct_i.max()))
 
 
-def minor_stats(lin: Linearization, z: complex) -> ResolventStats:
-    """The test oracle of ``resolvent_stats``: the same statistics by
-    definition (Lambda = diag(z, -1, 1), Phi = ``phi_ac``; N <= 256), with
-    the key identity's residual."""
-    z = complex(z)
-    n = lin.n
-    if n > MINOR_ROUTE_MAX_N:
-        raise ValueError(f"minor route limited to N <= {MINOR_ROUTE_MAX_N}")
-    g_i = corner_blocks(generalized_resolvent(lin, z), 3)
-    ghat_i, q_i, r_frob, key_res = _minor_statistics(
-        lin.x - lambda_kron(z, n), corner_blocks(lin.x, 3), g_i,
-        np.diag([z, -1.0 + 0j, 1.0 + 0j]), phi_ac)
-    fluct_i = _fluct_from(_spectral_norms(q_i), r_frob, n)
-    return ResolventStats(z=z, g_i=g_i, g_avg=g_i.mean(axis=0), ghat_i=ghat_i,
-                          q_i=q_i, r_i_frob=r_frob, fluct_i=fluct_i,
-                          fluct=float(fluct_i.max()), key_identity_residual=key_res)
+def identity_spot_check(x: np.ndarray, lam: np.ndarray, ghat_i: np.ndarray,
+                        q_i: np.ndarray, phi):
+    """(q_def, identity residual, Ward residual) of the key identity
+    -Q_i = G_i^-1 + Lambda + Phi(Ghat_i) at block size k = ``lam.size``, by
+    one solve per minor, for a route's ``ghat_i`` and ``q_i`` (N blocks of
+    k x k, or N scalars at k = 1).
+
+    ``x`` is the Hermitian kN x kN matrix X, ``lam`` the diagonal of Lambda
+    and ``phi`` maps a stack of k x k blocks.  For each i, with Y_i the rows
+    i + N arange(k) of X without those columns, S solves
+    (X - Lambda kron I)^(i) S = Y_i* and Q_i^def = Y_i S - X_ii - Phi(Ghat_i).
+    Ghat_i is the route's: it sits on both sides of the identity and
+    cancels, so the residual max_i |Q_i^def - Q_i| / |Q_i| (Frobenius)
+    against the route's Q_i tests the quadratic form Y_i R^(i) Y_i* alone,
+    and no minor's inverse is formed.  The Ward residual is the largest
+    relative residual of (Y_i S - (Y_i S)*)/2i = S* (Im Lambda kron I)^(i) S.
+    For N <= ``CROSS_CHECK_MAX_N`` refuses a minor whose 2-norm condition
+    number exceeds ``COND_LIMIT``."""
+    k = lam.size
+    n = x.shape[0] // k
+    diag = np.repeat(lam, n)              # the diagonal of Lambda kron I
+    full = x - np.diag(diag)
+    ghat_i, q_i = np.reshape(ghat_i, (n, k, k)), np.reshape(q_i, (n, k, k))
+    phi_ghat = phi(ghat_i)
+    q_def = np.empty_like(q_i)
+    ward = 0.0
+    all_idx = np.arange(k * n)
+    for i in range(n):
+        rows = i + n * np.arange(k)
+        keep = np.delete(all_idx, rows)
+        minor = full[np.ix_(keep, keep)]
+        if n <= CROSS_CHECK_MAX_N and np.linalg.cond(minor) > COND_LIMIT:
+            raise IllConditionedError(f"minor resolvent ill-conditioned at i={i}")
+        y = x[np.ix_(rows, keep)]
+        s = np.linalg.solve(minor, y.conj().T)
+        quad = y @ s
+        q_def[i] = quad - x[np.ix_(rows, rows)] - phi_ghat[i]
+        im_quad = (quad - quad.conj().T) / 2j
+        im_form = s.conj().T @ (diag[keep].imag[:, None] * s)
+        ward = max(ward, np.linalg.norm(im_quad - im_form)
+                   / max(np.linalg.norm(im_quad), 1e-300))
+    ident = (np.linalg.norm(q_def - q_i, axis=(1, 2))
+             / np.maximum(np.linalg.norm(q_i, axis=(1, 2)), 1e-300))
+    return q_def, float(ident.max()), float(ward)
 
 
 @dataclass
@@ -552,7 +545,6 @@ class FluctuationNet:
     max_fluct: float
     net: np.ndarray
     per_point: np.ndarray
-    spacing: float
 
 
 def fluctuation_sup(lin: Linearization, rect: tuple[float, float, float, float],
@@ -592,8 +584,7 @@ def fluctuation_sup(lin: Linearization, rect: tuple[float, float, float, float],
         vals = np.array([resolvent_stats(lin, z).fluct for z in net])
     # points off ``top`` screen below the route's values on it
     mx = float(vals.max())
-    return FluctuationNet(k2=2.0 * mx, max_fluct=mx, net=net, per_point=vals,
-                          spacing=spacing)
+    return FluctuationNet(k2=2.0 * mx, max_fluct=mx, net=net, per_point=vals)
 
 
 @dataclass

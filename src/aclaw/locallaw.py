@@ -27,10 +27,10 @@ import numpy as np
 from .errors import AclawError
 from .freelaw import edge_distance, law_constants, m_ac
 from .grids import rect_grid, uniform_net
-from .linearize import (COND_LIMIT, AnticommutatorSpectrum, IllConditionedError,
-                        _check_upper_half_plane, _fluct_from,
-                        build_linearization, corner_blocks, fluctuation_sup,
-                        generalized_resolvent)
+from .linearize import (AnticommutatorSpectrum, _check_upper_half_plane,
+                        _fluct_from, build_linearization, corner_blocks,
+                        fluctuation_sup, generalized_resolvent,
+                        identity_spot_check)
 from .sdcore import sd_semicircle, sd_solution_ac
 from .wigner import EnsembleSpec, WignerPair, norm_at_most, sample_pair
 
@@ -446,38 +446,6 @@ def semicircle_stats(x: np.ndarray, z: complex) -> SemicircleStats:
     return _semicircle_result(z, g_i, ghat_i, q_i, r_frob)
 
 
-def _identity_spot_check(x: np.ndarray, st: SemicircleStats):
-    """(q_def, identity residual, Ward residual) of the inversion identity
-    -Q_i = G_i^-1 + z + Ghat_i at ``st.z``, by one solve per minor.
-
-    For each i, s = (X^(i) - z)^-1 y_i, with y_i column i of X without
-    entry i, and Q_i^def = y_i* s - X_ii - Ghat_i.  Ghat_i is the route's:
-    it sits on both sides of the identity and cancels, so the residual
-    max_i |Q_i^def - Q_i| / |Q_i| against the route's Q_i tests the
-    quadratic form y_i* R^(i) y_i alone and the minor's inverse is never
-    formed.  The Ward residual is the largest relative residual of
-    Im z |s|^2 = Im(y_i* s).  For N <= 64 refuses a minor X^(i) - z whose
-    2-norm condition number exceeds ``COND_LIMIT``."""
-    z = st.z
-    n = x.shape[0]
-    full = x - z * np.eye(n)
-    q_def = np.empty(n, dtype=complex)
-    ward = 0.0
-    for i in range(n):
-        keep = np.delete(np.arange(n), i)
-        minor = full[np.ix_(keep, keep)]
-        if n <= 64 and np.linalg.cond(minor) > COND_LIMIT:
-            raise IllConditionedError(f"minor resolvent ill-conditioned at i={i}")
-        y = x[keep, i]
-        s = np.linalg.solve(minor, y)
-        quad = np.vdot(y, s)
-        q_def[i] = quad - x[i, i] - st.ghat_i[i]
-        ward = max(ward, abs(z.imag * np.vdot(s, s).real - quad.imag)
-                   / max(abs(quad.imag), 1e-300))
-    ident = np.abs(q_def - st.q_i) / np.maximum(np.abs(st.q_i), 1e-300)
-    return q_def, float(ident.max()), float(ward)
-
-
 @dataclass
 class SemicircleReport:
     """Semicircle local-law run: the literal theta = 2^100 makes the
@@ -486,7 +454,6 @@ class SemicircleReport:
 
     n: int
     tau: float
-    theta_literal: float
     theta_user: float
     k_stat: float
     rho_literal: float
@@ -517,7 +484,7 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
     The grid is 9 x 8 points of |Re z| <= 4, 1/N <= Im z <= tau.
 
     The statistics run ``semicircle_stats``.  At 3 net points, spread
-    evenly over the net, ``_identity_spot_check`` holds their Q_i against
+    evenly over the net, ``identity_spot_check`` holds their Q_i against
     the inversion identity by solving each of the N minors once; its
     identity residuals give ``max_identity_residual``, and its Ward
     residuals join the row-sum residuals of every net and grid point in
@@ -544,7 +511,9 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
         fluct_max = max(fluct_max, st.fluct)
         max_row_sum = max(max_row_sum, st.row_sum_residual)
         if j in picks:
-            _, ident, ward = _identity_spot_check(x, st)
+            # the k = 1 case: Lambda = z and Phi the identity
+            _, ident, ward = identity_spot_check(x, np.array([st.z]), st.ghat_i,
+                                                 st.q_i, lambda g: g)
             max_ident = max(max_ident, ident)
             max_row_sum = max(max_row_sum, ward)
     k_stat = 2.0 * fluct_max
@@ -561,7 +530,7 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
     rows, theta_star, theta_star_self = _grid_rows(
         points, n, tau, 4.0, theta_user, k_stat, rho_user, 2.0**8)
     return SemicircleReport(
-        n=n, tau=tau, theta_literal=theta_literal, theta_user=theta_user,
+        n=n, tau=tau, theta_user=theta_user,
         k_stat=k_stat, rho_literal=rho_literal, x_empty_literal=rho_literal > tau,
         rho_user=rho_user, rows=rows, theta_star=theta_star,
         theta_star_self=theta_star_self,

@@ -290,10 +290,9 @@ def kappa_blocks(m: complex) -> KappaBlocks:
 @dataclass
 class DeformationSolution:
     """Output of the deformation fixed-point solve: the deformed M together
-    with iteration diagnostics."""
+    with its contraction and residual diagnostics."""
 
     m_new: np.ndarray
-    iterations: int
     max_contraction: float
     residual: float
 
@@ -342,8 +341,8 @@ def deformation_solve(base: SDQuadruple, lambda_new: np.ndarray) -> DeformationS
     resid_norm = float(np.linalg.norm(resid, 2))
     if resid_norm > 1e-10:
         raise DeformationConvergenceError(f"deformed residual {resid_norm:.3e}")
-    return DeformationSolution(m_new=m_new, iterations=it,
-                               max_contraction=max_ratio, residual=resid_norm)
+    return DeformationSolution(m_new=m_new, max_contraction=max_ratio,
+                               residual=resid_norm)
 
 
 @dataclass
@@ -356,7 +355,6 @@ class ImplicationVerdict:
     rhs: float
     hypothesis_met: bool
     holds: bool
-    gauge: float | None = None
 
 
 def stability_check(base: SDQuadruple, g0: np.ndarray) -> ImplicationVerdict:
@@ -383,8 +381,6 @@ class GaugeReport:
     sqrt(|Ghat_i - avg G| / (max(1,|G_i|) |G_i^-1|))."""
 
     value: float
-    ratio_equation: np.ndarray
-    ratio_average: np.ndarray
 
 
 def error_gauge(g_list, ghat_list, base: SDQuadruple) -> GaugeReport:
@@ -398,18 +394,15 @@ def error_gauge(g_list, ghat_list, base: SDQuadruple) -> GaugeReport:
     if np.any(~np.isfinite(conds)) or np.any(conds > COND_LIMIT):
         raise SingularStatisticsError("some G_i is numerically singular")
     g_inv = np.linalg.inv(g)
-    g_avg = g.mean(axis=0)
-    n = g.shape[0]
-    r_eq = np.empty(n)
-    r_av = np.empty(n)
-    for i in range(n):
-        num = np.linalg.norm(g_inv[i] + base.lambda_mat + phi_ac(ghat[i]), 2)
-        r_eq[i] = num / np.sqrt(max(1.0, np.linalg.norm(ghat[i], 2)))
-        dev = np.linalg.norm(ghat[i] - g_avg, 2)
-        r_av[i] = np.sqrt(dev / (max(1.0, np.linalg.norm(g[i], 2))
-                                 * np.linalg.norm(g_inv[i], 2)))
-    return GaugeReport(value=float(max(r_eq.max(), r_av.max())),
-                       ratio_equation=r_eq, ratio_average=r_av)
+
+    def norms(stack):
+        return np.linalg.norm(stack, 2, axis=(1, 2))
+
+    r_eq = (norms(g_inv + base.lambda_mat + phi_ac(ghat))
+            / np.sqrt(np.maximum(1.0, norms(ghat))))
+    r_av = np.sqrt(norms(ghat - g.mean(axis=0))
+                   / (np.maximum(1.0, norms(g)) * norms(g_inv)))
+    return GaugeReport(value=float(max(r_eq.max(), r_av.max())))
 
 
 def gauge_implication_check(g_list, ghat_list, base: SDQuadruple) -> ImplicationVerdict:
@@ -424,16 +417,16 @@ def gauge_implication_check(g_list, ghat_list, base: SDQuadruple) -> Implication
     rhs = 2.0**14 * (1.0 + m_norm) ** 7 * max(p_up, l_up) ** 4 * k_up * rep.value
     hyp = lhs <= base.stability_radius
     return ImplicationVerdict(z=base.z, lhs=lhs, rhs=rhs, hypothesis_met=hyp,
-                              holds=(not hyp) or lhs <= rhs, gauge=rep.value)
+                              holds=(not hyp) or lhs <= rhs)
 
 
 @dataclass(frozen=True)
 class ScalarQuadruple:
-    """Scalar semicircle solution (z, m, 1, (1/m - m)^-1) and its radius."""
+    """Scalar semicircle solution (z, m, (1/m - m)^-1) and its radius; its
+    Phi is the identity."""
 
     z: complex
     m: complex
-    phi: complex
     kappa: complex
     stability_radius: float
 
@@ -457,5 +450,5 @@ def sd_semicircle(z: complex) -> ScalarQuadruple:
     floor = np.sqrt(min(1.0, abs(z - 2.0), abs(z + 2.0))) / 8.0
     if radius < floor - 1e-12:
         raise AssertionError("semicircle radius bound violated")
-    return ScalarQuadruple(z=z, m=complex(m), phi=1.0 + 0j, kappa=complex(kappa),
+    return ScalarQuadruple(z=z, m=complex(m), kappa=complex(kappa),
                            stability_radius=float(radius))

@@ -82,10 +82,7 @@ def _bootstrap_ucb(samples_p: np.ndarray, p: float, rng) -> float:
 class WhittleReport:
     """One Monte Carlo verdict for the linear or quadratic p-norm bound."""
 
-    mode: str
-    dist: str
     n: int
-    p: float
     lhs_estimate: float
     lhs_ucb99: float
     rhs_bound: float
@@ -129,8 +126,7 @@ def whittle_check(dist: str, n: int, p: float, trials: int = 20000,
     abs_p = np.abs(s) ** p
     lhs = float(abs_p.mean() ** (1.0 / p))
     ucb = _bootstrap_ucb(abs_p, p, rng)
-    return WhittleReport(mode=mode, dist=dist, n=n, p=p, lhs_estimate=lhs,
-                         lhs_ucb99=ucb, rhs_bound=rhs)
+    return WhittleReport(n=n, lhs_estimate=lhs, lhs_ucb99=ucb, rhs_bound=rhs)
 
 
 def survival_points(values: np.ndarray):

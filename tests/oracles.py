@@ -4,12 +4,15 @@ None of these is a production path.  Most estimate, by sampling, a quantity
 that ``src/aclaw`` either certifies (``op_norm_estimate`` against
 ``op_norm_upper_spectral``), assumes (the ensembles' moment-growth constants,
 the linearization's entry second moments, the ``|U|, |V| <= 4`` norm event)
-or writes (``load_pair`` reads the dump ``aclaw sample`` writes).  Two
-compute by definition what the library takes from a closed form:
-``kappa_by_inversion`` inverts the 9x9 matrix of x -> M^-1 x - Phi(x) M,
-built from the map's action, where ``sd_solution_ac`` assembles kappa from
-explicit block inverses; ``semicircle_minor_stats`` computes the scalar
-mode's statistics by inverting every minor.
+or writes (``load_pair`` reads the dump ``aclaw sample`` writes).  Three
+compute by definition what the library takes from a closed form or a
+shortcut: ``kappa_by_inversion`` inverts the 9x9 matrix of
+x -> M^-1 x - Phi(x) M, built from the map's action, where ``sd_solution_ac``
+assembles kappa from explicit block inverses; ``minor_stats`` (block size 3)
+and ``semicircle_minor_stats`` (block size 1) invert every minor for the
+statistics that ``resolvent_stats`` and ``semicircle_stats`` take from the
+Schur identities, and for the key identity's residual, which
+``identity_spot_check`` obtains with one solve per minor.
 """
 
 import math
@@ -18,7 +21,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from aclaw.freelaw import edge_distance
-from aclaw.linearize import _check_upper_half_plane, _minor_statistics, corner_blocks
+from aclaw.linearize import (COND_LIMIT, IllConditionedError, Linearization,
+                             ResolventStats, _check_upper_half_plane, _fluct_from,
+                             _spectral_norms, corner_blocks, generalized_resolvent,
+                             lambda_kron)
 from aclaw.locallaw import SemicircleStats, _semicircle_result
 from aclaw.sdcore import LinMap3, phi_ac, sd_solution_ac, unvec3, vec3
 from aclaw.wigner import (EnsembleSpec, WignerPair, _draw_offdiag, _rng,
@@ -263,6 +269,65 @@ def load_pair(path) -> WignerPair:
     u = vals[: n * n].reshape(n, n)
     v = vals[n * n:].reshape(n, n)
     return WignerPair(u=u, v=v, spec=spec)
+
+
+#: the minor loop's inversions are quartic in N; ``minor_stats`` refuses
+#: beyond this
+MINOR_ROUTE_MAX_N = 256
+
+
+def _minor_statistics(full: np.ndarray, x_blocks: np.ndarray, g_i: np.ndarray,
+                      lam: np.ndarray, phi):
+    """(ghat_i, q_i, r_frob, identity residual) by definition, with k the
+    size of ``lam``: for each i, invert ``full`` = X - Lambda kron I without
+    rows and columns i + N arange(k), average the minor's corner blocks, form
+    Q_i from the removed row block, and take the largest relative residual
+    of -Q_i = G_i^-1 + Lambda + Phi(Ghat_i).  ``x_blocks`` are X's corner
+    blocks.  For N <= 64 refuses a minor whose inverse has 2-norm condition
+    number above ``COND_LIMIT``."""
+    k = lam.shape[0]
+    n = full.shape[0] // k
+    ghat_i = np.empty((n, k, k), dtype=complex)
+    q_i = np.empty((n, k, k), dtype=complex)
+    r_frob = np.empty(n)
+    key_res = 0.0
+    all_idx = np.arange(k * n)
+    for i in range(n):
+        rows = i + n * np.arange(k)
+        keep = np.delete(all_idx, rows)
+        r_minor = np.linalg.inv(full[np.ix_(keep, keep)])
+        if n <= 64 and np.linalg.cond(r_minor) > COND_LIMIT:
+            raise IllConditionedError(f"minor resolvent ill-conditioned at i={i}")
+        # Ghat_i: average of the k x k corner blocks of the padded minor
+        ghat_i[i] = corner_blocks(r_minor, k).sum(axis=0) / n
+        y = full[np.ix_(rows, keep)] + 0.0
+        # X and X - Lambda kron I agree off the removed block's diagonal
+        q_i[i] = y @ r_minor @ y.conj().T - x_blocks[i] - phi(ghat_i[i])
+        r_frob[i] = np.linalg.norm(r_minor)
+        lhs = -q_i[i]
+        rhs = np.linalg.inv(g_i[i]) + lam + phi(ghat_i[i])
+        key_res = max(key_res, np.linalg.norm(lhs - rhs)
+                      / max(np.linalg.norm(rhs), 1e-300))
+    return ghat_i, q_i, r_frob, float(key_res)
+
+
+def minor_stats(lin: Linearization, z: complex) -> tuple[ResolventStats, float]:
+    """The oracle of ``resolvent_stats``, and the key identity's residual:
+    the same statistics by definition (Lambda = diag(z, -1, 1),
+    Phi = ``phi_ac``; N <= ``MINOR_ROUTE_MAX_N``), inverting every minor."""
+    z = complex(z)
+    n = lin.n
+    if n > MINOR_ROUTE_MAX_N:
+        raise ValueError(f"minor route limited to N <= {MINOR_ROUTE_MAX_N}")
+    g_i = corner_blocks(generalized_resolvent(lin, z), 3)
+    ghat_i, q_i, r_frob, key_res = _minor_statistics(
+        lin.x - lambda_kron(z, n), corner_blocks(lin.x, 3), g_i,
+        np.diag([z, -1.0 + 0j, 1.0 + 0j]), phi_ac)
+    fluct_i = _fluct_from(_spectral_norms(q_i), r_frob, n)
+    stats = ResolventStats(z=z, g_i=g_i, g_avg=g_i.mean(axis=0), ghat_i=ghat_i,
+                           q_i=q_i, r_i_frob=r_frob, fluct_i=fluct_i,
+                           fluct=float(fluct_i.max()))
+    return stats, key_res
 
 
 def semicircle_minor_stats(x: np.ndarray, z: complex) -> tuple[SemicircleStats, float]:

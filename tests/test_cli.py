@@ -118,6 +118,42 @@ def test_linearize_check(tmp_path):
     assert all(rep["verdicts"].values())
 
 
+def test_linearize_check_inverts_no_minor(tmp_path, monkeypatch):
+    # the key identity is checked by one solve per (3N - 3)-square minor
+    n = 8
+    shapes = {"inv": [], "solve": []}
+
+    def recorded(name, fn):
+        def wrapper(a, *args, **kwargs):
+            shapes[name].append(np.shape(a))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "inv", recorded("inv", np.linalg.inv))
+    monkeypatch.setattr(np.linalg, "solve", recorded("solve", np.linalg.solve))
+    out = tmp_path / "lin.json"
+    assert run_cli(["linearize-check", "--N", str(n), "--seed", "1",
+                    "--out", str(out)]) == 0
+    minor = (3 * n - 3, 3 * n - 3)
+    assert minor not in shapes["inv"]
+    assert shapes["solve"] == [minor] * n
+
+
+def test_linearize_check_refuses_beyond_its_size_limit(tmp_path, capsys, monkeypatch):
+    from aclaw import linearize
+
+    def refused(*args, **kwargs):
+        raise AssertionError("3N work before the size refusal")
+
+    monkeypatch.setattr(linearize, "build_linearization", refused)
+    out = tmp_path / "lin.json"
+    code = run_cli(["linearize-check", "--N", "257", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("aclaw linearize-check: linearize-check limited to N <= 256")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_report_and_determinism(tmp_path):
     a, b = tmp_path / "v1.json", tmp_path / "v2.json"
     args = ["verify", "--N", "16", "--seed", "7", "--tau", "8", "--theta", "1",

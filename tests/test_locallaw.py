@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from aclaw import locallaw
 from aclaw.freelaw import edge_distance, law_constants
 from aclaw.grids import rect_grid, uniform_net
-from aclaw.linearize import IllConditionedError
+from aclaw.linearize import (IllConditionedError, build_linearization,
+                             identity_spot_check, resolvent_stats)
 from aclaw.locallaw import (
     GridRow,
     NormHypothesisError,
@@ -28,8 +29,9 @@ from aclaw.locallaw import (
     sigma_solve,
     verify_local_law,
 )
+from aclaw.sdcore import phi_ac
 from aclaw.wigner import EnsembleSpec, WignerPair, sample_pair
-from oracles import semicircle_minor_stats
+from oracles import minor_stats, semicircle_minor_stats
 
 ZETA = law_constants().zeta
 
@@ -334,12 +336,46 @@ def test_scalar_minor_oracle_matches_parent_loop(x):
         assert ident <= 1e-10
 
 
-@pytest.mark.parametrize("x", SCALAR_ORACLE_CASES)
+def zero_pair(n):
+    zero = np.zeros((n, n), dtype=complex)
+    return WignerPair(u=zero, v=zero.copy(), spec=EnsembleSpec(n=n, seed=0))
+
+
+# the k = 3 cases: pairs, checked on the linearization against the Schur route
+BLOCK_ORACLE_CASES = (
+    [pytest.param(sample_pair(EnsembleSpec(n=n, ensemble=ens, seed=4)),
+                  id=f"pair-{ens}-{n}")
+     for ens in ("complex-gaussian", "rademacher") for n in (2, 3, 16)]
+    + [pytest.param(zero_pair(5), id="pair-zero-5")])
+
+
+def spot_check_calls(x, z):
+    """Two calls at z: ``identity_spot_check`` on the production route's
+    statistics, and the inverting oracle, for a matrix x (k = 1: Lambda = z,
+    Phi the identity) or a pair x (k = 3 on its linearization:
+    Lambda = diag(z, -1, 1), Phi = ``phi_ac``).  The route's statistics are
+    computed here, so a refusal in either call is that call's own."""
+    if isinstance(x, WignerPair):
+        lin = build_linearization(x)
+        st_ = resolvent_stats(lin, z)
+        return (lambda: identity_spot_check(lin.x, np.array([z, -1.0, 1.0]),
+                                            st_.ghat_i, st_.q_i, phi_ac),
+                lambda: minor_stats(lin, z))
+    st_ = semicircle_stats(x, z)
+    return (lambda: identity_spot_check(x, np.array([z]), st_.ghat_i, st_.q_i,
+                                        lambda g: g),
+            lambda: semicircle_minor_stats(x, z))
+
+
+@pytest.mark.parametrize("x", SCALAR_ORACLE_CASES + BLOCK_ORACLE_CASES)
 def test_spot_check_matches_inverting_oracle(x):
     for z in (0.5 + 0.3j, 1j, -1.5 + 0.05j):
-        oracle, oracle_ident = semicircle_minor_stats(x, z)
-        q_def, ident, ward = locallaw._identity_spot_check(x, semicircle_stats(x, z))
-        np.testing.assert_allclose(q_def, oracle.q_i, rtol=1e-10, atol=0.0)
+        spot, oracle = spot_check_calls(x, z)
+        q_def, ident, ward = spot()
+        oracle_stats, oracle_ident = oracle()
+        oracle_q = np.reshape(oracle_stats.q_i, q_def.shape)
+        assert np.all(np.linalg.norm(q_def - oracle_q, axis=(1, 2))
+                      <= 1e-10 * np.linalg.norm(oracle_q, axis=(1, 2)))
         assert abs(ident - oracle_ident) <= 1e-12
         assert ward <= 1e-10
 
@@ -350,11 +386,24 @@ def gue_at_minor_eigenvalue(eta):
     return x, np.linalg.eigvalsh(x[1:, 1:])[7] + 1j * eta
 
 
+def small_pair_at_minor_eigenvalue(eta):
+    """A GUE pair N = 16 scaled by 1/100 at z = (an eigenvalue of the
+    anticommutator of its minors without row 0) + i eta.  The small norms
+    keep the resolvent's own condition bound, (2 |U| |V| + |z|) / eta, below
+    the ceiling at eta = 1e-16, so that the minor refusal is what is tested."""
+    pair = sample_pair(EnsembleSpec(n=16, seed=2))
+    u, v = pair.u / 100.0, pair.v / 100.0
+    ac = u[1:, 1:] @ v[1:, 1:] + v[1:, 1:] @ u[1:, 1:]
+    return (WignerPair(u=u, v=v, spec=pair.spec),
+            np.linalg.eigvalsh(ac)[7] + 1j * eta)
+
+
 DIAG5 = np.diag(np.arange(5.0)).astype(complex)
 
 
 # (x, z, whether the inverting oracle refuses); the minors of diag(0..4)
-# that keep the zero eigenvalue have condition number about 4 / eta
+# that keep the zero eigenvalue have condition number about 4 / eta, and the
+# linearized minors of the zero pair 1 / eta
 @pytest.mark.parametrize("x, z, refused", [
     pytest.param(DIAG5, 1e-16j, True, id="diag5-eta-1e-16"),
     pytest.param(DIAG5, 1e-3j, False, id="diag5-eta-1e-3"),
@@ -362,11 +411,16 @@ DIAG5 = np.diag(np.arange(5.0)).astype(complex)
                  id="diag65-above-refusal-n"),
     pytest.param(*gue_at_minor_eigenvalue(1e-16), True, id="gue16-eta-1e-16"),
     pytest.param(*gue_at_minor_eigenvalue(1e-12), False, id="gue16-eta-1e-12"),
+    pytest.param(zero_pair(4), 1e-16j, True, id="pair-zero-4-eta-1e-16"),
+    pytest.param(zero_pair(4), 1e-3j, False, id="pair-zero-4-eta-1e-3"),
+    pytest.param(zero_pair(65), 1e-16j, False, id="pair-zero-65-above-refusal-n"),
+    pytest.param(*small_pair_at_minor_eigenvalue(1e-16), True,
+                 id="pair-small16-eta-1e-16"),
+    pytest.param(*small_pair_at_minor_eigenvalue(1e-12), False,
+                 id="pair-small16-eta-1e-12"),
 ])
 def test_spot_check_refuses_where_the_oracle_refuses(x, z, refused):
-    st_ = semicircle_stats(x, z)
-    for check in (lambda: semicircle_minor_stats(x, z),
-                  lambda: locallaw._identity_spot_check(x, st_)):
+    for check in spot_check_calls(x, z):
         if refused:
             with pytest.raises(IllConditionedError):
                 check()

@@ -15,7 +15,12 @@ its other methods.  Dunders (``__init__``, ``__getattr__``, ``__dir__``) are
 exempt.  A function or method that only its own unit tests call is either
 an oracle, which belongs in ``tests/``, or dead code.
 
-    python tests/test_reachability.py    # list the definitions it flags
+Every field of a dataclass in ``src/aclaw`` must also be read as an
+attribute (``obj.field`` in a load) somewhere in ``src/``, ``tests/`` or
+``perfbench/``, matched by name in the same way.  A field that is only
+ever written is a value computed for nobody.
+
+    python tests/test_reachability.py    # list the definitions and fields it flags
 """
 
 import ast
@@ -23,6 +28,9 @@ import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join("src", "aclaw")
+#: the trees whose attribute reads keep a dataclass field; directories
+#: starting with "_" or "." (run outputs, caches) are skipped
+READER_DIRS = ("src", "tests", "perfbench")
 ROOT_FILES = (
     os.path.join(PACKAGE, "cli.py"),
     os.path.join("perfbench", "workloads.py"),
@@ -118,11 +126,55 @@ def unreached(modules, roots):
     return [f"{rel}:{line} {name}" for rel, line, name in flagged]
 
 
-def package_unreached():
+def _package_modules():
     package = os.path.join(ROOT, PACKAGE)
-    modules = [(os.path.join(PACKAGE, name), _parse(os.path.join(PACKAGE, name)))
-               for name in sorted(os.listdir(package)) if name.endswith(".py")]
-    return unreached(modules, [_parse(rel) for rel in ROOT_FILES])
+    return [(os.path.join(PACKAGE, name), _parse(os.path.join(PACKAGE, name)))
+            for name in sorted(os.listdir(package)) if name.endswith(".py")]
+
+
+def package_unreached():
+    return unreached(_package_modules(), [_parse(rel) for rel in ROOT_FILES])
+
+
+def _is_dataclass(cls):
+    """Decorated ``@dataclass``, ``@dataclass(...)`` or ``@dataclasses.dataclass``."""
+    targets = (dec.func if isinstance(dec, ast.Call) else dec
+               for dec in cls.decorator_list)
+    return any(getattr(t, "attr", getattr(t, "id", None)) == "dataclass"
+               for t in targets)
+
+
+def attribute_reads(trees):
+    """The names read as attributes (``obj.name`` in a load) in ``trees``."""
+    return {sub.attr for tree in trees for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+
+
+def unread_fields(modules, readers):
+    """``file:line Class.field`` for each field of a dataclass in the (path,
+    tree) pairs ``modules`` whose name no tree of ``readers`` reads as an
+    attribute."""
+    reads = attribute_reads(readers)
+    flagged = []
+    for rel, tree in modules:
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            for stmt in cls.body:
+                if (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                        and stmt.target.id not in reads):
+                    flagged.append(f"{rel}:{stmt.lineno} {cls.name}.{stmt.target.id}")
+    return flagged
+
+
+def package_unread_fields():
+    readers = []
+    for top in READER_DIRS:
+        for dirpath, dirnames, filenames in os.walk(os.path.join(ROOT, top)):
+            dirnames[:] = sorted(d for d in dirnames if not d.startswith(("_", ".")))
+            readers += [_parse(os.path.relpath(os.path.join(dirpath, name), ROOT))
+                        for name in sorted(filenames) if name.endswith(".py")]
+    return unread_fields(_package_modules(), readers)
 
 
 def test_every_definition_is_reached_from_a_command_or_criterion():
@@ -161,5 +213,36 @@ def test_guard_follows_names_strings_and_module_code():
         "mod.py:15 dead", "mod.py:25 unused", "mod.py:31 _unused_helper"]
 
 
+def test_every_dataclass_field_is_read():
+    flagged = package_unread_fields()
+    assert not flagged, ("dataclass fields that no code in src/, tests/ or "
+                         "perfbench/ reads as an attribute:\n" + "\n".join(flagged))
+
+
+def test_field_guard_counts_only_attribute_loads():
+    mod = ast.parse(
+        "from dataclasses import dataclass, field\n"
+        "import dataclasses\n"
+        "@dataclass\n"
+        "class Report:\n"
+        "    value: float\n"
+        "    written: float\n"
+        "    named: float\n"
+        "    extra: list = field(default_factory=list)\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class Frozen:\n"
+        "    kept: int\n"
+        "    unread: int\n"
+        "class Plain:\n"
+        "    ignored: int\n")
+    readers = ast.parse(
+        "rep = Report(value=1.0, written=2.0, named=3.0)\n"
+        "rep.written = 4.0\n"
+        "named = 'named'\n"
+        "print(rep.value, rep.extra, Frozen(1, 2).kept)\n")
+    assert unread_fields([("mod.py", mod)], [mod, readers]) == [
+        "mod.py:6 Report.written", "mod.py:7 Report.named", "mod.py:12 Frozen.unread"]
+
+
 if __name__ == "__main__":
-    print("\n".join(package_unreached()))
+    print("\n".join(package_unreached() + package_unread_fields()))
