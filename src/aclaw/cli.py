@@ -305,16 +305,21 @@ def _cmd_linearize_check(args) -> int:
     pair = _pair(args)
     lin = build_linearization(pair)
     n, z = args.n, complex(args.z)
+    w = lin.w
+    w_h = w.conj().T
     full = lin.x - lambda_kron(z, n)
-    fact = lin.w_h @ full @ lin.w
+    fact = w_h @ full @ w
     # blockdiag({UV} - z, I, -I)
     target = -lambda_kron(z, n)
     target[:n, :n] += lin.anticommutator
     scale = max(np.linalg.norm(lin.x), 1.0)
+    # generalized_resolvent assembles R from g, a and b without W; this
+    # holds it against the definitional product R + Lambda(0) kron I =
+    # W blockdiag(g, 0, 0) W*
     r = generalized_resolvent(lin, z)
     small = bordered_resolvent(lin, z)
     lam0 = lambda_kron(0.0, n)
-    rid = np.linalg.norm(r + lam0 - lin.w @ small @ lin.w_h) / np.linalg.norm(r)
+    rid = np.linalg.norm(r + lam0 - w @ small @ w_h) / np.linalg.norm(r)
     st = resolvent_stats(lin, z)
     _, key_res, _ = identity_spot_check(lin.x, np.array([z, -1.0, 1.0]),
                                         st.ghat_i, st.q_i, phi_ac)

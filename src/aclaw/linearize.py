@@ -8,10 +8,13 @@ From a Hermitian pair (U, V) build, with a = (U-V)/sqrt(2), b = (-U-V)/sqrt(2),
 
 which satisfy W* (X - Lambda kron I) W = blockdiag({UV} - z, I, -I) with
 Lambda = diag(z, -1, 1).  The generalized resolvent R = (X - Lambda kron I)^-1
-therefore carries the anticommutator resolvent as its upper-left N x N block,
-and per-index statistics of R (3x3 corner blocks G_i, minor averages Ghat_i,
-fluctuation blocks Q_i and their normalized sizes) drive the local-law
-verification.
+= W blockdiag(g, I, -I) W*, g = ({UV} - z)^-1, therefore carries the
+anticommutator resolvent as its upper-left N x N block, and every other block
+of R is g multiplied by a or b: ``generalized_resolvent`` assembles R from
+those blocks and never reads W, which is built (lazily, like X) only for
+``aclaw linearize-check`` and the tests.  Per-index statistics of R (3x3
+corner blocks G_i, minor averages Ghat_i, fluctuation blocks Q_i and their
+normalized sizes) drive the local-law verification.
 
 ``resolvent_stats`` derives the per-index statistics from the full resolvent
 by the Schur identities, in roughly matrix-multiplication time (the tests
@@ -82,14 +85,15 @@ class IllConditionedError(AclawError):
 
 @dataclass
 class Linearization:
-    """The 3N x 3N matrices X (Hermitian) and W (unit block lower triangular)
-    of a pair, its blocks a and b, the pair's spectral norms and the
-    norm-hypothesis flag max(|U|, |V|) <= 4.  X is built on first use: only
-    the direct-inversion cross-check (N <= 64) and ``aclaw linearize-check``'s
-    key-identity spot check read it."""
+    """A pair with its blocks a and b, {UV}, its spectral norms and the
+    norm-hypothesis flag max(|U|, |V|) <= 4.  The 3N x 3N matrices X
+    (Hermitian) and W (unit block lower triangular) are built on first use:
+    ``generalized_resolvent`` reads only a and b, X is read by the
+    direct-inversion cross-check (N <= 64) and ``aclaw linearize-check``'s
+    key-identity spot check, and W only by ``linearize-check`` and the
+    tests."""
 
     pair: WignerPair
-    w: np.ndarray
     anticommutator: np.ndarray
     norm_u: float
     norm_v: float
@@ -111,25 +115,23 @@ class Linearization:
         return np.block([[zero, a, b], [a, zero, zero], [b, zero, zero]])
 
     @functools.cached_property
-    def w_h(self) -> np.ndarray:
-        """W*, conjugated once per pair and shared by every resolvent."""
-        return self.w.conj().T
+    def w(self) -> np.ndarray:
+        a, b = self.a, self.b
+        zero = np.zeros((self.n, self.n), dtype=complex)
+        eye = np.eye(self.n, dtype=complex)
+        return np.block([[eye, zero, zero], [-a, eye, zero], [b, zero, eye]])
 
 
 def build_linearization(pair: WignerPair) -> Linearization:
-    """Assemble W and {UV} from a pair (X follows lazily).
+    """Form a, b and {UV} from a pair (X and W follow lazily).
 
     The norms come from ``spectral_norm``, not from the cheaper
     ``wigner.norm_at_most`` certificate, because their values are needed:
     the resolvent condition bound uses |U| |V|, and ``verify_local_law``
     reports a pair with max(|U|, |V|) = 0 as degenerate."""
     u, v = pair.u, pair.v
-    n = pair.n
     a, b = (u - v) / math.sqrt(2.0), (-u - v) / math.sqrt(2.0)
-    zero = np.zeros((n, n), dtype=complex)
-    eye = np.eye(n, dtype=complex)
-    w = np.block([[eye, zero, zero], [-a, eye, zero], [b, zero, eye]])
-    return Linearization(pair=pair, w=w, anticommutator=u @ v + v @ u,
+    return Linearization(pair=pair, anticommutator=u @ v + v @ u,
                          norm_u=spectral_norm(u), norm_v=spectral_norm(v),
                          a=a, b=b)
 
@@ -175,8 +177,22 @@ def _cross_check(lin: Linearization, z: complex, r: np.ndarray) -> None:
 
 
 def generalized_resolvent(lin: Linearization, z: complex) -> np.ndarray:
-    """R = (X - Lambda kron I)^-1 via the factorized route
-    W blockdiag(({UV} - z)^-1, I, -I) W*.
+    """R = (X - Lambda kron I)^-1 = W blockdiag(g, I, -I) W*, with
+    g = ({UV} - z)^-1, assembled from its nonzero blocks.  W is unit block
+    lower triangular with blocks -a and b, so with B = [-a, b] (the first
+    block row of W* past its I) and C = [-a; b] (the first block column of
+    W below its I) every block of R is g times a or b:
+
+        R = [[g,   g B                        ],
+             [C g, [C g, diag(I, -I)] [B; I]  ]].
+
+    The lower-right product keeps the definitional product's summation over
+    all 3N columns, so the +-I terms enter the BLAS sum as they do in
+    W blockdiag(g, I, -I) W*: R has that product's bits at most sizes N and
+    differs in the last bit at the others (CHANGES.md lists both); an N-term
+    sum there moved last bits at N = 8, 16, 64 and 100 as well.  16 N^3
+    complex multiply-adds instead of the definitional 54 N^3, and W is
+    never read.
 
     For N up to ``CROSS_CHECK_MAX_N`` the result is verified against direct
     inversion of X - Lambda kron I within 1e-8 relative.
@@ -184,11 +200,18 @@ def generalized_resolvent(lin: Linearization, z: complex) -> np.ndarray:
     z = complex(z)
     _check_upper_half_plane(z)
     n = lin.n
-    mid = bordered_resolvent(lin, z)
+    g = _ac_inverse(lin, z)
+    b_row = np.hstack([-lin.a, lin.b])
+    r = np.empty((3 * n, 3 * n), dtype=complex)
+    r[:n, :n] = g
+    np.matmul(g, b_row, out=r[:n, n:])
+    left = np.zeros((2 * n, 3 * n), dtype=complex)   # [C g, diag(I, -I)]
+    np.matmul(np.vstack([-lin.a, lin.b]), g, out=left[:, :n])
     idx = np.arange(n)
-    mid[n + idx, n + idx] = 1.0
-    mid[2 * n + idx, 2 * n + idx] = -1.0
-    r = lin.w @ mid @ lin.w_h
+    left[idx, n + idx] = 1.0
+    left[n + idx, 2 * n + idx] = -1.0
+    r[n:, :n] = left[:, :n]
+    np.matmul(left, np.vstack([b_row, np.eye(2 * n)]), out=r[n:, n:])
     if n <= CROSS_CHECK_MAX_N:
         _cross_check(lin, z, r)
     return r

@@ -180,13 +180,15 @@ def verify_local_law(pair: WignerPair, z_grid=None, tau: float = 8.0,
     route ``resolvent_stats`` only near the screened maximum (one point
     per pair in practice), so K keeps the route's digits.  A grid row needs
     only G_i, which it slices from the generalized resolvent with
-    ``corner_blocks``, exactly as ``resolvent_stats`` slices its ``g_i``.  The
-    resolvent's conditioning refusal and its N <= 64 direct-inversion
-    cross-check run at every net and grid point.  Reading the grid rows
-    from the net's eigenbasis too waits for the fix of the
-    ``theta_star_self`` rounding defect: until then any last-digit change
-    to a row's lhs can move ``theta_star_self`` past the reference
-    tolerance.  (``semicircle_locallaw`` deliberately
+    ``corner_blocks``, exactly as ``resolvent_stats`` slices its ``g_i``;
+    ``generalized_resolvent`` assembles R from g = ({UV} - z)^-1, a and b
+    (16 N^3 per row), so no W is built.  The resolvent's conditioning
+    refusal and its N <= 64 direct-inversion cross-check run at every net
+    and grid point.  Reading the grid rows from the net's eigenbasis too
+    waits for the fix of the ``theta_star_self`` rounding defect: until
+    then any last-digit change to a row's lhs can move ``theta_star_self``
+    past the reference tolerance, which is also why the block route keeps
+    the definitional product's digits.  (``semicircle_locallaw`` deliberately
     keeps the full ``semicircle_stats`` at its grid rows: their row-sum
     residuals go into the reported ``max_row_sum_residual``.)
 

@@ -283,8 +283,8 @@ def _minor_statistics(full: np.ndarray, x_blocks: np.ndarray, g_i: np.ndarray,
     rows and columns i + N arange(k), average the minor's corner blocks, form
     Q_i from the removed row block, and take the largest relative residual
     of -Q_i = G_i^-1 + Lambda + Phi(Ghat_i).  ``x_blocks`` are X's corner
-    blocks.  For N <= 64 refuses a minor whose inverse has 2-norm condition
-    number above ``COND_LIMIT``."""
+    blocks.  For N <= 64 refuses a minor whose 2-norm condition number
+    exceeds ``COND_LIMIT``, as ``identity_spot_check`` does."""
     k = lam.shape[0]
     n = full.shape[0] // k
     ghat_i = np.empty((n, k, k), dtype=complex)
@@ -295,9 +295,10 @@ def _minor_statistics(full: np.ndarray, x_blocks: np.ndarray, g_i: np.ndarray,
     for i in range(n):
         rows = i + n * np.arange(k)
         keep = np.delete(all_idx, rows)
-        r_minor = np.linalg.inv(full[np.ix_(keep, keep)])
-        if n <= 64 and np.linalg.cond(r_minor) > COND_LIMIT:
+        minor = full[np.ix_(keep, keep)]
+        if n <= 64 and np.linalg.cond(minor) > COND_LIMIT:
             raise IllConditionedError(f"minor resolvent ill-conditioned at i={i}")
+        r_minor = np.linalg.inv(minor)
         # Ghat_i: average of the k x k corner blocks of the padded minor
         ghat_i[i] = corner_blocks(r_minor, k).sum(axis=0) / n
         y = full[np.ix_(rows, keep)] + 0.0

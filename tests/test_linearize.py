@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -327,13 +328,62 @@ def test_x_built_only_on_demand():
     pair = random_pair(80, 2)
     lin = build_linearization(pair)
     generalized_resolvent(lin, 0.3 + 0.5j)  # N > 64: no direct cross-check
-    assert "x" not in vars(lin)
+    assert "x" not in vars(lin) and "w" not in vars(lin)
     a = (pair.u - pair.v) / math.sqrt(2.0)
     b = (-pair.u - pair.v) / math.sqrt(2.0)
-    zero = np.zeros((80, 80))
+    zero, eye = np.zeros((80, 80)), np.eye(80)
     expect = np.block([[zero, a, b], [a, zero, zero], [b, zero, zero]])
     assert np.array_equal(lin.x, expect)
     assert lin.x is lin.x
+    expect = np.block([[eye, zero, zero], [-a, eye, zero], [b, zero, eye]])
+    assert np.array_equal(lin.w, expect)
+    assert lin.w is lin.w
+
+
+def pair_of_size(n, seed, ensemble="complex-gaussian"):
+    """A sampled pair of size n; at n = 1, which ``EnsembleSpec`` refuses,
+    the upper-left entries of an N = 2 pair."""
+    if n >= 2:
+        return sample_pair(EnsembleSpec(n=n, ensemble=ensemble, seed=seed))
+    two = sample_pair(EnsembleSpec(n=2, ensemble=ensemble, seed=seed))
+    return SimpleNamespace(n=1, u=two.u[:1, :1], v=two.v[:1, :1])
+
+
+@pytest.mark.parametrize("pair", [
+    *(pytest.param(pair_of_size(n, 3), id=f"n{n}")
+      for n in (1, 2, 5, 16, 33, 64, 128, 160)),
+    pytest.param(pair_of_size(24, 1, "rademacher"), id="rademacher-n24"),
+    pytest.param(zero_pair(6), id="zero-n6"),
+])
+def test_block_route_matches_definitional_product(pair):
+    lin = build_linearization(pair)
+    n = lin.n
+    for z in (0.5 + 0.5j, -2.5 + 1j / n, 6.0 + 8.0j):
+        mid = np.zeros((3 * n, 3 * n), dtype=complex)
+        mid[:n, :n] = np.linalg.inv(lin.anticommutator - z * np.eye(n))
+        idx = np.arange(n)
+        mid[n + idx, n + idx] = 1.0
+        mid[2 * n + idx, 2 * n + idx] = -1.0
+        expect = lin.w @ mid @ lin.w.conj().T
+        r = generalized_resolvent(lin, z)
+        assert np.linalg.norm(r - expect) <= 1e-13 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("n, direct", [(64, 1), (65, 0)])
+def test_block_route_inverts_3n_only_to_cross_check(monkeypatch, n, direct):
+    lin = build_linearization(random_pair(n, 4))
+    inv, shapes = np.linalg.inv, []
+
+    def counting(a):
+        shapes.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    for z in (0.3 + 0.5j, -1.0 + 2.0j):
+        shapes.clear()
+        generalized_resolvent(lin, z)
+        assert shapes.count((3 * n, 3 * n)) == direct
+        assert shapes.count((n, n)) == 1
 
 
 def test_fluctuation_sup_monotone_in_refinement():

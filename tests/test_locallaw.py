@@ -380,6 +380,22 @@ def test_spot_check_matches_inverting_oracle(x):
         assert ward <= 1e-10
 
 
+def test_verify_local_law_never_builds_w(monkeypatch):
+    # the grid rows and the net read a and b; W is for linearize-check only
+    built = []
+
+    def capturing(pair):
+        built.append(build_linearization(pair))
+        return built[-1]
+
+    monkeypatch.setattr(locallaw, "build_linearization", capturing)
+    pair = sample_pair(EnsembleSpec(n=16, ensemble="complex-gaussian", seed=1))
+    verify_local_law(pair, z_grid=default_grid(16, 8.0, n_re=5, n_im=4),
+                     spacing=4.0)
+    assert len(built) == 1
+    assert "w" not in built[0].__dict__
+
+
 def gue_at_minor_eigenvalue(eta):
     """GUE N = 16 at z = (an eigenvalue of the minor without row 0) + i eta."""
     x = gue_matrix(16, 2)
@@ -416,6 +432,10 @@ DIAG5 = np.diag(np.arange(5.0)).astype(complex)
     pytest.param(zero_pair(65), 1e-16j, False, id="pair-zero-65-above-refusal-n"),
     pytest.param(*small_pair_at_minor_eigenvalue(1e-16), True,
                  id="pair-small16-eta-1e-16"),
+    # cond(minor) is 9.94e13 here, just below the ceiling, and cond of its
+    # computed inverse 1.0004e14, just above: both calls judge the minor
+    pytest.param(*small_pair_at_minor_eigenvalue(1e-14), False,
+                 id="pair-small16-eta-1e-14"),
     pytest.param(*small_pair_at_minor_eigenvalue(1e-12), False,
                  id="pair-small16-eta-1e-12"),
 ])
