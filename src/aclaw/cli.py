@@ -473,6 +473,10 @@ def main(argv=None) -> int:
             os.environ.setdefault(var, threads)
     args = build_parser().parse_args(argv)
     try:
+        # every command that samples a pair takes --N; refused before any
+        # work (the default grid divides by N)
+        if getattr(args, "n", 2) < 2:
+            raise ValueError(f"N must be >= 2, got {args.n}")
         return args.handler(args)
     except AclawError as exc:
         print(f"aclaw {args.command}: {exc}", file=sys.stderr)

@@ -14,7 +14,10 @@ of R is g multiplied by a or b: ``generalized_resolvent`` assembles R from
 those blocks and never reads W, which is built (lazily, like X) only for
 ``aclaw linearize-check`` and the tests.  Per-index statistics of R (3x3
 corner blocks G_i, minor averages Ghat_i, fluctuation blocks Q_i and their
-normalized sizes) drive the local-law verification.
+normalized sizes) drive the local-law verification.  Its grid rows read only
+the G_i, 9N of R's 9N^2 entries: ``grid_corner_blocks`` forms just those,
+with the bits of the full R, at 2 N^3 complex multiply-adds plus the N x N
+inverse per z instead of 16 N^3.
 
 ``resolvent_stats`` derives the per-index statistics from the full resolvent
 by the Schur identities, in roughly matrix-multiplication time (the tests
@@ -55,6 +58,7 @@ __all__ = [
     "build_linearization",
     "lambda_kron",
     "generalized_resolvent",
+    "grid_corner_blocks",
     "bordered_resolvent",
     "corner_blocks",
     "resolvent_stats",
@@ -88,10 +92,10 @@ class Linearization:
     """A pair with its blocks a and b, {UV}, its spectral norms and the
     norm-hypothesis flag max(|U|, |V|) <= 4.  The 3N x 3N matrices X
     (Hermitian) and W (unit block lower triangular) are built on first use:
-    ``generalized_resolvent`` reads only a and b, X is read by the
-    direct-inversion cross-check (N <= 64) and ``aclaw linearize-check``'s
-    key-identity spot check, and W only by ``linearize-check`` and the
-    tests."""
+    ``generalized_resolvent`` and ``grid_corner_blocks`` read only a and b,
+    X is read by the direct-inversion cross-check (N <= 64) and ``aclaw
+    linearize-check``'s key-identity spot check, and W only by
+    ``linearize-check`` and the tests."""
 
     pair: WignerPair
     anticommutator: np.ndarray
@@ -168,8 +172,11 @@ def _check_upper_half_plane(z: complex) -> None:
 
 def _cross_check(lin: Linearization, z: complex, r: np.ndarray) -> None:
     """Refuse unless r agrees with direct inversion of X - Lambda kron I
-    within 1e-8 relative."""
+    within 1e-8 relative (Frobenius).  An (N, 3, 3) stack r of corner
+    blocks is held against the direct inverse's corner blocks alone."""
     direct = np.linalg.inv(lin.x - lambda_kron(z, lin.n))
+    if r.ndim == 3:
+        direct = corner_blocks(direct, 3)
     rel = np.linalg.norm(r - direct) / np.linalg.norm(direct)
     if rel > 1e-8:
         raise IllConditionedError(
@@ -195,7 +202,9 @@ def generalized_resolvent(lin: Linearization, z: complex) -> np.ndarray:
     never read.
 
     For N up to ``CROSS_CHECK_MAX_N`` the result is verified against direct
-    inversion of X - Lambda kron I within 1e-8 relative.
+    inversion of X - Lambda kron I within 1e-8 relative.  Production forms
+    R only where the Schur route runs (``resolvent_stats``, near the net's
+    screened maximum); the grid rows use ``grid_corner_blocks``.
     """
     z = complex(z)
     _check_upper_half_plane(z)
@@ -215,6 +224,75 @@ def generalized_resolvent(lin: Linearization, z: complex) -> np.ndarray:
     if n <= CROSS_CHECK_MAX_N:
         _cross_check(lin, z, r)
     return r
+
+
+#: rows (and columns) per diagonal tile in ``grid_corner_blocks``
+_TILE = 16
+
+
+def grid_corner_blocks(lin: Linearization, zs) -> np.ndarray:
+    """The corner blocks G_i of ``generalized_resolvent`` at every z of
+    ``zs``, as a (len(zs), N, 3, 3) stack, without forming the rest of R.
+
+    G_i reads R[i + N a, i + N b]: the diagonals of g, of C g and of the
+    products g B and [C g, diag(I, -I)] [B; I] (the notation of
+    ``generalized_resolvent``).  Both products are formed on their diagonal
+    tiles only: rows lo:hi and N+lo:N+hi against the same columns, with
+    ``_TILE`` rows per tile and the remainder joined to the last tile, so no
+    tile has one row (numpy would hand a one-row product to gemv, which sums
+    in another order).  Each entry is still one BLAS sum over the same N or
+    3N terms, the +-I terms included; on OpenBLAS 0.3.31 (one thread) the
+    result had the bits of ``corner_blocks(generalized_resolvent(lin, z),
+    3)`` at every N tried from 2 to 300.  The operands [B; I] are built once per call, tile by tile, and a
+    tile's rows of [C g, diag(I, -I)] are copied into one buffer.  Per z:
+    the N x N inverse, C g (2 N^3 complex multiply-adds) and O(N^2 _TILE)
+    for the tiles, against 16 N^3 for all of R.
+
+    Every z gets the conditioning refusal and, for N up to
+    ``CROSS_CHECK_MAX_N``, the direct-inversion cross-check at 1e-8
+    relative, on the 9N corner entries of (X - Lambda kron I)^-1 (the other
+    entries of R are not formed).
+    """
+    n = lin.n
+    zs = [complex(z) for z in zs]
+    for z in zs:
+        _check_upper_half_plane(z)
+    b_row = np.hstack([-lin.a, lin.b])                    # B
+    c_col = np.vstack([-lin.a, lin.b])                    # C
+    starts = list(range(0, n - _TILE + 1, _TILE)) or [0]
+    tiles = list(zip(starts, starts[1:] + [n]))
+    rights = []                                           # columns of [B; I]
+    for lo, hi in tiles:
+        cols = np.r_[lo:hi, n + lo:n + hi]
+        right = np.zeros((3 * n, cols.size), dtype=complex)
+        right[:n] = b_row[:, cols]
+        right[n + cols, np.arange(cols.size)] = 1.0
+        rights.append(right)
+    del b_row
+    left = np.zeros((2 * (tiles[-1][1] - tiles[-1][0]), 3 * n), dtype=complex)
+    idx = np.arange(n)
+    out = np.empty((len(zs), n, 3, 3), dtype=complex)
+    for g_i, z in zip(out, zs):
+        g = _ac_inverse(lin, z)
+        cg = c_col @ g
+        g_i[:, 0, 0] = g[idx, idx]
+        g_i[:, 1, 0] = cg[idx, idx]
+        g_i[:, 2, 0] = cg[n + idx, idx]
+        for (lo, hi), right in zip(tiles, rights):
+            t = hi - lo
+            j = np.arange(t)
+            gb = g[lo:hi] @ right[:n]
+            g_i[lo:hi, 0, 1], g_i[lo:hi, 0, 2] = gb[j, j], gb[j, t + j]
+            rows = left[:2 * t]                           # [C g, diag(I, -I)]
+            rows[:t, :n], rows[t:, :n] = cg[lo:hi], cg[n + lo:n + hi]
+            ones = (np.r_[j, t + j], np.r_[n + lo + j, 2 * n + lo + j])
+            rows[ones] = np.repeat([1.0, -1.0], t)
+            lr = rows @ right
+            rows[ones] = 0.0
+            g_i[lo:hi, 1:, 1:] = lr.reshape(2, t, 2, t)[:, j, :, j]
+        if n <= CROSS_CHECK_MAX_N:
+            _cross_check(lin, z, g_i)
+    return out
 
 
 def _eigenbasis(lin: Linearization) -> tuple[np.ndarray, np.ndarray]:

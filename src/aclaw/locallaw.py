@@ -28,9 +28,8 @@ from .errors import AclawError
 from .freelaw import edge_distance, law_constants, m_ac
 from .grids import rect_grid, uniform_net
 from .linearize import (AnticommutatorSpectrum, _check_upper_half_plane,
-                        _fluct_from, build_linearization, corner_blocks,
-                        fluctuation_sup, generalized_resolvent,
-                        identity_spot_check)
+                        _fluct_from, build_linearization, fluctuation_sup,
+                        grid_corner_blocks, identity_spot_check)
 from .sdcore import sd_semicircle, sd_solution_ac
 from .wigner import EnsembleSpec, WignerPair, norm_at_most, sample_pair
 
@@ -179,16 +178,19 @@ def verify_local_law(pair: WignerPair, z_grid=None, tau: float = 8.0,
     screens the whole net in the eigenbasis of {UV} and runs the Schur
     route ``resolvent_stats`` only near the screened maximum (one point
     per pair in practice), so K keeps the route's digits.  A grid row needs
-    only G_i, which it slices from the generalized resolvent with
-    ``corner_blocks``, exactly as ``resolvent_stats`` slices its ``g_i``;
-    ``generalized_resolvent`` assembles R from g = ({UV} - z)^-1, a and b
-    (16 N^3 per row), so no W is built.  The resolvent's conditioning
-    refusal and its N <= 64 direct-inversion cross-check run at every net
-    and grid point.  Reading the grid rows from the net's eigenbasis too
+    only the corner blocks G_i, 9N of the resolvent's 9N^2 entries, and
+    ``grid_corner_blocks`` forms just those for the whole grid: per row the
+    N x N inverse g = ({UV} - z)^-1, C g (2 N^3) and diagonal tiles of two
+    products, with the bits of ``resolvent_stats``' ``g_i``.  No W and no
+    3N x 3N resolvent is built for a row.  The conditioning refusal runs at
+    every net and grid point, and so does the N <= 64 direct-inversion
+    cross-check, which at a grid point compares the 9N corner entries with
+    those of the direct inverse (1e-8 relative), since the others are not
+    formed.  Reading the grid rows from the net's eigenbasis
     waits for the fix of the ``theta_star_self`` rounding defect: until
     then any last-digit change to a row's lhs can move ``theta_star_self``
-    past the reference tolerance, which is also why the block route keeps
-    the definitional product's digits.  (``semicircle_locallaw`` deliberately
+    past the reference tolerance, which is why the rows keep the
+    definitional product's digits.  (``semicircle_locallaw`` deliberately
     keeps the full ``semicircle_stats`` at its grid rows: their row-sum
     residuals go into the reported ``max_row_sum_residual``.)
 
@@ -212,10 +214,9 @@ def verify_local_law(pair: WignerPair, z_grid=None, tau: float = 8.0,
     net = fluctuation_sup(lin, (-8.0, 8.0, 1.0 / n, tau), spacing)
     k_stat = net.k2
     rho = 4.0 * c_config**2 * theta**2 * k_stat**2 / n
+    zs = [complex(z) for z in z_grid]
     points = []
-    for z in z_grid:
-        z = complex(z)
-        g_i = corner_blocks(generalized_resolvent(lin, z), 3)
+    for z, g_i in zip(zs, grid_corner_blocks(lin, zs)):
         m_mat = sd_solution_ac(z).m_mat
         lhs = float(np.linalg.norm(g_i - m_mat[None, :, :], 2,
                                    axis=(1, 2)).max())

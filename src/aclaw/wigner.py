@@ -8,7 +8,9 @@ variance 1/N, recorded in the spec so experiments stay auditable.
 
 Sampling streams: matrix ``U`` of a pair uses Philox key (seed, 0) and ``V``
 uses (seed, 1), so pairs are reproducible and independent pairs are obtained
-by varying the seed (order-independent across parallel workers).
+by varying the seed (order-independent across parallel workers).  Seeds lie
+in (-2**64, 2**64); a negative seed's key is marked in its stream word, so
+distinct seeds draw distinct pairs.
 
 The Monte Carlo checks of the ensembles' moment-growth constants, of the
 linearization blocks' second moments and of the norm event |U|, |V| > 4, and
@@ -57,6 +59,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be >= 2")
+        if not -2**64 < self.seed < 2**64:
+            raise ValueError(f"seed must lie in (-2**64, 2**64), got {self.seed}")
         if self.ensemble == "gaussian":
             object.__setattr__(self, "ensemble", "complex-gaussian")
         if self.ensemble not in ENSEMBLES:
@@ -84,7 +88,13 @@ class WignerPair:
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed % 2**64, stream]))
+    # Philox's key is two 64-bit words: the seed modulo 2**64, then the
+    # stream with bit 32 set for a negative seed, so that every seed in
+    # (-2**64, 2**64) has a key of its own.  The key is an explicit uint64
+    # array: numpy casts a list holding a word >= 2**63 through float64,
+    # which once mapped every negative seed to one key.
+    key = np.array([seed % 2**64, stream + 2**32 * (seed < 0)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _draw_offdiag(rng, ensemble, size, n):

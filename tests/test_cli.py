@@ -218,12 +218,12 @@ def test_deloc_eigendecomposes_once(tmp_path, monkeypatch):
 
 def test_verify_grid_skips_fluctuation_statistics(tmp_path, monkeypatch):
     # the net is screened in one call and the route runs only near the
-    # screened maximum (one point on this input); the grid rows read G_i
-    # from the generalized resolvent alone
+    # screened maximum (one point on this input); the grid rows read their
+    # G_i from one grid_corner_blocks call, not from 3N x 3N resolvents
     from aclaw import linearize, locallaw
 
     calls = {"resolvent_stats": 0, "generalized_resolvent": 0,
-             "_screen_net": 0}
+             "_screen_net": 0, "grid_corner_blocks": 0}
     for name in calls:
         original = getattr(linearize, name)
 
@@ -240,9 +240,8 @@ def test_verify_grid_skips_fluctuation_statistics(tmp_path, monkeypatch):
                     "--spacing", str(spacing), "--n-re", str(n_re),
                     "--n-im", str(n_im), "--out", str(out)])
     assert code == 0
-    assert calls == {"resolvent_stats": 1,
-                     "generalized_resolvent": 1 + n_re * n_im,
-                     "_screen_net": 1}
+    assert calls == {"resolvent_stats": 1, "generalized_resolvent": 1,
+                     "_screen_net": 1, "grid_corner_blocks": 1}
 
 
 @pytest.mark.parametrize("args", [
@@ -344,6 +343,13 @@ def test_law_density_csv(tmp_path):
     *[pytest.param(["sd", "--n-re", "3", "--n-im", "3", "--delta-frac", frac],
                    id=f"sd-delta-frac-{frac}")
       for frac in ("nan", "inf", "0", "1", "5")],
+    # N = 0 used to die in default_grid with a ZeroDivisionError traceback
+    # (exit 1); every command that samples a pair refuses N < 2 before any work
+    *[pytest.param([cmd, "--N", "0"], id=f"{cmd}-n-zero")
+      for cmd in ("verify", "semicircle", "deloc", "linearize-check", "sample")],
+    pytest.param(["verify", "--N", "-3"], id="verify-n-negative"),
+    # beyond (-2**64, 2**64) the pair's Philox key would repeat
+    pytest.param(["sample", "--N", "4", "--seed", str(2**64)], id="sample-seed-2-64"),
 ])
 def test_usage_error_exit_code(tmp_path, capsys, monkeypatch, args):
     monkeypatch.chdir(tmp_path)  # relative side outputs land here too

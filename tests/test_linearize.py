@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aclaw import linearize
@@ -20,6 +20,7 @@ from aclaw.linearize import (
     corner_blocks,
     fluctuation_sup,
     generalized_resolvent,
+    grid_corner_blocks,
     bordered_resolvent,
     lambda_kron,
     resolvent_row_sum_check,
@@ -212,17 +213,78 @@ def test_minor_and_schur_routes_agree():
         np.testing.assert_allclose(a.fluct_i, b.fluct_i, rtol=1e-7)
 
 
-@pytest.mark.parametrize("n", [16, 80])
+@pytest.mark.parametrize("n", [16, 33, 64, 80, 128])
 def test_grid_blocks_bit_identical_to_stats(n):
-    # verify_local_law's grid rows read G_i with corner_blocks; the report
-    # stays byte-identical only if that is exactly the route's and the
-    # oracle's g_i
+    # verify_local_law's grid rows read G_i from grid_corner_blocks; the
+    # report stays byte-identical only if that is exactly the full
+    # resolvent's, the route's and the oracle's g_i
     lin = build_linearization(random_pair(n, 5))
-    for z in (0.3 + 1.0 / n * 1j, -2.5 + 0.7j):
-        g_i = corner_blocks(generalized_resolvent(lin, z), 3)
-        assert g_i.shape == (n, 3, 3)
+    zs = (0.3 + 1.0 / n * 1j, -2.5 + 0.7j)
+    rows = grid_corner_blocks(lin, zs)
+    assert rows.shape == (len(zs), n, 3, 3)
+    for z, g_i in zip(zs, rows):
+        assert np.array_equal(g_i, corner_blocks(generalized_resolvent(lin, z), 3))
         assert np.array_equal(g_i, resolvent_stats(lin, z).g_i)
-        assert np.array_equal(g_i, minor_stats(lin, z)[0].g_i)
+        if n <= 80:  # the oracle inverts N minors of size 3N - 3
+            assert np.array_equal(g_i, minor_stats(lin, z)[0].g_i)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=1000),
+       st.floats(-8.0, 8.0), st.floats(0.0, 1.0))
+@example(33, 0, 0.3, 0.5)  # 33 = 2 tiles + 1 row, joined to the last tile
+def test_grid_blocks_match_full_resolvent_property(n, seed, re, t):
+    lin = build_linearization(random_pair(n, seed))
+    z = complex(re, (1.0 / n) * (8.0 * n) ** t)       # Im z from 1/N to 8
+    expect = corner_blocks(generalized_resolvent(lin, z), 3)
+    got = grid_corner_blocks(lin, [z])[0]
+    assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("entry", [(a, b) for a in range(3) for b in range(3)])
+def test_grid_blocks_cross_check_refuses_a_corrupted_corner(monkeypatch, entry):
+    # for N <= 64 every grid point's corner blocks are held against those of
+    # the direct inverse at 1e-8 relative: a corrupted entry is refused, a
+    # rounding-size change is not
+    lin = build_linearization(random_pair(24, 3))
+    check = linearize._cross_check
+    rel = []
+
+    def corrupting(lin_, z, g_i):
+        bad = g_i.copy()
+        bad[7][entry] += rel[0] * np.linalg.norm(g_i)
+        check(lin_, z, bad)
+
+    monkeypatch.setattr(linearize, "_cross_check", corrupting)
+    rel.append(1e-10)
+    grid_corner_blocks(lin, [0.3 + 0.5j])
+    rel[0] = 1e-6
+    with pytest.raises(IllConditionedError, match="disagree"):
+        grid_corner_blocks(lin, [0.3 + 0.5j])
+
+
+@pytest.mark.parametrize("n, checked", [(64, 2), (65, 0)])
+def test_grid_blocks_invert_3n_only_to_cross_check(monkeypatch, n, checked):
+    lin = build_linearization(random_pair(n, 4))
+    inv, shapes = np.linalg.inv, []
+
+    def counting(a):
+        shapes.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    grid_corner_blocks(lin, [0.3 + 0.5j, -1.0 + 2.0j])
+    assert shapes.count((3 * n, 3 * n)) == checked
+    assert shapes.count((n, n)) == 2
+
+
+def test_grid_blocks_keep_the_refusals(monkeypatch):
+    lin = build_linearization(random_pair(16, 1))
+    with pytest.raises(ValueError, match="upper half-plane"):
+        grid_corner_blocks(lin, [0.5 + 0.5j, 0.5 - 0.5j])
+    monkeypatch.setattr(linearize, "COND_LIMIT", 1.0)
+    with pytest.raises(IllConditionedError):
+        grid_corner_blocks(lin, [0.5 + 0.5j])
 
 
 def test_key_identity_residual_small():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aclaw import locallaw
+from aclaw import linearize, locallaw
 from aclaw.freelaw import edge_distance, law_constants
 from aclaw.grids import rect_grid, uniform_net
 from aclaw.linearize import (IllConditionedError, build_linearization,
@@ -394,6 +394,26 @@ def test_verify_local_law_never_builds_w(monkeypatch):
                      spacing=4.0)
     assert len(built) == 1
     assert "w" not in built[0].__dict__
+
+
+def test_verify_local_law_forms_r_only_where_the_route_runs(monkeypatch):
+    # the grid rows read their G_i from grid_corner_blocks: the only 3N x 3N
+    # resolvents of a run are the route's evaluations near the screened
+    # maximum (one on a generic pair), so a dense resolvent per grid row
+    # cannot come back unnoticed
+    calls = {"generalized_resolvent": 0, "resolvent_stats": 0}
+    for name in calls:
+        original = getattr(linearize, name)
+
+        def counting(*a, _name=name, _original=original, **kw):
+            calls[_name] += 1
+            return _original(*a, **kw)
+
+        monkeypatch.setattr(linearize, name, counting)
+    pair = sample_pair(EnsembleSpec(n=24, ensemble="complex-gaussian", seed=3))
+    rep = verify_local_law(pair, spacing=2.0)
+    assert len(rep.rows) == 130
+    assert calls == {"generalized_resolvent": 1, "resolvent_stats": 1}
 
 
 def gue_at_minor_eigenvalue(eta):

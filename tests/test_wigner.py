@@ -73,6 +73,30 @@ def test_u_and_v_independent_streams():
     assert not np.allclose(pair.u, pair.v)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 2**62 + 7])
+def test_uint64_key_draws_the_list_keyed_pair(monkeypatch, seed):
+    # keying Philox with a uint64 array moves no pair a report was made from:
+    # below 2**63 numpy reads the list key [seed, stream] as int64 words
+    spec = EnsembleSpec(n=6, seed=seed)
+    pair = sample_pair(spec)
+    monkeypatch.setattr(wigner, "_rng", lambda s, stream: np.random.Generator(
+        np.random.Philox(key=[s, stream])))
+    listed = sample_pair(spec)
+    np.testing.assert_array_equal(pair.u, listed.u)
+    np.testing.assert_array_equal(pair.v, listed.v)
+
+
+@pytest.mark.filterwarnings("error")
+def test_negative_and_large_seeds_draw_distinct_pairs():
+    # the list key [seed % 2**64, stream] cast -1, -2, -1000 and 2**64 - 1
+    # through float64 to one key, with a RuntimeWarning
+    seeds = [-1, -2, -1000, 2**64 - 1, 2**63, 0]
+    draws = [sample_pair(EnsembleSpec(n=4, seed=s)).u for s in seeds]
+    for i in range(len(seeds)):
+        for j in range(i):
+            assert not np.array_equal(draws[i], draws[j]), (seeds[i], seeds[j])
+
+
 def test_entry_mean_and_second_moment():
     n, samples = 8, 10000
     for ensemble in sorted(ENSEMBLES):
@@ -184,6 +208,10 @@ def test_spec_validation():
         EnsembleSpec(n=4, ensemble="cauchy")
     with pytest.raises(ValueError):
         EnsembleSpec(n=4, alpha0=-1.0)
+    # beyond (-2**64, 2**64) the Philox key would repeat
+    for seed in (2**64, -2**64):
+        with pytest.raises(ValueError):
+            EnsembleSpec(n=4, seed=seed)
     # plain "gaussian" is accepted as an alias
     assert EnsembleSpec(n=4, ensemble="gaussian").ensemble == "complex-gaussian"
 
