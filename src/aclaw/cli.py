@@ -265,8 +265,9 @@ def _cmd_sd(args) -> int:
 
     from .grids import rect_grid
     from .sdcore import sd_residual, sd_solution_ac, stability_check
+    from .wigner import _rng
 
-    rng = np.random.Generator(np.random.Philox(key=[args.seed, 11]))
+    rng = _rng(args.seed, 11)
     grid = rect_grid(args.re_min, args.re_max, args.n_re,
                      args.im_min, args.im_max, args.n_im)
     rows = []
@@ -296,26 +297,28 @@ def _cmd_linearize_check(args) -> int:
 
     import numpy as np
 
-    from .linearize import (block_inversion_check, bordered_resolvent,
-                            build_linearization, generalized_resolvent,
-                            identity_spot_check, lambda_kron,
-                            resolvent_row_sum_check, resolvent_stats)
+    from .linearize import (bordered_resolvent, build_linearization,
+                            generalized_resolvent, identity_spot_check,
+                            lambda_kron, resolvent_stats)
     from .sdcore import phi_ac
 
-    pair = _pair(args)
-    lin = build_linearization(pair)
+    lin = build_linearization(_pair(args))
     n, z = args.n, complex(args.z)
     w = lin.w
     w_h = w.conj().T
+    # W* (X - Lambda kron I) W = blockdiag({UV} - z, I, -I) is the block
+    # elimination of X - Lambda kron I at split N: its upper-left block is
+    # the Schur complement b^2 - a^2 - z, so blocks with b^2 - a^2 != {UV}
+    # or a pair that is not Hermitian move it
     full = lin.x - lambda_kron(z, n)
     fact = w_h @ full @ w
-    # blockdiag({UV} - z, I, -I)
     target = -lambda_kron(z, n)
     target[:n, :n] += lin.anticommutator
     scale = max(np.linalg.norm(lin.x), 1.0)
     # generalized_resolvent assembles R from g, a and b without W; this
     # holds it against the definitional product R + Lambda(0) kron I =
-    # W blockdiag(g, 0, 0) W*
+    # W blockdiag(g, 0, 0) W* (for N <= 64 its direct-inversion cross-check
+    # refuses a wrong block first)
     r = generalized_resolvent(lin, z)
     small = bordered_resolvent(lin, z)
     lam0 = lambda_kron(0.0, n)
@@ -323,19 +326,13 @@ def _cmd_linearize_check(args) -> int:
     st = resolvent_stats(lin, z)
     _, key_res, _ = identity_spot_check(lin.x, np.array([z, -1.0, 1.0]),
                                         st.ghat_i, st.q_i, phi_ac)
-    rng = np.random.Generator(np.random.Philox(key=[args.seed, 13]))
-    mat = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)) + 6 * np.eye(8)
     checks = {
         "factorization": float(np.linalg.norm(fact - target) / scale),
         "bordered_identity": float(rid),
         "key_identity": key_res,
-        "row_sum": resolvent_row_sum_check(pair.u, z),
-        **{f"block_inversion_{k}": v
-           for k, v in block_inversion_check(mat, 3).items()},
     }
     tol = {"factorization": 1e-12, "bordered_identity": 1e-10,
-           "key_identity": 1e-8, "row_sum": 1e-8,
-           "block_inversion_schur_form": 1e-9, "block_inversion_corner_form": 1e-9}
+           "key_identity": 1e-8}
     verdicts = {k: checks[k] <= tol[k] for k in checks}
     out = {"config": _base_config(args, ["n", "ensemble", "seed"]),
            "z": z, "residuals": checks, "tolerances": tol, "verdicts": verdicts}
@@ -446,11 +443,14 @@ def _cmd_tails(args) -> int:
         "theta_bound_holds": theta_ok,
         "whittle": whittle_rows,
         "quad_tail": {"slope": qrep.slope, "slope_stderr": qrep.slope_stderr,
-                      "decays": qrep.decays,
+                      "decays": qrep.decays, "center_abs": qrep.center_abs,
+                      "center_tol": qrep.center_tol,
                       "survival": [[float(t), float(s)]
                                    for t, s in zip(qrep.ts, qrep.survival)]},
     }
-    failures += 0 if qrep.decays else 1
+    # the centering gates; ``decays`` is descriptive (its slope cannot be
+    # positive)
+    failures += 0 if qrep.center_abs <= qrep.center_tol else 1
     atomic_write(args.out, dump_json(out) + "\n")
     if args.tail_csv:
         header, rows = qrep.csv_rows()

@@ -64,8 +64,6 @@ __all__ = [
     "resolvent_stats",
     "identity_spot_check",
     "fluctuation_sup",
-    "resolvent_row_sum_check",
-    "block_inversion_check",
 ]
 
 #: condition ceiling on resolvent solves
@@ -736,52 +734,3 @@ class AnticommutatorSpectrum:
         zs = np.asarray(zs, dtype=complex)
         inv = 1.0 / (self.evals[:, None] - zs[None, :])
         return (self.weights @ inv.view(np.float64)).view(complex)
-
-
-def resolvent_row_sum_check(h: np.ndarray, z: complex) -> float:
-    """Largest relative residual, over rows i, of the identities
-
-        Im (h - z)^-1 (i,i) / Im z = sum_j |(h - z)^-1 (i,j)|^2
-                                   = sum_j |(h - z)^-1 (j,i)|^2
-
-    for a Hermitian h."""
-    z = complex(z)
-    _check_upper_half_plane(z)
-    h = np.asarray(h, dtype=complex)
-    r = np.linalg.inv(h - z * np.eye(h.shape[0]))
-    lhs = np.diag(r).imag / z.imag
-    rows = (np.abs(r) ** 2).sum(axis=1)
-    cols = (np.abs(r) ** 2).sum(axis=0)
-    scale = np.maximum(np.abs(lhs), 1e-300)
-    return float(max(np.max(np.abs(lhs - rows) / scale),
-                     np.max(np.abs(lhs - cols) / scale)))
-
-
-def block_inversion_check(mat: np.ndarray, split: int) -> dict[str, float]:
-    """Relative residuals of the two 2x2-block inversion identities for
-    ``mat`` split as [[a, b], [c, d]] with a of size ``split``.
-
-    The first writes the inverse through the Schur complement a - b d^-1 c;
-    the second reassembles it from its own corner blocks.
-    """
-    mat = np.asarray(mat, dtype=complex)
-    k = split
-    a, b = mat[:k, :k], mat[:k, k:]
-    c, d = mat[k:, :k], mat[k:, k:]
-    d_inv = np.linalg.inv(d)
-    full_inv = np.linalg.inv(mat)
-    schur = a - b @ d_inv @ c
-    schur_inv = np.linalg.inv(schur)
-    pad = np.zeros_like(mat)
-    pad[k:, k:] = d_inv
-    left = np.vstack([np.eye(k), -d_inv @ c])
-    right = np.hstack([np.eye(k), -b @ d_inv])
-    first = pad + left @ schur_inv @ right
-    p, q = full_inv[:k, :k], full_inv[:k, k:]
-    r_blk = full_inv[k:, :k]
-    second = pad + np.vstack([p, r_blk]) @ np.linalg.inv(p) @ np.hstack([p, q])
-    scale = np.linalg.norm(full_inv)
-    return {
-        "schur_form": float(np.linalg.norm(first - full_inv) / scale),
-        "corner_form": float(np.linalg.norm(second - full_inv) / scale),
-    }

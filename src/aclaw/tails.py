@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wigner import _draw_offdiag
+from .wigner import _draw_offdiag, _rng
 
 __all__ = [
     "theta_root",
@@ -82,7 +82,6 @@ def _bootstrap_ucb(samples_p: np.ndarray, p: float, rng) -> float:
 class WhittleReport:
     """One Monte Carlo verdict for the linear or quadratic p-norm bound."""
 
-    n: int
     lhs_estimate: float
     lhs_ucb99: float
     rhs_bound: float
@@ -105,7 +104,7 @@ def whittle_check(dist: str, n: int, p: float, trials: int = 20000,
         raise ValueError("p must lie in [2, 16]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.Generator(np.random.Philox(key=[seed, 1]))
+    rng = _rng(seed, 1)
     ynorm = _exact_p_norm(dist, p)
     if mode == "linear":
         v = rng.standard_normal(n)
@@ -126,7 +125,7 @@ def whittle_check(dist: str, n: int, p: float, trials: int = 20000,
     abs_p = np.abs(s) ** p
     lhs = float(abs_p.mean() ** (1.0 / p))
     ucb = _bootstrap_ucb(abs_p, p, rng)
-    return WhittleReport(n=n, lhs_estimate=lhs, lhs_ucb99=ucb, rhs_bound=rhs)
+    return WhittleReport(lhs_estimate=lhs, lhs_ucb99=ucb, rhs_bound=rhs)
 
 
 def survival_points(values: np.ndarray):
@@ -170,11 +169,11 @@ class QuadTailReport:
     @property
     def decays(self) -> bool:
         """Whether the fitted slope is negative by two standard errors.
-        Descriptive only: a least-squares slope of a non-increasing survival
-        curve against increasing levels is <= 0 by Chebyshev's sum
-        inequality, so the flag shows how clearly the tail decays, not
-        whether it does.  ``center_abs <= center_tol`` is the check that can
-        fail."""
+        Descriptive only, and no verdict gates on it: a least-squares slope
+        of a non-increasing survival curve against increasing levels is
+        <= 0 by Chebyshev's sum inequality, so the flag shows how clearly
+        the tail decays, not whether it does.  ``aclaw tails`` and criterion
+        11 gate on ``center_abs <= center_tol``, the check that can fail."""
         return self.slope + 2.0 * self.slope_stderr < 0.0
 
     def fitted(self, t: float) -> float:
@@ -208,7 +207,7 @@ def quad_tail_check(k: int, n: int, gamma0: float, gamma1: float,
     b_matrix = np.asarray(b_matrix, dtype=float)
     if b_matrix.shape != (k * n, k * n):
         raise ValueError("B must be kN x kN")
-    rng = np.random.Generator(np.random.Philox(key=[seed, 7]))
+    rng = _rng(seed, 7)
     entry_sd = math.sqrt(gamma1 / n) / k
     denom = (gamma1 / math.sqrt(n)) * max(1.0, np.linalg.norm(b_matrix) / math.sqrt(n))
     if coupled:

@@ -10,7 +10,9 @@ Sampling streams: matrix ``U`` of a pair uses Philox key (seed, 0) and ``V``
 uses (seed, 1), so pairs are reproducible and independent pairs are obtained
 by varying the seed (order-independent across parallel workers).  Seeds lie
 in (-2**64, 2**64); a negative seed's key is marked in its stream word, so
-distinct seeds draw distinct pairs.
+distinct seeds draw distinct pairs.  Every other seeded draw of the package
+(``aclaw sd``'s perturbations, stream 11, and the ``tails`` checks, streams
+1 and 7) takes its generator from ``_rng`` too.
 
 The Monte Carlo checks of the ensembles' moment-growth constants, of the
 linearization blocks' second moments and of the norm event |U|, |V| > 4, and
@@ -59,8 +61,7 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be >= 2")
-        if not -2**64 < self.seed < 2**64:
-            raise ValueError(f"seed must lie in (-2**64, 2**64), got {self.seed}")
+        _check_seed(self.seed)
         if self.ensemble == "gaussian":
             object.__setattr__(self, "ensemble", "complex-gaussian")
         if self.ensemble not in ENSEMBLES:
@@ -87,7 +88,15 @@ class WignerPair:
         return self.spec.n
 
 
+def _check_seed(seed: int) -> None:
+    if not -2**64 < seed < 2**64:
+        raise ValueError(f"seed must lie in (-2**64, 2**64), got {seed}")
+
+
 def _rng(seed: int, stream: int) -> np.random.Generator:
+    """The generator of one stream of a seed; refuses a seed outside
+    (-2**64, 2**64), whose key would repeat another's."""
+    _check_seed(seed)
     # Philox's key is two 64-bit words: the seed modulo 2**64, then the
     # stream with bit 32 set for a negative seed, so that every seed in
     # (-2**64, 2**64) has a key of its own.  The key is an explicit uint64

@@ -110,6 +110,43 @@ def test_sd_report(tmp_path):
     assert all(r["sd_residual"] <= 1e-10 for r in rep["rows"])
 
 
+def sd_perturbations(tmp_path, seed):
+    """The G0 that ``aclaw sd --seed SEED`` hands its stability checks."""
+    from aclaw import sdcore
+
+    drawn = []
+    original = sdcore.stability_check
+
+    def recording(quad, g0):
+        drawn.append(g0)
+        return original(quad, g0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdcore, "stability_check", recording)
+        out = tmp_path / "sd.json"
+        assert run_cli(["sd", "--n-re", "2", "--n-im", "2", "--seed", str(seed),
+                        "--out", str(out)]) == 0
+    return np.array(drawn)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sd_seeds_draw_distinct_perturbations(tmp_path, monkeypatch):
+    # the list key [seed, 11] cast 2**63 and 2**63 + 1 through float64 to one
+    # key (and 2**64 - 1 with a RuntimeWarning); wigner._rng keys every seed
+    # apart
+    from aclaw import wigner
+
+    seeds = [-1, 2**63, 2**63 + 1, 0]
+    draws = [sd_perturbations(tmp_path, s) for s in seeds]
+    for i in range(len(seeds)):
+        for j in range(i):
+            assert not np.array_equal(draws[i], draws[j]), (seeds[i], seeds[j])
+    # below 2**63 the key is the list key's, so no recorded report moves
+    monkeypatch.setattr(wigner, "_rng", lambda s, stream: np.random.Generator(
+        np.random.Philox(key=[s, stream])))
+    np.testing.assert_array_equal(sd_perturbations(tmp_path, 0), draws[-1])
+
+
 def test_linearize_check(tmp_path):
     out = tmp_path / "lin.json"
     code = run_cli(["linearize-check", "--N", "8", "--seed", "2", "--out", str(out)])
@@ -278,6 +315,7 @@ def test_tails_cli(tmp_path):
     assert rep["theta_bound_holds"] is True
     assert all(r["holds"] for r in rep["whittle"])
     assert rep["quad_tail"]["decays"] is True
+    assert rep["quad_tail"]["center_abs"] <= rep["quad_tail"]["center_tol"]
     assert read(csv).startswith("t,survival,fitted_bound")
 
 
@@ -348,8 +386,12 @@ def test_law_density_csv(tmp_path):
     *[pytest.param([cmd, "--N", "0"], id=f"{cmd}-n-zero")
       for cmd in ("verify", "semicircle", "deloc", "linearize-check", "sample")],
     pytest.param(["verify", "--N", "-3"], id="verify-n-negative"),
-    # beyond (-2**64, 2**64) the pair's Philox key would repeat
+    # beyond (-2**64, 2**64) the Philox key would repeat; sd and tails used to
+    # cast such a seed through float64 (a RuntimeWarning) and run
     pytest.param(["sample", "--N", "4", "--seed", str(2**64)], id="sample-seed-2-64"),
+    pytest.param(["sd", "--n-re", "2", "--n-im", "2", "--seed", str(2**64)],
+                 id="sd-seed-2-64"),
+    pytest.param(["tails", "--trials", "10", "--seed", str(2**64)], id="tails-seed-2-64"),
 ])
 def test_usage_error_exit_code(tmp_path, capsys, monkeypatch, args):
     monkeypatch.chdir(tmp_path)  # relative side outputs land here too

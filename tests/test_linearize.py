@@ -15,7 +15,6 @@ from aclaw.grids import uniform_net
 from aclaw.linearize import (
     AnticommutatorSpectrum,
     IllConditionedError,
-    block_inversion_check,
     build_linearization,
     corner_blocks,
     fluctuation_sup,
@@ -23,14 +22,11 @@ from aclaw.linearize import (
     grid_corner_blocks,
     bordered_resolvent,
     lambda_kron,
-    resolvent_row_sum_check,
     resolvent_stats,
 )
 from aclaw.sdcore import sd_solution_ac
 from aclaw.wigner import ENSEMBLES, EnsembleSpec, WignerPair, sample_pair
 from oracles import minor_stats
-
-RNG = np.random.Generator(np.random.Philox(key=424242))
 
 
 def zero_pair(n=4):
@@ -717,63 +713,6 @@ def test_fluctuation_sup_rect_validation():
         fluctuation_sup(lin, (-9.0, 0.0, 0.5, 1.0), spacing=0.5)
     with pytest.raises(ValueError):
         fluctuation_sup(lin, (-1.0, 1.0, 0.01, 1.0), spacing=0.5)
-
-
-def test_row_sum_identity_diagonal_exact():
-    h = np.diag([1.0, -0.5, 2.0])
-    assert resolvent_row_sum_check(h, 0.3 + 0.4j) <= 1e-12
-
-
-def test_row_sum_identity_random():
-    a = RNG.standard_normal((16, 16)) + 1j * RNG.standard_normal((16, 16))
-    h = (a + a.conj().T) / 2
-    res = resolvent_row_sum_check(h, 0.1 + 0.2j)
-    assert res <= 1e-10
-    # oracle route: both sides from the eigendecomposition
-    z = 0.1 + 0.2j
-    evals, evecs = np.linalg.eigh(h)
-    lhs = (np.abs(evecs) ** 2 @ (1 / (evals - z))).imag / z.imag
-    rhs = np.abs(evecs @ np.diag(1 / (evals - z)) @ evecs.conj().T) ** 2
-    np.testing.assert_allclose(lhs, rhs.sum(axis=1), atol=1e-10)
-
-
-def test_block_inversion_block_diagonal_exact():
-    a = RNG.standard_normal((3, 3)) + np.eye(3) * 4
-    d = RNG.standard_normal((5, 5)) + np.eye(5) * 4
-    mat = np.zeros((8, 8))
-    mat[:3, :3] = a
-    mat[3:, 3:] = d
-    res = block_inversion_check(mat, 3)
-    assert res["schur_form"] <= 1e-12
-    assert res["corner_form"] <= 1e-12
-
-
-def test_block_inversion_random():
-    mat = RNG.standard_normal((8, 8)) + 1j * RNG.standard_normal((8, 8)) + 6 * np.eye(8)
-    res = block_inversion_check(mat, 3)
-    assert res["schur_form"] <= 1e-9
-    assert res["corner_form"] <= 1e-9
-
-
-def test_block_inversion_two_by_two_hand_formula():
-    mat = np.array([[3.0, 1.0], [2.0, 4.0]])
-    res = block_inversion_check(mat, 1)
-    assert res["schur_form"] <= 1e-12
-    det = 3.0 * 4.0 - 1.0 * 2.0
-    hand = np.array([[4.0, -1.0], [-2.0, 3.0]]) / det
-    np.testing.assert_allclose(np.linalg.inv(mat), hand, atol=1e-14)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=1000))
-def test_block_inversion_property(n, seed):
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    mat += 5 * np.eye(n)  # keep well away from singularity
-    split = max(1, n // 2)
-    res = block_inversion_check(mat, split)
-    assert res["schur_form"] <= 1e-9
-    assert res["corner_form"] <= 1e-9
 
 
 def test_gauge_bound_from_statistics():

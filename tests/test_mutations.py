@@ -1,0 +1,161 @@
+"""Mutation table: every check that ``aclaw linearize-check`` and ``aclaw
+tails`` gate on fails for some defect of aclaw.
+
+Each row plants one defect: one function of the package is recompiled from
+its source with one fragment replaced, and every aclaw module that binds the
+function gets the copy.  The row then runs one command and names what must
+flip: the checks whose verdicts fail (exit 1), or the typed refusal (exit 2)
+by which the defect shows instead.  Rows for other commands record defects
+that neither ``linearize-check`` nor ``tails`` can see.
+
+At N <= 64 (``linearize.CROSS_CHECK_MAX_N``) every resolvent is checked
+against direct inversion, which refuses a wrong a or a wrong block of R
+before ``linearize-check`` writes a report.  Those defects get two rows: the
+refusal at N = 8, and the failing verdicts at N = 65, the smallest size at
+which the cross-check is off and ``linearize-check`` is their only guard.
+
+The control rows run each command unplanted and find no failing check; the
+symmetry row plants b -> -b, which must flip nothing.
+"""
+
+import __future__
+import importlib
+import inspect
+import json
+import sys
+import textwrap
+
+import numpy as np
+import pytest
+
+from aclaw.cli import main
+
+LC8 = ["linearize-check", "--N", "8", "--seed", "1"]
+LC65 = ["linearize-check", "--N", "65", "--seed", "1"]
+TAILS = ["tails", "--trials", "500", "--seed", "0"]
+# c = 0.1 admits 109 of the 130 grid rows at N = 16 (c = 1 admits none)
+VERIFY = ["verify", "--N", "16", "--seed", "0", "--c-config", "0.1"]
+SD = ["sd", "--n-re", "3", "--n-im", "3"]
+
+#: the refusal of a resolvent that disagrees with direct inversion
+DISAGREE = "factorized and direct resolvents disagree"
+
+ROWS = [
+    # (module, function, fragment, defect, command, failing checks or the
+    # refusal's message)
+    pytest.param("wigner", "_sample_hermitian", "h.T[upper] = vals.conj()",
+                 "h.T[upper] = vals", LC8,
+                 {"factorization", "bordered_identity", "key_identity"},
+                 id="pair-symmetric-not-hermitian"),
+    # b^2 - a^2 = 0, not {UV}
+    pytest.param("linearize", "build_linearization", "(u - v) / math.sqrt(2.0),",
+                 "(u + v) / math.sqrt(2.0),", LC65, {"factorization", "key_identity"},
+                 id="a-is-(U+V)/sqrt2-n65"),
+    pytest.param("linearize", "build_linearization", "(u - v) / math.sqrt(2.0),",
+                 "(u + v) / math.sqrt(2.0),", LC8, DISAGREE, id="a-is-(U+V)/sqrt2-n8"),
+    pytest.param("linearize", "generalized_resolvent",
+                 "left[n + idx, 2 * n + idx] = -1.0", "left[n + idx, 2 * n + idx] = 1.0",
+                 LC65, {"bordered_identity", "key_identity"}, id="R-block-+I-for--I-n65"),
+    pytest.param("linearize", "generalized_resolvent",
+                 "left[n + idx, 2 * n + idx] = -1.0", "left[n + idx, 2 * n + idx] = 1.0",
+                 LC8, DISAGREE, id="R-block-+I-for--I-n8"),
+    # Y_i R^(i) Y_i* with the solve conjugated
+    pytest.param("linearize", "identity_spot_check", "quad = y @ s",
+                 "quad = y @ s.conj()", LC8, {"key_identity"}, id="quadratic-form-corrupted"),
+    pytest.param("linearize", "_schur_statistics", "np.diag([z, -1.0 + 0j, 1.0 + 0j])",
+                 "np.diag([z, 1.0 + 0j, -1.0 + 0j])", LC8, {"key_identity"},
+                 id="route-Lambda-signs-swapped"),
+    pytest.param("tails", "theta_root", "math.exp(_log_theta(s) / s)",
+                 "math.exp(_log_theta(s))", TAILS, {"theta_bound"}, id="theta-root-not-rooted"),
+    pytest.param("tails", "whittle_check", "rhs = 2.0 * theta_root(p)",
+                 "rhs = theta_root(p)", TAILS, {"whittle"}, id="whittle-factor-2-dropped"),
+    pytest.param("tails", "quad_tail_check",
+                 "expect = entry_sd**2 * diag_trace * np.eye(k)", "expect = np.zeros((k, k))",
+                 TAILS, {"centering"}, id="centering-term-dropped"),
+    # Phi cancels from both sides of linearize-check's key identity
+    pytest.param("sdcore", "phi_ac", "a[..., 1, 1] + a[..., 2, 2]", "a[..., 1, 1]", SD,
+                 "Schwinger-Dyson residual too large", id="phi-term-dropped"),
+    pytest.param("freelaw", "m_ac", "roots[roots.imag > ROOT_IM_TOL]",
+                 "roots[[np.argmin(roots.imag)]]", VERIFY, {"rows"}, id="m_ac-lower-root"),
+]
+
+
+def plant(monkeypatch, module, function, fragment, defect):
+    """Rebind ``aclaw.<module>.<function>``, in every aclaw module that binds
+    it, to a copy compiled from its source with ``fragment`` (which must
+    occur once) replaced by ``defect``; returns the copy."""
+    mod = importlib.import_module(f"aclaw.{module}")
+    original = getattr(mod, function)
+    source = textwrap.dedent(inspect.getsource(original))
+    assert source.count(fragment) == 1, (function, fragment)
+    code = compile(source.replace(fragment, defect), mod.__file__, "exec",
+                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    scope = {}
+    exec(code, vars(mod), scope)
+    for name, other in list(sys.modules.items()):
+        if name.split(".")[0] == "aclaw" and getattr(other, function, None) is original:
+            monkeypatch.setattr(other, function, scope[function])
+    return scope[function]
+
+
+def run(tmp_path, argv):
+    """(exit code, report or None) of one CLI run."""
+    out = tmp_path / "report.json"
+    out.unlink(missing_ok=True)
+    code = main(argv + ["--out", str(out)])
+    return code, json.loads(out.read_text()) if out.exists() else None
+
+
+def failed_checks(command, rep):
+    """The gated checks that fail in a report of ``command``."""
+    if command == "linearize-check":
+        verdicts = rep["verdicts"]
+    elif command == "tails":
+        quad = rep["quad_tail"]
+        verdicts = {"theta_bound": rep["theta_bound_holds"],
+                    "whittle": all(r["holds"] for r in rep["whittle"]),
+                    "centering": quad["center_abs"] <= quad["center_tol"]}
+    elif command == "verify":
+        verdicts = {"rows": all(r["holds"] for r in rep["rows"] if r["admissible"])}
+    else:
+        verdicts = {"stability": rep["failures"] == 0}
+    return {k for k, ok in verdicts.items() if not ok}
+
+
+@pytest.mark.parametrize("argv", [LC8, LC65, TAILS, VERIFY, SD],
+                         ids=["linearize-check-n8", "linearize-check-n65", "tails",
+                              "verify", "sd"])
+def test_unplanted_command_fails_no_check(tmp_path, argv):
+    code, rep = run(tmp_path, argv)
+    assert code == 0
+    assert failed_checks(argv[0], rep) == set()
+
+
+@pytest.mark.parametrize("module, function, fragment, defect, argv, expected", ROWS)
+def test_planted_defect_flips_its_check(tmp_path, monkeypatch, capsys, module,
+                                        function, fragment, defect, argv, expected):
+    plant(monkeypatch, module, function, fragment, defect)
+    code, rep = run(tmp_path, argv)
+    if isinstance(expected, str):
+        assert (code, rep) == (2, None)
+        assert expected in capsys.readouterr().err
+    else:
+        assert code == 1
+        assert failed_checks(argv[0], rep) == expected
+
+
+def test_sign_of_b_flips_nothing(tmp_path, monkeypatch):
+    # S = diag(I, I, -I) conjugates X and commutes with Lambda, so b -> -b
+    # maps R to S R S; {UV} = b^2 - a^2 and the diagonal M do not change
+    from aclaw.linearize import build_linearization
+    from aclaw.wigner import EnsembleSpec, sample_pair
+
+    _, ref = run(tmp_path, LC8)
+    flipped = plant(monkeypatch, "linearize", "build_linearization", "(-u - v)", "(u + v)")
+    pair = sample_pair(EnsembleSpec(n=8, seed=1))
+    np.testing.assert_array_equal(flipped(pair).b, -build_linearization(pair).b)
+    code, rep = run(tmp_path, LC8)
+    assert code == 0
+    assert rep["verdicts"] == ref["verdicts"]
+    for key, value in ref["residuals"].items():
+        assert rep["residuals"][key] == pytest.approx(value, rel=1e-12, abs=0.0)
