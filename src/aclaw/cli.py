@@ -381,7 +381,10 @@ def _cmd_semicircle(args) -> int:
     }
     atomic_write(args.out, dump_json(out) + "\n")
     bad = [r for r in rep.admissible_rows if not r.holds]
-    return _VERIFY_FAILURE if bad else 0
+    # the spot check's gates; written as "<=" so that NaN fails them
+    residuals_ok = (rep.max_identity_residual <= 1e-8
+                    and rep.max_row_sum_residual <= 1e-10)
+    return _VERIFY_FAILURE if bad or not residuals_ok else 0
 
 
 def _cmd_deloc(args) -> int:

@@ -23,8 +23,10 @@ inverse per z instead of 16 N^3.
 by the Schur identities, in roughly matrix-multiplication time (the tests
 hold it against an oracle that inverts every minor).  ``identity_spot_check``
 checks a route's Q_i against the key identity -Q_i = G_i^-1 + Lambda +
-Phi(Ghat_i) by solving each minor once, for the k = 3 linearization and
-the k = 1 semicircle mode alike.  ``fluctuation_sup``
+Phi(Ghat_i) for every index, with one nested block elimination of
+X - Lambda kron I that yields every minor's quadratic form (2(N - 1)
+solves, cubic in N), for the k = 3 linearization and the k = 1 semicircle
+mode alike.  ``fluctuation_sup``
 screens its whole net with the Schur route's formulas in the eigenbasis of
 {UV}, where R = P diag(1/(lam - z)) P* + D is affine in the anticommutator
 resolvent: one ``eigh`` per pair, kernels built once per Im level of the net
@@ -586,50 +588,98 @@ def resolvent_stats(lin: Linearization, z: complex) -> ResolventStats:
                           fluct=float(fluct_i.max()))
 
 
+def _eliminate(s: np.ndarray, t: np.ndarray, keep: slice, drop: slice):
+    """Eliminate the ``drop`` rows and columns of the Schur complement ``s``
+    with one solve, G = -s[drop, drop]^-1 s[drop, keep]: the Schur
+    complement onto ``keep``, s[keep, keep] + s[keep, drop] G, and the Gram
+    [I; G]* t [I; G] of the eliminated solution, summed as
+    t11 + t12 G + G* (t21 + t22 G): adding G* t21 and its conjugate
+    transpose t12 G apart from G* t22 G lost two digits of the Ward residual
+    at Im z = 1/N (N = 256)."""
+    g = -np.linalg.solve(s[drop, drop], s[drop, keep])
+    tg = t[:, drop] @ g
+    return (s[keep, keep] + s[keep, drop] @ g,
+            t[keep, keep] + tg[keep] + g.conj().T @ (t[drop, keep] + tg[drop]))
+
+
+def _leaf_schur(s: np.ndarray, t: np.ndarray, k: int, out_s: np.ndarray,
+                out_t: np.ndarray) -> None:
+    """Write the k x k Schur complement of ``s`` onto each of its blocks of
+    k adjacent indices, and the Gram of that block's eliminated solution,
+    into ``out_s`` and ``out_t``, by halving the blocks recursively: each
+    half's Schur complement eliminates the other half (``_eliminate``)."""
+    m = s.shape[0] // k
+    if m == 1:
+        out_s[0], out_t[0] = s, t
+        return
+    h = (m + 1) // 2
+    lo, hi = slice(0, h * k), slice(h * k, None)
+    _leaf_schur(*_eliminate(s, t, lo, hi), k, out_s[:h], out_t[:h])
+    _leaf_schur(*_eliminate(s, t, hi, lo), k, out_s[h:], out_t[h:])
+
+
 def identity_spot_check(x: np.ndarray, lam: np.ndarray, ghat_i: np.ndarray,
                         q_i: np.ndarray, phi):
     """(q_def, identity residual, Ward residual) of the key identity
     -Q_i = G_i^-1 + Lambda + Phi(Ghat_i) at block size k = ``lam.size``, by
-    one solve per minor, for a route's ``ghat_i`` and ``q_i`` (N blocks of
-    k x k, or N scalars at k = 1).
+    one nested block elimination of X - Lambda kron I, for a route's
+    ``ghat_i`` and ``q_i`` (N blocks of k x k, or N scalars at k = 1).
 
     ``x`` is the Hermitian kN x kN matrix X, ``lam`` the diagonal of Lambda
-    and ``phi`` maps a stack of k x k blocks.  For each i, with Y_i the rows
-    i + N arange(k) of X without those columns, S solves
-    (X - Lambda kron I)^(i) S = Y_i* and Q_i^def = Y_i S - X_ii - Phi(Ghat_i).
-    Ghat_i is the route's: it sits on both sides of the identity and
-    cancels, so the residual max_i |Q_i^def - Q_i| / |Q_i| (Frobenius)
-    against the route's Q_i tests the quadratic form Y_i R^(i) Y_i* alone,
-    and no minor's inverse is formed.  The Ward residual is the largest
-    relative residual of (Y_i S - (Y_i S)*)/2i = S* (Im Lambda kron I)^(i) S.
-    For N <= ``CROSS_CHECK_MAX_N`` refuses a minor whose 2-norm condition
-    number exceeds ``COND_LIMIT``."""
+    and ``phi`` maps a stack of k x k blocks.  Q_i's definition reads X
+    through Y_i, the rows i + N arange(k) of X without those columns, and
+    Y_i*, so the elimination reads X's upper triangle and mirrors it: for a
+    Hermitian X that is X itself, and a pair that is not Hermitian still
+    fails the identity.  Reordered so that each index's k rows and columns
+    are adjacent, the matrix is halved recursively (``_leaf_schur``): a node
+    holds the Schur complement onto its indices, and each half's Schur
+    complement eliminates the other half with one solve.  A leaf holds the
+    Schur complement onto index i, S_i = X_ii - Lambda - Y_i R^(i) Y_i*, so
+    Q_i^def = -Lambda - S_i - Phi(Ghat_i), with no minor, no minor's inverse
+    and no R formed.  Ghat_i is the route's: it sits on both sides of the
+    identity and cancels, so the residual max_i |Q_i^def - Q_i| / |Q_i|
+    (Frobenius) against the route's Q_i tests the quadratic form alone.
+
+    The elimination carries T, the (Im Lambda kron I)-weighted Gram of its
+    solution: diag(Im Lambda kron I) at the root, [I; G]* T [I; G] past the
+    elimination G of each half.  At a leaf T_i - Im Lambda = S* (Im Lambda
+    kron I)^(i) S with S = R^(i) Y_i*, and the Ward residual is the largest
+    relative residual of (Y_i S - (Y_i S)*)/2i against it.
+
+    2(N - 1) solves, none larger than ceil(N/2) k square: about 2 (kN)^3
+    complex multiply-adds, against N (2/3) (kN - k)^3 for one solve per
+    minor.  For N <= ``CROSS_CHECK_MAX_N`` refuses a minor whose 2-norm
+    condition number exceeds ``COND_LIMIT``."""
     k = lam.size
     n = x.shape[0] // k
     diag = np.repeat(lam, n)              # the diagonal of Lambda kron I
-    full = x - np.diag(diag)
+    if n <= CROSS_CHECK_MAX_N:
+        full = x - np.diag(diag)
+        all_idx = np.arange(k * n)
+        for i in range(n):
+            keep = np.delete(all_idx, i + n * np.arange(k))
+            if np.linalg.cond(full[np.ix_(keep, keep)]) > COND_LIMIT:
+                raise IllConditionedError(f"minor resolvent ill-conditioned at i={i}")
+        del full
+    order = (np.arange(n)[:, None] + n * np.arange(k)).ravel()
+    s = (np.triu(x) + np.triu(x, 1).conj().T)[np.ix_(order, order)]
+    idx = np.arange(n)
+    x_ii = s.reshape(n, k, n, k)[idx, :, idx, :]
+    s[np.diag_indices(k * n)] -= diag[order]
+    s_i = np.empty((n, k, k), dtype=complex)
+    t_i = np.empty((n, k, k), dtype=complex)
+    _leaf_schur(s, np.diag(diag[order].imag), k, s_i, t_i)
     ghat_i, q_i = np.reshape(ghat_i, (n, k, k)), np.reshape(q_i, (n, k, k))
-    phi_ghat = phi(ghat_i)
-    q_def = np.empty_like(q_i)
-    ward = 0.0
-    all_idx = np.arange(k * n)
-    for i in range(n):
-        rows = i + n * np.arange(k)
-        keep = np.delete(all_idx, rows)
-        minor = full[np.ix_(keep, keep)]
-        if n <= CROSS_CHECK_MAX_N and np.linalg.cond(minor) > COND_LIMIT:
-            raise IllConditionedError(f"minor resolvent ill-conditioned at i={i}")
-        y = x[np.ix_(rows, keep)]
-        s = np.linalg.solve(minor, y.conj().T)
-        quad = y @ s
-        q_def[i] = quad - x[np.ix_(rows, rows)] - phi_ghat[i]
-        im_quad = (quad - quad.conj().T) / 2j
-        im_form = s.conj().T @ (diag[keep].imag[:, None] * s)
-        ward = max(ward, np.linalg.norm(im_quad - im_form)
-                   / max(np.linalg.norm(im_quad), 1e-300))
+    lam_k = np.diag(lam)
+    q_def = -(lam_k + s_i + phi(ghat_i))
+    quad = x_ii - lam_k - s_i             # Y_i R^(i) Y_i*
+    im_quad = (quad - quad.conj().swapaxes(1, 2)) / 2j
+    im_form = t_i - np.diag(lam.imag)
+    ward = (np.linalg.norm(im_quad - im_form, axis=(1, 2))
+            / np.maximum(np.linalg.norm(im_quad, axis=(1, 2)), 1e-300))
     ident = (np.linalg.norm(q_def - q_i, axis=(1, 2))
              / np.maximum(np.linalg.norm(q_i, axis=(1, 2)), 1e-300))
-    return q_def, float(ident.max()), float(ward)
+    return q_def, float(ident.max()), float(ward.max())
 
 
 @dataclass

@@ -397,9 +397,10 @@ class SemicircleStats:
     """Scalar per-index statistics of (X - z)^-1 at one z, with the residual
     of the minors' row-sum identity |R_i|_2^2 / N = Im Ghat_i / Im z.  At the
     three spot points ``semicircle_locallaw`` checks the inversion identity
-    -Q_i = G_i^-1 + z + Ghat_i against these Q_i; the minors are solved
-    there, not inverted, so its row-sum evidence at those points is the
-    Ward identity Im z |s|^2 = Im(y_i* s) of each solved vector."""
+    -Q_i = G_i^-1 + z + Ghat_i against these Q_i by one nested block
+    elimination, which inverts no minor, so its row-sum evidence at those
+    points is the Ward identity Im z |s|^2 = Im(y_i* s) of each minor's
+    solution s = R^(i) y_i, read from the Gram the elimination carries."""
 
     z: complex
     g_i: np.ndarray
@@ -488,10 +489,12 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
 
     The statistics run ``semicircle_stats``.  At 3 net points, spread
     evenly over the net, ``identity_spot_check`` holds their Q_i against
-    the inversion identity by solving each of the N minors once; its
-    identity residuals give ``max_identity_residual``, and its Ward
-    residuals join the row-sum residuals of every net and grid point in
-    ``max_row_sum_residual``.
+    the inversion identity at every index, by one nested block elimination
+    of X - z (2(N - 1) solves, none of a minor); its identity residuals give
+    ``max_identity_residual``, and its Ward residuals join the row-sum
+    residuals of every net and grid point in ``max_row_sum_residual``.
+    ``aclaw semicircle`` fails a run whose ``max_identity_residual``
+    exceeds 1e-8 or whose ``max_row_sum_residual`` exceeds 1e-10.
     Refuses non-finite tau or theta_user, tau < 1/N (an empty rectangle) and
     theta_user <= 0; theta_user in (0, 1) is allowed, since at desk scale it
     is what makes grid rows admissible.

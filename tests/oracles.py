@@ -12,7 +12,8 @@ assembles kappa from explicit block inverses; ``minor_stats`` (block size 3)
 and ``semicircle_minor_stats`` (block size 1) invert every minor for the
 statistics that ``resolvent_stats`` and ``semicircle_stats`` take from the
 Schur identities, and for the key identity's residual, which
-``identity_spot_check`` obtains with one solve per minor.
+``identity_spot_check`` obtains from one nested block elimination of
+X - Lambda kron I, without a minor.
 """
 
 import math

@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -156,8 +157,10 @@ def test_linearize_check(tmp_path):
 
 
 def test_linearize_check_inverts_no_minor(tmp_path, monkeypatch):
-    # the key identity is checked by one solve per (3N - 3)-square minor
-    n = 8
+    # the key identity is checked by one nested block elimination: 2(N - 1)
+    # solves, none larger than ceil(N/2) 3 square, and no (3N - 3)-square
+    # minor is solved or inverted
+    n = 9
     shapes = {"inv": [], "solve": []}
 
     def recorded(name, fn):
@@ -172,8 +175,9 @@ def test_linearize_check_inverts_no_minor(tmp_path, monkeypatch):
     assert run_cli(["linearize-check", "--N", str(n), "--seed", "1",
                     "--out", str(out)]) == 0
     minor = (3 * n - 3, 3 * n - 3)
-    assert minor not in shapes["inv"]
-    assert shapes["solve"] == [minor] * n
+    assert minor not in shapes["inv"] + shapes["solve"]
+    assert len(shapes["solve"]) == 2 * (n - 1)
+    assert max(shape[0] for shape in shapes["solve"]) == 3 * math.ceil(n / 2)
 
 
 def test_linearize_check_refuses_beyond_its_size_limit(tmp_path, capsys, monkeypatch):

@@ -30,7 +30,7 @@ from aclaw.locallaw import (
     verify_local_law,
 )
 from aclaw.sdcore import phi_ac
-from aclaw.wigner import EnsembleSpec, WignerPair, sample_pair
+from aclaw.wigner import ENSEMBLES, EnsembleSpec, WignerPair, sample_pair
 from oracles import minor_stats, semicircle_minor_stats
 
 ZETA = law_constants().zeta
@@ -367,17 +367,51 @@ def spot_check_calls(x, z):
             lambda: semicircle_minor_stats(x, z))
 
 
+#: the points the spot check is held against the inverting oracle at
+SPOT_ZS = (0.5 + 0.3j, 1j, -1.5 + 0.05j)
+
+
+def assert_spot_check_matches_oracle(x, z):
+    spot, oracle = spot_check_calls(x, z)
+    q_def, ident, ward = spot()
+    oracle_stats, oracle_ident = oracle()
+    oracle_q = np.reshape(oracle_stats.q_i, q_def.shape)
+    assert np.all(np.linalg.norm(q_def - oracle_q, axis=(1, 2))
+                  <= 1e-10 * np.linalg.norm(oracle_q, axis=(1, 2)))
+    assert abs(ident - oracle_ident) <= 1e-12
+    assert ward <= 1e-10
+
+
 @pytest.mark.parametrize("x", SCALAR_ORACLE_CASES + BLOCK_ORACLE_CASES)
 def test_spot_check_matches_inverting_oracle(x):
-    for z in (0.5 + 0.3j, 1j, -1.5 + 0.05j):
-        spot, oracle = spot_check_calls(x, z)
-        q_def, ident, ward = spot()
-        oracle_stats, oracle_ident = oracle()
-        oracle_q = np.reshape(oracle_stats.q_i, q_def.shape)
-        assert np.all(np.linalg.norm(q_def - oracle_q, axis=(1, 2))
-                      <= 1e-10 * np.linalg.norm(oracle_q, axis=(1, 2)))
-        assert abs(ident - oracle_ident) <= 1e-12
-        assert ward <= 1e-10
+    for z in SPOT_ZS:
+        assert_spot_check_matches_oracle(x, z)
+
+
+def tied_matrix(n, seed):
+    """A Hermitian N x N matrix whose eigenvalues take only the values -1, 0
+    and 1, in GUE eigenvectors."""
+    q = np.linalg.eigh(gue_matrix(n, seed))[1]
+    vals = np.random.default_rng(seed).integers(-1, 2, n)
+    x = (q * vals) @ q.conj().T
+    return (x + x.conj().T) / 2.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=40), st.integers(0, 2**16),
+       st.sampled_from(["gue", "ties", *ENSEMBLES, "zero-pair"]),
+       st.sampled_from(SPOT_ZS))
+def test_spot_check_matches_inverting_oracle_at_any_n(n, seed, case, z):
+    # odd N split their blocks unevenly at every level of the elimination
+    if case == "gue":
+        x = gue_matrix(n, seed)
+    elif case == "ties":
+        x = tied_matrix(n, seed)
+    elif case == "zero-pair":
+        x = zero_pair(n)
+    else:
+        x = sample_pair(EnsembleSpec(n=n, ensemble=case, seed=seed))
+    assert_spot_check_matches_oracle(x, z)
 
 
 def test_verify_local_law_never_builds_w(monkeypatch):
@@ -469,24 +503,34 @@ def test_spot_check_refuses_where_the_oracle_refuses(x, z, refused):
 
 
 def test_semicircle_locallaw_inverts_no_minor(monkeypatch):
-    n, tau, spacing = 32, 20.0, 2.0
+    n, tau, spacing = 33, 20.0, 2.0
     x = gue_matrix(n, 6)
-    calls = {"inv": 0, "solve": 0, "stats": 0}
+    shapes = {"inv": [], "solve": []}
+    stats = []
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def recorded(name, fn):
+        def wrapper(a, *args, **kwargs):
+            shapes[name].append(np.shape(a))
+            return fn(a, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
-    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
-    monkeypatch.setattr(locallaw, "semicircle_stats",
-                        counted("stats", locallaw.semicircle_stats))
+    def counted(*args, **kwargs):
+        stats.append(args[1])
+        return semicircle_stats(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", recorded("inv", np.linalg.inv))
+    monkeypatch.setattr(np.linalg, "solve", recorded("solve", np.linalg.solve))
+    monkeypatch.setattr(locallaw, "semicircle_stats", counted)
     semicircle_locallaw(x, tau=tau, theta_user=1.0, spacing=spacing)
     points = (len(uniform_net(-4.0, 4.0, 1.0 / n, tau, spacing))
               + len(rect_grid(-4.0, 4.0, 9, 1.0 / n, tau, 8)))
-    assert calls == {"inv": points, "solve": 3 * n, "stats": points}
+    # the only inverses are the statistics' N x N resolvents; the three spot
+    # checks are one nested block elimination each: 2(N - 1) solves, none
+    # larger than ceil(N/2) square, and no (N - 1)-square minor
+    assert len(stats) == points
+    assert shapes["inv"] == [(n, n)] * points
+    assert len(shapes["solve"]) == 3 * 2 * (n - 1)
+    assert max(shape[0] for shape in shapes["solve"]) == math.ceil(n / 2)
 
 
 def test_delocalization_rho_refusal():

@@ -1,12 +1,12 @@
-"""Mutation table: every check that ``aclaw linearize-check`` and ``aclaw
-tails`` gate on fails for some defect of aclaw.
+"""Mutation table: every check that ``aclaw linearize-check``, ``aclaw
+tails`` and ``aclaw semicircle`` gate on fails for some defect of aclaw.
 
 Each row plants one defect: one function of the package is recompiled from
 its source with one fragment replaced, and every aclaw module that binds the
 function gets the copy.  The row then runs one command and names what must
 flip: the checks whose verdicts fail (exit 1), or the typed refusal (exit 2)
-by which the defect shows instead.  Rows for other commands record defects
-that neither ``linearize-check`` nor ``tails`` can see.
+by which the defect shows instead.  Rows for ``verify`` and ``sd`` record
+defects that none of those three commands can see.
 
 At N <= 64 (``linearize.CROSS_CHECK_MAX_N``) every resolvent is checked
 against direct inversion, which refuses a wrong a or a wrong block of R
@@ -36,6 +36,8 @@ TAILS = ["tails", "--trials", "500", "--seed", "0"]
 # c = 0.1 admits 109 of the 130 grid rows at N = 16 (c = 1 admits none)
 VERIFY = ["verify", "--N", "16", "--seed", "0", "--c-config", "0.1"]
 SD = ["sd", "--n-re", "3", "--n-im", "3"]
+# admits no grid row, so only the spot check's two residual gates can fail
+SEMICIRCLE = ["semicircle", "--N", "16", "--seed", "0", "--spacing", "4.0"]
 
 #: the refusal of a resolvent that disagrees with direct inversion
 DISAGREE = "factorized and direct resolvents disagree"
@@ -59,9 +61,17 @@ ROWS = [
     pytest.param("linearize", "generalized_resolvent",
                  "left[n + idx, 2 * n + idx] = -1.0", "left[n + idx, 2 * n + idx] = 1.0",
                  LC8, DISAGREE, id="R-block-+I-for--I-n8"),
-    # Y_i R^(i) Y_i* with the solve conjugated
-    pytest.param("linearize", "identity_spot_check", "quad = y @ s",
-                 "quad = y @ s.conj()", LC8, {"key_identity"}, id="quadratic-form-corrupted"),
+    # every minor's Y_i R^(i) Y_i* from a conjugated Schur update
+    pytest.param("linearize", "_eliminate", "s[keep, keep] + s[keep, drop] @ g,",
+                 "s[keep, keep] + s[keep, drop] @ g.conj(),", LC8, {"key_identity"},
+                 id="quadratic-form-corrupted"),
+    pytest.param("linearize", "identity_spot_check",
+                 "q_def = -(lam_k + s_i + phi(ghat_i))",
+                 "q_def = -(lam_k + s_i.conj() + phi(ghat_i))", SEMICIRCLE, {"identity"},
+                 id="leaf-schur-complement-conjugated"),
+    # [I; G]* T [I; G] without T12 G
+    pytest.param("linearize", "_eliminate", "tg[keep] + g.conj().T", "g.conj().T",
+                 SEMICIRCLE, {"row_sum"}, id="ward-gram-cross-term-dropped"),
     pytest.param("linearize", "_schur_statistics", "np.diag([z, -1.0 + 0j, 1.0 + 0j])",
                  "np.diag([z, 1.0 + 0j, -1.0 + 0j])", LC8, {"key_identity"},
                  id="route-Lambda-signs-swapped"),
@@ -115,6 +125,10 @@ def failed_checks(command, rep):
         verdicts = {"theta_bound": rep["theta_bound_holds"],
                     "whittle": all(r["holds"] for r in rep["whittle"]),
                     "centering": quad["center_abs"] <= quad["center_tol"]}
+    elif command == "semicircle":
+        verdicts = {"identity": rep["max_identity_residual"] <= 1e-8,
+                    "row_sum": rep["max_row_sum_residual"] <= 1e-10,
+                    "rows": all(r["holds"] for r in rep["rows"] if r["admissible"])}
     elif command == "verify":
         verdicts = {"rows": all(r["holds"] for r in rep["rows"] if r["admissible"])}
     else:
@@ -122,9 +136,9 @@ def failed_checks(command, rep):
     return {k for k, ok in verdicts.items() if not ok}
 
 
-@pytest.mark.parametrize("argv", [LC8, LC65, TAILS, VERIFY, SD],
+@pytest.mark.parametrize("argv", [LC8, LC65, TAILS, VERIFY, SD, SEMICIRCLE],
                          ids=["linearize-check-n8", "linearize-check-n65", "tails",
-                              "verify", "sd"])
+                              "verify", "sd", "semicircle"])
 def test_unplanted_command_fails_no_check(tmp_path, argv):
     code, rep = run(tmp_path, argv)
     assert code == 0
