@@ -65,6 +65,7 @@ __all__ = [
     "corner_blocks",
     "resolvent_stats",
     "identity_spot_check",
+    "route_near_max",
     "fluctuation_sup",
 ]
 
@@ -74,12 +75,12 @@ COND_LIMIT = 1e14
 #: resolvents up to this N are cross-checked against direct inversion
 CROSS_CHECK_MAX_N = 64
 
-#: ``fluctuation_sup`` runs its route at the net points whose screened
+#: ``route_near_max`` runs its route at the net points whose screened
 #: statistic lies within this relative distance of the screened maximum
 SCREEN_MARGIN = 1e-6
 
 #: a route value further than this (relative) from its screen sends
-#: ``fluctuation_sup`` back to the route at every net point
+#: ``route_near_max`` back to the route at every net point
 SCREEN_AGREEMENT = 2.5e-7
 
 
@@ -644,7 +645,8 @@ def identity_spot_check(x: np.ndarray, lam: np.ndarray, ghat_i: np.ndarray,
     solution: diag(Im Lambda kron I) at the root, [I; G]* T [I; G] past the
     elimination G of each half.  At a leaf T_i - Im Lambda = S* (Im Lambda
     kron I)^(i) S with S = R^(i) Y_i*, and the Ward residual is the largest
-    relative residual of (Y_i S - (Y_i S)*)/2i against it.
+    relative residual of (Y_i S - (Y_i S)*)/2i against it, with the
+    rounding unit of T_i as the floor of the scale.
 
     2(N - 1) solves, none larger than ceil(N/2) k square: about 2 (kN)^3
     complex multiply-adds, against N (2/3) (kN - k)^3 for one solve per
@@ -675,11 +677,38 @@ def identity_spot_check(x: np.ndarray, lam: np.ndarray, ghat_i: np.ndarray,
     quad = x_ii - lam_k - s_i             # Y_i R^(i) Y_i*
     im_quad = (quad - quad.conj().swapaxes(1, 2)) / 2j
     im_form = t_i - np.diag(lam.imag)
+    # relative to Im quad, floored at the rounding unit of T_i (whose
+    # diagonal is at least Im Lambda): where Y_i is at rounding level both
+    # forms are rounding noise of T_i, and Im quad alone can vanish
     ward = (np.linalg.norm(im_quad - im_form, axis=(1, 2))
-            / np.maximum(np.linalg.norm(im_quad, axis=(1, 2)), 1e-300))
+            / np.maximum(np.linalg.norm(im_quad, axis=(1, 2)),
+                         np.finfo(float).eps * np.linalg.norm(t_i, axis=(1, 2))))
     ident = (np.linalg.norm(q_def - q_i, axis=(1, 2))
              / np.maximum(np.linalg.norm(q_i, axis=(1, 2)), 1e-300))
     return q_def, float(ident.max()), float(ward.max())
+
+
+def route_near_max(screen: np.ndarray, route) -> np.ndarray:
+    """A statistic at every point of a net from its screened values
+    ``screen`` and ``route(j)``, the statistic by a dense route at point j.
+
+    The route runs only at the points whose screened value lies within
+    ``SCREEN_MARGIN`` (relative) of the screened maximum, and those points
+    take its values; the others keep their screened values, which lie below
+    the route's there, so the maximum is the route's, digit for digit, as
+    long as the screen is accurate to well within that margin.  If the
+    screen is NaN or a route value differs from its screen by more than
+    ``SCREEN_AGREEMENT`` (relative), the screen is not trusted: the route
+    runs at every point and gives every value.  Both local-law modes take K
+    from it: ``fluctuation_sup`` at k = 3 and ``semicircle_locallaw`` at
+    k = 1."""
+    top = np.flatnonzero(screen >= screen.max() * (1.0 - SCREEN_MARGIN))
+    vals = screen.copy()
+    vals[top] = [route(j) for j in top]
+    if (not len(top) or np.any(np.abs(vals[top] - screen[top])
+                               > SCREEN_AGREEMENT * np.abs(vals[top]))):
+        vals = np.array([route(j) for j in range(screen.size)])
+    return vals
 
 
 @dataclass
@@ -703,15 +732,9 @@ def fluctuation_sup(lin: Linearization, rect: tuple[float, float, float, float],
 
     The whole net is screened at once by ``_screen_net``, which makes the
     resolvent's conditioning refusal and, for N <= 64, its direct-inversion
-    cross-check at every point.  The Schur route then runs only at the points
-    whose screened value lies within ``SCREEN_MARGIN`` (relative) of the
-    screened maximum, and the maximum is taken over its values there, so it
-    is the route's maximum over the whole net, digit for digit, as long as
-    the screen is accurate to well within that margin.  ``per_point`` holds the route's
-    value at those points and the screened value elsewhere.  If the screen
-    is NaN or a route value differs from its screen by more than
-    ``SCREEN_AGREEMENT`` (relative), the screen is not trusted: the route
-    runs at every point and ``per_point`` holds its values throughout.
+    cross-check at every point.  ``route_near_max`` then runs the Schur
+    route ``resolvent_stats`` near the screened maximum, or at every point
+    when the screen is not trusted, and ``per_point`` holds its values.
 
     The rectangle must lie within |Re z| <= 8, Im z >= 1/N.
     """
@@ -724,14 +747,8 @@ def fluctuation_sup(lin: Linearization, rect: tuple[float, float, float, float],
     if im_min < 1.0 / n - 1e-12:
         raise ValueError("rectangle must satisfy Im z >= 1/N")
     net = uniform_net(re_min, re_max, im_min, im_max, spacing)
-    screen = _screen_net(lin, net)
-    top = np.flatnonzero(screen >= screen.max() * (1.0 - SCREEN_MARGIN))
-    vals = screen.copy()
-    vals[top] = [resolvent_stats(lin, net[j]).fluct for j in top]
-    if (not len(top) or np.any(np.abs(vals[top] - screen[top])
-                               > SCREEN_AGREEMENT * np.abs(vals[top]))):
-        vals = np.array([resolvent_stats(lin, z).fluct for z in net])
-    # points off ``top`` screen below the route's values on it
+    vals = route_near_max(_screen_net(lin, net),
+                          lambda j: resolvent_stats(lin, net[j]).fluct)
     mx = float(vals.max())
     return FluctuationNet(k2=2.0 * mx, max_fluct=mx, net=net, per_point=vals)
 

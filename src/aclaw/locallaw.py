@@ -29,7 +29,7 @@ from .freelaw import edge_distance, law_constants, m_ac
 from .grids import rect_grid, uniform_net
 from .linearize import (AnticommutatorSpectrum, _check_upper_half_plane,
                         _fluct_from, build_linearization, fluctuation_sup,
-                        grid_corner_blocks, identity_spot_check)
+                        grid_corner_blocks, identity_spot_check, route_near_max)
 from .sdcore import sd_semicircle, sd_solution_ac
 from .wigner import EnsembleSpec, WignerPair, norm_at_most, sample_pair
 
@@ -52,6 +52,7 @@ __all__ = [
     "figure1_data",
     "sc_edge_distance",
     "semicircle_stats",
+    "semicircle_screen",
     "semicircle_locallaw",
     "scaling_law_study",
 ]
@@ -190,9 +191,8 @@ def verify_local_law(pair: WignerPair, z_grid=None, tau: float = 8.0,
     waits for the fix of the ``theta_star_self`` rounding defect: until
     then any last-digit change to a row's lhs can move ``theta_star_self``
     past the reference tolerance, which is why the rows keep the
-    definitional product's digits.  (``semicircle_locallaw`` deliberately
-    keeps the full ``semicircle_stats`` at its grid rows: their row-sum
-    residuals go into the reported ``max_row_sum_residual``.)
+    definitional product's digits.  (``semicircle_locallaw``'s rows keep a
+    dense inverse for the same reason.)
 
     Refuses pairs with max(|U|, |V|) > 4 (the theorem hypothesis),
     non-finite tau or theta (a NaN constant would admit no row and pass
@@ -395,12 +395,18 @@ def sc_edge_distance(z: complex) -> float:
 @dataclass
 class SemicircleStats:
     """Scalar per-index statistics of (X - z)^-1 at one z, with the residual
-    of the minors' row-sum identity |R_i|_2^2 / N = Im Ghat_i / Im z.  At the
-    three spot points ``semicircle_locallaw`` checks the inversion identity
+    of the minors' row-sum identity |R_i|_2^2 / N = Im Ghat_i / Im z, from
+    the dense Schur route ``semicircle_stats`` or from one spectrum by
+    ``semicircle_screen``, whose fields have one entry or row per point of
+    its array ``z``.  On the screen both sides of the identity come
+    from the one ``eigh``, so its residual is a rounding check of the
+    screen; on the route both come from one dense inverse.  At its two spot
+    points ``semicircle_locallaw`` checks the inversion identity
     -Q_i = G_i^-1 + z + Ghat_i against these Q_i by one nested block
-    elimination, which inverts no minor, so its row-sum evidence at those
-    points is the Ward identity Im z |s|^2 = Im(y_i* s) of each minor's
-    solution s = R^(i) y_i, read from the Gram the elimination carries."""
+    elimination, which inverts no minor, and its independent row-sum
+    evidence there is the Ward identity Im z |s|^2 = Im(y_i* s) of each
+    minor's solution s = R^(i) y_i, read from the Gram the elimination
+    carries."""
 
     z: complex
     g_i: np.ndarray
@@ -413,14 +419,16 @@ class SemicircleStats:
 
 
 def _semicircle_result(z, g_i, ghat_i, q_i, r_frob):
-    n = g_i.size
-    # row-sum identity |R_i|_2^2 / N = Im Ghat_i / Im z, both sides computed
-    # independently of one another
-    row_sum_res = float(np.max(np.abs(r_frob**2 / n - ghat_i.imag / z.imag)
-                               / np.maximum(np.abs(ghat_i.imag / z.imag), 1e-300)))
+    """The statistics at one z, or at every z of an array ``z`` when the
+    per-index arrays have one row per point."""
+    n = g_i.shape[-1]
+    # row-sum identity |R_i|_2^2 / N = Im Ghat_i / Im z
+    rhs = ghat_i.imag / np.asarray(z).imag[..., None]
+    row_sum_res = np.max(np.abs(r_frob**2 / n - rhs) / np.maximum(np.abs(rhs), 1e-300),
+                         axis=-1)
     fluct_i = _fluct_from(np.abs(q_i), r_frob, n)
     return SemicircleStats(z=z, g_i=g_i, ghat_i=ghat_i, q_i=q_i, r_i_frob=r_frob,
-                           fluct_i=fluct_i, fluct=float(fluct_i.max()),
+                           fluct_i=fluct_i, fluct=fluct_i.max(axis=-1),
                            row_sum_residual=row_sum_res)
 
 
@@ -448,6 +456,54 @@ def semicircle_stats(x: np.ndarray, z: complex) -> SemicircleStats:
     ghat_i = (np.trace(r) - quad / g_i) / n
     q_i = -(1.0 / g_i + z + ghat_i)
     return _semicircle_result(z, g_i, ghat_i, q_i, r_frob)
+
+
+#: points per pass of ``semicircle_screen``: its temporaries are N x 16
+#: arrays, and only the statistics it returns grow with the number of points
+_SCREEN_CHUNK = 16
+
+
+def semicircle_screen(x: np.ndarray, zs) -> SemicircleStats:
+    """``semicircle_stats`` at every z of ``zs`` from one eigendecomposition
+    X = Q diag(lam) Q* (numpy's ``eigh``, which reads X's lower triangle).
+    With d = 1/(lam - z) and the weights W = |Q|^2, R = Q diag(d) Q* is
+    normal, and every quantity the Schur route reads is one product of W
+    with d, d^2, d |d|^2 or |d|^2: G_i = (W d)_i, (R^2)_ii = (W d^2)_i,
+    (R R*R)_ii = (W d |d|^2)_i, R's i-th row and column norms are both
+    (W |d|^2)_i, and tr R and |R|_F^2 are sums of d and |d|^2.  O(N^2) per
+    z after the N^3 ``eigh``, against ``semicircle_stats``' dense inverse
+    and R*R.  The row-sum residual then compares two functions of one
+    spectrum, a rounding check of the screen rather than an independent
+    route."""
+    zs = np.asarray(zs, dtype=complex)
+    for z in zs.tolist():
+        _check_upper_half_plane(z)
+    lam, q = np.linalg.eigh(x)
+    w = q.real**2 + q.imag**2
+    del q
+    n = lam.size
+
+    def weighted(f):
+        # the real weights times f's real and imaginary parts, one real product
+        return (w @ f.view(np.float64)).view(complex)
+
+    g, ghat, q_i = np.empty((3, zs.size, n), dtype=complex)
+    r_frob = np.empty((zs.size, n))
+    for lo in range(0, zs.size, _SCREEN_CHUNK):
+        part = slice(lo, lo + _SCREEN_CHUNK)
+        zc = zs[part]
+        d = 1.0 / (lam[:, None] - zc)
+        d_abs2 = d.real**2 + d.imag**2
+        gc = weighted(d)
+        # |R_i|_F^2 = |R|_F^2 - 2 Re (R R*R)_ii / G_i + ((R*R)_ii / |G_i|)^2
+        r_frob2 = (d_abs2.sum(axis=0) - 2.0 * (weighted(d * d_abs2) / gc).real
+                   + (w @ d_abs2) ** 2 / (gc.real**2 + gc.imag**2))
+        # N Ghat_i = tr R - (R^2)_ii / G_i
+        ghat_c = (d.sum(axis=0) - weighted(d * d) / gc) / n
+        g[part], ghat[part] = gc.T, ghat_c.T
+        q_i[part] = -(1.0 / gc + zc + ghat_c).T
+        r_frob[part] = np.sqrt(np.maximum(r_frob2, 0.0)).T
+    return _semicircle_result(zs, g, ghat, q_i, r_frob)
 
 
 @dataclass
@@ -487,14 +543,32 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
     constants (theta = 2^100, admissible set expected empty) and a user theta.
     The grid is 9 x 8 points of |Re z| <= 4, 1/N <= Im z <= tau.
 
-    The statistics run ``semicircle_stats``.  At 3 net points, spread
-    evenly over the net, ``identity_spot_check`` holds their Q_i against
-    the inversion identity at every index, by one nested block elimination
-    of X - z (2(N - 1) solves, none of a minor); its identity residuals give
-    ``max_identity_residual``, and its Ward residuals join the row-sum
-    residuals of every net and grid point in ``max_row_sum_residual``.
-    ``aclaw semicircle`` fails a run whose ``max_identity_residual``
-    exceeds 1e-8 or whose ``max_row_sum_residual`` exceeds 1e-10.
+    ``semicircle_screen`` screens every net and grid point from one
+    ``eigh`` of X.  K is twice the net's maximum fluctuation statistic, by
+    ``route_near_max``: the Schur route ``semicircle_stats`` runs where the
+    screened value lies within ``SCREEN_MARGIN`` of the screened maximum
+    (one point in practice) and gives K's digits, and a route value that
+    disagrees with its screen sends the route to every net point.  A grid
+    row's lhs reads G_i from one dense inverse of X - z, with the bits of
+    ``semicircle_stats``' G_i: ``theta_star_self`` reads every row, and its
+    smallest-valid scan can turn a last-bit move of a row into a different
+    reported constant.
+
+    ``identity_spot_check`` holds Q_i against the inversion identity
+    -Q_i = G_i^-1 + z + Ghat_i at every index, by one nested block
+    elimination of X - z (2(N - 1) solves, none of a minor), with the
+    screen's Ghat_i in Q_i's definition, at two net points.  At the point K
+    comes from, Q_i is the route's, so a screened Ghat_i that disagrees with
+    the route's fails the check even where the route's values replace the
+    screen's; at the bulk point of the lowest level, Im z = 1/N with Re z
+    nearest 0, Q_i is the screen's.  Its identity residuals give
+    ``max_identity_residual``.  ``max_row_sum_residual``
+    is the largest of the screen's row-sum residuals at every point (a
+    rounding check of one spectrum), the route's at its points, and the
+    spot checks' Ward residuals, which read each minor's quadratic form from
+    the elimination, independently of the spectrum.  ``aclaw semicircle``
+    fails a run whose ``max_identity_residual`` exceeds 1e-8 or whose
+    ``max_row_sum_residual`` exceeds 1e-10.
     Refuses non-finite tau or theta_user, tau < 1/N (an empty rectangle) and
     theta_user <= 0; theta_user in (0, 1) is allowed, since at desk scale it
     is what makes grid rows admissible.
@@ -508,30 +582,43 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
         raise ValueError(f"theta_user must be positive, got {theta_user}")
     theta_literal = 2.0**100
     net = uniform_net(-4.0, 4.0, 1.0 / n, tau, spacing)
-    picks = set(np.linspace(0, len(net) - 1, min(3, len(net))).astype(int).tolist())
-    max_row_sum = 0.0
+    grid = rect_grid(-4.0, 4.0, 9, 1.0 / n, tau, 8)
+    screened = semicircle_screen(x, np.concatenate([net, grid]))
+    max_row_sum = float(screened.row_sum_residual.max())
+    screen_fluct = screened.fluct[:net.size]
+    # the net's Ghat_i and Q_i, for the spot checks; the rest is freed first,
+    # so that the route's dense inverse can reuse it
+    ghat_i, q_i = screened.ghat_i[:net.size].copy(), screened.q_i[:net.size].copy()
+    del screened
+    routed = {}
+
+    def route(j):
+        routed[j] = semicircle_stats(x, complex(net[j]))
+        return routed[j].fluct
+
+    fluct = route_near_max(screen_fluct, route)
+    k_stat = 2.0 * float(fluct.max())
+    max_row_sum = max(max_row_sum, *(st.row_sum_residual for st in routed.values()))
+    top = int(np.argmax(fluct))                     # the route ran there
+    lowest = np.flatnonzero(net.imag == net.imag.min())
+    bulk = int(lowest[np.argmin(np.abs(net.real[lowest]))])
     max_ident = 0.0
-    fluct_max = 0.0
-    for j, z in enumerate(net):
-        st = semicircle_stats(x, complex(z))
-        fluct_max = max(fluct_max, st.fluct)
-        max_row_sum = max(max_row_sum, st.row_sum_residual)
-        if j in picks:
-            # the k = 1 case: Lambda = z and Phi the identity
-            _, ident, ward = identity_spot_check(x, np.array([st.z]), st.ghat_i,
-                                                 st.q_i, lambda g: g)
-            max_ident = max(max_ident, ident)
-            max_row_sum = max(max_row_sum, ward)
-    k_stat = 2.0 * fluct_max
+    for j in sorted({top, bulk}):
+        # the k = 1 case: Lambda = z and Phi the identity
+        _, ident, ward = identity_spot_check(
+            x, np.array([complex(net[j])]), ghat_i[j],
+            routed[j].q_i if j == top else q_i[j], lambda g: g)
+        max_ident = max(max_ident, ident)
+        max_row_sum = max(max_row_sum, ward)
     rho_literal = 2.0**8 * theta_literal**2 * k_stat**2 / n
     rho_user = 2.0**8 * theta_user**2 * k_stat**2 / n
+    shifted = x.copy()                              # X - z, one buffer for every row
+    idx = np.arange(n)
     points = []
-    for z in rect_grid(-4.0, 4.0, 9, 1.0 / n, tau, 8):
-        z = complex(z)
-        st = semicircle_stats(x, z)
-        max_row_sum = max(max_row_sum, st.row_sum_residual)
-        m = sd_semicircle(z).m
-        lhs = float(np.abs(st.g_i - m).max())
+    for z in grid.tolist():
+        shifted[idx, idx] = x[idx, idx] - z
+        g_i = np.linalg.inv(shifted)[idx, idx]
+        lhs = float(np.abs(g_i - sd_semicircle(z).m).max())
         points.append((z, sc_edge_distance(z), lhs))
     rows, theta_star, theta_star_self = _grid_rows(
         points, n, tau, 4.0, theta_user, k_stat, rho_user, 2.0**8)

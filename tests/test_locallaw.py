@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aclaw import linearize, locallaw
@@ -25,6 +25,7 @@ from aclaw.locallaw import (
     scaling_law_study,
     self_consistent_theta_star,
     semicircle_locallaw,
+    semicircle_screen,
     semicircle_stats,
     sigma_solve,
     verify_local_law,
@@ -401,6 +402,9 @@ def tied_matrix(n, seed):
 @given(st.integers(min_value=2, max_value=40), st.integers(0, 2**16),
        st.sampled_from(["gue", "ties", *ENSEMBLES, "zero-pair"]),
        st.sampled_from(SPOT_ZS))
+# X = I up to rounding: every Y_i and both sides of the Ward identity are
+# rounding noise (about 1e-48), and Im quad is exactly 0
+@example(n=3, seed=369, case="ties", z=0.5 + 0.3j)
 def test_spot_check_matches_inverting_oracle_at_any_n(n, seed, case, z):
     # odd N split their blocks unevenly at every level of the elimination
     if case == "gue":
@@ -522,15 +526,71 @@ def test_semicircle_locallaw_inverts_no_minor(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", recorded("solve", np.linalg.solve))
     monkeypatch.setattr(locallaw, "semicircle_stats", counted)
     semicircle_locallaw(x, tau=tau, theta_user=1.0, spacing=spacing)
-    points = (len(uniform_net(-4.0, 4.0, 1.0 / n, tau, spacing))
-              + len(rect_grid(-4.0, 4.0, 9, 1.0 / n, tau, 8)))
-    # the only inverses are the statistics' N x N resolvents; the three spot
-    # checks are one nested block elimination each: 2(N - 1) solves, none
-    # larger than ceil(N/2) square, and no (N - 1)-square minor
-    assert len(stats) == points
-    assert shapes["inv"] == [(n, n)] * points
-    assert len(shapes["solve"]) == 3 * 2 * (n - 1)
+    net = uniform_net(-4.0, 4.0, 1.0 / n, tau, spacing)
+    rows = len(rect_grid(-4.0, 4.0, 9, 1.0 / n, tau, 8))
+    screened = semicircle_screen(x, net).fluct
+    # the route runs only at the screened maximum (one point on a generic
+    # matrix), here -4 + i/N, so the spot checks run there and at i/N
+    assert stats == [complex(net[np.argmax(screened)])] == [-4.0 + 1j / n]
+    # the only inverses: one N x N resolvent per grid row and per route
+    # point; the two spot checks are one nested block elimination each:
+    # 2(N - 1) solves, none larger than ceil(N/2) square, no (N - 1) minor
+    assert shapes["inv"] == [(n, n)] * (rows + len(stats))
+    assert len(shapes["solve"]) == 2 * 2 * (n - 1)
     assert max(shape[0] for shape in shapes["solve"]) == math.ceil(n / 2)
+
+
+SCREEN_SCALAR_CASES = [
+    pytest.param(make(n), id=f"{name}-{n}")
+    for n in (2, 3, 16, 33)
+    for name, make in (("gue", lambda n: gue_matrix(n, 4)),
+                       ("ties", lambda n: tied_matrix(n, 4)),
+                       ("zero", lambda n: np.zeros((n, n), dtype=complex)))]
+
+
+@pytest.mark.parametrize("x", SCREEN_SCALAR_CASES)
+def test_semicircle_screen_matches_route(x):
+    # relative to each statistic's largest entry: a Q_i near zero carries
+    # the rounding of G_i^-1 + z + Ghat_i, which nearly cancel
+    n = x.shape[0]
+    zs = [*SPOT_ZS, 0.3 + 1j / n, 4.0 + 1j / n, 4.0 + 20j]
+    screened = semicircle_screen(x, zs)
+    assert screened.z.tolist() == zs
+    for j, z in enumerate(zs):
+        route = semicircle_stats(x, z)
+        for name in ("g_i", "ghat_i", "q_i", "r_i_frob"):
+            got, want = getattr(screened, name)[j], getattr(route, name)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+        assert screened.fluct[j] == pytest.approx(route.fluct, rel=1e-12, abs=0.0)
+        assert screened.row_sum_residual[j] <= 1e-12
+
+
+def test_semicircle_screen_refuses_lower_half_plane():
+    with pytest.raises(ValueError):
+        semicircle_screen(gue_matrix(4, 0), [1j, 0.5 - 0.1j])
+
+
+def test_semicircle_route_everywhere_gives_the_same_report(monkeypatch):
+    # theta_user 0.05 admits grid rows at N = 32, so theta_star is finite
+    x = gue_matrix(32, 0)
+    screened = semicircle_locallaw(x, theta_user=0.05)
+    routed = []
+
+    def counted(*args, **kwargs):
+        routed.append(args[1])
+        return semicircle_stats(*args, **kwargs)
+
+    monkeypatch.setattr(locallaw, "semicircle_stats", counted)
+    # no route value can agree with its screen, so the route runs everywhere
+    monkeypatch.setattr(linearize, "SCREEN_AGREEMENT", -1.0)
+    fallback = semicircle_locallaw(x, theta_user=0.05)
+    # the screened maximum, then every net point
+    assert len(routed) == 1 + len(uniform_net(-4.0, 4.0, 1.0 / 32, 20.0, 2.0))
+    assert math.isfinite(screened.theta_star)
+    assert fallback.k_stat == screened.k_stat
+    assert fallback.rows == screened.rows
+    assert fallback.theta_star == screened.theta_star
+    assert fallback.theta_star_self == screened.theta_star_self
 
 
 def test_delocalization_rho_refusal():

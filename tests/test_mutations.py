@@ -72,6 +72,10 @@ ROWS = [
     # [I; G]* T [I; G] without T12 G
     pytest.param("linearize", "_eliminate", "tg[keep] + g.conj().T", "g.conj().T",
                  SEMICIRCLE, {"row_sum"}, id="ward-gram-cross-term-dropped"),
+    # Ghat_i's Schur correction in the k = 1 screen: K's point checks the
+    # route's Q_i with the screen's Ghat_i, whatever the fallback does
+    pytest.param("locallaw", "semicircle_screen", "(d * d) / gc)", "(d * d) / gc.conj())",
+                 SEMICIRCLE, {"identity", "row_sum"}, id="semicircle-screen-ghat-corrupted"),
     pytest.param("linearize", "_schur_statistics", "np.diag([z, -1.0 + 0j, 1.0 + 0j])",
                  "np.diag([z, 1.0 + 0j, -1.0 + 0j])", LC8, {"key_identity"},
                  id="route-Lambda-signs-swapped"),
