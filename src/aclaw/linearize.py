@@ -296,13 +296,16 @@ def grid_corner_blocks(lin: Linearization, zs) -> np.ndarray:
     return out
 
 
-def _eigenbasis(lin: Linearization) -> tuple[np.ndarray, np.ndarray]:
+def _eigenbasis(lin: Linearization, spectrum: AnticommutatorSpectrum
+                ) -> tuple[np.ndarray, np.ndarray]:
     """(lam, P): {UV} = Q diag(lam) Q* and P = [Q, -aQ, bQ], so that
-    R = P diag(1/(lam - z)) P* + diag(0, I, -I).  numpy's ``heevd`` keeps Q
-    orthogonal to about 5e-15 (MRRR, as in ``AnticommutatorSpectrum``: 1e-12).
-    Not cached on the pair: held through the route, P would raise the peak."""
-    lam, q = np.linalg.eigh(lin.anticommutator)
-    return lam, np.stack([q, -(lin.a @ q), lin.b @ q])
+    R = P diag(1/(lam - z)) P* + diag(0, I, -I), from the pair's
+    ``spectrum`` (``AnticommutatorSpectrum.from_linearization``: numpy's
+    ``heevd`` keeps Q orthogonal to about 5e-15; MRRR, as in ``from_pair``:
+    1e-12).  Not cached on the pair: held through the route, P would raise
+    the peak."""
+    q = spectrum.evecs
+    return spectrum.evals, np.stack([q, -(lin.a @ q), lin.b @ q])
 
 
 def _spectral_resolvent(basis, z: complex) -> np.ndarray:
@@ -526,9 +529,11 @@ def _level_r_frob(lam, p, s1, gap, e0, near, d, g_inv, eta):
     return np.sqrt(np.maximum(norm_r2[:, None] - 2.0 * t1.real + t2.real, 0.0))
 
 
-def _screen_net(lin: Linearization, net: np.ndarray) -> np.ndarray:
+def _screen_net(lin: Linearization, net: np.ndarray,
+                spectrum: AnticommutatorSpectrum) -> np.ndarray:
     """The fluctuation statistic at every point of ``net`` by the Schur
-    route's formulas in the eigenbasis of {UV}, R = P diag(d) P* + D with
+    route's formulas in the eigenbasis of {UV} (``_eigenbasis`` of the
+    pair's ``spectrum``), R = P diag(d) P* + D with
     d = 1/(lam - z): kernels built once per chunk of Im levels (at most about
     N/2 points, which keeps the peak allocation below one route evaluation's)
     or once per level, then O(N^2) per point.  Every point gets the
@@ -541,7 +546,7 @@ def _screen_net(lin: Linearization, net: np.ndarray) -> np.ndarray:
     for z in zs.tolist():
         _check_upper_half_plane(z)
         _check_conditioning(lin, z)
-    lam, p = basis = _eigenbasis(lin)
+    lam, p = basis = _eigenbasis(lin, spectrum)
     if n <= CROSS_CHECK_MAX_N:
         for z in zs.tolist():
             _cross_check(lin, z, _spectral_resolvent(basis, z))
@@ -638,8 +643,12 @@ def identity_spot_check(x: np.ndarray, lam: np.ndarray, ghat_i: np.ndarray,
     Schur complement onto index i, S_i = X_ii - Lambda - Y_i R^(i) Y_i*, so
     Q_i^def = -Lambda - S_i - Phi(Ghat_i), with no minor, no minor's inverse
     and no R formed.  Ghat_i is the route's: it sits on both sides of the
-    identity and cancels, so the residual max_i |Q_i^def - Q_i| / |Q_i|
-    (Frobenius) against the route's Q_i tests the quadratic form alone.
+    identity and cancels, so the residual against the route's Q_i tests the
+    quadratic form alone.  It is max_i |Q_i^def - Q_i| over the size of the
+    identity's terms, |G_i^-1| + |Lambda| + |Phi(Ghat_i)| (Frobenius), with
+    G_i^-1 = -(Q_i + Lambda + Phi(Ghat_i)) from the route: those terms are
+    what the route sums, and where they cancel to a small Q_i a scale of
+    |Q_i| would measure their rounding, not the identity.
 
     The elimination carries T, the (Im Lambda kron I)-weighted Gram of its
     solution: diag(Im Lambda kron I) at the root, [I; G]* T [I; G] past the
@@ -673,7 +682,8 @@ def identity_spot_check(x: np.ndarray, lam: np.ndarray, ghat_i: np.ndarray,
     _leaf_schur(s, np.diag(diag[order].imag), k, s_i, t_i)
     ghat_i, q_i = np.reshape(ghat_i, (n, k, k)), np.reshape(q_i, (n, k, k))
     lam_k = np.diag(lam)
-    q_def = -(lam_k + s_i + phi(ghat_i))
+    phi_ghat = phi(ghat_i)
+    q_def = -(lam_k + s_i + phi_ghat)
     quad = x_ii - lam_k - s_i             # Y_i R^(i) Y_i*
     im_quad = (quad - quad.conj().swapaxes(1, 2)) / 2j
     im_form = t_i - np.diag(lam.imag)
@@ -683,8 +693,10 @@ def identity_spot_check(x: np.ndarray, lam: np.ndarray, ghat_i: np.ndarray,
     ward = (np.linalg.norm(im_quad - im_form, axis=(1, 2))
             / np.maximum(np.linalg.norm(im_quad, axis=(1, 2)),
                          np.finfo(float).eps * np.linalg.norm(t_i, axis=(1, 2))))
-    ident = (np.linalg.norm(q_def - q_i, axis=(1, 2))
-             / np.maximum(np.linalg.norm(q_i, axis=(1, 2)), 1e-300))
+    g_inv = -(q_i + lam_k + phi_ghat)
+    scale = (np.linalg.norm(g_inv, axis=(1, 2)) + np.linalg.norm(lam_k)
+             + np.linalg.norm(phi_ghat, axis=(1, 2)))
+    ident = np.linalg.norm(q_def - q_i, axis=(1, 2)) / scale
     return q_def, float(ident.max()), float(ward.max())
 
 
@@ -726,7 +738,8 @@ class FluctuationNet:
 
 
 def fluctuation_sup(lin: Linearization, rect: tuple[float, float, float, float],
-                    spacing: float) -> FluctuationNet:
+                    spacing: float, spectrum: AnticommutatorSpectrum | None = None
+                    ) -> FluctuationNet:
     """Evaluate the fluctuation statistic on a uniform net of the rectangle
     (re_min, re_max, im_min, im_max) and return twice the maximum.
 
@@ -735,6 +748,10 @@ def fluctuation_sup(lin: Linearization, rect: tuple[float, float, float, float],
     cross-check at every point.  ``route_near_max`` then runs the Schur
     route ``resolvent_stats`` near the screened maximum, or at every point
     when the screen is not trusted, and ``per_point`` holds its values.
+    ``spectrum`` is the pair's ``AnticommutatorSpectrum.from_linearization``
+    when the caller already holds it (the scaling study reads its resolvent
+    diagonals too); without it the same call is made here, so K has the
+    same bits either way.
 
     The rectangle must lie within |Re z| <= 8, Im z >= 1/N.
     """
@@ -747,7 +764,10 @@ def fluctuation_sup(lin: Linearization, rect: tuple[float, float, float, float],
     if im_min < 1.0 / n - 1e-12:
         raise ValueError("rectangle must satisfy Im z >= 1/N")
     net = uniform_net(re_min, re_max, im_min, im_max, spacing)
-    vals = route_near_max(_screen_net(lin, net),
+    # a spectrum built here is freed before the route runs
+    screened = _screen_net(lin, net, spectrum if spectrum is not None
+                           else AnticommutatorSpectrum.from_linearization(lin))
+    vals = route_near_max(screened,
                           lambda j: resolvent_stats(lin, net[j]).fluct)
     mx = float(vals.max())
     return FluctuationNet(k2=2.0 * mx, max_fluct=mx, net=net, per_point=vals)
@@ -755,20 +775,29 @@ def fluctuation_sup(lin: Linearization, rect: tuple[float, float, float, float],
 
 @dataclass
 class AnticommutatorSpectrum:
-    """Eigendecomposition {UV} = Q diag(evals) Q* of one pair, with the
-    weights |Q|^2 computed once, for cheap resolvent diagonals on grids.
-    Build it once per pair and share it between the consumers of that pair.
+    """Eigendecomposition {UV} = Q diag(evals) Q* of one pair, for cheap
+    resolvent diagonals on grids and, through ``_eigenbasis``, for the net
+    screen.  Build it once per pair and share it between the consumers of
+    that pair.  Held per pair: Q (16 N^2 bytes) and the weights |Q|^2
+    (8 N^2 bytes).
 
-    ``from_pair`` forms {UV} as UV + (UV)* (VU = (UV)* for Hermitian U, V:
-    one matrix product instead of two, and the sum is exactly Hermitian),
-    frees UV before the solve, and diagonalizes with LAPACK's MRRR driver
-    (``scipy.linalg.eigh(driver="evr")``), which at N = 1024 on one BLAS
-    thread takes about half the time of numpy's divide-and-conquer ``heevd``
-    and needs a smaller workspace; its eigenvectors are orthogonal to about
-    1e-12 at N = 256 (``heevd``: 5e-15), far below what the law and
-    delocalization checks resolve.  Held per pair: Q (16 N^2 bytes) and the
-    weights (8 N^2 bytes).  scipy.linalg is imported on first use, which
-    keeps it out of the start-up of commands that never diagonalize.
+    Two constructors, one per eigen driver, each where it is measured to pay:
+
+    - ``from_linearization`` runs numpy's divide-and-conquer ``heevd`` on
+      the linearization's {UV}, the call the net screen makes, so the
+      screen's bits and K are the same whether the screen or its caller
+      builds the spectrum.  Its eigenvectors are orthogonal to about 5e-15.
+      ``verify`` and the scaling study use it; neither imports
+      ``scipy.linalg``.
+    - ``from_pair`` forms {UV} as UV + (UV)* (VU = (UV)* for Hermitian U, V:
+      one matrix product instead of two, and the sum is exactly Hermitian),
+      frees UV before the solve, and diagonalizes with LAPACK's MRRR driver
+      (``scipy.linalg.eigh(driver="evr")``), which at N = 1024 on one BLAS
+      thread takes about half the time of ``heevd`` and needs a smaller
+      workspace; its eigenvectors are orthogonal to about 1e-12 at N = 256,
+      far below what the law and delocalization checks resolve.  ``deloc``
+      uses it.  scipy.linalg is imported on first use, which keeps it out of
+      every other command.
     """
 
     evals: np.ndarray
@@ -777,6 +806,11 @@ class AnticommutatorSpectrum:
 
     def __post_init__(self):
         self.weights = np.abs(self.evecs) ** 2
+
+    @classmethod
+    def from_linearization(cls, lin: Linearization) -> "AnticommutatorSpectrum":
+        evals, evecs = np.linalg.eigh(lin.anticommutator)
+        return cls(evals=evals, evecs=evecs)
 
     @classmethod
     def from_pair(cls, pair: WignerPair) -> "AnticommutatorSpectrum":

@@ -27,9 +27,10 @@ import numpy as np
 from .errors import AclawError
 from .freelaw import edge_distance, law_constants, m_ac
 from .grids import rect_grid, uniform_net
-from .linearize import (AnticommutatorSpectrum, _check_upper_half_plane,
-                        _fluct_from, build_linearization, fluctuation_sup,
-                        grid_corner_blocks, identity_spot_check, route_near_max)
+from .linearize import (AnticommutatorSpectrum, Linearization,
+                        _check_upper_half_plane, _fluct_from, build_linearization,
+                        fluctuation_sup, grid_corner_blocks, identity_spot_check,
+                        route_near_max)
 from .sdcore import sd_semicircle, sd_solution_ac
 from .wigner import EnsembleSpec, WignerPair, norm_at_most, sample_pair
 
@@ -231,22 +232,34 @@ def verify_local_law(pair: WignerPair, z_grid=None, tau: float = 8.0,
         degenerate=max(lin.norm_u, lin.norm_v) == 0.0)
 
 
-def construct_k(pair: WignerPair, theta: float = 1.0, spacing: float = 1.0) -> float:
+def construct_k(pair: WignerPair | Linearization, theta: float = 1.0,
+                spacing: float = 1.0,
+                spectrum: AnticommutatorSpectrum | None = None) -> float:
     """The netted random constant: theta times twice the maximum of the
     fluctuation statistic over a uniform net of the rectangle |Re z| <= 8,
-    1/N <= Im z <= 8.  Always at least 2 theta."""
-    lin = build_linearization(pair)
-    net = fluctuation_sup(lin, (-8.0, 8.0, 1.0 / pair.n, 8.0), spacing)
+    1/N <= Im z <= 8.  Always at least 2 theta.  ``pair`` may be given as
+    its linearization, and ``spectrum`` is its
+    ``AnticommutatorSpectrum.from_linearization`` when the caller already
+    holds them; K has the same bits either way."""
+    lin = pair if isinstance(pair, Linearization) else build_linearization(pair)
+    net = fluctuation_sup(lin, (-8.0, 8.0, 1.0 / lin.n, 8.0), spacing, spectrum)
     return theta * net.k2
 
 
-def _scaled_deviations(spectrum: AnticommutatorSpectrum, zs: np.ndarray,
-                       n: int) -> tuple[np.ndarray, np.ndarray]:
-    """At every z of ``zs``: the scaled deviation
-    max_i |({UV} - z)^-1 (i,i) - m(z)| sqrt(N h Im z) and the gate h^2 Im z."""
+def _law_at(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """m(z) and h(z) of the anticommutator law at every z of ``zs``."""
     law = [m_ac(complex(z)) for z in zs]
-    m = np.array([pt.m for pt in law], dtype=complex)
-    h = np.array([pt.h for pt in law], dtype=float)
+    return (np.array([pt.m for pt in law], dtype=complex),
+            np.array([pt.h for pt in law], dtype=float))
+
+
+def _scaled_deviations(spectrum: AnticommutatorSpectrum, zs: np.ndarray,
+                       law: tuple[np.ndarray, np.ndarray],
+                       n: int) -> tuple[np.ndarray, np.ndarray]:
+    """At every z of ``zs``, with ``law`` = (m, h) there (``_law_at``): the
+    scaled deviation max_i |({UV} - z)^-1 (i,i) - m(z)| sqrt(N h Im z) and
+    the gate h^2 Im z."""
+    m, h = law
     lhs = np.abs(spectrum.resolvent_diags(zs) - m).max(axis=0)
     return lhs * np.sqrt(n * h * zs.imag), h * h * zs.imag
 
@@ -270,8 +283,8 @@ def empirical_k(pair: WignerPair, c_config: float = 1.0,
     n = pair.n
     if spectrum is None:
         spectrum = AnticommutatorSpectrum.from_pair(pair)
-    scaled, gate = _scaled_deviations(
-        spectrum, rect_grid(-8.0, 8.0, 17, 1.0 / n, 8.0, 12), n)
+    zs = rect_grid(-8.0, 8.0, 17, 1.0 / n, 8.0, 12)
+    scaled, gate = _scaled_deviations(spectrum, zs, _law_at(zs), n)
     return _smallest_valid(scaled, gate, 4.0 * c_config**2, n, 1.0, 2.0)
 
 
@@ -663,22 +676,30 @@ def scaling_law_study(n_list=(64, 128, 256), seeds=range(10),
     deviation on a grid (|Re z| <= 6 linear, 1/N <= Im z <= 4 log), take the
     median over the admissible points, and record the netted K (theta = 1)
     and the scalar star constant.  The log-log slope of the mean median
-    against N is the headline number."""
+    against N is the headline number.
+
+    Each pair is diagonalized once: ``AnticommutatorSpectrum
+    .from_linearization`` of its linearization serves both K's net screen
+    (through ``construct_k``) and the scaled deviations' resolvent
+    diagonals, so the study never imports ``scipy.linalg``.  The grid, its
+    admissible points and the law there depend on N alone and are computed
+    once per N."""
     seeds = list(seeds)
     medians = {int(n): [] for n in n_list}
     k_by_run = {}
     theta_star_by_run = {}
     for n in n_list:
         n = int(n)
+        grid = rect_grid(-6.0, 6.0, n_re, 1.0 / n, 4.0, n_im)
+        h = np.array([edge_distance(complex(z)) for z in grid])
+        zs = grid[h * h * grid.imag >= 4.0 / n]
+        law = _law_at(zs)
         for seed in seeds:
-            pair = sample_pair(EnsembleSpec(n=n, ensemble="complex-gaussian",
-                                            seed=seed))
-            spectrum = AnticommutatorSpectrum.from_pair(pair)
-            k_stat = construct_k(pair, spacing=k_spacing)
-            grid = rect_grid(-6.0, 6.0, n_re, 1.0 / n, 4.0, n_im)
-            h = np.array([edge_distance(complex(z)) for z in grid])
-            scaled, _ = _scaled_deviations(
-                spectrum, grid[h * h * grid.imag >= 4.0 / n], n)
+            lin = build_linearization(sample_pair(
+                EnsembleSpec(n=n, ensemble="complex-gaussian", seed=seed)))
+            spectrum = AnticommutatorSpectrum.from_linearization(lin)
+            k_stat = construct_k(lin, spacing=k_spacing, spectrum=spectrum)
+            scaled, _ = _scaled_deviations(spectrum, zs, law, n)
             medians[n].append(float(np.median(scaled)))
             k_by_run[(n, seed)] = k_stat
             theta_star_by_run[(n, seed)] = float((scaled / k_stat).max(initial=0.0))

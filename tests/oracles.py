@@ -313,6 +313,24 @@ def _minor_statistics(full: np.ndarray, x_blocks: np.ndarray, g_i: np.ndarray,
     return ghat_i, q_i, r_frob, float(key_res)
 
 
+def spot_check_residual(stats, lam: np.ndarray, phi) -> float:
+    """The key identity's residual at ``stats`` (an oracle's, k the size of
+    ``lam``) as ``identity_spot_check`` scales it: the largest
+    |Q_i + G_i^-1 + Lambda + Phi(Ghat_i)| over the size of its terms
+    |G_i^-1| + |Lambda| + |Phi(Ghat_i)| (Frobenius), not over |Q_i| as
+    ``minor_stats`` reports it."""
+    k = lam.shape[0]
+    n = len(stats.q_i)
+    g_inv = np.linalg.inv(np.reshape(stats.g_i, (n, k, k)))
+    phi_ghat = phi(np.reshape(stats.ghat_i, (n, k, k)))
+    lam_k = np.diag(lam)
+    res = np.linalg.norm(np.reshape(stats.q_i, (n, k, k)) + g_inv + lam_k + phi_ghat,
+                         axis=(1, 2))
+    scale = (np.linalg.norm(g_inv, axis=(1, 2)) + np.linalg.norm(lam_k)
+             + np.linalg.norm(phi_ghat, axis=(1, 2)))
+    return float((res / scale).max())
+
+
 def minor_stats(lin: Linearization, z: complex) -> tuple[ResolventStats, float]:
     """The oracle of ``resolvent_stats``, and the key identity's residual:
     the same statistics by definition (Lambda = diag(z, -1, 1),

@@ -447,6 +447,25 @@ def test_cli_import_loads_no_numpy():
     assert out.strip() == "[]"
 
 
+def test_scaling_verify_and_semicircle_never_import_scipy_linalg(tmp_path):
+    # scipy.linalg alone adds about 25 MB of resident memory; only deloc's
+    # MRRR spectrum and its norm certificate need it
+    out = run_fresh_python(f"""
+import json, sys
+from aclaw.cli import main
+from aclaw.locallaw import scaling_law_study
+
+loaded = {{}}
+scaling_law_study(n_list=(16, 32), seeds=range(2), k_spacing=4.0, n_re=7, n_im=6)
+loaded["scaling"] = "scipy.linalg" in sys.modules
+for cmd in ("verify", "semicircle"):
+    main([cmd, "--N", "16", "--seed", "1", "--out", {str(tmp_path)!r} + "/" + cmd])
+    loaded[cmd] = "scipy.linalg" in sys.modules
+print(json.dumps(loaded))
+""")
+    assert json.loads(out) == {"scaling": False, "verify": False, "semicircle": False}
+
+
 def test_aclaw_threads_set_before_numpy_loads(tmp_path):
     out = run_fresh_python(f"""
 import json, os, sys

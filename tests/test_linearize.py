@@ -476,7 +476,8 @@ def test_fluctuation_lipschitz_budget():
 def test_spectral_resolvent_matches_factorized(n):
     # P diag(1/(lam - z)) P* + D, the screen's assembly of R
     lin = build_linearization(random_pair(n, 3))
-    basis = linearize._eigenbasis(lin)
+    basis = linearize._eigenbasis(
+        lin, AnticommutatorSpectrum.from_linearization(lin))
     for z in (0.3 + 1.0 / n * 1j, -2.5 + 0.7j, 6.0 + 8.0j):
         r = generalized_resolvent(lin, z)
         spectral = linearize._spectral_resolvent(basis, z)
@@ -493,7 +494,8 @@ def test_eigenbasis_gram_identities(ensemble, n):
     pair = (zero_pair(n) if ensemble == "zero"
             else sample_pair(EnsembleSpec(n=n, ensemble=ensemble, seed=4)))
     lin = build_linearization(pair)
-    lam, p = linearize._eigenbasis(lin)
+    lam, p = linearize._eigenbasis(
+        lin, AnticommutatorSpectrum.from_linearization(lin))
 
     def norm(x):
         return np.linalg.norm(x, 2)
@@ -504,6 +506,12 @@ def test_eigenbasis_gram_identities(ensemble, n):
         assert norm(m - m.conj().T) <= 1e-13 * norm(m)
     diff = p[2].conj().T @ p[2] - p[1].conj().T @ p[1] - np.diag(lam)
     assert norm(diff) <= 1e-12 * max(1.0, norm(lin.anticommutator))
+
+
+def screen_net(lin, net):
+    """The net screen in the pair's own spectrum, as ``fluctuation_sup``
+    builds it."""
+    return linearize._screen_net(lin, net, AnticommutatorSpectrum.from_linearization(lin))
 
 
 def net_case(pair, route):
@@ -518,7 +526,7 @@ def net_case(pair, route):
         return np.array([stats(lin, z).fluct for z in fs.net])
 
     schur = values("schur")
-    screen = linearize._screen_net(lin, fs.net)
+    screen = screen_net(lin, fs.net)
     return fs, schur, screen, schur if route == "schur" else values(route)
 
 
@@ -595,7 +603,7 @@ def test_screen_matches_route_property(n, ensemble, seed, spacing):
     lin = build_linearization(sample_pair(EnsembleSpec(n=n, ensemble=ensemble, seed=seed)))
     net = uniform_net(-8.0, 8.0, 1.0 / n, 8.0, spacing)
     route = [resolvent_stats(lin, z).fluct for z in net]
-    np.testing.assert_allclose(linearize._screen_net(lin, net), route,
+    np.testing.assert_allclose(screen_net(lin, net), route,
                                rtol=1e-12, atol=0.0)
 
 
@@ -606,7 +614,7 @@ def test_screen_matches_route_at_scaling_size():
     assert len(fs.net) == 6
     route = np.array([resolvent_stats(lin, z).fluct for z in fs.net])
     assert fs.k2 == 2.0 * route.max()
-    np.testing.assert_allclose(linearize._screen_net(lin, fs.net), route,
+    np.testing.assert_allclose(screen_net(lin, fs.net), route,
                                rtol=1e-12, atol=0.0)
 
 
@@ -635,7 +643,7 @@ def screen_and_route_peaks(n, spacing, points):
         finally:
             tracemalloc.stop()
 
-    return (peak(lambda lin: linearize._screen_net(lin, net)),
+    return (peak(lambda lin: screen_net(lin, net)),
             peak(lambda lin: resolvent_stats(lin, net[0])))
 
 
@@ -672,8 +680,8 @@ def test_screen_error_at_maximum_falls_back_to_route(monkeypatch):
     exact = fluctuation_sup(lin, rect, spacing=2.0)
     top = exact.net[np.argmax(exact.per_point)]
     screen = linearize._screen_net
-    monkeypatch.setattr(linearize, "_screen_net", lambda lin_, net: (
-        screen(lin_, net) * (1.0 + 1e-3 * (net == top))))
+    monkeypatch.setattr(linearize, "_screen_net", lambda lin_, net, spectrum: (
+        screen(lin_, net, spectrum) * (1.0 + 1e-3 * (net == top))))
     stats = count_calls(monkeypatch, "resolvent_stats")
     fs = fluctuation_sup(lin, rect, spacing=2.0)
     # one evaluation at the (inflated) screened maximum, then the whole net
@@ -738,3 +746,15 @@ def test_gauge_implication_from_statistics():
     st_ = resolvent_stats(lin, z)
     v = gauge_implication_check(st_.g_i, st_.ghat_i, sd_solution_ac(z))
     assert v.holds
+
+
+def test_shared_spectrum_screens_with_the_same_bits():
+    # fluctuation_sup's own diagonalization and a caller's from_linearization
+    # are one call on one matrix, so the screen and K keep their bits
+    lin = build_linearization(random_pair(48, 6))
+    spectrum = AnticommutatorSpectrum.from_linearization(lin)
+    rect = (-8.0, 8.0, 1.0 / 48, 8.0)
+    shared, own = fluctuation_sup(lin, rect, 2.0, spectrum), fluctuation_sup(lin, rect, 2.0)
+    assert np.array_equal(shared.per_point, own.per_point)
+    assert shared.k2 == own.k2
+

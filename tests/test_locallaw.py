@@ -32,7 +32,7 @@ from aclaw.locallaw import (
 )
 from aclaw.sdcore import phi_ac
 from aclaw.wigner import ENSEMBLES, EnsembleSpec, WignerPair, sample_pair
-from oracles import minor_stats, semicircle_minor_stats
+from oracles import minor_stats, semicircle_minor_stats, spot_check_residual
 
 ZETA = law_constants().zeta
 
@@ -352,20 +352,25 @@ BLOCK_ORACLE_CASES = (
 
 def spot_check_calls(x, z):
     """Two calls at z: ``identity_spot_check`` on the production route's
-    statistics, and the inverting oracle, for a matrix x (k = 1: Lambda = z,
+    statistics, and the inverting oracle's statistics with its identity
+    residual on the spot check's scale, for a matrix x (k = 1: Lambda = z,
     Phi the identity) or a pair x (k = 3 on its linearization:
     Lambda = diag(z, -1, 1), Phi = ``phi_ac``).  The route's statistics are
     computed here, so a refusal in either call is that call's own."""
     if isinstance(x, WignerPair):
         lin = build_linearization(x)
         st_ = resolvent_stats(lin, z)
-        return (lambda: identity_spot_check(lin.x, np.array([z, -1.0, 1.0]),
-                                            st_.ghat_i, st_.q_i, phi_ac),
-                lambda: minor_stats(lin, z))
+        lam, phi = np.array([z, -1.0, 1.0]), phi_ac
+        return (lambda: identity_spot_check(lin.x, lam, st_.ghat_i, st_.q_i, phi),
+                lambda: at_spot_check_scale(minor_stats(lin, z)[0], lam, phi))
     st_ = semicircle_stats(x, z)
-    return (lambda: identity_spot_check(x, np.array([z]), st_.ghat_i, st_.q_i,
-                                        lambda g: g),
-            lambda: semicircle_minor_stats(x, z))
+    lam, phi = np.array([z]), (lambda g: g)
+    return (lambda: identity_spot_check(x, lam, st_.ghat_i, st_.q_i, phi),
+            lambda: at_spot_check_scale(semicircle_minor_stats(x, z)[0], lam, phi))
+
+
+def at_spot_check_scale(stats, lam, phi):
+    return stats, spot_check_residual(stats, lam, phi)
 
 
 #: the points the spot check is held against the inverting oracle at
@@ -644,3 +649,74 @@ def test_scaling_study_smoke():
     assert all(len(v) == 2 for v in rep.medians.values())
     assert math.isfinite(rep.slope)
     assert all(math.isfinite(v) for v in rep.theta_star_by_run.values())
+
+
+@pytest.mark.parametrize("n, seed, z", [(256, 0, 4 + 1j / 256), (32, 4, -4 + 1j / 32)])
+def test_identity_residual_is_rounding_where_q_nearly_vanishes(n, seed, z):
+    # outside the spectrum near the real axis some Q_i nearly vanish: there
+    # G_i^-1 + z + Ghat_i cancel, and a residual relative to |Q_i| read
+    # 8.8e-11 and 2.5e-12 at these two points.  Relative to the identity's
+    # terms it stays at rounding level, as it does in the bulk
+    x = gue_matrix(n, seed)
+    st_ = semicircle_stats(x, z)
+    assert np.abs(st_.q_i).min() < 1e-3 * np.abs(st_.q_i).max()
+    _, ident, _ = identity_spot_check(x, np.array([z]), st_.ghat_i, st_.q_i,
+                                      lambda g: g)
+    assert ident <= 100 * np.finfo(float).eps
+
+
+def mrrr_scaling_oracle(n_list, seeds, k_by_run, n_re, n_im):
+    """The scaling study's medians and star constants from scipy's MRRR
+    spectrum of each pair (``AnticommutatorSpectrum.from_pair``), one z at a
+    time, with the study's K."""
+    from aclaw.freelaw import m_ac
+    from aclaw.linearize import AnticommutatorSpectrum
+
+    medians, stars = {}, {}
+    for n in n_list:
+        grid = rect_grid(-6.0, 6.0, n_re, 1.0 / n, 4.0, n_im)
+        zs = [z for z in grid.tolist() if edge_distance(z) ** 2 * z.imag >= 4.0 / n]
+        for seed in seeds:
+            spectrum = AnticommutatorSpectrum.from_pair(
+                sample_pair(EnsembleSpec(n=n, ensemble="complex-gaussian", seed=seed)))
+            scaled = []
+            for z in zs:
+                law = m_ac(z)
+                dev = np.abs(spectrum.resolvent_diag(z) - law.m).max()
+                scaled.append(dev * math.sqrt(n * law.h * z.imag))
+            medians.setdefault(n, []).append(float(np.median(scaled)))
+            stars[n, seed] = max(scaled) / k_by_run[n, seed]
+    return medians, stars
+
+
+def test_scaling_study_diagonalizes_each_pair_once(monkeypatch):
+    from aclaw.linearize import AnticommutatorSpectrum
+
+    n_list, seeds, n_re, n_im = (16, 32), (0, 1), 7, 6
+    eigh, from_pair = np.linalg.eigh, AnticommutatorSpectrum.from_pair.__func__
+    calls = {"eigh": 0, "from_pair": 0}
+
+    def counting_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    def counting_from_pair(cls, pair):
+        calls["from_pair"] += 1
+        return from_pair(cls, pair)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(AnticommutatorSpectrum, "from_pair",
+                        classmethod(counting_from_pair))
+    rep = scaling_law_study(n_list=n_list, seeds=seeds, k_spacing=4.0,
+                            n_re=n_re, n_im=n_im)
+    assert calls == {"eigh": len(n_list) * len(seeds), "from_pair": 0}
+    monkeypatch.undo()
+    # K has the bits of construct_k's own diagonalization
+    for (n, seed), k_stat in rep.k_by_run.items():
+        pair = sample_pair(EnsembleSpec(n=n, ensemble="complex-gaussian", seed=seed))
+        assert k_stat == construct_k(pair, spacing=4.0)
+    medians, stars = mrrr_scaling_oracle(n_list, seeds, rep.k_by_run, n_re, n_im)
+    for n in n_list:
+        np.testing.assert_allclose(rep.medians[n], medians[n], rtol=1e-10, atol=0.0)
+    for key, star in stars.items():
+        assert rep.theta_star_by_run[key] == pytest.approx(star, rel=1e-10, abs=0.0)

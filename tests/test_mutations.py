@@ -66,8 +66,8 @@ ROWS = [
                  "s[keep, keep] + s[keep, drop] @ g.conj(),", LC8, {"key_identity"},
                  id="quadratic-form-corrupted"),
     pytest.param("linearize", "identity_spot_check",
-                 "q_def = -(lam_k + s_i + phi(ghat_i))",
-                 "q_def = -(lam_k + s_i.conj() + phi(ghat_i))", SEMICIRCLE, {"identity"},
+                 "q_def = -(lam_k + s_i + phi_ghat)",
+                 "q_def = -(lam_k + s_i.conj() + phi_ghat)", SEMICIRCLE, {"identity"},
                  id="leaf-schur-complement-conjugated"),
     # [I; G]* T [I; G] without T12 G
     pytest.param("linearize", "_eliminate", "tg[keep] + g.conj().T", "g.conj().T",
