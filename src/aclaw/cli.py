@@ -317,15 +317,14 @@ def _cmd_linearize_check(args) -> int:
     scale = max(np.linalg.norm(lin.x), 1.0)
     # generalized_resolvent assembles R from g, a and b without W; this
     # holds it against the definitional product R + Lambda(0) kron I =
-    # W blockdiag(g, 0, 0) W* (for N <= 64 its direct-inversion cross-check
-    # refuses a wrong block first)
+    # W blockdiag(g, 0, 0) W*, the only check of R's assembly at any N
     r = generalized_resolvent(lin, z)
     small = bordered_resolvent(lin, z)
     lam0 = lambda_kron(0.0, n)
     rid = np.linalg.norm(r + lam0 - w @ small @ w_h) / np.linalg.norm(r)
     st = resolvent_stats(lin, z)
     _, key_res, _ = identity_spot_check(lin.x, np.array([z, -1.0, 1.0]),
-                                        st.ghat_i, st.q_i, phi_ac)
+                                        st.ghat_i, st.q_i, phi_ac, *lin.minor_norms)
     checks = {
         "factorization": float(np.linalg.norm(fact - target) / scale),
         "bordered_identity": float(rid),

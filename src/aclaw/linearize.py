@@ -36,7 +36,7 @@ three exact identities of the linearization: Q*Q = I; every Gram block
 P_e* P_a that ghat's correction reads is Hermitian; and P_2* P_2 - P_1* P_1 =
 Q* (b^2 - a^2) Q = diag(lam), since a^2 - b^2 = -{UV}.  Equal eigenvalues
 (k = l) enter as weights on d_k^2, so only genuine ties are multiplied
-directly.
+directly.  One certificate per pair bounds the eigenbasis's error in R.
 """
 
 from __future__ import annotations
@@ -72,9 +72,6 @@ __all__ = [
 #: condition ceiling on resolvent solves
 COND_LIMIT = 1e14
 
-#: resolvents up to this N are cross-checked against direct inversion
-CROSS_CHECK_MAX_N = 64
-
 #: ``route_near_max`` runs its route at the net points whose screened
 #: statistic lies within this relative distance of the screened maximum
 SCREEN_MARGIN = 1e-6
@@ -85,7 +82,8 @@ SCREEN_AGREEMENT = 2.5e-7
 
 
 class IllConditionedError(AclawError):
-    """A resolvent solve exceeded the condition ceiling."""
+    """A resolvent solve exceeded the condition ceiling, or an eigenbasis
+    its error bound."""
 
 
 @dataclass
@@ -94,9 +92,7 @@ class Linearization:
     norm-hypothesis flag max(|U|, |V|) <= 4.  The 3N x 3N matrices X
     (Hermitian) and W (unit block lower triangular) are built on first use:
     ``generalized_resolvent`` and ``grid_corner_blocks`` read only a and b,
-    X is read by the direct-inversion cross-check (N <= 64) and ``aclaw
-    linearize-check``'s key-identity spot check, and W only by
-    ``linearize-check`` and the tests."""
+    and X and W are read only by ``aclaw linearize-check`` and the tests."""
 
     pair: WignerPair
     anticommutator: np.ndarray
@@ -112,6 +108,12 @@ class Linearization:
     @property
     def norms_ok(self) -> bool:
         return max(self.norm_u, self.norm_v) <= 4.0
+
+    @property
+    def minor_norms(self) -> tuple[float, float]:
+        """Upper bounds on |X| = |U^2 + V^2|^(1/2) and on |a| + |b|."""
+        return (math.hypot(self.norm_u, self.norm_v),
+                math.sqrt(2.0) * (self.norm_u + self.norm_v))
 
     @functools.cached_property
     def x(self) -> np.ndarray:
@@ -171,19 +173,6 @@ def _check_upper_half_plane(z: complex) -> None:
         raise ValueError("z must lie in the upper half-plane")
 
 
-def _cross_check(lin: Linearization, z: complex, r: np.ndarray) -> None:
-    """Refuse unless r agrees with direct inversion of X - Lambda kron I
-    within 1e-8 relative (Frobenius).  An (N, 3, 3) stack r of corner
-    blocks is held against the direct inverse's corner blocks alone."""
-    direct = np.linalg.inv(lin.x - lambda_kron(z, lin.n))
-    if r.ndim == 3:
-        direct = corner_blocks(direct, 3)
-    rel = np.linalg.norm(r - direct) / np.linalg.norm(direct)
-    if rel > 1e-8:
-        raise IllConditionedError(
-            f"factorized and direct resolvents disagree ({rel:.3e}) at z={z}")
-
-
 def generalized_resolvent(lin: Linearization, z: complex) -> np.ndarray:
     """R = (X - Lambda kron I)^-1 = W blockdiag(g, I, -I) W*, with
     g = ({UV} - z)^-1, assembled from its nonzero blocks.  W is unit block
@@ -202,10 +191,11 @@ def generalized_resolvent(lin: Linearization, z: complex) -> np.ndarray:
     complex multiply-adds instead of the definitional 54 N^3, and W is
     never read.
 
-    For N up to ``CROSS_CHECK_MAX_N`` the result is verified against direct
-    inversion of X - Lambda kron I within 1e-8 relative.  Production forms
-    R only where the Schur route runs (``resolvent_stats``, near the net's
-    screened maximum); the grid rows use ``grid_corner_blocks``.
+    Production forms R only where the Schur route runs (``resolvent_stats``,
+    near the net's screened maximum); the grid rows use
+    ``grid_corner_blocks``.  Direct inversion of X - Lambda kron I is a test
+    oracle only; ``aclaw linearize-check``'s ``bordered_identity`` holds R
+    against W blockdiag(g, 0, 0) W* at every N.
     """
     z = complex(z)
     _check_upper_half_plane(z)
@@ -222,8 +212,6 @@ def generalized_resolvent(lin: Linearization, z: complex) -> np.ndarray:
     left[n + idx, 2 * n + idx] = -1.0
     r[n:, :n] = left[:, :n]
     np.matmul(left, np.vstack([b_row, np.eye(2 * n)]), out=r[n:, n:])
-    if n <= CROSS_CHECK_MAX_N:
-        _cross_check(lin, z, r)
     return r
 
 
@@ -244,15 +232,11 @@ def grid_corner_blocks(lin: Linearization, zs) -> np.ndarray:
     in another order).  Each entry is still one BLAS sum over the same N or
     3N terms, the +-I terms included; on OpenBLAS 0.3.31 (one thread) the
     result had the bits of ``corner_blocks(generalized_resolvent(lin, z),
-    3)`` at every N tried from 2 to 300.  The operands [B; I] are built once per call, tile by tile, and a
-    tile's rows of [C g, diag(I, -I)] are copied into one buffer.  Per z:
-    the N x N inverse, C g (2 N^3 complex multiply-adds) and O(N^2 _TILE)
-    for the tiles, against 16 N^3 for all of R.
-
-    Every z gets the conditioning refusal and, for N up to
-    ``CROSS_CHECK_MAX_N``, the direct-inversion cross-check at 1e-8
-    relative, on the 9N corner entries of (X - Lambda kron I)^-1 (the other
-    entries of R are not formed).
+    3)`` at every N tried from 2 to 300.  The operands [B; I] are built once
+    per call, tile by tile, and a tile's rows of [C g, diag(I, -I)] are
+    copied into one buffer.  Per z: the N x N inverse, C g (2 N^3 complex
+    multiply-adds) and O(N^2 _TILE) for the tiles, against 16 N^3 for all
+    of R.  Every z gets the conditioning refusal.
     """
     n = lin.n
     zs = [complex(z) for z in zs]
@@ -291,8 +275,6 @@ def grid_corner_blocks(lin: Linearization, zs) -> np.ndarray:
             lr = rows @ right
             rows[ones] = 0.0
             g_i[lo:hi, 1:, 1:] = lr.reshape(2, t, 2, t)[:, j, :, j]
-        if n <= CROSS_CHECK_MAX_N:
-            _cross_check(lin, z, g_i)
     return out
 
 
@@ -308,20 +290,22 @@ def _eigenbasis(lin: Linearization, spectrum: AnticommutatorSpectrum
     return spectrum.evals, np.stack([q, -(lin.a @ q), lin.b @ q])
 
 
-def _spectral_resolvent(basis, z: complex) -> np.ndarray:
-    """R = P diag(1/(lam - z)) P* + D from ``basis`` = (lam, P) of
-    ``_eigenbasis``; it agrees with ``generalized_resolvent`` to rounding.
-    The net screen cross-checks it against direct inversion."""
-    z = complex(z)
-    _check_upper_half_plane(z)
-    lam, p = basis
-    n = lam.size
-    pf = p.reshape(3 * n, n)
-    r = (pf / (lam - z)) @ pf.conj().T
-    idx = np.arange(n)
-    r[n + idx, n + idx] += 1.0
-    r[2 * n + idx, 2 * n + idx] -= 1.0
-    return r
+def _eigenbasis_error_bound(lin: Linearization, spectrum: AnticommutatorSpectrum,
+                            eta: float) -> float:
+    """A bound on |Rt - R| / |R| at every z with Im z >= eta, for the
+    screen's Rt = P diag(d) P* + D = C gt C* + D (C = [I; -a; b],
+    gt = Q diag(d) Q*) against R = C g C* + D.  With E = {UV} Q - Q diag(lam)
+    and F = Q*Q - I, ({UV} - z) gt = I + (QQ* - I) + E diag(d) Q*, so
+    |gt - g| <= |g| (|F| + |E| sqrt(1 + |F|) / Im z) for any square Q, and
+    |C|^2 <= 1 + |U|^2 + |V|^2, |R| >= |g|.  It takes E and F as computed
+    and leaves the screen's arithmetic past P unbounded.  Two N x N
+    products (0.4 s at N = 1024, one BLAS thread)."""
+    q = spectrum.evecs
+    f = q.conj().T @ q
+    f[np.diag_indices(lin.n)] -= 1.0
+    f = float(np.linalg.norm(f))
+    e = float(np.linalg.norm(lin.anticommutator @ q - q * spectrum.evals))
+    return (1.0 + lin.norm_u**2 + lin.norm_v**2) * (f + e * math.sqrt(1.0 + f) / eta)
 
 
 def bordered_resolvent(lin: Linearization, z: complex) -> np.ndarray:
@@ -537,8 +521,8 @@ def _screen_net(lin: Linearization, net: np.ndarray,
     d = 1/(lam - z): kernels built once per chunk of Im levels (at most about
     N/2 points, which keeps the peak allocation below one route evaluation's)
     or once per level, then O(N^2) per point.  Every point gets the
-    conditioning refusal and, for N <= ``CROSS_CHECK_MAX_N``, the direct
-    cross-check of the assembled R.  Eigenvalue pairs closer than
+    conditioning refusal; the net is refused when ``_eigenbasis_error_bound``
+    at its lowest Im z exceeds 1e-8.  Eigenvalue pairs closer than
     ``_NEAR_GAP`` are multiplied directly, so ties stay exact; more than 8N
     such pairs screen as NaN, which leaves every point to the route."""
     n = lin.n
@@ -546,10 +530,12 @@ def _screen_net(lin: Linearization, net: np.ndarray,
     for z in zs.tolist():
         _check_upper_half_plane(z)
         _check_conditioning(lin, z)
-    lam, p = basis = _eigenbasis(lin, spectrum)
-    if n <= CROSS_CHECK_MAX_N:
-        for z in zs.tolist():
-            _cross_check(lin, z, _spectral_resolvent(basis, z))
+    eta = float(zs.imag.min())
+    bound = _eigenbasis_error_bound(lin, spectrum, eta)
+    if not bound <= 1e-8:
+        raise IllConditionedError(
+            f"eigenbasis error bound {bound:.3e} exceeds 1e-8 at Im z = {eta}")
+    lam, p = _eigenbasis(lin, spectrum)
     gap = lam[:, None] - lam[None, :]
     is_near = np.abs(gap) < _NEAR_GAP
     if np.count_nonzero(is_near) > 8 * n:
@@ -624,15 +610,30 @@ def _leaf_schur(s: np.ndarray, t: np.ndarray, k: int, out_s: np.ndarray,
     _leaf_schur(*_eliminate(s, t, hi, lo), k, out_s[h:], out_t[h:])
 
 
+def _minor_cond_bound(lam: np.ndarray, x_norm: float, ab_norm: float) -> float:
+    """A bound on every minor's condition number, given bounds on |X| and
+    |a| + |b|: (|X| + |z|) / Im z at k = 1.  At k = 3 the minor pair's
+    linearization factors as the full one's, W^(i)* (X^(i) - Lambda kron I)
+    W^(i) = blockdiag(b^(i)^2 - a^(i)^2 - z, I, -I) with |W^(i)| <=
+    1 + |a| + |b|: (|X| + max(|z|, 1)) (1 + |a| + |b|)^2 max(1/Im z, 1)."""
+    inv_norm = 1.0 / lam[0].imag
+    if lam.size > 1:
+        inv_norm = max(inv_norm, 1.0)       # the +-I blocks
+    return (x_norm + float(np.abs(lam).max())) * (1.0 + ab_norm) ** 2 * inv_norm
+
+
 def identity_spot_check(x: np.ndarray, lam: np.ndarray, ghat_i: np.ndarray,
-                        q_i: np.ndarray, phi):
+                        q_i: np.ndarray, phi, x_norm: float, ab_norm: float = 0.0):
     """(q_def, identity residual, Ward residual) of the key identity
     -Q_i = G_i^-1 + Lambda + Phi(Ghat_i) at block size k = ``lam.size``, by
     one nested block elimination of X - Lambda kron I, for a route's
     ``ghat_i`` and ``q_i`` (N blocks of k x k, or N scalars at k = 1).
 
     ``x`` is the Hermitian kN x kN matrix X, ``lam`` the diagonal of Lambda
-    and ``phi`` maps a stack of k x k blocks.  Q_i's definition reads X
+    and ``phi`` maps a stack of k x k blocks.  ``x_norm`` and ``ab_norm``
+    bound |X| and |a| + |b| (``Linearization.minor_norms``); the call is
+    refused when ``_minor_cond_bound`` exceeds ``COND_LIMIT``, wherever a
+    minor's own condition number would be.  Q_i's definition reads X
     through Y_i, the rows i + N arange(k) of X without those columns, and
     Y_i*, so the elimination reads X's upper triangle and mirrors it: for a
     Hermitian X that is X itself, and a pair that is not Hermitian still
@@ -659,19 +660,13 @@ def identity_spot_check(x: np.ndarray, lam: np.ndarray, ghat_i: np.ndarray,
 
     2(N - 1) solves, none larger than ceil(N/2) k square: about 2 (kN)^3
     complex multiply-adds, against N (2/3) (kN - k)^3 for one solve per
-    minor.  For N <= ``CROSS_CHECK_MAX_N`` refuses a minor whose 2-norm
-    condition number exceeds ``COND_LIMIT``."""
+    minor."""
     k = lam.size
     n = x.shape[0] // k
+    cond = _minor_cond_bound(lam, x_norm, ab_norm)
+    if cond > COND_LIMIT:
+        raise IllConditionedError(f"minor condition bound {cond:.3e} at z={lam[0]}")
     diag = np.repeat(lam, n)              # the diagonal of Lambda kron I
-    if n <= CROSS_CHECK_MAX_N:
-        full = x - np.diag(diag)
-        all_idx = np.arange(k * n)
-        for i in range(n):
-            keep = np.delete(all_idx, i + n * np.arange(k))
-            if np.linalg.cond(full[np.ix_(keep, keep)]) > COND_LIMIT:
-                raise IllConditionedError(f"minor resolvent ill-conditioned at i={i}")
-        del full
     order = (np.arange(n)[:, None] + n * np.arange(k)).ravel()
     s = (np.triu(x) + np.triu(x, 1).conj().T)[np.ix_(order, order)]
     idx = np.arange(n)
@@ -744,8 +739,8 @@ def fluctuation_sup(lin: Linearization, rect: tuple[float, float, float, float],
     (re_min, re_max, im_min, im_max) and return twice the maximum.
 
     The whole net is screened at once by ``_screen_net``, which makes the
-    resolvent's conditioning refusal and, for N <= 64, its direct-inversion
-    cross-check at every point.  ``route_near_max`` then runs the Schur
+    resolvent's conditioning refusal at every point and certifies the
+    eigenbasis once.  ``route_near_max`` then runs the Schur
     route ``resolvent_stats`` near the screened maximum, or at every point
     when the screen is not trusted, and ``per_point`` holds its values.
     ``spectrum`` is the pair's ``AnticommutatorSpectrum.from_linearization``

@@ -185,10 +185,9 @@ def verify_local_law(pair: WignerPair, z_grid=None, tau: float = 8.0,
     N x N inverse g = ({UV} - z)^-1, C g (2 N^3) and diagonal tiles of two
     products, with the bits of ``resolvent_stats``' ``g_i``.  No W and no
     3N x 3N resolvent is built for a row.  The conditioning refusal runs at
-    every net and grid point, and so does the N <= 64 direct-inversion
-    cross-check, which at a grid point compares the 9N corner entries with
-    those of the direct inverse (1e-8 relative), since the others are not
-    formed.  Reading the grid rows from the net's eigenbasis
+    every net and grid point; the net's eigenbasis is certified once per
+    pair (``fluctuation_sup``), and no point is inverted densely to check
+    it.  Reading the grid rows from the net's eigenbasis
     waits for the fix of the ``theta_star_self`` rounding defect: until
     then any last-digit change to a row's lhs can move ``theta_star_self``
     past the reference tolerance, which is why the rows keep the
@@ -575,7 +574,9 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
     the route's fails the check even where the route's values replace the
     screen's; at the bulk point of the lowest level, Im z = 1/N with Re z
     nearest 0, Q_i is the screen's.  Its identity residuals give
-    ``max_identity_residual``.  ``max_row_sum_residual``
+    ``max_identity_residual``.  A spot point is refused where the minors'
+    condition bound (|X|_F + |z|) / Im z exceeds the ceiling.
+    ``max_row_sum_residual``
     is the largest of the screen's row-sum residuals at every point (a
     rounding check of one spectrum), the route's at its points, and the
     spot checks' Ward residuals, which read each minor's quadratic form from
@@ -617,10 +618,10 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
     bulk = int(lowest[np.argmin(np.abs(net.real[lowest]))])
     max_ident = 0.0
     for j in sorted({top, bulk}):
-        # the k = 1 case: Lambda = z and Phi the identity
+        # the k = 1 case: Lambda = z and Phi the identity; |X|_F bounds |X|
         _, ident, ward = identity_spot_check(
             x, np.array([complex(net[j])]), ghat_i[j],
-            routed[j].q_i if j == top else q_i[j], lambda g: g)
+            routed[j].q_i if j == top else q_i[j], lambda g: g, np.linalg.norm(x))
         max_ident = max(max_ident, ident)
         max_row_sum = max(max_row_sum, ward)
     rho_literal = 2.0**8 * theta_literal**2 * k_stat**2 / n

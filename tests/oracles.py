@@ -4,16 +4,19 @@ None of these is a production path.  Most estimate, by sampling, a quantity
 that ``src/aclaw`` either certifies (``op_norm_estimate`` against
 ``op_norm_upper_spectral``), assumes (the ensembles' moment-growth constants,
 the linearization's entry second moments, the ``|U|, |V| <= 4`` norm event)
-or writes (``load_pair`` reads the dump ``aclaw sample`` writes).  Three
+or writes (``load_pair`` reads the dump ``aclaw sample`` writes).  Four
 compute by definition what the library takes from a closed form or a
-shortcut: ``kappa_by_inversion`` inverts the 9x9 matrix of
+shortcut: ``spectral_resolvent`` assembles the resolvent P diag(d) P* + D
+whose error the net screen's eigenbasis certificate bounds;
+``kappa_by_inversion`` inverts the 9x9 matrix of
 x -> M^-1 x - Phi(x) M, built from the map's action, where ``sd_solution_ac``
 assembles kappa from explicit block inverses; ``minor_stats`` (block size 3)
 and ``semicircle_minor_stats`` (block size 1) invert every minor for the
 statistics that ``resolvent_stats`` and ``semicircle_stats`` take from the
 Schur identities, and for the key identity's residual, which
 ``identity_spot_check`` obtains from one nested block elimination of
-X - Lambda kron I, without a minor.
+X - Lambda kron I, without a minor.  Direct inversion of X - Lambda kron I
+is a test oracle only; ``src/aclaw`` never inverts it.
 """
 
 import math
@@ -284,8 +287,9 @@ def _minor_statistics(full: np.ndarray, x_blocks: np.ndarray, g_i: np.ndarray,
     rows and columns i + N arange(k), average the minor's corner blocks, form
     Q_i from the removed row block, and take the largest relative residual
     of -Q_i = G_i^-1 + Lambda + Phi(Ghat_i).  ``x_blocks`` are X's corner
-    blocks.  For N <= 64 refuses a minor whose 2-norm condition number
-    exceeds ``COND_LIMIT``, as ``identity_spot_check`` does."""
+    blocks.  Refuses a minor whose 2-norm condition number exceeds
+    ``COND_LIMIT``; ``identity_spot_check`` refuses wherever this does, by a
+    bound on every minor's condition number."""
     k = lam.shape[0]
     n = full.shape[0] // k
     ghat_i = np.empty((n, k, k), dtype=complex)
@@ -297,7 +301,7 @@ def _minor_statistics(full: np.ndarray, x_blocks: np.ndarray, g_i: np.ndarray,
         rows = i + n * np.arange(k)
         keep = np.delete(all_idx, rows)
         minor = full[np.ix_(keep, keep)]
-        if n <= 64 and np.linalg.cond(minor) > COND_LIMIT:
+        if np.linalg.cond(minor) > COND_LIMIT:
             raise IllConditionedError(f"minor resolvent ill-conditioned at i={i}")
         r_minor = np.linalg.inv(minor)
         # Ghat_i: average of the k x k corner blocks of the padded minor
@@ -311,6 +315,22 @@ def _minor_statistics(full: np.ndarray, x_blocks: np.ndarray, g_i: np.ndarray,
         key_res = max(key_res, np.linalg.norm(lhs - rhs)
                       / max(np.linalg.norm(rhs), 1e-300))
     return ghat_i, q_i, r_frob, float(key_res)
+
+
+def spectral_resolvent(basis, z: complex) -> np.ndarray:
+    """R = P diag(1/(lam - z)) P* + D from ``basis`` = (lam, P) of
+    ``linearize._eigenbasis``, the resolvent the net screen reads from a
+    pair's eigenbasis; it agrees with ``generalized_resolvent`` to rounding."""
+    z = complex(z)
+    _check_upper_half_plane(z)
+    lam, p = basis
+    n = lam.size
+    pf = p.reshape(3 * n, n)
+    r = (pf / (lam - z)) @ pf.conj().T
+    idx = np.arange(n)
+    r[n + idx, n + idx] += 1.0
+    r[2 * n + idx, 2 * n + idx] -= 1.0
+    return r
 
 
 def spot_check_residual(stats, lam: np.ndarray, phi) -> float:

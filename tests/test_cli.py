@@ -299,6 +299,28 @@ def test_typed_refusal_exits_two(tmp_path, capsys, args):
     assert not out.exists()
 
 
+def test_verify_refuses_an_uncertified_eigenbasis(tmp_path, capsys, monkeypatch):
+    # one eigenvector scaled by 1 + 1e-6 leaves Q*Q - I at 2e-6: the net
+    # screen's eigenbasis certificate refuses the pair (exit 2) at N = 16
+    from aclaw.linearize import AnticommutatorSpectrum
+
+    exact = AnticommutatorSpectrum.from_linearization
+
+    def scaled(lin):
+        spectrum = exact(lin)
+        evecs = spectrum.evecs.copy()
+        evecs[:, 0] *= 1.0 + 1e-6
+        return AnticommutatorSpectrum(evals=spectrum.evals, evecs=evecs)
+
+    monkeypatch.setattr(AnticommutatorSpectrum, "from_linearization", scaled)
+    out = tmp_path / "verify.json"
+    code = run_cli(["verify", "--N", "16", "--seed", "1", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("aclaw verify: eigenbasis error bound ")
+    assert not out.exists()
+
+
 def test_typed_refusals_share_one_base():
     from aclaw.errors import AclawError
     from aclaw.freelaw import DegenerateRootError

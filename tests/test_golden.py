@@ -32,8 +32,7 @@ CASES = {
     "verify-n16-seed0": ["verify", "--N", "16", "--seed", "0"],
     "verify-n16-seed1": ["verify", "--N", "16", "--seed", "1"],
     "semicircle-n32-seed0": ["semicircle", "--N", "32", "--seed", "0"],
-    # N = 64 is the largest size at which every resolvent is cross-checked
-    # against direct inversion
+    # the largest verify size pinned here
     "verify-n64-seed0": ["verify", "--N", "64", "--seed", "0"],
     "sd-3x3-seed0": ["sd", "--n-re", "3", "--n-im", "3", "--seed", "0"],
     "deloc-n64-seed0": ["deloc", "--N", "64", "--seed", "0"],

@@ -31,7 +31,7 @@ from aclaw.locallaw import (
     verify_local_law,
 )
 from aclaw.sdcore import phi_ac
-from aclaw.wigner import ENSEMBLES, EnsembleSpec, WignerPair, sample_pair
+from aclaw.wigner import ENSEMBLES, EnsembleSpec, WignerPair, sample_pair, spectral_norm
 from oracles import minor_stats, semicircle_minor_stats, spot_check_residual
 
 ZETA = law_constants().zeta
@@ -356,16 +356,20 @@ def spot_check_calls(x, z):
     residual on the spot check's scale, for a matrix x (k = 1: Lambda = z,
     Phi the identity) or a pair x (k = 3 on its linearization:
     Lambda = diag(z, -1, 1), Phi = ``phi_ac``).  The route's statistics are
-    computed here, so a refusal in either call is that call's own."""
+    computed here, so a refusal in either call is that call's own.  The
+    spot check gets the norms its production callers pass: the pair's
+    ``minor_norms``, or at k = 1 the Frobenius norm of x."""
     if isinstance(x, WignerPair):
         lin = build_linearization(x)
         st_ = resolvent_stats(lin, z)
         lam, phi = np.array([z, -1.0, 1.0]), phi_ac
-        return (lambda: identity_spot_check(lin.x, lam, st_.ghat_i, st_.q_i, phi),
+        return (lambda: identity_spot_check(lin.x, lam, st_.ghat_i, st_.q_i, phi,
+                                            *lin.minor_norms),
                 lambda: at_spot_check_scale(minor_stats(lin, z)[0], lam, phi))
     st_ = semicircle_stats(x, z)
     lam, phi = np.array([z]), (lambda g: g)
-    return (lambda: identity_spot_check(x, lam, st_.ghat_i, st_.q_i, phi),
+    return (lambda: identity_spot_check(x, lam, st_.ghat_i, st_.q_i, phi,
+                                        np.linalg.norm(x)),
             lambda: at_spot_check_scale(semicircle_minor_stats(x, z)[0], lam, phi))
 
 
@@ -480,35 +484,72 @@ def small_pair_at_minor_eigenvalue(eta):
 DIAG5 = np.diag(np.arange(5.0)).astype(complex)
 
 
-# (x, z, whether the inverting oracle refuses); the minors of diag(0..4)
-# that keep the zero eigenvalue have condition number about 4 / eta, and the
-# linearized minors of the zero pair 1 / eta
+#: the cases that the spot check's minor condition bound refuses and the
+#: inverting oracle does not: the bound, 1.15 / eta for the small pair, lies
+#: above the largest minor's condition number (9.94e13 at eta = 1e-14)
+REFUSED_BY_BOUND_ONLY = {"pair-small16-eta-1e-14"}
+
+
+# (x, z, whether the inverting oracle refuses); the minors of diag(0..N-1)
+# that keep the zero eigenvalue have condition number about (N - 1) / eta,
+# and the linearized minors of the zero pair 1 / eta
 @pytest.mark.parametrize("x, z, refused", [
     pytest.param(DIAG5, 1e-16j, True, id="diag5-eta-1e-16"),
     pytest.param(DIAG5, 1e-3j, False, id="diag5-eta-1e-3"),
-    pytest.param(np.diag(np.arange(65.0)).astype(complex), 1e-16j, False,
+    pytest.param(np.diag(np.arange(65.0)).astype(complex), 1e-16j, True,
                  id="diag65-above-refusal-n"),
     pytest.param(*gue_at_minor_eigenvalue(1e-16), True, id="gue16-eta-1e-16"),
     pytest.param(*gue_at_minor_eigenvalue(1e-12), False, id="gue16-eta-1e-12"),
     pytest.param(zero_pair(4), 1e-16j, True, id="pair-zero-4-eta-1e-16"),
     pytest.param(zero_pair(4), 1e-3j, False, id="pair-zero-4-eta-1e-3"),
-    pytest.param(zero_pair(65), 1e-16j, False, id="pair-zero-65-above-refusal-n"),
+    pytest.param(zero_pair(65), 1e-16j, True, id="pair-zero-65-above-refusal-n"),
     pytest.param(*small_pair_at_minor_eigenvalue(1e-16), True,
                  id="pair-small16-eta-1e-16"),
-    # cond(minor) is 9.94e13 here, just below the ceiling, and cond of its
-    # computed inverse 1.0004e14, just above: both calls judge the minor
+    # cond(minor) is 9.94e13 here, just below the ceiling
     pytest.param(*small_pair_at_minor_eigenvalue(1e-14), False,
                  id="pair-small16-eta-1e-14"),
     pytest.param(*small_pair_at_minor_eigenvalue(1e-12), False,
                  id="pair-small16-eta-1e-12"),
 ])
-def test_spot_check_refuses_where_the_oracle_refuses(x, z, refused):
-    for check in spot_check_calls(x, z):
-        if refused:
-            with pytest.raises(IllConditionedError):
-                check()
-        else:
-            check()
+def test_spot_check_refuses_where_the_oracle_refuses(request, x, z, refused):
+    # the bound is never below a minor's condition number, so an oracle
+    # refusal implies a spot-check refusal, at every N
+    spot, oracle = spot_check_calls(x, z)
+    if refused:
+        with pytest.raises(IllConditionedError):
+            oracle()
+    else:
+        oracle()
+    if refused or request.node.callspec.id in REFUSED_BY_BOUND_ONLY:
+        with pytest.raises(IllConditionedError, match="minor condition bound"):
+            spot()
+    else:
+        spot()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=12), st.integers(0, 2**16),
+       st.sampled_from(["gue", *ENSEMBLES]), st.floats(-3.0, 3.0), st.floats(-4.0, 1.0))
+def test_minor_cond_bound_dominates_every_minor(n, seed, case, re, log_eta):
+    # at k = 1 (a GUE matrix) and k = 3 (a pair's linearization), with the
+    # exact norms: the production callers pass upper bounds of them, which
+    # only raise the bound
+    z = complex(re, 10.0**log_eta)
+    if case == "gue":
+        x, lam, ab_norm = gue_matrix(n, seed), np.array([z]), 0.0
+        assert np.linalg.norm(x) >= spectral_norm(x)
+    else:
+        lin = build_linearization(sample_pair(EnsembleSpec(n=n, ensemble=case, seed=seed)))
+        x, lam = lin.x, np.array([z, -1.0, 1.0])
+        ab_norm = spectral_norm(lin.a) + spectral_norm(lin.b)
+        assert lin.minor_norms[0] >= spectral_norm(x) * (1.0 - 1e-12)
+        assert lin.minor_norms[1] >= ab_norm * (1.0 - 1e-12)
+    bound = linearize._minor_cond_bound(lam, spectral_norm(x), ab_norm)
+    k = lam.size
+    full = x - np.diag(np.repeat(lam, n))
+    for i in range(n):
+        keep = np.delete(np.arange(k * n), i + n * np.arange(k))
+        assert np.linalg.cond(full[np.ix_(keep, keep)]) <= bound
 
 
 def test_semicircle_locallaw_inverts_no_minor(monkeypatch):
@@ -661,7 +702,7 @@ def test_identity_residual_is_rounding_where_q_nearly_vanishes(n, seed, z):
     st_ = semicircle_stats(x, z)
     assert np.abs(st_.q_i).min() < 1e-3 * np.abs(st_.q_i).max()
     _, ident, _ = identity_spot_check(x, np.array([z]), st_.ghat_i, st_.q_i,
-                                      lambda g: g)
+                                      lambda g: g, np.linalg.norm(x))
     assert ident <= 100 * np.finfo(float).eps
 
 
