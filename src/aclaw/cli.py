@@ -28,8 +28,8 @@ __all__ = ["main", "build_parser"]
 _USAGE_ERROR = 2
 _VERIFY_FAILURE = 1
 
-#: ``linearize-check`` solves N minors of size 3N - 3, quartic in N; it
-#: refuses beyond this size
+#: ``linearize-check`` forms several dense 3N x 3N matrices (X, W, their
+#: products and R); it refuses beyond this size
 _LINEARIZE_CHECK_MAX_N = 256
 
 
@@ -292,8 +292,12 @@ def _cmd_sd(args) -> int:
 
 
 def _cmd_linearize_check(args) -> int:
+    import cmath
+
     if args.n > _LINEARIZE_CHECK_MAX_N:
         raise ValueError(f"linearize-check limited to N <= {_LINEARIZE_CHECK_MAX_N}")
+    if not cmath.isfinite(args.z):
+        raise ValueError(f"z must be finite, got {args.z}")
 
     import numpy as np
 

@@ -76,14 +76,14 @@ COND_LIMIT = 1e14
 #: statistic lies within this relative distance of the screened maximum
 SCREEN_MARGIN = 1e-6
 
-#: a route value further than this (relative) from its screen sends
-#: ``route_near_max`` back to the route at every net point
+#: a route value further than this (relative) from its screen refuses the
+#: pair in ``route_near_max``
 SCREEN_AGREEMENT = 2.5e-7
 
 
 class IllConditionedError(AclawError):
-    """A resolvent solve exceeded the condition ceiling, or an eigenbasis
-    its error bound."""
+    """A resolvent solve exceeded the condition ceiling, an eigenbasis its
+    error bound, or a net screen its confirmation (``_screen_net``, ``route_near_max``)."""
 
 
 @dataclass
@@ -524,7 +524,7 @@ def _screen_net(lin: Linearization, net: np.ndarray,
     conditioning refusal; the net is refused when ``_eigenbasis_error_bound``
     at its lowest Im z exceeds 1e-8.  Eigenvalue pairs closer than
     ``_NEAR_GAP`` are multiplied directly, so ties stay exact; more than 8N
-    such pairs screen as NaN, which leaves every point to the route."""
+    such pairs (the zero pair, doubled spectra) refuse the net."""
     n = lin.n
     zs = np.asarray(net, dtype=complex)
     for z in zs.tolist():
@@ -535,11 +535,12 @@ def _screen_net(lin: Linearization, net: np.ndarray,
     if not bound <= 1e-8:
         raise IllConditionedError(
             f"eigenbasis error bound {bound:.3e} exceeds 1e-8 at Im z = {eta}")
-    lam, p = _eigenbasis(lin, spectrum)
-    gap = lam[:, None] - lam[None, :]
+    gap = spectrum.evals[:, None] - spectrum.evals[None, :]
     is_near = np.abs(gap) < _NEAR_GAP
-    if np.count_nonzero(is_near) > 8 * n:
-        return np.full(zs.size, np.nan)
+    if (pairs := np.count_nonzero(is_near)) > 8 * n:
+        raise IllConditionedError(f"{pairs} eigenvalue pairs of {{UV}} closer than "
+                                  f"{_NEAR_GAP} exceed the screen's 8N = {8 * n}")
+    lam, p = _eigenbasis(lin, spectrum)
     e0 = np.divide(1.0, gap, out=np.zeros_like(gap), where=~is_near)
     np.fill_diagonal(is_near, False)
     near = np.nonzero(is_near)  # the off-diagonal ties
@@ -699,22 +700,22 @@ def route_near_max(screen: np.ndarray, route) -> np.ndarray:
     """A statistic at every point of a net from its screened values
     ``screen`` and ``route(j)``, the statistic by a dense route at point j.
 
-    The route runs only at the points whose screened value lies within
-    ``SCREEN_MARGIN`` (relative) of the screened maximum, and those points
-    take its values; the others keep their screened values, which lie below
-    the route's there, so the maximum is the route's, digit for digit, as
-    long as the screen is accurate to well within that margin.  If the
-    screen is NaN or a route value differs from its screen by more than
-    ``SCREEN_AGREEMENT`` (relative), the screen is not trusted: the route
-    runs at every point and gives every value.  Both local-law modes take K
-    from it: ``fluctuation_sup`` at k = 3 and ``semicircle_locallaw`` at
-    k = 1."""
-    top = np.flatnonzero(screen >= screen.max() * (1.0 - SCREEN_MARGIN))
+    The route runs only at the top set, the screened maximum first and then
+    every point within ``SCREEN_MARGIN`` (relative) of it, and gives those
+    points their values, so the maximum is the route's, digit for digit.  A
+    route value further than ``SCREEN_AGREEMENT`` (relative) from its
+    screen, or a NaN, refuses the net with ``IllConditionedError``.  K
+    comes from it at k = 3 (``fluctuation_sup``) and k = 1
+    (``semicircle_locallaw``)."""
+    first = int(np.argmax(screen))          # the first NaN, if there is one
+    top = np.flatnonzero(screen >= screen[first] * (1.0 - SCREEN_MARGIN))
     vals = screen.copy()
-    vals[top] = [route(j) for j in top]
-    if (not len(top) or np.any(np.abs(vals[top] - screen[top])
-                               > SCREEN_AGREEMENT * np.abs(vals[top]))):
-        vals = np.array([route(j) for j in range(screen.size)])
+    for j in [first, *top[top != first]]:
+        vals[j] = route(j)
+        if not abs(vals[j] - screen[j]) <= SCREEN_AGREEMENT * abs(vals[j]):
+            raise IllConditionedError(
+                f"route value {vals[j]:.6e} at net point {j} differs from its "
+                f"screen {screen[j]:.6e} by more than {SCREEN_AGREEMENT:g} (relative)")
     return vals
 
 
@@ -722,9 +723,8 @@ def route_near_max(screen: np.ndarray, route) -> np.ndarray:
 class FluctuationNet:
     """Supremum of the fluctuation statistic over a net: ``k2`` is twice the
     observed maximum (the safety factor for net approximation).
-    ``per_point`` holds the Schur route's
-    value at the points where it ran and the eigenbasis screen's value
-    (``_screen_net``) elsewhere (see ``fluctuation_sup``)."""
+    ``per_point`` holds the Schur route's value at the screened top set and
+    the eigenbasis screen's (``_screen_net``) elsewhere (``route_near_max``)."""
 
     k2: float
     max_fluct: float
@@ -740,9 +740,9 @@ def fluctuation_sup(lin: Linearization, rect: tuple[float, float, float, float],
 
     The whole net is screened at once by ``_screen_net``, which makes the
     resolvent's conditioning refusal at every point and certifies the
-    eigenbasis once.  ``route_near_max`` then runs the Schur
-    route ``resolvent_stats`` near the screened maximum, or at every point
-    when the screen is not trusted, and ``per_point`` holds its values.
+    eigenbasis once.  ``route_near_max`` then runs the Schur route
+    ``resolvent_stats`` at the screened top set only, and refuses the pair
+    where the route does not confirm the screen.
     ``spectrum`` is the pair's ``AnticommutatorSpectrum.from_linearization``
     when the caller already holds it (the scaling study reads its resolvent
     diagonals too); without it the same call is made here, so K has the

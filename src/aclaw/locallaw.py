@@ -178,8 +178,8 @@ def verify_local_law(pair: WignerPair, z_grid=None, tau: float = 8.0,
 
     Only the net computes the fluctuation statistic.  ``fluctuation_sup``
     screens the whole net in the eigenbasis of {UV} and runs the Schur
-    route ``resolvent_stats`` only near the screened maximum (one point
-    per pair in practice), so K keeps the route's digits.  A grid row needs
+    route ``resolvent_stats``, which must confirm the screen, only at the
+    screened top set (one point per pair in practice).  A grid row needs
     only the corner blocks G_i, 9N of the resolvent's 9N^2 entries, and
     ``grid_corner_blocks`` forms just those for the whole grid: per row the
     N x N inverse g = ({UV} - z)^-1, C g (2 N^3) and diagonal tiles of two
@@ -231,18 +231,14 @@ def verify_local_law(pair: WignerPair, z_grid=None, tau: float = 8.0,
         degenerate=max(lin.norm_u, lin.norm_v) == 0.0)
 
 
-def construct_k(pair: WignerPair | Linearization, theta: float = 1.0,
-                spacing: float = 1.0,
+def construct_k(lin: Linearization, spacing: float = 1.0,
                 spectrum: AnticommutatorSpectrum | None = None) -> float:
-    """The netted random constant: theta times twice the maximum of the
-    fluctuation statistic over a uniform net of the rectangle |Re z| <= 8,
-    1/N <= Im z <= 8.  Always at least 2 theta.  ``pair`` may be given as
-    its linearization, and ``spectrum`` is its
+    """The netted random constant: twice the maximum of the fluctuation
+    statistic over a uniform net of the rectangle |Re z| <= 8,
+    1/N <= Im z <= 8.  Always at least 2.  ``spectrum`` is the pair's
     ``AnticommutatorSpectrum.from_linearization`` when the caller already
-    holds them; K has the same bits either way."""
-    lin = pair if isinstance(pair, Linearization) else build_linearization(pair)
-    net = fluctuation_sup(lin, (-8.0, 8.0, 1.0 / lin.n, 8.0), spacing, spectrum)
-    return theta * net.k2
+    holds it; K has the same bits either way."""
+    return fluctuation_sup(lin, (-8.0, 8.0, 1.0 / lin.n, 8.0), spacing, spectrum).k2
 
 
 def _law_at(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -555,12 +551,12 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
     constants (theta = 2^100, admissible set expected empty) and a user theta.
     The grid is 9 x 8 points of |Re z| <= 4, 1/N <= Im z <= tau.
 
-    ``semicircle_screen`` screens every net and grid point from one
-    ``eigh`` of X.  K is twice the net's maximum fluctuation statistic, by
+    ``semicircle_screen`` screens every net point from one ``eigh`` of X.
+    K is twice the net's maximum fluctuation statistic, by
     ``route_near_max``: the Schur route ``semicircle_stats`` runs where the
     screened value lies within ``SCREEN_MARGIN`` of the screened maximum
     (one point in practice) and gives K's digits, and a route value that
-    disagrees with its screen sends the route to every net point.  A grid
+    disagrees with its screen refuses the matrix.  A grid
     row's lhs reads G_i from one dense inverse of X - z, with the bits of
     ``semicircle_stats``' G_i: ``theta_star_self`` reads every row, and its
     smallest-valid scan can turn a last-bit move of a row into a different
@@ -577,7 +573,7 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
     ``max_identity_residual``.  A spot point is refused where the minors'
     condition bound (|X|_F + |z|) / Im z exceeds the ceiling.
     ``max_row_sum_residual``
-    is the largest of the screen's row-sum residuals at every point (a
+    is the largest of the screen's row-sum residuals at every net point (a
     rounding check of one spectrum), the route's at its points, and the
     spot checks' Ward residuals, which read each minor's quadratic form from
     the elimination, independently of the spectrum.  ``aclaw semicircle``
@@ -597,12 +593,11 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
     theta_literal = 2.0**100
     net = uniform_net(-4.0, 4.0, 1.0 / n, tau, spacing)
     grid = rect_grid(-4.0, 4.0, 9, 1.0 / n, tau, 8)
-    screened = semicircle_screen(x, np.concatenate([net, grid]))
+    screened = semicircle_screen(x, net)
     max_row_sum = float(screened.row_sum_residual.max())
-    screen_fluct = screened.fluct[:net.size]
-    # the net's Ghat_i and Q_i, for the spot checks; the rest is freed first,
-    # so that the route's dense inverse can reuse it
-    ghat_i, q_i = screened.ghat_i[:net.size].copy(), screened.q_i[:net.size].copy()
+    # Ghat_i and Q_i, for the spot checks; the rest is freed first, so that
+    # the route's dense inverse can reuse it
+    screen_fluct, ghat_i, q_i = screened.fluct, screened.ghat_i, screened.q_i
     del screened
     routed = {}
 

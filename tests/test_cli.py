@@ -180,6 +180,7 @@ def test_linearize_check_inverts_no_minor(tmp_path, monkeypatch):
     assert max(shape[0] for shape in shapes["solve"]) == 3 * math.ceil(n / 2)
 
 
+@pytest.mark.filterwarnings("error")
 def test_linearize_check_refuses_beyond_its_size_limit(tmp_path, capsys, monkeypatch):
     from aclaw import linearize
 
@@ -289,6 +290,7 @@ def test_verify_grid_skips_fluctuation_statistics(tmp_path, monkeypatch):
     ["deloc", "--N", "16", "--seed", "1"],  # RhoPreconditionError
     ["law", "--im-min", "1e-12"],           # DegenerateRootError
 ])
+@pytest.mark.filterwarnings("error")
 def test_typed_refusal_exits_two(tmp_path, capsys, args):
     out = tmp_path / "out"
     code = run_cli(args + ["--out", str(out)])
@@ -299,6 +301,7 @@ def test_typed_refusal_exits_two(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
 def test_verify_refuses_an_uncertified_eigenbasis(tmp_path, capsys, monkeypatch):
     # one eigenvector scaled by 1 + 1e-6 leaves Q*Q - I at 2e-6: the net
     # screen's eigenbasis certificate refuses the pair (exit 2) at N = 16
@@ -418,7 +421,14 @@ def test_law_density_csv(tmp_path):
     pytest.param(["sd", "--n-re", "2", "--n-im", "2", "--seed", str(2**64)],
                  id="sd-seed-2-64"),
     pytest.param(["tails", "--trials", "10", "--seed", str(2**64)], id="tails-seed-2-64"),
+    # a non-finite z used to form W, X and their products (a RuntimeWarning
+    # on stderr) before the resolvent's conditioning refusal
+    pytest.param(["linearize-check", "--N", "4", "--z", "inf+1j"], id="linearize-check-z-inf"),
+    pytest.param(["linearize-check", "--N", "4", "--z=-inf+1j"],
+                 id="linearize-check-z-minus-inf"),
+    pytest.param(["linearize-check", "--N", "4", "--z", "nan+1j"], id="linearize-check-z-nan"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_usage_error_exit_code(tmp_path, capsys, monkeypatch, args):
     monkeypatch.chdir(tmp_path)  # relative side outputs land here too
     out = tmp_path / "x.out"

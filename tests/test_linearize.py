@@ -23,6 +23,7 @@ from aclaw.linearize import (
     bordered_resolvent,
     lambda_kron,
     resolvent_stats,
+    route_near_max,
 )
 from aclaw.sdcore import sd_solution_ac
 from aclaw.wigner import ENSEMBLES, EnsembleSpec, WignerPair, sample_pair
@@ -631,13 +632,17 @@ def test_screen_matches_route_at_scaling_size():
                                rtol=1e-12, atol=0.0)
 
 
-def test_screen_leaves_clustered_spectrum_to_route():
-    # more than 8N near eigenvalue pairs (all 16^2 of the zero pair) screen
-    # as NaN, and fluctuation_sup then runs the route at every net point
-    fs, schur, screen, _ = net_case(zero_pair(16), "schur")
-    assert np.isnan(screen).all()
-    assert fs.k2 == 2.0 * schur.max()
-    assert np.array_equal(fs.per_point, schur)
+def test_screen_refuses_clustered_spectrum(monkeypatch):
+    # more than 8N near eigenvalue pairs (all 16^2 of the zero pair) refuse
+    # the net before the eigenbasis is built and before any route runs; at
+    # N = 8 the zero pair's 64 pairs still screen (test_screened_net_zero_pair)
+    lin = build_linearization(zero_pair(16))
+    stats = count_calls(monkeypatch, "resolvent_stats")
+    monkeypatch.setattr(linearize, "_eigenbasis",
+                        lambda *args: pytest.fail("P built for a refused net"))
+    with pytest.raises(IllConditionedError, match="256 eigenvalue pairs"):
+        fluctuation_sup(lin, (-8.0, 8.0, 1.0 / 16, 8.0), spacing=4.0)
+    assert stats == []
 
 
 def screen_and_route_peaks(n, spacing, points):
@@ -687,7 +692,7 @@ def count_calls(monkeypatch, name):
     return seen
 
 
-def test_screen_error_at_maximum_falls_back_to_route(monkeypatch):
+def test_screen_error_at_maximum_refuses(monkeypatch):
     lin = build_linearization(random_pair(32, 3))
     rect = (-8.0, 8.0, 1.0 / 32, 8.0)
     exact = fluctuation_sup(lin, rect, spacing=2.0)
@@ -696,12 +701,41 @@ def test_screen_error_at_maximum_falls_back_to_route(monkeypatch):
     monkeypatch.setattr(linearize, "_screen_net", lambda lin_, net, spectrum: (
         screen(lin_, net, spectrum) * (1.0 + 1e-3 * (net == top))))
     stats = count_calls(monkeypatch, "resolvent_stats")
-    fs = fluctuation_sup(lin, rect, spacing=2.0)
-    # one evaluation at the (inflated) screened maximum, then the whole net
-    assert len(stats) == 1 + len(fs.net)
-    vals = [resolvent_stats(lin, z).fluct for z in fs.net]
-    assert fs.k2 == exact.k2 == 2.0 * max(vals)
-    assert np.array_equal(fs.per_point, vals)
+    with pytest.raises(IllConditionedError, match="differs from its screen"):
+        fluctuation_sup(lin, rect, spacing=2.0)
+    # one evaluation at the (inflated) screened maximum, and no other
+    assert stats == [top]
+
+
+def test_route_near_max_runs_the_route_at_the_top_set_only():
+    # the route confirms the maximum and a point within SCREEN_MARGIN of it
+    screen = np.array([1.0, 3.0, 2.0, 3.0 * (1.0 - 1e-7)])
+    ran = []
+
+    def route(j):
+        ran.append(j)
+        return screen[j] * (1.0 + 1e-8)
+
+    vals = route_near_max(screen, route)
+    assert ran == [1, 3]
+    np.testing.assert_array_equal(vals, [1.0, 3.0 * (1.0 + 1e-8), 2.0,
+                                         screen[3] * (1.0 + 1e-8)])
+
+
+@pytest.mark.parametrize("screen, route_value", [
+    ([1.0, math.nan, 2.0], 2.0),   # a NaN screen heads the top set
+    ([1.0, 3.0, 2.0], math.nan),   # a NaN route value
+])
+def test_route_near_max_refuses_a_nan(screen, route_value):
+    ran = []
+
+    def route(j):
+        ran.append(j)
+        return route_value
+
+    with pytest.raises(IllConditionedError):
+        route_near_max(np.array(screen), route)
+    assert ran == [1]
 
 
 def count_certificates(monkeypatch):

@@ -91,14 +91,13 @@ def test_verify_parameter_validation():
 
 
 def test_construct_k_properties():
-    pair = sample_pair(EnsembleSpec(n=32, ensemble="complex-gaussian", seed=5))
-    k_coarse = construct_k(pair, spacing=2.0)
-    k_fine = construct_k(pair, spacing=1.0)
+    lin = build_linearization(sample_pair(EnsembleSpec(n=32, ensemble="complex-gaussian",
+                                                       seed=5)))
+    k_coarse = construct_k(lin, spacing=2.0)
+    k_fine = construct_k(lin, spacing=1.0)
     # the finer net is a superset, so the max never decreases
     assert k_fine >= k_coarse - 1e-12
     assert k_coarse >= 2.0
-    # theta enters only as a final multiplier
-    assert construct_k(pair, spacing=2.0, theta=3.0) == pytest.approx(3 * k_coarse)
 
 
 def test_empirical_k_self_consistent():
@@ -616,10 +615,9 @@ def test_semicircle_screen_refuses_lower_half_plane():
         semicircle_screen(gue_matrix(4, 0), [1j, 0.5 - 0.1j])
 
 
-def test_semicircle_route_everywhere_gives_the_same_report(monkeypatch):
-    # theta_user 0.05 admits grid rows at N = 32, so theta_star is finite
+def test_semicircle_refuses_where_the_route_disagrees_with_its_screen(monkeypatch):
     x = gue_matrix(32, 0)
-    screened = semicircle_locallaw(x, theta_user=0.05)
+    net = uniform_net(-4.0, 4.0, 1.0 / 32, 20.0, 2.0)
     routed = []
 
     def counted(*args, **kwargs):
@@ -627,16 +625,28 @@ def test_semicircle_route_everywhere_gives_the_same_report(monkeypatch):
         return semicircle_stats(*args, **kwargs)
 
     monkeypatch.setattr(locallaw, "semicircle_stats", counted)
-    # no route value can agree with its screen, so the route runs everywhere
+    # no route value can agree with its screen
     monkeypatch.setattr(linearize, "SCREEN_AGREEMENT", -1.0)
-    fallback = semicircle_locallaw(x, theta_user=0.05)
-    # the screened maximum, then every net point
-    assert len(routed) == 1 + len(uniform_net(-4.0, 4.0, 1.0 / 32, 20.0, 2.0))
-    assert math.isfinite(screened.theta_star)
-    assert fallback.k_stat == screened.k_stat
-    assert fallback.rows == screened.rows
-    assert fallback.theta_star == screened.theta_star
-    assert fallback.theta_star_self == screened.theta_star_self
+    with pytest.raises(IllConditionedError, match="differs from its screen"):
+        semicircle_locallaw(x)
+    # the screened maximum, and no other point
+    assert routed == [complex(net[np.argmax(semicircle_screen(x, net).fluct)])]
+
+
+def test_semicircle_screens_only_its_net(monkeypatch):
+    # the grid rows read dense inverses, so only the net is screened
+    n, tau, spacing = 16, 20.0, 2.0
+    x = gue_matrix(n, 2)
+    seen = []
+
+    def recorded(x_, zs):
+        seen.append(np.asarray(zs))
+        return semicircle_screen(x_, zs)
+
+    monkeypatch.setattr(locallaw, "semicircle_screen", recorded)
+    semicircle_locallaw(x, tau=tau, spacing=spacing)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], uniform_net(-4.0, 4.0, 1.0 / n, tau, spacing))
 
 
 def test_delocalization_rho_refusal():
@@ -646,8 +656,8 @@ def test_delocalization_rho_refusal():
 
 
 def test_construct_k_concentrates_across_seeds():
-    ks = [construct_k(sample_pair(EnsembleSpec(n=32, ensemble="complex-gaussian",
-                                               seed=s)), spacing=4.0)
+    ks = [construct_k(build_linearization(sample_pair(
+              EnsembleSpec(n=32, ensemble="complex-gaussian", seed=s))), spacing=4.0)
           for s in range(10)]
     assert np.std(ks) < np.mean(ks)
 
@@ -755,7 +765,7 @@ def test_scaling_study_diagonalizes_each_pair_once(monkeypatch):
     # K has the bits of construct_k's own diagonalization
     for (n, seed), k_stat in rep.k_by_run.items():
         pair = sample_pair(EnsembleSpec(n=n, ensemble="complex-gaussian", seed=seed))
-        assert k_stat == construct_k(pair, spacing=4.0)
+        assert k_stat == construct_k(build_linearization(pair), spacing=4.0)
     medians, stars = mrrr_scaling_oracle(n_list, seeds, rep.k_by_run, n_re, n_im)
     for n in n_list:
         np.testing.assert_allclose(rep.medians[n], medians[n], rtol=1e-10, atol=0.0)
