@@ -298,12 +298,13 @@ def _cmd_linearize_check(args) -> int:
         raise ValueError(f"linearize-check limited to N <= {_LINEARIZE_CHECK_MAX_N}")
     if not cmath.isfinite(args.z):
         raise ValueError(f"z must be finite, got {args.z}")
+    if args.z.imag <= 0:
+        raise ValueError("z must lie in the upper half-plane")
 
     import numpy as np
 
-    from .linearize import (bordered_resolvent, build_linearization,
-                            generalized_resolvent, identity_spot_check,
-                            lambda_kron, resolvent_stats)
+    from .linearize import (build_linearization, generalized_resolvent,
+                            identity_spot_check, lambda_kron, resolvent_stats)
     from .sdcore import phi_ac
 
     lin = build_linearization(_pair(args))
@@ -321,11 +322,12 @@ def _cmd_linearize_check(args) -> int:
     scale = max(np.linalg.norm(lin.x), 1.0)
     # generalized_resolvent assembles R from g, a and b without W; this
     # holds it against the definitional product R + Lambda(0) kron I =
-    # W blockdiag(g, 0, 0) W*, the only check of R's assembly at any N
+    # W blockdiag(g, 0, 0) W* = W[:, :N] g W[:, :N]* with g = R[:N, :N],
+    # the only check of R's assembly at any N
     r = generalized_resolvent(lin, z)
-    small = bordered_resolvent(lin, z)
-    lam0 = lambda_kron(0.0, n)
-    rid = np.linalg.norm(r + lam0 - w @ small @ w_h) / np.linalg.norm(r)
+    w_n = w[:, :n]
+    rid = (np.linalg.norm(r + lambda_kron(0.0, n) - w_n @ r[:n, :n] @ w_n.conj().T)
+           / np.linalg.norm(r))
     st = resolvent_stats(lin, z)
     _, key_res, _ = identity_spot_check(lin.x, np.array([z, -1.0, 1.0]),
                                         st.ghat_i, st.q_i, phi_ac, *lin.minor_norms)
@@ -403,7 +405,7 @@ def _cmd_deloc(args) -> int:
                                spectrum=spectrum)
     out = {
         "config": _base_config(args, ["n", "ensemble", "seed", "c_config"]),
-        "k_stat": rep.k_stat, "rho": rep.rho,
+        "k_stat": k_stat, "rho": rep.rho,
         "rows": [{"lam": r.lam, "sigma": r.sigma,
                   "max_component": r.max_component, "bound": r.bound,
                   "holds": r.holds} for r in rep.rows],
@@ -442,8 +444,7 @@ def _cmd_tails(args) -> int:
                     "lhs": rep.lhs_estimate, "lhs_ucb99": rep.lhs_ucb99,
                     "rhs": rep.rhs_bound, "holds": rep.holds})
                 failures += 0 if rep.holds else 1
-    qrep = quad_tail_check(1, 64, 0.5, 1.0, np.eye(64), trials=1000,
-                           seed=args.seed)
+    qrep = quad_tail_check(seed=args.seed)
     out = {
         "config": _base_config(args, ["trials", "seed"]),
         "theta_bound_holds": theta_ok,

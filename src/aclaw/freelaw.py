@@ -145,23 +145,22 @@ def m_ac(z: complex) -> LawPoint:
     return LawPoint(z=z, m=m, h=edge_distance(z))
 
 
-def density_ac(t: float, eps_ladder=(1e-3, 1e-4, 1e-5)) -> float:
+#: the regularizations eps of ``density_ac``, strictly decreasing
+_EPS_LADDER = (1e-3, 1e-4, 1e-5)
+
+
+def density_ac(t: float) -> float:
     """Density of the limiting law at a real point.
 
-    Evaluates Im m(t + i*eps)/pi down a strictly decreasing ladder of
+    Evaluates Im m(t + i*eps)/pi down the ladder ``_EPS_LADDER`` of
     regularizations and returns the value at the smallest eps, requiring the
     last two ladder values to agree within 1e-3 (the z -> t limit exists
     since the law has a bounded density).  Returns 0 outside [-zeta, zeta].
     """
-    eps_ladder = tuple(float(e) for e in eps_ladder)
-    if not eps_ladder or any(e <= 0 for e in eps_ladder):
-        raise ValueError("eps_ladder entries must be positive")
-    if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])):
-        raise ValueError("eps_ladder must be strictly decreasing")
     if abs(t) > _CONST.zeta:
         return 0.0
-    vals = [m_ac(t + 1j * e).m.imag / math.pi for e in eps_ladder]
-    if len(vals) > 1 and abs(vals[-1] - vals[-2]) > 1e-3:
+    vals = [m_ac(t + 1j * e).m.imag / math.pi for e in _EPS_LADDER]
+    if abs(vals[-1] - vals[-2]) > 1e-3:
         raise LadderConvergenceError(
             f"density ladder at t={t} moved by {abs(vals[-1] - vals[-2]):.3e}")
     return max(vals[-1], 0.0)

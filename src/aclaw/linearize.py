@@ -61,7 +61,6 @@ __all__ = [
     "lambda_kron",
     "generalized_resolvent",
     "grid_corner_blocks",
-    "bordered_resolvent",
     "corner_blocks",
     "resolvent_stats",
     "identity_spot_check",
@@ -195,7 +194,7 @@ def generalized_resolvent(lin: Linearization, z: complex) -> np.ndarray:
     near the net's screened maximum); the grid rows use
     ``grid_corner_blocks``.  Direct inversion of X - Lambda kron I is a test
     oracle only; ``aclaw linearize-check``'s ``bordered_identity`` holds R
-    against W blockdiag(g, 0, 0) W* at every N.
+    against W[:, :N] g W[:, :N]* = W blockdiag(g, 0, 0) W* at every N.
     """
     z = complex(z)
     _check_upper_half_plane(z)
@@ -306,16 +305,6 @@ def _eigenbasis_error_bound(lin: Linearization, spectrum: AnticommutatorSpectrum
     f = float(np.linalg.norm(f))
     e = float(np.linalg.norm(lin.anticommutator @ q - q * spectrum.evals))
     return (1.0 + lin.norm_u**2 + lin.norm_v**2) * (f + e * math.sqrt(1.0 + f) / eta)
-
-
-def bordered_resolvent(lin: Linearization, z: complex) -> np.ndarray:
-    """({UV} - z)^-1 bordered by zeros to 3N x 3N (the matrix r with
-    R + diag(0,-1,1) kron I = W r W*)."""
-    n = lin.n
-    g = _ac_inverse(lin, z)
-    out = np.zeros((3 * n, 3 * n), dtype=complex)
-    out[:n, :n] = g
-    return out
 
 
 def corner_blocks(r: np.ndarray, k: int) -> np.ndarray:
@@ -727,14 +716,12 @@ class FluctuationNet:
     the eigenbasis screen's (``_screen_net``) elsewhere (``route_near_max``)."""
 
     k2: float
-    max_fluct: float
     net: np.ndarray
     per_point: np.ndarray
 
 
 def fluctuation_sup(lin: Linearization, rect: tuple[float, float, float, float],
-                    spacing: float, spectrum: AnticommutatorSpectrum | None = None
-                    ) -> FluctuationNet:
+                    spacing: float, spectrum: AnticommutatorSpectrum) -> FluctuationNet:
     """Evaluate the fluctuation statistic on a uniform net of the rectangle
     (re_min, re_max, im_min, im_max) and return twice the maximum.
 
@@ -743,10 +730,10 @@ def fluctuation_sup(lin: Linearization, rect: tuple[float, float, float, float],
     eigenbasis once.  ``route_near_max`` then runs the Schur route
     ``resolvent_stats`` at the screened top set only, and refuses the pair
     where the route does not confirm the screen.
-    ``spectrum`` is the pair's ``AnticommutatorSpectrum.from_linearization``
-    when the caller already holds it (the scaling study reads its resolvent
-    diagonals too); without it the same call is made here, so K has the
-    same bits either way.
+    ``spectrum`` is the pair's ``AnticommutatorSpectrum.from_linearization``.
+    This function drops its reference to it once the net is screened, so a
+    caller that passes the spectrum without keeping it (``verify_local_law``)
+    frees it before the route runs.
 
     The rectangle must lie within |Re z| <= 8, Im z >= 1/N.
     """
@@ -759,13 +746,11 @@ def fluctuation_sup(lin: Linearization, rect: tuple[float, float, float, float],
     if im_min < 1.0 / n - 1e-12:
         raise ValueError("rectangle must satisfy Im z >= 1/N")
     net = uniform_net(re_min, re_max, im_min, im_max, spacing)
-    # a spectrum built here is freed before the route runs
-    screened = _screen_net(lin, net, spectrum if spectrum is not None
-                           else AnticommutatorSpectrum.from_linearization(lin))
+    screened = _screen_net(lin, net, spectrum)
+    del spectrum
     vals = route_near_max(screened,
                           lambda j: resolvent_stats(lin, net[j]).fluct)
-    mx = float(vals.max())
-    return FluctuationNet(k2=2.0 * mx, max_fluct=mx, net=net, per_point=vals)
+    return FluctuationNet(k2=2.0 * float(vals.max()), net=net, per_point=vals)
 
 
 @dataclass

@@ -88,15 +88,9 @@ class GridRow:
 
 @dataclass
 class LocalLawReport:
-    """Outcome of a local-law verification run."""
+    """Outcome of a local-law verification run (its configuration is the
+    caller's arguments)."""
 
-    n: int
-    ensemble: str
-    seed: int
-    tau: float
-    theta: float
-    c_config: float
-    spacing: float
     k_stat: float
     rho: float
     x_set_empty: bool
@@ -211,8 +205,9 @@ def verify_local_law(pair: WignerPair, z_grid=None, tau: float = 8.0,
     n = pair.n
     if z_grid is None:
         z_grid = default_grid(n, tau)
-    net = fluctuation_sup(lin, (-8.0, 8.0, 1.0 / n, tau), spacing)
-    k_stat = net.k2
+    # not held here, so that the spectrum is freed before the route runs
+    k_stat = fluctuation_sup(lin, (-8.0, 8.0, 1.0 / n, tau), spacing,
+                             AnticommutatorSpectrum.from_linearization(lin)).k2
     rho = 4.0 * c_config**2 * theta**2 * k_stat**2 / n
     zs = [complex(z) for z in z_grid]
     points = []
@@ -224,20 +219,17 @@ def verify_local_law(pair: WignerPair, z_grid=None, tau: float = 8.0,
     rows, theta_star, theta_star_self = _grid_rows(
         points, n, tau, 8.0, theta, k_stat, rho, 4.0 * c_config**2)
     return LocalLawReport(
-        n=n, ensemble=pair.spec.ensemble, seed=pair.spec.seed, tau=tau,
-        theta=theta, c_config=c_config, spacing=spacing, k_stat=k_stat,
-        rho=rho, x_set_empty=rho > tau, rows=rows, theta_star=theta_star,
+        k_stat=k_stat, rho=rho, x_set_empty=rho > tau, rows=rows, theta_star=theta_star,
         theta_star_self=theta_star_self,
         degenerate=max(lin.norm_u, lin.norm_v) == 0.0)
 
 
-def construct_k(lin: Linearization, spacing: float = 1.0,
-                spectrum: AnticommutatorSpectrum | None = None) -> float:
+def construct_k(lin: Linearization, spectrum: AnticommutatorSpectrum,
+                spacing: float = 1.0) -> float:
     """The netted random constant: twice the maximum of the fluctuation
     statistic over a uniform net of the rectangle |Re z| <= 8,
-    1/N <= Im z <= 8.  Always at least 2.  ``spectrum`` is the pair's
-    ``AnticommutatorSpectrum.from_linearization`` when the caller already
-    holds it; K has the same bits either way."""
+    1/N <= Im z <= 8, screened in ``spectrum``, the pair's
+    ``AnticommutatorSpectrum.from_linearization``.  Always at least 2."""
     return fluctuation_sup(lin, (-8.0, 8.0, 1.0 / lin.n, 8.0), spacing, spectrum).k2
 
 
@@ -323,9 +315,6 @@ class DelocalizationRow:
 
 @dataclass
 class DelocalizationReport:
-    n: int
-    k_stat: float
-    c_config: float
     rho: float
     rows: list
 
@@ -367,15 +356,13 @@ def delocalization_check(pair: WignerPair, k_stat: float,
         bound = math.sqrt(2.0 * sigma)
         rows.append(DelocalizationRow(lam=lam, sigma=sigma, max_component=mx,
                                       bound=bound, holds=mx <= bound))
-    return DelocalizationReport(n=n, k_stat=k_stat, c_config=c_config, rho=rho,
-                                rows=rows)
+    return DelocalizationReport(rho=rho, rows=rows)
 
 
-def figure1_data(rho_list, lam_min: float = -8.0, lam_max: float = 8.0,
-                 lam_step: float = 1e-2):
+def figure1_data(rho_list, lam_step: float = 1e-2):
     """Closest-approach curves sigma(lambda) for each rho: rows
-    (rho, lambda, sigma) with sigma solving h^2 sigma = rho.  Refuses an
-    empty ``rho_list``."""
+    (rho, lambda, sigma) for lambda from -8 to 8 in steps of ``lam_step``,
+    with sigma solving h^2 sigma = rho.  Refuses an empty ``rho_list``."""
     if len(rho_list) == 0:
         raise ValueError("rho_list must hold at least one rho")
     if not (math.isfinite(lam_step) and lam_step > 0):
@@ -384,8 +371,8 @@ def figure1_data(rho_list, lam_min: float = -8.0, lam_max: float = 8.0,
     for rho in rho_list:
         if not 0.0 < rho < 1.0:
             raise ValueError("each rho must lie in (0, 1)")
-        count = int(round((lam_max - lam_min) / lam_step)) + 1
-        lams = lam_min + np.arange(count) * lam_step
+        count = int(round(16.0 / lam_step)) + 1
+        lams = -8.0 + np.arange(count) * lam_step
         rows += [(float(rho), lam, sigma) for lam, sigma
                  in zip(lams.tolist(), sigma_solve(lams, rho).tolist())]
     return rows
@@ -521,8 +508,6 @@ class SemicircleReport:
     gives an informative empirical run."""
 
     n: int
-    tau: float
-    theta_user: float
     k_stat: float
     rho_literal: float
     x_empty_literal: bool
@@ -632,8 +617,7 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
     rows, theta_star, theta_star_self = _grid_rows(
         points, n, tau, 4.0, theta_user, k_stat, rho_user, 2.0**8)
     return SemicircleReport(
-        n=n, tau=tau, theta_user=theta_user,
-        k_stat=k_stat, rho_literal=rho_literal, x_empty_literal=rho_literal > tau,
+        n=n, k_stat=k_stat, rho_literal=rho_literal, x_empty_literal=rho_literal > tau,
         rho_user=rho_user, rows=rows, theta_star=theta_star,
         theta_star_self=theta_star_self,
         max_identity_residual=max_ident, max_row_sum_residual=max_row_sum)
@@ -666,10 +650,9 @@ class ScalingReport:
 
 
 def scaling_law_study(n_list=(64, 128, 256), seeds=range(10),
-                      k_spacing: float = 4.0, n_re: int = 13,
-                      n_im: int = 10) -> ScalingReport:
+                      k_spacing: float = 4.0) -> ScalingReport:
     """For each (N, seed): sample a complex-gaussian pair, compute the scaled
-    deviation on a grid (|Re z| <= 6 linear, 1/N <= Im z <= 4 log), take the
+    deviation on a 13 x 10 grid (|Re z| <= 6 linear, 1/N <= Im z <= 4 log), take the
     median over the admissible points, and record the netted K (theta = 1)
     and the scalar star constant.  The log-log slope of the mean median
     against N is the headline number.
@@ -686,7 +669,7 @@ def scaling_law_study(n_list=(64, 128, 256), seeds=range(10),
     theta_star_by_run = {}
     for n in n_list:
         n = int(n)
-        grid = rect_grid(-6.0, 6.0, n_re, 1.0 / n, 4.0, n_im)
+        grid = rect_grid(-6.0, 6.0, 13, 1.0 / n, 4.0, 10)
         h = np.array([edge_distance(complex(z)) for z in grid])
         zs = grid[h * h * grid.imag >= 4.0 / n]
         law = _law_at(zs)
@@ -694,7 +677,7 @@ def scaling_law_study(n_list=(64, 128, 256), seeds=range(10),
             lin = build_linearization(sample_pair(
                 EnsembleSpec(n=n, ensemble="complex-gaussian", seed=seed)))
             spectrum = AnticommutatorSpectrum.from_linearization(lin)
-            k_stat = construct_k(lin, spacing=k_spacing, spectrum=spectrum)
+            k_stat = construct_k(lin, spectrum, spacing=k_spacing)
             scaled, _ = _scaled_deviations(spectrum, zs, law, n)
             medians[n].append(float(np.median(scaled)))
             k_by_run[(n, seed)] = k_stat

@@ -43,7 +43,6 @@ __all__ = [
     "KappaBlocks",
     "ImplicationVerdict",
     "DeformationSolution",
-    "GaugeReport",
     "vec3",
     "unvec3",
     "phi_ac",
@@ -374,18 +373,11 @@ def stability_check(base: SDQuadruple, g0: np.ndarray) -> ImplicationVerdict:
                               holds=(not hyp) or lhs <= rhs)
 
 
-@dataclass
-class GaugeReport:
+def error_gauge(g_list, ghat_list, base: SDQuadruple) -> float:
     """The self-consistency error gauge of a family {G_i, Ghat_i}: the max
     over i of |G_i^-1 + Lambda0 + Phi(Ghat_i)| / max(1,|Ghat_i|)^(1/2) and of
-    sqrt(|Ghat_i - avg G| / (max(1,|G_i|) |G_i^-1|))."""
-
-    value: float
-
-
-def error_gauge(g_list, ghat_list, base: SDQuadruple) -> GaugeReport:
-    """Compute the error gauge; raises SingularStatisticsError when some G_i
-    has condition number beyond 1e12."""
+    sqrt(|Ghat_i - avg G| / (max(1,|G_i|) |G_i^-1|)).  Raises
+    SingularStatisticsError when some G_i has condition number beyond 1e12."""
     g = np.asarray(g_list, dtype=complex)
     ghat = np.asarray(ghat_list, dtype=complex)
     if g.shape != ghat.shape or g.ndim != 3 or g.shape[1:] != (3, 3):
@@ -402,19 +394,19 @@ def error_gauge(g_list, ghat_list, base: SDQuadruple) -> GaugeReport:
             / np.sqrt(np.maximum(1.0, norms(ghat))))
     r_av = np.sqrt(norms(ghat - g.mean(axis=0))
                    / (np.maximum(1.0, norms(g)) * norms(g_inv)))
-    return GaugeReport(value=float(max(r_eq.max(), r_av.max())))
+    return float(max(r_eq.max(), r_av.max()))
 
 
 def gauge_implication_check(g_list, ghat_list, base: SDQuadruple) -> ImplicationVerdict:
     """Check the self-consistent implication: if max_i |G_i - M0| <= radius
     then max_i |G_i - M0| <= 2^14 (1+|M0|)^7 max(p*, l*)^4 k* * gauge, with
     certified upper bounds on the right."""
-    rep = error_gauge(g_list, ghat_list, base)
+    gauge = error_gauge(g_list, ghat_list, base)
     g = np.asarray(g_list, dtype=complex)
     lhs = float(max(np.linalg.norm(gi - base.m_mat, 2) for gi in g))
     k_up, p_up, m_norm = _bound_factors(base)
     l_up = max(1.0, float(np.linalg.norm(base.lambda_mat, 2)))
-    rhs = 2.0**14 * (1.0 + m_norm) ** 7 * max(p_up, l_up) ** 4 * k_up * rep.value
+    rhs = 2.0**14 * (1.0 + m_norm) ** 7 * max(p_up, l_up) ** 4 * k_up * gauge
     hyp = lhs <= base.stability_radius
     return ImplicationVerdict(z=base.z, lhs=lhs, rhs=rhs, hypothesis_met=hyp,
                               holds=(not hyp) or lhs <= rhs)

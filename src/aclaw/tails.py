@@ -188,54 +188,39 @@ class QuadTailReport:
         return header, rows
 
 
-def quad_tail_check(k: int, n: int, gamma0: float, gamma1: float,
-                    b_matrix: np.ndarray, trials: int = 1000, seed: int = 0,
-                    coupled: bool = True, include_y0: bool = True) -> QuadTailReport:
-    """Monte Carlo tail study of |Y B Yhat* - Y0 - E(Y B Yhat*)| normalized
-    by (gamma1/sqrt(N)) max(1, |B|_2/sqrt(N)), for k x k blocks Y_i with
-    real gaussian entries of scale sqrt(gamma1/N)/k.
+def quad_tail_check(seed: int = 0) -> QuadTailReport:
+    """Monte Carlo tail study, over 1000 trials, of |Y B Y* - Y0 - E(Y B Y*)|
+    normalized by (gamma1/sqrt(N)) max(1, |B|_2/sqrt(N)), for k x k blocks
+    Y_i and Y0 with real gaussian entries of scale sqrt(gamma1/N)/k, at
+    k = 1, N = 64, gamma0 = 1/2, gamma1 = 1 and B = I_64.
 
-    With ``coupled`` the second family equals the first (Yhat_i = Y_i), which
-    makes the centering term nonzero; the expectation is computed in closed
-    form from the entry variance.  ``center_abs``, the largest entry of the
-    centered form's sample mean, tests that centering against
+    The form is coupled (its second family is the first, Yhat_i = Y_i),
+    which makes the centering term nonzero; the expectation is computed in
+    closed form from the entry variance.  ``center_abs``, the largest entry
+    of the centered form's sample mean, tests that centering against
     ``center_tol``; the fitted slope of log survival describes the decay
     shape of the tail.
     """
-    if trials < 2:
-        raise ValueError("trials must be >= 2")
-    b_matrix = np.asarray(b_matrix, dtype=float)
-    if b_matrix.shape != (k * n, k * n):
-        raise ValueError("B must be kN x kN")
+    k, n, gamma0, gamma1, trials = 1, 64, 0.5, 1.0, 1000
+    b_matrix = np.eye(k * n)
     rng = _rng(seed, 7)
     entry_sd = math.sqrt(gamma1 / n) / k
     denom = (gamma1 / math.sqrt(n)) * max(1.0, np.linalg.norm(b_matrix) / math.sqrt(n))
-    if coupled:
-        # E[Y B Yhat*] = var * sum_i tr(B_ii) * I_k for iid real entries
-        diag_trace = sum(np.trace(b_matrix[i * k:(i + 1) * k, i * k:(i + 1) * k])
-                         for i in range(n))
-        expect = entry_sd**2 * diag_trace * np.eye(k)
-    else:
-        expect = np.zeros((k, k))
+    # E[Y B Y*] = var * sum_i tr(B_ii) * I_k for iid real entries
+    diag_trace = sum(np.trace(b_matrix[i * k:(i + 1) * k, i * k:(i + 1) * k])
+                     for i in range(n))
+    expect = entry_sd**2 * diag_trace * np.eye(k)
     vals = np.empty(trials)
     means = np.zeros((k, k))
     for t in range(trials):
         y = _draw("gaussian", rng, (k, k * n)) * entry_sd
-        yhat = y if coupled else _draw("gaussian", rng, (k, k * n)) * entry_sd
-        if include_y0:
-            y0 = _draw("gaussian", rng, (k, k)) * math.sqrt(gamma1 / n) / k
-        else:
-            y0 = np.zeros((k, k))
-        stat = y @ b_matrix @ yhat.T - y0 - expect
-        means += (y @ b_matrix @ yhat.T - expect) / trials
+        y0 = _draw("gaussian", rng, (k, k)) * math.sqrt(gamma1 / n) / k
+        stat = y @ b_matrix @ y.T - y0 - expect
+        means += (y @ b_matrix @ y.T - expect) / trials
         vals[t] = np.linalg.norm(stat, 2) / denom
-    if b_matrix.any():
-        # statistic in normalized t-coordinates: Pr(. > t^(2 gamma0 + 1))
-        ts, surv = survival_points(vals ** (1.0 / (2.0 * gamma0 + 1.0)))
-        slope, stderr, intercept = fit_log_survival_slope(ts, surv)
-    else:
-        ts, surv = survival_points(vals)
-        slope, stderr, intercept = -math.inf, 0.0, 0.0
+    # statistic in normalized t-coordinates: Pr(. > t^(2 gamma0 + 1))
+    ts, surv = survival_points(vals ** (1.0 / (2.0 * gamma0 + 1.0)))
+    slope, stderr, intercept = fit_log_survival_slope(ts, surv)
     center_tol = 6.0 * entry_sd**2 * np.linalg.norm(b_matrix) / math.sqrt(trials) * k
     return QuadTailReport(ts=ts, survival=surv, slope=slope, slope_stderr=stderr,
                           intercept=intercept, center_abs=float(np.abs(means).max()),

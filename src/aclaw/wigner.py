@@ -36,7 +36,7 @@ __all__ = [
     "save_pair",
 ]
 
-#: supported entry distributions and default moment-growth parameters
+#: supported entry distributions and their moment-growth parameters
 #: (alpha0, alpha1): rademacher entries are bounded so any alpha0 works with
 #: alpha1 = 1; gaussian p-norms grow like sqrt(p) so alpha0 = 1/2 with a
 #: modest alpha1
@@ -50,12 +50,12 @@ ENSEMBLES = {
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Which ensemble to draw, at what size, with which seed."""
+    """Which ensemble to draw, at what size, with which seed.  The
+    ensemble's moment-growth parameters ``alpha0`` and ``alpha1`` are read
+    from ``ENSEMBLES``."""
 
     n: int
     ensemble: str = "complex-gaussian"
-    alpha0: float | None = None
-    alpha1: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -66,13 +66,14 @@ class EnsembleSpec:
             object.__setattr__(self, "ensemble", "complex-gaussian")
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
-        a0, a1 = ENSEMBLES[self.ensemble]
-        if self.alpha0 is None:
-            object.__setattr__(self, "alpha0", a0)
-        if self.alpha1 is None:
-            object.__setattr__(self, "alpha1", a1)
-        if self.alpha0 <= 0 or self.alpha1 < 1:
-            raise ValueError("need alpha0 > 0 and alpha1 >= 1")
+
+    @property
+    def alpha0(self) -> float:
+        return ENSEMBLES[self.ensemble][0]
+
+    @property
+    def alpha1(self) -> float:
+        return ENSEMBLES[self.ensemble][1]
 
 
 @dataclass(frozen=True)

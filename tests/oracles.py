@@ -4,10 +4,12 @@ None of these is a production path.  Most estimate, by sampling, a quantity
 that ``src/aclaw`` either certifies (``op_norm_estimate`` against
 ``op_norm_upper_spectral``), assumes (the ensembles' moment-growth constants,
 the linearization's entry second moments, the ``|U|, |V| <= 4`` norm event)
-or writes (``load_pair`` reads the dump ``aclaw sample`` writes).  Four
+or writes (``load_pair`` reads the dump ``aclaw sample`` writes).  Five
 compute by definition what the library takes from a closed form or a
 shortcut: ``spectral_resolvent`` assembles the resolvent P diag(d) P* + D
 whose error the net screen's eigenbasis certificate bounds;
+``bordered_resolvent`` inverts {UV} - z for the definitional product
+W blockdiag(g, 0, 0) W* that ``generalized_resolvent`` assembles without W;
 ``kappa_by_inversion`` inverts the 9x9 matrix of
 x -> M^-1 x - Phi(x) M, built from the map's action, where ``sd_solution_ac``
 assembles kappa from explicit block inverses; ``minor_stats`` (block size 3)
@@ -136,8 +138,9 @@ class MomentReport:
 
 
 def check_moment_condition(spec: EnsembleSpec, p_grid=(2, 4, 8, 16),
-                           samples: int = 20000) -> MomentReport:
-    """Monte Carlo check of the moment-growth hypothesis on a grid of p.
+                           samples: int = 20000, alphas=None) -> MomentReport:
+    """Monte Carlo check of the moment-growth hypothesis on a grid of p, with
+    ``alphas`` = (alpha0, alpha1) in place of the spec's ensemble's own.
 
     The sampling error on |entry|_p is propagated from the CLT error of the
     p-th absolute moment; the verdict allows the estimate to exceed the
@@ -145,7 +148,8 @@ def check_moment_condition(spec: EnsembleSpec, p_grid=(2, 4, 8, 16),
     """
     p_grid = np.asarray(p_grid, dtype=float)
     xs = np.abs(entry_samples(spec, samples))
-    bound = math.sqrt(spec.alpha1 / spec.n)
+    alpha0, alpha1 = alphas if alphas is not None else (spec.alpha0, spec.alpha1)
+    bound = math.sqrt(alpha1 / spec.n)
     est = np.empty(len(p_grid))
     se = np.empty(len(p_grid))
     for k, p in enumerate(p_grid):
@@ -155,8 +159,8 @@ def check_moment_condition(spec: EnsembleSpec, p_grid=(2, 4, 8, 16),
         est[k] = mean ** (1.0 / p)
         # delta method for the 1/p power
         se[k] = sd / (p * mean ** (1.0 - 1.0 / p)) if mean > 0 else 0.0
-    scaled = p_grid ** (-spec.alpha0) * est
-    scaled_se = p_grid ** (-spec.alpha0) * se
+    scaled = p_grid ** (-alpha0) * est
+    scaled_se = p_grid ** (-alpha0) * se
     holds = scaled <= bound + 2.0 * scaled_se
     return MomentReport(p_grid=p_grid, norm_est=est, norm_se=se, bound=bound,
                         holds=holds)
@@ -255,18 +259,15 @@ def norm_event_rate(spec: EnsembleSpec, samples: int, threshold: float = 4.0) ->
 
 def load_pair(path) -> WignerPair:
     """Read the pair dump ``wigner.save_pair`` writes: a '#' header line with
-    N, ensemble, seed, alpha0 and alpha1, then one 're,im' line per entry,
-    row-major, U first then V."""
+    N, ensemble, seed, alpha0 and alpha1 (the ensemble's, so not read back),
+    then one 're,im' line per entry, row-major, U first then V."""
     with open(path, "r", encoding="ascii") as f:
         header = f.readline()
         if not header.startswith("#"):
             raise ValueError("missing pair-dump header")
         fields = dict(tok.split("=", 1) for tok in header[1:].split())
         n = int(fields["N"])
-        spec = EnsembleSpec(n=n, ensemble=fields["ensemble"],
-                            alpha0=float(fields["alpha0"]),
-                            alpha1=float(fields["alpha1"]),
-                            seed=int(fields["seed"]))
+        spec = EnsembleSpec(n=n, ensemble=fields["ensemble"], seed=int(fields["seed"]))
         vals = np.array([complex(*map(float, line.split(","))) for line in f])
     if vals.size != 2 * n * n:
         raise ValueError("pair dump has wrong entry count")
@@ -331,6 +332,15 @@ def spectral_resolvent(basis, z: complex) -> np.ndarray:
     r[n + idx, n + idx] += 1.0
     r[2 * n + idx, 2 * n + idx] -= 1.0
     return r
+
+
+def bordered_resolvent(lin: Linearization, z: complex) -> np.ndarray:
+    """({UV} - z)^-1 by direct inversion, bordered by zeros to 3N x 3N: the
+    matrix r with R + diag(0, -1, 1) kron I = W r W*."""
+    n = lin.n
+    out = np.zeros((3 * n, 3 * n), dtype=complex)
+    out[:n, :n] = np.linalg.inv(lin.anticommutator - complex(z) * np.eye(n))
+    return out
 
 
 def spot_check_residual(stats, lam: np.ndarray, phi) -> float:

@@ -21,7 +21,6 @@ from aclaw.freelaw import (
 from aclaw.grids import rect_grid
 from aclaw.linearize import (
     build_linearization,
-    bordered_resolvent,
     generalized_resolvent,
     lambda_kron,
 )
@@ -43,7 +42,7 @@ from aclaw.sdcore import (
 from aclaw.tails import quad_tail_check, theta_root, whittle_check
 from aclaw.wigner import EnsembleSpec, sample_pair
 
-from oracles import kappa_by_inversion, minor_stats
+from oracles import bordered_resolvent, kappa_by_inversion, minor_stats
 
 C = law_constants()
 
@@ -300,7 +299,7 @@ def test_criterion_11_tails_toolbox():
         rep = whittle_check(dist, n=n, p=p, trials=20000, mode=mode, seed=110 + k)
         if not rep.holds:
             whittle_fails.append((mode, dist, p, n))
-    qrep = quad_tail_check(1, 64, 0.5, 1.0, np.eye(64), trials=1000, seed=11)
+    qrep = quad_tail_check(seed=11)
     ok = theta_ok and not whittle_fails and qrep.center_abs <= qrep.center_tol
     report(11, "tails toolbox", ok,
            f"whittle_fails={whittle_fails} quad_center={qrep.center_abs:.4f}"

@@ -361,6 +361,16 @@ def test_law_density_csv(tmp_path):
     assert vals[0][1] == 0.0 and vals[-1][1] == 0.0  # outside the support
 
 
+#: usage errors that the library function refuses, after the command has
+#: drawn its pair; every other case is refused before any pair is sampled
+REFUSED_AFTER_SAMPLING = {
+    "verify-theta-nan", "verify-c-nan", "verify-spacing-inf",
+    "verify-c-config-negative", "verify-c-config-zero",
+    "semicircle-theta-nan", "semicircle-tau-inf", "semicircle-empty-rectangle",
+    "semicircle-theta-negative", "deloc-k-negative", "deloc-c-config-zero",
+}
+
+
 @pytest.mark.parametrize("args", [
     pytest.param(["figure1", "--rho", "2.5"], id="figure1-rho"),
     # a NaN constant admits no row, so the run would pass vacuously
@@ -427,13 +437,25 @@ def test_law_density_csv(tmp_path):
     pytest.param(["linearize-check", "--N", "4", "--z=-inf+1j"],
                  id="linearize-check-z-minus-inf"),
     pytest.param(["linearize-check", "--N", "4", "--z", "nan+1j"], id="linearize-check-z-nan"),
+    # z off the upper half-plane used to sample the pair and form X, W and
+    # W* (X - Lambda kron I) W before the resolvent refused it
+    pytest.param(["linearize-check", "--N", "4", "--z=0.5-0.5j"],
+                 id="linearize-check-z-lower"),
+    pytest.param(["linearize-check", "--N", "4", "--z", "0.5+0j"],
+                 id="linearize-check-z-real"),
 ])
 @pytest.mark.filterwarnings("error")
-def test_usage_error_exit_code(tmp_path, capsys, monkeypatch, args):
+def test_usage_error_exit_code(tmp_path, capsys, monkeypatch, request, args):
+    import aclaw.wigner
+
     monkeypatch.chdir(tmp_path)  # relative side outputs land here too
+    sample_pair, sampled = aclaw.wigner.sample_pair, []
+    monkeypatch.setattr(aclaw.wigner, "sample_pair",
+                        lambda spec: sampled.append(spec) or sample_pair(spec))
     out = tmp_path / "x.out"
     code = run_cli(args + ["--out", str(out)])
     assert code == 2
+    assert len(sampled) == (request.node.callspec.id in REFUSED_AFTER_SAMPLING)
     err = capsys.readouterr().err
     assert err.startswith(f"aclaw {args[0]}: ")
     assert "Traceback" not in err and "Warning" not in err
@@ -488,7 +510,7 @@ from aclaw.cli import main
 from aclaw.locallaw import scaling_law_study
 
 loaded = {{}}
-scaling_law_study(n_list=(16, 32), seeds=range(2), k_spacing=4.0, n_re=7, n_im=6)
+scaling_law_study(n_list=(16, 32), seeds=range(2), k_spacing=4.0)
 loaded["scaling"] = "scipy.linalg" in sys.modules
 for cmd in ("verify", "semicircle"):
     main([cmd, "--N", "16", "--seed", "1", "--out", {str(tmp_path)!r} + "/" + cmd])

@@ -158,13 +158,6 @@ def test_density_even():
         assert abs(density_ac(t) - density_ac(-t)) <= 1e-6
 
 
-def test_density_ladder_validation():
-    with pytest.raises(ValueError):
-        density_ac(0.5, eps_ladder=(1e-4, 1e-3))
-    with pytest.raises(ValueError):
-        density_ac(0.5, eps_ladder=())
-
-
 def test_critical_points_kill_cubic_and_derivative():
     pts = critical_points()
     assert pts[0] == (complex(-C.zeta), complex(C.omega))

@@ -20,14 +20,13 @@ from aclaw.linearize import (
     fluctuation_sup,
     generalized_resolvent,
     grid_corner_blocks,
-    bordered_resolvent,
     lambda_kron,
     resolvent_stats,
     route_near_max,
 )
 from aclaw.sdcore import sd_solution_ac
 from aclaw.wigner import ENSEMBLES, EnsembleSpec, WignerPair, sample_pair
-from oracles import minor_stats, spectral_resolvent
+from oracles import bordered_resolvent, minor_stats, spectral_resolvent
 
 
 def zero_pair(n=4):
@@ -428,9 +427,9 @@ def test_block_route_inverts_3n_only_to_cross_check(monkeypatch, n, direct):
 def test_fluctuation_sup_monotone_in_refinement():
     lin = build_linearization(random_pair(32, 5))
     rect = (-2.0, 2.0, 1.0 / 32, 2.0)
-    coarse = fluctuation_sup(lin, rect, spacing=1.0)
-    fine = fluctuation_sup(lin, rect, spacing=0.5)
-    assert fine.max_fluct >= coarse.max_fluct - 1e-12
+    coarse = own_sup(lin, rect, spacing=1.0)
+    fine = own_sup(lin, rect, spacing=0.5)
+    assert fine.k2 / 2 >= coarse.k2 / 2 - 1e-12
     assert coarse.k2 >= 2.0
     assert math.isfinite(coarse.k2)
     assert len(fine.net) > len(coarse.net)
@@ -442,7 +441,7 @@ def test_fluctuation_lipschitz_budget():
     n = 16
     budget = 16**3.5 * 0.5
     lin = build_linearization(random_pair(n, 9))
-    net = fluctuation_sup(lin, (-2.0, 2.0, 0.5, 2.0), spacing=0.5)
+    net = own_sup(lin, (-2.0, 2.0, 0.5, 2.0), spacing=0.5)
     pts, vals = net.net, net.per_point
     worst = 0.0
     for a in range(len(pts)):
@@ -510,6 +509,13 @@ def test_eigenbasis_gram_identities(ensemble, n):
     assert norm(diff) <= 1e-12 * max(1.0, norm(lin.anticommutator))
 
 
+def own_sup(lin, rect, spacing):
+    """``fluctuation_sup`` in the pair's own spectrum, as ``verify_local_law``
+    calls it."""
+    return fluctuation_sup(lin, rect, spacing,
+                           AnticommutatorSpectrum.from_linearization(lin))
+
+
 def screen_net(lin, net):
     """The net screen in the pair's own spectrum, as ``fluctuation_sup``
     builds it."""
@@ -520,7 +526,7 @@ def net_case(pair, route):
     """The screened net of the full rectangle, the Schur route's value, the
     screen's value and ``route``'s value (the oracle) at every net point."""
     lin = build_linearization(pair)
-    fs = fluctuation_sup(lin, (-8.0, 8.0, 1.0 / pair.n, 8.0), spacing=4.0)
+    fs = own_sup(lin, (-8.0, 8.0, 1.0 / pair.n, 8.0), spacing=4.0)
 
     def values(name):
         stats = {"schur": resolvent_stats,
@@ -624,7 +630,7 @@ def test_screen_matches_route_property(n, ensemble, seed, spacing):
 def test_screen_matches_route_at_scaling_size():
     # the scaling study screens N = 256; spacing 8 keeps the route to 6 points
     lin = build_linearization(random_pair(256, 1))
-    fs = fluctuation_sup(lin, (-8.0, 8.0, 1.0 / 256, 8.0), spacing=8.0)
+    fs = own_sup(lin, (-8.0, 8.0, 1.0 / 256, 8.0), spacing=8.0)
     assert len(fs.net) == 6
     route = np.array([resolvent_stats(lin, z).fluct for z in fs.net])
     assert fs.k2 == 2.0 * route.max()
@@ -641,7 +647,7 @@ def test_screen_refuses_clustered_spectrum(monkeypatch):
     monkeypatch.setattr(linearize, "_eigenbasis",
                         lambda *args: pytest.fail("P built for a refused net"))
     with pytest.raises(IllConditionedError, match="256 eigenvalue pairs"):
-        fluctuation_sup(lin, (-8.0, 8.0, 1.0 / 16, 8.0), spacing=4.0)
+        own_sup(lin, (-8.0, 8.0, 1.0 / 16, 8.0), spacing=4.0)
     assert stats == []
 
 
@@ -695,14 +701,14 @@ def count_calls(monkeypatch, name):
 def test_screen_error_at_maximum_refuses(monkeypatch):
     lin = build_linearization(random_pair(32, 3))
     rect = (-8.0, 8.0, 1.0 / 32, 8.0)
-    exact = fluctuation_sup(lin, rect, spacing=2.0)
+    exact = own_sup(lin, rect, spacing=2.0)
     top = exact.net[np.argmax(exact.per_point)]
     screen = linearize._screen_net
     monkeypatch.setattr(linearize, "_screen_net", lambda lin_, net, spectrum: (
         screen(lin_, net, spectrum) * (1.0 + 1e-3 * (net == top))))
     stats = count_calls(monkeypatch, "resolvent_stats")
     with pytest.raises(IllConditionedError, match="differs from its screen"):
-        fluctuation_sup(lin, rect, spacing=2.0)
+        own_sup(lin, rect, spacing=2.0)
     # one evaluation at the (inflated) screened maximum, and no other
     assert stats == [top]
 
@@ -764,7 +770,7 @@ def test_screen_certifies_each_pair_once(monkeypatch, n):
         return inv(a)
 
     monkeypatch.setattr(np.linalg, "inv", counting)
-    fs = fluctuation_sup(lin, (-8.0, 8.0, 1.0 / n, 8.0), spacing=4.0)
+    fs = own_sup(lin, (-8.0, 8.0, 1.0 / n, 8.0), spacing=4.0)
     assert etas == [fs.net.imag.min()] == [1.0 / n]
     assert (3 * n, 3 * n) not in shapes
 
@@ -795,16 +801,16 @@ def test_screen_keeps_conditioning_refusal(monkeypatch):
     monkeypatch.setattr(linearize, "COND_LIMIT", 1.0)
     stats = count_calls(monkeypatch, "resolvent_stats")
     with pytest.raises(IllConditionedError):
-        fluctuation_sup(lin, (-8.0, 8.0, 1.0 / 16, 8.0), spacing=4.0)
+        own_sup(lin, (-8.0, 8.0, 1.0 / 16, 8.0), spacing=4.0)
     assert stats == []  # refused by the screen, before any route ran
 
 
 def test_fluctuation_sup_rect_validation():
     lin = build_linearization(random_pair(8, 1))
     with pytest.raises(ValueError):
-        fluctuation_sup(lin, (-9.0, 0.0, 0.5, 1.0), spacing=0.5)
+        own_sup(lin, (-9.0, 0.0, 0.5, 1.0), spacing=0.5)
     with pytest.raises(ValueError):
-        fluctuation_sup(lin, (-1.0, 1.0, 0.01, 1.0), spacing=0.5)
+        own_sup(lin, (-1.0, 1.0, 0.01, 1.0), spacing=0.5)
 
 
 def test_gauge_bound_from_statistics():
@@ -816,10 +822,10 @@ def test_gauge_bound_from_statistics():
     z = 1j
     st_ = resolvent_stats(lin, z)
     base = sd_solution_ac(z)
-    rep = error_gauge(st_.g_i, st_.ghat_i, base)
+    gauge = error_gauge(st_.g_i, st_.ghat_i, base)
     w_norm = np.linalg.norm(lin.w, 2)
     cap = 4 * st_.fluct * w_norm * math.sqrt(max(1.0, z.imag) / (n * z.imag))
-    assert rep.value <= cap + 1e-9
+    assert gauge <= cap + 1e-9
 
 
 def test_gauge_implication_from_statistics():
@@ -830,15 +836,4 @@ def test_gauge_implication_from_statistics():
     st_ = resolvent_stats(lin, z)
     v = gauge_implication_check(st_.g_i, st_.ghat_i, sd_solution_ac(z))
     assert v.holds
-
-
-def test_shared_spectrum_screens_with_the_same_bits():
-    # fluctuation_sup's own diagonalization and a caller's from_linearization
-    # are one call on one matrix, so the screen and K keep their bits
-    lin = build_linearization(random_pair(48, 6))
-    spectrum = AnticommutatorSpectrum.from_linearization(lin)
-    rect = (-8.0, 8.0, 1.0 / 48, 8.0)
-    shared, own = fluctuation_sup(lin, rect, 2.0, spectrum), fluctuation_sup(lin, rect, 2.0)
-    assert np.array_equal(shared.per_point, own.per_point)
-    assert shared.k2 == own.k2
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from aclaw import linearize, locallaw
 from aclaw.freelaw import edge_distance, law_constants
 from aclaw.grids import rect_grid, uniform_net
-from aclaw.linearize import (IllConditionedError, build_linearization,
-                             identity_spot_check, resolvent_stats)
+from aclaw.linearize import (AnticommutatorSpectrum, IllConditionedError,
+                             build_linearization, identity_spot_check, resolvent_stats)
 from aclaw.locallaw import (
     GridRow,
     NormHypothesisError,
@@ -93,8 +93,9 @@ def test_verify_parameter_validation():
 def test_construct_k_properties():
     lin = build_linearization(sample_pair(EnsembleSpec(n=32, ensemble="complex-gaussian",
                                                        seed=5)))
-    k_coarse = construct_k(lin, spacing=2.0)
-    k_fine = construct_k(lin, spacing=1.0)
+    spectrum = AnticommutatorSpectrum.from_linearization(lin)
+    k_coarse = construct_k(lin, spectrum, spacing=2.0)
+    k_fine = construct_k(lin, spectrum, spacing=1.0)
     # the finer net is a superset, so the max never decreases
     assert k_fine >= k_coarse - 1e-12
     assert k_coarse >= 2.0
@@ -107,7 +108,6 @@ def test_empirical_k_self_consistent():
     # re-verify the defining property on the same net
     from aclaw.freelaw import m_ac
     from aclaw.grids import rect_grid
-    from aclaw.linearize import AnticommutatorSpectrum
     spectrum = AnticommutatorSpectrum.from_pair(pair)
     thresh = 4.0 * k**2 / 64
     for z in rect_grid(-8, 8, 17, 1 / 64, 8.0, 12):
@@ -186,8 +186,10 @@ def test_sigma_solve_scalar_in_scalar_out():
 
 
 def test_figure1_rows():
-    rows = figure1_data([0.2, 0.02], lam_min=-1.0, lam_max=1.0, lam_step=0.5)
-    assert len(rows) == 2 * 5
+    rows = figure1_data([0.2, 0.02], lam_step=0.5)
+    # lambda runs from -8 to 8
+    assert len(rows) == 2 * 33
+    assert (rows[0][1], rows[32][1]) == (-8.0, 8.0)
     by_rho = {}
     for rho, lam, sig in rows:
         by_rho.setdefault(rho, {})[lam] = sig
@@ -217,7 +219,6 @@ def test_delocalization_small_run():
 
 
 def test_shared_spectrum_changes_nothing():
-    from aclaw.linearize import AnticommutatorSpectrum
     pair = sample_pair(EnsembleSpec(n=64, ensemble="complex-gaussian", seed=7))
     spectrum = AnticommutatorSpectrum.from_pair(pair)
     k_own = empirical_k(pair)
@@ -656,9 +657,11 @@ def test_delocalization_rho_refusal():
 
 
 def test_construct_k_concentrates_across_seeds():
-    ks = [construct_k(build_linearization(sample_pair(
-              EnsembleSpec(n=32, ensemble="complex-gaussian", seed=s))), spacing=4.0)
-          for s in range(10)]
+    lins = [build_linearization(sample_pair(
+                EnsembleSpec(n=32, ensemble="complex-gaussian", seed=s)))
+            for s in range(10)]
+    ks = [construct_k(lin, AnticommutatorSpectrum.from_linearization(lin), spacing=4.0)
+          for lin in lins]
     assert np.std(ks) < np.mean(ks)
 
 
@@ -677,9 +680,9 @@ def test_semicircle_stats_routes_agree():
 
 def test_semicircle_report_literal_theta_vacuous():
     x = gue_matrix(48, 5)
-    rep = semicircle_locallaw(x, theta_user=1.0, spacing=4.0)
+    rep = semicircle_locallaw(x, tau=20.0, theta_user=1.0, spacing=4.0)
     assert rep.x_empty_literal
-    assert rep.rho_literal > rep.tau
+    assert rep.rho_literal > 20.0
     assert rep.max_identity_residual <= 1e-8
     assert rep.max_row_sum_residual <= 1e-10
     assert rep.k_stat >= 2.0
@@ -694,8 +697,7 @@ def test_semicircle_report_literal_theta_vacuous():
 
 
 def test_scaling_study_smoke():
-    rep = scaling_law_study(n_list=(16, 32), seeds=range(2), k_spacing=4.0,
-                            n_re=7, n_im=6)
+    rep = scaling_law_study(n_list=(16, 32), seeds=range(2), k_spacing=4.0)
     assert set(rep.medians) == {16, 32}
     assert all(len(v) == 2 for v in rep.medians.values())
     assert math.isfinite(rep.slope)
@@ -716,16 +718,16 @@ def test_identity_residual_is_rounding_where_q_nearly_vanishes(n, seed, z):
     assert ident <= 100 * np.finfo(float).eps
 
 
-def mrrr_scaling_oracle(n_list, seeds, k_by_run, n_re, n_im):
-    """The scaling study's medians and star constants from scipy's MRRR
-    spectrum of each pair (``AnticommutatorSpectrum.from_pair``), one z at a
-    time, with the study's K."""
+def mrrr_scaling_oracle(n_list, seeds, k_by_run):
+    """The scaling study's medians and star constants on its 13 x 10 grid
+    from scipy's MRRR spectrum of each pair
+    (``AnticommutatorSpectrum.from_pair``), one z at a time, with the
+    study's K."""
     from aclaw.freelaw import m_ac
-    from aclaw.linearize import AnticommutatorSpectrum
 
     medians, stars = {}, {}
     for n in n_list:
-        grid = rect_grid(-6.0, 6.0, n_re, 1.0 / n, 4.0, n_im)
+        grid = rect_grid(-6.0, 6.0, 13, 1.0 / n, 4.0, 10)
         zs = [z for z in grid.tolist() if edge_distance(z) ** 2 * z.imag >= 4.0 / n]
         for seed in seeds:
             spectrum = AnticommutatorSpectrum.from_pair(
@@ -741,9 +743,8 @@ def mrrr_scaling_oracle(n_list, seeds, k_by_run, n_re, n_im):
 
 
 def test_scaling_study_diagonalizes_each_pair_once(monkeypatch):
-    from aclaw.linearize import AnticommutatorSpectrum
 
-    n_list, seeds, n_re, n_im = (16, 32), (0, 1), 7, 6
+    n_list, seeds = (16, 32), (0, 1)
     eigh, from_pair = np.linalg.eigh, AnticommutatorSpectrum.from_pair.__func__
     calls = {"eigh": 0, "from_pair": 0}
 
@@ -758,15 +759,16 @@ def test_scaling_study_diagonalizes_each_pair_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(AnticommutatorSpectrum, "from_pair",
                         classmethod(counting_from_pair))
-    rep = scaling_law_study(n_list=n_list, seeds=seeds, k_spacing=4.0,
-                            n_re=n_re, n_im=n_im)
+    rep = scaling_law_study(n_list=n_list, seeds=seeds, k_spacing=4.0)
     assert calls == {"eigh": len(n_list) * len(seeds), "from_pair": 0}
     monkeypatch.undo()
     # K has the bits of construct_k's own diagonalization
     for (n, seed), k_stat in rep.k_by_run.items():
         pair = sample_pair(EnsembleSpec(n=n, ensemble="complex-gaussian", seed=seed))
-        assert k_stat == construct_k(build_linearization(pair), spacing=4.0)
-    medians, stars = mrrr_scaling_oracle(n_list, seeds, rep.k_by_run, n_re, n_im)
+        lin = build_linearization(pair)
+        spectrum = AnticommutatorSpectrum.from_linearization(lin)
+        assert k_stat == construct_k(lin, spectrum, spacing=4.0)
+    medians, stars = mrrr_scaling_oracle(n_list, seeds, rep.k_by_run)
     for n in n_list:
         np.testing.assert_allclose(rep.medians[n], medians[n], rtol=1e-10, atol=0.0)
     for key, star in stars.items():

@@ -1,11 +1,13 @@
 """Guard against options that no caller uses or varies.
 
 Every defaulted parameter of a function in ``src/aclaw`` must be passed, by
-keyword or by position, at some call site in ``src/``, ``tests/`` or
-``perfbench/``, and some call in ``src/`` or ``tests/`` must pass it as
-something other than its default's literal, unless ``perfbench/`` (the
-benchmark's fixed interface) passes it.  A value that no caller varies
-belongs in a constant or a literal, not in a signature.  Call sites are
+keyword or by position, at some call site in ``src/``, ``perfbench/`` or
+``tests/test_acceptance.py``, and some call in ``src/`` or
+``tests/test_acceptance.py`` must pass it as something other than its
+default's literal, unless ``perfbench/`` (the benchmark's fixed interface)
+passes it.  Calls in the unit tests do not count: a value that only a unit
+test varies, like one that no caller varies, belongs in a constant or a
+literal, not in a signature.  Call sites are
 matched by the callee's name (``f(...)`` or ``obj.f(...)``; ``Cls(...)``
 counts for ``Cls.__init__``), so a same-named function elsewhere can only
 hide a parameter, never flag one.
@@ -17,7 +19,9 @@ import ast
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-CALLER_DIRS = ("src", "tests", "perfbench")
+#: the files or directories whose calls count: the package, the benchmark
+#: and the acceptance criteria
+CALLERS = ("src", "perfbench", os.path.join("tests", "test_acceptance.py"))
 INTERFACE_DIR = "perfbench"
 
 #: a value the guard cannot read: a ``*``/``**`` splat that may pass the
@@ -26,8 +30,14 @@ _UNKNOWN = object()
 
 
 def _parsed(top):
-    """(path relative to the root, module tree) of every .py file under top."""
-    for dirpath, _, names in os.walk(os.path.join(ROOT, top)):
+    """(path relative to the root, module tree) of every .py file under top,
+    or of top itself when it is a file."""
+    path = os.path.join(ROOT, top)
+    if os.path.isfile(path):
+        with open(path, encoding="utf-8") as f:
+            yield top, ast.parse(f.read(), path)
+        return
+    for dirpath, _, names in os.walk(path):
         for name in sorted(names):
             if name.endswith(".py"):
                 path = os.path.join(dirpath, name)
@@ -139,16 +149,34 @@ def default_only(defining, calling, interface):
     return flagged
 
 
+def counted(files, tops):
+    """The trees of the (path, tree) pairs ``files`` that lie in one of the
+    files or directories ``tops``."""
+    return [tree for rel, tree in files
+            if any(rel == top or rel.startswith(top + os.sep) for top in tops)]
+
+
+def package_guards(files=None, defining=None):
+    """(unused, default-only) parameters of ``defining`` (default the
+    package) for the calls in ``files`` (default every .py file of
+    ``CALLERS``): only calls in ``CALLERS`` count, and calls in
+    ``INTERFACE_DIR`` exempt a parameter from the default-only rule."""
+    if files is None:
+        files = [pair for top in CALLERS for pair in _parsed(top)]
+    if defining is None:
+        defining = list(_parsed(os.path.join("src", "aclaw")))
+    varying = [top for top in CALLERS if top != INTERFACE_DIR]
+    return (unused_defaulted(defining, counted(files, CALLERS)),
+            default_only(defining, counted(files, varying),
+                         counted(files, [INTERFACE_DIR])))
+
+
 def package_unused():
-    calling = [tree for top in CALLER_DIRS for _, tree in _parsed(top)]
-    return unused_defaulted(_parsed(os.path.join("src", "aclaw")), calling)
+    return package_guards()[0]
 
 
 def package_default_only():
-    calling = [tree for top in CALLER_DIRS if top != INTERFACE_DIR
-               for _, tree in _parsed(top)]
-    interface = [tree for _, tree in _parsed(INTERFACE_DIR)]
-    return default_only(_parsed(os.path.join("src", "aclaw")), calling, interface)
+    return package_guards()[1]
 
 
 def test_every_defaulted_parameter_is_passed_somewhere():
@@ -183,6 +211,18 @@ def test_default_only_guard_reads_literals_splats_and_interface():
     interface = ast.parse("g(x=0)\n")
     assert default_only([("mod.py", defs)], [calls], [interface]) == [
         "mod.py:1 f(b=)", "mod.py:1 f(c=)", "mod.py:1 f(e=)", "mod.py:1 f(q=)"]
+
+
+def test_guard_counts_no_unit_test_call():
+    # f(b=) and g(x=) are varied only by a unit test, h(y=) by a criterion
+    defs = ast.parse("def f(a, b=1):\n    pass\n"
+                     "def g(x=0):\n    pass\n"
+                     "def h(y=0):\n    pass\n")
+    files = [("src/aclaw/cli.py", ast.parse("f(0)\ng(x=0)\n")),
+             ("tests/test_unit.py", ast.parse("f(0, b=2)\ng(x=1)\nh(y=0)\n")),
+             ("tests/test_acceptance.py", ast.parse("h(y=2)\n"))]
+    assert package_guards(files, [("mod.py", defs)]) == (
+        ["mod.py:1 f(b=)"], ["mod.py:3 g(x=)"])
 
 
 if __name__ == "__main__":
