@@ -5,9 +5,10 @@ outputs are written atomically (temp file + rename) and floats are emitted
 with 17 significant digits, so a rerun with the same seed at the same BLAS
 thread count is byte-identical.
 Exit codes: 0 success, 1 verification failure (some non-vacuous check has
-holds = false), 2 usage error or typed precondition refusal (an AclawError
-such as rho >= 1 or a degenerate cubic root), reported as one stderr line
-with no traceback.
+holds = false), 2 usage error, typed precondition refusal (an AclawError
+such as rho >= 1 or a degenerate cubic root) or a run whose arrays do not
+fit in memory (a MemoryError, such as a verify net of spacing 1e-4),
+reported as one stderr line with no traceback.
 
 Set ACLAW_THREADS to pin the BLAS thread count: ``main`` copies it into
 OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS (those already set
@@ -354,7 +355,7 @@ def _cmd_verify(args) -> int:
     from .locallaw import default_grid, verify_local_law
 
     grid = default_grid(args.n, args.tau, n_re=args.n_re, n_im=args.n_im)
-    rep = verify_local_law(_pair(args), z_grid=grid, tau=args.tau, theta=args.theta,
+    rep = verify_local_law(_pair(args), grid, tau=args.tau, theta=args.theta,
                            c_config=args.c_config, spacing=args.spacing)
     out = {
         "config": _base_config(args, ["n", "ensemble", "seed", "tau", "theta",
@@ -393,19 +394,12 @@ def _cmd_semicircle(args) -> int:
 
 
 def _cmd_deloc(args) -> int:
-    from .linearize import AnticommutatorSpectrum
-    from .locallaw import delocalization_check, empirical_k
+    from .locallaw import delocalization_check
 
-    pair = _pair(args)
-    # one eigendecomposition of {UV} serves both the law constant and the check
-    spectrum = AnticommutatorSpectrum.from_pair(pair)
-    k_stat = args.k_stat if args.k_stat is not None else empirical_k(
-        pair, c_config=args.c_config, spectrum=spectrum)
-    rep = delocalization_check(pair, k_stat=k_stat, c_config=args.c_config,
-                               spectrum=spectrum)
+    rep = delocalization_check(_pair(args), args.c_config, k_stat=args.k_stat)
     out = {
         "config": _base_config(args, ["n", "ensemble", "seed", "c_config"]),
-        "k_stat": k_stat, "rho": rep.rho,
+        "k_stat": rep.k_stat, "rho": rep.rho,
         "rows": [{"lam": r.lam, "sigma": r.sigma,
                   "max_component": r.max_component, "bound": r.bound,
                   "holds": r.holds} for r in rep.rows],
@@ -485,7 +479,7 @@ def main(argv=None) -> int:
         if getattr(args, "n", 2) < 2:
             raise ValueError(f"N must be >= 2, got {args.n}")
         return args.handler(args)
-    except AclawError as exc:
+    except (AclawError, MemoryError) as exc:
         print(f"aclaw {args.command}: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except (ValueError, KeyError) as exc:

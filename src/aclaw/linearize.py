@@ -712,45 +712,37 @@ def route_near_max(screen: np.ndarray, route) -> np.ndarray:
 class FluctuationNet:
     """Supremum of the fluctuation statistic over a net: ``k2`` is twice the
     observed maximum (the safety factor for net approximation).
-    ``per_point`` holds the Schur route's value at the screened top set and
-    the eigenbasis screen's (``_screen_net``) elsewhere (``route_near_max``)."""
+    ``per_point`` holds, for each point of the net, the Schur route's value
+    at the screened top set and the eigenbasis screen's (``_screen_net``)
+    elsewhere (``route_near_max``)."""
 
     k2: float
-    net: np.ndarray
     per_point: np.ndarray
 
 
-def fluctuation_sup(lin: Linearization, rect: tuple[float, float, float, float],
-                    spacing: float, spectrum: AnticommutatorSpectrum) -> FluctuationNet:
-    """Evaluate the fluctuation statistic on a uniform net of the rectangle
-    (re_min, re_max, im_min, im_max) and return twice the maximum.
+def fluctuation_sup(lin: Linearization, net: np.ndarray,
+                    spectrum: AnticommutatorSpectrum) -> FluctuationNet:
+    """Evaluate the fluctuation statistic at every point of ``net`` and
+    return twice the maximum.
 
     The whole net is screened at once by ``_screen_net``, which makes the
     resolvent's conditioning refusal at every point and certifies the
     eigenbasis once.  ``route_near_max`` then runs the Schur route
     ``resolvent_stats`` at the screened top set only, and refuses the pair
     where the route does not confirm the screen.
-    ``spectrum`` is the pair's ``AnticommutatorSpectrum.from_linearization``.
-    This function drops its reference to it once the net is screened, so a
-    caller that passes the spectrum without keeping it (``verify_local_law``)
-    frees it before the route runs.
-
-    The rectangle must lie within |Re z| <= 8, Im z >= 1/N.
+    ``net`` is a ``uniform_net`` of a rectangle within |Re z| <= 8,
+    Im z >= 1/N, which the caller builds before any eigendecomposition, so
+    that a bad spacing is refused first.  ``spectrum`` is the pair's
+    ``AnticommutatorSpectrum.from_linearization``.  This function drops its
+    reference to it once the net is screened, so a caller that passes the
+    spectrum without keeping it (``verify_local_law``) frees it before the
+    route runs.
     """
-    from .grids import uniform_net
-
-    re_min, re_max, im_min, im_max = rect
-    n = lin.n
-    if not (-8.0 <= re_min <= re_max <= 8.0):
-        raise ValueError("rectangle must satisfy |Re z| <= 8")
-    if im_min < 1.0 / n - 1e-12:
-        raise ValueError("rectangle must satisfy Im z >= 1/N")
-    net = uniform_net(re_min, re_max, im_min, im_max, spacing)
     screened = _screen_net(lin, net, spectrum)
     del spectrum
     vals = route_near_max(screened,
                           lambda j: resolvent_stats(lin, net[j]).fluct)
-    return FluctuationNet(k2=2.0 * float(vals.max()), net=net, per_point=vals)
+    return FluctuationNet(k2=2.0 * float(vals.max()), per_point=vals)
 
 
 @dataclass
@@ -775,9 +767,11 @@ class AnticommutatorSpectrum:
       (``scipy.linalg.eigh(driver="evr")``), which at N = 1024 on one BLAS
       thread takes about half the time of ``heevd`` and needs a smaller
       workspace; its eigenvectors are orthogonal to about 1e-12 at N = 256,
-      far below what the law and delocalization checks resolve.  ``deloc``
-      uses it.  scipy.linalg is imported on first use, which keeps it out of
-      every other command.
+      far below what the law and delocalization checks resolve.
+      ``delocalization_check``, the whole ``deloc`` command, builds it once,
+      after its argument checks, and reads both ``empirical_k``'s K and the
+      eigenvectors from it.  scipy.linalg is imported on first use, which
+      keeps it out of every other command.
     """
 
     evals: np.ndarray

@@ -160,20 +160,24 @@ def _grid_rows(points, n: int, tau: float, re_max: float, theta: float,
     return rows, theta_star, self_consistent_theta_star(rows, k_stat, n, factor)
 
 
-def verify_local_law(pair: WignerPair, z_grid=None, tau: float = 8.0,
+def verify_local_law(pair: WignerPair, z_grid, tau: float = 8.0,
                      theta: float = 1.0, c_config: float = 1.0,
                      spacing: float = 1.0) -> LocalLawReport:
-    """Verify the deterministic local-law implication on a grid.
+    """Verify the deterministic local-law implication at every point of
+    ``z_grid`` (the command's ``default_grid``).
 
     Computes K = twice the netted supremum of the fluctuation statistic over
     the rectangle, then evaluates max_i |G_i - M| against
     theta K / sqrt(N h Im z) at every grid point, flagging admissible-set
     membership, and reports the empirical star constant.
 
-    Only the net computes the fluctuation statistic.  ``fluctuation_sup``
-    screens the whole net in the eigenbasis of {UV} and runs the Schur
-    route ``resolvent_stats``, which must confirm the screen, only at the
-    screened top set (one point per pair in practice).  A grid row needs
+    The constants are checked and the net (``uniform_net`` of the
+    rectangle, which refuses a non-finite or non-positive spacing) is built
+    before any work on the pair, so a usage error costs no
+    eigendecomposition.  Only the net computes the fluctuation statistic.
+    ``fluctuation_sup`` screens the whole net in the eigenbasis of {UV} and
+    runs the Schur route ``resolvent_stats``, which must confirm the
+    screen, only at the screened top set (one point per pair in practice).  A grid row needs
     only the corner blocks G_i, 9N of the resolvent's 9N^2 entries, and
     ``grid_corner_blocks`` forms just those for the whole grid: per row the
     N x N inverse g = ({UV} - z)^-1, C g (2 N^3) and diagonal tiles of two
@@ -188,9 +192,9 @@ def verify_local_law(pair: WignerPair, z_grid=None, tau: float = 8.0,
     definitional product's digits.  (``semicircle_locallaw``'s rows keep a
     dense inverse for the same reason.)
 
-    Refuses pairs with max(|U|, |V|) > 4 (the theorem hypothesis),
-    non-finite tau or theta (a NaN constant would admit no row and pass
-    vacuously) and a non-finite or non-positive c_config.
+    Refuses non-finite tau or theta (a NaN constant would admit no row and
+    pass vacuously), a non-finite or non-positive c_config and, after the
+    net, pairs with max(|U|, |V|) > 4 (the theorem hypothesis).
     """
     _require_finite(tau=tau, theta=theta)
     _require_c_config(c_config)
@@ -198,16 +202,14 @@ def verify_local_law(pair: WignerPair, z_grid=None, tau: float = 8.0,
         raise ValueError("tau must be >= 8")
     if theta < 1.0:
         raise ValueError("theta must be >= 1")
+    n = pair.n
+    net = uniform_net(-8.0, 8.0, 1.0 / n, tau, spacing)
     lin = build_linearization(pair)
     if not lin.norms_ok:
         raise NormHypothesisError(
             f"max(|U|, |V|) = {max(lin.norm_u, lin.norm_v):.3f} exceeds 4")
-    n = pair.n
-    if z_grid is None:
-        z_grid = default_grid(n, tau)
     # not held here, so that the spectrum is freed before the route runs
-    k_stat = fluctuation_sup(lin, (-8.0, 8.0, 1.0 / n, tau), spacing,
-                             AnticommutatorSpectrum.from_linearization(lin)).k2
+    k_stat = fluctuation_sup(lin, net, AnticommutatorSpectrum.from_linearization(lin)).k2
     rho = 4.0 * c_config**2 * theta**2 * k_stat**2 / n
     zs = [complex(z) for z in z_grid]
     points = []
@@ -230,7 +232,8 @@ def construct_k(lin: Linearization, spectrum: AnticommutatorSpectrum,
     statistic over a uniform net of the rectangle |Re z| <= 8,
     1/N <= Im z <= 8, screened in ``spectrum``, the pair's
     ``AnticommutatorSpectrum.from_linearization``.  Always at least 2."""
-    return fluctuation_sup(lin, (-8.0, 8.0, 1.0 / lin.n, 8.0), spacing, spectrum).k2
+    return fluctuation_sup(lin, uniform_net(-8.0, 8.0, 1.0 / lin.n, 8.0, spacing),
+                           spectrum).k2
 
 
 def _law_at(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,25 +254,21 @@ def _scaled_deviations(spectrum: AnticommutatorSpectrum, zs: np.ndarray,
     return lhs * np.sqrt(n * h * zs.imag), h * h * zs.imag
 
 
-def empirical_k(pair: WignerPair, c_config: float = 1.0,
-                spectrum: AnticommutatorSpectrum | None = None) -> float:
+def empirical_k(spectrum: AnticommutatorSpectrum, c_config: float) -> float:
     """Smallest K (>= 2) satisfying the main-law property on a net:
     max_i |({UV} - z)^-1 (i,i) - m| <= K / sqrt(N h Im z) at every net point
-    with 4 c^2 K^2 / N <= h^2 Im z.  The net is the 17 x 12 grid of
-    |Re z| <= 8, 1/N <= Im z <= 8.
+    with 4 c^2 K^2 / N <= h^2 Im z, read from ``spectrum``, the pair's
+    eigendecomposition, with N its number of eigenvalues.  The net is the
+    17 x 12 grid of |Re z| <= 8, 1/N <= Im z <= 8.
 
     This is the desk-scale surrogate for the theorem's random constant: the
     netted fluctuation supremum times 2 dominates it but is typically
     far too large for the delocalization corollary's rho < 1 assumption at
     moderate N.  The acceptance condition is monotone in K, so the minimum
-    is found by scanning the candidate values.  ``spectrum`` is the pair's
-    eigendecomposition when the caller already holds it.  Refuses a
-    non-finite or non-positive c_config.
+    is found by scanning the candidate values.  ``delocalization_check``
+    refuses a bad c_config before it builds the spectrum.
     """
-    _require_c_config(c_config)
-    n = pair.n
-    if spectrum is None:
-        spectrum = AnticommutatorSpectrum.from_pair(pair)
+    n = spectrum.evals.size
     zs = rect_grid(-8.0, 8.0, 17, 1.0 / n, 8.0, 12)
     scaled, gate = _scaled_deviations(spectrum, zs, _law_at(zs), n)
     return _smallest_valid(scaled, gate, 4.0 * c_config**2, n, 1.0, 2.0)
@@ -315,6 +314,7 @@ class DelocalizationRow:
 
 @dataclass
 class DelocalizationReport:
+    k_stat: float
     rho: float
     rows: list
 
@@ -323,30 +323,32 @@ class DelocalizationReport:
         return all(r.holds for r in self.rows)
 
 
-def delocalization_check(pair: WignerPair, k_stat: float,
-                         c_config: float = 1.0,
-                         spectrum: AnticommutatorSpectrum | None = None
-                         ) -> DelocalizationReport:
+def delocalization_check(pair: WignerPair, c_config: float,
+                         k_stat: float | None = None) -> DelocalizationReport:
     """Check max_i |v(i)| <= sqrt(2 sigma) for every unit eigenvector of
     {UV} with |eigenvalue| <= 8, where sigma solves h^2 sigma = rho at
-    z = lambda + i sigma and rho = 4 c^2 K^2 / N.
+    z = lambda + i sigma and rho = 4 c^2 K^2 / N: the whole ``deloc``
+    command.
 
-    Refuses a non-finite or non-positive k_stat or c_config (each enters
-    only squared), and refuses when max(|U|, |V|) > 4 or rho >= 1 (the simplifying assumption
-    of the underlying bound).  ``spectrum`` is the pair's eigendecomposition
-    when the caller already holds it.
+    Refuses a non-finite or non-positive c_config or given k_stat (each
+    enters only squared) before any work.  Then it diagonalizes {UV} once
+    (``AnticommutatorSpectrum.from_pair``), takes K = ``empirical_k`` from
+    that spectrum unless k_stat is given, and refuses when
+    max(|U|, |V|) > 4 or rho >= 1 (the simplifying assumption of the
+    underlying bound).
     """
-    if not (math.isfinite(k_stat) and k_stat > 0):
+    if k_stat is not None and not (math.isfinite(k_stat) and k_stat > 0):
         raise ValueError(f"k_stat must be positive and finite, got {k_stat}")
     _require_c_config(c_config)
+    spectrum = AnticommutatorSpectrum.from_pair(pair)
+    if k_stat is None:
+        k_stat = empirical_k(spectrum, c_config)
     if not (norm_at_most(pair.u, 4.0) and norm_at_most(pair.v, 4.0)):
         raise NormHypothesisError("pair violates max(|U|, |V|) <= 4")
     n = pair.n
     rho = 4.0 * c_config**2 * k_stat**2 / n
     if rho >= 1.0:
         raise RhoPreconditionError(f"rho = {rho:.4f} >= 1; K too large at this N")
-    if spectrum is None:
-        spectrum = AnticommutatorSpectrum.from_pair(pair)
     keep = np.abs(spectrum.evals) <= 8.0
     lams = spectrum.evals[keep]
     sigmas = sigma_solve(lams, rho)
@@ -356,7 +358,7 @@ def delocalization_check(pair: WignerPair, k_stat: float,
         bound = math.sqrt(2.0 * sigma)
         rows.append(DelocalizationRow(lam=lam, sigma=sigma, max_component=mx,
                                       bound=bound, holds=mx <= bound))
-    return DelocalizationReport(rho=rho, rows=rows)
+    return DelocalizationReport(k_stat=k_stat, rho=rho, rows=rows)
 
 
 def figure1_data(rho_list, lam_step: float = 1e-2):

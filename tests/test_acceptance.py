@@ -26,7 +26,6 @@ from aclaw.linearize import (
 )
 from aclaw.locallaw import (
     delocalization_check,
-    empirical_k,
     scaling_law_study,
     semicircle_locallaw,
     sigma_solve,
@@ -240,8 +239,7 @@ def test_criterion_09_delocalization():
     for seed in range(10):
         pair = sample_pair(EnsembleSpec(n=128, ensemble="complex-gaussian",
                                         seed=9000 + seed))
-        k_emp = empirical_k(pair, c_config=1.0)
-        rep = delocalization_check(pair, k_stat=k_emp, c_config=1.0)
+        rep = delocalization_check(pair, c_config=1.0)
         ok &= rep.rho < 1
         for row in rep.rows:
             resid = abs(edge_distance(complex(row.lam, row.sigma)) ** 2

@@ -362,7 +362,8 @@ def test_law_density_csv(tmp_path):
 
 
 #: usage errors that the library function refuses, after the command has
-#: drawn its pair; every other case is refused before any pair is sampled
+#: drawn its pair but before any eigendecomposition; every other case is
+#: refused before any pair is sampled
 REFUSED_AFTER_SAMPLING = {
     "verify-theta-nan", "verify-c-nan", "verify-spacing-inf",
     "verify-c-config-negative", "verify-c-config-zero",
@@ -447,19 +448,54 @@ REFUSED_AFTER_SAMPLING = {
 @pytest.mark.filterwarnings("error")
 def test_usage_error_exit_code(tmp_path, capsys, monkeypatch, request, args):
     import aclaw.wigner
+    from aclaw.linearize import AnticommutatorSpectrum
 
     monkeypatch.chdir(tmp_path)  # relative side outputs land here too
     sample_pair, sampled = aclaw.wigner.sample_pair, []
     monkeypatch.setattr(aclaw.wigner, "sample_pair",
                         lambda spec: sampled.append(spec) or sample_pair(spec))
+    # no refusal pays for an eigendecomposition, of {UV} or of a norm
+    decomposed = []
+
+    def refused_first(name):
+        def decompose(*_, **__):
+            decomposed.append(name)
+            pytest.fail(f"{name} ran before the refusal")
+        return decompose
+
+    monkeypatch.setattr(np.linalg, "eigh", refused_first("eigh"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused_first("eigvalsh"))
+    monkeypatch.setattr(AnticommutatorSpectrum, "from_pair",
+                        classmethod(refused_first("from_pair")))
     out = tmp_path / "x.out"
     code = run_cli(args + ["--out", str(out)])
+    assert decomposed == []
     assert code == 2
     assert len(sampled) == (request.node.callspec.id in REFUSED_AFTER_SAMPLING)
     err = capsys.readouterr().err
     assert err.startswith(f"aclaw {args[0]}: ")
     assert "Traceback" not in err and "Warning" not in err
     assert list(tmp_path.iterdir()) == []  # no partial output
+
+
+def test_memory_error_is_refused(tmp_path, capsys, monkeypatch):
+    # verify --N 8 --spacing 1e-4 asks numpy for a 188 GiB net, (78751,
+    # 160001) complex; the allocation's MemoryError is a refusal (exit 2),
+    # not a failed verification (exit 1) with a traceback.  The net builder
+    # raises it here, at the default spacing, so nothing large is allocated
+    from aclaw import locallaw
+
+    def too_large(*_):
+        raise MemoryError("Unable to allocate 188. GiB for an array with shape "
+                          "(78751, 160001) and data type complex128")
+
+    monkeypatch.setattr(locallaw, "uniform_net", too_large)
+    code = run_cli(["verify", "--N", "8", "--out", str(tmp_path / "v.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == ("aclaw verify: Unable to allocate 188. GiB for an array with "
+                   "shape (78751, 160001) and data type complex128\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_value_error_prints_the_subcommand_usage(tmp_path, capsys):

@@ -426,13 +426,13 @@ def test_block_route_inverts_3n_only_to_cross_check(monkeypatch, n, direct):
 
 def test_fluctuation_sup_monotone_in_refinement():
     lin = build_linearization(random_pair(32, 5))
-    rect = (-2.0, 2.0, 1.0 / 32, 2.0)
-    coarse = own_sup(lin, rect, spacing=1.0)
-    fine = own_sup(lin, rect, spacing=0.5)
+    coarse_net = uniform_net(-2.0, 2.0, 1.0 / 32, 2.0, 1.0)
+    fine_net = uniform_net(-2.0, 2.0, 1.0 / 32, 2.0, 0.5)
+    coarse, fine = own_sup(lin, coarse_net), own_sup(lin, fine_net)
     assert fine.k2 / 2 >= coarse.k2 / 2 - 1e-12
     assert coarse.k2 >= 2.0
     assert math.isfinite(coarse.k2)
-    assert len(fine.net) > len(coarse.net)
+    assert len(fine_net) > len(coarse_net)
 
 
 def test_fluctuation_lipschitz_budget():
@@ -441,8 +441,8 @@ def test_fluctuation_lipschitz_budget():
     n = 16
     budget = 16**3.5 * 0.5
     lin = build_linearization(random_pair(n, 9))
-    net = own_sup(lin, (-2.0, 2.0, 0.5, 2.0), spacing=0.5)
-    pts, vals = net.net, net.per_point
+    pts = uniform_net(-2.0, 2.0, 0.5, 2.0, 0.5)
+    vals = own_sup(lin, pts).per_point
     worst = 0.0
     for a in range(len(pts)):
         for b in range(a + 1, len(pts)):
@@ -509,11 +509,10 @@ def test_eigenbasis_gram_identities(ensemble, n):
     assert norm(diff) <= 1e-12 * max(1.0, norm(lin.anticommutator))
 
 
-def own_sup(lin, rect, spacing):
+def own_sup(lin, net):
     """``fluctuation_sup`` in the pair's own spectrum, as ``verify_local_law``
     calls it."""
-    return fluctuation_sup(lin, rect, spacing,
-                           AnticommutatorSpectrum.from_linearization(lin))
+    return fluctuation_sup(lin, net, AnticommutatorSpectrum.from_linearization(lin))
 
 
 def screen_net(lin, net):
@@ -526,15 +525,16 @@ def net_case(pair, route):
     """The screened net of the full rectangle, the Schur route's value, the
     screen's value and ``route``'s value (the oracle) at every net point."""
     lin = build_linearization(pair)
-    fs = own_sup(lin, (-8.0, 8.0, 1.0 / pair.n, 8.0), spacing=4.0)
+    net = uniform_net(-8.0, 8.0, 1.0 / pair.n, 8.0, 4.0)
+    fs = own_sup(lin, net)
 
     def values(name):
         stats = {"schur": resolvent_stats,
                  "minor": lambda lin, z: minor_stats(lin, z)[0]}[name]
-        return np.array([stats(lin, z).fluct for z in fs.net])
+        return np.array([stats(lin, z).fluct for z in net])
 
     schur = values("schur")
-    screen = screen_net(lin, fs.net)
+    screen = screen_net(lin, net)
     return fs, schur, screen, schur if route == "schur" else values(route)
 
 
@@ -630,11 +630,11 @@ def test_screen_matches_route_property(n, ensemble, seed, spacing):
 def test_screen_matches_route_at_scaling_size():
     # the scaling study screens N = 256; spacing 8 keeps the route to 6 points
     lin = build_linearization(random_pair(256, 1))
-    fs = own_sup(lin, (-8.0, 8.0, 1.0 / 256, 8.0), spacing=8.0)
-    assert len(fs.net) == 6
-    route = np.array([resolvent_stats(lin, z).fluct for z in fs.net])
-    assert fs.k2 == 2.0 * route.max()
-    np.testing.assert_allclose(screen_net(lin, fs.net), route,
+    net = uniform_net(-8.0, 8.0, 1.0 / 256, 8.0, 8.0)
+    assert len(net) == 6
+    route = np.array([resolvent_stats(lin, z).fluct for z in net])
+    assert own_sup(lin, net).k2 == 2.0 * route.max()
+    np.testing.assert_allclose(screen_net(lin, net), route,
                                rtol=1e-12, atol=0.0)
 
 
@@ -647,7 +647,7 @@ def test_screen_refuses_clustered_spectrum(monkeypatch):
     monkeypatch.setattr(linearize, "_eigenbasis",
                         lambda *args: pytest.fail("P built for a refused net"))
     with pytest.raises(IllConditionedError, match="256 eigenvalue pairs"):
-        own_sup(lin, (-8.0, 8.0, 1.0 / 16, 8.0), spacing=4.0)
+        own_sup(lin, uniform_net(-8.0, 8.0, 1.0 / 16, 8.0, 4.0))
     assert stats == []
 
 
@@ -700,15 +700,14 @@ def count_calls(monkeypatch, name):
 
 def test_screen_error_at_maximum_refuses(monkeypatch):
     lin = build_linearization(random_pair(32, 3))
-    rect = (-8.0, 8.0, 1.0 / 32, 8.0)
-    exact = own_sup(lin, rect, spacing=2.0)
-    top = exact.net[np.argmax(exact.per_point)]
+    net = uniform_net(-8.0, 8.0, 1.0 / 32, 8.0, 2.0)
+    top = net[np.argmax(own_sup(lin, net).per_point)]
     screen = linearize._screen_net
     monkeypatch.setattr(linearize, "_screen_net", lambda lin_, net, spectrum: (
         screen(lin_, net, spectrum) * (1.0 + 1e-3 * (net == top))))
     stats = count_calls(monkeypatch, "resolvent_stats")
     with pytest.raises(IllConditionedError, match="differs from its screen"):
-        own_sup(lin, rect, spacing=2.0)
+        own_sup(lin, net)
     # one evaluation at the (inflated) screened maximum, and no other
     assert stats == [top]
 
@@ -770,8 +769,9 @@ def test_screen_certifies_each_pair_once(monkeypatch, n):
         return inv(a)
 
     monkeypatch.setattr(np.linalg, "inv", counting)
-    fs = own_sup(lin, (-8.0, 8.0, 1.0 / n, 8.0), spacing=4.0)
-    assert etas == [fs.net.imag.min()] == [1.0 / n]
+    net = uniform_net(-8.0, 8.0, 1.0 / n, 8.0, 4.0)
+    own_sup(lin, net)
+    assert etas == [net.imag.min()] == [1.0 / n]
     assert (3 * n, 3 * n) not in shapes
 
 
@@ -788,12 +788,12 @@ def test_screen_refuses_an_uncertified_eigenbasis(monkeypatch):
     # |Q*Q - I| = 2e-6 puts the bound far above 1e-8: the screen refuses
     # before any route runs, and the unscaled spectrum passes
     lin = build_linearization(random_pair(16, 1))
-    rect = (-8.0, 8.0, 1.0 / 16, 8.0)
+    net = uniform_net(-8.0, 8.0, 1.0 / 16, 8.0, 4.0)
     stats = count_calls(monkeypatch, "resolvent_stats")
     with pytest.raises(IllConditionedError, match="eigenbasis error bound"):
-        fluctuation_sup(lin, rect, 4.0, scaled_eigenvector_spectrum(lin))
+        fluctuation_sup(lin, net, scaled_eigenvector_spectrum(lin))
     assert stats == []
-    fluctuation_sup(lin, rect, 4.0, scaled_eigenvector_spectrum(lin, 1.0))
+    fluctuation_sup(lin, net, scaled_eigenvector_spectrum(lin, 1.0))
 
 
 def test_screen_keeps_conditioning_refusal(monkeypatch):
@@ -801,16 +801,8 @@ def test_screen_keeps_conditioning_refusal(monkeypatch):
     monkeypatch.setattr(linearize, "COND_LIMIT", 1.0)
     stats = count_calls(monkeypatch, "resolvent_stats")
     with pytest.raises(IllConditionedError):
-        own_sup(lin, (-8.0, 8.0, 1.0 / 16, 8.0), spacing=4.0)
+        own_sup(lin, uniform_net(-8.0, 8.0, 1.0 / 16, 8.0, 4.0))
     assert stats == []  # refused by the screen, before any route ran
-
-
-def test_fluctuation_sup_rect_validation():
-    lin = build_linearization(random_pair(8, 1))
-    with pytest.raises(ValueError):
-        own_sup(lin, (-9.0, 0.0, 0.5, 1.0), spacing=0.5)
-    with pytest.raises(ValueError):
-        own_sup(lin, (-1.0, 1.0, 0.01, 1.0), spacing=0.5)
 
 
 def test_gauge_bound_from_statistics():

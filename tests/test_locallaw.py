@@ -50,7 +50,8 @@ def test_default_grid_shape():
 
 def test_verify_local_law_report_invariants():
     pair = sample_pair(EnsembleSpec(n=32, ensemble="complex-gaussian", seed=3))
-    rep = verify_local_law(pair, tau=8.0, theta=1.0, c_config=1.0, spacing=2.0)
+    rep = verify_local_law(pair, default_grid(32), tau=8.0, theta=1.0, c_config=1.0,
+                           spacing=2.0)
     assert rep.k_stat >= 2.0
     assert rep.rho == pytest.approx(4 * rep.k_stat**2 / 32)
     for row in rep.rows:
@@ -72,22 +73,23 @@ def test_verify_refuses_large_norms():
     base = sample_pair(spec)
     pair = WignerPair(u=10.0 * base.u, v=base.v, spec=spec)
     with pytest.raises(NormHypothesisError):
-        verify_local_law(pair)
+        verify_local_law(pair, default_grid(16))
 
 
 def test_verify_flags_degenerate_pair():
     spec = EnsembleSpec(n=8, ensemble="complex-gaussian", seed=0)
     z = np.zeros((8, 8), dtype=complex)
-    rep = verify_local_law(WignerPair(u=z, v=z.copy(), spec=spec), spacing=4.0)
+    rep = verify_local_law(WignerPair(u=z, v=z.copy(), spec=spec), default_grid(8),
+                           spacing=4.0)
     assert rep.degenerate
 
 
 def test_verify_parameter_validation():
     pair = sample_pair(EnsembleSpec(n=8, seed=0))
     with pytest.raises(ValueError):
-        verify_local_law(pair, tau=4.0)
+        verify_local_law(pair, default_grid(8), tau=4.0)
     with pytest.raises(ValueError):
-        verify_local_law(pair, theta=0.5)
+        verify_local_law(pair, default_grid(8), theta=0.5)
 
 
 def test_construct_k_properties():
@@ -103,12 +105,11 @@ def test_construct_k_properties():
 
 def test_empirical_k_self_consistent():
     pair = sample_pair(EnsembleSpec(n=64, ensemble="complex-gaussian", seed=2))
-    k = empirical_k(pair, c_config=1.0)
+    spectrum = AnticommutatorSpectrum.from_pair(pair)
+    k = empirical_k(spectrum, 1.0)
     assert k >= 2.0
     # re-verify the defining property on the same net
     from aclaw.freelaw import m_ac
-    from aclaw.grids import rect_grid
-    spectrum = AnticommutatorSpectrum.from_pair(pair)
     thresh = 4.0 * k**2 / 64
     for z in rect_grid(-8, 8, 17, 1 / 64, 8.0, 12):
         z = complex(z)
@@ -207,8 +208,8 @@ def test_figure1_validates_rho():
 
 def test_delocalization_small_run():
     pair = sample_pair(EnsembleSpec(n=64, ensemble="complex-gaussian", seed=7))
-    k = empirical_k(pair)
-    rep = delocalization_check(pair, k_stat=k, c_config=0.5)
+    rep = delocalization_check(pair, 0.5)
+    assert rep.k_stat == empirical_k(AnticommutatorSpectrum.from_pair(pair), 0.5)
     assert rep.rho < 1
     assert len(rep.rows) > 0
     assert rep.all_hold
@@ -216,18 +217,6 @@ def test_delocalization_small_run():
         assert abs(row.lam) <= 8.0
         assert rep.rho - 1e-12 <= row.sigma <= rep.rho ** (1 / 3) + 1e-12
         assert row.bound == pytest.approx(math.sqrt(2 * row.sigma))
-
-
-def test_shared_spectrum_changes_nothing():
-    pair = sample_pair(EnsembleSpec(n=64, ensemble="complex-gaussian", seed=7))
-    spectrum = AnticommutatorSpectrum.from_pair(pair)
-    k_own = empirical_k(pair)
-    k_shared = empirical_k(pair, spectrum=spectrum)
-    assert k_shared == k_own
-    own = delocalization_check(pair, k_stat=k_own, c_config=0.5)
-    shared = delocalization_check(pair, k_stat=k_shared, c_config=0.5,
-                                  spectrum=spectrum)
-    assert shared == own
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -437,8 +426,7 @@ def test_verify_local_law_never_builds_w(monkeypatch):
 
     monkeypatch.setattr(locallaw, "build_linearization", capturing)
     pair = sample_pair(EnsembleSpec(n=16, ensemble="complex-gaussian", seed=1))
-    verify_local_law(pair, z_grid=default_grid(16, 8.0, n_re=5, n_im=4),
-                     spacing=4.0)
+    verify_local_law(pair, default_grid(16, 8.0, n_re=5, n_im=4), spacing=4.0)
     assert len(built) == 1
     assert "w" not in built[0].__dict__
 
@@ -458,7 +446,7 @@ def test_verify_local_law_forms_r_only_where_the_route_runs(monkeypatch):
 
         monkeypatch.setattr(linearize, name, counting)
     pair = sample_pair(EnsembleSpec(n=24, ensemble="complex-gaussian", seed=3))
-    rep = verify_local_law(pair, spacing=2.0)
+    rep = verify_local_law(pair, default_grid(24), spacing=2.0)
     assert len(rep.rows) == 130
     assert calls == {"generalized_resolvent": 1, "resolvent_stats": 1}
 
@@ -653,7 +641,7 @@ def test_semicircle_screens_only_its_net(monkeypatch):
 def test_delocalization_rho_refusal():
     pair = sample_pair(EnsembleSpec(n=16, ensemble="complex-gaussian", seed=7))
     with pytest.raises(RhoPreconditionError):
-        delocalization_check(pair, k_stat=100.0)
+        delocalization_check(pair, 1.0, k_stat=100.0)
 
 
 def test_construct_k_concentrates_across_seeds():

@@ -17,8 +17,10 @@ an oracle, which belongs in ``tests/``, or dead code.
 
 Every field of a dataclass in ``src/aclaw`` must also be read as an
 attribute (``obj.field`` in a load) somewhere in ``src/``, ``tests/`` or
-``perfbench/``, matched by name in the same way.  A field that is only
-ever written is a value computed for nobody.
+``perfbench/``, matched by name in the same way, except that a read
+through ``args``, the name the CLI and the benchmark give their argparse
+namespaces, does not count: ``args.tau`` reads an option, not a report's
+``tau``.  A field that is only ever written is a value computed for nobody.
 
     python tests/test_reachability.py    # list the definitions and fields it flags
 """
@@ -144,10 +146,16 @@ def _is_dataclass(cls):
                for t in targets)
 
 
+#: the receiver that names an argparse namespace, never a dataclass
+NAMESPACE = "args"
+
+
 def attribute_reads(trees):
-    """The names read as attributes (``obj.name`` in a load) in ``trees``."""
+    """The names read as attributes (``obj.name`` in a load) in ``trees``,
+    other than through ``NAMESPACE``."""
     return {sub.attr for tree in trees for sub in ast.walk(tree)
-            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+            and not (isinstance(sub.value, ast.Name) and sub.value.id == NAMESPACE)}
 
 
 def unread_fields(modules, readers):
@@ -229,6 +237,7 @@ def test_field_guard_counts_only_attribute_loads():
         "    written: float\n"
         "    named: float\n"
         "    extra: list = field(default_factory=list)\n"
+        "    tau: float\n"
         "@dataclasses.dataclass(frozen=True)\n"
         "class Frozen:\n"
         "    kept: int\n"
@@ -236,12 +245,13 @@ def test_field_guard_counts_only_attribute_loads():
         "class Plain:\n"
         "    ignored: int\n")
     readers = ast.parse(
-        "rep = Report(value=1.0, written=2.0, named=3.0)\n"
+        "rep = Report(value=1.0, written=2.0, named=3.0, tau=args.tau)\n"
         "rep.written = 4.0\n"
         "named = 'named'\n"
         "print(rep.value, rep.extra, Frozen(1, 2).kept)\n")
     assert unread_fields([("mod.py", mod)], [mod, readers]) == [
-        "mod.py:6 Report.written", "mod.py:7 Report.named", "mod.py:12 Frozen.unread"]
+        "mod.py:6 Report.written", "mod.py:7 Report.named", "mod.py:9 Report.tau",
+        "mod.py:13 Frozen.unread"]
 
 
 if __name__ == "__main__":

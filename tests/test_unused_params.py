@@ -5,7 +5,11 @@ keyword or by position, at some call site in ``src/``, ``perfbench/`` or
 ``tests/test_acceptance.py``, and some call in ``src/`` or
 ``tests/test_acceptance.py`` must pass it as something other than its
 default's literal, unless ``perfbench/`` (the benchmark's fixed interface)
-passes it.  Calls in the unit tests do not count: a value that only a unit
+passes it.  A parameter whose default is None must also be left at that
+default, by omitting it or passing the literal None, by some call in
+``src/``, ``perfbench/`` or ``tests/test_acceptance.py``: a None default
+selects a branch, and a branch that only unit tests take is a fork to
+delete.  Calls in the unit tests do not count: a value that only a unit
 test varies, like one that no caller varies, belongs in a constant or a
 literal, not in a signature.  Call sites are
 matched by the callee's name (``f(...)`` or ``obj.f(...)``; ``Cls(...)``
@@ -149,6 +153,26 @@ def default_only(defining, calling, interface):
     return flagged
 
 
+def _is_none(node):
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def none_untaken(defining, calling):
+    """``file:line name(param=)`` for each parameter defaulting to None that
+    no call in ``calling`` leaves at None: every call passes an expression
+    other than the literal None (a splat may leave it, so it counts)."""
+    sites = _call_sites(calling)
+    flagged = []
+    for rel, tree in defining:
+        for name, line, param, index, default in _defaulted(tree):
+            if not _is_none(default):
+                continue
+            args = (_argument(call, param, index) for call in sites.get(name, ()))
+            if not any(a is None or a is _UNKNOWN or _is_none(a) for a in args):
+                flagged.append(f"{rel}:{line} {name}({param}=)")
+    return flagged
+
+
 def counted(files, tops):
     """The trees of the (path, tree) pairs ``files`` that lie in one of the
     files or directories ``tops``."""
@@ -157,18 +181,20 @@ def counted(files, tops):
 
 
 def package_guards(files=None, defining=None):
-    """(unused, default-only) parameters of ``defining`` (default the
-    package) for the calls in ``files`` (default every .py file of
-    ``CALLERS``): only calls in ``CALLERS`` count, and calls in
+    """(unused, default-only, None-untaken) parameters of ``defining``
+    (default the package) for the calls in ``files`` (default every .py
+    file of ``CALLERS``): only calls in ``CALLERS`` count, and calls in
     ``INTERFACE_DIR`` exempt a parameter from the default-only rule."""
     if files is None:
         files = [pair for top in CALLERS for pair in _parsed(top)]
     if defining is None:
         defining = list(_parsed(os.path.join("src", "aclaw")))
     varying = [top for top in CALLERS if top != INTERFACE_DIR]
-    return (unused_defaulted(defining, counted(files, CALLERS)),
+    callers = counted(files, CALLERS)
+    return (unused_defaulted(defining, callers),
             default_only(defining, counted(files, varying),
-                         counted(files, [INTERFACE_DIR])))
+                         counted(files, [INTERFACE_DIR])),
+            none_untaken(defining, callers))
 
 
 def package_unused():
@@ -177,6 +203,10 @@ def package_unused():
 
 def package_default_only():
     return package_guards()[1]
+
+
+def package_none_untaken():
+    return package_guards()[2]
 
 
 def test_every_defaulted_parameter_is_passed_somewhere():
@@ -188,6 +218,12 @@ def test_every_passed_parameter_is_varied_somewhere():
     fixed = package_default_only()
     assert not fixed, ("defaulted parameters that every call passes as the "
                        "default:\n" + "\n".join(fixed))
+
+
+def test_every_none_default_is_taken_somewhere():
+    untaken = package_none_untaken()
+    assert not untaken, ("None defaults that no command, benchmark or criterion "
+                         "call leaves at None:\n" + "\n".join(untaken))
 
 
 def test_guard_matches_keyword_position_splat_and_constructor():
@@ -222,8 +258,27 @@ def test_guard_counts_no_unit_test_call():
              ("tests/test_unit.py", ast.parse("f(0, b=2)\ng(x=1)\nh(y=0)\n")),
              ("tests/test_acceptance.py", ast.parse("h(y=2)\n"))]
     assert package_guards(files, [("mod.py", defs)]) == (
-        ["mod.py:1 f(b=)"], ["mod.py:3 g(x=)"])
+        ["mod.py:1 f(b=)"], ["mod.py:3 g(x=)"], [])
+
+
+def test_none_guard_reads_omission_literal_none_and_splats():
+    # a None default is taken by omitting it, passing None or a splat;
+    # f(b=) and h(w=) are always given a value, k(v=) is never called, and a
+    # unit test's call does not count
+    defs = ast.parse(
+        "def f(a, b=None, c=None, d=None, e=None):\n    pass\n"
+        "def g(x=None, *, y=None):\n    pass\n"
+        "def h(w=None):\n    pass\n"
+        "def k(v=None):\n    pass\n"
+        "def m(u=0):\n    pass\n")
+    files = [("src/aclaw/cli.py",
+              ast.parse("f(0, args.b, c=None)\nf(0, 1, d=k_)\ng(*xs)\ng(y=None)\n"
+                        "h(w=args.w)\nm()\n")),
+             ("perfbench/run.py", ast.parse("f(0, b=2, e=3, **opts)\n")),
+             ("tests/test_unit.py", ast.parse("h()\n"))]
+    assert package_guards(files, [("mod.py", defs)])[2] == [
+        "mod.py:1 f(b=)", "mod.py:5 h(w=)", "mod.py:7 k(v=)"]
 
 
 if __name__ == "__main__":
-    print("\n".join(package_unused() + package_default_only()))
+    print("\n".join(sum(package_guards(), [])))
