@@ -203,16 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spec(args):
-    from .wigner import EnsembleSpec
-
-    return EnsembleSpec(n=args.n, ensemble=args.ensemble, seed=args.seed)
-
-
 def _pair(args):
-    from .wigner import sample_pair
+    from .wigner import EnsembleSpec, sample_pair
 
-    return sample_pair(_spec(args))
+    return sample_pair(EnsembleSpec(n=args.n, ensemble=args.ensemble,
+                                    seed=args.seed))
 
 
 def _cmd_law(args) -> int:
@@ -377,11 +372,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_semicircle(args) -> int:
     from .locallaw import semicircle_locallaw
-    from .wigner import _sample_hermitian
 
-    # the pair's U, stream 0, without drawing V
-    rep = semicircle_locallaw(_sample_hermitian(_spec(args), 0), tau=args.tau,
-                              theta_user=args.theta_user, spacing=args.spacing)
+    rep = semicircle_locallaw(_pair(args).u, tau=args.tau, theta_user=args.theta_user,
+                              spacing=args.spacing)
     out = {
         "config": _base_config(args, ["n", "ensemble", "seed", "tau",
                                       "theta_user", "spacing"]),

@@ -289,10 +289,6 @@ def _eigenbasis(lin: Linearization, spectrum: AnticommutatorSpectrum
     return spectrum.evals, np.stack([q, -(lin.a @ q), lin.b @ q])
 
 
-#: columns of E (rows of F) per block of ``_eigenbasis_defect``
-_CERT_BLOCK = 64
-
-
 def _eigenbasis_defect(matrix: np.ndarray, evals: np.ndarray, evecs: np.ndarray,
                        eta: float) -> float:
     """|F| + |E| sqrt(1 + |F|) / eta (Frobenius norms) for an
@@ -302,21 +298,13 @@ def _eigenbasis_defect(matrix: np.ndarray, evals: np.ndarray, evecs: np.ndarray,
     E diag(d) Q*, so |gt - g| <= |g| times this for any square Q at every z
     with Im z >= eta, g = (matrix - z)^-1.  This is the certificate of the
     k = 1 eigenbasis (``semicircle_locallaw``); the k = 3 screen's scales it
-    by |C|^2 (``_eigenbasis_error_bound``).  E's columns and F's rows are formed
-    ``_CERT_BLOCK`` at a time, so no N x N temporary is made.  Two N x N
-    products (0.4 s at N = 1024, one BLAS thread)."""
-    e2 = f2 = 0.0
-    for lo in range(0, evals.size, _CERT_BLOCK):
-        cols = slice(lo, lo + _CERT_BLOCK)
-        q = evecs[:, cols]
-        f = q.conj().T @ evecs                  # rows cols of Q*Q
-        j = np.arange(q.shape[1])
-        f[j, lo + j] -= 1.0
-        f2 += np.vdot(f, f).real
-        e = matrix @ q - q * evals[cols]
-        e2 += np.vdot(e, e).real
-    f = math.sqrt(f2)
-    return f + math.sqrt(e2) * math.sqrt(1.0 + f) / eta
+    by |C|^2 (``_eigenbasis_error_bound``).  Two N x N products (0.4 s at
+    N = 1024, one BLAS thread)."""
+    f = evecs.conj().T @ evecs
+    f[np.diag_indices(evals.size)] -= 1.0
+    f = float(np.linalg.norm(f))
+    e = float(np.linalg.norm(matrix @ evecs - evecs * evals))
+    return f + e * math.sqrt(1.0 + f) / eta
 
 
 def _check_eigenbasis(bound: float, eta: float) -> None:

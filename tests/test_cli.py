@@ -11,7 +11,6 @@ import pytest
 
 import aclaw
 from aclaw.cli import atomic_write, dump_json, main
-from aclaw.wigner import ENSEMBLES
 
 
 def run_cli(args):
@@ -347,27 +346,6 @@ def test_semicircle_refuses_an_uncertified_eigenbasis(tmp_path, capsys, monkeypa
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("ensemble", sorted(ENSEMBLES))
-def test_semicircle_draws_only_u(tmp_path, monkeypatch, ensemble):
-    # the matrix the command checks is the pair's U, bit for bit, and V
-    # (stream 1) is never drawn
-    from aclaw import locallaw, wigner
-
-    checked, streams = [], []
-    run = locallaw.semicircle_locallaw
-    monkeypatch.setattr(locallaw, "semicircle_locallaw",
-                        lambda x, **kw: checked.append(x) or run(x, **kw))
-    draw = wigner._sample_hermitian
-    monkeypatch.setattr(wigner, "_sample_hermitian",
-                        lambda spec, stream: streams.append(stream) or draw(spec, stream))
-    out = tmp_path / "semicircle.json"
-    run_cli(["semicircle", "--N", "8", "--seed", "3", "--ensemble", ensemble,
-             "--spacing", "4.0", "--out", str(out)])
-    assert streams == [0]
-    u = wigner.sample_pair(wigner.EnsembleSpec(n=8, ensemble=ensemble, seed=3)).u
-    assert len(checked) == 1 and checked[0].tobytes() == u.tobytes()
-
-
 def test_typed_refusals_share_one_base():
     from aclaw.errors import AclawError
     from aclaw.freelaw import DegenerateRootError
@@ -495,10 +473,9 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch, request, args):
     from aclaw.linearize import AnticommutatorSpectrum
 
     monkeypatch.chdir(tmp_path)  # relative side outputs land here too
-    # every draw of a pair or of its U alone goes through the one sampler
-    sample, sampled = aclaw.wigner._sample_hermitian, []
-    monkeypatch.setattr(aclaw.wigner, "_sample_hermitian",
-                        lambda spec, stream: sampled.append(spec) or sample(spec, stream))
+    sample_pair, sampled = aclaw.wigner.sample_pair, []
+    monkeypatch.setattr(aclaw.wigner, "sample_pair",
+                        lambda spec: sampled.append(spec) or sample_pair(spec))
     # no refusal pays for an eigendecomposition, of {UV} or of a norm
     decomposed = []
 
@@ -516,7 +493,7 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch, request, args):
     code = run_cli(args + ["--out", str(out)])
     assert decomposed == []
     assert code == 2
-    assert bool(sampled) == (request.node.callspec.id in REFUSED_AFTER_SAMPLING)
+    assert len(sampled) == (request.node.callspec.id in REFUSED_AFTER_SAMPLING)
     err = capsys.readouterr().err
     assert err.startswith(f"aclaw {args[0]}: ")
     assert "Traceback" not in err and "Warning" not in err
