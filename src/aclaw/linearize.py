@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -277,56 +277,6 @@ def grid_corner_blocks(lin: Linearization, zs) -> np.ndarray:
     return out
 
 
-def _eigenbasis(lin: Linearization, spectrum: AnticommutatorSpectrum
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, P): {UV} = Q diag(lam) Q* and P = [Q, -aQ, bQ], so that
-    R = P diag(1/(lam - z)) P* + diag(0, I, -I), from the pair's
-    ``spectrum`` (``AnticommutatorSpectrum.from_linearization``: numpy's
-    ``heevd`` keeps Q orthogonal to about 5e-15; MRRR, as in ``from_pair``:
-    1e-12).  Not cached on the pair: held through the route, P would raise
-    the peak."""
-    q = spectrum.evecs
-    return spectrum.evals, np.stack([q, -(lin.a @ q), lin.b @ q])
-
-
-def _eigenbasis_defect(matrix: np.ndarray, evals: np.ndarray, evecs: np.ndarray,
-                       eta: float) -> float:
-    """|F| + |E| sqrt(1 + |F|) / eta (Frobenius norms) for an
-    eigendecomposition matrix = Q diag(lam) Q* of a Hermitian matrix, with
-    E = matrix Q - Q diag(lam) and F = Q*Q - I as computed.  With
-    gt = Q diag(d) Q*, d = 1/(lam - z), (matrix - z) gt = I + (QQ* - I) +
-    E diag(d) Q*, so |gt - g| <= |g| times this for any square Q at every z
-    with Im z >= eta, g = (matrix - z)^-1.  This is the certificate of the
-    k = 1 eigenbasis (``semicircle_locallaw``); the k = 3 screen's scales it
-    by |C|^2 (``_eigenbasis_error_bound``).  Two N x N products (0.4 s at
-    N = 1024, one BLAS thread)."""
-    f = evecs.conj().T @ evecs
-    f[np.diag_indices(evals.size)] -= 1.0
-    f = float(np.linalg.norm(f))
-    e = float(np.linalg.norm(matrix @ evecs - evecs * evals))
-    return f + e * math.sqrt(1.0 + f) / eta
-
-
-def _check_eigenbasis(bound: float, eta: float) -> None:
-    """Refuse an eigenbasis whose certificate ``bound`` at Im z = eta
-    exceeds 1e-8 (or is NaN)."""
-    if not bound <= 1e-8:
-        raise IllConditionedError(
-            f"eigenbasis error bound {bound:.3e} exceeds 1e-8 at Im z = {eta}")
-
-
-def _eigenbasis_error_bound(lin: Linearization, spectrum: AnticommutatorSpectrum,
-                            eta: float) -> float:
-    """A bound on |Rt - R| / |R| at every z with Im z >= eta, for the
-    screen's Rt = P diag(d) P* + D = C gt C* + D (C = [I; -a; b],
-    gt = Q diag(d) Q*) against R = C g C* + D: ``_eigenbasis_defect`` of
-    {UV} bounds |gt - g| / |g|, and |C|^2 <= 1 + |U|^2 + |V|^2, |R| >= |g|.
-    It takes E and F as computed and leaves the screen's arithmetic past P
-    unbounded."""
-    return (1.0 + lin.norm_u**2 + lin.norm_v**2) * _eigenbasis_defect(
-        lin.anticommutator, spectrum.evals, spectrum.evecs, eta)
-
-
 def corner_blocks(r: np.ndarray, k: int) -> np.ndarray:
     """The k x k corner blocks G_i = r[i + N arange(k), i + N arange(k)] of a
     kN x kN matrix, as an (N, k, k) stack."""
@@ -525,28 +475,34 @@ def _level_r_frob(lam, p, s1, gap, e0, near, d, g_inv, eta):
 def _screen_net(lin: Linearization, net: np.ndarray,
                 spectrum: AnticommutatorSpectrum) -> np.ndarray:
     """The fluctuation statistic at every point of ``net`` by the Schur
-    route's formulas in the eigenbasis of {UV} (``_eigenbasis`` of the
-    pair's ``spectrum``), R = P diag(d) P* + D with
-    d = 1/(lam - z): kernels built once per chunk of Im levels (at most about
-    N/2 points, which keeps the peak allocation below one route evaluation's)
-    or once per level, then O(N^2) per point.  Every point gets the
-    conditioning refusal; the net is refused when ``_eigenbasis_error_bound``
-    at its lowest Im z exceeds 1e-8.  Eigenvalue pairs closer than
-    ``_NEAR_GAP`` are multiplied directly, so ties stay exact; more than 8N
-    such pairs (the zero pair, doubled spectra) refuse the net."""
+    route's formulas in the pair's ``spectrum`` {UV} = Q diag(lam) Q*:
+    with P = [Q, -aQ, bQ], R = P diag(d) P* + D, d = 1/(lam - z).  Kernels
+    are built once per chunk of Im levels (at most about N/2 points, which
+    keeps the peak allocation below one route evaluation's) or once per
+    level, then O(N^2) per point.  Every point gets the conditioning
+    refusal.  The net is refused when the spectrum's certificate at its
+    lowest Im z exceeds 1e-8: P diag(d) P* + D = C gt C* + D with
+    C = [I; -a; b] and gt = Q diag(d) Q*, so with |C|^2 <= 1 + |U|^2 + |V|^2
+    and |R| >= |g| the scale 1 + |U|^2 + |V|^2 turns the bound on
+    |gt - g| / |g| into one on |Rt - R| / |R|; the screen's arithmetic past
+    P stays unbounded.  Eigenvalue pairs closer than ``_NEAR_GAP`` are
+    multiplied directly, so ties stay exact; more than 8N such pairs (the
+    zero pair, doubled spectra) refuse the net before P is formed."""
     n = lin.n
     zs = np.asarray(net, dtype=complex)
     for z in zs.tolist():
         _check_upper_half_plane(z)
         _check_conditioning(lin, z)
-    eta = float(zs.imag.min())
-    _check_eigenbasis(_eigenbasis_error_bound(lin, spectrum, eta), eta)
-    gap = spectrum.evals[:, None] - spectrum.evals[None, :]
+    spectrum.certify(lin.anticommutator, float(zs.imag.min()),
+                     1.0 + lin.norm_u**2 + lin.norm_v**2)
+    lam = spectrum.evals
+    gap = lam[:, None] - lam[None, :]
     is_near = np.abs(gap) < _NEAR_GAP
     if (pairs := np.count_nonzero(is_near)) > 8 * n:
         raise IllConditionedError(f"{pairs} eigenvalue pairs of {{UV}} closer than "
                                   f"{_NEAR_GAP} exceed the screen's 8N = {8 * n}")
-    lam, p = _eigenbasis(lin, spectrum)
+    q = spectrum.evecs
+    p = np.stack([q, -(lin.a @ q), lin.b @ q])
     e0 = np.divide(1.0, gap, out=np.zeros_like(gap), where=~is_near)
     np.fill_diagonal(is_near, False)
     near = np.nonzero(is_near)  # the off-diagonal ties
@@ -750,7 +706,7 @@ def fluctuation_sup(lin: Linearization, net: np.ndarray,
     ``net`` is a ``uniform_net`` of a rectangle within |Re z| <= 8,
     Im z >= 1/N, which the caller builds before any eigendecomposition, so
     that a bad spacing is refused first.  ``spectrum`` is the pair's
-    ``AnticommutatorSpectrum.from_linearization``.  This function drops its
+    ``AnticommutatorSpectrum.from_hermitian`` of {UV}.  This function drops its
     reference to it once the net is screened, so a caller that passes the
     spectrum without keeping it (``verify_local_law``) frees it before the
     route runs.
@@ -771,20 +727,29 @@ def _weighted(w: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AnticommutatorSpectrum:
-    """Eigendecomposition {UV} = Q diag(evals) Q* of one pair, for cheap
-    resolvent diagonals on grids and, through ``_eigenbasis``, for the net
-    screen.  Build it once per pair and share it between the consumers of
-    that pair.  Held per pair: Q (16 N^2 bytes) and the weights |Q|^2
-    (8 N^2 bytes).
+    """One Hermitian eigendecomposition M = Q diag(evals) Q*, the one
+    eigenbasis type of every path: {UV} of a pair at k = 3 and the matrix X
+    of the semicircle mode at k = 1.  Build it once per pair and share it
+    between that pair's consumers.  It holds Q (16 N^2 bytes); the weights
+    |Q|^2 (8 N^2 bytes) are formed on first use, so a consumer that never
+    reads a diagonal never holds them.
+
+    Three consumers read it:
+
+    - the k = 3 net screen (``_screen_net``, for ``verify``, ``construct_k``
+      and the scaling study) reads Q and forms P = [Q, -aQ, bQ] from it;
+    - ``semicircle_locallaw`` reads its net screen (``semicircle_screen``)
+      and its 72 grid rows (``resolvent_diags``) from the weights;
+    - the scaling study's scaled deviations and ``deloc``'s ``empirical_k``
+      read diagonals (``resolvent_diags``), and ``deloc`` the components of
+      Q.
 
     Two constructors, one per eigen driver, each where it is measured to pay:
 
-    - ``from_linearization`` runs numpy's divide-and-conquer ``heevd`` on
-      the linearization's {UV}, the call the net screen makes, so the
-      screen's bits and K are the same whether the screen or its caller
-      builds the spectrum.  Its eigenvectors are orthogonal to about 5e-15.
-      ``verify`` and the scaling study use it; neither imports
-      ``scipy.linalg``.
+    - ``from_hermitian`` runs numpy's divide-and-conquer ``heevd`` on a
+      Hermitian matrix (its lower triangle); its eigenvectors are orthogonal
+      to about 5e-15.  ``verify``, the scaling study and ``semicircle`` use
+      it; none of them imports ``scipy.linalg``.
     - ``from_pair`` forms {UV} as UV + (UV)* (VU = (UV)* for Hermitian U, V:
       one matrix product instead of two, and the sum is exactly Hermitian),
       frees UV before the solve, and diagonalizes with LAPACK's MRRR driver
@@ -796,18 +761,21 @@ class AnticommutatorSpectrum:
       after its argument checks, and reads both ``empirical_k``'s K and the
       eigenvectors from it.  scipy.linalg is imported on first use, which
       keeps it out of every other command.
+
+    ``certify`` bounds the eigenbasis's error in the resolvent and refuses
+    it above 1e-8.  The k = 3 screen certifies once per net at its lowest
+    Im z, scaled by 1 + |U|^2 + |V|^2; ``semicircle_locallaw`` certifies X
+    once at Im z = 1/N, unscaled.  ``deloc`` does not certify: at N = 1024
+    on one BLAS thread the certificate would add about 0.3 s to an
+    operation of about 1.7 s.
     """
 
     evals: np.ndarray
     evecs: np.ndarray
-    weights: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.weights = np.abs(self.evecs) ** 2
 
     @classmethod
-    def from_linearization(cls, lin: Linearization) -> "AnticommutatorSpectrum":
-        evals, evecs = np.linalg.eigh(lin.anticommutator)
+    def from_hermitian(cls, matrix: np.ndarray) -> "AnticommutatorSpectrum":
+        evals, evecs = np.linalg.eigh(matrix)
         return cls(evals=evals, evecs=evecs)
 
     @classmethod
@@ -820,12 +788,37 @@ class AnticommutatorSpectrum:
         evals, evecs = scipy.linalg.eigh(ac, driver="evr", check_finite=False)
         return cls(evals=evals, evecs=evecs)
 
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """|Q|^2, entrywise."""
+        return self.evecs.real**2 + self.evecs.imag**2
+
+    def certify(self, matrix: np.ndarray, eta: float, scale: float) -> float:
+        """``scale`` (|F| + |E| sqrt(1 + |F|) / eta), Frobenius norms, with
+        E = matrix Q - Q diag(evals) and F = Q*Q - I as computed, for the
+        decomposed ``matrix``; refused (``IllConditionedError``) above 1e-8
+        or NaN.  With gt = Q diag(d) Q*, d = 1/(evals - z),
+        (matrix - z) gt = I + (QQ* - I) + E diag(d) Q*, so at scale 1 this
+        bounds |gt - g| / |g| for any square Q at every z with Im z >= eta,
+        g = (matrix - z)^-1.  Two N x N products (0.3 s at N = 1024, one
+        BLAS thread)."""
+        q = self.evecs
+        f = q.conj().T @ q
+        f[np.diag_indices(self.evals.size)] -= 1.0
+        f = float(np.linalg.norm(f))
+        e = float(np.linalg.norm(matrix @ q - q * self.evals))
+        bound = scale * (f + e * math.sqrt(1.0 + f) / eta)
+        if not bound <= 1e-8:
+            raise IllConditionedError(
+                f"eigenbasis error bound {bound:.3e} exceeds 1e-8 at Im z = {eta}")
+        return bound
+
     def resolvent_diag(self, z: complex) -> np.ndarray:
-        """Diagonal of ({UV} - z)^-1."""
+        """Diagonal of (M - z)^-1."""
         return self.weights @ (1.0 / (self.evals - z))
 
     def resolvent_diags(self, zs) -> np.ndarray:
-        """Diagonals of ({UV} - z)^-1 for every z in ``zs``, as the columns
-        of an (N, len(zs)) array, in one real product (``_weighted``)."""
+        """Diagonals of (M - z)^-1 for every z in ``zs``, as the columns of
+        an (N, len(zs)) array, in one real product (``_weighted``)."""
         zs = np.asarray(zs, dtype=complex)
         return _weighted(self.weights, 1.0 / (self.evals[:, None] - zs[None, :]))

@@ -27,9 +27,8 @@ import numpy as np
 from .errors import AclawError
 from .freelaw import edge_distance, law_constants, m_ac
 from .grids import rect_grid, uniform_net
-from .linearize import (AnticommutatorSpectrum, Linearization, _check_eigenbasis,
-                        _check_upper_half_plane, _eigenbasis_defect, _fluct_from,
-                        _weighted, build_linearization, fluctuation_sup,
+from .linearize import (AnticommutatorSpectrum, Linearization, _check_upper_half_plane,
+                        _fluct_from, _weighted, build_linearization, fluctuation_sup,
                         grid_corner_blocks, identity_spot_check, route_near_max)
 from .sdcore import sd_semicircle, sd_solution_ac
 from .wigner import EnsembleSpec, WignerPair, norm_at_most, sample_pair
@@ -53,7 +52,6 @@ __all__ = [
     "figure1_data",
     "sc_edge_distance",
     "semicircle_stats",
-    "semicircle_eigenbasis",
     "semicircle_screen",
     "semicircle_locallaw",
     "scaling_law_study",
@@ -212,7 +210,8 @@ def verify_local_law(pair: WignerPair, z_grid, tau: float = 8.0,
         raise NormHypothesisError(
             f"max(|U|, |V|) = {max(lin.norm_u, lin.norm_v):.3f} exceeds 4")
     # not held here, so that the spectrum is freed before the route runs
-    k_stat = fluctuation_sup(lin, net, AnticommutatorSpectrum.from_linearization(lin)).k2
+    k_stat = fluctuation_sup(
+        lin, net, AnticommutatorSpectrum.from_hermitian(lin.anticommutator)).k2
     rho = 4.0 * c_config**2 * theta**2 * k_stat**2 / n
     zs = [complex(z) for z in z_grid]
     points = []
@@ -234,7 +233,7 @@ def construct_k(lin: Linearization, spectrum: AnticommutatorSpectrum,
     """The netted random constant: twice the maximum of the fluctuation
     statistic over a uniform net of the rectangle |Re z| <= 8,
     1/N <= Im z <= 8, screened in ``spectrum``, the pair's
-    ``AnticommutatorSpectrum.from_linearization``.  Always at least 2."""
+    ``AnticommutatorSpectrum.from_hermitian`` of {UV}.  Always at least 2."""
     return fluctuation_sup(lin, uniform_net(-8.0, 8.0, 1.0 / lin.n, 8.0, spacing),
                            spectrum).k2
 
@@ -460,39 +459,26 @@ def semicircle_stats(x: np.ndarray, z: complex) -> SemicircleStats:
     return _semicircle_result(z, g_i, ghat_i, q_i, r_frob)
 
 
-def semicircle_eigenbasis(x: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, W = |Q|^2) of one eigendecomposition X = Q diag(lam) Q*
-    (numpy's ``eigh``, which reads X's lower triangle), whose diagonals
-    (W d)_i, d = 1/(lam - z), are G_i = (X - z)^-1_ii.  The eigenbasis is
-    certified once, for every z with Im z >= eta: with E = XQ - Q diag(lam)
-    and F = Q*Q - I, ``_eigenbasis_defect`` bounds the relative error of
-    Q diag(d) Q* in the operator norm, and a bound above 1e-8 refuses X
-    (``IllConditionedError``).  Q is freed on return."""
-    lam, q = np.linalg.eigh(x)
-    _check_eigenbasis(_eigenbasis_defect(x, lam, q, eta), eta)
-    return lam, q.real**2 + q.imag**2
-
-
 #: points per pass of ``semicircle_screen``: its temporaries are N x 16
 #: arrays, and only the statistics it returns grow with the number of points
 _SCREEN_CHUNK = 16
 
 
-def semicircle_screen(lam: np.ndarray, w: np.ndarray, zs) -> SemicircleStats:
-    """``semicircle_stats`` at every z of ``zs`` from one eigendecomposition
-    X = Q diag(lam) Q*, given by lam and the weights W = |Q|^2
-    (``semicircle_eigenbasis``).  With d = 1/(lam - z), R = Q diag(d) Q* is
-    normal, and every quantity the Schur route reads is one product of W
-    with d, d^2, d |d|^2 or |d|^2: G_i = (W d)_i, (R^2)_ii = (W d^2)_i,
-    (R R*R)_ii = (W d |d|^2)_i, R's i-th row and column norms are both
-    (W |d|^2)_i, and tr R and |R|_F^2 are sums of d and |d|^2.  O(N^2) per
-    z after the N^3 ``eigh``, against ``semicircle_stats``' N x N inverse
-    and R*R.  The row-sum residual then compares two functions of one
-    spectrum, a rounding check of the screen rather than an independent
-    route."""
+def semicircle_screen(spectrum: AnticommutatorSpectrum, zs) -> SemicircleStats:
+    """``semicircle_stats`` at every z of ``zs`` from X's ``spectrum``
+    X = Q diag(lam) Q*, through its weights W = |Q|^2.  With
+    d = 1/(lam - z), R = Q diag(d) Q* is normal, and every quantity the
+    Schur route reads is one product of W with d, d^2, d |d|^2 or |d|^2:
+    G_i = (W d)_i, (R^2)_ii = (W d^2)_i, (R R*R)_ii = (W d |d|^2)_i, R's
+    i-th row and column norms are both (W |d|^2)_i, and tr R and |R|_F^2
+    are sums of d and |d|^2.  O(N^2) per z after the N^3 ``eigh``, against
+    ``semicircle_stats``' N x N inverse and R*R.  The row-sum residual then
+    compares two functions of one spectrum, a rounding check of the screen
+    rather than an independent route."""
     zs = np.asarray(zs, dtype=complex)
     for z in zs.tolist():
         _check_upper_half_plane(z)
+    lam, w = spectrum.evals, spectrum.weights
     n = lam.size
     g, ghat, q_i = np.empty((3, zs.size, n), dtype=complex)
     r_frob = np.empty((zs.size, n))
@@ -548,14 +534,15 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
     constants (theta = 2^100, admissible set expected empty) and a user theta.
     The grid is 9 x 8 points of |Re z| <= 4, 1/N <= Im z <= tau.
 
-    X is diagonalized once (``semicircle_eigenbasis``), and its eigenbasis
-    is certified once at Im z = 1/N, the lowest Im z of both the net and the
-    grid, so one bound covers every point read from it.
-    ``semicircle_screen`` screens every net point from it, and a grid row's
-    lhs reads G_i = (W d)_i from it, one real product of the weights with
-    every row's d = 1/(lam - z).  The rows are reduced to their lhs, and
-    the weights freed, before the route runs.  K is twice the net's maximum
-    fluctuation statistic, by ``route_near_max``: the Schur route
+    X is diagonalized once (``AnticommutatorSpectrum.from_hermitian``), and
+    its eigenbasis is certified once at Im z = 1/N (``certify``, unscaled),
+    the lowest Im z of both the net and the grid, so one bound covers every
+    point read from it.  A grid row's lhs reads G_i = (W d)_i from it
+    (``resolvent_diags``), one real product of the weights W = |Q|^2 with
+    every row's d = 1/(lam - z), and ``semicircle_screen`` screens every
+    net point from it.  The rows are reduced to their lhs before the screen
+    runs, and the spectrum is freed before the route runs.  K is twice the
+    net's maximum fluctuation statistic, by ``route_near_max``: the Schur route
     ``semicircle_stats`` runs where the screened value lies within
     ``SCREEN_MARGIN`` of the screened maximum (one point in practice) and
     gives K's digits, and a route value that disagrees with its screen
@@ -592,13 +579,14 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
     theta_literal = 2.0**100
     net = uniform_net(-4.0, 4.0, 1.0 / n, tau, spacing)
     grid = rect_grid(-4.0, 4.0, 9, 1.0 / n, tau, 8)
-    lam, w = semicircle_eigenbasis(x, 1.0 / n)
-    screened = semicircle_screen(lam, w, net)
-    g = _weighted(w, 1.0 / (lam[:, None] - grid))   # column j: G_i at grid[j]
-    del w
+    spectrum = AnticommutatorSpectrum.from_hermitian(x)
+    spectrum.certify(x, 1.0 / n, 1.0)
+    g = spectrum.resolvent_diags(grid)              # column j: G_i at grid[j]
     points = [(z, sc_edge_distance(z), float(np.abs(g_z - sd_semicircle(z).m).max()))
               for z, g_z in zip(grid.tolist(), g.T)]
     del g
+    screened = semicircle_screen(spectrum, net)
+    del spectrum
     max_row_sum = float(screened.row_sum_residual.max())
     # Ghat_i and Q_i, for the spot checks; the rest is freed first, so that
     # the route's dense inverse can reuse it
@@ -670,7 +658,7 @@ def scaling_law_study(n_list=(64, 128, 256), seeds=range(10),
     against N is the headline number.
 
     Each pair is diagonalized once: ``AnticommutatorSpectrum
-    .from_linearization`` of its linearization serves both K's net screen
+    .from_hermitian`` of its {UV} serves both K's net screen
     (through ``construct_k``) and the scaled deviations' resolvent
     diagonals, so the study never imports ``scipy.linalg``.  The grid, its
     admissible points and the law there depend on N alone and are computed
@@ -688,7 +676,7 @@ def scaling_law_study(n_list=(64, 128, 256), seeds=range(10),
         for seed in seeds:
             lin = build_linearization(sample_pair(
                 EnsembleSpec(n=n, ensemble="complex-gaussian", seed=seed)))
-            spectrum = AnticommutatorSpectrum.from_linearization(lin)
+            spectrum = AnticommutatorSpectrum.from_hermitian(lin.anticommutator)
             k_stat = construct_k(lin, spectrum, spacing=k_spacing)
             scaled, _ = _scaled_deviations(spectrum, zs, law, n)
             medians[n].append(float(np.median(scaled)))

@@ -318,15 +318,16 @@ def _minor_statistics(full: np.ndarray, x_blocks: np.ndarray, g_i: np.ndarray,
     return ghat_i, q_i, r_frob, float(key_res)
 
 
-def spectral_resolvent(basis, z: complex) -> np.ndarray:
-    """R = P diag(1/(lam - z)) P* + D from ``basis`` = (lam, P) of
-    ``linearize._eigenbasis``, the resolvent the net screen reads from a
-    pair's eigenbasis; it agrees with ``generalized_resolvent`` to rounding."""
+def spectral_resolvent(lin: Linearization, spectrum, z: complex) -> np.ndarray:
+    """R = P diag(1/(lam - z)) P* + D with P = [Q; -aQ; bQ] from the pair's
+    ``spectrum`` {UV} = Q diag(lam) Q* (an ``AnticommutatorSpectrum``), the
+    resolvent the net screen reads from a pair's eigenbasis; it agrees with
+    ``generalized_resolvent`` to rounding."""
     z = complex(z)
     _check_upper_half_plane(z)
-    lam, p = basis
+    lam, q = spectrum.evals, spectrum.evecs
     n = lam.size
-    pf = p.reshape(3 * n, n)
+    pf = np.vstack([q, -(lin.a @ q), lin.b @ q])
     r = (pf / (lam - z)) @ pf.conj().T
     idx = np.arange(n)
     r[n + idx, n + idx] += 1.0

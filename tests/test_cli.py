@@ -307,15 +307,15 @@ def test_verify_refuses_an_uncertified_eigenbasis(tmp_path, capsys, monkeypatch)
     # screen's eigenbasis certificate refuses the pair (exit 2) at N = 16
     from aclaw.linearize import AnticommutatorSpectrum
 
-    exact = AnticommutatorSpectrum.from_linearization
+    exact = AnticommutatorSpectrum.from_hermitian
 
-    def scaled(lin):
-        spectrum = exact(lin)
+    def scaled(matrix):
+        spectrum = exact(matrix)
         evecs = spectrum.evecs.copy()
         evecs[:, 0] *= 1.0 + 1e-6
         return AnticommutatorSpectrum(evals=spectrum.evals, evecs=evecs)
 
-    monkeypatch.setattr(AnticommutatorSpectrum, "from_linearization", scaled)
+    monkeypatch.setattr(AnticommutatorSpectrum, "from_hermitian", scaled)
     out = tmp_path / "verify.json"
     code = run_cli(["verify", "--N", "16", "--seed", "1", "--out", str(out)])
     assert code == 2

@@ -323,7 +323,7 @@ def test_spectrum_cached_weights_match_definition():
     pair = random_pair(24, 5)
     sp = AnticommutatorSpectrum.from_pair(pair)
     for z in (0.4 + 0.9j, -3.1 + 0.05j, 7.9 + 8.0j, 0.0 + 1e-3j):
-        expected = (np.abs(sp.evecs) ** 2) @ (1.0 / (sp.evals - z))
+        expected = (sp.evecs.real**2 + sp.evecs.imag**2) @ (1.0 / (sp.evals - z))
         assert np.array_equal(sp.resolvent_diag(z), expected)
 
 
@@ -456,35 +456,50 @@ def test_fluctuation_lipschitz_budget():
 def test_spectral_resolvent_matches_factorized(n):
     # P diag(1/(lam - z)) P* + D, the screen's assembly of R
     lin = build_linearization(random_pair(n, 3))
-    basis = linearize._eigenbasis(
-        lin, AnticommutatorSpectrum.from_linearization(lin))
+    spectrum = own_spectrum(lin)
     for z in (0.3 + 1.0 / n * 1j, -2.5 + 0.7j, 6.0 + 8.0j):
         r = generalized_resolvent(lin, z)
-        spectral = spectral_resolvent(basis, z)
+        spectral = spectral_resolvent(lin, spectrum, z)
         assert np.abs(spectral - r).max() <= 1e-13 * np.abs(r).max()
     with pytest.raises(ValueError):
-        spectral_resolvent(basis, 0.5 - 0.1j)
+        spectral_resolvent(lin, spectrum, 0.5 - 0.1j)
 
 
 @pytest.mark.parametrize("n", [2, 8, 16, 64])
-@pytest.mark.parametrize("ensemble", sorted(ENSEMBLES))
-def test_eigenbasis_bound_dominates_direct_inversion_error(ensemble, n):
-    # the certificate bounds |Rt - R| / |R| of the eigenbasis's resolvent at
-    # every z above its eta.  Measured against direct inversion, the error
-    # also holds both computations' rounding, a few eps, which the bound
-    # does not cover; from N = 8 on the bound lies above that floor at every
-    # point, so there it is held strictly
-    lin = build_linearization(sample_pair(EnsembleSpec(n=n, ensemble=ensemble, seed=4)))
-    spectrum = AnticommutatorSpectrum.from_linearization(lin)
-    basis = linearize._eigenbasis(lin, spectrum)
+@pytest.mark.parametrize("ensemble, k", [
+    *(pytest.param(name, 3, id=name) for name in sorted(ENSEMBLES)),
+    *(pytest.param(name, 1, id=f"{name}-k1") for name in sorted(ENSEMBLES))])
+def test_eigenbasis_bound_dominates_direct_inversion_error(ensemble, k, n):
+    # the certificate bounds the relative error of the eigenbasis's
+    # resolvent at every z above its eta: |Rt - R| / |R| at k = 3, scaled by
+    # 1 + |U|^2 + |V|^2 as the net screen calls it, and |Q diag(d) Q* -
+    # (X - z)^-1| / |(X - z)^-1| at k = 1, X = U of the same pair, unscaled
+    # as semicircle_locallaw calls it.  Measured against direct inversion,
+    # the error also holds both computations' rounding, a few eps, which the
+    # bound does not cover.  The bound lies above that floor at every point
+    # from N = 8 on at k = 3 and from N = 16 on at k = 1, which lacks the
+    # scale (at N = 8 it reads down to 1.9e-15 there), so from there it is
+    # held strictly
+    pair = sample_pair(EnsembleSpec(n=n, ensemble=ensemble, seed=4))
+    if k == 3:
+        lin = build_linearization(pair)
+        matrix, scale = lin.anticommutator, 1.0 + lin.norm_u**2 + lin.norm_v**2
+    else:
+        matrix, scale = pair.u, 1.0
+    spectrum = AnticommutatorSpectrum.from_hermitian(matrix)
+    q = spectrum.evecs
     floor = 16.0 * np.finfo(float).eps
     for z in uniform_net(-8.0, 8.0, 1.0 / n, 8.0, 2.0).tolist():
-        direct = np.linalg.inv(lin.x - lambda_kron(z, n))
-        err = (np.linalg.norm(spectral_resolvent(basis, z) - direct, 2)
-               / np.linalg.norm(direct, 2))
-        bound = linearize._eigenbasis_error_bound(lin, spectrum, z.imag)
+        if k == 3:
+            direct = np.linalg.inv(lin.x - lambda_kron(z, n))
+            spectral = spectral_resolvent(lin, spectrum, z)
+        else:
+            direct = np.linalg.inv(matrix - z * np.eye(n))
+            spectral = (q / (spectrum.evals - z)) @ q.conj().T
+        err = np.linalg.norm(spectral - direct, 2) / np.linalg.norm(direct, 2)
+        bound = spectrum.certify(matrix, z.imag, scale)
         assert err <= max(bound, floor)
-        assert n < 8 or bound > floor
+        assert n < (8 if k == 3 else 16) or bound > floor
 
 
 @pytest.mark.parametrize("n", [8, 64])
@@ -495,8 +510,9 @@ def test_eigenbasis_gram_identities(ensemble, n):
     pair = (zero_pair(n) if ensemble == "zero"
             else sample_pair(EnsembleSpec(n=n, ensemble=ensemble, seed=4)))
     lin = build_linearization(pair)
-    lam, p = linearize._eigenbasis(
-        lin, AnticommutatorSpectrum.from_linearization(lin))
+    spectrum = own_spectrum(lin)
+    lam, q = spectrum.evals, spectrum.evecs
+    p = np.stack([q, -(lin.a @ q), lin.b @ q])
 
     def norm(x):
         return np.linalg.norm(x, 2)
@@ -509,16 +525,22 @@ def test_eigenbasis_gram_identities(ensemble, n):
     assert norm(diff) <= 1e-12 * max(1.0, norm(lin.anticommutator))
 
 
+def own_spectrum(lin):
+    """The pair's ``heevd`` spectrum of {UV}, as ``verify_local_law``
+    builds it."""
+    return AnticommutatorSpectrum.from_hermitian(lin.anticommutator)
+
+
 def own_sup(lin, net):
     """``fluctuation_sup`` in the pair's own spectrum, as ``verify_local_law``
     calls it."""
-    return fluctuation_sup(lin, net, AnticommutatorSpectrum.from_linearization(lin))
+    return fluctuation_sup(lin, net, own_spectrum(lin))
 
 
 def screen_net(lin, net):
     """The net screen in the pair's own spectrum, as ``fluctuation_sup``
     builds it."""
-    return linearize._screen_net(lin, net, AnticommutatorSpectrum.from_linearization(lin))
+    return linearize._screen_net(lin, net, own_spectrum(lin))
 
 
 def net_case(pair, route):
@@ -640,12 +662,12 @@ def test_screen_matches_route_at_scaling_size():
 
 def test_screen_refuses_clustered_spectrum(monkeypatch):
     # more than 8N near eigenvalue pairs (all 16^2 of the zero pair) refuse
-    # the net before the eigenbasis is built and before any route runs; at
-    # N = 8 the zero pair's 64 pairs still screen (test_screened_net_zero_pair)
+    # the net before P is read and before any route runs; at N = 8 the zero
+    # pair's 64 pairs still screen (test_screened_net_zero_pair)
     lin = build_linearization(zero_pair(16))
     stats = count_calls(monkeypatch, "resolvent_stats")
-    monkeypatch.setattr(linearize, "_eigenbasis",
-                        lambda *args: pytest.fail("P built for a refused net"))
+    monkeypatch.setattr(linearize, "_pair_diagonals",
+                        lambda *args: pytest.fail("P read for a refused net"))
     with pytest.raises(IllConditionedError, match="256 eigenvalue pairs"):
         own_sup(lin, uniform_net(-8.0, 8.0, 1.0 / 16, 8.0, 4.0))
     assert stats == []
@@ -744,15 +766,15 @@ def test_route_near_max_refuses_a_nan(screen, route_value):
 
 
 def count_certificates(monkeypatch):
-    """Record the eta of every ``_eigenbasis_error_bound`` call."""
+    """Record the eta of every ``AnticommutatorSpectrum.certify`` call."""
     etas = []
-    original = linearize._eigenbasis_error_bound
+    original = AnticommutatorSpectrum.certify
 
-    def counting(lin, spectrum, eta):
+    def counting(spectrum, matrix, eta, scale):
         etas.append(eta)
-        return original(lin, spectrum, eta)
+        return original(spectrum, matrix, eta, scale)
 
-    monkeypatch.setattr(linearize, "_eigenbasis_error_bound", counting)
+    monkeypatch.setattr(AnticommutatorSpectrum, "certify", counting)
     return etas
 
 
@@ -776,9 +798,9 @@ def test_screen_certifies_each_pair_once(monkeypatch, n):
 
 
 def scaled_eigenvector_spectrum(lin, factor=1.0 + 1e-6):
-    """The pair's ``from_linearization`` spectrum with its first
-    eigenvector scaled by ``factor``."""
-    spectrum = AnticommutatorSpectrum.from_linearization(lin)
+    """The pair's own spectrum with its first eigenvector scaled by
+    ``factor``."""
+    spectrum = own_spectrum(lin)
     evecs = spectrum.evecs.copy()
     evecs[:, 0] *= factor
     return AnticommutatorSpectrum(evals=spectrum.evals, evecs=evecs)

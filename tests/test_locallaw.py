@@ -24,7 +24,6 @@ from aclaw.locallaw import (
     sc_edge_distance,
     scaling_law_study,
     self_consistent_theta_star,
-    semicircle_eigenbasis,
     semicircle_locallaw,
     semicircle_screen,
     semicircle_stats,
@@ -42,9 +41,17 @@ def gue_matrix(n, seed):
     return sample_pair(EnsembleSpec(n=n, ensemble="complex-gaussian", seed=seed)).u
 
 
+def certified(x, eta):
+    """X's spectrum, certified at Im z = eta as ``semicircle_locallaw``
+    certifies it."""
+    spectrum = AnticommutatorSpectrum.from_hermitian(x)
+    spectrum.certify(x, eta, 1.0)
+    return spectrum
+
+
 def screen(x, zs):
     """``semicircle_screen`` at ``zs`` from X's certified eigenbasis."""
-    return semicircle_screen(*semicircle_eigenbasis(x, min(np.imag(zs))), zs)
+    return semicircle_screen(certified(x, min(np.imag(zs))), zs)
 
 
 def test_default_grid_shape():
@@ -101,7 +108,7 @@ def test_verify_parameter_validation():
 def test_construct_k_properties():
     lin = build_linearization(sample_pair(EnsembleSpec(n=32, ensemble="complex-gaussian",
                                                        seed=5)))
-    spectrum = AnticommutatorSpectrum.from_linearization(lin)
+    spectrum = AnticommutatorSpectrum.from_hermitian(lin.anticommutator)
     k_coarse = construct_k(lin, spectrum, spacing=2.0)
     k_fine = construct_k(lin, spectrum, spacing=1.0)
     # the finer net is a superset, so the max never decreases
@@ -590,8 +597,7 @@ def test_semicircle_rows_match_dense_inverse(ensemble, n):
     # row's lhs then moves by no more than that
     x = sample_pair(EnsembleSpec(n=n, ensemble=ensemble, seed=4)).u
     grid = rect_grid(-4.0, 4.0, 9, 1.0 / n, 20.0, 8)
-    lam, w = semicircle_eigenbasis(x, 1.0 / n)
-    rows = locallaw._weighted(w, 1.0 / (lam[:, None] - grid))
+    rows = certified(x, 1.0 / n).resolvent_diags(grid)
     rep = semicircle_locallaw(x)
     assert len(rep.rows) == grid.size == 72
     for z, got, row in zip(grid.tolist(), rows.T, rep.rows):
@@ -655,8 +661,7 @@ def test_semicircle_screen_matches_route(x):
 
 def test_semicircle_screen_refuses_lower_half_plane():
     with pytest.raises(ValueError):
-        semicircle_screen(*semicircle_eigenbasis(gue_matrix(4, 0), 0.1),
-                          [1j, 0.5 - 0.1j])
+        semicircle_screen(certified(gue_matrix(4, 0), 0.1), [1j, 0.5 - 0.1j])
 
 
 def test_semicircle_refuses_where_the_route_disagrees_with_its_screen(monkeypatch):
@@ -684,9 +689,9 @@ def test_semicircle_screens_only_its_net(monkeypatch):
     x = gue_matrix(n, 2)
     seen = []
 
-    def recorded(lam, w, zs):
+    def recorded(spectrum, zs):
         seen.append(np.asarray(zs))
-        return semicircle_screen(lam, w, zs)
+        return semicircle_screen(spectrum, zs)
 
     monkeypatch.setattr(locallaw, "semicircle_screen", recorded)
     semicircle_locallaw(x, tau=tau, spacing=spacing)
@@ -704,7 +709,8 @@ def test_construct_k_concentrates_across_seeds():
     lins = [build_linearization(sample_pair(
                 EnsembleSpec(n=32, ensemble="complex-gaussian", seed=s)))
             for s in range(10)]
-    ks = [construct_k(lin, AnticommutatorSpectrum.from_linearization(lin), spacing=4.0)
+    ks = [construct_k(lin, AnticommutatorSpectrum.from_hermitian(lin.anticommutator),
+                      spacing=4.0)
           for lin in lins]
     assert np.std(ks) < np.mean(ks)
 
@@ -810,7 +816,7 @@ def test_scaling_study_diagonalizes_each_pair_once(monkeypatch):
     for (n, seed), k_stat in rep.k_by_run.items():
         pair = sample_pair(EnsembleSpec(n=n, ensemble="complex-gaussian", seed=seed))
         lin = build_linearization(pair)
-        spectrum = AnticommutatorSpectrum.from_linearization(lin)
+        spectrum = AnticommutatorSpectrum.from_hermitian(lin.anticommutator)
         assert k_stat == construct_k(lin, spectrum, spacing=4.0)
     medians, stars = mrrr_scaling_oracle(n_list, seeds, rep.k_by_run)
     for n in n_list:
