@@ -19,9 +19,11 @@ the G_i, 9N of R's 9N^2 entries: ``grid_corner_blocks`` forms just those,
 with the bits of the full R, at 2 N^3 complex multiply-adds plus the N x N
 inverse per z instead of 16 N^3.
 
-``resolvent_stats`` derives the per-index statistics from the full resolvent
-by the Schur identities, in roughly matrix-multiplication time (the tests
-hold it against an oracle that inverts every minor).  ``identity_spot_check``
+``_schur_statistics`` derives the per-index statistics from a full
+resolvent by the Schur identities, in roughly matrix-multiplication time, at
+any block size k (the tests hold it against an oracle that inverts every
+minor): ``resolvent_stats`` runs it at k = 3 on R, and
+``locallaw.semicircle_stats`` at k = 1 on (X - z)^-1.  ``identity_spot_check``
 checks a route's Q_i against the key identity -Q_i = G_i^-1 + Lambda +
 Phi(Ghat_i) for every index, with one nested block elimination of
 X - Lambda kron I that yields every minor's quadratic form (2(N - 1)
@@ -287,18 +289,25 @@ def corner_blocks(r: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass
 class ResolventStats:
-    """Per-index statistics of the generalized resolvent at one z.
+    """Per-index statistics of a resolvent R = (X - Lambda kron I)^-1 at
+    block size k: the k x k corner blocks ``g_i``, the minors' corner-block
+    averages ``ghat_i`` and the fluctuation blocks ``q_i`` (each an
+    (N, k, k) stack), and |R_i|_2, the Frobenius norm of each minor's
+    resolvent, as ``r_i_frob``.  k = 3 is the anticommutator's linearization
+    (``resolvent_stats``), k = 1 the semicircle mode's (X - z)^-1
+    (``locallaw.semicircle_stats``).
 
     ``fluct_i`` is the normalized size of the fluctuation block,
     max(1, |Q_i| / (N^-1/2 max(1, |R_i|_2 / sqrt(N)))), and ``fluct`` its max
-    over i.  ``resolvent_stats`` obtains Q_i from the key identity
-    -Q_i = G_i^-1 + Lambda + Phi(Ghat_i); ``identity_spot_check`` holds it
-    against Q_i's definition.
+    over i.  The Schur route (``_schur_statistics``) obtains Q_i from the key
+    identity -Q_i = G_i^-1 + Lambda + Phi(Ghat_i); ``identity_spot_check``
+    holds it against Q_i's definition.  ``locallaw.semicircle_screen``
+    returns one of these for a whole net: ``z`` is then its array of points,
+    and every field has one row per point.
     """
 
     z: complex
     g_i: np.ndarray
-    g_avg: np.ndarray
     ghat_i: np.ndarray
     q_i: np.ndarray
     r_i_frob: np.ndarray
@@ -315,35 +324,37 @@ def _fluct_from(qnorm: np.ndarray, r_frob: np.ndarray, n: int) -> np.ndarray:
     return np.maximum(1.0, qnorm / denom)
 
 
-def _schur_statistics(r: np.ndarray, z: complex):
-    """(g_i, g_avg, ghat_i, q_i, r_frob, fluct_i) of the resolvent r at z
-    by the Schur identities, with F = R*R and R F formed by 3N x 3N
-    products and sliced."""
-    n = r.shape[0] // 3
-    lam3 = np.diag([z, -1.0 + 0j, 1.0 + 0j])
-    r4 = r.reshape(3, n, 3, n)
-    g_i = corner_blocks(r, 3)                      # (N, 3, 3)
+def _schur_statistics(r: np.ndarray, z: complex, lam: np.ndarray, phi) -> ResolventStats:
+    """The per-index statistics of the kN x kN resolvent r at z, with block
+    size k = ``lam.size``, Lambda = diag(lam) and ``phi`` mapping a stack of
+    k x k blocks, by the Schur identities: the padded minor is
+    R - (R e_i*) G_i^-1 (e_i R), so Ghat_i and |R_i|_2 follow from R alone.
+    |R_i|_2^2 = |R|_F^2 - 2 Re tr(G_i^-1 (R R*R)_i) + tr(G_i^-* (R*R)_i
+    G_i^-1 (R R*)_i), with F = R*R and R F formed by kN x kN products and
+    sliced: two products of the size of R and O(k^4 N^2) besides."""
+    k = lam.size
+    n = r.shape[0] // k
+    rk = r.reshape(k, n, k, n)
+    g_i = corner_blocks(r, k)                      # (N, k, k)
     g_inv = np.linalg.inv(g_i)
-    g_avg = g_i.mean(axis=0)
-    # Schur identity: the padded minor is R - (R e_i*) G_i^-1 (e_i R), so the
-    # corner-block average and |R_i|_2 follow from R alone.
-    corr = np.einsum("ajbi,ibc,cidj->iad", r4, g_inv, r4, optimize=True)
-    ghat_i = g_avg[None, :, :] - corr / n
-    q_i = -(g_inv + lam3[None, :, :] + phi_ac(ghat_i))
+    corr = np.einsum("ajbi,ibc,cidj->iad", rk, g_inv, rk, optimize=True)
+    ghat_i = g_i.mean(axis=0)[None, :, :] - corr / n
+    q_i = -(g_inv + np.diag(lam)[None, :, :] + phi(ghat_i))
     r_conj = r.conj()
-    r3 = r.reshape(3, n, 3 * n)
-    vv = np.einsum("aik,bik->iab", r3, r_conj.reshape(3, n, 3 * n), optimize=True)
+    vv = np.einsum("aik,bik->iab", r.reshape(k, n, k * n),
+                   r_conj.reshape(k, n, k * n), optimize=True)
     f = r_conj.T @ r
-    del r_conj  # freed before R F: one 3N x 3N array less at the peak
-    uu = corner_blocks(f, 3)                       # F[cols_i, cols_i]
-    h3 = corner_blocks(r @ f, 3)                   # (R F)[rows_i, cols_i]
+    del r_conj  # freed before R F: one kN x kN array less at the peak
+    uu = corner_blocks(f, k)                       # F[cols_i, cols_i]
+    h3 = corner_blocks(r @ f, k)                   # (R F)[rows_i, cols_i]
     norm_r2 = np.vdot(r, r).real
     t1 = np.einsum("iab,iba->i", h3, g_inv)
     t2 = np.einsum("iba,ibc,icd,ida->i", g_inv.conj(), uu, g_inv, vv, optimize=True)
     r_frob2 = norm_r2 - 2.0 * t1.real + t2.real
     r_frob = np.sqrt(np.maximum(r_frob2, 0.0))
-    qnorm = _spectral_norms(q_i)
-    return g_i, g_avg, ghat_i, q_i, r_frob, _fluct_from(qnorm, r_frob, n)
+    fluct_i = _fluct_from(_spectral_norms(q_i), r_frob, n)
+    return ResolventStats(z=z, g_i=g_i, ghat_i=ghat_i, q_i=q_i, r_i_frob=r_frob,
+                          fluct_i=fluct_i, fluct=float(fluct_i.max()))
 
 
 #: the signs s_a of D = diag(0, I, -I), block by block
@@ -534,13 +545,11 @@ def _screen_net(lin: Linearization, net: np.ndarray,
 
 def resolvent_stats(lin: Linearization, z: complex) -> ResolventStats:
     """Per-index resolvent statistics at z by the Schur identities, from the
-    full resolvent at matrix-multiplication cost (``_schur_statistics``)."""
+    full resolvent at matrix-multiplication cost: ``_schur_statistics`` at
+    k = 3, with Lambda = diag(z, -1, 1) and Phi = ``phi_ac``."""
     z = complex(z)
-    r = generalized_resolvent(lin, z)
-    g_i, g_avg, ghat_i, q_i, r_frob, fluct_i = _schur_statistics(r, z)
-    return ResolventStats(z=z, g_i=g_i, g_avg=g_avg, ghat_i=ghat_i, q_i=q_i,
-                          r_i_frob=r_frob, fluct_i=fluct_i,
-                          fluct=float(fluct_i.max()))
+    return _schur_statistics(generalized_resolvent(lin, z), z,
+                             np.array([z, -1.0 + 0j, 1.0 + 0j]), phi_ac)
 
 
 def _eliminate(s: np.ndarray, t: np.ndarray, keep: slice, drop: slice):

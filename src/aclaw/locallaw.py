@@ -27,9 +27,10 @@ import numpy as np
 from .errors import AclawError
 from .freelaw import edge_distance, law_constants, m_ac
 from .grids import rect_grid, uniform_net
-from .linearize import (AnticommutatorSpectrum, Linearization, _check_upper_half_plane,
-                        _fluct_from, _weighted, build_linearization, fluctuation_sup,
-                        grid_corner_blocks, identity_spot_check, route_near_max)
+from .linearize import (AnticommutatorSpectrum, Linearization, ResolventStats,
+                        _check_upper_half_plane, _fluct_from, _schur_statistics, _weighted,
+                        build_linearization, fluctuation_sup, grid_corner_blocks,
+                        identity_spot_check, route_near_max)
 from .sdcore import sd_semicircle, sd_solution_ac
 from .wigner import EnsembleSpec, WignerPair, norm_at_most, sample_pair
 
@@ -40,7 +41,6 @@ __all__ = [
     "LocalLawReport",
     "DelocalizationRow",
     "DelocalizationReport",
-    "SemicircleStats",
     "SemicircleReport",
     "ScalingReport",
     "default_grid",
@@ -391,72 +391,31 @@ def sc_edge_distance(z: complex) -> float:
     return min(abs(z - 2.0), abs(z + 2.0), 1.0)
 
 
-@dataclass
-class SemicircleStats:
-    """Scalar per-index statistics of (X - z)^-1 at one z, with the residual
-    of the minors' row-sum identity |R_i|_2^2 / N = Im Ghat_i / Im z, from
-    the Schur route ``semicircle_stats`` (one N x N inverse) or from one
-    spectrum by ``semicircle_screen``, whose fields have one entry or row per
-    point of its array ``z``.  On the screen both sides of the identity come
-    from the one ``eigh``, so its residual is a rounding check of the
-    screen; on the route both come from one N x N inverse.  At its two spot
-    points ``semicircle_locallaw`` checks the inversion identity
-    -Q_i = G_i^-1 + z + Ghat_i against these Q_i by one nested block
-    elimination, which inverts no minor, and its independent row-sum
-    evidence there is the Ward identity Im z |s|^2 = Im(y_i* s) of each
-    minor's solution s = R^(i) y_i, read from the Gram the elimination
-    carries."""
-
-    z: complex
-    g_i: np.ndarray
-    ghat_i: np.ndarray
-    q_i: np.ndarray
-    r_i_frob: np.ndarray
-    fluct_i: np.ndarray
-    fluct: float
-    row_sum_residual: float
+def _row_sum_residual(stats: ResolventStats) -> np.ndarray:
+    """The largest relative residual over i of the minors' row-sum identity
+    |R_i|_2^2 / N = Im Ghat_i / Im z at k = 1, at each point of ``stats.z``.
+    On ``semicircle_screen`` both sides come from the one ``eigh``, so this
+    is a rounding check of the screen; on the route both come from one
+    N x N inverse.  The independent row-sum evidence is the spot checks'
+    Ward identity Im z |s|^2 = Im(y_i* s) of each minor's solution
+    s = R^(i) y_i, read from the Gram their elimination carries."""
+    n = stats.r_i_frob.shape[-1]
+    rhs = stats.ghat_i[..., 0, 0].imag / np.asarray(stats.z).imag[..., None]
+    return np.max(np.abs(stats.r_i_frob**2 / n - rhs) / np.maximum(np.abs(rhs), 1e-300),
+                  axis=-1)
 
 
-def _semicircle_result(z, g_i, ghat_i, q_i, r_frob):
-    """The statistics at one z, or at every z of an array ``z`` when the
-    per-index arrays have one row per point."""
-    n = g_i.shape[-1]
-    # row-sum identity |R_i|_2^2 / N = Im Ghat_i / Im z
-    rhs = ghat_i.imag / np.asarray(z).imag[..., None]
-    row_sum_res = np.max(np.abs(r_frob**2 / n - rhs) / np.maximum(np.abs(rhs), 1e-300),
-                         axis=-1)
-    fluct_i = _fluct_from(np.abs(q_i), r_frob, n)
-    return SemicircleStats(z=z, g_i=g_i, ghat_i=ghat_i, q_i=q_i, r_i_frob=r_frob,
-                           fluct_i=fluct_i, fluct=fluct_i.max(axis=-1),
-                           row_sum_residual=row_sum_res)
-
-
-def semicircle_stats(x: np.ndarray, z: complex) -> SemicircleStats:
-    """Scalar statistics: G_i = R(i,i), Ghat_i = tr(R_i)/N, the fluctuation
-    scalars Q_i, and |R_i|_2, with R_i the resolvent of X minus row/column i,
-    each index removed from the full resolvent R = (X - z)^-1 by the
-    rank-one correction R - R[:,i] R[i,:] / R_ii.  ``semicircle_locallaw``
-    runs it only where ``route_near_max`` confirms the screen at K's
-    point."""
+def semicircle_stats(x: np.ndarray, z: complex) -> ResolventStats:
+    """Scalar statistics of R = (X - z)^-1: G_i = R(i,i), Ghat_i = tr(R_i)/N,
+    the fluctuation scalars Q_i and |R_i|_2, with R_i the resolvent of X
+    minus row and column i, as 1 x 1 blocks: ``_schur_statistics`` at k = 1,
+    Lambda = z and Phi the identity, on one N x N inverse.  Run only where
+    ``route_near_max`` confirms the screen at K's point."""
     z = complex(z)
     _check_upper_half_plane(z)
     x = np.asarray(x, dtype=complex)
-    n = x.shape[0]
-    r = np.linalg.inv(x - z * np.eye(n))
-    g_i = np.diag(r).copy()
-    f = r.conj().T @ r
-    norm_r2 = np.vdot(r, r).real
-    rf_diag = np.einsum("ik,ki->i", r, f)
-    col_norm2 = (np.abs(r) ** 2).sum(axis=0)
-    row_norm2 = (np.abs(r) ** 2).sum(axis=1)
-    corr = rf_diag / g_i
-    r_frob2 = norm_r2 - 2.0 * corr.real + col_norm2 * row_norm2 / np.abs(g_i) ** 2
-    r_frob = np.sqrt(np.maximum(r_frob2, 0.0))
-    # trace of the padded minor: tr R - sum_j R_ji R_ij / R_ii
-    quad = np.einsum("ji,ij->i", r, r)
-    ghat_i = (np.trace(r) - quad / g_i) / n
-    q_i = -(1.0 / g_i + z + ghat_i)
-    return _semicircle_result(z, g_i, ghat_i, q_i, r_frob)
+    r = np.linalg.inv(x - z * np.eye(x.shape[0]))
+    return _schur_statistics(r, z, np.array([z]), lambda g: g)
 
 
 #: points per pass of ``semicircle_screen``: its temporaries are N x 16
@@ -464,17 +423,16 @@ def semicircle_stats(x: np.ndarray, z: complex) -> SemicircleStats:
 _SCREEN_CHUNK = 16
 
 
-def semicircle_screen(spectrum: AnticommutatorSpectrum, zs) -> SemicircleStats:
+def semicircle_screen(spectrum: AnticommutatorSpectrum, zs) -> ResolventStats:
     """``semicircle_stats`` at every z of ``zs`` from X's ``spectrum``
-    X = Q diag(lam) Q*, through its weights W = |Q|^2.  With
-    d = 1/(lam - z), R = Q diag(d) Q* is normal, and every quantity the
-    Schur route reads is one product of W with d, d^2, d |d|^2 or |d|^2:
-    G_i = (W d)_i, (R^2)_ii = (W d^2)_i, (R R*R)_ii = (W d |d|^2)_i, R's
-    i-th row and column norms are both (W |d|^2)_i, and tr R and |R|_F^2
-    are sums of d and |d|^2.  O(N^2) per z after the N^3 ``eigh``, against
-    ``semicircle_stats``' N x N inverse and R*R.  The row-sum residual then
-    compares two functions of one spectrum, a rounding check of the screen
-    rather than an independent route."""
+    X = Q diag(lam) Q*, through its weights W = |Q|^2, with one row per
+    point in every field.  With d = 1/(lam - z), R = Q diag(d) Q* is normal,
+    and every quantity the Schur route reads is one product of W with d,
+    d^2, d |d|^2 or |d|^2: G_i = (W d)_i, (R^2)_ii = (W d^2)_i,
+    (R R*R)_ii = (W d |d|^2)_i, R's i-th row and column norms are both
+    (W |d|^2)_i, and tr R and |R|_F^2 are sums of d and |d|^2.  O(N^2) per
+    z after the N^3 ``eigh``, and, unlike the k = 3 screen, no kernel per
+    Im level."""
     zs = np.asarray(zs, dtype=complex)
     for z in zs.tolist():
         _check_upper_half_plane(z)
@@ -496,7 +454,10 @@ def semicircle_screen(spectrum: AnticommutatorSpectrum, zs) -> SemicircleStats:
         g[part], ghat[part] = gc.T, ghat_c.T
         q_i[part] = -(1.0 / gc + zc + ghat_c).T
         r_frob[part] = np.sqrt(np.maximum(r_frob2, 0.0)).T
-    return _semicircle_result(zs, g, ghat, q_i, r_frob)
+    fluct_i = _fluct_from(np.abs(q_i), r_frob, n)
+    return ResolventStats(z=zs, g_i=g[..., None, None], ghat_i=ghat[..., None, None],
+                          q_i=q_i[..., None, None], r_i_frob=r_frob, fluct_i=fluct_i,
+                          fluct=fluct_i.max(axis=-1))
 
 
 @dataclass
@@ -587,7 +548,7 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
     del g
     screened = semicircle_screen(spectrum, net)
     del spectrum
-    max_row_sum = float(screened.row_sum_residual.max())
+    max_row_sum = float(_row_sum_residual(screened).max())
     # Ghat_i and Q_i, for the spot checks; the rest is freed first, so that
     # the route's dense inverse can reuse it
     screen_fluct, ghat_i, q_i = screened.fluct, screened.ghat_i, screened.q_i
@@ -600,7 +561,7 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
 
     fluct = route_near_max(screen_fluct, route)
     k_stat = 2.0 * float(fluct.max())
-    max_row_sum = max(max_row_sum, *(st.row_sum_residual for st in routed.values()))
+    max_row_sum = max(max_row_sum, *(_row_sum_residual(st) for st in routed.values()))
     top = int(np.argmax(fluct))                     # the route ran there
     lowest = np.flatnonzero(net.imag == net.imag.min())
     bulk = int(lowest[np.argmin(np.abs(net.real[lowest]))])

@@ -31,7 +31,6 @@ from aclaw.linearize import (COND_LIMIT, IllConditionedError, Linearization,
                              ResolventStats, _check_upper_half_plane, _fluct_from,
                              _spectral_norms, corner_blocks, generalized_resolvent,
                              lambda_kron)
-from aclaw.locallaw import SemicircleStats, _semicircle_result
 from aclaw.sdcore import LinMap3, phi_ac, sd_solution_ac, unvec3, vec3
 from aclaw.wigner import (EnsembleSpec, WignerPair, _draw_offdiag, _rng,
                           norm_at_most, sample_pair)
@@ -362,6 +361,14 @@ def spot_check_residual(stats, lam: np.ndarray, phi) -> float:
     return float((res / scale).max())
 
 
+def _oracle_stats(z: complex, g_i, ghat_i, q_i, r_frob) -> ResolventStats:
+    """The statistics at z, with ``_minor_statistics``' Ghat_i, Q_i and
+    |R_i|_2."""
+    fluct_i = _fluct_from(_spectral_norms(q_i), r_frob, len(g_i))
+    return ResolventStats(z=z, g_i=g_i, ghat_i=ghat_i, q_i=q_i, r_i_frob=r_frob,
+                          fluct_i=fluct_i, fluct=float(fluct_i.max()))
+
+
 def minor_stats(lin: Linearization, z: complex) -> tuple[ResolventStats, float]:
     """The oracle of ``resolvent_stats``, and the key identity's residual:
     the same statistics by definition (Lambda = diag(z, -1, 1),
@@ -371,26 +378,21 @@ def minor_stats(lin: Linearization, z: complex) -> tuple[ResolventStats, float]:
     if n > MINOR_ROUTE_MAX_N:
         raise ValueError(f"minor route limited to N <= {MINOR_ROUTE_MAX_N}")
     g_i = corner_blocks(generalized_resolvent(lin, z), 3)
-    ghat_i, q_i, r_frob, key_res = _minor_statistics(
+    *stats, key_res = _minor_statistics(
         lin.x - lambda_kron(z, n), corner_blocks(lin.x, 3), g_i,
         np.diag([z, -1.0 + 0j, 1.0 + 0j]), phi_ac)
-    fluct_i = _fluct_from(_spectral_norms(q_i), r_frob, n)
-    stats = ResolventStats(z=z, g_i=g_i, g_avg=g_i.mean(axis=0), ghat_i=ghat_i,
-                           q_i=q_i, r_i_frob=r_frob, fluct_i=fluct_i,
-                           fluct=float(fluct_i.max()))
-    return stats, key_res
+    return _oracle_stats(z, g_i, *stats), key_res
 
 
-def semicircle_minor_stats(x: np.ndarray, z: complex) -> tuple[SemicircleStats, float]:
+def semicircle_minor_stats(x: np.ndarray, z: complex) -> tuple[ResolventStats, float]:
     """The oracle of ``semicircle_stats``, and its identity residual: the
     minor route at block size 1, with Lambda = z and Phi the identity, which
-    inverts every minor for Ghat_i, |R_i|_2 and Q_i."""
+    inverts every minor for Ghat_i, |R_i|_2 and Q_i (1 x 1 blocks)."""
     z = complex(z)
     _check_upper_half_plane(z)
     x = np.asarray(x, dtype=complex)
     full = x - z * np.eye(x.shape[0])
-    g_i = np.diag(np.linalg.inv(full)).copy()
-    ghat_i, q_i, r_frob, ident = _minor_statistics(
-        full, corner_blocks(x, 1), g_i[:, None, None], np.array([[z]]),
-        lambda m: m)
-    return _semicircle_result(z, g_i, ghat_i.ravel(), q_i.ravel(), r_frob), ident
+    g_i = np.diag(np.linalg.inv(full)).copy()[:, None, None]
+    *stats, ident = _minor_statistics(full, corner_blocks(x, 1), g_i, np.array([[z]]),
+                                      lambda m: m)
+    return _oracle_stats(z, g_i, *stats), ident

@@ -277,7 +277,7 @@ def test_average_consistency_bound():
     r = generalized_resolvent(lin, z)
     for i in (0, 3, 11):
         rows = [i, n + i, 2 * n + i]
-        lhs = n * np.linalg.norm(st_.g_avg - st_.ghat_i[i], 2)
+        lhs = n * np.linalg.norm(st_.g_i.mean(axis=0) - st_.ghat_i[i], 2)
         g_inv = np.linalg.inv(st_.g_i[i])
         rhs = (np.linalg.norm(g_inv, 2) * np.linalg.norm(r[:, rows])
                * np.linalg.norm(r[rows, :]))

@@ -332,9 +332,9 @@ def test_scalar_minor_oracle_matches_parent_loop(x):
     for z in (0.5 + 0.3j, 1j, -1.5 + 0.05j):
         st_, ident = semicircle_minor_stats(x, z)
         g_i, ghat_i, q_i, r_frob = parent_scalar_minor_loop(x, z)
-        assert np.array_equal(st_.g_i, g_i)
-        np.testing.assert_allclose(st_.ghat_i, ghat_i, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(st_.q_i, q_i, rtol=1e-12, atol=0.0)
+        assert np.array_equal(st_.g_i.ravel(), g_i)
+        np.testing.assert_allclose(st_.ghat_i.ravel(), ghat_i, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(st_.q_i.ravel(), q_i, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(st_.r_i_frob, r_frob, rtol=1e-12, atol=0.0)
         assert ident <= 1e-10
 
@@ -580,10 +580,13 @@ def test_semicircle_locallaw_inverts_no_minor(monkeypatch):
     # the route runs only at the screened maximum (one point on a generic
     # matrix), here -4 + i/N, so the spot checks run there and at i/N
     assert stats == [complex(net[np.argmax(screened)])] == [-4.0 + 1j / n]
-    # the only inverses: one N x N resolvent per route point, none per grid
-    # row; the two spot checks are one nested block elimination each:
-    # 2(N - 1) solves, none larger than ceil(N/2) square, no (N - 1) minor
-    assert shapes["inv"] == [(n, n)] * len(stats)
+    # the only N x N inverse is the route's resolvent, one per route point
+    # and none per grid row; every other inverse is the route's stack of
+    # 1 x 1 corner blocks G_i^-1.  The two spot checks are one nested block
+    # elimination each: 2(N - 1) solves, none larger than ceil(N/2) square,
+    # no (N - 1) minor
+    assert [s for s in shapes["inv"] if s == (n, n)] == [(n, n)] * len(stats)
+    assert [s for s in shapes["inv"] if s != (n, n)] == [(n, 1, 1)] * len(stats)
     assert len(shapes["solve"]) == 2 * 2 * (n - 1)
     assert max(shape[0] for shape in shapes["solve"]) == math.ceil(n / 2)
 
@@ -650,13 +653,14 @@ def test_semicircle_screen_matches_route(x):
     zs = [*SPOT_ZS, 0.3 + 1j / n, 4.0 + 1j / n, 4.0 + 20j]
     screened = screen(x, zs)
     assert screened.z.tolist() == zs
+    row_sum = locallaw._row_sum_residual(screened)
     for j, z in enumerate(zs):
         route = semicircle_stats(x, z)
         for name in ("g_i", "ghat_i", "q_i", "r_i_frob"):
             got, want = getattr(screened, name)[j], getattr(route, name)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
         assert screened.fluct[j] == pytest.approx(route.fluct, rel=1e-12, abs=0.0)
-        assert screened.row_sum_residual[j] <= 1e-12
+        assert row_sum[j] <= 1e-12
 
 
 def test_semicircle_screen_refuses_lower_half_plane():
@@ -715,8 +719,10 @@ def test_construct_k_concentrates_across_seeds():
     assert np.std(ks) < np.mean(ks)
 
 
-def test_semicircle_stats_routes_agree():
-    x = gue_matrix(24, 3)
+@pytest.mark.parametrize("x", SCALAR_ORACLE_CASES)
+def test_semicircle_stats_routes_agree(x):
+    # the k = 1 Schur route through the k-generic einsums against the
+    # inverting oracle, at the edge sizes N = 2 and 3 and on X = 0
     for z in (0.5 + 0.3j, 1j, -1.5 + 0.05j):
         a, ident = semicircle_minor_stats(x, z)
         b = semicircle_stats(x, z)
@@ -724,8 +730,8 @@ def test_semicircle_stats_routes_agree():
         np.testing.assert_allclose(a.q_i, b.q_i, rtol=1e-7, atol=1e-12)
         np.testing.assert_allclose(a.r_i_frob, b.r_i_frob, rtol=1e-8)
         assert ident <= 1e-8
-        assert a.row_sum_residual <= 1e-10
-        assert b.row_sum_residual <= 1e-10
+        assert locallaw._row_sum_residual(a) <= 1e-10
+        assert locallaw._row_sum_residual(b) <= 1e-10
 
 
 def test_semicircle_report_literal_theta_vacuous():

@@ -72,8 +72,13 @@ ROWS = [
     # confirms the screen (a 5.6e-3 gap)
     pytest.param("linearize", "_schur_statistics", "corr / n", "corr / (n - 1)", VERIFY,
                  "differs from its screen", id="route-schur-correction-perturbed"),
-    pytest.param("linearize", "_schur_statistics", "np.diag([z, -1.0 + 0j, 1.0 + 0j])",
-                 "np.diag([z, 1.0 + 0j, -1.0 + 0j])", LC8, {"key_identity"},
+    # the k = 1 route shares that correction: the route at the screened
+    # maximum reads 1.596539 against its screen's 1.591206
+    pytest.param("linearize", "_schur_statistics", "corr / n", "corr / (n - 1)",
+                 SEMICIRCLE, "differs from its screen",
+                 id="semicircle-route-schur-correction-perturbed"),
+    pytest.param("linearize", "resolvent_stats", "np.array([z, -1.0 + 0j, 1.0 + 0j])",
+                 "np.array([z, 1.0 + 0j, -1.0 + 0j])", LC8, {"key_identity"},
                  id="route-Lambda-signs-swapped"),
     pytest.param("tails", "theta_root", "math.exp(_log_theta(s) / s)",
                  "math.exp(_log_theta(s))", TAILS, {"theta_bound"}, id="theta-root-not-rooted"),
