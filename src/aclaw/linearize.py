@@ -23,7 +23,11 @@ inverse per z instead of 16 N^3.
 resolvent by the Schur identities, in roughly matrix-multiplication time, at
 any block size k (the tests hold it against an oracle that inverts every
 minor): ``resolvent_stats`` runs it at k = 3 on R, and
-``locallaw.semicircle_stats`` at k = 1 on (X - z)^-1.  ``identity_spot_check``
+``locallaw.semicircle_stats`` at k = 1 on (X - z)^-1.  The route holds R
+and no other kN x kN array, at most 250 N^2 bytes at k = 3 (R is 144):
+``generalized_resolvent`` assembles R in blocks, and ``_schur_statistics``
+reads R*R and R R*R on diagonal tiles, each entry with the bits of the
+whole product.  ``identity_spot_check``
 checks a route's Q_i against the key identity -Q_i = G_i^-1 + Lambda +
 Phi(Ghat_i) for every index, with one nested block elimination of
 X - Lambda kron I that yields every minor's quadratic form (2(N - 1)
@@ -174,6 +178,30 @@ def _check_upper_half_plane(z: complex) -> None:
         raise ValueError("z must lie in the upper half-plane")
 
 
+def _tiles(n: int, size: int) -> list[tuple[int, int]]:
+    """[lo, hi) tiles of range(n), ``size`` wide, the remainder joined to
+    the last tile, so that no tile is thinner than ``size`` (or n): BLAS
+    sums thin products (one row goes to gemv) in another order than the
+    whole product's."""
+    starts = list(range(0, n - size + 1, size)) or [0]
+    return list(zip(starts, starts[1:] + [n]))
+
+
+#: rows (and columns) per block of R's lower-right assembly, or from
+#: N = 512 on its largest multiple up to N/4: blocks stay 64-aligned, their
+#: two buffers at most 24 N^2 bytes, and BLAS repacks each operand about
+#: 8 times rather than N/32
+_BLOCK = 64
+
+#: indices per diagonal tile in ``grid_corner_blocks``
+_TILE = 16
+
+#: rows (and columns) of R per diagonal tile in ``_schur_statistics``: 16
+#: indices at k = 3, 48 at k = 1, where 16-row products of R F summed
+#: differently from the whole product on two BLAS threads for N > 128
+_SCHUR_TILE = 48
+
+
 def generalized_resolvent(lin: Linearization, z: complex) -> np.ndarray:
     """R = (X - Lambda kron I)^-1 = W blockdiag(g, I, -I) W*, with
     g = ({UV} - z)^-1, assembled from its nonzero blocks.  W is unit block
@@ -184,13 +212,19 @@ def generalized_resolvent(lin: Linearization, z: complex) -> np.ndarray:
         R = [[g,   g B                        ],
              [C g, [C g, diag(I, -I)] [B; I]  ]].
 
-    The lower-right product keeps the definitional product's summation over
-    all 3N columns, so the +-I terms enter the BLAS sum as they do in
+    g B is one product.  C g and the lower-right product are formed in
+    ``_BLOCK``-aligned blocks (``_tiles``): C g row block by row block, and
+    the lower-right product from one row block of [C g, diag(I, -I)]
+    against one column block of [B; I] at a time, so that R is the only
+    3N x 3N array held and no operand of R's size is built.  Each entry
+    of the lower-right block keeps the definitional product's summation
+    over all 3N columns, so the +-I terms enter the BLAS sum as they do in
     W blockdiag(g, I, -I) W*: R has that product's bits at most sizes N and
     differs in the last bit at the others (CHANGES.md lists both); an N-term
-    sum there moved last bits at N = 8, 16, 64 and 100 as well.  16 N^3
-    complex multiply-adds instead of the definitional 54 N^3, and W is
-    never read.
+    sum there moved last bits at N = 8, 16, 64 and 100 as well.  Blocking
+    keeps every entry's sum, and R keeps the bits of the whole products
+    (``tests/oracles.py::whole_product_resolvent``).  16 N^3 complex
+    multiply-adds instead of the definitional 54 N^3, and W is never read.
 
     Production forms R only where the Schur route runs (``resolvent_stats``,
     near the net's screened maximum); the grid rows use
@@ -201,23 +235,30 @@ def generalized_resolvent(lin: Linearization, z: complex) -> np.ndarray:
     z = complex(z)
     _check_upper_half_plane(z)
     n = lin.n
+    a, b = lin.a, lin.b
     g = _ac_inverse(lin, z)
-    b_row = np.hstack([-lin.a, lin.b])
     r = np.empty((3 * n, 3 * n), dtype=complex)
     r[:n, :n] = g
-    np.matmul(g, b_row, out=r[:n, n:])
-    left = np.zeros((2 * n, 3 * n), dtype=complex)   # [C g, diag(I, -I)]
-    np.matmul(np.vstack([-lin.a, lin.b]), g, out=left[:, :n])
-    idx = np.arange(n)
-    left[idx, n + idx] = 1.0
-    left[n + idx, 2 * n + idx] = -1.0
-    r[n:, :n] = left[:, :n]
-    np.matmul(left, np.vstack([b_row, np.eye(2 * n)]), out=r[n:, n:])
+    np.matmul(g, np.hstack([-a, b]), out=r[:n, n:])
+    sign = np.repeat([1.0, -1.0], n)                     # diag(I, -I)
+    blocks = _tiles(2 * n, _BLOCK * max(1, n // (4 * _BLOCK)))
+    right = np.zeros((3 * n, blocks[-1][1] - blocks[-1][0]), dtype=complex)
+    for lo, hi in blocks:                                 # rows of [C g, diag(I, -I)]
+        j = np.arange(hi - lo)
+        left = np.zeros((hi - lo, 3 * n), dtype=complex)
+        np.matmul(np.vstack([-a[lo:hi], b[max(lo - n, 0):max(hi - n, 0)]]), g,
+                  out=left[:, :n])
+        r[n + lo:n + hi, :n] = left[:, :n]
+        left[j, n + lo + j] = sign[lo:hi]
+        for c_lo, c_hi in blocks:                         # columns of [B; I]
+            cols = right[:, :c_hi - c_lo]
+            cols[:n] = np.hstack([-a[:, c_lo:c_hi],
+                                  b[:, max(c_lo - n, 0):max(c_hi - n, 0)]])
+            ones = (n + np.arange(c_lo, c_hi), np.arange(c_hi - c_lo))
+            cols[ones] = 1.0
+            np.matmul(left, cols, out=r[n + lo:n + hi, n + c_lo:n + c_hi])
+            cols[ones] = 0.0
     return r
-
-
-#: rows (and columns) per diagonal tile in ``grid_corner_blocks``
-_TILE = 16
 
 
 def grid_corner_blocks(lin: Linearization, zs) -> np.ndarray:
@@ -245,8 +286,7 @@ def grid_corner_blocks(lin: Linearization, zs) -> np.ndarray:
         _check_upper_half_plane(z)
     b_row = np.hstack([-lin.a, lin.b])                    # B
     c_col = np.vstack([-lin.a, lin.b])                    # C
-    starts = list(range(0, n - _TILE + 1, _TILE)) or [0]
-    tiles = list(zip(starts, starts[1:] + [n]))
+    tiles = _tiles(n, _TILE)
     rights = []                                           # columns of [B; I]
     for lo, hi in tiles:
         cols = np.r_[lo:hi, n + lo:n + hi]
@@ -330,23 +370,36 @@ def _schur_statistics(r: np.ndarray, z: complex, lam: np.ndarray, phi) -> Resolv
     k x k blocks, by the Schur identities: the padded minor is
     R - (R e_i*) G_i^-1 (e_i R), so Ghat_i and |R_i|_2 follow from R alone.
     |R_i|_2^2 = |R|_F^2 - 2 Re tr(G_i^-1 (R R*R)_i) + tr(G_i^-* (R*R)_i
-    G_i^-1 (R R*)_i), with F = R*R and R F formed by kN x kN products and
-    sliced: two products of the size of R and O(k^4 N^2) besides."""
+    G_i^-1 (R R*)_i).
+
+    Everything is read on diagonal tiles of ``_SCHUR_TILE`` rows
+    (``_tiles``): R's rows and columns i + N arange(k) for the tile's i.
+    Ghat_i's Schur correction and (R R*)_i are sums over those rows and
+    columns; the tile's columns of F = R*R are conj(R^T conj(R[:, cols])),
+    which give (R*R)_i, and (R F)_i is the tile's rows of R times those
+    columns.  So neither R* nor R R*R is formed, R is the only kN x kN
+    array held, and each entry keeps the BLAS sum of the whole products
+    (``tests/oracles.py::whole_product_statistics``): one product of R's
+    size, (kN)^3, and O(k N^2 _SCHUR_TILE) besides."""
     k = lam.size
     n = r.shape[0] // k
     rk = r.reshape(k, n, k, n)
     g_i = corner_blocks(r, k)                      # (N, k, k)
     g_inv = np.linalg.inv(g_i)
-    corr = np.einsum("ajbi,ibc,cidj->iad", rk, g_inv, rk, optimize=True)
+    corr, vv, uu, h3 = (np.empty_like(g_i) for _ in range(4))
+    for lo, hi in _tiles(n, _SCHUR_TILE // k):
+        tile = slice(lo, hi)
+        corr[tile] = np.einsum("ajbi,ibc,cidj->iad", rk[..., tile], g_inv[tile],
+                               rk[:, tile], optimize=True)
+        cols = (n * np.arange(k)[:, None] + np.arange(lo, hi)).ravel()
+        rows = r[cols]
+        vv[tile] = np.einsum("aik,bik->iab", rows.reshape(k, hi - lo, k * n),
+                             rows.conj().reshape(k, hi - lo, k * n), optimize=True)
+        f = (r.T @ r[:, cols].conj()).conj()      # F[:, cols]
+        uu[tile] = corner_blocks(f[cols], k)
+        h3[tile] = corner_blocks(rows @ f, k)      # (R F)[cols, cols]
     ghat_i = g_i.mean(axis=0)[None, :, :] - corr / n
     q_i = -(g_inv + np.diag(lam)[None, :, :] + phi(ghat_i))
-    r_conj = r.conj()
-    vv = np.einsum("aik,bik->iab", r.reshape(k, n, k * n),
-                   r_conj.reshape(k, n, k * n), optimize=True)
-    f = r_conj.T @ r
-    del r_conj  # freed before R F: one kN x kN array less at the peak
-    uu = corner_blocks(f, k)                       # F[cols_i, cols_i]
-    h3 = corner_blocks(r @ f, k)                   # (R F)[rows_i, cols_i]
     norm_r2 = np.vdot(r, r).real
     t1 = np.einsum("iab,iba->i", h3, g_inv)
     t2 = np.einsum("iba,ibc,icd,ida->i", g_inv.conj(), uu, g_inv, vv, optimize=True)
@@ -371,12 +424,17 @@ _NEAR_GAP = 1e-3
 
 def _pair_diagonals(left, right, f, out):
     """Add diag(L_a diag(f[:, z]) R_b*) to out[z, :, a, b] for every column
-    z of f and every block pair (a, b) of the (3, N, N) stacks L and R: one
+    z of f and every block pair (a, b) of the (3, N, N) stack R and the
+    three N x N blocks L_a of ``left``, a stack or any iterable of them, so
+    that a kernel product can be formed one block at a time: one
     (N, N) x (N, Z) product per pair, O(N^2) per column."""
-    for b in range(3):
-        right_b = right[b].conj()
-        for a in range(3):
-            out[:, :, a, b] += ((left[a] * right_b) @ f).T
+    for a, left_a in enumerate(left):
+        for b in range(3):
+            # named: numpy's temporary elision would form the product in
+            # an unnamed conjugate's buffer (N >= 128), which rounds
+            # differently
+            right_b = right[b].conj()
+            out[:, :, a, b] += ((left_a * right_b) @ f).T
     return out
 
 
@@ -446,32 +504,39 @@ def _level_r_frob(lam, p, s1, gap, e0, near, d, g_inv, eta):
     split as in ``_net_corr``: the k = l pairs join lam as the weights
     -T_kk on d^2, and only the off-diagonal ties are multiplied directly.
     Each of vv and uu is a Hermitian sum F + F* of one block stack, and the
-    blocks of P diag(conj d) P* are the conjugate transposes of gt's."""
+    blocks of P diag(conj d) P* are the conjugate transposes of gt's.
+
+    Each kernel is freed as soon as it has been read, and the two that
+    stand left of ``_pair_diagonals`` (P(-T o e0) and Y k conj) are formed
+    one N x N block at a time, so no more than two 3N x N kernels are held
+    at once."""
     kk, ll = near
     gt = _pair_diagonals(p, p, d, np.zeros_like(g_inv))     # G_i - D
-    wc = gt.conj().swapaxes(2, 3)                            # the same at conj d
     e = 1.0 / (gap - 2j * eta)
-    k = s1 * e
+    k, k_conj = s1 * e, s1 * e.conj()
+    del e
     t = k @ s1
     h3 = _pair_diagonals(p, p, -(lam + t.diagonal())[:, None] * d * d,
                          np.zeros_like(g_inv))
     tn = -t[kk, ll]
     t *= e0
-    _pair_diagonals(p @ -t, p, d, _pair_diagonals(p, p @ t.conj().T, d, h3))
+    _pair_diagonals(p, p @ t.conj().T, d, h3)
+    np.negative(t, out=t)
+    _pair_diagonals((p_a @ t for p_a in p), p, d, h3)
     del t
     _pair_diagonals(p[:, :, kk] * tn, p[:, :, ll], d[kk] * d[ll], h3)
     y = p @ k
+    del k
     vv = _pair_diagonals(p, y, d, np.zeros_like(g_inv))
     vv += vv.conj().swapaxes(2, 3)
-    k = s1 * e.conj()
-    del e
-    _pair_diagonals(y @ k, p, d, h3)
-    yp = p @ k
-    del k
+    _pair_diagonals((y_a @ k_conj for y_a in y), p, d, h3)
+    yp = p @ k_conj
+    del k_conj
     uu = _pair_diagonals(yp, p, d, np.zeros_like(g_inv))
     uu += uu.conj().swapaxes(2, 3)
     _pair_diagonals(y, yp, d.conj(), h3)
     del y, yp
+    wc = gt.conj().swapaxes(2, 3)                            # G_i - D at conj d
     s_a, s_b = _SIGNS[:, None], _SIGNS[None, :]
     vv += s_a * wc + s_b * gt + np.diag(_SIGNS**2)
     uu += s_a * gt + s_b * wc + np.diag(_SIGNS**2)
@@ -488,17 +553,19 @@ def _screen_net(lin: Linearization, net: np.ndarray,
     """The fluctuation statistic at every point of ``net`` by the Schur
     route's formulas in the pair's ``spectrum`` {UV} = Q diag(lam) Q*:
     with P = [Q, -aQ, bQ], R = P diag(d) P* + D, d = 1/(lam - z).  Kernels
-    are built once per chunk of Im levels (at most about N/2 points, which
-    keeps the peak allocation below one route evaluation's) or once per
-    level, then O(N^2) per point.  Every point gets the conditioning
-    refusal.  The net is refused when the spectrum's certificate at its
-    lowest Im z exceeds 1e-8: P diag(d) P* + D = C gt C* + D with
-    C = [I; -a; b] and gt = Q diag(d) Q*, so with |C|^2 <= 1 + |U|^2 + |V|^2
-    and |R| >= |g| the scale 1 + |U|^2 + |V|^2 turns the bound on
-    |gt - g| / |g| into one on |Rt - R| / |R|; the screen's arithmetic past
-    P stays unbounded.  Eigenvalue pairs closer than ``_NEAR_GAP`` are
-    multiplied directly, so ties stay exact; more than 8N such pairs (the
-    zero pair, doubled spectra) refuse the net before P is formed."""
+    are built once per chunk of Im levels (at most about N/2 points) or
+    once per level, then O(N^2) per point; the screen's traced peak stays
+    within 420 N^2 bytes on the spacing-1 net at N = 128 and 260 on the
+    scaling study's net at N = 256 (``test_screen_peak_within_budget``).
+    Every point gets the conditioning refusal.  The net is refused when the
+    spectrum's certificate at its lowest Im z exceeds 1e-8:
+    P diag(d) P* + D = C gt C* + D with C = [I; -a; b] and
+    gt = Q diag(d) Q*, so with |C|^2 <= 1 + |U|^2 + |V|^2 and |R| >= |g| the
+    scale 1 + |U|^2 + |V|^2 turns the bound on |gt - g| / |g| into one on
+    |Rt - R| / |R|; the screen's arithmetic past P stays unbounded.
+    Eigenvalue pairs closer than ``_NEAR_GAP`` are multiplied directly, so
+    ties stay exact; more than 8N such pairs (the zero pair, doubled
+    spectra) refuse the net before P is formed."""
     n = lin.n
     zs = np.asarray(net, dtype=complex)
     for z in zs.tolist():

@@ -19,6 +19,9 @@ Schur identities, and for the key identity's residual, which
 ``identity_spot_check`` obtains from one nested block elimination of
 X - Lambda kron I, without a minor.  Direct inversion of X - Lambda kron I
 is a test oracle only; ``src/aclaw`` never inverts it.
+``whole_product_resolvent`` and ``whole_product_statistics`` are the Schur
+route with every product formed whole, whose bits the blocked and tiled
+production route keeps (``route_bit_mismatches``).
 """
 
 import math
@@ -28,11 +31,13 @@ import numpy as np
 
 from aclaw.freelaw import edge_distance
 from aclaw.linearize import (COND_LIMIT, IllConditionedError, Linearization,
-                             ResolventStats, _check_upper_half_plane, _fluct_from,
-                             _spectral_norms, corner_blocks, generalized_resolvent,
-                             lambda_kron)
+                             ResolventStats, _ac_inverse, _check_upper_half_plane,
+                             _fluct_from, _spectral_norms, build_linearization,
+                             corner_blocks, generalized_resolvent, lambda_kron,
+                             resolvent_stats)
+from aclaw.locallaw import semicircle_stats
 from aclaw.sdcore import LinMap3, phi_ac, sd_solution_ac, unvec3, vec3
-from aclaw.wigner import (EnsembleSpec, WignerPair, _draw_offdiag, _rng,
+from aclaw.wigner import (ENSEMBLES, EnsembleSpec, WignerPair, _draw_offdiag, _rng,
                           norm_at_most, sample_pair)
 
 
@@ -396,3 +401,86 @@ def semicircle_minor_stats(x: np.ndarray, z: complex) -> tuple[ResolventStats, f
     *stats, ident = _minor_statistics(full, corner_blocks(x, 1), g_i, np.array([[z]]),
                                       lambda m: m)
     return _oracle_stats(z, g_i, *stats), ident
+
+
+def whole_product_resolvent(lin: Linearization, z: complex) -> np.ndarray:
+    """``generalized_resolvent`` by whole products: C g and
+    [C g, diag(I, -I)] [B; I] each in one product, with both factors of the
+    second built whole.  The blocked assembly keeps these bits."""
+    z = complex(z)
+    _check_upper_half_plane(z)
+    n = lin.n
+    g = _ac_inverse(lin, z)
+    b_row = np.hstack([-lin.a, lin.b])
+    r = np.empty((3 * n, 3 * n), dtype=complex)
+    r[:n, :n] = g
+    np.matmul(g, b_row, out=r[:n, n:])
+    left = np.zeros((2 * n, 3 * n), dtype=complex)   # [C g, diag(I, -I)]
+    np.matmul(np.vstack([-lin.a, lin.b]), g, out=left[:, :n])
+    idx = np.arange(n)
+    left[idx, n + idx] = 1.0
+    left[n + idx, 2 * n + idx] = -1.0
+    r[n:, :n] = left[:, :n]
+    np.matmul(left, np.vstack([b_row, np.eye(2 * n)]), out=r[n:, n:])
+    return r
+
+
+def whole_product_statistics(r: np.ndarray, z: complex, lam: np.ndarray,
+                             phi) -> ResolventStats:
+    """``linearize._schur_statistics`` by whole products: R* = conj(R),
+    F = R*R and R F formed whole and sliced, and Ghat_i's correction and
+    (R R*)_i as one einsum each over all of R.  The tiled route keeps these
+    bits."""
+    k = lam.size
+    n = r.shape[0] // k
+    rk = r.reshape(k, n, k, n)
+    g_i = corner_blocks(r, k)
+    g_inv = np.linalg.inv(g_i)
+    corr = np.einsum("ajbi,ibc,cidj->iad", rk, g_inv, rk, optimize=True)
+    ghat_i = g_i.mean(axis=0)[None, :, :] - corr / n
+    q_i = -(g_inv + np.diag(lam)[None, :, :] + phi(ghat_i))
+    r_conj = r.conj()
+    vv = np.einsum("aik,bik->iab", r.reshape(k, n, k * n),
+                   r_conj.reshape(k, n, k * n), optimize=True)
+    f = r_conj.T @ r
+    uu = corner_blocks(f, k)
+    h3 = corner_blocks(r @ f, k)
+    norm_r2 = np.vdot(r, r).real
+    t1 = np.einsum("iab,iba->i", h3, g_inv)
+    t2 = np.einsum("iba,ibc,icd,ida->i", g_inv.conj(), uu, g_inv, vv, optimize=True)
+    r_frob = np.sqrt(np.maximum(norm_r2 - 2.0 * t1.real + t2.real, 0.0))
+    fluct_i = _fluct_from(_spectral_norms(q_i), r_frob, n)
+    return ResolventStats(z=z, g_i=g_i, ghat_i=ghat_i, q_i=q_i, r_i_frob=r_frob,
+                          fluct_i=fluct_i, fluct=float(fluct_i.max()))
+
+
+#: sizes at which ``route_bit_mismatches`` holds the route to its reference
+ROUTE_BIT_SIZES = (2, 3, 4, 5, 8, 16, 17, 20, 33, 64, 65, 100, 128, 130)
+
+
+def route_bit_mismatches(sizes=ROUTE_BIT_SIZES) -> list[str]:
+    """Every array in which the route differs in any bit from its
+    whole-product reference, as "N ensemble z k name" strings: R and every
+    ``ResolventStats`` field of ``resolvent_stats`` (k = 3) and of
+    ``locallaw.semicircle_stats`` on U (k = 1), for every ensemble at each
+    N of ``sizes`` and at two z, in the bulk at Im z = 1/N and away from
+    the spectrum."""
+    out = []
+    for n in sizes:
+        for ensemble in sorted(ENSEMBLES):
+            lin = build_linearization(sample_pair(EnsembleSpec(n=n, ensemble=ensemble, seed=n)))
+            u = lin.pair.u
+            for z in (0.3 + 1j / n, -2.0 + 0.5j):
+                r = whole_product_resolvent(lin, z)
+                got = {"R": (generalized_resolvent(lin, z), r)}
+                for k, stats, expect in (
+                        (3, resolvent_stats(lin, z), whole_product_statistics(
+                            r, z, np.array([z, -1.0 + 0j, 1.0 + 0j]), phi_ac)),
+                        (1, semicircle_stats(u, z), whole_product_statistics(
+                            np.linalg.inv(u - z * np.eye(n)), z, np.array([z]),
+                            lambda g: g))):
+                    got.update({f"k={k} {name}": (getattr(stats, name), value)
+                                for name, value in vars(expect).items()})
+                out += [f"{n} {ensemble} {z} {key}" for key, (a, b) in got.items()
+                        if not np.array_equal(a, b)]
+    return out

@@ -1,6 +1,8 @@
 """Tests for the self-adjoint linearization and resolvent statistics."""
 
+import json
 import math
+import os
 import tracemalloc
 from types import SimpleNamespace
 
@@ -26,7 +28,9 @@ from aclaw.linearize import (
 )
 from aclaw.sdcore import sd_solution_ac
 from aclaw.wigner import ENSEMBLES, EnsembleSpec, WignerPair, sample_pair
-from oracles import bordered_resolvent, minor_stats, spectral_resolvent
+from oracles import (bordered_resolvent, minor_stats, route_bit_mismatches,
+                     spectral_resolvent)
+from test_cli import run_fresh_python
 
 
 def zero_pair(n=4):
@@ -424,6 +428,27 @@ def test_block_route_inverts_3n_only_to_cross_check(monkeypatch, n, direct):
         assert shapes.count((n, n)) == 1
 
 
+def test_route_keeps_the_whole_products_bits():
+    # blocked assembly and tiled statistics keep every entry's BLAS sum; a
+    # last-bit move of R or of K shows elsewhere only in verify-n128's
+    # theta_star_self reference
+    assert route_bit_mismatches() == []
+
+
+def test_route_keeps_the_whole_products_bits_on_one_thread(tmp_path):
+    out = run_fresh_python(f"""
+import json, os, sys
+from aclaw.cli import main
+
+# main pins BLAS to ACLAW_THREADS before numpy loads
+main(["law", "--n-re", "2", "--n-im", "2", "--out", {str(tmp_path / "law.csv")!r}])
+sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})
+from oracles import route_bit_mismatches
+print(json.dumps([os.environ["OPENBLAS_NUM_THREADS"], route_bit_mismatches()]))
+""", ACLAW_THREADS="1")
+    assert json.loads(out) == ["1", []]
+
+
 def test_fluctuation_sup_monotone_in_refinement():
     lin = build_linearization(random_pair(32, 5))
     coarse_net = uniform_net(-2.0, 2.0, 1.0 / 32, 2.0, 1.0)
@@ -673,38 +698,38 @@ def test_screen_refuses_clustered_spectrum(monkeypatch):
     assert stats == []
 
 
-def screen_and_route_peaks(n, spacing, points):
-    """tracemalloc peaks of screening the full rectangle's net and of one
-    route evaluation, on the same pair."""
-    pair = random_pair(n, 0)
+def assert_peak_within(run, n, budget):
+    """Run ``run()`` under tracemalloc and hold its peak, in bytes per N^2,
+    to ``budget``; the measured value is in the failure message."""
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1] / n**2
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget, f"peak {peak:.1f} N^2 bytes at N = {n}, budget {budget}"
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_route_peak_within_budget(n):
+    # R is the only 3N x 3N array the route holds: 144 N^2 bytes of 250
+    lin = build_linearization(random_pair(n, 0))
+    z = uniform_net(-8.0, 8.0, 1.0 / n, 8.0, 1.0)[0]
+    assert_peak_within(lambda: resolvent_stats(lin, z), n, 250)
+
+
+@pytest.mark.parametrize("n, spacing, points, budget", [
+    pytest.param(128, 1.0, 153, 420, id="n128-spacing1"),
+    # the net the scaling study screens at N = 256
+    pytest.param(256, 4.0, 15, 260, id="n256-spacing4")])
+def test_screen_peak_within_budget(n, spacing, points, budget):
+    # screening the full rectangle's net; each budget lies below the route's
+    # peak with whole products (445 and 438 N^2 bytes at these N), the bound
+    # the screen had before the route shrank, so no stage grows past it
+    lin = build_linearization(random_pair(n, 0))
     net = uniform_net(-8.0, 8.0, 1.0 / n, 8.0, spacing)
     assert len(net) == points
-
-    def peak(run):
-        lin = build_linearization(pair)
-        tracemalloc.start()
-        try:
-            run(lin)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    return (peak(lambda lin: screen_net(lin, net)),
-            peak(lambda lin: resolvent_stats(lin, net[0])))
-
-
-def test_screen_allocates_less_than_one_route_evaluation():
-    # the process's peak memory is set inside fluctuation_sup, which runs
-    # the route after the screen: screening the whole spacing-1 net must not
-    # allocate more at its peak than one route evaluation does
-    screen, route = screen_and_route_peaks(128, 1.0, 153)
-    assert screen <= route
-
-
-def test_scaling_screen_allocates_less_than_one_route_evaluation():
-    # the same bound on the net the scaling study screens at N = 256
-    screen, route = screen_and_route_peaks(256, 4.0, 15)
-    assert screen <= route
+    assert_peak_within(lambda: screen_net(lin, net), n, budget)
 
 
 def count_calls(monkeypatch, name):

@@ -49,9 +49,10 @@ ROWS = [
     pytest.param("linearize", "build_linearization", "(u - v) / math.sqrt(2.0),",
                  "(u + v) / math.sqrt(2.0),", LC8, {"factorization", "key_identity"},
                  id="a-is-(U+V)/sqrt2-n8"),
-    pytest.param("linearize", "generalized_resolvent",
-                 "left[n + idx, 2 * n + idx] = -1.0", "left[n + idx, 2 * n + idx] = 1.0",
-                 LC8, {"bordered_identity", "key_identity"}, id="R-block-+I-for--I-n8"),
+    # the -I of diag(I, -I) in the rows of [C g, diag(I, -I)]
+    pytest.param("linearize", "generalized_resolvent", "np.repeat([1.0, -1.0], n)",
+                 "np.repeat([1.0, 1.0], n)", LC8, {"bordered_identity", "key_identity"},
+                 id="R-block-+I-for--I-n8"),
     # every minor's Y_i R^(i) Y_i* from a conjugated Schur update
     pytest.param("linearize", "_eliminate", "s[keep, keep] + s[keep, drop] @ g,",
                  "s[keep, keep] + s[keep, drop] @ g.conj(),", LC8, {"key_identity"},
