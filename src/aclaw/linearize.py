@@ -36,9 +36,12 @@ mode alike.  ``fluctuation_sup``
 screens its whole net with the Schur route's formulas in the eigenbasis of
 {UV}, where R = P diag(1/(lam - z)) P* + D is affine in the anticommutator
 resolvent: one ``eigh`` per pair, kernels built once per Im level of the net
-and O(N^2) work per net point.  It runs the route only near the screened
-maximum.  With {UV} = Q diag(lam) Q* and P = [Q, -aQ, bQ] the screen uses
-three exact identities of the linearization: Q*Q = I; every Gram block
+and O(N^2) work per net point.  A Ward lower bound on every minor's
+|R^(i)|_F, read from Ghat_i, bounds each point's statistic from above, so
+the minor-norm kernels are built only on levels that can hold the
+maximum.  It runs the route only near the screened maximum.  With
+{UV} = Q diag(lam) Q* and P = [Q, -aQ, bQ] the screen uses three exact
+identities of the linearization: Q*Q = I; every Gram block
 P_e* P_a that ghat's correction reads is Hermitian; and P_2* P_2 - P_1* P_1 =
 Q* (b^2 - a^2) Q = diag(lam), since a^2 - b^2 = -{UV}.  Equal eigenvalues
 (k = l) enter as weights on d_k^2, so only genuine ties are multiplied
@@ -212,7 +215,8 @@ def generalized_resolvent(lin: Linearization, z: complex) -> np.ndarray:
         R = [[g,   g B                        ],
              [C g, [C g, diag(I, -I)] [B; I]  ]].
 
-    g B is one product.  C g and the lower-right product are formed in
+    g B is one product, with -a and b written into one buffer.  C g and
+    the lower-right product are formed in
     ``_BLOCK``-aligned blocks (``_tiles``): C g row block by row block, and
     the lower-right product from one row block of [C g, diag(I, -I)]
     against one column block of [B; I] at a time, so that R is the only
@@ -239,7 +243,11 @@ def generalized_resolvent(lin: Linearization, z: complex) -> np.ndarray:
     g = _ac_inverse(lin, z)
     r = np.empty((3 * n, 3 * n), dtype=complex)
     r[:n, :n] = g
-    np.matmul(g, np.hstack([-a, b]), out=r[:n, n:])
+    b_row = np.empty((n, 2 * n), dtype=complex)         # B
+    np.negative(a, out=b_row[:, :n])
+    b_row[:, n:] = b
+    np.matmul(g, b_row, out=r[:n, n:])
+    del b_row
     sign = np.repeat([1.0, -1.0], n)                     # diag(I, -I)
     blocks = _tiles(2 * n, _BLOCK * max(1, n // (4 * _BLOCK)))
     right = np.zeros((3 * n, blocks[-1][1] - blocks[-1][0]), dtype=complex)
@@ -258,6 +266,7 @@ def generalized_resolvent(lin: Linearization, z: complex) -> np.ndarray:
             cols[ones] = 1.0
             np.matmul(left, cols, out=r[n + lo:n + hi, n + c_lo:n + c_hi])
             cols[ones] = 0.0
+        del left                                          # before the next block's
     return r
 
 
@@ -506,10 +515,12 @@ def _level_r_frob(lam, p, s1, gap, e0, near, d, g_inv, eta):
     Each of vv and uu is a Hermitian sum F + F* of one block stack, and the
     blocks of P diag(conj d) P* are the conjugate transposes of gt's.
 
-    Each kernel is freed as soon as it has been read, and the two that
-    stand left of ``_pair_diagonals`` (P(-T o e0) and Y k conj) are formed
-    one N x N block at a time, so no more than two 3N x N kernels are held
-    at once."""
+    h3's two terms with right factor P at d, from -T o e0 and from
+    Y k conj = P k k conj, share one kernel P (k k conj - T o e0): 14 N^3
+    complex multiply-adds of kernels per level and 8 ``_pair_diagonals``
+    passes.  Each kernel is freed as soon as it has been read, and the one
+    that stands left of ``_pair_diagonals`` is formed one N x N block at a
+    time, so no more than two 3N x N kernels are held at once."""
     kk, ll = near
     gt = _pair_diagonals(p, p, d, np.zeros_like(g_inv))     # G_i - D
     e = 1.0 / (gap - 2j * eta)
@@ -521,15 +532,16 @@ def _level_r_frob(lam, p, s1, gap, e0, near, d, g_inv, eta):
     tn = -t[kk, ll]
     t *= e0
     _pair_diagonals(p, p @ t.conj().T, d, h3)
-    np.negative(t, out=t)
-    _pair_diagonals((p_a @ t for p_a in p), p, d, h3)
+    kernel = k @ k_conj
+    kernel -= t
     del t
+    _pair_diagonals((p_a @ kernel for p_a in p), p, d, h3)
+    del kernel
     _pair_diagonals(p[:, :, kk] * tn, p[:, :, ll], d[kk] * d[ll], h3)
     y = p @ k
     del k
     vv = _pair_diagonals(p, y, d, np.zeros_like(g_inv))
     vv += vv.conj().swapaxes(2, 3)
-    _pair_diagonals((y_a @ k_conj for y_a in y), p, d, h3)
     yp = p @ k_conj
     del k_conj
     uu = _pair_diagonals(yp, p, d, np.zeros_like(g_inv))
@@ -548,15 +560,42 @@ def _level_r_frob(lam, p, s1, gap, e0, near, d, g_inv, eta):
     return np.sqrt(np.maximum(norm_r2[:, None] - 2.0 * t1.real + t2.real, 0.0))
 
 
+def _r_frob_lower_bound(ghat: np.ndarray, eta, n: int) -> np.ndarray:
+    """A lower bound on every minor's |R^(i)|_F from its average Ghat_i
+    (an (..., N, 3, 3) stack) at Im z = ``eta``, by the Ward identity: only
+    block 0 of Lambda carries z, so R^(i) - R^(i)* = 2i eta R^(i) E_0
+    R^(i)*, and |R^(i) E_0|_F^2 = Im tr R^(i) / eta = N Im tr Ghat_i / eta
+    exactly.  The block-1 and block-2 columns hold, among others, the N - 1
+    diagonal entries of blocks (1, 1), (2, 2), (0, 1) and (0, 2), which sum
+    to N Ghat_i[a, b]; Cauchy-Schwarz bounds their squares from below by
+    N^2 / (N - 1) |Ghat_i[a, b]|^2.  It reads only entries that ``_net_corr``
+    forms as minor averages, not (1, 2) or (2, 1)."""
+    ward = n * np.einsum("...aa->...", ghat).imag / eta
+    cols = sum(np.abs(ghat[..., a, b])**2
+               for a, b in ((1, 1), (2, 2), (0, 1), (0, 2)))
+    return np.sqrt(ward + n * n / (n - 1) * cols)
+
+
 def _screen_net(lin: Linearization, net: np.ndarray,
                 spectrum: AnticommutatorSpectrum) -> np.ndarray:
-    """The fluctuation statistic at every point of ``net`` by the Schur
-    route's formulas in the pair's ``spectrum`` {UV} = Q diag(lam) Q*:
-    with P = [Q, -aQ, bQ], R = P diag(d) P* + D, d = 1/(lam - z).  Kernels
-    are built once per chunk of Im levels (at most about N/2 points) or
-    once per level, then O(N^2) per point; the screen's traced peak stays
-    within 420 N^2 bytes on the spacing-1 net at N = 128 and 260 on the
-    scaling study's net at N = 256 (``test_screen_peak_within_budget``).
+    """The fluctuation statistic, or an upper bound on it, at every point
+    of ``net`` by the Schur route's formulas in the pair's ``spectrum``
+    {UV} = Q diag(lam) Q*: with P = [Q, -aQ, bQ], R = P diag(d) P* + D,
+    d = 1/(lam - z).  Kernels are built once per chunk of Im levels (at
+    most about N/2 points) or once per level, then O(N^2) per point.
+
+    Ghat_i, and with it |Q_i|, is formed at every point.  The minor norms
+    |R^(i)|_F cost 14 N^3 of kernels per level (``_level_r_frob``), so the
+    levels are walked from the lowest Im z up, and a level is evaluated
+    only when its largest upper bound, the statistic with the minor norms
+    replaced by ``_r_frob_lower_bound`` (O(N) per point), reaches the
+    largest value evaluated so far times 1 - ``SCREEN_MARGIN``.  A skipped
+    level's points keep their upper bounds, which lie below the net's
+    final maximum times 1 - ``SCREEN_MARGIN``, so they never enter
+    ``route_near_max``'s top set; a NaN bound never skips.  The screen's
+    traced peak stays within 420 N^2 bytes on the spacing-1 net at N = 128
+    and 260 on the scaling study's net at N = 256
+    (``test_screen_peak_within_budget``).
     Every point gets the conditioning refusal.  The net is refused when the
     spectrum's certificate at its lowest Im z exceeds 1e-8:
     P diag(d) P* + D = C gt C* + D with C = [I; -a; b] and
@@ -588,6 +627,7 @@ def _screen_net(lin: Linearization, net: np.ndarray,
     levels, level_of = np.unique(zs.imag, return_inverse=True)
     step = max(1, n // 2 // np.bincount(level_of).max())
     out = np.empty(zs.size)
+    best = -math.inf                  # the largest value evaluated so far
     for lo in range(0, levels.size, step):
         idx = np.flatnonzero((level_of >= lo) & (level_of < lo + step))
         zc = zs[idx]
@@ -600,13 +640,17 @@ def _screen_net(lin: Linearization, net: np.ndarray,
         lam3 = np.zeros((zc.size, 1, 3, 3), dtype=complex) - np.diag(_SIGNS)
         lam3[:, 0, 0, 0] = zc
         qnorm = _spectral_norms(-(g_inv + lam3 + phi_ac(ghat)))
+        bound = _fluct_from(qnorm, _r_frob_lower_bound(ghat, zc.imag[:, None], n), n)
         del ghat
-        r_frob = np.empty((zc.size, n))
         for lev in range(lo, min(lo + step, levels.size)):
             sel = np.flatnonzero(level_of[idx] == lev)
-            r_frob[sel] = _level_r_frob(lam, p, s1, gap, e0, near, d[:, sel],
-                                        g_inv[sel], levels[lev])
-        out[idx] = _fluct_from(qnorm, r_frob, n).max(axis=1)
+            vals = bound[sel].max(axis=1)
+            if not vals.max() < best * (1.0 - SCREEN_MARGIN):   # a NaN never skips
+                r_frob = _level_r_frob(lam, p, s1, gap, e0, near, d[:, sel],
+                                       g_inv[sel], levels[lev])
+                vals = _fluct_from(qnorm[sel], r_frob, n).max(axis=1)
+                best = max(best, vals.max())
+            out[idx[sel]] = vals
     return out
 
 
@@ -744,7 +788,9 @@ def route_near_max(screen: np.ndarray, route) -> np.ndarray:
     route value further than ``SCREEN_AGREEMENT`` (relative) from its
     screen, or a NaN, refuses the net with ``IllConditionedError``.  K
     comes from it at k = 3 (``fluctuation_sup``) and k = 1
-    (``semicircle_locallaw``)."""
+    (``semicircle_locallaw``).  A screen may hold upper bounds at points
+    below the top set (``_screen_net``'s skipped levels): they keep them,
+    and the maximum is still the route's."""
     first = int(np.argmax(screen))          # the first NaN, if there is one
     top = np.flatnonzero(screen >= screen[first] * (1.0 - SCREEN_MARGIN))
     vals = screen.copy()
@@ -763,7 +809,9 @@ class FluctuationNet:
     observed maximum (the safety factor for net approximation).
     ``per_point`` holds, for each point of the net, the Schur route's value
     at the screened top set and the eigenbasis screen's (``_screen_net``)
-    elsewhere (``route_near_max``)."""
+    elsewhere (``route_near_max``): the statistic on the levels the screen
+    evaluated, and an upper bound on it, below the top set, at the points of
+    the levels it skipped."""
 
     k2: float
     per_point: np.ndarray
@@ -775,8 +823,9 @@ def fluctuation_sup(lin: Linearization, net: np.ndarray,
     return twice the maximum.
 
     The whole net is screened at once by ``_screen_net``, which makes the
-    resolvent's conditioning refusal at every point and certifies the
-    eigenbasis once.  ``route_near_max`` then runs the Schur route
+    resolvent's conditioning refusal at every point, certifies the
+    eigenbasis once, and evaluates only the Im levels whose upper bound can
+    reach the maximum.  ``route_near_max`` then runs the Schur route
     ``resolvent_stats`` at the screened top set only, and refuses the pair
     where the route does not confirm the screen.
     ``net`` is a ``uniform_net`` of a rectangle within |Re z| <= 8,

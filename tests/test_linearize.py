@@ -5,6 +5,7 @@ import math
 import os
 import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from aclaw import linearize
 from aclaw.freelaw import m_ac
 from aclaw.grids import uniform_net
 from aclaw.linearize import (
+    SCREEN_MARGIN,
     AnticommutatorSpectrum,
     IllConditionedError,
     build_linearization,
@@ -467,7 +469,7 @@ def test_fluctuation_lipschitz_budget():
     budget = 16**3.5 * 0.5
     lin = build_linearization(random_pair(n, 9))
     pts = uniform_net(-2.0, 2.0, 0.5, 2.0, 0.5)
-    vals = own_sup(lin, pts).per_point
+    vals = [resolvent_stats(lin, z).fluct for z in pts]
     worst = 0.0
     for a in range(len(pts)):
         for b in range(a + 1, len(pts)):
@@ -568,9 +570,32 @@ def screen_net(lin, net):
     return linearize._screen_net(lin, net, own_spectrum(lin))
 
 
+def screen_levels(lin, net):
+    """The net screen and, per net point, whether the screen evaluated its
+    Im level (ran ``_level_r_frob`` there) rather than skipping it."""
+    with mock.patch.object(linearize, "_level_r_frob",
+                           wraps=linearize._level_r_frob) as level:
+        screen = screen_net(lin, net)
+    return screen, np.isin(net.imag, [c.args[-1] for c in level.call_args_list])
+
+
+def assert_screen_bounds(screen, evaluated, oracle):
+    """The pruned screen against an oracle value at every net point: equal at
+    rtol 1e-12 on the levels it evaluated, at least the oracle (at the same
+    rtol) on the levels it skipped, and every point within SCREEN_MARGIN of
+    the oracle's maximum evaluated."""
+    oracle = np.asarray(oracle)
+    np.testing.assert_allclose(screen[evaluated], oracle[evaluated],
+                               rtol=1e-12, atol=0.0)
+    skipped = ~evaluated
+    assert np.all(screen[skipped] >= oracle[skipped] * (1.0 - 1e-12))
+    assert evaluated[oracle >= oracle.max() * (1.0 - SCREEN_MARGIN)].all()
+
+
 def net_case(pair, route):
     """The screened net of the full rectangle, the Schur route's value, the
-    screen's value and ``route``'s value (the oracle) at every net point."""
+    screen's value, whether the screen evaluated each point's level, and
+    ``route``'s value (the oracle) at every net point."""
     lin = build_linearization(pair)
     net = uniform_net(-8.0, 8.0, 1.0 / pair.n, 8.0, 4.0)
     fs = own_sup(lin, net)
@@ -581,8 +606,9 @@ def net_case(pair, route):
         return np.array([stats(lin, z).fluct for z in net])
 
     schur = values("schur")
-    screen = screen_net(lin, net)
-    return fs, schur, screen, schur if route == "schur" else values(route)
+    screen, evaluated = screen_levels(lin, net)
+    return (fs, schur, screen, evaluated,
+            schur if route == "schur" else values(route))
 
 
 SCREEN_CASES = (
@@ -596,24 +622,25 @@ SCREEN_CASES = (
 def test_screened_net_gives_route_maximum(ensemble, n, route):
     # K is the Schur route's maximum; the screen matches both routes
     pair = sample_pair(EnsembleSpec(n=n, ensemble=ensemble, seed=1))
-    fs, schur, screen, oracle = net_case(pair, route)
+    fs, schur, screen, evaluated, oracle = net_case(pair, route)
     assert fs.k2 == 2.0 * schur.max()
-    np.testing.assert_allclose(screen, oracle, rtol=1e-12, atol=0.0)
+    assert_screen_bounds(screen, evaluated, oracle)
     ran = fs.per_point == schur
     assert ran.any() and np.array_equal(fs.per_point[~ran], screen[~ran])
 
 
 @pytest.mark.parametrize("route", ["schur", "minor"])
 def test_screened_net_zero_pair(route):
-    fs, schur, screen, oracle = net_case(zero_pair(8), route)
+    fs, schur, screen, evaluated, oracle = net_case(zero_pair(8), route)
     assert fs.k2 == 2.0 * schur.max()
-    assert np.array_equal(screen, oracle)
+    assert np.array_equal(screen[evaluated], oracle[evaluated])
+    assert_screen_bounds(screen, evaluated, oracle)
 
 
 def assert_screen_matches_route(pair):
-    fs, schur, screen, _ = net_case(pair, "schur")
+    fs, schur, screen, evaluated, _ = net_case(pair, "schur")
     assert fs.k2 == 2.0 * schur.max()
-    np.testing.assert_allclose(screen, schur, rtol=1e-12, atol=0.0)
+    assert_screen_bounds(screen, evaluated, schur)
 
 
 def doubled_pair(n, eps):
@@ -664,14 +691,14 @@ SCREEN_ROUTE_SPLIT = (12, "real-gaussian", 200, 1.0)
 def test_screen_matches_route_property(n, ensemble, seed, spacing):
     lin = build_linearization(sample_pair(EnsembleSpec(n=n, ensemble=ensemble, seed=seed)))
     net = uniform_net(-8.0, 8.0, 1.0 / n, 8.0, spacing)
-    screen = screen_net(lin, net)
+    screen, evaluated = screen_levels(lin, net)
     route = [resolvent_stats(lin, z).fluct for z in net]
     if (n, ensemble, seed, spacing) == SCREEN_ROUTE_SPLIT:
         oracle = [minor_stats(lin, z)[0].fluct for z in net]
-        np.testing.assert_allclose(screen, oracle, rtol=1e-12, atol=0.0)
+        assert_screen_bounds(screen, evaluated, oracle)
         np.testing.assert_allclose(route, oracle, rtol=1e-12, atol=0.0)
     else:
-        np.testing.assert_allclose(screen, route, rtol=1e-12, atol=0.0)
+        assert_screen_bounds(screen, evaluated, route)
 
 
 def test_screen_matches_route_at_scaling_size():
@@ -681,8 +708,105 @@ def test_screen_matches_route_at_scaling_size():
     assert len(net) == 6
     route = np.array([resolvent_stats(lin, z).fluct for z in net])
     assert own_sup(lin, net).k2 == 2.0 * route.max()
-    np.testing.assert_allclose(screen_net(lin, net), route,
-                               rtol=1e-12, atol=0.0)
+    assert_screen_bounds(*screen_levels(lin, net), route)
+
+
+def level_r_frob(lin, level):
+    """``_level_r_frob``'s minor norms at the points of ``level``, a net of
+    one Im level, which the screen always evaluates."""
+    original, seen = linearize._level_r_frob, []
+
+    def recording(*args):
+        seen.append(original(*args))
+        return seen[-1]
+
+    with mock.patch.object(linearize, "_level_r_frob", recording):
+        screen_net(lin, level)
+    (r_frob,) = seen
+    return r_frob
+
+
+@pytest.mark.parametrize("ensemble", sorted(ENSEMBLES))
+@pytest.mark.parametrize("n", [2, 8, 32])
+def test_level_r_frob_matches_route_on_every_level(ensemble, n):
+    # every level's kernels are held to the route's minor norms, whether or
+    # not the whole net's screen would skip that level
+    lin = build_linearization(sample_pair(EnsembleSpec(n=n, ensemble=ensemble, seed=1)))
+    net = uniform_net(-8.0, 8.0, 1.0 / n, 8.0, 2.0)
+    for eta in np.unique(net.imag):
+        level = net[net.imag == eta]
+        route = np.array([resolvent_stats(lin, z).r_i_frob for z in level])
+        np.testing.assert_allclose(level_r_frob(lin, level), route,
+                                   rtol=1e-12, atol=0.0)
+
+
+def assert_lower_bound_holds(pair, zs):
+    """The screen's lower bound on every minor's |R^(i)|_F, from the route's
+    Ghat_i with the entries the screen does not form as minor averages
+    poisoned, lies below the route's ``r_i_frob`` at every z of ``zs``."""
+    lin = build_linearization(pair)
+    for z in zs:
+        stats = resolvent_stats(lin, z)
+        ghat = stats.ghat_i.copy()
+        ghat[:, 1, 2] = ghat[:, 2, 1] = math.nan
+        bound = linearize._r_frob_lower_bound(ghat, z.imag, pair.n)
+        assert np.all(bound <= stats.r_i_frob * (1.0 + 1e-12)), z
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=64), st.sampled_from(sorted(ENSEMBLES)),
+       st.integers(min_value=0, max_value=1000),
+       st.floats(min_value=-8.0, max_value=8.0), st.floats(min_value=0.0, max_value=1.0))
+def test_r_frob_lower_bound_property(n, ensemble, seed, re, t):
+    # Im z from 1/N (t = 0) to 8 (t = 1), geometrically
+    eta = (1.0 / n) ** (1.0 - t) * 8.0**t
+    pair = sample_pair(EnsembleSpec(n=n, ensemble=ensemble, seed=seed))
+    assert_lower_bound_holds(pair, [complex(re, eta)])
+
+
+def equal_pair(n):
+    """U = V: b = -sqrt(2) U and a = 0."""
+    u = random_pair(n, 3).u
+    return WignerPair(u=u, v=u.copy(), spec=EnsembleSpec(n=n, seed=3))
+
+
+def diagonal_pair(n):
+    """A real diagonal U against a Wigner V."""
+    pair = random_pair(n, 4)
+    u = np.diag(np.linspace(-1.5, 1.5, n)).astype(complex)
+    return WignerPair(u=u, v=pair.v, spec=pair.spec)
+
+
+@pytest.mark.parametrize("pair", [
+    pytest.param(lambda: zero_pair(8), id="zero"),
+    *[pytest.param(lambda eps=eps: doubled_pair(16, eps), id=f"doubled-{eps:g}")
+      for eps in (0.0, 1e-12, 1e-9, 1e-6, 2e-3, 5e-3)],
+    pytest.param(lambda: sample_pair(EnsembleSpec(n=2, ensemble="rademacher", seed=2)),
+                 id="rademacher-tie"),
+    pytest.param(lambda: equal_pair(16), id="u-equals-v"),
+    pytest.param(lambda: diagonal_pair(16), id="diagonal-u")])
+def test_r_frob_lower_bound_on_special_pairs(pair):
+    pair = pair()
+    assert_lower_bound_holds(pair, uniform_net(-8.0, 8.0, 1.0 / pair.n, 8.0, 4.0))
+
+
+def test_verify_pool_evaluates_at_most_two_levels():
+    # the six inputs of the verify-n128 benchmark (N = 128, seeds 0-5,
+    # spacing 1): the bound skips all but at most 2 of the net's 9 Im
+    # levels, and K is the route's maximum over the net: the route at every
+    # point of the evaluated levels, and every skipped point's upper bound
+    # outside the top set
+    net = uniform_net(-8.0, 8.0, 1.0 / 128, 8.0, 1.0)
+    assert np.unique(net.imag).size == 9
+    for seed in range(6):
+        lin = build_linearization(random_pair(128, seed))
+        with mock.patch.object(linearize, "_level_r_frob",
+                               wraps=linearize._level_r_frob) as level:
+            fs = own_sup(lin, net)
+        assert level.call_count <= 2, seed
+        evaluated = np.isin(net.imag, [c.args[-1] for c in level.call_args_list])
+        assert fs.k2 == 2.0 * max(resolvent_stats(lin, z).fluct for z in net[evaluated])
+        assert np.all(fs.per_point[~evaluated] < fs.k2 / 2.0 * (1.0 - SCREEN_MARGIN))
 
 
 def test_screen_refuses_clustered_spectrum(monkeypatch):
