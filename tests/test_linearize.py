@@ -570,13 +570,19 @@ def screen_net(lin, net):
     return linearize._screen_net(lin, net, own_spectrum(lin))
 
 
-def screen_levels(lin, net):
-    """The net screen and, per net point, whether the screen evaluated its
-    Im level (ran ``_level_r_frob`` there) rather than skipping it."""
+def with_levels(run, net):
+    """``run()``'s result and, per point of ``net``, whether the screen
+    evaluated its Im level (ran ``_level_r_frob`` there) rather than
+    skipping it."""
     with mock.patch.object(linearize, "_level_r_frob",
                            wraps=linearize._level_r_frob) as level:
-        screen = screen_net(lin, net)
-    return screen, np.isin(net.imag, [c.args[-1] for c in level.call_args_list])
+        out = run()
+    return out, np.isin(net.imag, [c.args[-1] for c in level.call_args_list])
+
+
+def screen_levels(lin, net):
+    """The net screen and the levels it evaluated (``with_levels``)."""
+    return with_levels(lambda: screen_net(lin, net), net)
 
 
 def assert_screen_bounds(screen, evaluated, oracle):
@@ -800,11 +806,8 @@ def test_verify_pool_evaluates_at_most_two_levels():
     assert np.unique(net.imag).size == 9
     for seed in range(6):
         lin = build_linearization(random_pair(128, seed))
-        with mock.patch.object(linearize, "_level_r_frob",
-                               wraps=linearize._level_r_frob) as level:
-            fs = own_sup(lin, net)
-        assert level.call_count <= 2, seed
-        evaluated = np.isin(net.imag, [c.args[-1] for c in level.call_args_list])
+        fs, evaluated = with_levels(lambda: own_sup(lin, net), net)
+        assert np.unique(net.imag[evaluated]).size <= 2, seed
         assert fs.k2 == 2.0 * max(resolvent_stats(lin, z).fluct for z in net[evaluated])
         assert np.all(fs.per_point[~evaluated] < fs.k2 / 2.0 * (1.0 - SCREEN_MARGIN))
 
