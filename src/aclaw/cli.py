@@ -6,9 +6,12 @@ with 17 significant digits, so a rerun with the same seed at the same BLAS
 thread count is byte-identical.
 Exit codes: 0 success, 1 verification failure (some non-vacuous check has
 holds = false), 2 usage error, typed precondition refusal (an AclawError
-such as rho >= 1 or a degenerate cubic root) or a run whose arrays do not
-fit in memory (a MemoryError, such as a verify net of spacing 1e-4),
-reported as one stderr line with no traceback.
+such as rho >= 1 or a degenerate cubic root), a run whose arrays do not
+fit in memory (a MemoryError, such as a verify net of spacing 1e-4) or an
+output that cannot be written (an OSError), reported as one stderr line
+with no traceback.  An output path (``--out``, ``--density-out``,
+``--curves``, ``--tail-csv``) that is empty, names a directory or lies in
+a directory that does not exist is refused before any work.
 
 Set ACLAW_THREADS to pin the BLAS thread count: ``main`` copies it into
 OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS (those already set
@@ -75,14 +78,35 @@ def dump_json(obj, indent: int = 0) -> str:
 
 def atomic_write(path: str, text: str) -> None:
     """Write via a temp file in the same directory and rename into place, so
-    failures never leave partial output."""
+    failures never leave partial output: a failed write or rename removes
+    the temp file and re-raises."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".{os.path.basename(path)}.tmp")
-    with open(tmp, "w", encoding="ascii") as f:
-        f.write(text)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="ascii") as f:
+            f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _check_output(option: str, path) -> None:
+    """Refuse (an OSError) an output path that is empty, names a directory
+    or lies in a directory that does not exist; None is an option not
+    given."""
+    if path is None:
+        return
+    if not path:
+        raise FileNotFoundError(f"{option}: empty output path")
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"{option}: {path} is a directory")
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(f"{option}: no directory {directory}")
 
 
 def write_csv(path: str, header, rows) -> None:
@@ -460,9 +484,9 @@ def _cmd_tails(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    from .wigner import save_pair
+    from .wigner import format_pair
 
-    save_pair(_pair(args), args.out)
+    atomic_write(args.out, format_pair(_pair(args)))
     return 0
 
 
@@ -474,12 +498,14 @@ def main(argv=None) -> int:
             os.environ.setdefault(var, threads)
     args = build_parser().parse_args(argv)
     try:
+        for dest in ("out", "density_out", "curves", "tail_csv"):
+            _check_output("--" + dest.replace("_", "-"), getattr(args, dest, None))
         # every command that samples a pair takes --N; refused before any
         # work (the default grid divides by N)
         if getattr(args, "n", 2) < 2:
             raise ValueError(f"N must be >= 2, got {args.n}")
         return args.handler(args)
-    except (AclawError, MemoryError) as exc:
+    except (AclawError, MemoryError, OSError) as exc:
         print(f"aclaw {args.command}: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except (ValueError, KeyError) as exc:

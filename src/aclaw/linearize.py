@@ -64,7 +64,6 @@ __all__ = [
     "IllConditionedError",
     "Linearization",
     "ResolventStats",
-    "FluctuationNet",
     "AnticommutatorSpectrum",
     "build_linearization",
     "lambda_kron",
@@ -346,9 +345,9 @@ class ResolventStats:
     (``resolvent_stats``), k = 1 the semicircle mode's (X - z)^-1
     (``locallaw.semicircle_stats``).
 
-    ``fluct_i`` is the normalized size of the fluctuation block,
-    max(1, |Q_i| / (N^-1/2 max(1, |R_i|_2 / sqrt(N)))), and ``fluct`` its max
-    over i.  The Schur route (``_schur_statistics``) obtains Q_i from the key
+    ``fluct`` is the largest over i of the normalized size of the
+    fluctuation block, max(1, |Q_i| / (N^-1/2 max(1, |R_i|_2 / sqrt(N)))).
+    The Schur route (``_schur_statistics``) obtains Q_i from the key
     identity -Q_i = G_i^-1 + Lambda + Phi(Ghat_i); ``identity_spot_check``
     holds it against Q_i's definition.  ``locallaw.semicircle_screen``
     returns one of these for a whole net: ``z`` is then its array of points,
@@ -360,7 +359,6 @@ class ResolventStats:
     ghat_i: np.ndarray
     q_i: np.ndarray
     r_i_frob: np.ndarray
-    fluct_i: np.ndarray
     fluct: float
 
 
@@ -414,9 +412,9 @@ def _schur_statistics(r: np.ndarray, z: complex, lam: np.ndarray, phi) -> Resolv
     t2 = np.einsum("iba,ibc,icd,ida->i", g_inv.conj(), uu, g_inv, vv, optimize=True)
     r_frob2 = norm_r2 - 2.0 * t1.real + t2.real
     r_frob = np.sqrt(np.maximum(r_frob2, 0.0))
-    fluct_i = _fluct_from(_spectral_norms(q_i), r_frob, n)
+    fluct = float(_fluct_from(_spectral_norms(q_i), r_frob, n).max())
     return ResolventStats(z=z, g_i=g_i, ghat_i=ghat_i, q_i=q_i, r_i_frob=r_frob,
-                          fluct_i=fluct_i, fluct=float(fluct_i.max()))
+                          fluct=fluct)
 
 
 #: the signs s_a of D = diag(0, I, -I), block by block
@@ -803,24 +801,10 @@ def route_near_max(screen: np.ndarray, route) -> np.ndarray:
     return vals
 
 
-@dataclass
-class FluctuationNet:
-    """Supremum of the fluctuation statistic over a net: ``k2`` is twice the
-    observed maximum (the safety factor for net approximation).
-    ``per_point`` holds, for each point of the net, the Schur route's value
-    at the screened top set and the eigenbasis screen's (``_screen_net``)
-    elsewhere (``route_near_max``): the statistic on the levels the screen
-    evaluated, and an upper bound on it, below the top set, at the points of
-    the levels it skipped."""
-
-    k2: float
-    per_point: np.ndarray
-
-
 def fluctuation_sup(lin: Linearization, net: np.ndarray,
-                    spectrum: AnticommutatorSpectrum) -> FluctuationNet:
-    """Evaluate the fluctuation statistic at every point of ``net`` and
-    return twice the maximum.
+                    spectrum: AnticommutatorSpectrum) -> float:
+    """Twice the maximum of the fluctuation statistic over ``net`` (the
+    safety factor for net approximation): the constant K.
 
     The whole net is screened at once by ``_screen_net``, which makes the
     resolvent's conditioning refusal at every point, certifies the
@@ -840,7 +824,7 @@ def fluctuation_sup(lin: Linearization, net: np.ndarray,
     del spectrum
     vals = route_near_max(screened,
                           lambda j: resolvent_stats(lin, net[j]).fluct)
-    return FluctuationNet(k2=2.0 * float(vals.max()), per_point=vals)
+    return 2.0 * float(vals.max())
 
 
 def _weighted(w: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -876,8 +860,8 @@ class AnticommutatorSpectrum:
       to about 5e-15.  ``verify``, the scaling study and ``semicircle`` use
       it; none of them imports ``scipy.linalg``.
     - ``from_pair`` forms {UV} as UV + (UV)* (VU = (UV)* for Hermitian U, V:
-      one matrix product instead of two, and the sum is exactly Hermitian),
-      frees UV before the solve, and diagonalizes with LAPACK's MRRR driver
+      one matrix product instead of two, and the sum is exactly Hermitian)
+      in UV's own buffer, and diagonalizes with LAPACK's MRRR driver
       (``scipy.linalg.eigh(driver="evr")``), which at N = 1024 on one BLAS
       thread takes about half the time of ``heevd`` and needs a smaller
       workspace; its eigenvectors are orthogonal to about 1e-12 at N = 256,
@@ -907,9 +891,8 @@ class AnticommutatorSpectrum:
     def from_pair(cls, pair: WignerPair) -> "AnticommutatorSpectrum":
         import scipy.linalg
 
-        uv = pair.u @ pair.v
-        ac = uv + uv.conj().T
-        del uv
+        ac = pair.u @ pair.v
+        ac += ac.conj().T
         evals, evecs = scipy.linalg.eigh(ac, driver="evr", check_finite=False)
         return cls(evals=evals, evecs=evecs)
 

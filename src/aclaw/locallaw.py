@@ -211,7 +211,7 @@ def verify_local_law(pair: WignerPair, z_grid, tau: float = 8.0,
             f"max(|U|, |V|) = {max(lin.norm_u, lin.norm_v):.3f} exceeds 4")
     # not held here, so that the spectrum is freed before the route runs
     k_stat = fluctuation_sup(
-        lin, net, AnticommutatorSpectrum.from_hermitian(lin.anticommutator)).k2
+        lin, net, AnticommutatorSpectrum.from_hermitian(lin.anticommutator))
     rho = 4.0 * c_config**2 * theta**2 * k_stat**2 / n
     zs = [complex(z) for z in z_grid]
     points = []
@@ -235,7 +235,7 @@ def construct_k(lin: Linearization, spectrum: AnticommutatorSpectrum,
     1/N <= Im z <= 8, screened in ``spectrum``, the pair's
     ``AnticommutatorSpectrum.from_hermitian`` of {UV}.  Always at least 2."""
     return fluctuation_sup(lin, uniform_net(-8.0, 8.0, 1.0 / lin.n, 8.0, spacing),
-                           spectrum).k2
+                           spectrum)
 
 
 def _law_at(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,12 +277,9 @@ def empirical_k(spectrum: AnticommutatorSpectrum, c_config: float) -> float:
 
 
 def sigma_solve(lam, rho: float):
-    """The unique sigma in (0, 1] with h(lam + i sigma)^2 sigma = rho, by
-    100 bisection steps on [1e-12, 1] (the map is strictly increasing in
-    sigma).
-
-    ``lam`` may be an array: all its entries are bisected at once and an
-    array of sigmas is returned, each equal to the scalar call's."""
+    """The unique sigma in (0, 1] with h(lam + i sigma)^2 sigma = rho at
+    every entry of the array ``lam``, by 100 bisection steps on [1e-12, 1]
+    (the map is strictly increasing in sigma), all entries at once."""
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
     lam = np.asarray(lam, dtype=float)
@@ -301,8 +298,7 @@ def sigma_solve(lam, rho: float):
         below = h2 * mid - rho <= 0.0
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    sigma = 0.5 * (lo + hi)
-    return float(sigma) if sigma.ndim == 0 else sigma
+    return 0.5 * (lo + hi)
 
 
 @dataclass
@@ -333,20 +329,20 @@ def delocalization_check(pair: WignerPair, c_config: float,
     command.
 
     Refuses a non-finite or non-positive c_config or given k_stat (each
-    enters only squared) before any work.  Then it diagonalizes {UV} once
-    (``AnticommutatorSpectrum.from_pair``), takes K = ``empirical_k`` from
-    that spectrum unless k_stat is given, and refuses when
-    max(|U|, |V|) > 4 or rho >= 1 (the simplifying assumption of the
-    underlying bound).
+    enters only squared) before any work, and then a pair with
+    max(|U|, |V|) > 4 (the theorem hypothesis).  Then it diagonalizes {UV}
+    once (``AnticommutatorSpectrum.from_pair``), takes K = ``empirical_k``
+    from that spectrum unless k_stat is given, and refuses rho >= 1 (the
+    simplifying assumption of the underlying bound).
     """
     if k_stat is not None and not (math.isfinite(k_stat) and k_stat > 0):
         raise ValueError(f"k_stat must be positive and finite, got {k_stat}")
     _require_c_config(c_config)
+    if not (norm_at_most(pair.u, 4.0) and norm_at_most(pair.v, 4.0)):
+        raise NormHypothesisError("pair violates max(|U|, |V|) <= 4")
     spectrum = AnticommutatorSpectrum.from_pair(pair)
     if k_stat is None:
         k_stat = empirical_k(spectrum, c_config)
-    if not (norm_at_most(pair.u, 4.0) and norm_at_most(pair.v, 4.0)):
-        raise NormHypothesisError("pair violates max(|U|, |V|) <= 4")
     n = pair.n
     rho = 4.0 * c_config**2 * k_stat**2 / n
     if rho >= 1.0:
@@ -454,10 +450,9 @@ def semicircle_screen(spectrum: AnticommutatorSpectrum, zs) -> ResolventStats:
         g[part], ghat[part] = gc.T, ghat_c.T
         q_i[part] = -(1.0 / gc + zc + ghat_c).T
         r_frob[part] = np.sqrt(np.maximum(r_frob2, 0.0)).T
-    fluct_i = _fluct_from(np.abs(q_i), r_frob, n)
     return ResolventStats(z=zs, g_i=g[..., None, None], ghat_i=ghat[..., None, None],
-                          q_i=q_i[..., None, None], r_i_frob=r_frob, fluct_i=fluct_i,
-                          fluct=fluct_i.max(axis=-1))
+                          q_i=q_i[..., None, None], r_i_frob=r_frob,
+                          fluct=_fluct_from(np.abs(q_i), r_frob, n).max(axis=-1))
 
 
 @dataclass
@@ -599,7 +594,6 @@ class ScalingReport:
     """
 
     n_list: list
-    medians: dict
     median_means: dict
     k_by_run: dict
     theta_star_by_run: dict
@@ -647,6 +641,6 @@ def scaling_law_study(n_list=(64, 128, 256), seeds=range(10),
     xs = np.log(np.array(sorted(median_means)))
     ys = np.log(np.array([median_means[n] for n in sorted(median_means)]))
     slope = float(np.polyfit(xs, ys, 1)[0]) if len(xs) > 1 else 0.0
-    return ScalingReport(n_list=[int(n) for n in n_list], medians=medians,
-                         median_means=median_means, k_by_run=k_by_run,
-                         theta_star_by_run=theta_star_by_run, slope=slope)
+    return ScalingReport(n_list=[int(n) for n in n_list], median_means=median_means,
+                         k_by_run=k_by_run, theta_star_by_run=theta_star_by_run,
+                         slope=slope)

@@ -12,13 +12,14 @@ Phi(A) = (e12+e21)A(e12+e21) + (e13+e31)A(e13+e31); and the scalar
 semicircle solution (z, m, 1, (1/m - m)^-1).
 
 kappa is taken from the explicit inverse of the map's block decomposition
-(``_kappa_inverse``), which ``kappa_blocks`` also exposes.  Operator norms
-of linear maps on Mat3 (with the spectral norm) are not available in closed
-form, so every bound that must be *valid* (radii, implication right-hand
-sides) uses the one certified upper bound sqrt(3) * (largest singular value
-of the 9x9 matrix); for Phi that is the constant sqrt(3) sqrt(2).  The tests
-hold kappa against the generic inversion of the map's 9x9 matrix and the
-bounds against a Monte Carlo lower estimate (``tests/oracles.py``).
+(``_kappa_inverse``); ``kappa_blocks`` gives those blocks' determinants.
+Operator norms of linear maps on Mat3 (with the spectral norm) are not
+available in closed form, so every bound that must be *valid* (radii,
+implication right-hand sides) uses the one certified upper bound
+sqrt(3) * (largest singular value of the 9x9 matrix); for Phi that is the
+constant sqrt(3) sqrt(2).  The tests hold kappa against the generic
+inversion of the map's 9x9 matrix and the bounds against a Monte Carlo
+lower estimate (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -186,9 +187,9 @@ _W = law_constants().omega
 _KAPPA_POLES = (1.0, -1.0, 0.5, -0.5, _W, -_W, 1j / _W, -1j / _W)
 
 
-def _kappa_inverse(m: complex) -> tuple[list, LinMap3]:
-    """The explicit inverses of the four blocks of x -> M^-1 x - Phi(x) M at
-    the Stieltjes value m, and kappa assembled from them.
+def _kappa_inverse(m: complex) -> LinMap3:
+    """kappa at the Stieltjes value m, assembled from the explicit inverses
+    of the four blocks of x -> M^-1 x - Phi(x) M.
 
     Raises PoleProximityError within ``POLE_RADIUS`` of a pole of kappa:
     +-1, +-1/2, +-omega or +-i/omega.
@@ -206,11 +207,10 @@ def _kappa_inverse(m: complex) -> tuple[list, LinMap3]:
     inv2 = np.array([[((m + 1.0) ** 2) * m, m], [-(m**2) * (m + 1.0), -(m + 1.0)]],
                     dtype=complex) / (2.0 * m + 1.0)
     inv3 = np.array([[-1.0 / (m - 1.0), 0.0], [0.0, -1.0 / (m + 1.0)]], dtype=complex)
-    inverse_blocks = [inv0, inv1, inv2, inv3]
     k9 = np.zeros((9, 9), dtype=complex)
-    for coords, inv in zip(_BLOCK_COORDS, inverse_blocks):
+    for coords, inv in zip(_BLOCK_COORDS, (inv0, inv1, inv2, inv3)):
         k9[np.ix_(coords, coords)] = inv
-    return inverse_blocks, LinMap3(k9)
+    return LinMap3(k9)
 
 
 def sd_solution_ac(z: complex) -> SDQuadruple:
@@ -226,7 +226,7 @@ def sd_solution_ac(z: complex) -> SDQuadruple:
     m = m_ac(z).m
     lam = np.diag([z, -1.0 + 0j, 1.0 + 0j])
     m_mat = np.diag([m, -1.0 / (m - 1.0), -1.0 / (m + 1.0)])
-    _, kappa = _kappa_inverse(m)
+    kappa = _kappa_inverse(m)
     k_up = op_norm_upper_spectral(kappa)
     quad = SDQuadruple(
         z=complex(z), m=m, lambda_mat=lam, m_mat=m_mat, kappa=kappa,
@@ -240,31 +240,26 @@ def sd_solution_ac(z: complex) -> SDQuadruple:
 
 @dataclass
 class KappaBlocks:
-    """Explicit block decomposition of x -> M^-1 x - Phi(x) M over the
-    block-diagonalizing basis: a 3x3 block on the diagonal entries and three
-    2x2 blocks on the off-diagonal pairs, with closed-form determinants and
-    inverses, plus the assembled inverse map."""
+    """Determinants of the blocks of x -> M^-1 x - Phi(x) M over the
+    block-diagonalizing basis (a 3x3 block on the diagonal entries and three
+    2x2 blocks on the off-diagonal pairs), numerically and in closed form."""
 
     m: complex
-    blocks: list
     dets: list
     det_formulas: list
-    inverse_blocks: list
-    kappa_assembled: LinMap3
 
 
 def kappa_blocks(m: complex) -> KappaBlocks:
-    """Blocks, determinants and explicit inverses of the linear map at a
-    given Stieltjes value m.
+    """The blocks' determinants of the linear map at a given Stieltjes value
+    m, numerically and in closed form.
 
     Raises PoleProximityError within 1e-8 of m in {0, +-1, +-1/2, +-omega,
     +-i/omega}, where a block or its determinant degenerates; 0 is a pole of
     M^-1 and of the blocks, not of kappa.
     """
     m = complex(m)
-    if abs(m) < POLE_RADIUS:
-        raise PoleProximityError(f"m={m} too close to 0, a pole of the blocks")
-    inverse_blocks, kappa = _kappa_inverse(m)
+    if min(abs(m - p) for p in (0.0, *_KAPPA_POLES)) < POLE_RADIUS:
+        raise PoleProximityError(f"m={m} too close to a pole of the blocks")
     b0 = np.array([
         [1.0 / m, -m, -m],
         [1.0 / (m - 1.0), -(m - 1.0), 0.0],
@@ -273,8 +268,7 @@ def kappa_blocks(m: complex) -> KappaBlocks:
     b1 = np.array([[1.0 / m, 1.0 / (m - 1.0)], [-m, -(m - 1.0)]], dtype=complex)
     b2 = np.array([[1.0 / m, 1.0 / (m + 1.0)], [-m, -(m + 1.0)]], dtype=complex)
     b3 = np.array([[-(m - 1.0), 0.0], [0.0, -(m + 1.0)]], dtype=complex)
-    blocks = [b0, b1, b2, b3]
-    dets = [complex(np.linalg.det(b)) for b in blocks]
+    dets = [complex(np.linalg.det(b)) for b in (b0, b1, b2, b3)]
     q = m**4 + 4.0 * m**2 - 1.0
     det_formulas = [
         -q / (m * (m - 1.0) * (m + 1.0)),
@@ -282,18 +276,16 @@ def kappa_blocks(m: complex) -> KappaBlocks:
         -(2.0 * m + 1.0) / (m * (m + 1.0)),
         (m - 1.0) * (m + 1.0),
     ]
-    return KappaBlocks(m=m, blocks=blocks, dets=dets, det_formulas=det_formulas,
-                       inverse_blocks=inverse_blocks, kappa_assembled=kappa)
+    return KappaBlocks(m=m, dets=dets, det_formulas=det_formulas)
 
 
 @dataclass
 class DeformationSolution:
     """Output of the deformation fixed-point solve: the deformed M together
-    with its contraction and residual diagnostics."""
+    with its largest observed contraction ratio."""
 
     m_new: np.ndarray
     max_contraction: float
-    residual: float
 
 
 def deformation_solve(base: SDQuadruple, lambda_new: np.ndarray) -> DeformationSolution:
@@ -340,8 +332,7 @@ def deformation_solve(base: SDQuadruple, lambda_new: np.ndarray) -> DeformationS
     resid_norm = float(np.linalg.norm(resid, 2))
     if resid_norm > 1e-10:
         raise DeformationConvergenceError(f"deformed residual {resid_norm:.3e}")
-    return DeformationSolution(m_new=m_new, max_contraction=max_ratio,
-                               residual=resid_norm)
+    return DeformationSolution(m_new=m_new, max_contraction=max_ratio)
 
 
 @dataclass

@@ -190,38 +190,36 @@ class QuadTailReport:
 
 def quad_tail_check(seed: int = 0) -> QuadTailReport:
     """Monte Carlo tail study, over 1000 trials, of |Y B Y* - Y0 - E(Y B Y*)|
-    normalized by (gamma1/sqrt(N)) max(1, |B|_2/sqrt(N)), for k x k blocks
+    normalized by (gamma1/sqrt(N)) max(1, |B|_F/sqrt(N)), for k x k blocks
     Y_i and Y0 with real gaussian entries of scale sqrt(gamma1/N)/k, at
-    k = 1, N = 64, gamma0 = 1/2, gamma1 = 1 and B = I_64.
+    k = 1, N = 64, gamma0 = 1/2, gamma1 = 1 and B = I_64.  There Y is a row
+    of N entries of scale 1/sqrt(N), Y B Y* = Y Y*, its expectation is 1 and
+    the normalization is 1/sqrt(N).
 
     The form is coupled (its second family is the first, Yhat_i = Y_i),
     which makes the centering term nonzero; the expectation is computed in
-    closed form from the entry variance.  ``center_abs``, the largest entry
-    of the centered form's sample mean, tests that centering against
+    closed form from the entry variance.  ``center_abs``, the absolute
+    sample mean of the centered form, tests that centering against
     ``center_tol``; the fitted slope of log survival describes the decay
     shape of the tail.
     """
-    k, n, gamma0, gamma1, trials = 1, 64, 0.5, 1.0, 1000
-    b_matrix = np.eye(k * n)
+    n, trials = 64, 1000
     rng = _rng(seed, 7)
-    entry_sd = math.sqrt(gamma1 / n) / k
-    denom = (gamma1 / math.sqrt(n)) * max(1.0, np.linalg.norm(b_matrix) / math.sqrt(n))
-    # E[Y B Y*] = var * sum_i tr(B_ii) * I_k for iid real entries
-    diag_trace = sum(np.trace(b_matrix[i * k:(i + 1) * k, i * k:(i + 1) * k])
-                     for i in range(n))
-    expect = entry_sd**2 * diag_trace * np.eye(k)
+    entry_sd = 1.0 / math.sqrt(n)
+    expect = entry_sd**2 * n
     vals = np.empty(trials)
-    means = np.zeros((k, k))
+    mean = 0.0
     for t in range(trials):
-        y = _draw("gaussian", rng, (k, k * n)) * entry_sd
-        y0 = _draw("gaussian", rng, (k, k)) * math.sqrt(gamma1 / n) / k
-        stat = y @ b_matrix @ y.T - y0 - expect
-        means += (y @ b_matrix @ y.T - expect) / trials
-        vals[t] = np.linalg.norm(stat, 2) / denom
-    # statistic in normalized t-coordinates: Pr(. > t^(2 gamma0 + 1))
-    ts, surv = survival_points(vals ** (1.0 / (2.0 * gamma0 + 1.0)))
+        y = _draw("gaussian", rng, (1, n)) * entry_sd
+        y0 = _draw("gaussian", rng, 1)[0] * entry_sd
+        form = (y @ y.T)[0, 0]
+        vals[t] = abs(form - y0 - expect) / entry_sd
+        mean += (form - expect) / trials
+    # statistic in normalized t-coordinates: Pr(. > t^(2 gamma0 + 1)) = Pr(. > t^2)
+    ts, surv = survival_points(vals ** 0.5)
     slope, stderr, intercept = fit_log_survival_slope(ts, surv)
-    center_tol = 6.0 * entry_sd**2 * np.linalg.norm(b_matrix) / math.sqrt(trials) * k
+    # 6 var |B|_F / sqrt(trials)
+    center_tol = 6.0 * entry_sd**2 * math.sqrt(n) / math.sqrt(trials)
     return QuadTailReport(ts=ts, survival=surv, slope=slope, slope_stderr=stderr,
-                          intercept=intercept, center_abs=float(np.abs(means).max()),
+                          intercept=intercept, center_abs=float(abs(mean)),
                           center_tol=float(center_tol))

@@ -33,7 +33,7 @@ __all__ = [
     "sample_pair",
     "norm_at_most",
     "spectral_norm",
-    "save_pair",
+    "format_pair",
 ]
 
 #: supported entry distributions and their moment-growth parameters
@@ -184,11 +184,10 @@ def norm_at_most(h: np.ndarray, bound: float) -> bool:
 # Pair dump format: a '#' header line with N, ensemble, seed, alpha0 and
 # alpha1, then one 're,im' line per entry, row-major, U first then V.
 
-def save_pair(pair: WignerPair, path) -> None:
-    n = pair.n
-    with open(path, "w", encoding="ascii") as f:
-        f.write(f"# N={n} ensemble={pair.spec.ensemble} seed={pair.spec.seed} "
-                f"alpha0={pair.spec.alpha0:.17g} alpha1={pair.spec.alpha1:.17g}\n")
-        for mat in (pair.u, pair.v):
-            for val in mat.ravel():
-                f.write(f"{val.real:.17g},{val.imag:.17g}\n")
+def format_pair(pair: WignerPair) -> str:
+    """The pair's dump, which ``aclaw sample`` writes."""
+    lines = [f"# N={pair.n} ensemble={pair.spec.ensemble} seed={pair.spec.seed} "
+             f"alpha0={pair.spec.alpha0:.17g} alpha1={pair.spec.alpha1:.17g}"]
+    lines += [f"{val.real:.17g},{val.imag:.17g}"
+              for mat in (pair.u, pair.v) for val in mat.ravel()]
+    return "\n".join(lines) + "\n"

@@ -262,7 +262,7 @@ def norm_event_rate(spec: EnsembleSpec, samples: int, threshold: float = 4.0) ->
 
 
 def load_pair(path) -> WignerPair:
-    """Read the pair dump ``wigner.save_pair`` writes: a '#' header line with
+    """Read the pair dump ``wigner.format_pair`` forms: a '#' header line with
     N, ensemble, seed, alpha0 and alpha1 (the ensemble's, so not read back),
     then one 're,im' line per entry, row-major, U first then V."""
     with open(path, "r", encoding="ascii") as f:
@@ -369,9 +369,9 @@ def spot_check_residual(stats, lam: np.ndarray, phi) -> float:
 def _oracle_stats(z: complex, g_i, ghat_i, q_i, r_frob) -> ResolventStats:
     """The statistics at z, with ``_minor_statistics``' Ghat_i, Q_i and
     |R_i|_2."""
-    fluct_i = _fluct_from(_spectral_norms(q_i), r_frob, len(g_i))
+    fluct = float(_fluct_from(_spectral_norms(q_i), r_frob, len(g_i)).max())
     return ResolventStats(z=z, g_i=g_i, ghat_i=ghat_i, q_i=q_i, r_i_frob=r_frob,
-                          fluct_i=fluct_i, fluct=float(fluct_i.max()))
+                          fluct=fluct)
 
 
 def minor_stats(lin: Linearization, z: complex) -> tuple[ResolventStats, float]:
@@ -449,9 +449,9 @@ def whole_product_statistics(r: np.ndarray, z: complex, lam: np.ndarray,
     t1 = np.einsum("iab,iba->i", h3, g_inv)
     t2 = np.einsum("iba,ibc,icd,ida->i", g_inv.conj(), uu, g_inv, vv, optimize=True)
     r_frob = np.sqrt(np.maximum(norm_r2 - 2.0 * t1.real + t2.real, 0.0))
-    fluct_i = _fluct_from(_spectral_norms(q_i), r_frob, n)
+    fluct = float(_fluct_from(_spectral_norms(q_i), r_frob, n).max())
     return ResolventStats(z=z, g_i=g_i, ghat_i=ghat_i, q_i=q_i, r_i_frob=r_frob,
-                          fluct_i=fluct_i, fluct=float(fluct_i.max()))
+                          fluct=fluct)
 
 
 #: sizes at which ``route_bit_mismatches`` holds the route to its reference

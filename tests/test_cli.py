@@ -466,6 +466,18 @@ REFUSED_AFTER_SAMPLING = {
                  id="linearize-check-z-lower"),
     pytest.param(["linearize-check", "--N", "4", "--z", "0.5+0j"],
                  id="linearize-check-z-real"),
+    # an unwritable output path used to fail at the write, after the work,
+    # with a FileNotFoundError or IsADirectoryError traceback (exit 1); the
+    # directory case also left a temp file beside it
+    pytest.param(["verify", "--N", "8", "--out", "missing/x.json"],
+                 id="verify-out-missing-directory"),
+    pytest.param(["sample", "--N", "4", "--out", "."], id="sample-out-directory"),
+    pytest.param(["deloc", "--N", "16", "--out", ""], id="deloc-out-empty"),
+    pytest.param(["law", "--n-re", "2", "--n-im", "2", "--density-out", "missing/d.csv"],
+                 id="law-density-out-missing-directory"),
+    pytest.param(["figure2", "--resolution", "3", "--curves", "."],
+                 id="figure2-curves-directory"),
+    pytest.param(["tails", "--trials", "10", "--tail-csv", ""], id="tails-tail-csv-empty"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_usage_error_exit_code(tmp_path, capsys, monkeypatch, request, args):
@@ -490,7 +502,7 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch, request, args):
     monkeypatch.setattr(AnticommutatorSpectrum, "from_pair",
                         classmethod(refused_first("from_pair")))
     out = tmp_path / "x.out"
-    code = run_cli(args + ["--out", str(out)])
+    code = run_cli(args if "--out" in args else args + ["--out", str(out)])
     assert decomposed == []
     assert code == 2
     assert len(sampled) == (request.node.callspec.id in REFUSED_AFTER_SAMPLING)
@@ -498,6 +510,25 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch, request, args):
     assert err.startswith(f"aclaw {args[0]}: ")
     assert "Traceback" not in err and "Warning" not in err
     assert list(tmp_path.iterdir()) == []  # no partial output
+
+
+def test_failed_write_is_a_refusal(tmp_path, capsys, monkeypatch):
+    # a rename that fails (a full disk, a read-only directory) is exit 2 with
+    # one stderr line, not a traceback, and leaves neither the output nor
+    # the temp file behind; sample used to write its dump in place (exit 0)
+    from test_golden import CASES
+
+    def refuse(src, dst):
+        raise PermissionError(f"cannot rename {src} to {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    for name, argv in CASES.items():
+        code = run_cli(argv + ["--out", str(tmp_path / f"{name}.out")])
+        err = capsys.readouterr().err
+        assert code == 2, name
+        assert err.startswith(f"aclaw {argv[0]}: ") and err.count("\n") == 1, (name, err)
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [], name
 
 
 def test_memory_error_is_refused(tmp_path, capsys, monkeypatch):

