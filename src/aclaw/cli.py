@@ -7,9 +7,12 @@ thread count is byte-identical.
 Exit codes: 0 success, 1 verification failure (some non-vacuous check has
 holds = false), 2 usage error, typed precondition refusal (an AclawError
 such as rho >= 1 or a degenerate cubic root), a run whose arrays do not
-fit in memory (a MemoryError, such as a verify net of spacing 1e-4) or an
-output that cannot be written (an OSError), reported as one stderr line
-with no traceback.  An output path (``--out``, ``--density-out``,
+fit in memory (a MemoryError, such as a verify net of spacing 1e-4), a
+constant too large for floating point (an OverflowError, such as
+``figure2 --m-max 1e300``; the local-law constants whose square would
+overflow are refused before any eigendecomposition) or an output that
+cannot be written (an OSError), reported as one stderr line with no
+traceback.  An output path (``--out``, ``--density-out``,
 ``--curves``, ``--tail-csv``) that is empty, names a directory or lies in
 a directory that does not exist is refused before any work.
 
@@ -505,7 +508,7 @@ def main(argv=None) -> int:
         if getattr(args, "n", 2) < 2:
             raise ValueError(f"N must be >= 2, got {args.n}")
         return args.handler(args)
-    except (AclawError, MemoryError, OSError) as exc:
+    except (AclawError, MemoryError, OverflowError, OSError) as exc:
         print(f"aclaw {args.command}: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except (ValueError, KeyError) as exc:

@@ -73,7 +73,6 @@ class LawPoint:
     ``h`` is the edge distance min(|z - zeta|, |z + zeta|, 1).
     """
 
-    z: complex
     m: complex
     h: float
 
@@ -142,7 +141,7 @@ def m_ac(z: complex) -> LawPoint:
     scale = (1.0 + abs(z)) * max(1.0, abs(m)) ** 3
     if _cubic_residual(z, m) > 1e-10 * scale:
         raise DegenerateRootError(f"cubic residual too large at z={z}")
-    return LawPoint(z=z, m=m, h=edge_distance(z))
+    return LawPoint(m=m, h=edge_distance(z))
 
 
 #: the regularizations eps of ``density_ac``, strictly decreasing

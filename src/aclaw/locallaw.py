@@ -20,6 +20,7 @@ at z = lambda + i sigma.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,17 +104,24 @@ class LocalLawReport:
         return [r for r in self.rows if r.admissible]
 
 
+#: the largest float whose square is finite: the constants enter the bounds
+#: squared, and Python's ``x**2`` raises OverflowError beyond it
+_SQUARE_MAX = math.sqrt(sys.float_info.max)
+
+
 def _require_finite(**values: float) -> None:
     for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+        if not abs(value) <= _SQUARE_MAX:  # NaN fails too
+            raise ValueError(f"{name} must be finite with a finite square, got {value}")
 
 
-def _require_c_config(c_config: float) -> None:
-    # c enters only as c^2: a negative c would run as |c|, and c = 0 would
-    # admit every point
-    if not (math.isfinite(c_config) and c_config > 0):
-        raise ValueError(f"c_config must be positive and finite, got {c_config}")
+def _require_positive(**values: float) -> None:
+    # c and K enter only squared: a negative value would run as its
+    # magnitude, and 0 would admit every point
+    for name, value in values.items():
+        if not 0.0 < value <= _SQUARE_MAX:
+            raise ValueError(f"{name} must be positive and finite with a finite square, "
+                             f"got {value}")
 
 
 def _in_rectangle(z: complex, n: int, tau: float, re_max: float) -> bool:
@@ -194,11 +202,12 @@ def verify_local_law(pair: WignerPair, z_grid, tau: float = 8.0,
     relative, within the reference tolerance.)
 
     Refuses non-finite tau or theta (a NaN constant would admit no row and
-    pass vacuously), a non-finite or non-positive c_config and, after the
-    net, pairs with max(|U|, |V|) > 4 (the theorem hypothesis).
+    pass vacuously), a non-finite or non-positive c_config, any of the three
+    whose square overflows and, after the net, pairs with
+    max(|U|, |V|) > 4 (the theorem hypothesis).
     """
     _require_finite(tau=tau, theta=theta)
-    _require_c_config(c_config)
+    _require_positive(c_config=c_config)
     if tau < 8.0:
         raise ValueError("tau must be >= 8")
     if theta < 1.0:
@@ -328,16 +337,16 @@ def delocalization_check(pair: WignerPair, c_config: float,
     z = lambda + i sigma and rho = 4 c^2 K^2 / N: the whole ``deloc``
     command.
 
-    Refuses a non-finite or non-positive c_config or given k_stat (each
-    enters only squared) before any work, and then a pair with
-    max(|U|, |V|) > 4 (the theorem hypothesis).  Then it diagonalizes {UV}
-    once (``AnticommutatorSpectrum.from_pair``), takes K = ``empirical_k``
-    from that spectrum unless k_stat is given, and refuses rho >= 1 (the
-    simplifying assumption of the underlying bound).
+    Refuses a non-finite or non-positive c_config or given k_stat, or one
+    whose square overflows (each enters only squared), before any work, and
+    then a pair with max(|U|, |V|) > 4 (the theorem hypothesis).  Then it
+    diagonalizes {UV} once (``AnticommutatorSpectrum.from_pair``), takes
+    K = ``empirical_k`` from that spectrum unless k_stat is given, and
+    refuses rho >= 1 (the simplifying assumption of the underlying bound).
     """
-    if k_stat is not None and not (math.isfinite(k_stat) and k_stat > 0):
-        raise ValueError(f"k_stat must be positive and finite, got {k_stat}")
-    _require_c_config(c_config)
+    if k_stat is not None:
+        _require_positive(k_stat=k_stat)
+    _require_positive(c_config=c_config)
     if not (norm_at_most(pair.u, 4.0) and norm_at_most(pair.v, 4.0)):
         raise NormHypothesisError("pair violates max(|U|, |V|) <= 4")
     spectrum = AnticommutatorSpectrum.from_pair(pair)
@@ -521,9 +530,10 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
     the elimination, independently of the spectrum.  ``aclaw semicircle``
     fails a run whose ``max_identity_residual`` exceeds 1e-8 or whose
     ``max_row_sum_residual`` exceeds 1e-10.
-    Refuses non-finite tau or theta_user, tau < 1/N (an empty rectangle) and
-    theta_user <= 0; theta_user in (0, 1) is allowed, since at desk scale it
-    is what makes grid rows admissible.
+    Refuses non-finite tau or theta_user, or one whose square overflows,
+    tau < 1/N (an empty rectangle) and theta_user <= 0; theta_user in
+    (0, 1) is allowed, since at desk scale it is what makes grid rows
+    admissible.
     """
     _require_finite(tau=tau, theta_user=theta_user)
     x = np.asarray(x, dtype=complex)
@@ -538,7 +548,7 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
     spectrum = AnticommutatorSpectrum.from_hermitian(x)
     spectrum.certify(x, 1.0 / n, 1.0)
     g = spectrum.resolvent_diags(grid)              # column j: G_i at grid[j]
-    points = [(z, sc_edge_distance(z), float(np.abs(g_z - sd_semicircle(z).m).max()))
+    points = [(z, sc_edge_distance(z), float(np.abs(g_z - sd_semicircle(z)).max()))
               for z, g_z in zip(grid.tolist(), g.T)]
     del g
     screened = semicircle_screen(spectrum, net)

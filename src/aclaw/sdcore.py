@@ -9,9 +9,11 @@ radius: approximate solutions within it are pinned to the exact one.
 Two instances are built here: the 3x3 anticommutator solution with
 Lambda = diag(z, -1, 1), M = diag(m, -1/(m-1), -1/(m+1)) and the sandwich map
 Phi(A) = (e12+e21)A(e12+e21) + (e13+e31)A(e13+e31); and the scalar
-semicircle solution (z, m, 1, (1/m - m)^-1).
+semicircle solution, of which only m is computed (``sd_semicircle``).
 
-kappa is taken from the explicit inverse of the map's block decomposition
+kappa is a 9x9 array over the row-major coordinates of Mat3
+(``x.reshape(9)``), applied as ``(kappa @ x.reshape(9)).reshape(3, 3)``.  It
+is taken from the explicit inverse of the map's block decomposition
 (``_kappa_inverse``); ``kappa_blocks`` gives those blocks' determinants.
 Operator norms of linear maps on Mat3 (with the spectral norm) are not
 available in closed form, so every bound that must be *valid* (radii,
@@ -38,14 +40,10 @@ __all__ = [
     "DeformationPreconditionError",
     "DeformationConvergenceError",
     "SingularStatisticsError",
-    "LinMap3",
     "SDQuadruple",
-    "ScalarQuadruple",
     "KappaBlocks",
     "ImplicationVerdict",
     "DeformationSolution",
-    "vec3",
-    "unvec3",
     "phi_ac",
     "op_norm_upper_spectral",
     "sd_solution_ac",
@@ -90,37 +88,10 @@ class SingularStatisticsError(AclawError):
     """A statistics matrix G_i is numerically singular."""
 
 
-# Matrix entries of Mat3 are ordered so that the map x -> M^-1 x - Phi(x) M
-# becomes block diagonal: diagonal entries first, then the (1,2)/(2,1),
+# The map x -> M^-1 x - Phi(x) M is block diagonal over these row-major
+# coordinates of Mat3: the diagonal entries, then the (1,2)/(2,1),
 # (1,3)/(3,1) and (2,3)/(3,2) pairs.
-_BASIS = ((0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1))
-_BLOCK_COORDS = ((0, 1, 2), (3, 4), (5, 6), (7, 8))
-
-
-def vec3(a: np.ndarray) -> np.ndarray:
-    """Coordinates of a 3x3 matrix in the block-diagonalizing basis order."""
-    a = np.asarray(a)
-    return np.array([a[i, j] for i, j in _BASIS], dtype=complex)
-
-
-def unvec3(x: np.ndarray) -> np.ndarray:
-    a = np.empty((3, 3), dtype=complex)
-    for k, (i, j) in enumerate(_BASIS):
-        a[i, j] = x[k]
-    return a
-
-
-class LinMap3:
-    """Linear map on Mat3 stored as its 9x9 matrix in the basis above."""
-
-    def __init__(self, mat: np.ndarray):
-        mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (9, 9):
-            raise ValueError("LinMap3 expects a 9x9 matrix")
-        self.mat = mat
-
-    def __call__(self, a: np.ndarray) -> np.ndarray:
-        return unvec3(self.mat @ vec3(a))
+_BLOCK_COORDS = ((0, 4, 8), (1, 3), (2, 6), (5, 7))
 
 
 def phi_ac(a: np.ndarray) -> np.ndarray:
@@ -140,11 +111,11 @@ def phi_ac(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def op_norm_upper_spectral(t: LinMap3) -> float:
+def op_norm_upper_spectral(t: np.ndarray) -> float:
     """Certified upper bound sqrt(3) * (largest singular value of the 9x9
-    matrix).  Valid because |T(A)| <= |T(A)|_F <= smax |A|_F <= smax
+    matrix ``t``).  Valid because |T(A)| <= |T(A)|_F <= smax |A|_F <= smax
     sqrt(3) |A| for 3x3 A."""
-    return float(np.sqrt(3.0) * np.linalg.norm(t.mat, 2))
+    return float(np.sqrt(3.0) * np.linalg.norm(t, 2))
 
 
 #: ``op_norm_upper_spectral`` of Phi.  Its 9x9 matrix has largest singular
@@ -163,9 +134,8 @@ class SDQuadruple:
     m: complex
     lambda_mat: np.ndarray
     m_mat: np.ndarray
-    kappa: LinMap3
+    kappa: np.ndarray
     op_norm_kappa_upper: float
-    op_norm_phi_upper: float
     stability_radius: float
 
 
@@ -176,8 +146,9 @@ def sd_residual(quad: SDQuadruple) -> float:
 
 
 def _bound_factors(base: SDQuadruple) -> tuple[float, float, float]:
-    """The implication bounds' k* = max(1, |kappa|*), p* = max(1, |Phi|*), |M0|."""
-    return (max(1.0, base.op_norm_kappa_upper), max(1.0, base.op_norm_phi_upper),
+    """The implication bounds' k* = max(1, |kappa|*), p* = max(1, |Phi|*)
+    (``PHI_NORM_UPPER``, above 1) and |M0|."""
+    return (max(1.0, base.op_norm_kappa_upper), PHI_NORM_UPPER,
             float(np.linalg.norm(base.m_mat, 2)))
 
 
@@ -187,7 +158,7 @@ _W = law_constants().omega
 _KAPPA_POLES = (1.0, -1.0, 0.5, -0.5, _W, -_W, 1j / _W, -1j / _W)
 
 
-def _kappa_inverse(m: complex) -> LinMap3:
+def _kappa_inverse(m: complex) -> np.ndarray:
     """kappa at the Stieltjes value m, assembled from the explicit inverses
     of the four blocks of x -> M^-1 x - Phi(x) M.
 
@@ -210,7 +181,7 @@ def _kappa_inverse(m: complex) -> LinMap3:
     k9 = np.zeros((9, 9), dtype=complex)
     for coords, inv in zip(_BLOCK_COORDS, (inv0, inv1, inv2, inv3)):
         k9[np.ix_(coords, coords)] = inv
-    return LinMap3(k9)
+    return k9
 
 
 def sd_solution_ac(z: complex) -> SDQuadruple:
@@ -230,7 +201,7 @@ def sd_solution_ac(z: complex) -> SDQuadruple:
     k_up = op_norm_upper_spectral(kappa)
     quad = SDQuadruple(
         z=complex(z), m=m, lambda_mat=lam, m_mat=m_mat, kappa=kappa,
-        op_norm_kappa_upper=k_up, op_norm_phi_upper=PHI_NORM_UPPER,
+        op_norm_kappa_upper=k_up,
         stability_radius=1.0 / (8.0 * max(1.0, k_up) * PHI_NORM_UPPER),
     )
     if sd_residual(quad) > 1e-10:
@@ -240,11 +211,10 @@ def sd_solution_ac(z: complex) -> SDQuadruple:
 
 @dataclass
 class KappaBlocks:
-    """Determinants of the blocks of x -> M^-1 x - Phi(x) M over the
-    block-diagonalizing basis (a 3x3 block on the diagonal entries and three
-    2x2 blocks on the off-diagonal pairs), numerically and in closed form."""
+    """Determinants of the blocks of x -> M^-1 x - Phi(x) M over
+    ``_BLOCK_COORDS`` (a 3x3 block on the diagonal entries and three 2x2
+    blocks on the off-diagonal pairs), numerically and in closed form."""
 
-    m: complex
     dets: list
     det_formulas: list
 
@@ -276,7 +246,7 @@ def kappa_blocks(m: complex) -> KappaBlocks:
         -(2.0 * m + 1.0) / (m * (m + 1.0)),
         (m - 1.0) * (m + 1.0),
     ]
-    return KappaBlocks(m=m, dets=dets, det_formulas=det_formulas)
+    return KappaBlocks(dets=dets, det_formulas=det_formulas)
 
 
 @dataclass
@@ -312,7 +282,8 @@ def deformation_solve(base: SDQuadruple, lambda_new: np.ndarray) -> DeformationS
     prev_step = None
     max_ratio = 0.0
     for it in range(1, DEFORMATION_MAX_ITER + 1):
-        x_next = base.kappa(theta @ base.m_mat + theta @ x + phi_ac(x) @ x)
+        rhs = theta @ base.m_mat + theta @ x + phi_ac(x) @ x
+        x_next = (base.kappa @ rhs.reshape(9)).reshape(3, 3)
         step = float(np.linalg.norm(x_next - x, 2))
         if prev_step is not None and prev_step > 0.0:
             ratio = step / prev_step
@@ -340,7 +311,6 @@ class ImplicationVerdict:
     """Evaluation of a stability-style implication: if lhs <= threshold then
     lhs <= rhs.  ``holds`` is vacuously true when the hypothesis is not met."""
 
-    z: complex
     lhs: float
     rhs: float
     hypothesis_met: bool
@@ -360,7 +330,7 @@ def stability_check(base: SDQuadruple, g0: np.ndarray) -> ImplicationVerdict:
     k_up, p_up, m_norm = _bound_factors(base)
     rhs = 20.0 * k_up * p_up * max(1.0, m_norm)**2 * float(np.linalg.norm(e0, 2))
     hyp = lhs <= base.stability_radius
-    return ImplicationVerdict(z=base.z, lhs=lhs, rhs=rhs, hypothesis_met=hyp,
+    return ImplicationVerdict(lhs=lhs, rhs=rhs, hypothesis_met=hyp,
                               holds=(not hyp) or lhs <= rhs)
 
 
@@ -399,28 +369,13 @@ def gauge_implication_check(g_list, ghat_list, base: SDQuadruple) -> Implication
     l_up = max(1.0, float(np.linalg.norm(base.lambda_mat, 2)))
     rhs = 2.0**14 * (1.0 + m_norm) ** 7 * max(p_up, l_up) ** 4 * k_up * gauge
     hyp = lhs <= base.stability_radius
-    return ImplicationVerdict(z=base.z, lhs=lhs, rhs=rhs, hypothesis_met=hyp,
+    return ImplicationVerdict(lhs=lhs, rhs=rhs, hypothesis_met=hyp,
                               holds=(not hyp) or lhs <= rhs)
 
 
-@dataclass(frozen=True)
-class ScalarQuadruple:
-    """Scalar semicircle solution (z, m, (1/m - m)^-1) and its radius; its
-    Phi is the identity."""
-
-    z: complex
-    m: complex
-    kappa: complex
-    stability_radius: float
-
-
-def sd_semicircle(z: complex) -> ScalarQuadruple:
-    """Semicircle Schwinger-Dyson solution: m with m^2 + z m + 1 = 0 and
-    Im m > 0, kappa = (1/m - m)^-1, stability radius (1 ^ |1/m - m|)/8.
-
-    The radius provably dominates sqrt(1 ^ |z-2| ^ |z+2|)/8; this is checked
-    on construction.
-    """
+def sd_semicircle(z: complex) -> complex:
+    """Semicircle Schwinger-Dyson solution m: the root of m^2 + z m + 1 = 0
+    with Im m > 0.  Its Phi is the identity and its kappa (1/m - m)^-1."""
     z = complex(z)
     if z.imag <= 0:
         raise ValueError(f"z must lie in the upper half-plane, got {z}")
@@ -428,10 +383,4 @@ def sd_semicircle(z: complex) -> ScalarQuadruple:
     m = (-z + s) / 2.0
     if m.imag <= 0:
         m = (-z - s) / 2.0
-    kappa = 1.0 / (1.0 / m - m)
-    radius = 1.0 / (8.0 * max(1.0, abs(kappa)))
-    floor = np.sqrt(min(1.0, abs(z - 2.0), abs(z + 2.0))) / 8.0
-    if radius < floor - 1e-12:
-        raise AssertionError("semicircle radius bound violated")
-    return ScalarQuadruple(z=z, m=complex(m), kappa=complex(kappa),
-                           stability_radius=float(radius))
+    return complex(m)

@@ -36,14 +36,15 @@ from aclaw.linearize import (COND_LIMIT, IllConditionedError, Linearization,
                              corner_blocks, generalized_resolvent, lambda_kron,
                              resolvent_stats)
 from aclaw.locallaw import semicircle_stats
-from aclaw.sdcore import LinMap3, phi_ac, sd_solution_ac, unvec3, vec3
+from aclaw.sdcore import phi_ac, sd_solution_ac
 from aclaw.wigner import (ENSEMBLES, EnsembleSpec, WignerPair, _draw_offdiag, _rng,
                           norm_at_most, sample_pair)
 
 
-def op_norm_estimate(t: LinMap3, samples: int = 2000, seed: int = 0) -> float:
-    """Monte Carlo lower estimate of the operator norm of ``t`` induced by
-    the spectral norm on Mat3.
+def op_norm_estimate(t: np.ndarray, samples: int = 2000, seed: int = 0) -> float:
+    """Monte Carlo lower estimate of the operator norm of the map on Mat3
+    whose 9x9 matrix over row-major coordinates is ``t``, induced by the
+    spectral norm.
 
     Draws random unit-spectral-norm inputs, then refines the best one by
     hill climbing.  Always below the certified bounds.
@@ -51,11 +52,11 @@ def op_norm_estimate(t: LinMap3, samples: int = 2000, seed: int = 0) -> float:
     rng = np.random.Generator(np.random.Philox(key=seed))
 
     def ratio(x):
-        return np.linalg.norm(t(x), 2)
+        return np.linalg.norm((t @ x.reshape(9)).reshape(3, 3), 2)
 
     # structured candidates first (identity and elementary matrices often
     # realize the norm for maps with sparse coefficient structure)
-    candidates = [np.eye(3, dtype=complex)] + [unvec3(e) for e in np.eye(9)]
+    candidates = [np.eye(3, dtype=complex)] + [e.reshape(3, 3) for e in np.eye(9)]
     best_val, best_x = 0.0, None
     for x in candidates:
         v = ratio(x)
@@ -83,17 +84,17 @@ def op_norm_estimate(t: LinMap3, samples: int = 2000, seed: int = 0) -> float:
     return float(best_val)
 
 
-def linmap_from_action(fn) -> LinMap3:
-    """The 9x9 matrix of the linear map ``fn`` on Mat3, column by column from
-    its action on the basis matrices."""
-    return LinMap3(np.array([vec3(fn(unvec3(e))) for e in np.eye(9)]).T)
+def linmap_from_action(fn) -> np.ndarray:
+    """The 9x9 matrix of the linear map ``fn`` on Mat3 over row-major
+    coordinates, column by column from its action on the unit matrices."""
+    return np.array([fn(e.reshape(3, 3)).reshape(9) for e in np.eye(9)]).T
 
 
 #: condition-number ceiling of the generic 9x9 inversion
 INVERSION_COND_LIMIT = 1e12
 
 
-def kappa_by_inversion(m: complex) -> LinMap3:
+def kappa_by_inversion(m: complex) -> np.ndarray:
     """kappa by definition at the Stieltjes value m: the inverse of the 9x9
     matrix of x -> M^-1 x - Phi(x) M, M = diag(m, -1/(m-1), -1/(m+1)).
 
@@ -101,12 +102,12 @@ def kappa_by_inversion(m: complex) -> LinMap3:
     ``INVERSION_COND_LIMIT``."""
     m_mat = np.diag([m, -1.0 / (m - 1.0), -1.0 / (m + 1.0)])
     m_inv = np.diag([1.0 / m, -(m - 1.0), -(m + 1.0)])
-    kinv = linmap_from_action(lambda x: m_inv @ x - phi_ac(x) @ m_mat).mat
+    kinv = linmap_from_action(lambda x: m_inv @ x - phi_ac(x) @ m_mat)
     cond = np.linalg.cond(kinv)
     if not np.isfinite(cond) or cond > INVERSION_COND_LIMIT:
         raise np.linalg.LinAlgError(
             f"9x9 map condition {cond:.3e} exceeds {INVERSION_COND_LIMIT:.0e}")
-    return LinMap3(np.linalg.inv(kinv))
+    return np.linalg.inv(kinv)
 
 
 def stability_constant_estimate(z_grid) -> float:

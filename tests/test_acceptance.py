@@ -106,8 +106,8 @@ def test_criterion_04_schwinger_dyson():
         quad_ = sd_solution_ac(z)
         worst_sd = max(worst_sd, sd_residual(quad_))
         kb = kappa_blocks(quad_.m)
-        oracle = kappa_by_inversion(quad_.m).mat
-        rel = np.linalg.norm(quad_.kappa.mat - oracle) / np.linalg.norm(oracle)
+        oracle = kappa_by_inversion(quad_.m)
+        rel = np.linalg.norm(quad_.kappa - oracle) / np.linalg.norm(oracle)
         worst_block = max(worst_block, rel)
         for det, formula in zip(kb.dets, kb.det_formulas):
             worst_det = max(worst_det, abs(det - formula) / abs(formula))

@@ -391,6 +391,8 @@ REFUSED_AFTER_SAMPLING = {
     "verify-c-config-negative", "verify-c-config-zero",
     "semicircle-theta-nan", "semicircle-tau-inf", "semicircle-empty-rectangle",
     "semicircle-theta-negative", "deloc-k-negative", "deloc-c-config-zero",
+    "verify-theta-huge", "verify-c-config-huge", "semicircle-theta-huge",
+    "deloc-c-config-huge",
 }
 
 
@@ -423,6 +425,15 @@ REFUSED_AFTER_SAMPLING = {
                  id="verify-c-config-negative"),
     pytest.param(["verify", "--N", "8", "--c-config", "0"], id="verify-c-config-zero"),
     pytest.param(["deloc", "--N", "16", "--c-config", "0"], id="deloc-c-config-zero"),
+    # each used to end in an OverflowError traceback (exit 1): Python's x**2
+    # and complex **3 raise where the result overflows
+    pytest.param(["verify", "--N", "8", "--theta", "1e300"], id="verify-theta-huge"),
+    pytest.param(["verify", "--N", "8", "--c-config", "1e200"], id="verify-c-config-huge"),
+    pytest.param(["semicircle", "--N", "8", "--theta-user", "1e300"],
+                 id="semicircle-theta-huge"),
+    pytest.param(["deloc", "--N", "64", "--c-config", "1e300"], id="deloc-c-config-huge"),
+    pytest.param(["figure2", "--m-max", "1e300", "--resolution", "3"],
+                 id="figure2-m-max-huge"),
     # each used to write a header-only table and exit 0
     pytest.param(["figure2", "--resolution", "0"], id="figure2-resolution-0"),
     # a NaN or negative radius let the pole at m = 0 through to a
@@ -499,8 +510,9 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch, request, args):
 
     monkeypatch.setattr(np.linalg, "eigh", refused_first("eigh"))
     monkeypatch.setattr(np.linalg, "eigvalsh", refused_first("eigvalsh"))
-    monkeypatch.setattr(AnticommutatorSpectrum, "from_pair",
-                        classmethod(refused_first("from_pair")))
+    for constructor in ("from_hermitian", "from_pair"):
+        monkeypatch.setattr(AnticommutatorSpectrum, constructor,
+                            classmethod(refused_first(constructor)))
     out = tmp_path / "x.out"
     code = run_cli(args if "--out" in args else args + ["--out", str(out)])
     assert decomposed == []

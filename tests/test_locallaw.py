@@ -603,7 +603,7 @@ def test_semicircle_rows_match_dense_inverse(ensemble, n):
         tol = 1e-12 * np.abs(want).max()
         assert np.abs(got - want).max() <= tol
         assert row.z == z
-        assert abs(row.lhs - np.abs(want - sd_semicircle(z).m).max()) <= tol
+        assert abs(row.lhs - np.abs(want - sd_semicircle(z)).max()) <= tol
 
 
 def test_semicircle_refuses_an_uncertified_eigenbasis(monkeypatch):

@@ -21,13 +21,17 @@ package or one of the root files, matched by name in the same way, except
 that a read through ``args``, the name the CLI and the benchmark give their
 argparse namespaces, does not count: ``args.tau`` reads an option, not a
 report's ``tau``.  A field that is only ever written, or read only by unit
-tests, is a value computed for nobody.
+tests, is a value computed for nobody.  Because reads are matched by name,
+a read of one dataclass's field keeps every same-named field of the others
+(``test_field_guard_tells_receivers_apart`` records that blind spot).
 
     python tests/test_reachability.py    # list the definitions and fields it flags
 """
 
 import ast
 import os
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join("src", "aclaw")
@@ -266,6 +270,21 @@ def test_field_guard_reads_from_the_roots_only():
     unit_test = ast.parse("assert mod.Report(1.0, 2.0, 3.0).in_unit_test == 3.0\n")
     assert unread_fields([("mod.py", mod)], [root]) == ["mod.py:6 Report.in_unit_test"]
     assert unread_fields([("mod.py", mod)], [root, unit_test]) == []
+
+
+@pytest.mark.xfail(strict=True, reason="fields are matched by name, not by receiver")
+def test_field_guard_tells_receivers_apart():
+    # Point.z is read and Verdict.z is not, but one read of the name keeps both
+    mod = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Point:\n"
+        "    z: complex\n"
+        "@dataclass\n"
+        "class Verdict:\n"
+        "    z: complex\n")
+    root = ast.parse("print(mod.Point(1j).z, mod.Verdict(2j))\n")
+    assert unread_fields([("mod.py", mod)], [root]) == ["mod.py:7 Verdict.z"]
 
 
 if __name__ == "__main__":

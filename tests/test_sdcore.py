@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aclaw.freelaw import edge_distance, law_constants, m_ac
 from aclaw import sdcore
@@ -11,7 +13,6 @@ from aclaw.grids import rect_grid
 from aclaw.sdcore import (
     DeformationPreconditionError,
     PHI_NORM_UPPER,
-    LinMap3,
     PoleProximityError,
     deformation_solve,
     error_gauge,
@@ -23,8 +24,6 @@ from aclaw.sdcore import (
     sd_semicircle,
     sd_solution_ac,
     stability_check,
-    unvec3,
-    vec3,
 )
 
 from oracles import (kappa_by_inversion, linmap_from_action, op_norm_estimate,
@@ -35,6 +34,11 @@ RNG = np.random.Generator(np.random.Philox(key=20260809))
 
 def rand3():
     return RNG.standard_normal((3, 3)) + 1j * RNG.standard_normal((3, 3))
+
+
+def apply(t, a):
+    """The map on Mat3 whose 9x9 matrix over row-major coordinates is t, at a."""
+    return (t @ a.reshape(9)).reshape(3, 3)
 
 
 def phi_permutation_form(a):
@@ -86,11 +90,6 @@ def test_phi_stack_bit_identical_to_matmul_form(n):
         assert np.array_equal(phi_ac(a), phi_matmul_form(a))
 
 
-def test_vec_unvec_roundtrip():
-    a = rand3()
-    np.testing.assert_array_equal(unvec3(vec3(a)), a)
-
-
 def test_linmap_matrix_agrees_with_action():
     # stored 9x9 matrix must reproduce the defining action on random inputs
     m = 0.3 + 0.4j
@@ -103,7 +102,7 @@ def test_linmap_matrix_agrees_with_action():
     t = linmap_from_action(action)
     for _ in range(20):
         a = rand3()
-        rel = np.linalg.norm(t(a) - action(a)) / np.linalg.norm(action(a))
+        rel = np.linalg.norm(apply(t, a) - action(a)) / np.linalg.norm(action(a))
         assert rel <= 1e-12
 
 
@@ -130,7 +129,7 @@ def test_kappa_inverts_defining_map():
     m_mat, m_inv = quad.m_mat, np.diag([1 / m, -(m - 1), -(m + 1)])
     for _ in range(20):
         a = rand3()
-        back = quad.kappa(m_inv @ a - phi_ac(a) @ m_mat)
+        back = apply(quad.kappa, m_inv @ a - phi_ac(a) @ m_mat)
         assert np.linalg.norm(back - a) / np.linalg.norm(a) <= 1e-8
 
 
@@ -154,19 +153,19 @@ def test_kappa_block_inverses_invert_blocks():
     # the explicit block inverses, assembled into kappa, against the inverse
     # of the map's 9x9 matrix at an m that is no value of m_ac
     m = 0.21 + 0.33j
-    np.testing.assert_allclose(sdcore._kappa_inverse(m).mat,
-                               kappa_by_inversion(m).mat, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(sdcore._kappa_inverse(m), kappa_by_inversion(m),
+                               rtol=0, atol=1e-10)
 
 
 def test_block_assembly_matches_generic_inverse():
     quad = sd_solution_ac(1.0 + 1.0j)
     oracle = kappa_by_inversion(quad.m)
-    rel = np.linalg.norm(quad.kappa.mat - oracle.mat) / np.linalg.norm(oracle.mat)
+    rel = np.linalg.norm(quad.kappa - oracle) / np.linalg.norm(oracle)
     assert rel <= 1e-8
     for _ in range(10):
         a = rand3()
-        err = np.linalg.norm(quad.kappa(a) - oracle(a))
-        assert err / np.linalg.norm(oracle(a)) <= 1e-8
+        err = np.linalg.norm(apply(quad.kappa, a) - apply(oracle, a))
+        assert err / np.linalg.norm(apply(oracle, a)) <= 1e-8
 
 
 def test_kappa_at_closest_admitted_pole_approach():
@@ -178,7 +177,7 @@ def test_kappa_at_closest_admitted_pole_approach():
     assert abs(m - c.omega) <= 1e-4
     quad = sd_solution_ac(z)
     oracle = kappa_by_inversion(quad.m)
-    rel = np.linalg.norm(quad.kappa.mat - oracle.mat) / np.linalg.norm(oracle.mat)
+    rel = np.linalg.norm(quad.kappa - oracle) / np.linalg.norm(oracle)
     assert rel <= 1e-8
 
 
@@ -199,18 +198,18 @@ def test_kappa_blocks_pole_guard():
 
 
 def test_op_norm_upper_examples():
-    ident = LinMap3(np.eye(9))
+    ident = np.eye(9)
     assert abs(op_norm_upper_spectral(ident) - math.sqrt(3)) <= 1e-12
-    zero = LinMap3(np.zeros((9, 9)))
+    zero = np.zeros((9, 9))
     assert op_norm_upper_spectral(zero) == 0.0
     assert op_norm_estimate(zero, samples=10) == 0.0
 
 
 def test_op_norm_estimate_identity_and_scalar():
-    ident = LinMap3(np.eye(9))
+    ident = np.eye(9)
     assert abs(op_norm_estimate(ident, samples=50) - 1.0) <= 1e-6
     c = -2.5
-    scaled = LinMap3(c * np.eye(9))
+    scaled = c * np.eye(9)
     assert abs(op_norm_estimate(scaled, samples=50) - abs(c)) <= 1e-6
 
 
@@ -220,7 +219,6 @@ def test_phi_norm_bounds():
     est = op_norm_estimate(phi, samples=4000, seed=3)
     assert 1.0 <= est <= 8.0
     assert est <= PHI_NORM_UPPER + 1e-8
-    assert sd_solution_ac(1j).op_norm_phi_upper == PHI_NORM_UPPER
     # Phi(I) = diag(2,1,1) shows the true norm is at least 2
     assert est >= 2.0 - 1e-6
 
@@ -274,7 +272,7 @@ def test_stability_small_perturbation():
     e0 = np.eye(3) + (base.lambda_mat + phi_ac(g0)) @ g0
     assert abs(v.lhs - np.linalg.norm(g0 - base.m_mat, 2)) <= 1e-14
     k = max(1.0, base.op_norm_kappa_upper)
-    p = max(1.0, base.op_norm_phi_upper)
+    p = PHI_NORM_UPPER
     mm = max(1.0, np.linalg.norm(base.m_mat, 2))
     assert abs(v.rhs - 20 * k * p * mm**2 * np.linalg.norm(e0, 2)) <= 1e-12
 
@@ -326,29 +324,54 @@ def test_gauge_implication_exact_and_perturbed():
 
 
 def test_semicircle_at_i():
-    quad = sd_semicircle(1j)
+    m = sd_semicircle(1j)
+    assert type(m) is complex
     v = (math.sqrt(5) - 1) / 2
-    assert abs(quad.m - 1j * v) <= 1e-12
+    assert abs(m - 1j * v) <= 1e-12
     # oracle: the Im > 0 root of m^2 + z m + 1
-    assert abs(quad.m**2 + 1j * quad.m + 1) <= 1e-12
+    assert abs(m**2 + 1j * m + 1) <= 1e-12
 
 
 def test_semicircle_stieltjes_bound():
     for z in (1j, 0.5 + 0.2j, -1.9 + 0.05j, 3.0 + 1.0j):
-        quad = sd_semicircle(z)
-        assert quad.m.imag > 0
-        assert abs(quad.m) <= min(1.0, 1.0 / z.imag) + 1e-12
+        m = sd_semicircle(z)
+        assert m.imag > 0
+        assert abs(m) <= min(1.0, 1.0 / z.imag) + 1e-12
+
+
+def semicircle_radius(m):
+    """The scalar solution's stability radius 1/(8 max(1, |kappa|)) with
+    kappa = (1/m - m)^-1 and Phi the identity."""
+    return min(1.0, abs(1.0 / m - m)) / 8.0
 
 
 def test_semicircle_edge_radius():
     z = 2.0 + 1e-3j
-    quad = sd_semicircle(z)
+    radius = semicircle_radius(sd_semicircle(z))
     # direct formula: radius = (1 ^ sqrt|z^2-4|)/8
     direct = min(1.0, abs(np.sqrt(complex(z * z - 4)))) / 8.0
-    assert quad.stability_radius == pytest.approx(direct, rel=1e-9)
+    assert radius == pytest.approx(direct, rel=1e-9)
     # near-edge scaling sqrt(|z-2| * |z+2|)/8 ~ sqrt(4e-3)/8
-    assert quad.stability_radius == pytest.approx(math.sqrt(4e-3) / 8.0, rel=0.2)
-    assert quad.stability_radius >= math.sqrt(min(1.0, abs(z - 2), abs(z + 2))) / 8 - 1e-15
+    assert radius == pytest.approx(math.sqrt(4e-3) / 8.0, rel=0.2)
+    assert radius >= math.sqrt(min(1.0, abs(z - 2), abs(z + 2))) / 8 - 1e-15
+
+
+#: z within 1e-3 of one of the semicircle's edges +-2
+NEAR_EDGE = st.tuples(st.sampled_from((-2.0, 2.0)), st.floats(-1e-3, 1e-3),
+                      st.floats(1e-12, 1e-3)).map(lambda t: (t[0] + t[1], t[2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.tuples(st.floats(-50.0, 50.0), st.floats(1e-9, 50.0)), NEAR_EDGE))
+@example((2.0, 1e-12))
+@example((-2.0, 1e-12))
+@example((0.0, 1e-9))
+def test_semicircle_radius_dominates_edge_floor(point):
+    # radius = min(1, sqrt(|z-2| |z+2|))/8 >= sqrt(1 ^ |z-2| ^ |z+2|)/8,
+    # since |z-2| + |z+2| >= 4
+    z = complex(*point)
+    radius = semicircle_radius(sd_semicircle(z))
+    assert radius >= math.sqrt(min(1.0, abs(z - 2), abs(z + 2))) / 8 - 1e-12
 
 
 def test_stability_radius_edge_scaling():

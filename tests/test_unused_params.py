@@ -1,15 +1,17 @@
 """Guard against options that no caller uses or varies.
 
 Every defaulted parameter of a function in ``src/aclaw`` must be passed, by
-keyword or by position, at some call site in ``src/``, ``perfbench/`` or
-``tests/test_acceptance.py``, and some call in ``src/`` or
+keyword or by position, at some call site in ``src/`` or a root file of the
+reachability guard (``test_reachability.ROOT_FILES``: the benchmark's
+``workloads.py``, ``run.py`` and ``tracer.py``, and
+``tests/test_acceptance.py``), and some call in ``src/`` or
 ``tests/test_acceptance.py`` must pass it as something other than its
 default's literal, unless ``perfbench/`` (the benchmark's fixed interface)
 passes it.  A parameter whose default is None must also be left at that
-default, by omitting it or passing the literal None, by some call in
-``src/``, ``perfbench/`` or ``tests/test_acceptance.py``: a None default
-selects a branch, and a branch that only unit tests take is a fork to
-delete.  Calls in the unit tests do not count: a value that only a unit
+default, by omitting it or passing the literal None, by some call in those
+files: a None default selects a branch, and a branch that only unit tests
+take is a fork to delete.  Calls in the unit tests do not count, and
+``perfbench/test_perfbench.py`` is one: a value that only a unit
 test varies, like one that no caller varies, belongs in a constant or a
 literal, not in a signature.  Call sites are
 matched by the callee's name (``f(...)`` or ``obj.f(...)``; ``Cls(...)``
@@ -22,10 +24,13 @@ hide a parameter, never flag one.
 import ast
 import os
 
+from test_reachability import ROOT_FILES
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-#: the files or directories whose calls count: the package, the benchmark
-#: and the acceptance criteria
-CALLERS = ("src", "perfbench", os.path.join("tests", "test_acceptance.py"))
+#: the files or directories whose calls count: the package and the
+#: reachability guard's root files outside it (the benchmark's interface
+#: files and the acceptance criteria; not the benchmark's own unit test)
+CALLERS = ("src", *(rel for rel in ROOT_FILES if not rel.startswith("src" + os.sep)))
 INTERFACE_DIR = "perfbench"
 
 #: a value the guard cannot read: a ``*``/``**`` splat that may pass the
