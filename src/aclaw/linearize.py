@@ -19,33 +19,33 @@ the G_i, 9N of R's 9N^2 entries: ``grid_corner_blocks`` forms just those,
 with the bits of the full R, at 2 N^3 complex multiply-adds plus the N x N
 inverse per z instead of 16 N^3.
 
-``_schur_statistics`` derives the per-index statistics from a full
-resolvent by the Schur identities, in roughly matrix-multiplication time, at
-any block size k (the tests hold it against an oracle that inverts every
-minor): ``resolvent_stats`` runs it at k = 3 on R, and
-``locallaw.semicircle_stats`` at k = 1 on (X - z)^-1.  The route holds R
-and no other kN x kN array, at most 250 N^2 bytes at k = 3 (R is 144):
-``generalized_resolvent`` assembles R in blocks, and ``_schur_statistics``
-reads R*R and R R*R on diagonal tiles, each entry with the bits of the
-whole product.  ``identity_spot_check``
+``_schur_statistics`` derives the per-index statistics from a full resolvent
+by the Schur identities, in roughly matrix-multiplication time, at any block
+size k (the tests hold it against an oracle that inverts every minor):
+``resolvent_stats`` runs it at k = 3 on R, and ``semicircle_stats`` at
+k = 1 on (X - z)^-1, whose net ``semicircle_screen`` reads from X's
+eigenbasis.  The route holds R and no other kN x kN array, at most
+250 N^2 bytes at k = 3 (R is 144): ``generalized_resolvent`` assembles R in
+blocks, and ``_schur_statistics`` reads R*R and R R*R on diagonal tiles,
+each entry with the bits of the whole product.  ``identity_spot_check``
 checks a route's Q_i against the key identity -Q_i = G_i^-1 + Lambda +
 Phi(Ghat_i) for every index, with one nested block elimination of
 X - Lambda kron I that yields every minor's quadratic form (2(N - 1)
 solves, cubic in N), for the k = 3 linearization and the k = 1 semicircle
-mode alike.  ``fluctuation_sup``
-screens its whole net with the Schur route's formulas in the eigenbasis of
-{UV}, where R = P diag(1/(lam - z)) P* + D is affine in the anticommutator
-resolvent: one ``eigh`` per pair, kernels built once per Im level of the net
-and O(N^2) work per net point.  A Ward lower bound on every minor's
-|R^(i)|_F, read from Ghat_i, bounds each point's statistic from above, so
-the minor-norm kernels are built only on levels that can hold the
-maximum.  It runs the route only near the screened maximum.  With
-{UV} = Q diag(lam) Q* and P = [Q, -aQ, bQ] the screen uses three exact
-identities of the linearization: Q*Q = I; every Gram block
-P_e* P_a that ghat's correction reads is Hermitian; and P_2* P_2 - P_1* P_1 =
-Q* (b^2 - a^2) Q = diag(lam), since a^2 - b^2 = -{UV}.  Equal eigenvalues
-(k = l) enter as weights on d_k^2, so only genuine ties are multiplied
-directly.  One certificate per pair bounds the eigenbasis's error in R.
+mode alike.  ``fluctuation_sup`` screens its whole net with the Schur
+route's formulas in the eigenbasis of {UV}, where R = P diag(1/(lam - z))
+P* + D is affine in the anticommutator resolvent: one ``eigh`` per pair,
+kernels built once per Im level of the net and O(N^2) work per net point.
+A Ward lower bound on every minor's |R^(i)|_F, read from Ghat_i, bounds
+each point's statistic from above, so the minor-norm kernels are built only
+on levels that can hold the maximum.  It runs the route only near the
+screened maximum.  With {UV} = Q diag(lam) Q* and P = [Q, -aQ, bQ] the
+screen uses three exact identities of the linearization: Q*Q = I; every
+Gram block P_e* P_a that ghat's correction reads is Hermitian; and
+P_2* P_2 - P_1* P_1 = Q* (b^2 - a^2) Q = diag(lam), since a^2 - b^2 =
+-{UV}.  Equal eigenvalues (k = l) enter as weights on d_k^2, so only
+genuine ties are multiplied directly.  One certificate per pair bounds the
+eigenbasis's error in R.
 """
 
 from __future__ import annotations
@@ -71,6 +71,9 @@ __all__ = [
     "grid_corner_blocks",
     "corner_blocks",
     "resolvent_stats",
+    "semicircle_stats",
+    "semicircle_screen",
+    "row_sum_residual",
     "identity_spot_check",
     "route_near_max",
     "fluctuation_sup",
@@ -95,13 +98,12 @@ class IllConditionedError(AclawError):
 
 @dataclass
 class Linearization:
-    """A pair with its blocks a and b, {UV}, its spectral norms and the
-    norm-hypothesis flag max(|U|, |V|) <= 4.  The 3N x 3N matrices X
-    (Hermitian) and W (unit block lower triangular) are built on first use:
-    ``generalized_resolvent`` and ``grid_corner_blocks`` read only a and b,
-    and X and W are read only by ``aclaw linearize-check`` and the tests."""
+    """A pair's blocks a and b, {UV}, the spectral norms of U and V and the
+    norm-hypothesis flag max(|U|, |V|) <= 4; U and V are not held.  The
+    3N x 3N matrices X (Hermitian) and W (unit block lower triangular) are
+    built on first use: ``generalized_resolvent`` and ``grid_corner_blocks``
+    read only a and b, and X and W only ``aclaw linearize-check`` and the tests."""
 
-    pair: WignerPair
     anticommutator: np.ndarray
     norm_u: float
     norm_v: float
@@ -110,7 +112,7 @@ class Linearization:
 
     @property
     def n(self) -> int:
-        return self.pair.n
+        return self.a.shape[0]
 
     @property
     def norms_ok(self) -> bool:
@@ -145,7 +147,7 @@ def build_linearization(pair: WignerPair) -> Linearization:
     reports a pair with max(|U|, |V|) = 0 as degenerate."""
     u, v = pair.u, pair.v
     a, b = (u - v) / math.sqrt(2.0), (-u - v) / math.sqrt(2.0)
-    return Linearization(pair=pair, anticommutator=u @ v + v @ u,
+    return Linearization(anticommutator=u @ v + v @ u,
                          norm_u=spectral_norm(u), norm_v=spectral_norm(v),
                          a=a, b=b)
 
@@ -282,11 +284,11 @@ def grid_corner_blocks(lin: Linearization, zs) -> np.ndarray:
     in another order).  Each entry is still one BLAS sum over the same N or
     3N terms, the +-I terms included; on OpenBLAS 0.3.31 (one thread) the
     result had the bits of ``corner_blocks(generalized_resolvent(lin, z),
-    3)`` at every N tried from 2 to 300.  The operands [B; I] are built once
-    per call, tile by tile, and a tile's rows of [C g, diag(I, -I)] are
-    copied into one buffer.  Per z: the N x N inverse, C g (2 N^3 complex
-    multiply-adds) and O(N^2 _TILE) for the tiles, against 16 N^3 for all
-    of R.  Every z gets the conditioning refusal.
+    3)`` at every N tried from 2 to 300.  [B; I] and the z-free indices are
+    built once per call, tile by tile, and the tile's rows of
+    [C g, diag(I, -I)] are copied into one buffer.  Per z: the N x N
+    inverse, C g (2 N^3 complex multiply-adds) and O(N^2 _TILE) for the
+    tiles, against 16 N^3 for all of R.  Every z gets the conditioning refusal.
     """
     n = lin.n
     zs = [complex(z) for z in zs]
@@ -295,13 +297,15 @@ def grid_corner_blocks(lin: Linearization, zs) -> np.ndarray:
     b_row = np.hstack([-lin.a, lin.b])                    # B
     c_col = np.vstack([-lin.a, lin.b])                    # C
     tiles = _tiles(n, _TILE)
-    rights = []                                           # columns of [B; I]
+    rights = []          # per tile: columns of [B; I] and z-free indices
     for lo, hi in tiles:
         cols = np.r_[lo:hi, n + lo:n + hi]
         right = np.zeros((3 * n, cols.size), dtype=complex)
         right[:n] = b_row[:, cols]
         right[n + cols, np.arange(cols.size)] = 1.0
-        rights.append(right)
+        ones = (np.arange(cols.size), n + cols)   # the +-I of [C g, diag(I, -I)]
+        rights.append((lo, hi, np.arange(hi - lo), right, ones,
+                       np.repeat([1.0, -1.0], hi - lo)))
     del b_row
     left = np.zeros((2 * (tiles[-1][1] - tiles[-1][0]), 3 * n), dtype=complex)
     idx = np.arange(n)
@@ -312,15 +316,13 @@ def grid_corner_blocks(lin: Linearization, zs) -> np.ndarray:
         g_i[:, 0, 0] = g[idx, idx]
         g_i[:, 1, 0] = cg[idx, idx]
         g_i[:, 2, 0] = cg[n + idx, idx]
-        for (lo, hi), right in zip(tiles, rights):
+        for lo, hi, j, right, ones, signs in rights:
             t = hi - lo
-            j = np.arange(t)
             gb = g[lo:hi] @ right[:n]
             g_i[lo:hi, 0, 1], g_i[lo:hi, 0, 2] = gb[j, j], gb[j, t + j]
             rows = left[:2 * t]                           # [C g, diag(I, -I)]
             rows[:t, :n], rows[t:, :n] = cg[lo:hi], cg[n + lo:n + hi]
-            ones = (np.r_[j, t + j], np.r_[n + lo + j, 2 * n + lo + j])
-            rows[ones] = np.repeat([1.0, -1.0], t)
+            rows[ones] = signs
             lr = rows @ right
             rows[ones] = 0.0
             g_i[lo:hi, 1:, 1:] = lr.reshape(2, t, 2, t)[:, j, :, j]
@@ -343,13 +345,13 @@ class ResolventStats:
     (N, k, k) stack), and |R_i|_2, the Frobenius norm of each minor's
     resolvent, as ``r_i_frob``.  k = 3 is the anticommutator's linearization
     (``resolvent_stats``), k = 1 the semicircle mode's (X - z)^-1
-    (``locallaw.semicircle_stats``).
+    (``semicircle_stats``).
 
     ``fluct`` is the largest over i of the normalized size of the
     fluctuation block, max(1, |Q_i| / (N^-1/2 max(1, |R_i|_2 / sqrt(N)))).
     The Schur route (``_schur_statistics``) obtains Q_i from the key
     identity -Q_i = G_i^-1 + Lambda + Phi(Ghat_i); ``identity_spot_check``
-    holds it against Q_i's definition.  ``locallaw.semicircle_screen``
+    holds it against Q_i's definition.  ``semicircle_screen``
     returns one of these for a whole net: ``z`` is then its array of points,
     and every field has one row per point.
     """
@@ -661,6 +663,73 @@ def resolvent_stats(lin: Linearization, z: complex) -> ResolventStats:
                              np.array([z, -1.0 + 0j, 1.0 + 0j]), phi_ac)
 
 
+def row_sum_residual(stats: ResolventStats) -> np.ndarray:
+    """The largest relative residual over i of the minors' row-sum identity
+    |R_i|_2^2 / N = Im Ghat_i / Im z at k = 1, at each point of ``stats.z``.
+    On ``semicircle_screen`` both sides come from the one ``eigh``, so this
+    is a rounding check of the screen; on the route both come from one
+    N x N inverse.  The independent row-sum evidence is the spot checks'
+    Ward identity Im z |s|^2 = Im(y_i* s) of each minor's solution
+    s = R^(i) y_i, read from the Gram their elimination carries."""
+    n = stats.r_i_frob.shape[-1]
+    rhs = stats.ghat_i[..., 0, 0].imag / np.asarray(stats.z).imag[..., None]
+    return np.max(np.abs(stats.r_i_frob**2 / n - rhs) / np.maximum(np.abs(rhs), 1e-300),
+                  axis=-1)
+
+
+def semicircle_stats(x: np.ndarray, z: complex) -> ResolventStats:
+    """Scalar statistics of R = (X - z)^-1: G_i = R(i,i), Ghat_i = tr(R_i)/N,
+    the fluctuation scalars Q_i and |R_i|_2, with R_i the resolvent of X
+    minus row and column i, as 1 x 1 blocks: ``_schur_statistics`` at k = 1,
+    Lambda = z and Phi the identity, on one N x N inverse.  Run only where
+    ``route_near_max`` confirms the screen at K's point."""
+    z = complex(z)
+    _check_upper_half_plane(z)
+    r = np.linalg.inv(x - z * np.eye(x.shape[0]))
+    return _schur_statistics(r, z, np.array([z]), lambda g: g)
+
+
+#: points per pass of ``semicircle_screen``: its temporaries are N x 16
+#: arrays, and only the statistics it returns grow with the number of points
+_SCREEN_CHUNK = 16
+
+
+def semicircle_screen(spectrum: AnticommutatorSpectrum, zs) -> ResolventStats:
+    """``semicircle_stats`` at every z of ``zs`` from X's ``spectrum``
+    X = Q diag(lam) Q*, through its weights W = |Q|^2, with one row per
+    point in every field.  With d = 1/(lam - z), R = Q diag(d) Q* is normal,
+    and every quantity the Schur route reads is one product of W with d,
+    d^2, d |d|^2 or |d|^2: G_i = (W d)_i, (R^2)_ii = (W d^2)_i,
+    (R R*R)_ii = (W d |d|^2)_i, R's i-th row and column norms are both
+    (W |d|^2)_i, and tr R and |R|_F^2 are sums of d and |d|^2.  O(N^2) per
+    z after the N^3 ``eigh``, and, unlike the k = 3 screen, no kernel per
+    Im level."""
+    zs = np.asarray(zs, dtype=complex)
+    for z in zs.tolist():
+        _check_upper_half_plane(z)
+    lam, w = spectrum.evals, spectrum.weights
+    n = lam.size
+    g, ghat, q_i = np.empty((3, zs.size, n), dtype=complex)
+    r_frob = np.empty((zs.size, n))
+    for lo in range(0, zs.size, _SCREEN_CHUNK):
+        part = slice(lo, lo + _SCREEN_CHUNK)
+        zc = zs[part]
+        d = 1.0 / (lam[:, None] - zc)
+        d_abs2 = d.real**2 + d.imag**2
+        gc = _weighted(w, d)
+        # |R_i|_F^2 = |R|_F^2 - 2 Re (R R*R)_ii / G_i + ((R*R)_ii / |G_i|)^2
+        r_frob2 = (d_abs2.sum(axis=0) - 2.0 * (_weighted(w, d * d_abs2) / gc).real
+                   + (w @ d_abs2) ** 2 / (gc.real**2 + gc.imag**2))
+        # N Ghat_i = tr R - (R^2)_ii / G_i
+        ghat_c = (d.sum(axis=0) - _weighted(w, d * d) / gc) / n
+        g[part], ghat[part] = gc.T, ghat_c.T
+        q_i[part] = -(1.0 / gc + zc + ghat_c).T
+        r_frob[part] = np.sqrt(np.maximum(r_frob2, 0.0)).T
+    return ResolventStats(z=zs, g_i=g[..., None, None], ghat_i=ghat[..., None, None],
+                          q_i=q_i[..., None, None], r_i_frob=r_frob,
+                          fluct=_fluct_from(np.abs(q_i), r_frob, n).max(axis=-1))
+
+
 def _eliminate(s: np.ndarray, t: np.ndarray, keep: slice, drop: slice):
     """Eliminate the ``drop`` rows and columns of the Schur complement ``s``
     with one solve, G = -s[drop, drop]^-1 s[drop, keep]: the Schur
@@ -847,8 +916,8 @@ class AnticommutatorSpectrum:
 
     - the k = 3 net screen (``_screen_net``, for ``verify``, ``construct_k``
       and the scaling study) reads Q and forms P = [Q, -aQ, bQ] from it;
-    - ``semicircle_locallaw`` reads its net screen (``semicircle_screen``)
-      and its 72 grid rows (``resolvent_diags``) from the weights;
+    - the k = 1 net screen (``semicircle_screen``) and the 72 grid rows of
+      ``semicircle_locallaw`` (``resolvent_diags``) read the weights;
     - the scaling study's scaled deviations and ``deloc``'s ``empirical_k``
       read diagonals (``resolvent_diags``), and ``deloc`` the components of
       Q.

@@ -11,10 +11,10 @@ constants theta and c of the underlying theorem are existential (and
 astronomical), so every report additionally carries the empirical star
 constant theta* = the smallest theta making the bound hold on the admissible
 grid, keeping runs informative even when the literal constants would make X
-empty.  A scalar variant of the same machinery covers the semicircle law
-(edges at +-2 instead of +-zeta), and the eigenvector delocalization bound
-max_i |v(i)| <= sqrt(2 sigma) is checked with sigma solving h^2 sigma = rho
-at z = lambda + i sigma.
+empty.  Harnesses for the semicircle law (edges at +-2 instead of +-zeta)
+and for eigenvector delocalization, max_i |v(i)| <= sqrt(2 sigma) with
+h^2 sigma = rho at z = lambda + i sigma, live here too; the resolvent
+statistics they all read, at both block sizes, are ``linearize``'s.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ import numpy as np
 from .errors import AclawError
 from .freelaw import edge_distance, law_constants, m_ac
 from .grids import rect_grid, uniform_net
-from .linearize import (AnticommutatorSpectrum, Linearization, ResolventStats,
-                        _check_upper_half_plane, _fluct_from, _schur_statistics, _weighted,
-                        build_linearization, fluctuation_sup, grid_corner_blocks,
-                        identity_spot_check, route_near_max)
+from .linearize import (AnticommutatorSpectrum, Linearization, build_linearization,
+                        fluctuation_sup, grid_corner_blocks, identity_spot_check,
+                        route_near_max, row_sum_residual, semicircle_screen,
+                        semicircle_stats)
 from .sdcore import sd_semicircle, sd_solution_ac
 from .wigner import EnsembleSpec, WignerPair, norm_at_most, sample_pair
 
@@ -52,8 +52,6 @@ __all__ = [
     "delocalization_check",
     "figure1_data",
     "sc_edge_distance",
-    "semicircle_stats",
-    "semicircle_screen",
     "semicircle_locallaw",
     "scaling_law_study",
 ]
@@ -64,7 +62,7 @@ class NormHypothesisError(AclawError):
 
 
 class RhoPreconditionError(AclawError):
-    """rho = 4 c^2 K^2 / N is not below 1 (delocalization assumption)."""
+    """rho = 4 c^2 K^2 / N is not in (0, 1) (delocalization assumption)."""
 
 
 def default_grid(n: int, tau: float = 8.0, n_re: int = 13,
@@ -104,9 +102,9 @@ class LocalLawReport:
         return [r for r in self.rows if r.admissible]
 
 
-#: the largest float whose square is finite: the constants enter the bounds
-#: squared, and Python's ``x**2`` raises OverflowError beyond it
-_SQUARE_MAX = math.sqrt(sys.float_info.max)
+#: the floats whose squares are normal lie between these: the constants enter
+#: the bounds squared, and Python's ``x**2`` raises OverflowError above the top
+_SQUARE_MIN, _SQUARE_MAX = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
 
 
 def _require_finite(**values: float) -> None:
@@ -116,11 +114,11 @@ def _require_finite(**values: float) -> None:
 
 
 def _require_positive(**values: float) -> None:
-    # c and K enter only squared: a negative value would run as its
-    # magnitude, and 0 would admit every point
+    # the constants enter only squared: a negative value would run as its
+    # magnitude, and 0, or a square that rounds to 0, would admit every point
     for name, value in values.items():
-        if not 0.0 < value <= _SQUARE_MAX:
-            raise ValueError(f"{name} must be positive and finite with a finite square, "
+        if not _SQUARE_MIN <= value <= _SQUARE_MAX:
+            raise ValueError(f"{name} must be positive with a normal, finite square, "
                              f"got {value}")
 
 
@@ -181,30 +179,25 @@ def verify_local_law(pair: WignerPair, z_grid, tau: float = 8.0,
     The constants are checked and the net (``uniform_net`` of the
     rectangle, which refuses a non-finite or non-positive spacing) is built
     before any work on the pair, so a usage error costs no
-    eigendecomposition.  Only the net computes the fluctuation statistic.
-    ``fluctuation_sup`` screens the whole net in the eigenbasis of {UV} and
-    runs the Schur route ``resolvent_stats``, which must confirm the
-    screen, only at the screened top set (one point per pair in practice).  A grid row needs
-    only the corner blocks G_i, 9N of the resolvent's 9N^2 entries, and
-    ``grid_corner_blocks`` forms just those for the whole grid: per row the
-    N x N inverse g = ({UV} - z)^-1, C g (2 N^3) and diagonal tiles of two
-    products, with the bits of ``resolvent_stats``' ``g_i``.  No W and no
-    3N x 3N resolvent is built for a row.  The conditioning refusal runs at
-    every net and grid point; the net's eigenbasis is certified once per
-    pair (``fluctuation_sup``), and no point is inverted densely to check
-    it.  Reading the grid rows from the net's eigenbasis
-    waits for the fix of the ``theta_star_self`` rounding defect: until
-    then any last-digit change to a row's lhs can move ``theta_star_self``
-    past the reference tolerance, which is why the rows keep the
-    definitional product's digits.  (``semicircle_locallaw``'s rows read
-    their eigenbasis: on the six N = 256 benchmark inputs that moved a row's
-    lhs by at most 5e-14 and ``theta_star_self`` by at most 2e-15, both
-    relative, within the reference tolerance.)
+    eigendecomposition, and the pair is dropped once a, b and {UV} are
+    formed.  Only the net computes the fluctuation statistic:
+    ``fluctuation_sup`` screens it in the eigenbasis of {UV} and runs the
+    Schur route ``resolvent_stats``, which must confirm the screen, only at
+    the screened top set (one point per pair in practice).  A grid row
+    needs only the corner blocks G_i, which ``grid_corner_blocks`` forms
+    for the whole grid with the bits of ``resolvent_stats``' ``g_i``: per
+    row the N x N inverse g = ({UV} - z)^-1, C g (2 N^3) and diagonal tiles
+    of two products, with no W and no 3N x 3N resolvent.  The conditioning
+    refusal runs at every net and grid point; the net's eigenbasis is
+    certified once per pair (``fluctuation_sup``).  The rows keep the
+    definitional product's digits, not the net eigenbasis's, until the
+    ``theta_star_self`` rounding defect is fixed: a last-digit change to a
+    row's lhs can move ``theta_star_self`` past the reference tolerance.
 
     Refuses non-finite tau or theta (a NaN constant would admit no row and
-    pass vacuously), a non-finite or non-positive c_config, any of the three
-    whose square overflows and, after the net, pairs with
-    max(|U|, |V|) > 4 (the theorem hypothesis).
+    pass vacuously), a c_config whose square is not a positive normal float
+    (c^2 = 0 admits every row), any of the three whose square overflows and,
+    after the net, pairs with max(|U|, |V|) > 4 (the theorem hypothesis).
     """
     _require_finite(tau=tau, theta=theta)
     _require_positive(c_config=c_config)
@@ -215,6 +208,7 @@ def verify_local_law(pair: WignerPair, z_grid, tau: float = 8.0,
     n = pair.n
     net = uniform_net(-8.0, 8.0, 1.0 / n, tau, spacing)
     lin = build_linearization(pair)
+    del pair                  # U and V: a, b and {UV} are all that is read
     if not lin.norms_ok:
         raise NormHypothesisError(
             f"max(|U|, |V|) = {max(lin.norm_u, lin.norm_v):.3f} exceeds 4")
@@ -330,6 +324,14 @@ class DelocalizationReport:
         return all(r.holds for r in self.rows)
 
 
+def _deloc_rho(c_config: float, k_stat: float, n: int) -> float:
+    """rho = 4 c^2 K^2 / N, refused outside (0, 1)."""
+    rho = 4.0 * c_config**2 * k_stat**2 / n
+    if not 0.0 < rho < 1.0:
+        raise RhoPreconditionError(f"rho = 4 c^2 K^2 / N = {rho:.4g} must lie in (0, 1)")
+    return rho
+
+
 def delocalization_check(pair: WignerPair, c_config: float,
                          k_stat: float | None = None) -> DelocalizationReport:
     """Check max_i |v(i)| <= sqrt(2 sigma) for every unit eigenvector of
@@ -337,25 +339,23 @@ def delocalization_check(pair: WignerPair, c_config: float,
     z = lambda + i sigma and rho = 4 c^2 K^2 / N: the whole ``deloc``
     command.
 
-    Refuses a non-finite or non-positive c_config or given k_stat, or one
-    whose square overflows (each enters only squared), before any work, and
+    Refuses, before any work, a c_config or given k_stat whose square is
+    not a positive normal float (each enters only squared) and, for a given
+    k_stat, rho outside (0, 1) (the simplifying assumption of the bound);
     then a pair with max(|U|, |V|) > 4 (the theorem hypothesis).  Then it
     diagonalizes {UV} once (``AnticommutatorSpectrum.from_pair``), takes
-    K = ``empirical_k`` from that spectrum unless k_stat is given, and
-    refuses rho >= 1 (the simplifying assumption of the underlying bound).
+    K = ``empirical_k`` from it unless k_stat is given, and refuses rho >= 1.
     """
+    _require_positive(c_config=c_config)
     if k_stat is not None:
         _require_positive(k_stat=k_stat)
-    _require_positive(c_config=c_config)
+        rho = _deloc_rho(c_config, k_stat, pair.n)
     if not (norm_at_most(pair.u, 4.0) and norm_at_most(pair.v, 4.0)):
         raise NormHypothesisError("pair violates max(|U|, |V|) <= 4")
     spectrum = AnticommutatorSpectrum.from_pair(pair)
     if k_stat is None:
         k_stat = empirical_k(spectrum, c_config)
-    n = pair.n
-    rho = 4.0 * c_config**2 * k_stat**2 / n
-    if rho >= 1.0:
-        raise RhoPreconditionError(f"rho = {rho:.4f} >= 1; K too large at this N")
+        rho = _deloc_rho(c_config, k_stat, pair.n)
     keep = np.abs(spectrum.evals) <= 8.0
     lams = spectrum.evals[keep]
     sigmas = sigma_solve(lams, rho)
@@ -394,74 +394,6 @@ def figure1_data(rho_list, lam_step: float = 1e-2):
 def sc_edge_distance(z: complex) -> float:
     """min(|z - 2|, |z + 2|, 1) for the semicircle edges."""
     return min(abs(z - 2.0), abs(z + 2.0), 1.0)
-
-
-def _row_sum_residual(stats: ResolventStats) -> np.ndarray:
-    """The largest relative residual over i of the minors' row-sum identity
-    |R_i|_2^2 / N = Im Ghat_i / Im z at k = 1, at each point of ``stats.z``.
-    On ``semicircle_screen`` both sides come from the one ``eigh``, so this
-    is a rounding check of the screen; on the route both come from one
-    N x N inverse.  The independent row-sum evidence is the spot checks'
-    Ward identity Im z |s|^2 = Im(y_i* s) of each minor's solution
-    s = R^(i) y_i, read from the Gram their elimination carries."""
-    n = stats.r_i_frob.shape[-1]
-    rhs = stats.ghat_i[..., 0, 0].imag / np.asarray(stats.z).imag[..., None]
-    return np.max(np.abs(stats.r_i_frob**2 / n - rhs) / np.maximum(np.abs(rhs), 1e-300),
-                  axis=-1)
-
-
-def semicircle_stats(x: np.ndarray, z: complex) -> ResolventStats:
-    """Scalar statistics of R = (X - z)^-1: G_i = R(i,i), Ghat_i = tr(R_i)/N,
-    the fluctuation scalars Q_i and |R_i|_2, with R_i the resolvent of X
-    minus row and column i, as 1 x 1 blocks: ``_schur_statistics`` at k = 1,
-    Lambda = z and Phi the identity, on one N x N inverse.  Run only where
-    ``route_near_max`` confirms the screen at K's point."""
-    z = complex(z)
-    _check_upper_half_plane(z)
-    x = np.asarray(x, dtype=complex)
-    r = np.linalg.inv(x - z * np.eye(x.shape[0]))
-    return _schur_statistics(r, z, np.array([z]), lambda g: g)
-
-
-#: points per pass of ``semicircle_screen``: its temporaries are N x 16
-#: arrays, and only the statistics it returns grow with the number of points
-_SCREEN_CHUNK = 16
-
-
-def semicircle_screen(spectrum: AnticommutatorSpectrum, zs) -> ResolventStats:
-    """``semicircle_stats`` at every z of ``zs`` from X's ``spectrum``
-    X = Q diag(lam) Q*, through its weights W = |Q|^2, with one row per
-    point in every field.  With d = 1/(lam - z), R = Q diag(d) Q* is normal,
-    and every quantity the Schur route reads is one product of W with d,
-    d^2, d |d|^2 or |d|^2: G_i = (W d)_i, (R^2)_ii = (W d^2)_i,
-    (R R*R)_ii = (W d |d|^2)_i, R's i-th row and column norms are both
-    (W |d|^2)_i, and tr R and |R|_F^2 are sums of d and |d|^2.  O(N^2) per
-    z after the N^3 ``eigh``, and, unlike the k = 3 screen, no kernel per
-    Im level."""
-    zs = np.asarray(zs, dtype=complex)
-    for z in zs.tolist():
-        _check_upper_half_plane(z)
-    lam, w = spectrum.evals, spectrum.weights
-    n = lam.size
-    g, ghat, q_i = np.empty((3, zs.size, n), dtype=complex)
-    r_frob = np.empty((zs.size, n))
-    for lo in range(0, zs.size, _SCREEN_CHUNK):
-        part = slice(lo, lo + _SCREEN_CHUNK)
-        zc = zs[part]
-        d = 1.0 / (lam[:, None] - zc)
-        d_abs2 = d.real**2 + d.imag**2
-        gc = _weighted(w, d)
-        # |R_i|_F^2 = |R|_F^2 - 2 Re (R R*R)_ii / G_i + ((R*R)_ii / |G_i|)^2
-        r_frob2 = (d_abs2.sum(axis=0) - 2.0 * (_weighted(w, d * d_abs2) / gc).real
-                   + (w @ d_abs2) ** 2 / (gc.real**2 + gc.imag**2))
-        # N Ghat_i = tr R - (R^2)_ii / G_i
-        ghat_c = (d.sum(axis=0) - _weighted(w, d * d) / gc) / n
-        g[part], ghat[part] = gc.T, ghat_c.T
-        q_i[part] = -(1.0 / gc + zc + ghat_c).T
-        r_frob[part] = np.sqrt(np.maximum(r_frob2, 0.0)).T
-    return ResolventStats(z=zs, g_i=g[..., None, None], ghat_i=ghat[..., None, None],
-                          q_i=q_i[..., None, None], r_i_frob=r_frob,
-                          fluct=_fluct_from(np.abs(q_i), r_frob, n).max(axis=-1))
 
 
 @dataclass
@@ -523,25 +455,24 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
     nearest 0, Q_i is the screen's.  Its identity residuals give
     ``max_identity_residual``.  A spot point is refused where the minors'
     condition bound (|X|_F + |z|) / Im z exceeds the ceiling.
-    ``max_row_sum_residual``
-    is the largest of the screen's row-sum residuals at every net point (a
-    rounding check of one spectrum), the route's at its points, and the
-    spot checks' Ward residuals, which read each minor's quadratic form from
-    the elimination, independently of the spectrum.  ``aclaw semicircle``
-    fails a run whose ``max_identity_residual`` exceeds 1e-8 or whose
-    ``max_row_sum_residual`` exceeds 1e-10.
-    Refuses non-finite tau or theta_user, or one whose square overflows,
-    tau < 1/N (an empty rectangle) and theta_user <= 0; theta_user in
-    (0, 1) is allowed, since at desk scale it is what makes grid rows
-    admissible.
+    ``max_row_sum_residual`` is the largest of the screen's row-sum
+    residuals at every net point (a rounding check of one spectrum), the
+    route's at its points, and the spot checks' Ward residuals, which read
+    each minor's quadratic form from the elimination, independently of the
+    spectrum.  ``aclaw semicircle`` fails a run whose
+    ``max_identity_residual`` exceeds 1e-8 or whose ``max_row_sum_residual``
+    exceeds 1e-10.
+    Refuses non-finite tau, or one whose square overflows, tau < 1/N (an
+    empty rectangle) and a theta_user whose square is not a positive normal
+    float (rho_user = 0 would admit every row); theta_user in (0, 1) is
+    allowed, since at desk scale it is what makes grid rows admissible.
     """
-    _require_finite(tau=tau, theta_user=theta_user)
+    _require_finite(tau=tau)
+    _require_positive(theta_user=theta_user)
     x = np.asarray(x, dtype=complex)
     n = x.shape[0]
     if tau < 1.0 / n:
         raise ValueError(f"tau = {tau} < 1/N leaves the rectangle empty")
-    if theta_user <= 0:
-        raise ValueError(f"theta_user must be positive, got {theta_user}")
     theta_literal = 2.0**100
     net = uniform_net(-4.0, 4.0, 1.0 / n, tau, spacing)
     grid = rect_grid(-4.0, 4.0, 9, 1.0 / n, tau, 8)
@@ -553,7 +484,7 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
     del g
     screened = semicircle_screen(spectrum, net)
     del spectrum
-    max_row_sum = float(_row_sum_residual(screened).max())
+    max_row_sum = float(row_sum_residual(screened).max())
     # Ghat_i and Q_i, for the spot checks; the rest is freed first, so that
     # the route's dense inverse can reuse it
     screen_fluct, ghat_i, q_i = screened.fluct, screened.ghat_i, screened.q_i
@@ -566,7 +497,7 @@ def semicircle_locallaw(x: np.ndarray, tau: float = 20.0, theta_user: float = 1.
 
     fluct = route_near_max(screen_fluct, route)
     k_stat = 2.0 * float(fluct.max())
-    max_row_sum = max(max_row_sum, *(_row_sum_residual(st) for st in routed.values()))
+    max_row_sum = max(max_row_sum, *(row_sum_residual(st) for st in routed.values()))
     top = int(np.argmax(fluct))                     # the route ran there
     lowest = np.flatnonzero(net.imag == net.imag.min())
     bulk = int(lowest[np.argmin(np.abs(net.real[lowest]))])

@@ -34,8 +34,7 @@ from aclaw.linearize import (COND_LIMIT, IllConditionedError, Linearization,
                              ResolventStats, _ac_inverse, _check_upper_half_plane,
                              _fluct_from, _spectral_norms, build_linearization,
                              corner_blocks, generalized_resolvent, lambda_kron,
-                             resolvent_stats)
-from aclaw.locallaw import semicircle_stats
+                             resolvent_stats, semicircle_stats)
 from aclaw.sdcore import phi_ac, sd_solution_ac
 from aclaw.wigner import (ENSEMBLES, EnsembleSpec, WignerPair, _draw_offdiag, _rng,
                           norm_at_most, sample_pair)
@@ -463,14 +462,14 @@ def route_bit_mismatches(sizes=ROUTE_BIT_SIZES) -> list[str]:
     """Every array in which the route differs in any bit from its
     whole-product reference, as "N ensemble z k name" strings: R and every
     ``ResolventStats`` field of ``resolvent_stats`` (k = 3) and of
-    ``locallaw.semicircle_stats`` on U (k = 1), for every ensemble at each
+    ``semicircle_stats`` on U (k = 1), for every ensemble at each
     N of ``sizes`` and at two z, in the bulk at Im z = 1/N and away from
     the spectrum."""
     out = []
     for n in sizes:
         for ensemble in sorted(ENSEMBLES):
-            lin = build_linearization(sample_pair(EnsembleSpec(n=n, ensemble=ensemble, seed=n)))
-            u = lin.pair.u
+            pair = sample_pair(EnsembleSpec(n=n, ensemble=ensemble, seed=n))
+            lin, u = build_linearization(pair), pair.u
             for z in (0.3 + 1j / n, -2.0 + 0.5j):
                 r = whole_product_resolvent(lin, z)
                 got = {"R": (generalized_resolvent(lin, z), r)}

@@ -392,7 +392,8 @@ REFUSED_AFTER_SAMPLING = {
     "semicircle-theta-nan", "semicircle-tau-inf", "semicircle-empty-rectangle",
     "semicircle-theta-negative", "deloc-k-negative", "deloc-c-config-zero",
     "verify-theta-huge", "verify-c-config-huge", "semicircle-theta-huge",
-    "deloc-c-config-huge",
+    "deloc-c-config-huge", "verify-c-config-tiny", "semicircle-theta-tiny",
+    "deloc-k-stat-tiny", "deloc-c-config-tiny", "deloc-rho-above-one",
 }
 
 
@@ -434,6 +435,15 @@ REFUSED_AFTER_SAMPLING = {
     pytest.param(["deloc", "--N", "64", "--c-config", "1e300"], id="deloc-c-config-huge"),
     pytest.param(["figure2", "--m-max", "1e300", "--resolution", "3"],
                  id="figure2-m-max-huge"),
+    # a constant whose square rounds to 0 used to pass the positivity check:
+    # rho = 0 admitted every row (exit 1), and deloc refused only after its
+    # eigh, as it did a given K with rho >= 1
+    pytest.param(["verify", "--N", "8", "--c-config", "1e-200"], id="verify-c-config-tiny"),
+    pytest.param(["semicircle", "--N", "8", "--theta-user", "1e-200"],
+                 id="semicircle-theta-tiny"),
+    pytest.param(["deloc", "--N", "1024", "--k-stat", "1e-300"], id="deloc-k-stat-tiny"),
+    pytest.param(["deloc", "--N", "1024", "--c-config", "1e-200"], id="deloc-c-config-tiny"),
+    pytest.param(["deloc", "--N", "1024", "--k-stat", "100"], id="deloc-rho-above-one"),
     # each used to write a header-only table and exit 0
     pytest.param(["figure2", "--resolution", "0"], id="figure2-resolution-0"),
     # a NaN or negative radius let the pole at m = 0 through to a

@@ -1,5 +1,7 @@
-"""Tests for the local-law verification harnesses."""
+"""Tests for the local-law verification harnesses and the k = 1 statistics
+they read."""
 
+import ast
 import math
 
 import numpy as np
@@ -11,7 +13,8 @@ from aclaw import linearize, locallaw
 from aclaw.freelaw import edge_distance, law_constants
 from aclaw.grids import rect_grid, uniform_net
 from aclaw.linearize import (AnticommutatorSpectrum, IllConditionedError,
-                             build_linearization, identity_spot_check, resolvent_stats)
+                             build_linearization, identity_spot_check, resolvent_stats,
+                             row_sum_residual, semicircle_screen, semicircle_stats)
 from aclaw.locallaw import (
     GridRow,
     NormHypothesisError,
@@ -25,8 +28,6 @@ from aclaw.locallaw import (
     scaling_law_study,
     self_consistent_theta_star,
     semicircle_locallaw,
-    semicircle_screen,
-    semicircle_stats,
     sigma_solve,
     verify_local_law,
 )
@@ -52,6 +53,20 @@ def certified(x, eta):
 def screen(x, zs):
     """``semicircle_screen`` at ``zs`` from X's certified eigenbasis."""
     return semicircle_screen(certified(x, min(np.imag(zs))), zs)
+
+
+def test_locallaw_imports_no_private_name_of_linearize():
+    # linearize owns the Schur route, the screens and their helpers at both
+    # block sizes; the harnesses read only its public names
+    with open(locallaw.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linearize")
+               for alias in node.names if alias.name.startswith("_")]
+    private += [node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "linearize" and node.attr.startswith("_")]
+    assert private == []
 
 
 def test_default_grid_shape():
@@ -648,7 +663,7 @@ def test_semicircle_screen_matches_route(x):
     zs = [*SPOT_ZS, 0.3 + 1j / n, 4.0 + 1j / n, 4.0 + 20j]
     screened = screen(x, zs)
     assert screened.z.tolist() == zs
-    row_sum = locallaw._row_sum_residual(screened)
+    row_sum = row_sum_residual(screened)
     for j, z in enumerate(zs):
         route = semicircle_stats(x, z)
         for name in ("g_i", "ghat_i", "q_i", "r_i_frob"):
@@ -740,8 +755,8 @@ def test_semicircle_stats_routes_agree(x):
         np.testing.assert_allclose(a.q_i, b.q_i, rtol=1e-7, atol=1e-12)
         np.testing.assert_allclose(a.r_i_frob, b.r_i_frob, rtol=1e-8)
         assert ident <= 1e-8
-        assert locallaw._row_sum_residual(a) <= 1e-10
-        assert locallaw._row_sum_residual(b) <= 1e-10
+        assert row_sum_residual(a) <= 1e-10
+        assert row_sum_residual(b) <= 1e-10
 
 
 def test_semicircle_report_literal_theta_vacuous():

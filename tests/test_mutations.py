@@ -66,7 +66,7 @@ ROWS = [
                  SEMICIRCLE, {"row_sum"}, id="ward-gram-cross-term-dropped"),
     # Ghat_i's Schur correction in the k = 1 screen moves the screened
     # statistic, so the route at the screened maximum does not confirm it
-    pytest.param("locallaw", "semicircle_screen", "(w, d * d) / gc)", "(w, d * d) / gc.conj())",
+    pytest.param("linearize", "semicircle_screen", "(w, d * d) / gc)", "(w, d * d) / gc.conj())",
                  SEMICIRCLE, "differs from its screen", id="semicircle-screen-ghat-corrupted"),
     # Ghat_i's Schur correction on the k = 3 route: no reported check reads
     # Ghat_i independently, but the route at the screened maximum no longer

@@ -17,13 +17,16 @@ an oracle, which belongs in ``tests/``, or dead code.
 
 Every field of a dataclass in ``src/aclaw`` must also be read as an
 attribute (``obj.field`` in a load) by the same roots: a module of the
-package or one of the root files, matched by name in the same way, except
-that a read through ``args``, the name the CLI and the benchmark give their
-argparse namespaces, does not count: ``args.tau`` reads an option, not a
-report's ``tau``.  A field that is only ever written, or read only by unit
-tests, is a value computed for nobody.  Because reads are matched by name,
-a read of one dataclass's field keeps every same-named field of the others
-(``test_field_guard_tells_receivers_apart`` records that blind spot).
+package or one of the root files.  A read through ``args``, the name the
+CLI and the benchmark give their argparse namespaces, does not count:
+``args.tau`` reads an option, not a report's ``tau``.  A read whose receiver
+resolves to one dataclass counts for that class alone: a constructor call
+``Cls(...)``, a call to a function annotated ``-> Cls``, a name that its
+function binds only from such calls, a parameter annotated ``Cls``, or
+``self`` in a method of ``Cls``.  Any other receiver matches by name, and
+keeps every field of that name, so the guard can miss an unread field, and
+flags a read one only through a wrong annotation.  A field that is only ever written, or read only by
+unit tests, is a value computed for nobody.
 
     python tests/test_reachability.py    # list the definitions and fields it flags
 """
@@ -155,20 +158,155 @@ def _is_dataclass(cls):
 #: the receiver that names an argparse namespace, never a dataclass
 NAMESPACE = "args"
 
+#: the nodes that open a scope: a name bound in one is that scope's own
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
-def attribute_reads(trees):
-    """The names read as attributes (``obj.name`` in a load) in ``trees``,
-    other than through ``NAMESPACE``."""
-    return {sub.attr for tree in trees for sub in ast.walk(tree)
-            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
-            and not (isinstance(sub.value, ast.Name) and sub.value.id == NAMESPACE)}
+
+def _type_name(node):
+    """The class that an annotation or a callee names (``Cls``, ``mod.Cls``
+    or the string ``"Cls"``), or None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value.rsplit(".", 1)[-1]
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+def _walk_scope(scope):
+    """(nodes, scopes): the nodes that run in the scope that ``scope`` (a
+    module, function, lambda or class) opens, and the scopes nested in it,
+    whose decorators, defaults and bases run in ``scope``."""
+    body = scope.body if isinstance(scope.body, list) else [scope.body]
+    nodes, scopes, stack = [], [], list(body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, SCOPES):
+            scopes.append(node)
+            stack += getattr(node, "decorator_list", []) + getattr(node, "bases", [])
+            stack += [kw.value for kw in getattr(node, "keywords", [])]
+            if not isinstance(node, ast.ClassDef):
+                stack += [d for d in node.args.defaults + node.args.kw_defaults if d]
+        else:
+            nodes.append(node)
+            stack += ast.iter_child_nodes(node)
+    return nodes, scopes
+
+
+def _returns(trees, classes):
+    """Function name -> Cls for each name whose every definition in
+    ``trees`` is annotated ``-> Cls``, Cls one of ``classes``."""
+    seen = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                seen.setdefault(node.name, set()).add(_type_name(node.returns))
+    return {name: cls for name, (cls, *more) in seen.items()
+            if not more and cls in classes}
+
+
+class _Receivers:
+    """Resolves the receiver of an attribute read to one of ``classes``,
+    or to None where it cannot tell."""
+
+    def __init__(self, classes, trees):
+        self.classes, self.returns = classes, _returns(trees, classes)
+
+    def call_type(self, node):
+        """The class of a constructor call ``Cls(...)`` or ``mod.Cls(...)``,
+        or of a call to a function annotated ``-> Cls``."""
+        if not isinstance(node, ast.Call):
+            return None
+        name = _type_name(node.func)
+        return name if name in self.classes else self.returns.get(name)
+
+    def bindings(self, scope, self_cls):
+        """Name -> Cls for each name whose every binding in ``scope``, the
+        scopes nested in it included, is an assignment ``name = <call of
+        Cls>``, a parameter of ``scope`` annotated Cls, or ``self`` in a
+        method of Cls (``self_cls``).  Any other binding, an unpacking, a
+        loop variable, an import or a nested scope's parameter, leaves the
+        name unresolved."""
+        kinds, typed = {}, set()
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            params = scope.args.posonlyargs + scope.args.args + scope.args.kwonlyargs
+            for i, arg in enumerate(params):
+                typed.add(id(arg))
+                cls = self_cls if i == 0 and arg.arg == "self" else None
+                kinds.setdefault(arg.arg, set()).add(cls or _type_name(arg.annotation))
+        for node in ast.walk(scope):
+            name, cls = None, None
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)):
+                typed.add(id(node.targets[0]))
+                name, cls = node.targets[0].id, self.call_type(node.value)
+            elif id(node) in typed:
+                continue
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.arg):
+                name = node.arg
+            elif isinstance(node, ast.alias):
+                name = (node.asname or node.name).split(".")[0]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                                   ast.ExceptHandler, ast.MatchAs, ast.MatchStar)):
+                name = None if node is scope else node.name
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                for bound in node.names:
+                    kinds.setdefault(bound, set()).add(None)
+            if name is not None:
+                kinds.setdefault(name, set()).add(cls)
+        return {name: cls for name, (cls, *more) in kinds.items()
+                if not more and cls in self.classes}
+
+    def reads(self, scope, out, self_cls=None):
+        """Add (Cls or None, name) to ``out`` for every attribute load in
+        ``scope`` and the scopes nested in it, other than through
+        ``NAMESPACE``."""
+        env = self.bindings(scope, self_cls)
+        nodes, scopes = _walk_scope(scope)
+        for node in nodes:
+            if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+                continue
+            recv = node.value
+            if isinstance(recv, ast.Name):
+                if recv.id != NAMESPACE:
+                    out.add((env.get(recv.id), node.attr))
+            else:
+                out.add((self.call_type(recv), node.attr))
+        owner = scope.name if isinstance(scope, ast.ClassDef) else None
+        for sub in scopes:
+            self.reads(sub, out, owner if owner in self.classes else None)
+        return out
+
+
+def _dataclasses(modules):
+    """The names of the dataclasses in the (path, tree) pairs ``modules``
+    that neither subclass nor are subclassed, so that a read through one of
+    them reads that class's own field."""
+    trees = [tree for _, tree in modules]
+    bases = {_type_name(base) for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef) for base in node.bases}
+    return {cls.name for tree in trees for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+            and not cls.bases and cls.name not in bases}
+
+
+def attribute_reads(trees, classes=frozenset()):
+    """(Cls, name) for each attribute read (``obj.name`` in a load) in
+    ``trees``, other than through ``NAMESPACE``: Cls is the class of
+    ``classes`` that the receiver resolves to (``_Receivers``), or None,
+    which matches the field of that name in every class."""
+    receivers, out = _Receivers(classes, trees), set()
+    for tree in trees:
+        receivers.reads(tree, out)
+    return out
 
 
 def unread_fields(modules, roots):
     """``file:line Class.field`` for each field of a dataclass in the (path,
-    tree) pairs ``modules`` whose name neither ``modules`` nor the root trees
-    ``roots`` read as an attribute."""
-    reads = attribute_reads([tree for _, tree in modules] + list(roots))
+    tree) pairs ``modules`` that neither ``modules`` nor the root trees
+    ``roots`` read as an attribute, through a receiver of its class or one
+    that resolves to no class."""
+    classes = _dataclasses(modules)
+    reads = attribute_reads([tree for _, tree in modules] + list(roots), classes)
     flagged = []
     for rel, tree in modules:
         for cls in tree.body:
@@ -176,7 +314,7 @@ def unread_fields(modules, roots):
                 continue
             for stmt in cls.body:
                 if (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-                        and stmt.target.id not in reads):
+                        and not {(None, stmt.target.id), (cls.name, stmt.target.id)} & reads):
                     flagged.append(f"{rel}:{stmt.lineno} {cls.name}.{stmt.target.id}")
     return flagged
 
@@ -272,7 +410,6 @@ def test_field_guard_reads_from_the_roots_only():
     assert unread_fields([("mod.py", mod)], [root, unit_test]) == []
 
 
-@pytest.mark.xfail(strict=True, reason="fields are matched by name, not by receiver")
 def test_field_guard_tells_receivers_apart():
     # Point.z is read and Verdict.z is not, but one read of the name keeps both
     mod = ast.parse(
@@ -285,6 +422,29 @@ def test_field_guard_tells_receivers_apart():
         "    z: complex\n")
     root = ast.parse("print(mod.Point(1j).z, mod.Verdict(2j))\n")
     assert unread_fields([("mod.py", mod)], [root]) == ["mod.py:7 Verdict.z"]
+
+
+def test_field_guard_resolves_each_kind_of_receiver():
+    fields = ["ctor", "bound", "made", "param", "own", "rebound", "loose"]
+    mod = ast.parse("\n".join(
+        ["from dataclasses import dataclass",
+         "@dataclass", "class A:", *(f"    {f}: int" for f in fields),        # 4-10
+         "@dataclass", "class B:", *(f"    {f}: int" for f in fields),        # 13-19
+         "    def total(self):", "        return self.own",
+         "def make() -> A:", "    return A(*range(7))"]) + "\n")
+    root = ast.parse(
+        "print(mod.A(*range(7)).ctor)\n"
+        "def use(p: A, loose):\n"
+        "    q = A(*range(7))\n"
+        "    r = mod.make()\n"
+        "    s = A(*range(7))\n"
+        "    s = loose\n"
+        "    print(q.bound, r.made, p.param, s.rebound, loose.loose)\n")
+    # each resolved read keeps its own class's field; an unresolved receiver
+    # (s is rebound, loose is unannotated) keeps the field in both classes
+    assert unread_fields([("mod.py", mod)], [root]) == [
+        "mod.py:8 A.own", "mod.py:13 B.ctor", "mod.py:14 B.bound", "mod.py:15 B.made",
+        "mod.py:16 B.param"]
 
 
 if __name__ == "__main__":
