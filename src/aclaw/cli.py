@@ -230,11 +230,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pair(args):
-    from .wigner import EnsembleSpec, sample_pair
+def _spec(args):
+    from .wigner import EnsembleSpec
 
-    return sample_pair(EnsembleSpec(n=args.n, ensemble=args.ensemble,
-                                    seed=args.seed))
+    return EnsembleSpec(n=args.n, ensemble=args.ensemble, seed=args.seed)
+
+
+def _pair(args):
+    from .wigner import sample_pair
+
+    return sample_pair(_spec(args))
 
 
 def _cmd_law(args) -> int:
@@ -399,9 +404,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_semicircle(args) -> int:
     from .locallaw import semicircle_locallaw
+    from .wigner import sample_hermitian
 
-    rep = semicircle_locallaw(_pair(args).u, tau=args.tau, theta_user=args.theta_user,
-                              spacing=args.spacing)
+    # a pair's U alone: stream 0 of the seed, without V
+    rep = semicircle_locallaw(sample_hermitian(_spec(args), 0), tau=args.tau,
+                              theta_user=args.theta_user, spacing=args.spacing)
     out = {
         "config": _base_config(args, ["n", "ensemble", "seed", "tau",
                                       "theta_user", "spacing"]),

@@ -903,6 +903,15 @@ def _weighted(w: np.ndarray, f: np.ndarray) -> np.ndarray:
     return (w @ f.view(np.float64)).view(complex)
 
 
+def anticommutator(uv: np.ndarray) -> np.ndarray:
+    """{UV} = UV + (UV)* from the product UV of Hermitian U and V, formed in
+    UV's own buffer and returned: VU = (UV)*, so one matrix product instead
+    of two, and the sum is exactly Hermitian.  Only UV is read, so a caller
+    can drop U and V before the sum, as ``delocalization_check`` does."""
+    uv += uv.conj().T
+    return uv
+
+
 @dataclass
 class AnticommutatorSpectrum:
     """One Hermitian eigendecomposition M = Q diag(evals) Q*, the one
@@ -928,15 +937,15 @@ class AnticommutatorSpectrum:
       Hermitian matrix (its lower triangle); its eigenvectors are orthogonal
       to about 5e-15.  ``verify``, the scaling study and ``semicircle`` use
       it; none of them imports ``scipy.linalg``.
-    - ``from_pair`` forms {UV} as UV + (UV)* (VU = (UV)* for Hermitian U, V:
-      one matrix product instead of two, and the sum is exactly Hermitian)
-      in UV's own buffer, and diagonalizes with LAPACK's MRRR driver
-      (``scipy.linalg.eigh(driver="evr")``), which at N = 1024 on one BLAS
-      thread takes about half the time of ``heevd`` and needs a smaller
-      workspace; its eigenvectors are orthogonal to about 1e-12 at N = 256,
-      far below what the law and delocalization checks resolve.
-      ``delocalization_check``, the whole ``deloc`` command, builds it once,
-      after its argument checks, and reads both ``empirical_k``'s K and the
+    - ``from_pair`` diagonalizes a pair's {UV}, formed by ``anticommutator``,
+      with LAPACK's MRRR driver (``scipy.linalg.eigh(driver="evr")``),
+      which at N = 1024 on one BLAS thread takes about half the time of
+      ``heevd`` and needs a smaller workspace; its eigenvectors are
+      orthogonal to about 1e-12 at N = 256, far below what the law and
+      delocalization checks resolve.  ``delocalization_check``, the whole
+      ``deloc`` command, builds it once, after its argument checks, from a
+      {UV} whose pair it has already dropped, so U and V (32 N^2 bytes) are
+      freed before the ``eigh``; it reads both ``empirical_k``'s K and the
       eigenvectors from it.  scipy.linalg is imported on first use, which
       keeps it out of every other command.
 
@@ -957,11 +966,12 @@ class AnticommutatorSpectrum:
         return cls(evals=evals, evecs=evecs)
 
     @classmethod
-    def from_pair(cls, pair: WignerPair) -> "AnticommutatorSpectrum":
+    def from_pair(cls, ac: np.ndarray) -> "AnticommutatorSpectrum":
+        """MRRR eigendecomposition of a pair's {UV}, formed by
+        ``anticommutator``; U and V are not read, so a caller can free them
+        first."""
         import scipy.linalg
 
-        ac = pair.u @ pair.v
-        ac += ac.conj().T
         evals, evecs = scipy.linalg.eigh(ac, driver="evr", check_finite=False)
         return cls(evals=evals, evecs=evecs)
 

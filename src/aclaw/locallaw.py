@@ -28,10 +28,10 @@ import numpy as np
 from .errors import AclawError
 from .freelaw import edge_distance, law_constants, m_ac
 from .grids import rect_grid, uniform_net
-from .linearize import (AnticommutatorSpectrum, Linearization, build_linearization,
-                        fluctuation_sup, grid_corner_blocks, identity_spot_check,
-                        route_near_max, row_sum_residual, semicircle_screen,
-                        semicircle_stats)
+from .linearize import (AnticommutatorSpectrum, Linearization, anticommutator,
+                        build_linearization, fluctuation_sup, grid_corner_blocks,
+                        identity_spot_check, route_near_max, row_sum_residual,
+                        semicircle_screen, semicircle_stats)
 from .sdcore import sd_semicircle, sd_solution_ac
 from .wigner import EnsembleSpec, WignerPair, norm_at_most, sample_pair
 
@@ -343,19 +343,25 @@ def delocalization_check(pair: WignerPair, c_config: float,
     not a positive normal float (each enters only squared) and, for a given
     k_stat, rho outside (0, 1) (the simplifying assumption of the bound);
     then a pair with max(|U|, |V|) > 4 (the theorem hypothesis).  Then it
-    diagonalizes {UV} once (``AnticommutatorSpectrum.from_pair``), takes
-    K = ``empirical_k`` from it unless k_stat is given, and refuses rho >= 1.
+    forms UV and drops the pair, so that U and V are freed before {UV}
+    (``anticommutator``, in UV's buffer) is formed and diagonalized once
+    (``AnticommutatorSpectrum.from_pair``); it takes K = ``empirical_k``
+    from that spectrum unless k_stat is given, and refuses rho >= 1.
     """
+    n = pair.n
     _require_positive(c_config=c_config)
     if k_stat is not None:
         _require_positive(k_stat=k_stat)
-        rho = _deloc_rho(c_config, k_stat, pair.n)
+        rho = _deloc_rho(c_config, k_stat, n)
     if not (norm_at_most(pair.u, 4.0) and norm_at_most(pair.v, 4.0)):
         raise NormHypothesisError("pair violates max(|U|, |V|) <= 4")
-    spectrum = AnticommutatorSpectrum.from_pair(pair)
+    uv = pair.u @ pair.v
+    del pair                  # U and V: {UV} and its eigh read only UV
+    spectrum = AnticommutatorSpectrum.from_pair(anticommutator(uv))
+    del uv                    # now {UV}: nothing after the eigh reads it
     if k_stat is None:
         k_stat = empirical_k(spectrum, c_config)
-        rho = _deloc_rho(c_config, k_stat, pair.n)
+        rho = _deloc_rho(c_config, k_stat, n)
     keep = np.abs(spectrum.evals) <= 8.0
     lams = spectrum.evals[keep]
     sigmas = sigma_solve(lams, rho)

@@ -92,6 +92,8 @@ class SingularStatisticsError(AclawError):
 # coordinates of Mat3: the diagonal entries, then the (1,2)/(2,1),
 # (1,3)/(3,1) and (2,3)/(3,2) pairs.
 _BLOCK_COORDS = ((0, 4, 8), (1, 3), (2, 6), (5, 7))
+#: ``np.ix_`` of each block's coordinates, which no m changes
+_BLOCK_IX = tuple(np.ix_(coords, coords) for coords in _BLOCK_COORDS)
 
 
 def phi_ac(a: np.ndarray) -> np.ndarray:
@@ -179,8 +181,8 @@ def _kappa_inverse(m: complex) -> np.ndarray:
                     dtype=complex) / (2.0 * m + 1.0)
     inv3 = np.array([[-1.0 / (m - 1.0), 0.0], [0.0, -1.0 / (m + 1.0)]], dtype=complex)
     k9 = np.zeros((9, 9), dtype=complex)
-    for coords, inv in zip(_BLOCK_COORDS, (inv0, inv1, inv2, inv3)):
-        k9[np.ix_(coords, coords)] = inv
+    for ix, inv in zip(_BLOCK_IX, (inv0, inv1, inv2, inv3)):
+        k9[ix] = inv
     return k9
 
 

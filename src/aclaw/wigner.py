@@ -30,6 +30,7 @@ __all__ = [
     "ENSEMBLES",
     "EnsembleSpec",
     "WignerPair",
+    "sample_hermitian",
     "sample_pair",
     "norm_at_most",
     "spectral_norm",
@@ -121,7 +122,10 @@ def _draw_offdiag(rng, ensemble, size, n):
     raise ValueError(ensemble)
 
 
-def _sample_hermitian(spec: EnsembleSpec, stream: int) -> np.ndarray:
+def sample_hermitian(spec: EnsembleSpec, stream: int) -> np.ndarray:
+    """Draw one Hermitian matrix of the spec from its Philox ``stream``:
+    stream 0 is a pair's U and stream 1 its V, so ``aclaw semicircle``,
+    which reads U alone, draws stream 0 without V."""
     rng = _rng(spec.seed, stream)
     n = spec.n
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
@@ -138,7 +142,7 @@ def _sample_hermitian(spec: EnsembleSpec, stream: int) -> np.ndarray:
 def sample_pair(spec: EnsembleSpec) -> WignerPair:
     """Draw the (U, V) pair for the given spec; deterministic in the seed,
     Hermitian by construction, all upper-triangle entries independent."""
-    return WignerPair(u=_sample_hermitian(spec, 0), v=_sample_hermitian(spec, 1),
+    return WignerPair(u=sample_hermitian(spec, 0), v=sample_hermitian(spec, 1),
                       spec=spec)
 
 

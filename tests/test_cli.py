@@ -246,9 +246,9 @@ def test_deloc_eigendecomposes_once(tmp_path, monkeypatch):
     original = AnticommutatorSpectrum.from_pair.__func__
     calls = []
 
-    def counting(cls, pair):
-        calls.append(pair.n)
-        return original(cls, pair)
+    def counting(cls, ac):
+        calls.append(ac.shape[0])
+        return original(cls, ac)
 
     monkeypatch.setattr(AnticommutatorSpectrum, "from_pair",
                         classmethod(counting))
@@ -256,6 +256,22 @@ def test_deloc_eigendecomposes_once(tmp_path, monkeypatch):
     code = run_cli(["deloc", "--N", "128", "--seed", "0", "--out", str(out)])
     assert code == 0
     assert calls == [128]
+
+
+def test_semicircle_draws_u_alone(tmp_path, monkeypatch):
+    # semicircle reads U alone, so V's stream is never drawn; the goldens
+    # hold U's bits
+    import aclaw.wigner
+
+    sample_hermitian, streams = aclaw.wigner.sample_hermitian, []
+
+    def recording(spec, stream):
+        streams.append(stream)
+        return sample_hermitian(spec, stream)
+
+    monkeypatch.setattr(aclaw.wigner, "sample_hermitian", recording)
+    run_cli(["semicircle", "--N", "16", "--seed", "0", "--out", str(tmp_path / "s.json")])
+    assert streams == [0]
 
 
 def test_verify_grid_skips_fluctuation_statistics(tmp_path, monkeypatch):
@@ -384,8 +400,8 @@ def test_law_density_csv(tmp_path):
 
 
 #: usage errors that the library function refuses, after the command has
-#: drawn its pair but before any eigendecomposition; every other case is
-#: refused before any pair is sampled
+#: drawn its pair (semicircle: its U) but before any eigendecomposition;
+#: every other case is refused before any matrix is sampled
 REFUSED_AFTER_SAMPLING = {
     "verify-theta-nan", "verify-c-nan", "verify-spacing-inf",
     "verify-c-config-negative", "verify-c-config-zero",
@@ -506,9 +522,15 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch, request, args):
     from aclaw.linearize import AnticommutatorSpectrum
 
     monkeypatch.chdir(tmp_path)  # relative side outputs land here too
-    sample_pair, sampled = aclaw.wigner.sample_pair, []
-    monkeypatch.setattr(aclaw.wigner, "sample_pair",
-                        lambda spec: sampled.append(spec) or sample_pair(spec))
+    sample_hermitian, sampled = aclaw.wigner.sample_hermitian, []
+
+    def counting(spec, stream):
+        # every draw starts with U, stream 0: a pair's, or semicircle's alone
+        if stream == 0:
+            sampled.append(spec)
+        return sample_hermitian(spec, stream)
+
+    monkeypatch.setattr(aclaw.wigner, "sample_hermitian", counting)
     # no refusal pays for an eigendecomposition, of {UV} or of a norm
     decomposed = []
 

@@ -19,6 +19,7 @@ from aclaw.linearize import (
     SCREEN_MARGIN,
     AnticommutatorSpectrum,
     IllConditionedError,
+    anticommutator,
     build_linearization,
     corner_blocks,
     fluctuation_sup,
@@ -310,7 +311,8 @@ def test_diag_extraction_dominated_by_block_deviation():
     st_ = resolvent_stats(lin, z)
     m = m_ac(z).m
     m_mat = sd_solution_ac(z).m_mat
-    diag = AnticommutatorSpectrum.from_pair(pair).resolvent_diag(z)
+    sp = AnticommutatorSpectrum.from_pair(anticommutator(pair.u @ pair.v))
+    diag = sp.resolvent_diag(z)
     lhs = np.abs(diag - m).max()
     rhs = max(np.linalg.norm(st_.g_i[i] - m_mat, 2) for i in range(n))
     assert lhs <= rhs + 1e-10
@@ -318,7 +320,7 @@ def test_diag_extraction_dominated_by_block_deviation():
 
 def test_spectrum_diag_matches_inverse():
     pair = random_pair(10, 3)
-    sp = AnticommutatorSpectrum.from_pair(pair)
+    sp = AnticommutatorSpectrum.from_pair(anticommutator(pair.u @ pair.v))
     z = 0.4 + 0.9j
     direct = np.diag(np.linalg.inv(pair.u @ pair.v + pair.v @ pair.u
                                    - z * np.eye(10)))
@@ -327,7 +329,7 @@ def test_spectrum_diag_matches_inverse():
 
 def test_spectrum_cached_weights_match_definition():
     pair = random_pair(24, 5)
-    sp = AnticommutatorSpectrum.from_pair(pair)
+    sp = AnticommutatorSpectrum.from_pair(anticommutator(pair.u @ pair.v))
     for z in (0.4 + 0.9j, -3.1 + 0.05j, 7.9 + 8.0j, 0.0 + 1e-3j):
         expected = (sp.evecs.real**2 + sp.evecs.imag**2) @ (1.0 / (sp.evals - z))
         assert np.array_equal(sp.resolvent_diag(z), expected)
@@ -346,7 +348,11 @@ ORTHOGONALITY_TOL = 5e-12
 def test_spectrum_reconstructs_anticommutator(ensemble, seed):
     n = 256
     pair = sample_pair(EnsembleSpec(n=n, ensemble=ensemble, seed=seed))
-    sp = AnticommutatorSpectrum.from_pair(pair)
+    uv = pair.u @ pair.v
+    formed = anticommutator(uv)
+    # in UV's own buffer, and exactly Hermitian
+    assert formed is uv and np.array_equal(formed, formed.conj().T)
+    sp = AnticommutatorSpectrum.from_pair(formed)
     ac = pair.u @ pair.v + pair.v @ pair.u
     rebuilt = (sp.evecs * sp.evals) @ sp.evecs.conj().T
     assert np.linalg.norm(rebuilt - ac) / np.linalg.norm(ac) <= 1e-12
@@ -356,7 +362,8 @@ def test_spectrum_reconstructs_anticommutator(ensemble, seed):
 
 
 def test_resolvent_diags_match_per_z():
-    sp = AnticommutatorSpectrum.from_pair(random_pair(96, 4))
+    pair = random_pair(96, 4)
+    sp = AnticommutatorSpectrum.from_pair(anticommutator(pair.u @ pair.v))
     zs = np.array([0.4 + 0.9j, -3.1 + 0.05j, 7.9 + 8.0j, 0.0 + 1e-3j,
                    2.8 + 1.0 / 96j, -8.0 + 1e-8j])
     diags = sp.resolvent_diags(zs)

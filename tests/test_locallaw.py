@@ -3,6 +3,7 @@ they read."""
 
 import ast
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from aclaw import linearize, locallaw
 from aclaw.freelaw import edge_distance, law_constants
 from aclaw.grids import rect_grid, uniform_net
-from aclaw.linearize import (AnticommutatorSpectrum, IllConditionedError,
+from aclaw.linearize import (AnticommutatorSpectrum, IllConditionedError, anticommutator,
                              build_linearization, identity_spot_check, resolvent_stats,
                              row_sum_residual, semicircle_screen, semicircle_stats)
 from aclaw.locallaw import (
@@ -34,6 +35,7 @@ from aclaw.locallaw import (
 from aclaw.sdcore import phi_ac, sd_semicircle
 from aclaw.wigner import ENSEMBLES, EnsembleSpec, WignerPair, sample_pair, spectral_norm
 from oracles import minor_stats, semicircle_minor_stats, spot_check_residual
+from test_linearize import assert_peak_within
 
 ZETA = law_constants().zeta
 
@@ -133,7 +135,7 @@ def test_construct_k_properties():
 
 def test_empirical_k_self_consistent():
     pair = sample_pair(EnsembleSpec(n=64, ensemble="complex-gaussian", seed=2))
-    spectrum = AnticommutatorSpectrum.from_pair(pair)
+    spectrum = AnticommutatorSpectrum.from_pair(anticommutator(pair.u @ pair.v))
     k = empirical_k(spectrum, 1.0)
     assert k >= 2.0
     # re-verify the defining property on the same net
@@ -232,7 +234,8 @@ def test_figure1_validates_rho():
 def test_delocalization_small_run():
     pair = sample_pair(EnsembleSpec(n=64, ensemble="complex-gaussian", seed=7))
     rep = delocalization_check(pair, 0.5)
-    assert rep.k_stat == empirical_k(AnticommutatorSpectrum.from_pair(pair), 0.5)
+    spectrum = AnticommutatorSpectrum.from_pair(anticommutator(pair.u @ pair.v))
+    assert rep.k_stat == empirical_k(spectrum, 0.5)
     assert rep.rho < 1
     assert len(rep.rows) > 0
     assert rep.all_hold
@@ -726,12 +729,44 @@ def test_delocalization_refuses_large_norms_before_its_eigh(monkeypatch):
     base = sample_pair(spec)
     pair = WignerPair(u=5.0 / spectral_norm(base.u) * base.u, v=base.v, spec=spec)
 
-    def refused_first(cls, pair):
+    def refused_first(cls, ac):
         pytest.fail("from_pair ran before the norm refusal")
 
     monkeypatch.setattr(AnticommutatorSpectrum, "from_pair", classmethod(refused_first))
     with pytest.raises(NormHypothesisError):
         delocalization_check(pair, 0.5)
+
+
+def test_delocalization_frees_the_pair_before_its_eigh(monkeypatch):
+    # the eigh reads only {UV}: with no reference to the pair left outside,
+    # as in ``aclaw deloc``, U and V are freed before it runs
+    refs, alive = [], []
+    from_pair = AnticommutatorSpectrum.from_pair.__func__
+
+    def fresh_pair():
+        pair = sample_pair(EnsembleSpec(n=64, ensemble="complex-gaussian", seed=7))
+        refs.append(weakref.ref(pair.u))
+        return pair
+
+    def checking(cls, ac):
+        alive.append(refs[0]() is not None)
+        return from_pair(cls, ac)
+
+    monkeypatch.setattr(AnticommutatorSpectrum, "from_pair", classmethod(checking))
+    delocalization_check(fresh_pair(), 0.5)
+    assert alive == [False]
+
+
+def test_delocalization_peak_within_budget():
+    # the pair is drawn inside the traced call: 51.7 N^2 bytes at N = 256
+    # (seeds 0-2), set by empirical_k's diagonals beside Q and |Q|^2, and
+    # 49.1 at N = 1024, set by the stages that hold three N x N arrays;
+    # holding U and V through the eigh read 83.7
+    import scipy.linalg  # noqa: F401  (imported untraced, as in any later call)
+
+    n = 256
+    assert_peak_within(lambda: delocalization_check(
+        sample_pair(EnsembleSpec(n=n, ensemble="complex-gaussian", seed=0)), 1.0), n, 56)
 
 
 def test_construct_k_concentrates_across_seeds():
@@ -810,8 +845,8 @@ def mrrr_scaling_oracle(n_list, seeds, k_by_run):
         grid = rect_grid(-6.0, 6.0, 13, 1.0 / n, 4.0, 10)
         zs = [z for z in grid.tolist() if edge_distance(z) ** 2 * z.imag >= 4.0 / n]
         for seed in seeds:
-            spectrum = AnticommutatorSpectrum.from_pair(
-                sample_pair(EnsembleSpec(n=n, ensemble="complex-gaussian", seed=seed)))
+            pair = sample_pair(EnsembleSpec(n=n, ensemble="complex-gaussian", seed=seed))
+            spectrum = AnticommutatorSpectrum.from_pair(anticommutator(pair.u @ pair.v))
             scaled = []
             for z in zs:
                 law = m_ac(z)
@@ -832,9 +867,9 @@ def test_scaling_study_diagonalizes_each_pair_once(monkeypatch):
         calls["eigh"] += 1
         return eigh(*args, **kwargs)
 
-    def counting_from_pair(cls, pair):
+    def counting_from_pair(cls, ac):
         calls["from_pair"] += 1
-        return from_pair(cls, pair)
+        return from_pair(cls, ac)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(AnticommutatorSpectrum, "from_pair",

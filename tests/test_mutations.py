@@ -41,7 +41,7 @@ SEMICIRCLE = ["semicircle", "--N", "16", "--seed", "0", "--spacing", "4.0"]
 ROWS = [
     # (module, function, fragment, defect, command, failing checks or the
     # refusal's message)
-    pytest.param("wigner", "_sample_hermitian", "h.T[upper] = vals.conj()",
+    pytest.param("wigner", "sample_hermitian", "h.T[upper] = vals.conj()",
                  "h.T[upper] = vals", LC8,
                  {"factorization", "bordered_identity", "key_identity"},
                  id="pair-symmetric-not-hermitian"),

@@ -55,7 +55,7 @@ def test_sampler_matches_index_construction(ensemble, n, seed):
     # same draw order and every bit, signed zeros included
     spec = EnsembleSpec(n=n, ensemble=ensemble, seed=seed)
     for stream in (0, 1):
-        got = wigner._sample_hermitian(spec, stream)
+        got = wigner.sample_hermitian(spec, stream)
         assert got.tobytes() == triu_indices_sample(spec, stream).tobytes()
 
 
